@@ -19,10 +19,10 @@ import (
 // splices it into BENCH_knn.json under the "store" key, so the recall/RSS/
 // qps table travels with the kernel numbers.
 type storeBenchReport struct {
-	Dataset   string `json:"dataset"`
-	N         int    `json:"n"`
-	Dims      int    `json:"dims"`
-	K         int    `json:"k"`
+	Dataset     string `json:"dataset"`
+	N           int    `json:"n"`
+	Dims        int    `json:"dims"`
+	K           int    `json:"k"`
 	Precision   string `json:"precision"`
 	FullDims    int    `json:"full_dims"`
 	PrefixDims  int    `json:"prefix_dims"`

@@ -90,7 +90,7 @@ func kmeansOnce(x *linalg.Dense, k, maxIter int, seed int64) *KMeansResult {
 	// norm-cache identity d²(x,c) = ‖x‖² + ‖c‖² − 2⟨x,c⟩. Point norms are
 	// loop-invariant and the per-point argmin only needs ‖c‖² − 2⟨x,c⟩; ‖x‖²
 	// re-enters when accumulating inertia (clamped at 0 against rounding).
-	xn := linalg.RowNormsSq(x)
+	xn := linalg.MulTRowNormsSq(x)
 	gram := linalg.NewDense(n, k)
 	for iter := 0; iter < maxIter; iter++ {
 		iters = iter + 1
@@ -99,7 +99,7 @@ func kmeansOnce(x *linalg.Dense, k, maxIter int, seed int64) *KMeansResult {
 		for c := range sizes {
 			sizes[c] = 0
 		}
-		cn := linalg.RowNormsSq(centroids)
+		cn := linalg.MulTRowNormsSq(centroids)
 		linalg.MulTInto(gram, x, centroids)
 		for i := 0; i < n; i++ {
 			grow := gram.RawRow(i)

@@ -108,11 +108,21 @@ type BasisAnalysis struct {
 	Reports []VectorReport
 }
 
+// analyzeBlockRows is the number of data rows AnalyzeBasis carries through
+// its two products at a time: three 256×k blocks of scratch.
+const analyzeBlockRows = 256
+
 // AnalyzeBasis evaluates every column of basis against the data matrix x.
 // If center is true the column means of x are removed first (the model
 // requires centered data); pass false when x is already centered. Basis
 // columns are used as given and are expected to be unit vectors (the
 // coherence factor is scale-invariant in e, so this is not enforced).
+//
+// Both sums CoherenceFactor needs are inner products over the original
+// dimensions — the projection Σⱼ xⱼeⱼ, and the squared contributions
+// Σⱼ (xⱼeⱼ)² = Σⱼ xⱼ²·eⱼ² — so for a block of rows and all directions at
+// once they are two matrix products, P = X·Eᵀ and S = (X∘X)·(E∘E)ᵀ with the
+// directions as the rows of E, and CF = |P|/√S elementwise (σ·√d = √S).
 func AnalyzeBasis(x *linalg.Dense, basis *linalg.Dense, center bool) *BasisAnalysis {
 	n, d := x.Dims()
 	bd, k := basis.Dims()
@@ -123,24 +133,37 @@ func AnalyzeBasis(x *linalg.Dense, basis *linalg.Dense, center bool) *BasisAnaly
 	if center {
 		work, _ = stats.Center(x)
 	}
-	reports := make([]VectorReport, k)
-	cols := make([][]float64, k)
-	for j := 0; j < k; j++ {
-		cols[j] = basis.Col(j)
-	}
+	e := basis.T()
+	e2 := linalg.NewDense(k, d)
+	squareInto(e2, e)
+	rows := min(analyzeBlockRows, n)
+	x2 := linalg.NewDense(rows, d)
+	proj := linalg.NewDense(rows, k)
+	sumSq := linalg.NewDense(rows, k)
 	sumsCP := make([]float64, k)
 	sumsCF := make([]float64, k)
 	sumsSq := make([]float64, k)
-	for i := 0; i < n; i++ {
-		row := work.RawRow(i)
-		for j := 0; j < k; j++ {
-			cf := CoherenceFactor(row, cols[j])
-			sumsCF[j] += cf
-			sumsCP[j] += stats.TwoSidedProbability(cf)
-			p := linalg.Dot(row, cols[j])
-			sumsSq[j] += p * p
+	for lo := 0; lo < n; lo += rows {
+		hi := min(lo+rows, n)
+		blk := work.RowSlice(lo, hi)
+		x2b, pb, sb := x2.RowSlice(0, hi-lo), proj.RowSlice(0, hi-lo), sumSq.RowSlice(0, hi-lo)
+		squareInto(x2b, blk)
+		linalg.MulTInto(pb, blk, e)
+		linalg.MulTInto(sb, x2b, e2)
+		for i := 0; i < hi-lo; i++ {
+			srow := sb.RawRow(i)
+			for j, p := range pb.RawRow(i) {
+				sumsSq[j] += p * p
+				if srow[j] == 0 { // σ = 0: a zero point, or no overlap with e
+					continue
+				}
+				cf := math.Abs(p) / math.Sqrt(srow[j])
+				sumsCF[j] += cf
+				sumsCP[j] += stats.TwoSidedProbability(cf)
+			}
 		}
 	}
+	reports := make([]VectorReport, k)
 	for j := 0; j < k; j++ {
 		reports[j] = VectorReport{
 			Index:      j,
@@ -150,6 +173,16 @@ func AnalyzeBasis(x *linalg.Dense, basis *linalg.Dense, center bool) *BasisAnaly
 		}
 	}
 	return &BasisAnalysis{Reports: reports}
+}
+
+// squareInto writes the elementwise square of src into dst (same shape).
+func squareInto(dst, src *linalg.Dense) {
+	for i := 0; i < src.Rows(); i++ {
+		out := dst.RawRow(i)
+		for j, v := range src.RawRow(i) {
+			out[j] = v * v
+		}
+	}
 }
 
 // Coherences returns the P(D,e) value of every basis column, in column

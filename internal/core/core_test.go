@@ -316,3 +316,81 @@ func TestContributionHistogram(t *testing.T) {
 		t.Fatalf("coherent histogram occupies %d bins", occupied)
 	}
 }
+
+// referenceAnalysis is AnalyzeBasis as the definitions state it, one
+// CoherenceFactor per (point, direction): what the two-product form is
+// checked against.
+func referenceAnalysis(work, basis *linalg.Dense) []VectorReport {
+	n, _ := work.Dims()
+	_, k := basis.Dims()
+	out := make([]VectorReport, k)
+	for j := 0; j < k; j++ {
+		e := basis.Col(j)
+		sumCF, sumSq := 0.0, 0.0
+		for i := 0; i < n; i++ {
+			sumCF += CoherenceFactor(work.RawRow(i), e)
+			p := linalg.Dot(work.RawRow(i), e)
+			sumSq += p * p
+		}
+		out[j] = VectorReport{
+			Index:      j,
+			Eigenvalue: sumSq / float64(n),
+			Coherence:  DatasetCoherence(work, e),
+			MeanFactor: sumCF / float64(n),
+		}
+	}
+	return out
+}
+
+func TestAnalyzeBasisMatchesPerPointDefinition(t *testing.T) {
+	relClose := func(got, want float64) bool {
+		return math.Abs(got-want) <= 1e-12*math.Max(math.Abs(want), 1e-300)
+	}
+	for _, ds := range []*linalg.Dense{
+		synthetic.MustGenerate(synthetic.LatentFactorConfig{
+			Name: "one-concept", N: 300, Dims: 40, Classes: 2,
+			ConceptStrengths: []float64{6}, ClassSeparation: 1, NoiseStdDev: 0.3, Seed: 5,
+		}).X,
+		synthetic.UniformCube("u", 400, 6, 3).X,
+		synthetic.MustGenerate(synthetic.LatentFactorConfig{
+			Name: "clean", N: 400, Dims: 25, Classes: 2,
+			ConceptStrengths: []float64{6, 5, 4}, ClassSeparation: 1, NoiseStdDev: 0.4, Seed: 8,
+		}).Standardized().X,
+	} {
+		work, _ := stats.Center(ds)
+		ed, err := linalg.EigSym(stats.CovarianceMatrix(work))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, vecs := ed.Descending()
+		got := AnalyzeBasis(work, vecs, false).Reports
+		for j, want := range referenceAnalysis(work, vecs) {
+			g := got[j]
+			if g.Index != want.Index || !relClose(g.Coherence, want.Coherence) ||
+				!relClose(g.MeanFactor, want.MeanFactor) || !relClose(g.Eigenvalue, want.Eigenvalue) {
+				t.Fatalf("%dx%d direction %d: got %+v, per-point definition gives %+v", work.Rows(), work.Cols(), j, g, want)
+			}
+		}
+	}
+}
+
+func TestAnalyzeBasisZeroSigmaRows(t *testing.T) {
+	// Row 0 is the zero point; row 1 has no overlap with e₂ and e₃. Both
+	// have σ = 0 along those directions and must count as coherence factor
+	// 0 — not as a 0/0 — exactly as CoherenceFactor treats them.
+	work := linalg.FromRows([][]float64{
+		{0, 0, 0},
+		{2, 0, 0},
+		{1, -1, 3},
+	})
+	basis := linalg.Identity(3)
+	got := AnalyzeBasis(work, basis, false).Reports
+	for j, want := range referenceAnalysis(work, basis) {
+		if math.IsNaN(got[j].Coherence) || math.IsNaN(got[j].MeanFactor) {
+			t.Fatalf("direction %d: σ=0 rows produced NaN: %+v", j, got[j])
+		}
+		if math.Abs(got[j].Coherence-want.Coherence) > 1e-15 || math.Abs(got[j].MeanFactor-want.MeanFactor) > 1e-15 {
+			t.Fatalf("direction %d: got %+v, want %+v", j, got[j], want)
+		}
+	}
+}

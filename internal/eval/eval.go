@@ -8,9 +8,6 @@ package eval
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/dataset"
 	"repro/internal/knn"
@@ -25,9 +22,10 @@ const PaperK = 3
 // PredictionAccuracy runs the feature-stripping measurement on a point
 // matrix with class labels: every point queries for its k nearest neighbors
 // among the other points, and the accuracy is the fraction of all retrieved
-// neighbors (over all queries) whose class matches the query's class.
-// Queries are independent and evaluated in parallel; the result is exact
-// and deterministic.
+// neighbors (over all queries) whose class matches the query's class. The
+// leave-one-out search is one knn.SearchSetBatch call — the GEMM engine for
+// the Euclidean metrics, the parallel scalar scan for the rest — whose
+// answers are SearchSet's, so the result is exact and deterministic.
 func PredictionAccuracy(x *linalg.Dense, labels []int, k int, m knn.Metric) float64 {
 	n := x.Rows()
 	if len(labels) != n {
@@ -36,54 +34,19 @@ func PredictionAccuracy(x *linalg.Dense, labels []int, k int, m knn.Metric) floa
 	if k <= 0 {
 		panic(fmt.Sprintf("eval: k=%d must be positive", k))
 	}
-	var matches, total int64
-	parallelRows(n, func(i int) {
-		res := knn.Search(x, x.RawRow(i), k, m, i)
-		var mt, tt int64
+	matches, total := 0, 0
+	for i, res := range knn.SearchSetBatch(x, x, k, m, true) {
+		total += len(res)
 		for _, nb := range res {
-			tt++
 			if labels[nb.Index] == labels[i] {
-				mt++
+				matches++
 			}
 		}
-		atomic.AddInt64(&matches, mt)
-		atomic.AddInt64(&total, tt)
-	})
+	}
 	if total == 0 {
 		return 0
 	}
 	return float64(matches) / float64(total)
-}
-
-// parallelRows invokes fn(i) for every i in [0,n) across NumCPU workers.
-// fn must be safe to call concurrently for distinct i.
-func parallelRows(n int, fn func(i int)) {
-	workers := runtime.NumCPU()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next int64 = -1
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // DatasetAccuracy is PredictionAccuracy on a labelled data set with the
@@ -100,18 +63,13 @@ func NeighborPrecision(full, reduced *linalg.Dense, k int, m knn.Metric) float64
 	if full.Rows() != reduced.Rows() {
 		panic(fmt.Sprintf("eval: row mismatch %d vs %d", full.Rows(), reduced.Rows()))
 	}
-	n := full.Rows()
-	sums := make([]float64, n)
-	parallelRows(n, func(i int) {
-		a := knn.Search(full, full.RawRow(i), k, m, i)
-		b := knn.Search(reduced, reduced.RawRow(i), k, m, i)
-		sums[i] = knn.Overlap(a, b)
-	})
+	a := knn.SearchSetBatch(full, full, k, m, true)
+	b := knn.SearchSetBatch(reduced, reduced, k, m, true)
 	sum := 0.0
-	for _, v := range sums {
-		sum += v
+	for i := range a {
+		sum += knn.Overlap(a[i], b[i])
 	}
-	return sum / float64(n)
+	return sum / float64(len(a))
 }
 
 // CurvePoint is one sweep sample: accuracy using the first Dims components

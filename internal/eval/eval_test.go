@@ -42,6 +42,55 @@ func TestPredictionAccuracyHandComputed(t *testing.T) {
 	}
 }
 
+// scalarAccuracy is the measurement as the paper states it, one scalar
+// leave-one-out scan per point: the reference PredictionAccuracy's single
+// batch search path is held to.
+func scalarAccuracy(x *linalg.Dense, labels []int, k int, m knn.Metric) float64 {
+	matches, total := 0, 0
+	for i := 0; i < x.Rows(); i++ {
+		for _, nb := range knn.Search(x, x.RawRow(i), k, m, i) {
+			total++
+			if labels[nb.Index] == labels[i] {
+				matches++
+			}
+		}
+	}
+	return float64(matches) / float64(total)
+}
+
+func TestPredictionAccuracyEqualsScalarReference(t *testing.T) {
+	latent := synthetic.MustGenerate(synthetic.LatentFactorConfig{
+		Name: "ref", N: 500, Dims: 24, Classes: 3,
+		ConceptStrengths: []float64{5, 3}, ClassSeparation: 1, NoiseStdDev: 0.6, Seed: 13,
+	})
+	// A lattice with labels by position: neighbor ties everywhere, so a
+	// differently broken tie would show up in the count.
+	grid := linalg.NewDense(144, 2)
+	gridLabels := make([]int, 144)
+	for i := 0; i < 144; i++ {
+		grid.Set(i, 0, float64(i%12))
+		grid.Set(i, 1, float64(i/12))
+		gridLabels[i] = (i%12 + i/12) % 3
+	}
+	for _, c := range []struct {
+		name   string
+		x      *linalg.Dense
+		labels []int
+	}{
+		{"latent", latent.X, latent.Labels},
+		{"grid", grid, gridLabels},
+	} {
+		for _, k := range []int{1, 3, 10} {
+			for _, m := range []knn.Metric{knn.Euclidean{}, knn.SquaredEuclidean{}, knn.Manhattan{}} {
+				got, want := PredictionAccuracy(c.x, c.labels, k, m), scalarAccuracy(c.x, c.labels, k, m)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s k=%d %s: accuracy %v, scalar reference %v", c.name, k, m.Name(), got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestPredictionAccuracyPanics(t *testing.T) {
 	x := linalg.NewDense(3, 2)
 	for name, fn := range map[string]func(){

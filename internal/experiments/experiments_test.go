@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/reduction"
+	"repro/internal/stats"
 )
 
 // The assertions in this file are the repository's reproduction criteria:
@@ -616,5 +618,35 @@ func TestNoiseAblation(t *testing.T) {
 	r.Format(&buf)
 	if buf.Len() == 0 {
 		t.Fatalf("empty Format")
+	}
+}
+
+// TestCoherenceOrderingMatchesPerPointModel holds the ordering every figure
+// of the evaluation is built on — components ranked by P(D,e) — to the
+// model as §2 states it, one coherence factor per point and direction:
+// core.AnalyzeBasis computes the same sums as two matrix products, and
+// whatever rounding that moves must not move a single rank on the five
+// evaluation data sets.
+func TestCoherenceOrderingMatchesPerPointModel(t *testing.T) {
+	for _, spec := range append(AllClean(1), NoisyA(1), NoisyB(1)) {
+		p, err := reduction.FitDataset(spec.Data, reduction.Options{Scaling: reduction.ScalingStudentize, ComputeCoherence: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		work, _, _ := stats.Standardize(spec.Data.X, 1e-12)
+		ref := *p
+		ref.Coherence = make([]float64, p.Dims())
+		for j := range ref.Coherence {
+			ref.Coherence[j] = core.DatasetCoherence(work, p.Components.Col(j))
+			if math.Abs(ref.Coherence[j]-p.Coherence[j]) > 1e-12 {
+				t.Fatalf("%s component %d: P(D,e) = %v, per-point model gives %v", spec.Data.Name, j, p.Coherence[j], ref.Coherence[j])
+			}
+		}
+		got, want := p.Order(reduction.ByCoherence), ref.Order(reduction.ByCoherence)
+		for r := range want {
+			if got[r] != want[r] {
+				t.Fatalf("%s: coherence rank %d is component %d, per-point model ranks component %d there", spec.Data.Name, r, got[r], want[r])
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package knn
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
@@ -14,9 +15,11 @@ import (
 //
 //	D²[i][j] = ‖qᵢ‖² + ‖xⱼ‖² − 2·⟨qᵢ, xⱼ⟩
 //
-// with ‖x‖² computed once per matrix and the inner-product matrix produced
-// block by block with linalg.MulTInto, so a data tile is read once per
-// query block rather than once per query.
+// with the inner-product matrix produced block by block with
+// linalg.MulTInto, so a data tile is read once per query block rather than
+// once per query, and ‖x‖² computed once per matrix by
+// linalg.MulTRowNormsSq — the norm on the same summation chain as the
+// product, so the three terms of an identical pair cancel to exactly zero.
 
 const (
 	// batchQueryBlock is the number of query rows per GEMM block.
@@ -32,14 +35,15 @@ const (
 // Euclidean distances between every query row and every data row, computed
 // through the blocked GEMM kernel with cached row norms. Entries are clamped
 // at zero (the norm-cache identity can round to a tiny negative for
-// near-identical points). The result is O(nq·n) memory; for k-NN workloads
-// prefer SearchSetBatch, which tiles instead of materializing.
+// near-identical points; for identical rows it is exactly zero). The result
+// is O(nq·n) memory; for k-NN workloads prefer SearchSetBatch, which tiles
+// instead of materializing.
 func PairwiseSq(data, queries *linalg.Dense) *linalg.Dense {
 	if data.Cols() != queries.Cols() {
 		panic(fmt.Sprintf("knn: pairwise dimension mismatch %d vs %d", queries.Cols(), data.Cols()))
 	}
-	dn := linalg.RowNormsSq(data)
-	qn := linalg.RowNormsSq(queries)
+	dn := linalg.MulTRowNormsSq(data)
+	qn := linalg.MulTRowNormsSq(queries)
 	out := linalg.MulT(queries, data)
 	for i := 0; i < out.Rows(); i++ {
 		row := out.RawRow(i)
@@ -55,15 +59,47 @@ func PairwiseSq(data, queries *linalg.Dense) *linalg.Dense {
 	return out
 }
 
-// SearchSetBatch is SearchSet routed through the batch-distance engine. For
-// Euclidean and SquaredEuclidean metrics it computes per-tile inner-product
-// blocks with the blocked parallel GEMM kernel and feeds the same Collector
-// used by the scalar path; every other metric falls back to
-// SearchSetParallel. Admitted neighbors are rescored with the scalar metric
-// before being returned, so results — distances, ordering, and the
-// Collector's earliest-index tie handling — match SearchSet exactly (modulo
-// exact distance ties between distinct points separated only by float64
-// rounding of the norm-cache identity, which cannot occur on generic data).
+// normCacheSlack is the relative width of the band within which a
+// norm-cache comparison cannot vouch for the scalar one: two rows whose
+// norm-cache squared distances from q differ by more than
+// normCacheSlack(d)·(S + underflowFloor), S = ‖q‖² + max‖x‖², are strictly
+// ordered the same way by the scalar Euclidean and SquaredEuclidean metrics.
+// With u = 2⁻⁵³, per pair and per unit of its ‖q‖² + ‖x‖² ≤ S:
+//
+//   - norm cache: a d-step product chain errs by at most d·u·Σ|aₜbₜ|, so the
+//     two norms contribute d·u·S and −2g another d·u·2‖q‖‖x‖ ≤ d·u·S; the
+//     two additions that assemble D² add 3u·S (the clamp at zero only moves
+//     a value towards the true D² ≥ 0). Total (2d+3)·u·S.
+//   - scalar Σ(qₜ−xₜ)²: d+2 roundings per term, relative to the true
+//     D² ≤ 2S. Total (2d+4)·u·S.
+//   - a gap G between two norm-cache values therefore leaves at least
+//     G − 2·(4d+7)·u·S between the scalar sums s₁ < s₂; SquaredEuclidean
+//     needs that positive, and Euclidean needs s₂ ≥ s₁·(1+4u), at most
+//     8u·S more, for √s₁ and √s₂ to stay apart after their own rounding.
+//
+// That is (8d+22)·u·S; 8·(d+8) leaves room for the second-order terms and
+// for S being formed from the computed norms. Each rounding above may
+// instead be a gradual underflow of at most one subnormal ulp, 2⁻¹⁰⁷⁴ =
+// u·underflowFloor, which the floor term covers with the same count.
+// TestNormCacheSlackHolds measures the real deviation against the bound.
+func normCacheSlack(d int) float64 { return 8 * float64(d+8) * 0x1p-53 }
+
+const underflowFloor = 0x1p-1021
+
+// SearchSetBatch is SearchSet routed through the batch-distance engine, and
+// returns exactly what SearchSet returns. For Euclidean and
+// SquaredEuclidean metrics it computes per-tile inner-product blocks with
+// the GEMM kernel and collects each query's k+1 nearest by norm-cache
+// distance; every other metric falls back to SearchSetParallel.
+//
+// Why the answer is SearchSet's: if the k-th and (k+1)-th norm-cache
+// distances of a query lie further apart than normCacheSlack allows the two
+// arithmetics to disagree, then under the scalar metric too every one of the
+// first k is strictly nearer than every other row, so the scalar scan keeps
+// that same set whatever its tie handling inside it; rescoring the set with
+// the scalar metric and sorting canonically then reproduces distances and
+// order. A query whose gap is not that wide — duplicates, lattice data, a
+// genuine near-tie at rank k — is answered by Search itself.
 func SearchSetBatch(data, queries *linalg.Dense, k int, m Metric, selfExclude bool) [][]Neighbor {
 	switch m.(type) {
 	case Euclidean, SquaredEuclidean:
@@ -78,67 +114,61 @@ func SearchSetBatch(data, queries *linalg.Dense, k int, m Metric, selfExclude bo
 	if k <= 0 {
 		panic(fmt.Sprintf("knn: k=%d must be positive", k))
 	}
-	dataNorms := linalg.RowNormsSq(data)
-	queryNorms := linalg.RowNormsSq(queries)
-	collectors := make([]*Collector, nq)
+	dataNorms := linalg.MulTRowNormsSq(data)
+	queryNorms := linalg.MulTRowNormsSq(queries)
+	maxNorm := 0.0
+	for _, v := range dataNorms {
+		maxNorm = math.Max(maxNorm, v) // NaN propagates and fails every gap test
+	}
+	collectors := make([]Collector, nq)
 	for i := range collectors {
-		collectors[i] = NewCollector(k)
+		collectors[i].Reset(min(k+1, n)) // n ≤ k: every row is a neighbor
 	}
 
-	tile := batchDataTile
-	if tile > n {
-		tile = n
-	}
-	block := batchQueryBlock
-	if block > nq {
-		block = nq
-	}
+	tile := min(batchDataTile, n)
+	block := min(batchQueryBlock, nq)
 	scratch := make([]float64, block*tile)
 	for qlo := 0; qlo < nq; qlo += block {
-		qhi := qlo + block
-		if qhi > nq {
-			qhi = nq
-		}
+		qhi := min(qlo+block, nq)
 		qview := queries.RowSlice(qlo, qhi)
 		for jt := 0; jt < n; jt += tile {
-			je := jt + tile
-			if je > n {
-				je = n
-			}
+			je := min(jt+tile, n)
 			// The GEMM kernel parallelizes its own row panels; the
 			// collector scans then parallelize over the block's queries.
 			g := linalg.NewDenseData(qhi-qlo, je-jt, scratch[:(qhi-qlo)*(je-jt)])
 			linalg.MulTInto(g, qview, data.RowSlice(jt, je))
 			parallelQueries(qhi-qlo, func(bi int) {
 				i := qlo + bi
-				c := collectors[i]
-				qn := queryNorms[i]
-				grow := g.RawRow(bi)
 				ex := -1
 				if selfExclude {
 					ex = i - jt // the query's own row, if it lies in this tile
 				}
-				for jj, gv := range grow {
-					if jj == ex {
-						continue
-					}
-					d2 := qn + dataNorms[jt+jj] - 2*gv
-					if d2 < 0 {
-						d2 = 0
-					}
-					c.Offer(jt+jj, d2)
-				}
+				scanTile(&collectors[i], g.RawRow(bi), dataNorms[jt:je], queryNorms[i], jt, ex)
 			})
 		}
 	}
 
+	slack := normCacheSlack(d)
 	out := make([][]Neighbor, nq)
 	parallelQueries(nq, func(i int) {
 		res := collectors[i].Results()
+		q := queries.RawRow(i)
+		// Inf or NaN coordinates, or norms within a factor 4 of overflow
+		// (the scalar sums can reach 2S), fail the first test; a gap inside
+		// the band fails the second.
+		S := queryNorms[i] + maxNorm
+		if !(S <= math.MaxFloat64/4) || len(res) > k && !(res[k].Dist-res[k-1].Dist > slack*(S+underflowFloor)) {
+			ex := -1
+			if selfExclude {
+				ex = i
+			}
+			out[i] = Search(data, q, k, m, ex)
+			return
+		}
+		res = res[:min(k, len(res))]
 		// Rescore with the scalar metric so reported distances are
 		// bit-identical to the scalar path, then restore (dist, index)
 		// order. O(nq·k·d) — noise next to the O(nq·n·d) scan.
-		q := queries.RawRow(i)
 		for t := range res {
 			res[t].Dist = m.Distance(data.RawRow(res[t].Index), q)
 		}
@@ -146,6 +176,27 @@ func SearchSetBatch(data, queries *linalg.Dense, k int, m Metric, selfExclude bo
 		out[i] = res
 	})
 	return out
+}
+
+// scanTile offers one query's row of a tile's inner products to its
+// collector as norm-cache squared distances. Entries are tested against
+// Collector.Bound() first: on all but a handful of rows per tile that one
+// comparison is the whole cost. ex is the tile-relative index to skip
+// (negative or beyond the tile: none).
+func scanTile(c *Collector, g, norms []float64, qn float64, base, ex int) {
+	norms = norms[:len(g)]
+	bound := c.Bound()
+	for jj, gv := range g {
+		d2 := qn + norms[jj] - 2*gv
+		if d2 >= bound || jj == ex { // a NaN goes on to Offer, as in an unfiltered scan
+			continue
+		}
+		if d2 < 0 {
+			d2 = 0
+		}
+		c.Offer(base+jj, d2)
+		bound = c.Bound()
+	}
 }
 
 // parallelQueries runs fn(i) for i in [0, n) across contiguous chunks on up

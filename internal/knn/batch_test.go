@@ -55,6 +55,35 @@ func TestPairwiseSqSelfIsNonNegative(t *testing.T) {
 	}
 }
 
+// TestPairwiseSqPairedNorms pins why the batch engine takes its norms from
+// linalg.MulTRowNormsSq: on the product's own summation chain the three
+// terms of an identical pair cancel exactly, so the diagonal of a
+// self-distance matrix is zero to the bit, and duplicated rows give
+// bit-equal columns (and rows) — no rounding-born order among duplicates.
+func TestPairwiseSqPairedNorms(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	for _, d := range []int{1, 7, 16, 166} {
+		data := randMatrix(rng, 41, d)
+		data.Scale(37.5) // large norms: the worst case for cancellation
+		copy(data.RawRow(30), data.RawRow(3))
+		copy(data.RawRow(40), data.RawRow(3))
+		got := PairwiseSq(data, data)
+		for i := 0; i < 41; i++ {
+			if v := got.At(i, i); v != 0 || math.Signbit(v) {
+				t.Fatalf("d=%d: D²[%d][%d] = %v, want exactly +0", d, i, i, v)
+			}
+			for _, dup := range []int{30, 40} {
+				if math.Float64bits(got.At(i, dup)) != math.Float64bits(got.At(i, 3)) {
+					t.Fatalf("d=%d: columns 3 and %d differ at row %d: %v vs %v", d, dup, i, got.At(i, 3), got.At(i, dup))
+				}
+				if math.Float64bits(got.At(dup, i)) != math.Float64bits(got.At(3, i)) {
+					t.Fatalf("d=%d: rows 3 and %d differ at column %d", d, dup, i)
+				}
+			}
+		}
+	}
+}
+
 func TestPairwiseSqDimMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -122,6 +151,122 @@ func TestSearchSetBatchDuplicatesAndTies(t *testing.T) {
 		got := SearchSetBatch(data, queries, k, Euclidean{}, false)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("k=%d: ties resolved differently: got %v, want %v", k, got, want)
+		}
+	}
+}
+
+// latticeMatrix draws n points with coordinates on the half-integer lattice
+// in [-range, range]: every squared distance is exact in both arithmetics,
+// so ties — at rank k, inside the top k, among duplicates — are everywhere.
+func latticeMatrix(rng *rand.Rand, n, d, span int, half bool) *linalg.Dense {
+	m := linalg.NewDense(n, d)
+	for i := 0; i < n; i++ {
+		for j := 0; j < d; j++ {
+			v := float64(rng.Intn(2*span+1) - span)
+			if half {
+				v += 0.5 * float64(rng.Intn(2))
+			}
+			m.Set(i, j, v)
+		}
+	}
+	return m
+}
+
+// TestSearchSetBatchEqualsSearchSetOnLattices is the property behind
+// SearchSetBatch's "returns exactly what SearchSet returns": on data built
+// to tie, the gap test must hand every ambiguous query to the scalar scan,
+// whose heap decides ties its own way.
+func TestSearchSetBatchEqualsSearchSetOnLattices(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	for _, d := range []int{1, 2, 16} {
+		for _, half := range []bool{false, true} {
+			span := 3
+			if d == 16 {
+				span = 1
+			}
+			data := latticeMatrix(rng, 260, d, span, half)
+			for r := 0; r < 40; r++ { // duplicated rows on top of the lattice's own
+				copy(data.RawRow(200+r), data.RawRow(rng.Intn(200)))
+			}
+			queries := latticeMatrix(rng, 30, d, span, half)
+			for _, k := range []int{1, 3, 10} {
+				for _, m := range []Metric{Euclidean{}, SquaredEuclidean{}} {
+					want := SearchSet(data, queries, k, m, false)
+					if got := SearchSetBatch(data, queries, k, m, false); !reflect.DeepEqual(got, want) {
+						t.Fatalf("d=%d half=%v k=%d %s: batch differs from scalar", d, half, k, m.Name())
+					}
+					want = SearchSet(data, data, k, m, true)
+					if got := SearchSetBatch(data, data, k, m, true); !reflect.DeepEqual(got, want) {
+						t.Fatalf("d=%d half=%v k=%d %s: self-excluding batch differs from scalar", d, half, k, m.Name())
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSearchSetBatchNonFinite: Inf and NaN coordinates poison the norm
+// cache; those queries must come back from the scalar scan unchanged.
+func TestSearchSetBatchNonFinite(t *testing.T) {
+	rng := rand.New(rand.NewSource(69))
+	data := randMatrix(rng, 50, 4)
+	data.Set(7, 1, math.Inf(1))
+	data.Set(19, 2, math.NaN())
+	queries := randMatrix(rng, 6, 4)
+	queries.Set(2, 0, math.Inf(-1))
+	for _, k := range []int{3, 60} {
+		want := SearchSet(data, queries, k, Euclidean{}, false)
+		got := SearchSetBatch(data, queries, k, Euclidean{}, false)
+		if len(got) != len(want) {
+			t.Fatalf("k=%d: %d result lists, want %d", k, len(got), len(want))
+		}
+		for i := range want {
+			if len(got[i]) != len(want[i]) {
+				t.Fatalf("k=%d query %d: %d neighbors, want %d", k, i, len(got[i]), len(want[i]))
+			}
+			for j := range want[i] {
+				g, w := got[i][j], want[i][j]
+				if g.Index != w.Index || math.Float64bits(g.Dist) != math.Float64bits(w.Dist) {
+					t.Fatalf("k=%d query %d rank %d: got %v, want %v", k, i, j, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestNormCacheSlackHolds measures what normCacheSlack bounds. Its comment
+// derives (4d+7)·u·(‖q‖²+‖x‖²) for the distance between a pair's norm-cache
+// and scalar squared distances — half the band, less the square-root
+// margin. The data is the adversarial shape for the identity: a cloud far
+// from the origin, where ‖q‖² + ‖x‖² − 2⟨q,x⟩ cancels almost everything.
+func TestNormCacheSlackHolds(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	sq := SquaredEuclidean{}
+	for _, d := range []int{1, 2, 16, 166} {
+		for _, offset := range []float64{0, 1, 1e3, 1e6} {
+			data := randMatrix(rng, 60, d)
+			for i := 0; i < 60; i++ {
+				row := data.RawRow(i)
+				for j := range row {
+					row[j] += offset
+				}
+			}
+			norms := linalg.MulTRowNormsSq(data)
+			nc := PairwiseSq(data, data)
+			worst := 0.0
+			for i := 0; i < 60; i++ {
+				for j := 0; j < 60; j++ {
+					dev := math.Abs(nc.At(i, j) - sq.Distance(data.RawRow(i), data.RawRow(j)))
+					worst = math.Max(worst, dev/(norms[i]+norms[j]))
+				}
+			}
+			derived := float64(4*d+7) * 0x1p-53
+			if worst > derived {
+				t.Fatalf("d=%d offset=%g: norm-cache and scalar D² differ by %.3g·S, derivation allows %.3g·S", d, offset, worst, derived)
+			}
+			if 2*derived+8*0x1p-53 > normCacheSlack(d) {
+				t.Fatalf("d=%d: normCacheSlack %.3g does not cover 2×%.3g plus the √ margin", d, normCacheSlack(d), derived)
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -35,4 +36,25 @@ func TestDotQ15ZeroAllocs(t *testing.T) {
 		}
 	}
 	_ = sink
+}
+
+// TestMulTIntoAllocatesOnePanel pins the kernel's memory contract: per
+// worker, one packed panel of b (9·k float64) and nothing that scales with
+// either operand's row count — packing a whole data tile per call showed up
+// as resident memory in every caller.
+func TestMulTIntoAllocatesOnePanel(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rng := rand.New(rand.NewSource(223))
+	a, b := randDense(rng, 128, 166), randDense(rng, 2048, 166)
+	dst := NewDense(128, 2048)
+	if avg := testing.AllocsPerRun(5, func() { MulTInto(dst, a, b) }); avg > 1 {
+		t.Errorf("MulTInto does %.2f allocs/op, want at most the one panel", avg)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	MulTInto(dst, a, b)
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(16*166*8); got > limit {
+		t.Errorf("MulTInto allocated %d bytes, want at most one panel (%d)", got, limit)
+	}
 }

@@ -78,6 +78,28 @@ func BenchmarkDotGeneric166(b *testing.B) {
 	}
 }
 
+// benchMulT times MulTInto at one shape and reports the kernel's rate in
+// GFMA/s (packing included), the number to hold against the core's FMA peak
+// (2 ports × 4 lanes × clock).
+func benchMulT(b *testing.B, m, n, k int) {
+	rng := rand.New(rand.NewSource(8))
+	x := randDense(rng, m, k)
+	y := randDense(rng, n, k)
+	dst := NewDense(m, n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MulTInto(dst, x, y)
+	}
+	b.ReportMetric(float64(m)*float64(n)*float64(k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFMA/s")
+}
+
+// The three shapes of EXPERIMENTS.md's kernel table: SearchSetBatch's
+// query-block × data-tile at the reduced and the full dimensionality, and
+// the benchmark harness's 512-query product over the whole Musk analogue.
+func BenchmarkMulT128x2048x16(b *testing.B)  { benchMulT(b, 128, 2048, 16) }
+func BenchmarkMulT128x2048x166(b *testing.B) { benchMulT(b, 128, 2048, 166) }
+func BenchmarkMulT512x6598x166(b *testing.B) { benchMulT(b, 512, 6598, 166) }
+
 // BenchmarkMulT512x166 against BenchmarkMulNaiveT512x166 is the blocked
 // kernel's proof of win over the seed's ikj Mul on the same product shape.
 func BenchmarkMulT512x166(b *testing.B) {

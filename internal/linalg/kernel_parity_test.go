@@ -142,3 +142,165 @@ func TestKernelEdgeValues(t *testing.T) {
 		}
 	}
 }
+
+// The A·Bᵀ kernel's contract is stronger than the dot kernels': it is
+// defined as one chain per output element, so assembly, portable twin and a
+// three-line reference loop must agree on every bit, whatever the shape.
+
+// refChain is the definition of one output element of MulT, written out.
+func refChain(a, b []float64) float64 {
+	acc := 0.0
+	for t := range a {
+		if hasFMA {
+			acc = math.FMA(a[t], b[t], acc)
+		} else {
+			acc += a[t] * b[t]
+		}
+	}
+	return acc
+}
+
+// denseOf builds an m×k matrix from rows, k = 0 included (no constructor
+// makes a zero-column Dense, the kernel must still accept one).
+func denseOf(rng *rand.Rand, m, k int) *Dense {
+	d := &Dense{rows: m, cols: k, data: make([]float64, m*k)}
+	for i := range d.data {
+		d.data[i] = rng.NormFloat64()
+	}
+	return d
+}
+
+func requireChain(t *testing.T, what string, got, a, b *Dense) {
+	t.Helper()
+	k := a.cols
+	for i := 0; i < a.rows; i++ {
+		for j := 0; j < b.rows; j++ {
+			want := refChain(a.data[i*k:(i+1)*k], b.data[j*k:(j+1)*k])
+			if g := got.data[i*got.cols+j]; math.Float64bits(g) != math.Float64bits(want) {
+				t.Fatalf("%s %dx%dx%d: out[%d][%d] = %v (%#x), chain gives %v (%#x)",
+					what, a.rows, b.rows, k, i, j, g, math.Float64bits(g), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
+func TestMulTIsTheSequentialChain(t *testing.T) {
+	rng := rand.New(rand.NewSource(89))
+	for _, m := range []int{1, 3, 4, 5, 131} {
+		for _, n := range []int{1, 7, 8, 9, 2051} {
+			for _, k := range []int{0, 1, 7, 16, 166} {
+				a, b := denseOf(rng, m, k), denseOf(rng, n, k)
+				dst := NewDense(m, n)
+				for i := range dst.data {
+					dst.data[i] = math.NaN() // every element must be overwritten
+				}
+				MulTInto(dst, a, b)
+				requireChain(t, "dispatched", dst, a, b)
+				if k == 0 {
+					continue
+				}
+				// The dispatcher directly, over a row sub-range, with the
+				// assembly forced off: the portable twin, same bits.
+				part := NewDense(m, n)
+				withGeneric(func() { mulTRows(part, a, b, 0, m) })
+				if !part.Equal(dst, 0) {
+					t.Fatalf("%dx%dx%d: portable twin differs from dispatched kernel", m, n, k)
+				}
+			}
+		}
+	}
+}
+
+func TestMulTIndependentOfWorkers(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	a, b := randDense(rng, 131, 33), randDense(rng, 75, 33)
+	want := MulT(a, b)
+	for _, procs := range []int{1, 2, 4} {
+		withWorkers(procs, func() {
+			if got := MulT(a, b); !got.Equal(want, 0) {
+				t.Fatalf("GOMAXPROCS=%d changed the product's bits", procs)
+			}
+		})
+	}
+}
+
+// TestMulTEdgeValues feeds the chain NaN, ±Inf, subnormal and huge rows: the
+// assembly and the portable twin must propagate them identically (lanes of
+// a ragged panel compute on zero padding next to them and are not stored).
+func TestMulTEdgeValues(t *testing.T) {
+	tiny := math.SmallestNonzeroFloat64
+	rows := [][]float64{
+		{0, 0, 0, 0, 0},
+		{1, -1, 1, -1, 1},
+		{tiny, tiny, -tiny, 2 * tiny, 0},
+		{1e308, -1e308, 1e308, 1, 1},
+		{math.Inf(1), 1, 2, 3, 4},
+		{math.Inf(-1), 0, 0, 0, 0},
+		{math.NaN(), 1, 1, 1, 1},
+		{1e-170, 1e-170, 1e170, 1e170, -1},
+		{3, 1, 4, 1, 5},
+	}
+	x := FromRows(rows)
+	got := MulT(x, x)
+	requireChain(t, "dispatched", got, x, x)
+	var portable *Dense
+	withGeneric(func() { portable = MulT(x, x) })
+	for i, v := range got.data {
+		if math.Float64bits(v) != math.Float64bits(portable.data[i]) {
+			t.Fatalf("element %d: dispatched %v (%#x), portable %v (%#x)",
+				i, v, math.Float64bits(v), portable.data[i], math.Float64bits(portable.data[i]))
+		}
+	}
+}
+
+// TestMulTUnfusedWithoutFMA pins the amd64-without-FMA form of the chain:
+// no software math.FMA, a rounded product and a rounded sum per step — and
+// the paired norm follows it, so identical rows still cancel exactly.
+func TestMulTUnfusedWithoutFMA(t *testing.T) {
+	savedFMA, savedAVX := hasFMA, hasAVX2FMA
+	hasFMA, hasAVX2FMA = false, false
+	t.Cleanup(func() { hasFMA, hasAVX2FMA = savedFMA, savedAVX })
+	rng := rand.New(rand.NewSource(101))
+	a, b := randDense(rng, 6, 19), randDense(rng, 11, 19)
+	got := MulT(a, b)
+	for i := 0; i < 6; i++ {
+		for j := 0; j < 11; j++ {
+			want := 0.0
+			for t := 0; t < 19; t++ {
+				want += a.At(i, t) * b.At(j, t)
+			}
+			if g := got.At(i, j); math.Float64bits(g) != math.Float64bits(want) {
+				t.Fatalf("out[%d][%d] = %v, unfused chain gives %v", i, j, g, want)
+			}
+		}
+	}
+	norms, gram := MulTRowNormsSq(a), MulT(a, a)
+	for i, v := range norms {
+		if math.Float64bits(v) != math.Float64bits(gram.At(i, i)) {
+			t.Fatalf("unfused norm[%d] = %v, MulT diagonal %v", i, v, gram.At(i, i))
+		}
+	}
+}
+
+// TestMulTRowNormsSqIsTheDiagonal is the pairing contract of the batch
+// engine's norm helper: bit-equal to the product of each row with itself,
+// under either implementation of the product.
+func TestMulTRowNormsSqIsTheDiagonal(t *testing.T) {
+	rng := rand.New(rand.NewSource(103))
+	for _, d := range parityDims {
+		for _, n := range []int{1, 4, 7, 21} {
+			m := randDense(rng, n, d)
+			norms := MulTRowNormsSq(m)
+			for name, gram := range map[string]*Dense{"dispatched": MulT(m, m), "portable": func() (g *Dense) {
+				withGeneric(func() { g = MulT(m, m) })
+				return g
+			}()} {
+				for i, v := range norms {
+					if math.Float64bits(v) != math.Float64bits(gram.At(i, i)) {
+						t.Fatalf("n=%d d=%d: norm[%d] = %v, %s MulT diagonal %v", n, d, i, v, name, gram.At(i, i))
+					}
+				}
+			}
+		}
+	}
+}

@@ -564,11 +564,12 @@ func (e *Engine) shardWorker() {
 }
 
 // searchExact scans the shard with the batch-distance identity
-// ‖x‖²+‖q‖²−2⟨x,q⟩ over the cached norms — the same arithmetic (and the
-// same dotUnitary kernel) knn.SearchSetBatch uses — then rescores admitted
-// neighbors with the scalar metric. Merging per-shard results with the
-// canonical comparator therefore reproduces the single-threaded batch
-// engine bit for bit.
+// ‖x‖²+‖q‖²−2⟨x,q⟩ over the cached norms (linalg.Dot paired with
+// linalg.RowNormsSq), then rescores admitted neighbors with the scalar
+// metric. knn.SearchSetBatch answers with the scalar scan's top k, rescored
+// and ordered the same way, so wherever rank k is not a tie within the
+// identity's rounding, merging per-shard results with the canonical
+// comparator reproduces the single-threaded batch engine bit for bit.
 func (s *denseShard) searchExact(query []float64, k int) shardOut {
 	n := s.data.Rows()
 	if k > n {

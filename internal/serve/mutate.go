@@ -99,10 +99,10 @@ type deltaView struct {
 // scan returns the view's top-k live rows as (ID, exact distance) pairs in
 // the canonical order. dead is the sorted captured list of tombstoned delta
 // IDs; rows on it are skipped inline. The admission pass uses the same
-// ‖x‖²+‖q‖²−2⟨x,q⟩ identity and the same dot kernel as the dense backend
-// and knn.SearchSetBatch, and admitted rows are rescored with the scalar
-// metric, so delta results merge bit-identically with a from-scratch
-// rebuild over the surviving rows.
+// ‖x‖²+‖q‖²−2⟨x,q⟩ identity and the same dot kernel as the dense backend,
+// and admitted rows are rescored with the scalar metric, so delta results
+// merge bit-identically with a from-scratch rebuild over the surviving
+// rows.
 //
 //drlint:hotpath inline=6
 func (v *deltaView) scan(query []float64, k int, dead []int, c *knn.Collector) []knn.Neighbor {

@@ -55,7 +55,7 @@ type counters struct {
 type latencyRecorder struct {
 	mu     sync.Mutex
 	epochs map[uint64]*stats.Histogram
-	order  []uint64        // epochs in first-record order, oldest first
+	order  []uint64         // epochs in first-record order, oldest first
 	folded *stats.Histogram // merged histograms of evicted epochs
 }
 

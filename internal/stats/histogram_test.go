@@ -103,11 +103,11 @@ func TestHistogramQuantile(t *testing.T) {
 		h.Add(v)
 	}
 	cases := []struct{ q, want float64 }{
-		{0, 0.5},    // smallest non-empty bin
-		{0.1, 0.5},  // cumulative 1/10 reached in bin 0
-		{0.5, 4.5},  // median of ten evenly spread values
+		{0, 0.5},   // smallest non-empty bin
+		{0.1, 0.5}, // cumulative 1/10 reached in bin 0
+		{0.5, 4.5}, // median of ten evenly spread values
 		{0.9, 8.5},
-		{1, 9.5},    // largest value's bin
+		{1, 9.5}, // largest value's bin
 	}
 	for _, tc := range cases {
 		if got := h.Quantile(tc.q); math.Abs(got-tc.want) > 1e-12 {
