@@ -12,9 +12,9 @@ import (
 // over the exact batch-distance path and the approximate LSH path, with
 // admission control, atomic snapshot swaps, a live mutation path
 // (Engine.Insert/Delete/Compact with delta buffers, tombstones and a
-// background compactor) and closed-loop load generators for both pure-read
-// and mixed read/write workloads. `drtool -serve-bench` and
-// `drtool -serve-mutate` are the CLI front ends.
+// background compactor) and one closed-loop load generator whose write
+// fraction selects the workload, from pure reads to a mixed read/write
+// stream. `drtool -bench` is the CLI front end.
 
 // Engine is a sharded, concurrent k-NN query engine. Data is partitioned
 // into shards, each with its own cached norms and LSH tables; queries fan
@@ -68,20 +68,38 @@ func ServeSearch(ctx context.Context, e *Engine, query []float64, k int) (ServeR
 	return e.Search(ctx, query, k)
 }
 
-// LoadConfig parameterizes RunLoad: total queries, closed-loop client
-// count, optional aggregate QPS throttle, per-request deadline, neighbor
-// count and search mode.
+// LoadConfig parameterizes RunLoad: total operations, closed-loop client
+// count, write fraction (0 = read-only), optional aggregate rate throttle,
+// per-operation deadline, neighbor count, read mode and the RNG seed behind
+// the op mix.
 type LoadConfig = serve.LoadConfig
 
-// LoadReport is the outcome accounting of one RunLoad; Lost and Duplicated
-// must be zero on a correct engine.
+// LoadReport is the outcome accounting of one RunLoad. Lost, Duplicated,
+// DeletedIDHits and StaleAcks must all be zero on a correct engine. Its
+// JSON encoding is the load section of `drtool -bench`'s report.
 type LoadReport = serve.LoadReport
 
-// RunLoad drives an engine with a closed-loop client fleet cycling through
-// the query rows and accounts for every request's outcome. Per-request
-// deadlines derive from ctx, so cancelling it winds down the fleet.
-func RunLoad(ctx context.Context, e *Engine, queries *linalg.Dense, cfg LoadConfig) (LoadReport, error) {
-	return serve.RunLoad(ctx, e, queries, cfg)
+// LiveSet is the ground-truth state an engine should be serving: stable
+// IDs (ascending; nil = row positions) and their vectors, row-aligned.
+type LiveSet = serve.LiveSet
+
+// RunLoad drives an engine with a closed-loop client fleet: k-NN reads
+// cycling through the query rows, interleaved at cfg.WriteFraction with
+// inserts and deletes over base (optional for a read-only run). It accounts
+// for every operation's outcome, checks read-your-writes visibility and
+// deleted-ID invisibility inline, and returns the surviving ground truth
+// for VerifyMutated. Per-operation deadlines derive from ctx, so cancelling
+// it winds down the fleet.
+func RunLoad(ctx context.Context, e *Engine, base, queries *linalg.Dense, cfg LoadConfig) (LoadReport, LiveSet, error) {
+	return serve.RunLoad(ctx, e, base, queries, cfg)
+}
+
+// VerifyMutated holds a quiescent engine to the bit-identity contract
+// against a ground truth: exact top-k must equal a from-scratch rebuild
+// (SearchSetBatch) over the live rows, bit for bit. LiveSet{Rows: data} is
+// the check for a never-mutated engine.
+func VerifyMutated(ctx context.Context, e *Engine, live LiveSet, queries *linalg.Dense, k, sample int) error {
+	return serve.VerifyMutated(ctx, e, live, queries, k, sample)
 }
 
 // DriftConfig enables streaming-PCA drift tracking of an engine's mutation
@@ -89,35 +107,6 @@ func RunLoad(ctx context.Context, e *Engine, queries *linalg.Dense, cfg LoadConf
 // decays below the threshold, the engine forces a re-projection compaction
 // and refits the basis.
 type DriftConfig = serve.DriftConfig
-
-// MutateConfig parameterizes RunMutateLoad: total operations, closed-loop
-// client count, write fraction, neighbor count, per-op deadline, read mode
-// and the RNG seed behind the op mix.
-type MutateConfig = serve.MutateConfig
-
-// MutateReport is the outcome accounting of one RunMutateLoad. Lost,
-// Duplicated, DeletedIDHits and StaleAcks must all be zero on a correct
-// engine.
-type MutateReport = serve.MutateReport
-
-// LiveSet is the ground-truth surviving state after a mutation run: stable
-// IDs (ascending) and their vectors, row-aligned.
-type LiveSet = serve.LiveSet
-
-// RunMutateLoad drives an engine with a mixed read/write workload — k-NN
-// reads interleaved with inserts and deletes — checking read-your-writes
-// visibility and deleted-ID invisibility inline, and returns the surviving
-// ground truth for VerifyMutated.
-func RunMutateLoad(ctx context.Context, e *Engine, base, queries *linalg.Dense, cfg MutateConfig) (MutateReport, LiveSet, error) {
-	return serve.RunMutateLoad(ctx, e, base, queries, cfg)
-}
-
-// VerifyMutated holds a quiesced engine to the bit-identity contract
-// against the post-mutation ground truth: exact top-k must equal a
-// from-scratch rebuild over the surviving rows, bit for bit.
-func VerifyMutated(ctx context.Context, e *Engine, live LiveSet, queries *linalg.Dense, k, sample int) error {
-	return serve.VerifyMutated(ctx, e, live, queries, k, sample)
-}
 
 // MuskLikeConfig is the generator configuration behind MuskLike with N left
 // adjustable: set N to carve a database-scale workload (the serving

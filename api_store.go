@@ -8,8 +8,8 @@ import (
 
 // This file exposes the quantized vector store: a block-major, mmap-backed
 // on-disk format with per-dimension scalar quantization and two-phase
-// search (SIMD quantized scan, exact float64 rescore). `drtool
-// -store-bench` and `datagen -bin` are the CLI front ends.
+// search (SIMD quantized scan, exact float64 rescore). `drtool -bench
+// store` and `datagen -bin` are the CLI front ends.
 
 // VectorStore is an opened quantized store. Search runs the two-phase scan;
 // a rescore budget of Len() makes results bit-identical to SearchSetBatch.

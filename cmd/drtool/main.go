@@ -1,6 +1,7 @@
 // Command drtool analyzes a labelled CSV data set with the coherence model,
 // (optionally) writes a reduced representation, and (optionally) benchmarks
-// a similarity index — exact or approximate — on the reduced data.
+// a similarity index — exact or approximate — on the reduced data. With
+// -bench it instead load-tests a serving engine.
 //
 // Usage:
 //
@@ -8,34 +9,34 @@
 //	       [-k N | -threshold F | -energy F | -floor F] [-out reduced.csv] [-report]
 //	       [-index kdtree|vafile|rtree|idistance|lsh] [-neighbors K]
 //	       [-queries N] [-tables L] [-probes T]
-//	drtool -serve-bench [-in data.csv] [-serve-queries N] [-serve-concurrency C]
-//	       [-serve-shards P] [-serve-workers W] [-serve-queue Q] [-serve-qps R]
-//	       [-serve-deadline MS] [-serve-mode auto|exact|approx] [-serve-verify N]
+//	drtool -bench dense|store [-in data.csv] [-serve-mutate-ops N]
+//	       [-serve-mutate-write F] [-serve-mutate-compact-at W]
+//	       [-serve-concurrency C] [-serve-shards P] [-serve-workers W]
+//	       [-serve-queue Q] [-serve-qps R] [-serve-deadline MS]
+//	       [-serve-mode auto|exact|approx] [-neighbors K] [-serve-verify N]
 //	       [-serve-seed S] [-serve-out report.json]
-//	drtool -serve-mutate [-in data.csv] [-serve-mutate-ops N] [-serve-mutate-write F]
-//	       [-serve-mutate-compact-at W] [-serve-concurrency C] [-neighbors K]
-//	       [-serve-shards P] [-serve-mode auto|exact|approx] [-serve-deadline MS]
-//	       [-serve-seed S] [-serve-mutate-out report.json]
-//	drtool -store-bench [-store path.qvs] [-store-n N] [-store-d D]
-//	       [-store-prec int8|int16] [-store-full F] [-store-queries Q]
-//	       [-store-rescore R] [-store-verify N] [-store-requests N]
-//	       [-store-seed S] [-store-out report.json]
+//	       [-store path.qvs] [-store-n N] [-store-d D] [-store-prec int8|int16]
+//	       [-store-full F] [-store-queries Q] [-store-rescore R]
+//	       [-store-workers W] [-store-min-recall F]
 //
-// -serve-mutate drives the sharded engine with a mixed read/write workload:
-// closed-loop clients interleave k-NN reads with inserts and deletes while
+// -bench is the one serving benchmark. It builds an engine — `dense`: the
+// in-memory sharded engine over -in, or over a generated musk-like
+// n=6598 d=166 set; `store`: the store-backed engine over a quantized
+// vector store that is stream-built at -store-n × -store-d (or reused if
+// the -store file exists) — verifies its exact path bit-identical to
+// SearchSetBatch on -serve-verify queries, then drives it with
+// -serve-mutate-ops closed-loop operations of which a fraction
+// -serve-mutate-write are inserts and deletes (0 = a read-only run) while
 // background compactions fold the accumulated deltas and tombstones into
 // fresh snapshot generations. The run fails unless every op completes
-// exactly once, every acknowledged insert is visible to later reads, no
-// deleted ID is ever returned, at least one compaction installed mid-run,
-// and the quiesced engine's exact results are bit-identical to a
-// from-scratch rebuild over the surviving rows.
-//
-// -store-bench stream-builds a quantized vector store over the musk-like
-// distribution at the requested scale (reusing the file if it exists),
-// verifies the store-backed engine's exact path bit-identical to
-// SearchSetBatch, measures recall@k of the budgeted approximate path
-// against exact ground truth, then reports serving throughput and resident
-// memory after the full-precision region is dropped from the page cache.
+// exactly once, every acknowledged insert is visible to later reads and no
+// deleted ID is ever returned; a run with writes must also see a
+// compaction install mid-run, and ends with the quiesced engine's exact
+// results verified bit-identical to a from-scratch rebuild over the
+// surviving rows. Store mode additionally measures recall@k of the
+// budgeted approximate path against exact ground truth (failing below
+// -store-min-recall), drops the full-precision region from the page cache
+// before the load, and reports scan bandwidth and resident memory.
 //
 // The input's label column (default: last) is the semantic class used by the
 // feature-stripped quality measurement; it is never part of the features.
@@ -75,8 +76,7 @@ type options struct {
 	tables    int
 	probes    int
 
-	serveBench       bool
-	serveQueries     int
+	bench            string
 	serveConcurrency int
 	serveShards      int
 	serveWorkers     int
@@ -88,13 +88,10 @@ type options struct {
 	serveSeed        int64
 	serveOut         string
 
-	serveMutate          bool
 	serveMutateOps       int
 	serveMutateWrite     float64
 	serveMutateCompactAt int
-	serveMutateOut       string
 
-	storeBench     bool
 	storePath      string
 	storeN         int
 	storeD         int
@@ -103,16 +100,12 @@ type options struct {
 	storeQueries   int
 	storeRescore   int
 	storeWorkers   int
-	storeVerify    int
-	storeRequests  int
-	storeSeed      int64
-	storeOut       string
 	storeMinRecall float64
 }
 
 func main() {
 	var o options
-	flag.StringVar(&o.in, "in", "", "input CSV path (required)")
+	flag.StringVar(&o.in, "in", "", "input CSV path (required, except with -bench)")
 	flag.BoolVar(&o.header, "header", false, "input has a header row")
 	flag.IntVar(&o.labelCol, "label", -1, "label column index (-1 = last)")
 	flag.BoolVar(&o.scale, "scale", true, "studentize dimensions (correlation PCA)")
@@ -124,59 +117,37 @@ func main() {
 	flag.StringVar(&o.out, "out", "", "write reduced CSV here")
 	flag.BoolVar(&o.report, "report", true, "print the per-component analysis")
 	flag.StringVar(&o.index, "index", "", "benchmark an index on the reduced data: kdtree, vafile, rtree, idistance or lsh")
-	flag.IntVar(&o.neighbors, "neighbors", 10, "k-NN neighbor count for the index benchmark")
+	flag.IntVar(&o.neighbors, "neighbors", 10, "k-NN neighbor count for the index benchmark and -bench")
 	flag.IntVar(&o.queries, "queries", 25, "query count for the index benchmark")
 	flag.IntVar(&o.tables, "tables", 0, "lsh: hash tables (0 = default)")
 	flag.IntVar(&o.probes, "probes", 16, "lsh: buckets probed per table")
-	flag.BoolVar(&o.serveBench, "serve-bench", false, "benchmark the sharded query engine (without -in, generates the musk-like n=6598 d=166 workload)")
-	flag.IntVar(&o.serveQueries, "serve-queries", 10000, "serve-bench: total requests")
-	flag.IntVar(&o.serveConcurrency, "serve-concurrency", 32, "serve-bench: closed-loop clients")
-	flag.IntVar(&o.serveShards, "serve-shards", 0, "serve-bench: engine shards (0 = GOMAXPROCS)")
-	flag.IntVar(&o.serveWorkers, "serve-workers", 0, "serve-bench: request workers (0 = 2*GOMAXPROCS)")
-	flag.IntVar(&o.serveQueue, "serve-queue", 0, "serve-bench: admission queue depth (0 = default)")
-	flag.Float64Var(&o.serveQPS, "serve-qps", 0, "serve-bench: aggregate request rate (0 = unthrottled)")
-	flag.Float64Var(&o.serveDeadlineMS, "serve-deadline", 0, "serve-bench: per-request deadline in ms (0 = none)")
-	flag.StringVar(&o.serveMode, "serve-mode", "auto", "serve-bench: search path — auto, exact or approx")
-	flag.IntVar(&o.serveVerify, "serve-verify", 64, "serve-bench: queries checked bit-identical to SearchSetBatch")
-	flag.Int64Var(&o.serveSeed, "serve-seed", 1, "serve-bench: workload and LSH seed")
-	flag.StringVar(&o.serveOut, "serve-out", "", "serve-bench: write a JSON report here (e.g. BENCH_serve.json)")
-	flag.BoolVar(&o.serveMutate, "serve-mutate", false, "drive the engine with a mixed read/write workload (inserts, deletes, compactions) and verify the survivors bit-identical to a rebuild")
-	flag.IntVar(&o.serveMutateOps, "serve-mutate-ops", 10000, "serve-mutate: total operations (reads + writes)")
-	flag.Float64Var(&o.serveMutateWrite, "serve-mutate-write", 0.10, "serve-mutate: write fraction in [0,1] (split between inserts and deletes)")
-	flag.IntVar(&o.serveMutateCompactAt, "serve-mutate-compact-at", 256, "serve-mutate: pending-mutation watermark that triggers background compaction")
-	flag.StringVar(&o.serveMutateOut, "serve-mutate-out", "", "serve-mutate: write a JSON report here (e.g. BENCH_serve.json)")
-	flag.BoolVar(&o.storeBench, "store-bench", false, "build, serve and bench a quantized vector store on the musk-like workload")
-	flag.StringVar(&o.storePath, "store", "", "store-bench: store file path (reused if it exists; empty = temp file)")
-	flag.IntVar(&o.storeN, "store-n", 1_000_000, "store-bench: data points")
-	flag.IntVar(&o.storeD, "store-d", 166, "store-bench: dimensions")
-	flag.StringVar(&o.storePrec, "store-prec", "int8", "store-bench: code precision, int8 or int16")
-	flag.IntVar(&o.storeFull, "store-full", 0, "store-bench: leading storage dims kept at float32")
-	flag.IntVar(&o.storeQueries, "store-queries", 32, "store-bench: held-out query rows (recall probe set)")
-	flag.IntVar(&o.storeRescore, "store-rescore", 2000, "store-bench: per-shard exact-rescore budget of the approximate path")
-	flag.IntVar(&o.storeWorkers, "store-workers", 0, "store-bench: intra-query scan workers per shard (0 = 1)")
-	flag.IntVar(&o.storeVerify, "store-verify", 4, "store-bench: queries checked bit-identical to SearchSetBatch via the exact path")
-	flag.IntVar(&o.storeRequests, "store-requests", 100, "store-bench: timed throughput requests")
-	flag.Int64Var(&o.storeSeed, "store-seed", 1, "store-bench: generator seed")
-	flag.StringVar(&o.storeOut, "store-out", "", "store-bench: write a JSON report here (e.g. BENCH_store.json)")
-	flag.Float64Var(&o.storeMinRecall, "store-min-recall", 0, "store-bench: fail unless recall@k reaches this (0 = report only)")
+	flag.StringVar(&o.bench, "bench", "", "benchmark a serving engine under load: dense (sharded in-memory engine over -in, or without -in the generated musk-like n=6598 d=166 workload) or store (store-backed engine over a quantized vector store)")
+	flag.IntVar(&o.serveMutateOps, "serve-mutate-ops", 10000, "bench: total operations (reads + writes)")
+	flag.Float64Var(&o.serveMutateWrite, "serve-mutate-write", 0.10, "bench: write fraction in [0,1] (split between inserts and deletes; 0 = read-only)")
+	flag.IntVar(&o.serveMutateCompactAt, "serve-mutate-compact-at", 256, "bench: pending-mutation watermark that triggers background compaction")
+	flag.IntVar(&o.serveConcurrency, "serve-concurrency", 32, "bench: closed-loop clients")
+	flag.IntVar(&o.serveShards, "serve-shards", 0, "bench: engine shards (0 = GOMAXPROCS)")
+	flag.IntVar(&o.serveWorkers, "serve-workers", 0, "bench: request workers (0 = 2*GOMAXPROCS)")
+	flag.IntVar(&o.serveQueue, "serve-queue", 0, "bench: admission queue depth (0 = default)")
+	flag.Float64Var(&o.serveQPS, "serve-qps", 0, "bench: aggregate operation rate (0 = unthrottled)")
+	flag.Float64Var(&o.serveDeadlineMS, "serve-deadline", 0, "bench: per-operation deadline in ms (0 = none)")
+	flag.StringVar(&o.serveMode, "serve-mode", "auto", "bench: search path of reads — auto, exact or approx")
+	flag.IntVar(&o.serveVerify, "serve-verify", 64, "bench: queries checked bit-identical to SearchSetBatch (and, after a run with writes, to a rebuild over the survivors)")
+	flag.Int64Var(&o.serveSeed, "serve-seed", 1, "bench: workload, op-mix and LSH seed")
+	flag.StringVar(&o.serveOut, "serve-out", "", "bench: write a JSON report here (e.g. BENCH_serve.json)")
+	flag.StringVar(&o.storePath, "store", "", "bench store: store file path (reused if it exists; empty = temp file)")
+	flag.IntVar(&o.storeN, "store-n", 1_000_000, "bench store: data points")
+	flag.IntVar(&o.storeD, "store-d", 166, "bench store: dimensions")
+	flag.StringVar(&o.storePrec, "store-prec", "int8", "bench store: code precision, int8 or int16")
+	flag.IntVar(&o.storeFull, "store-full", 0, "bench store: leading storage dims kept at float32")
+	flag.IntVar(&o.storeQueries, "store-queries", 32, "bench store: held-out query rows (recall probe set and request stream)")
+	flag.IntVar(&o.storeRescore, "store-rescore", 2000, "bench store: per-shard exact-rescore budget of the approximate path")
+	flag.IntVar(&o.storeWorkers, "store-workers", 0, "bench store: intra-query scan workers per shard (0 = 1)")
+	flag.Float64Var(&o.storeMinRecall, "store-min-recall", 0, "bench store: fail unless recall@k reaches this (0 = report only)")
 	flag.Parse()
 
-	if o.storeBench {
-		if err := runStoreBench(context.Background(), os.Stdout, o); err != nil {
-			fmt.Fprintf(os.Stderr, "drtool: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if o.serveBench {
-		if err := runServeBench(context.Background(), os.Stdout, o); err != nil {
-			fmt.Fprintf(os.Stderr, "drtool: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if o.serveMutate {
-		if err := runServeMutate(context.Background(), os.Stdout, o); err != nil {
+	if o.bench != "" {
+		if err := runBench(context.Background(), os.Stdout, o); err != nil {
 			fmt.Fprintf(os.Stderr, "drtool: %v\n", err)
 			os.Exit(1)
 		}
@@ -193,13 +164,18 @@ func main() {
 	}
 }
 
-func run(o options) error {
+// readInput loads the labelled CSV named by -in.
+func readInput(o options) (*repro.Dataset, error) {
 	f, err := os.Open(o.in)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer f.Close()
-	ds, err := repro.ReadCSV(f, o.in, repro.CSVOptions{HasHeader: o.header, LabelColumn: o.labelCol})
+	return repro.ReadCSV(f, o.in, repro.CSVOptions{HasHeader: o.header, LabelColumn: o.labelCol})
+}
+
+func run(o options) error {
+	ds, err := readInput(o)
 	if err != nil {
 		return err
 	}

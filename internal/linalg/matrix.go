@@ -133,6 +133,10 @@ func (m *Dense) RawRow(i int) []float64 {
 	return m.data[i*m.cols : (i+1)*m.cols]
 }
 
+// RawData returns the row-major backing storage (row i occupies
+// [i*Cols(), (i+1)*Cols())). Mutating the returned slice mutates the matrix.
+func (m *Dense) RawData() []float64 { return m.data }
+
 // Col returns column j as a newly allocated slice.
 func (m *Dense) Col(j int) []float64 {
 	if j < 0 || j >= m.cols {

@@ -2,8 +2,16 @@ package linalg
 
 import "fmt"
 
-// Integer quantized-code inner products. The float kernels above (DotU8 /
-// DotU16) widen every code to float64 in-register, which makes the scan
+// Integer quantized-code inner products: the scan kernels of the quantized
+// vector store (internal/store). A data row is held as unsigned integer
+// codes c with per-dimension affine scales, and the asymmetric squared
+// distance to a float query decomposes as
+//
+//	‖q − x̂‖² = Σⱼ aⱼ² − 2·Σⱼ tⱼ·cⱼ + Σⱼ (stepⱼ·cⱼ)²
+//
+// with aⱼ = qⱼ − minⱼ and tⱼ = aⱼ·stepⱼ precomputed once per query, so the
+// only per-point work is the dot Σ tⱼ·cⱼ over 1 (or 2) data bytes per
+// dimension. Widening every code to float64 in-register makes that scan
 // ALU-bound: the FMA path retires ~1 code per cycle while the memory
 // stream is only 1–2 B/code. These kernels remove the float conversion by
 // quantizing the *query* too: the per-query weights tⱼ are affinely

@@ -14,6 +14,22 @@ import (
 
 var intParityDims = []int{1, 7, 16, 166, 1024, 1100, 2080}
 
+func randCodesU8(rng *rand.Rand, d int) []uint8 {
+	c := make([]uint8, d)
+	for i := range c {
+		c[i] = uint8(rng.Intn(256))
+	}
+	return c
+}
+
+func randCodesU16(rng *rand.Rand, d int) []uint16 {
+	c := make([]uint16, d)
+	for i := range c {
+		c[i] = uint16(rng.Intn(65536))
+	}
+	return c
+}
+
 func randCodesQ15(rng *rand.Rand, d int) []uint16 {
 	u := make([]uint16, d)
 	for i := range u {
@@ -212,8 +228,8 @@ func TestDotQ15ValidationPanics(t *testing.T) {
 }
 
 // Benchmarks at the dimensions of the kernel table in EXPERIMENTS.md:
-// d=166 (musk), d=64 (reduced), d=16 (deep-reduced). The float Dot166 /
-// DotU8_166 counterparts live in the neighboring benchmark files.
+// d=166 (musk), d=64 (reduced), d=16 (deep-reduced). The float Dot166
+// counterpart lives in the neighboring benchmark file.
 
 func benchDotQ15U8(b *testing.B, d int) {
 	rng := rand.New(rand.NewSource(111))

@@ -13,7 +13,7 @@ import (
 // loop, tombstone binary search, and rescore pass are allocation-free.
 func TestDeltaScanAllocs(t *testing.T) {
 	const n, d, k = 64, 8, 4
-	v := deltaView{
+	v := flatRows{
 		rows:  make([]float64, n*d),
 		ids:   make([]int, n),
 		norms: make([]float64, n),
@@ -40,7 +40,7 @@ func TestDeltaScanAllocs(t *testing.T) {
 		_ = v.scan(query, k, dead, c)
 	})
 	if avg != 1 {
-		t.Errorf("deltaView.scan does %.2f allocs/op, want exactly 1 (the results slice)", avg)
+		t.Errorf("flatRows.scan does %.2f allocs/op, want exactly 1 (the results slice)", avg)
 	}
 }
 

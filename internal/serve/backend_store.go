@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 
+	"repro/internal/knn"
 	"repro/internal/store"
 )
 
@@ -28,7 +29,7 @@ type quantShard struct {
 // rescoreFactor scales k into the default approximate rescore budget.
 const rescoreFactor = 32
 
-func (s *quantShard) searchExact(query []float64, k int) shardOut {
+func (s *quantShard) searchExact(query []float64, k int, _ *knn.Collector) shardOut {
 	neigh, _ := s.st.SearchRangeWorkers(query, s.lo, s.hi, k, s.hi-s.lo, s.workers)
 	return shardOut{neigh: neigh}
 }

@@ -75,8 +75,9 @@ type snapshot struct {
 // implementations exist: denseShard (float64 matrix + norms + LSH) and
 // quantShard (mmap-backed quantized store, internal/store).
 type backend interface {
-	// searchExact returns the shard's exact top-k.
-	searchExact(query []float64, k int) shardOut
+	// searchExact returns the shard's exact top-k; c is the calling
+	// worker's pooled collector, for backends that scan in Go.
+	searchExact(query []float64, k int, c *knn.Collector) shardOut
 	// searchApprox returns an approximate top-k plus the number of
 	// candidates it refined with exact distances.
 	searchApprox(query []float64, k, probes int) shardOut
@@ -97,13 +98,11 @@ type shard struct {
 
 // denseShard is the in-memory backend: a view of the snapshot matrix
 // (shared backing array, so global row i is local row i-lo and distance
-// kernels read the same floats the unsharded path would), cached squared
-// row norms, and the shard's LSH tables.
+// kernels read the same floats the unsharded path would) with cached
+// squared row norms, and the shard's LSH tables.
 type denseShard struct {
-	lo    int
-	data  *linalg.Dense
-	norms []float64
-	lsh   *lsh.Index
+	flatRows
+	lsh *lsh.Index
 }
 
 // request travels through the admission queue.
@@ -134,7 +133,7 @@ type shardTask struct {
 	approx bool
 	probes int
 	deltaK int
-	delta  deltaView
+	delta  flatRows
 	dead   []int           // sorted captured delta tombstone IDs
 	out    chan<- shardOut // buffered(len(shards)): sends never block
 }
@@ -210,10 +209,8 @@ func buildSnapshot(data *linalg.Dense, cfg Config, epoch uint64) *snapshot {
 			lo: lo,
 			hi: hi,
 			be: &denseShard{
-				lo:    lo,
-				data:  view,
-				norms: linalg.RowNormsSq(view),
-				lsh:   lsh.Build(view, shardCfg),
+				flatRows: flatRows{rows: view.RawData(), norms: linalg.RowNormsSq(view), lo: lo, d: view.Cols()},
+				lsh:      lsh.Build(view, shardCfg),
 			},
 		}
 	}
@@ -407,7 +404,7 @@ func (e *Engine) Close() {
 type reqScratch struct {
 	out     chan shardOut
 	budget  []int
-	views   []deltaView
+	views   []flatRows
 	deadPos []int // sorted captured snapshot tombstone positions
 	deadIDs []int // sorted captured delta tombstone IDs
 }
@@ -419,7 +416,7 @@ func (e *Engine) requestWorker() {
 	sc := &reqScratch{
 		out:    make(chan shardOut, e.cfg.Shards),
 		budget: make([]int, e.cfg.Shards),
-		views:  make([]deltaView, e.cfg.Shards),
+		views:  make([]flatRows, e.cfg.Shards),
 	}
 	for req := range e.queue {
 		e.handle(req, sc)
@@ -466,13 +463,8 @@ func (e *Engine) handle(req *request, sc *reqScratch) {
 	deltaTotal := 0
 	for s := 0; s < p; s++ {
 		sc.budget[s] = req.k + e.mut.tombSnap[s]
-		b := &e.mut.bufs[s]
-		v := &sc.views[s]
-		v.rows = b.rows
-		v.ids = b.ids
-		v.norms = b.norms
-		v.d = snap.d
-		deltaTotal += len(b.ids)
+		sc.views[s] = e.mut.bufs[s]
+		deltaTotal += len(sc.views[s].ids)
 	}
 	snapDead := e.mut.snapDead
 	deltaDead := e.mut.deltaDead
@@ -536,14 +528,15 @@ func (e *Engine) handle(req *request, sc *reqScratch) {
 }
 
 // shardWorker executes per-shard scans until Close. It owns one pooled
-// collector for delta scans, refilled lazily so the steady state does not
-// allocate.
+// collector shared by the exact snapshot scan and the delta scan, so the
+// steady state allocates only the result slices.
 //
 //drlint:hotpath inline=1
 func (e *Engine) shardWorker() {
 	//drlint:ignore hotalloc one deferred frame per worker lifetime, not per task; Close relies on it to join the pool
 	defer e.shardWorkers.Done()
-	var coll *knn.Collector
+	//drlint:ignore hotalloc one collector per worker lifetime, not per task; every scan Resets it to its own k
+	coll := knn.NewCollector(1)
 	for t := range e.shardq {
 		t.sh.tasks.Add(1)
 		var o shardOut
@@ -551,46 +544,22 @@ func (e *Engine) shardWorker() {
 			o = t.sh.be.searchApprox(t.query, t.k, t.probes)
 			t.sh.candidates.Add(uint64(o.candidates))
 		} else {
-			o = t.sh.be.searchExact(t.query, t.k)
+			o = t.sh.be.searchExact(t.query, t.k, coll)
 		}
 		if t.deltaK > 0 && len(t.delta.ids) > 0 {
-			if coll == nil {
-				coll = knn.NewCollector(t.deltaK)
-			}
 			o.delta = t.delta.scan(t.query, t.deltaK, t.dead, coll)
 		}
 		t.out <- o
 	}
 }
 
-// searchExact scans the shard with the batch-distance identity
-// ‖x‖²+‖q‖²−2⟨x,q⟩ over the cached norms (linalg.Dot paired with
-// linalg.RowNormsSq), then rescores admitted neighbors with the scalar
-// metric. knn.SearchSetBatch answers with the scalar scan's top k, rescored
-// and ordered the same way, so wherever rank k is not a tie within the
-// identity's rounding, merging per-shard results with the canonical
-// comparator reproduces the single-threaded batch engine bit for bit.
-func (s *denseShard) searchExact(query []float64, k int) shardOut {
-	n := s.data.Rows()
-	if k > n {
-		k = n
-	}
-	qn := linalg.Dot(query, query)
-	c := knn.NewCollector(k)
-	for i := 0; i < n; i++ {
-		d2 := s.norms[i] + qn - 2*linalg.Dot(s.data.RawRow(i), query)
-		if d2 < 0 {
-			d2 = 0
-		}
-		c.Offer(s.lo+i, d2)
-	}
-	res := c.Results()
-	e := knn.Euclidean{}
-	for i := range res {
-		res[i].Dist = e.Distance(s.data.RawRow(res[i].Index-s.lo), query)
-	}
-	knn.SortNeighbors(res)
-	return shardOut{neigh: res}
+// searchExact scans the shard's rows (see flatRows.scan). knn.SearchSetBatch
+// answers with the scalar scan's top k, rescored and ordered the same way,
+// so wherever rank k is not a tie within the identity's rounding, merging
+// per-shard results with the canonical comparator reproduces the
+// single-threaded batch engine bit for bit.
+func (s *denseShard) searchExact(query []float64, k int, c *knn.Collector) shardOut {
+	return shardOut{neigh: s.scan(query, k, nil, c)}
 }
 
 // searchApprox probes the shard's LSH tables and lifts local row ids to

@@ -61,7 +61,7 @@ type mutState struct {
 	// bufs holds the delta rows, one buffer per snapshot shard
 	// (len(bufs) == len(snap.shards) at all times); insert id i routes to
 	// bufs[i%len(bufs)], so lookups need no directory.
-	bufs []deltaBuf
+	bufs []flatRows
 	// snapDead lists tombstoned snapshot positions in delete order;
 	// deltaDead lists tombstoned delta-row IDs in delete order.
 	snapDead  []int
@@ -79,41 +79,48 @@ type mutState struct {
 	nextID int
 }
 
-// deltaBuf is one append-only delta buffer: flat row-major vectors, their
-// IDs (ascending) and cached squared norms, index-aligned.
-type deltaBuf struct {
+// flatRows is the one scannable row set of the in-memory paths: row-major
+// float64 vectors with index-aligned cached squared norms. A delta buffer
+// is an append-only flatRows whose ids (ascending) name its rows — readers
+// capture it by value under the read lock and scan that prefix; a dense
+// shard is a fixed flatRows over the snapshot matrix with nil ids, row i
+// being global position lo+i.
+type flatRows struct {
 	rows  []float64
-	ids   []int
 	norms []float64
+	ids   []int
+	lo, d int
 }
 
-// deltaView is a reader's captured prefix of a delta buffer plus the row
-// width; shard workers brute-force scan it next to the indexed snapshot.
-type deltaView struct {
-	rows  []float64
-	ids   []int
-	norms []float64
-	d     int
+// newDeltaBufs returns p empty delta buffers for d-wide rows.
+func newDeltaBufs(p, d int) []flatRows {
+	bufs := make([]flatRows, p)
+	for i := range bufs {
+		bufs[i].d = d
+	}
+	return bufs
 }
 
-// scan returns the view's top-k live rows as (ID, exact distance) pairs in
-// the canonical order. dead is the sorted captured list of tombstoned delta
-// IDs; rows on it are skipped inline. The admission pass uses the same
-// ‖x‖²+‖q‖²−2⟨x,q⟩ identity and the same dot kernel as the dense backend,
-// and admitted rows are rescored with the scalar metric, so delta results
+// scan returns the top-k live rows as (index, exact distance) pairs in the
+// canonical order. dead is the sorted captured list of tombstoned IDs; rows
+// on it are skipped inline (dense shards pass nil: their tombstones are
+// filtered at the merge, against an over-fetched k). The admission pass is
+// the batch-distance identity ‖x‖²+‖q‖²−2⟨x,q⟩ over the cached norms
+// (linalg.Dot paired with linalg.RowNormsSq), and admitted rows are
+// rescored with the scalar metric, so snapshot and delta results alike
 // merge bit-identically with a from-scratch rebuild over the surviving
 // rows.
 //
 //drlint:hotpath inline=6
-func (v *deltaView) scan(query []float64, k int, dead []int, c *knn.Collector) []knn.Neighbor {
-	n := len(v.ids)
+func (v *flatRows) scan(query []float64, k int, dead []int, c *knn.Collector) []knn.Neighbor {
+	n := len(v.norms)
 	if k > n {
 		k = n
 	}
 	c.Reset(k)
 	qn := linalg.Dot(query, query)
 	for i := 0; i < n; i++ {
-		if containsSorted(dead, v.ids[i]) {
+		if len(dead) > 0 && containsSorted(dead, v.ids[i]) {
 			continue
 		}
 		d2 := v.norms[i] + qn - 2*linalg.Dot(v.rows[i*v.d:(i+1)*v.d], query)
@@ -127,7 +134,11 @@ func (v *deltaView) scan(query []float64, k int, dead []int, c *knn.Collector) [
 	for i := range res {
 		li := res[i].Index
 		res[i].Dist = eu.Distance(v.rows[li*v.d:(li+1)*v.d], query)
-		res[i].Index = v.ids[li]
+		if v.ids != nil {
+			res[i].Index = v.ids[li]
+		} else {
+			res[i].Index = v.lo + li
+		}
 	}
 	knn.SortNeighbors(res)
 	return res
@@ -154,7 +165,7 @@ func containsSorted(s []int, x int) bool {
 // SwapStore). Caller holds mut.mu, or the engine is not yet started.
 func (e *Engine) resetMutationLocked(snap *snapshot) {
 	p := len(snap.shards)
-	e.mut.bufs = make([]deltaBuf, p)
+	e.mut.bufs = newDeltaBufs(p, snap.d)
 	e.mut.snapDead = nil
 	e.mut.deltaDead = nil
 	e.mut.tombSnap = make([]int, p)
@@ -400,13 +411,7 @@ func (e *Engine) compactOnce() uint64 {
 		e.mut.mu.RUnlock()
 		return epoch
 	}
-	cuts := make([]int, len(e.mut.bufs))
-	views := make([]deltaView, len(e.mut.bufs))
-	for i := range e.mut.bufs {
-		b := &e.mut.bufs[i]
-		cuts[i] = len(b.ids)
-		views[i] = deltaView{rows: b.rows, ids: b.ids, norms: b.norms, d: snap.d}
-	}
+	views := slices.Clone(e.mut.bufs) // each view is its buffer's prefix up to the capture cut
 	cutDeadPos := len(e.mut.snapDead)
 	cutDeadIDs := len(e.mut.deltaDead)
 	frozenDeadPos := append([]int(nil), e.mut.snapDead[:cutDeadPos]...)
@@ -431,7 +436,7 @@ func (e *Engine) compactOnce() uint64 {
 	var refs []deltaRef
 	for bi := range views {
 		v := &views[bi]
-		for j := 0; j < cuts[bi]; j++ {
+		for j := range v.ids {
 			if containsSorted(frozenDeadIDs, v.ids[j]) {
 				continue
 			}
@@ -488,12 +493,12 @@ func (e *Engine) compactOnce() uint64 {
 	var leftovers []deltaRef
 	for bi := range e.mut.bufs {
 		b := &e.mut.bufs[bi]
-		for j := cuts[bi]; j < len(b.ids); j++ {
+		for j := len(views[bi].ids); j < len(b.ids); j++ {
 			leftovers = append(leftovers, deltaRef{id: b.ids[j], buf: bi, idx: j})
 		}
 	}
 	slices.SortFunc(leftovers, func(a, b deltaRef) int { return cmp.Compare(a.id, b.id) })
-	newBufs := make([]deltaBuf, pNew)
+	newBufs := newDeltaBufs(pNew, snap.d)
 	for _, ref := range leftovers {
 		b := &e.mut.bufs[ref.buf]
 		nb := &newBufs[ref.id%pNew]

@@ -59,7 +59,7 @@ func TestMutateStress(t *testing.T) {
 		}
 	}()
 
-	rep, live, err := RunMutateLoad(context.Background(), e, data, queries, MutateConfig{
+	rep, live, err := RunLoad(context.Background(), e, data, queries, LoadConfig{
 		Ops:           ops,
 		Concurrency:   16,
 		WriteFraction: 0.25,

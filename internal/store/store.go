@@ -20,9 +20,9 @@
 //
 //	‖q − x̂‖² = Σⱼ aⱼ² − 2·Σⱼ tⱼ·cⱼ + Σⱼ (stepⱼ·cⱼ)²,  aⱼ = qⱼ − minⱼ, tⱼ = aⱼ·stepⱼ
 //
-// whose only per-point term is the mixed-precision dot Σ tⱼ·cⱼ
-// (linalg.DotU8/DotU16, AVX2 on capable hardware) plus a per-point norm
-// cached at build time — the same norm-cache shape knn.SearchSetBatch uses.
+// whose only per-point term is the dot Σ tⱼ·cⱼ (evaluated in integers by
+// the linalg.DotQ15* kernels after quantizing tⱼ to 15 bits, AVX2 on
+// capable hardware) plus a per-point norm cached at build time — the same norm-cache shape knn.SearchSetBatch uses.
 // Phase 2 rescores the admitted candidates with the scalar Euclidean metric
 // against the untouched float64 region and re-sorts under the canonical
 // (distance, index) order, so with a full rescore budget the result is

@@ -1,20 +1,20 @@
 #!/usr/bin/env bash
 # bench.sh measures the batch-distance engine's key kernels and writes
 # BENCH_knn.json (or $1) with ns/op for each, alongside the frozen pre-engine
-# baselines so the before/after comparison travels with the repo. It also
-# runs `drtool -store-bench` on the quantized vector store (STORE_N points,
-# default one million, at d=166) and splices its recall / peak-RSS /
-# bytes-per-vector / qps table into the same JSON under "store". It then
-# drives the sharded serving engine through `drtool -serve-bench` at the
-# acceptance workload (10k queries, concurrency 32, musk-like n=6598 d=166)
-# and records the outcome accounting and latency percentiles in
-# BENCH_serve.json (or $3). The serving record is gated on the mutation
-# stress suite under the race detector, and a `drtool -serve-mutate`
-# acceptance run (10k ops, concurrency 32, 90/10 read/write) is spliced
-# into the same JSON under "mutate".
+# baselines so the before/after comparison travels with the repo. The
+# serving numbers all come from the one `drtool -bench` mode, run three
+# times: `-bench store` on the quantized vector store (STORE_N points,
+# default one million, at d=166), whose recall / peak-RSS / bytes-per-vector
+# / throughput report is spliced into the same JSON under "store"; `-bench
+# dense` read-only at the acceptance workload (10k reads, concurrency 32,
+# musk-like n=6598 d=166), whose outcome accounting and latency percentiles
+# become BENCH_serve.json (or $3); and `-bench dense` at 90/10 read/write
+# (10k ops, concurrency 32), spliced into that JSON under "mutate". The
+# serving record is gated on the mutation stress suite under the race
+# detector.
 #
 # Usage: scripts/bench.sh [output.json] [benchtime] [serve-output.json]
-# Env:   STORE_N     store-bench scale (default 1000000; 0 skips the store run)
+# Env:   STORE_N     store run scale (default 1000000; 0 skips the store run)
 #        STORE_FILE  reuse/build the store at this path instead of a temp file
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -41,7 +41,7 @@ trap 'rm -f "$tmp"' EXIT
 
 # The ns-scale Dot kernels need enough iterations to swamp timer overhead,
 # so they get a time-based budget instead of the fixed iteration count.
-go test -run=NONE -benchtime=200ms -bench='^(BenchmarkDot166|BenchmarkDotU8_166|BenchmarkDotU16_166|BenchmarkDotQ15U8_166|BenchmarkDotQ15U16_166|BenchmarkDotQ15U8x4_166|BenchmarkDotQ15U8x8_166)$' ./internal/linalg/ >>"$tmp"
+go test -run=NONE -benchtime=200ms -bench='^(BenchmarkDot166|BenchmarkDotQ15U8_166|BenchmarkDotQ15U16_166|BenchmarkDotQ15U8x4_166|BenchmarkDotQ15U8x8_166)$' ./internal/linalg/ >>"$tmp"
 go test -run=NONE -benchtime="$benchtime" \
   -bench='^(BenchmarkMulT512x166|BenchmarkMulNaiveT512x166|BenchmarkAtA6598x166)$' \
   ./internal/linalg/ >>"$tmp"
@@ -85,7 +85,10 @@ END {
 storetmp=""
 if [ "$storen" -gt 0 ]; then
   storetmp=$(mktemp)
-  storeargs=(-store-bench -store-n "$storen" -store-out "$storetmp" -store-min-recall 0.99)
+  # Read-only on the approximate path, 100 requests, 4 verified queries:
+  # the scale the million-point record has always been taken at.
+  storeargs=(-bench store -store-n "$storen" -serve-out "$storetmp" -store-min-recall 0.99
+    -serve-mode approx -serve-mutate-write 0 -serve-mutate-ops 100 -serve-verify 4)
   if [ -n "$storefile" ]; then
     storeargs+=(-store "$storefile")
   fi
@@ -122,7 +125,7 @@ END {
     if (storefile == "") {
         printf "  }\n" >> out
     } else {
-        # Splice the store-bench report in as the "store" object.
+        # Splice the store report in as the "store" object.
         printf "  },\n" >> out
         printf "  \"store\": " >> out
         first = 1
@@ -150,7 +153,7 @@ go test ./internal/serve/ -race -shuffle=on \
 # Serving-layer acceptance run: the load generator verifies a query sample
 # bit-identical to SearchSetBatch and fails on any lost or duplicated
 # response, so a recorded BENCH_serve.json doubles as a correctness receipt.
-go run ./cmd/drtool -serve-bench -serve-out "$serveout"
+go run ./cmd/drtool -bench dense -serve-mutate-write 0 -serve-out "$serveout"
 
 # Live-mutation acceptance run: 10k ops at concurrency 32 with the default
 # 90/10 read/write mix. The tool itself fails on any lost or duplicated op,
@@ -158,7 +161,7 @@ go run ./cmd/drtool -serve-bench -serve-out "$serveout"
 # and verifies the quiesced engine bit-identical to a from-scratch rebuild
 # over the survivors — its JSON is spliced into $serveout as "mutate".
 mutatetmp=$(mktemp)
-go run ./cmd/drtool -serve-mutate -serve-mutate-out "$mutatetmp"
+go run ./cmd/drtool -bench dense -serve-out "$mutatetmp"
 awk -v mutfile="$mutatetmp" '
 { lines[NR] = $0 }
 END {
