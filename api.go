@@ -215,13 +215,6 @@ func SearchSet(data, queries *Matrix, k int, m Metric, selfExclude bool) [][]Nei
 	return knn.SearchSet(data, queries, k, m, selfExclude)
 }
 
-// SearchSetParallel is SearchSet across a worker pool sized by
-// runtime.GOMAXPROCS — identical results, near-linear speedup on large
-// ground-truth workloads.
-func SearchSetParallel(data, queries *Matrix, k int, m Metric, selfExclude bool) [][]Neighbor {
-	return knn.SearchSetParallel(data, queries, k, m, selfExclude)
-}
-
 // RelativeContrast measures the Beyer-et-al. meaningfulness statistic
 // (Dmax−Dmin)/Dmin of a query workload.
 func RelativeContrast(data, queries *Matrix, m Metric) (knn.ContrastReport, error) {

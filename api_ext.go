@@ -19,9 +19,9 @@ import (
 // SearchSetBatch is SearchSet routed through the blocked batch-distance
 // engine: for Euclidean and SquaredEuclidean metrics, squared distances come
 // from cached row norms and tiled matrix products instead of per-pair scans,
-// and results match SearchSet exactly (other metrics fall back to
-// SearchSetParallel). Use it for ground-truth workloads — exact k-NN of a
-// query set against a large stored set.
+// and results match SearchSet exactly (other metrics run Search per query
+// across GOMAXPROCS workers). Use it for ground-truth workloads — exact
+// k-NN of a query set against a large stored set.
 func SearchSetBatch(data, queries *Matrix, k int, m Metric, selfExclude bool) [][]Neighbor {
 	return knn.SearchSetBatch(data, queries, k, m, selfExclude)
 }
@@ -97,8 +97,8 @@ func BuildIGrid(data *Matrix, ranges int, p float64) *IGrid {
 }
 
 // BuildIDistance builds the iDistance one-dimensional-mapping index over a
-// B+ tree: exact Euclidean k-NN via partition-banded range scans. It is
-// most effective in the aggressively reduced space.
+// sorted key array: exact Euclidean k-NN via partition-banded range scans.
+// It is most effective in the aggressively reduced space.
 func BuildIDistance(data *Matrix, partitions int, seed int64) Index {
 	return index.BuildIDistance(data, partitions, seed)
 }

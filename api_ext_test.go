@@ -206,7 +206,7 @@ func TestPublicLSHApproximateSearch(t *testing.T) {
 			t.Fatalf("batch result differs at rank %d", i)
 		}
 	}
-	par := SearchSetParallel(ds.X, ds.X, 3, Euclidean{}, true)
+	par := SearchSetBatch(ds.X, ds.X, 3, Euclidean{}, true)
 	ser := SearchSet(ds.X, ds.X, 3, Euclidean{}, true)
 	for i := range ser {
 		for j := range ser[i] {

@@ -15,19 +15,15 @@
 //	go run ./cmd/drlint internal/knn   # one directory
 //	go run ./cmd/drlint -rules floatcmp,dimguard ./...
 //	go run ./cmd/drlint -format sarif ./... > drlint.sarif
-//	go run ./cmd/drlint -baseline .drlint-baseline.json ./...
-//	go run ./cmd/drlint -baseline .drlint-baseline.json -write-baseline ./...
 //	go run ./cmd/drlint -no-witness ./...   # skip the compiler-witness family
 //	go run ./cmd/drlint -timing ./...       # per-rule wall-clock report on stderr
 //	go run ./cmd/drlint -list
 //
 // Findings print as file:line:col: [rule] message (-format text), as a JSON
 // document (-format json), or as SARIF 2.1.0 for GitHub code scanning
-// (-format sarif). With -baseline, recorded findings are accepted and only
-// new ones fail the run; -write-baseline records the current findings to
-// the -baseline path instead of failing. Suppress an intentional finding
-// with a justified directive on the offending line or the line above:
-// //drlint:ignore <rule> <reason>.
+// (-format sarif). Any finding fails the run; the one way to accept an
+// intentional finding is a justified directive on the offending line or the
+// line above: //drlint:ignore <rule> <reason>.
 //
 // The compiler-witness family shells out to the active go toolchain; when
 // the toolchain is untested or its output unrecognizable the family
@@ -52,12 +48,10 @@ func main() {
 	rules := flag.String("rules", "", "comma-separated subset of rules to run (default: all)")
 	list := flag.Bool("list", false, "list available rules and exit")
 	format := flag.String("format", "text", "output format: text, json or sarif")
-	baselinePath := flag.String("baseline", "", "baseline file: recorded findings are accepted, only new ones fail")
-	writeBaseline := flag.Bool("write-baseline", false, "record the current findings to the -baseline path and exit")
 	noWitness := flag.Bool("no-witness", false, "skip the compiler-witness rule family (no go build shell-out)")
 	timing := flag.Bool("timing", false, "report per-rule wall-clock time on stderr after the run")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: drlint [-rules r1,r2] [-format text|json|sarif] [-baseline file [-write-baseline]] [-no-witness] [-timing] [-list] [patterns...]\n\npatterns are directories or ./... (default ./...)\n")
+		fmt.Fprintf(os.Stderr, "usage: drlint [-rules r1,r2] [-format text|json|sarif] [-no-witness] [-timing] [-list] [patterns...]\n\npatterns are directories or ./... (default ./...)\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -93,10 +87,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "drlint: unknown -format %q (text, json or sarif)\n", *format)
 		os.Exit(2)
 	}
-	if *writeBaseline && *baselinePath == "" {
-		fmt.Fprintln(os.Stderr, "drlint: -write-baseline needs -baseline <file> to know where to write")
-		os.Exit(2)
-	}
 
 	root, err := moduleRoot()
 	if err != nil {
@@ -109,15 +99,14 @@ func main() {
 		patterns = []string{"./..."}
 	}
 
-	var res analysis.RunResult
+	var failing []analysis.Diagnostic
 	for _, pat := range patterns {
-		r, err := runPatternResult(root, pat, analyzers)
+		diags, err := runPattern(root, pat, analyzers)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		res.Diags = append(res.Diags, r.Diags...)
-		res.Suppressed = append(res.Suppressed, r.Suppressed...)
+		failing = append(failing, diags...)
 	}
 
 	// Surface a degraded witness layer: the run still succeeds, but the
@@ -130,36 +119,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "drlint: timing %-16s %s\n", rt.Rule, rt.Elapsed.Round(time.Microsecond))
 		}
 	}
-
-	if *writeBaseline {
-		b := analysis.NewBaseline(root, res.Diags)
-		f, err := os.Create(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if err := b.Write(f); err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "drlint: recorded %d finding(s) to %s\n", b.Len(), *baselinePath)
-		return
-	}
-
-	var baseline *analysis.Baseline
-	if *baselinePath != "" {
-		baseline, err = analysis.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-	}
-	failing := analysis.Gate(root, res, baseline)
 
 	switch *format {
 	case "text":
@@ -174,7 +133,7 @@ func main() {
 		os.Exit(2)
 	}
 	if len(failing) > 0 {
-		fmt.Fprintf(os.Stderr, "drlint: %d new finding(s)\n", len(failing))
+		fmt.Fprintf(os.Stderr, "drlint: %d finding(s)\n", len(failing))
 		os.Exit(1)
 	}
 }
@@ -190,22 +149,12 @@ func dropFamily(analyzers []*analysis.Analyzer, family string) []*analysis.Analy
 	return kept
 }
 
-// runPattern resolves one CLI pattern and returns the surviving findings.
+// runPattern resolves one CLI pattern and returns the surviving findings:
+// "./..." (or "all") walks the module; anything else is a single package
+// directory (or dir/... subtree), relative to the module root.
 func runPattern(root, pat string, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
-	res, err := runPatternResult(root, pat, analyzers)
-	if err != nil {
-		return nil, err
-	}
-	return res.Diags, nil
-}
-
-// runPatternResult resolves one CLI pattern: "./..." (or "all") walks the
-// module; anything else is a single package directory (or dir/... subtree),
-// relative to the module root. Suppressed findings ride along for baseline
-// redundancy reporting.
-func runPatternResult(root, pat string, analyzers []*analysis.Analyzer) (analysis.RunResult, error) {
 	if pat == "./..." || pat == "..." || pat == "all" {
-		return analysis.RunModule(root, analyzers)
+		return analysis.Run(root, analyzers)
 	}
 	dir := strings.TrimSuffix(pat, "/...")
 	if !filepath.IsAbs(dir) {
@@ -214,18 +163,18 @@ func runPatternResult(root, pat string, analyzers []*analysis.Analyzer) (analysi
 	if strings.HasSuffix(pat, "/...") {
 		pkgs, err := analysis.LoadUnder(root, dir)
 		if err != nil {
-			return analysis.RunResult{}, err
+			return nil, err
 		}
-		return analysis.RunPackagesResult(pkgs, analyzers), nil
+		return analysis.RunPackages(pkgs, analyzers), nil
 	}
 	pkg, err := analysis.LoadDir(root, dir)
 	if err != nil {
-		return analysis.RunResult{}, err
+		return nil, err
 	}
 	if pkg == nil {
-		return analysis.RunResult{}, fmt.Errorf("drlint: no Go files in %s", dir)
+		return nil, fmt.Errorf("drlint: no Go files in %s", dir)
 	}
-	return analysis.RunPackagesResult([]*analysis.Package{pkg}, analyzers), nil
+	return analysis.RunPackages([]*analysis.Package{pkg}, analyzers), nil
 }
 
 // moduleRoot walks up from the working directory to the nearest go.mod.

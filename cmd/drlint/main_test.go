@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -69,52 +70,35 @@ func TestRunPatternSubtree(t *testing.T) {
 	}
 }
 
-// TestRunPatternResultRecordsSuppressions: the atomicmix fixture carries a
-// //drlint:ignore directive, and the CLI machinery must keep the suppressed
-// finding so baseline gating can flag redundant directives.
-func TestRunPatternResultRecordsSuppressions(t *testing.T) {
+// TestRunPatternAppliesDirectives: the atomicmix fixture carries one
+// //drlint:ignore directive among its violations; through the CLI machinery
+// the other findings come back and the directive's line stays silent.
+func TestRunPatternAppliesDirectives(t *testing.T) {
 	root, err := moduleRoot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := runPatternResult(root, "internal/analysis/testdata/src/atomicmix", analysis.All())
+	diags, err := runPattern(root, "internal/analysis/testdata/src/atomicmix", analysis.All())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Diags) == 0 {
+	if len(diags) == 0 {
 		t.Fatal("expected atomicmix findings from the fixture, got none")
 	}
-	found := false
-	for _, s := range res.Suppressed {
-		if s.Diag.Rule == "atomicmix" {
-			found = true
+	// One fixture file; its findings all point into it.
+	src, err := os.ReadFile(diags[0].Pos.Filename)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const directive = "//drlint:ignore atomicmix"
+	if !strings.Contains(string(src), directive) {
+		t.Fatalf("the fixture no longer carries a %s directive", directive)
+	}
+	lines := strings.Split(string(src), "\n")
+	for _, d := range diags {
+		if strings.Contains(lines[d.Pos.Line-1], directive) {
+			t.Errorf("finding on a line its directive should silence: %s", d)
 		}
-	}
-	if !found {
-		t.Fatalf("the fixture's suppressed atomicmix finding was not recorded: %+v", res.Suppressed)
-	}
-}
-
-// TestBaselineGateAcceptsRecordedFindings drives the same path main takes
-// with -baseline: findings recorded in a baseline no longer fail the run.
-func TestBaselineGateAcceptsRecordedFindings(t *testing.T) {
-	root, err := moduleRoot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := runPatternResult(root, "internal/analysis/testdata/src/errwrap", analysis.All())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Diags) == 0 {
-		t.Fatal("expected errwrap findings from the fixture, got none")
-	}
-	b := analysis.NewBaseline(root, res.Diags)
-	if failing := analysis.Gate(root, res, b); len(failing) != 0 {
-		t.Fatalf("baseline did not absorb its own findings: %v", failing)
-	}
-	if failing := analysis.Gate(root, res, nil); len(failing) != len(res.Diags) {
-		t.Fatalf("nil baseline changed the findings: %v", failing)
 	}
 }
 

@@ -76,8 +76,7 @@
 //	//drlint:ignore <rule>[,<rule>...] <reason>
 //
 // The reason is mandatory; a directive names exactly the rules it silences.
-// Beyond directives, a baseline file (see Baseline) can absorb a known set
-// of findings so only new ones gate CI.
+// There is no other way to accept a finding: any surviving one fails the run.
 package analysis
 
 import (
@@ -246,33 +245,10 @@ func ByName(names []string) ([]*Analyzer, error) {
 	return out, nil
 }
 
-// Suppressed is a finding silenced by a //drlint:ignore directive, kept for
-// baseline redundancy reporting.
-type Suppressed struct {
-	Diag         Diagnostic
-	DirectivePos token.Position
-}
-
-// RunResult is the outcome of applying analyzers to a set of packages.
-type RunResult struct {
-	// Diags are the surviving findings (directive-suppressed ones removed,
-	// type-check errors included under the rule name "typecheck"), sorted
-	// by position.
-	Diags []Diagnostic
-	// Suppressed are the findings a directive silenced.
-	Suppressed []Suppressed
-}
-
 // RunPackages applies each analyzer to each package and returns the
-// surviving diagnostics (suppressed findings removed), sorted by position.
+// surviving diagnostics (directive-suppressed findings removed, type-check
+// errors included under the rule name "typecheck"), sorted by position.
 func RunPackages(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return RunPackagesResult(pkgs, analyzers).Diags
-}
-
-// RunPackagesResult is RunPackages keeping the suppressed findings too, so
-// callers gating against a baseline can flag directives the baseline makes
-// redundant.
-func RunPackagesResult(pkgs []*Package, analyzers []*Analyzer) RunResult {
 	perPkg := make([][]Diagnostic, len(pkgs))
 	for i, pkg := range pkgs {
 		for _, a := range analyzers {
@@ -291,7 +267,7 @@ func RunPackagesResult(pkgs []*Package, analyzers []*Analyzer) RunResult {
 	// Module-scope analyzers run once over the whole package set; their
 	// findings are routed back to the package owning each file so directive
 	// filtering applies uniformly.
-	var res RunResult
+	var diags []Diagnostic
 	fileOwner := map[string]int{}
 	for i, pkg := range pkgs {
 		for _, f := range pkg.Files {
@@ -311,19 +287,15 @@ func RunPackagesResult(pkgs []*Package, analyzers []*Analyzer) RunResult {
 				// Positions outside any loaded Go file (none today; a
 				// belt-and-braces route for future rules) skip directive
 				// filtering — there is no file to carry a directive.
-				res.Diags = append(res.Diags, d)
+				diags = append(diags, d)
 			}
 		}
 	}
 
 	for i, pkg := range pkgs {
-		kept, sup := filterIgnored(pkg, perPkg[i])
-		res.Diags = append(res.Diags, kept...)
-		res.Suppressed = append(res.Suppressed, sup...)
+		diags = append(diags, filterIgnored(pkg, perPkg[i])...)
 	}
-	res.Diags = sortDiagnostics(res.Diags)
-	sortSuppressed(res.Suppressed)
-	return res
+	return sortDiagnostics(diags)
 }
 
 // sortDiagnostics orders findings by (file, line, column, rule, message) and
@@ -361,39 +333,11 @@ func sortDiagnostics(diags []Diagnostic) []Diagnostic {
 	return out
 }
 
-// sortSuppressed mirrors sortDiagnostics for the suppressed list, so
-// -write-baseline and redundancy reports are position-ordered too.
-func sortSuppressed(sup []Suppressed) {
-	sort.Slice(sup, func(i, j int) bool {
-		a, b := sup[i].Diag, sup[j].Diag
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Rule < b.Rule
-	})
-}
-
 // Run loads every package under root and applies the analyzers.
 func Run(root string, analyzers []*Analyzer) ([]Diagnostic, error) {
-	res, err := RunModule(root, analyzers)
+	pkgs, err := Load(root)
 	if err != nil {
 		return nil, err
 	}
-	return res.Diags, nil
-}
-
-// RunModule loads every package under root and applies the analyzers,
-// keeping suppressed findings for baseline gating.
-func RunModule(root string, analyzers []*Analyzer) (RunResult, error) {
-	pkgs, err := Load(root)
-	if err != nil {
-		return RunResult{}, err
-	}
-	return RunPackagesResult(pkgs, analyzers), nil
+	return RunPackages(pkgs, analyzers), nil
 }

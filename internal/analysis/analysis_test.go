@@ -393,40 +393,17 @@ func peek(x *c) uint64 {
 func TestDirectiveSuppressesTypeAwareFinding(t *testing.T) {
 	_, pkg := loadTempPkg(t, fmt.Sprintf(atomicMixViolation,
 		"//drlint:ignore atomicmix monitor-only read, torn values acceptable"))
-	res := RunPackagesResult([]*Package{pkg}, []*Analyzer{AtomicMix})
-	if len(res.Diags) != 0 {
-		t.Fatalf("directive did not suppress: %v", res.Diags)
-	}
-	if len(res.Suppressed) != 1 || res.Suppressed[0].Diag.Rule != "atomicmix" {
-		t.Fatalf("suppression not recorded: %+v", res.Suppressed)
+	if diags := RunPackages([]*Package{pkg}, []*Analyzer{AtomicMix}); len(diags) != 0 {
+		t.Fatalf("directive did not suppress: %v", diags)
 	}
 }
 
 func TestDirectiveWrongRuleDoesNotSuppress(t *testing.T) {
 	_, pkg := loadTempPkg(t, fmt.Sprintf(atomicMixViolation,
 		"//drlint:ignore floatcmp names the wrong rule"))
-	res := RunPackagesResult([]*Package{pkg}, []*Analyzer{AtomicMix})
-	if len(res.Diags) != 1 || res.Diags[0].Rule != "atomicmix" {
-		t.Fatalf("want the atomicmix finding to survive a wrong-rule directive, got %v", res.Diags)
-	}
-	if len(res.Suppressed) != 0 {
-		t.Fatalf("wrong-rule directive recorded a suppression: %+v", res.Suppressed)
-	}
-}
-
-func TestBaselineAbsorbsSuppressedFindingAndFlagsDirective(t *testing.T) {
-	dir, pkg := loadTempPkg(t, fmt.Sprintf(atomicMixViolation,
-		"//drlint:ignore atomicmix monitor-only read, torn values acceptable"))
-	res := RunPackagesResult([]*Package{pkg}, []*Analyzer{AtomicMix})
-	if len(res.Suppressed) != 1 {
-		t.Fatalf("want one suppressed finding, got %+v", res.Suppressed)
-	}
-	// The same finding is also in the baseline: the baseline wins and the
-	// now-pointless directive is itself flagged.
-	b := NewBaseline(dir, []Diagnostic{res.Suppressed[0].Diag})
-	out := Gate(dir, res, b)
-	if len(out) != 1 || out[0].Rule != "drlint" || !strings.Contains(out[0].Message, "redundant") {
-		t.Fatalf("want exactly one redundant-directive finding, got %v", out)
+	diags := RunPackages([]*Package{pkg}, []*Analyzer{AtomicMix})
+	if len(diags) != 1 || diags[0].Rule != "atomicmix" {
+		t.Fatalf("want the atomicmix finding to survive a wrong-rule directive, got %v", diags)
 	}
 }
 

@@ -17,12 +17,12 @@ func BenchmarkDrlintModule(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := RunModule(root, All())
+		diags, err := Run(root, All())
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(res.Diags) != 0 {
-			b.Fatalf("module has findings: %v", res.Diags)
+		if len(diags) != 0 {
+			b.Fatalf("module has findings: %v", diags)
 		}
 	}
 }

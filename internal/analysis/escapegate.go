@@ -2,6 +2,8 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
+	"go/types"
 )
 
 // EscapeGate proves hot paths allocation-free with the compiler's own
@@ -13,10 +15,11 @@ import (
 // the AST; escapegate is the ground truth check that the approximation did
 // not miss one the compiler actually emits.
 //
-// Escape facts the compiler attributes to a call site (the inlined copy of
-// a callee's allocation) are skipped here: the callee is in the closure and
-// its own compile carries the same fact at the real source position, so
-// every allocation is judged exactly once, in the function that wrote it.
+// Escape facts the compiler attributes to an ordinary call's left
+// parenthesis are the inlined copy of a callee's allocation and are skipped
+// here: the callee is in the closure and its own compile carries the same
+// fact at the real source position, so every allocation is judged exactly
+// once, in the function that wrote it.
 //
 // When the witness build is unavailable — unknown toolchain, unrecognized
 // diagnostic format, sandbox without a go tool — the rule reports nothing
@@ -50,6 +53,9 @@ func checkEscapes(pass *ModulePass, wc *witnessContext, fi *funcInfo, root strin
 	info := fi.pkg.TypesInfo
 	fset := fi.pkg.Fset
 	ex := newAllocExempt(info, fi.decl.Body)
+	// Two nodes can share a position (a FuncLit and its FuncType, a
+	// KeyValueExpr and its key); each fact is reported once.
+	reported := map[string]bool{}
 
 	var stack []ast.Node
 	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
@@ -58,26 +64,67 @@ func checkEscapes(pass *ModulePass, wc *witnessContext, fi *funcInfo, root strin
 			return false
 		}
 		stack = append(stack, n)
-		key := witnessKey(wc.root, fset.Position(n.Pos()))
-		switch n := n.(type) {
-		case *ast.CompositeLit, *ast.FuncLit, *ast.CallExpr, *ast.UnaryExpr:
-			// Allocating expressions carry their escape fact at their own
-			// position; facts keyed at a call's left parenthesis (inlined
-			// callee copies) never coincide with a node position, so they
-			// are skipped by construction.
-			if what, ok := wc.report.escapes[key]; ok && !ex.exempted(stack) {
-				pass.Reportf(fi.pkg, n.Pos(), "%s: %s escapes to heap (compiler escape analysis); hoist it, pool it, or justify with //drlint:ignore escapegate",
-					hotWhere(fi, root), what)
-			}
-		case *ast.Ident:
-			// "moved to heap: x" facts key at the variable's declaration;
+		if id, ok := n.(*ast.Ident); ok {
+			// "moved to heap: x" facts key at the variable's declaration
+			// (alongside an "x escapes to heap" line for the same event);
 			// match the name so an unrelated identifier sharing a position
 			// line cannot alias the fact.
-			if name, ok := wc.report.moved[key]; ok && name == n.Name && !ex.exempted(stack) {
-				pass.Reportf(fi.pkg, n.Pos(), "%s: local %s is moved to the heap (compiler escape analysis); avoid capturing its address or justify with //drlint:ignore escapegate",
-					hotWhere(fi, root), name)
+			key := witnessKey(wc.root, fset.Position(id.Pos()))
+			if name, ok := wc.report.moved[key]; ok && name == id.Name {
+				if !ex.exempted(stack) {
+					pass.Reportf(fi.pkg, id.Pos(), "%s: local %s is moved to the heap (compiler escape analysis); avoid capturing its address or justify with //drlint:ignore escapegate",
+						hotWhere(fi, root), name)
+				}
+				return true
 			}
+		}
+		e, ok := n.(ast.Expr)
+		if !ok {
+			return true
+		}
+		pos := compilerPos(info, e)
+		if !pos.IsValid() {
+			return true
+		}
+		key := witnessKey(wc.root, fset.Position(pos))
+		if what, ok := wc.report.escapes[key]; ok && !reported[key] && !ex.exempted(stack) {
+			reported[key] = true
+			pass.Reportf(fi.pkg, e.Pos(), "%s: %s escapes to heap (compiler escape analysis); hoist it, pool it, or justify with //drlint:ignore escapegate",
+				hotWhere(fi, root), what)
 		}
 		return true
 	})
+}
+
+// compilerPos returns the position the compiler's diagnostics give an
+// expression, which is where go/ast says it starts only for identifiers,
+// literals, unary, star and parenthesized expressions: an allocating
+// make/new/conversion is keyed at its left parenthesis, a composite literal
+// at its left brace (&T{...} at the &), a binary expression at its
+// operator, an index or slice at the bracket, a selector or type assertion
+// at the dot. A value boxed into an interface — an int passed to ...any —
+// is keyed at the value's own expression, whatever its kind. An ordinary
+// call has no fact of its own (see EscapeGate): NoPos.
+func compilerPos(info *types.Info, e ast.Expr) token.Pos {
+	switch e := e.(type) {
+	case *ast.CallExpr:
+		tv := info.Types[e.Fun]
+		if tv.IsBuiltin() || tv.IsType() {
+			return e.Lparen
+		}
+		return token.NoPos
+	case *ast.CompositeLit:
+		return e.Lbrace
+	case *ast.BinaryExpr:
+		return e.OpPos
+	case *ast.IndexExpr:
+		return e.Lbrack
+	case *ast.SliceExpr:
+		return e.Lbrack
+	case *ast.SelectorExpr:
+		return e.X.End()
+	case *ast.TypeAssertExpr:
+		return e.X.End()
+	}
+	return e.Pos()
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // GoroutineHygiene checks the fan-out shape used by the GEMM panels,
-// knn.SearchSetParallel, and the LSH batch build: a `go` statement inside a
+// knn's parallelQueries, and the LSH batch build: a `go` statement inside a
 // loop spawns an unbounded number of goroutines, so the spawning function
 // must provably wait for them — either a sync.WaitGroup with Add paired
 // with Done/Wait, or a result-channel handshake (the goroutine sends, the

@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"go/token"
-	"strings"
-)
+import "strings"
 
 // ignorePrefix starts a suppression directive comment. The full form is
 //
@@ -19,7 +16,6 @@ type directive struct {
 	rules  []string
 	reason string
 	line   int
-	pos    token.Pos
 }
 
 // ignoreParse classifies one comment's relation to the directive grammar.
@@ -100,7 +96,6 @@ func parseDirectives(pkg *Package, f File, report func(Diagnostic)) []directive 
 				rules:  rules,
 				reason: reason,
 				line:   pos.Line,
-				pos:    c.Pos(),
 			})
 		}
 	}
@@ -109,9 +104,7 @@ func parseDirectives(pkg *Package, f File, report func(Diagnostic)) []directive 
 
 // filterIgnored removes diagnostics suppressed by a directive on the same
 // line or the line above, and appends diagnostics for malformed directives.
-// Suppressed findings are returned alongside the directive that silenced
-// them, so baseline gating can flag redundant directives.
-func filterIgnored(pkg *Package, diags []Diagnostic) ([]Diagnostic, []Suppressed) {
+func filterIgnored(pkg *Package, diags []Diagnostic) []Diagnostic {
 	// fileDirectives: filename -> directives in that file.
 	fileDirectives := map[string][]directive{}
 	var extra []Diagnostic
@@ -120,13 +113,11 @@ func filterIgnored(pkg *Package, diags []Diagnostic) ([]Diagnostic, []Suppressed
 		fileDirectives[name] = parseDirectives(pkg, f, func(d Diagnostic) { extra = append(extra, d) })
 	}
 	out := diags[:0]
-	var sup []Suppressed
 	for _, d := range diags {
 		suppressed := false
 		for _, dir := range fileDirectives[d.Pos.Filename] {
 			if dir.covers(d.Rule) && (dir.line == d.Pos.Line || dir.line == d.Pos.Line-1) {
 				suppressed = true
-				sup = append(sup, Suppressed{Diag: d, DirectivePos: pkg.Fset.Position(dir.pos)})
 				break
 			}
 		}
@@ -134,5 +125,5 @@ func filterIgnored(pkg *Package, diags []Diagnostic) ([]Diagnostic, []Suppressed
 			out = append(out, d)
 		}
 	}
-	return append(out, extra...), sup
+	return append(out, extra...)
 }

@@ -7,26 +7,20 @@ import (
 )
 
 // TestLintModule is the self-enforcing pass: every drlint analyzer runs
-// over the whole module inside `go test ./...`, gated against the committed
-// baseline exactly like CI, so a change that violates a numeric/concurrency/
-// reproducibility invariant fails tier-1 CI even if nobody ran the CLI.
-// Keep this green by fixing the finding, adding a justified //drlint:ignore
-// directive at the site, or (for accepted pre-existing findings) recording
-// it in .drlint-baseline.json with -write-baseline.
+// over the whole module inside `go test ./...`, exactly like CI, so a change
+// that violates a numeric/concurrency/reproducibility invariant fails tier-1
+// CI even if nobody ran the CLI. Keep this green by fixing the finding or
+// adding a justified //drlint:ignore directive at the site.
 func TestLintModule(t *testing.T) {
 	root, err := moduleRoot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunModule(root, All())
+	diags, err := Run(root, All())
 	if err != nil {
 		t.Fatalf("drlint failed to load the module: %v", err)
 	}
-	baseline, err := LoadBaseline(filepath.Join(root, ".drlint-baseline.json"))
-	if err != nil {
-		t.Fatalf("loading the committed baseline: %v", err)
-	}
-	for _, d := range Gate(root, res, baseline) {
+	for _, d := range diags {
 		t.Errorf("%s", d)
 	}
 	if t.Failed() {

@@ -48,3 +48,31 @@ func hotResult(vs []int) []int {
 	}
 	return out
 }
+
+var (
+	buffers [][]float64
+	counts  []*int
+	boxed   []any
+)
+
+// The compiler keys an allocating make/new at the call's left parenthesis
+// and a value boxed into an interface at the value's own expression; a
+// plain composite literal at its left brace.
+//
+//drlint:hotpath
+func hotBuiltins(lo, hi int) int {
+	tmp := make([]float64, hi-lo) // want "make\(\[\]float64, hi - lo\) escapes to heap"
+	buffers = append(buffers, tmp)
+	p := new(int) // want "new\(int\) escapes to heap"
+	counts = append(counts, p)
+	record(lo)                      // want "lo escapes to heap"
+	boxed = append(boxed, node{hi}) // want "node\{...\} escapes to heap"
+
+	var fixed [8]float64
+	local := make([]float64, 8) // constant size, never leaves the frame: clean
+	copy(local, fixed[:])
+	return len(local)
+}
+
+//go:noinline
+func record(args ...any) { boxed = append(boxed, args...) }

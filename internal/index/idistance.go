@@ -3,8 +3,8 @@ package index
 import (
 	"fmt"
 	"math"
+	"sort"
 
-	"repro/internal/btree"
 	"repro/internal/cluster"
 	"repro/internal/knn"
 	"repro/internal/linalg"
@@ -16,7 +16,9 @@ import (
 //
 //	key(p) = partition(p)·C + ‖p − ref_partition(p)‖
 //
-// in a B+ tree, where C exceeds every within-partition radius. A k-NN query
+// in a sorted key array, where C exceeds every within-partition radius (the
+// original keeps the keys in a B+ tree; this index is built once and never
+// mutated, so the sorted array is that tree's leaf level). A k-NN query
 // expands a search radius r: by the triangle inequality, a partition-i
 // point within r of the query has a key in
 // [i·C + d(q,ref_i) − r, i·C + min(maxRadius_i, d(q,ref_i) + r)], so each
@@ -29,8 +31,8 @@ import (
 type IDistance struct {
 	data   *linalg.Dense
 	refs   *linalg.Dense
-	tree   *btree.Tree
-	assign []int
+	keys   []float64 // ascending; equal keys in ascending row order
+	rows   []int     // rows[i] is the data row keyed by keys[i]
 	maxRad []float64
 	stride float64
 	deltaR float64
@@ -54,7 +56,6 @@ func BuildIDistance(data *linalg.Dense, partitions int, seed int64) *IDistance {
 	id := &IDistance{
 		data:   data,
 		refs:   km.Centroids,
-		assign: km.Assign,
 		maxRad: make([]float64, partitions),
 	}
 	dists := make([]float64, n)
@@ -76,11 +77,27 @@ func BuildIDistance(data *linalg.Dense, partitions int, seed int64) *IDistance {
 	if id.deltaR == 0 {
 		id.deltaR = 1
 	}
-	id.tree = btree.New(0)
-	for i := 0; i < n; i++ {
-		id.tree.Insert(float64(km.Assign[i])*id.stride+dists[i], i)
+	key := dists // reused: key[i] = partition band + distance to its reference
+	for i, d := range dists {
+		key[i] = float64(km.Assign[i])*id.stride + d
+	}
+	id.rows = make([]int, n)
+	for i := range id.rows {
+		id.rows[i] = i
+	}
+	sort.SliceStable(id.rows, func(a, b int) bool { return key[id.rows[a]] < key[id.rows[b]] })
+	id.keys = make([]float64, n)
+	for i, r := range id.rows {
+		id.keys[i] = key[r]
 	}
 	return id
+}
+
+// scan calls offer with the row of every entry whose key lies in [from, to].
+func (id *IDistance) scan(from, to float64, offer func(row int)) {
+	for i := sort.SearchFloat64s(id.keys, from); i < len(id.keys) && id.keys[i] <= to; i++ {
+		offer(id.rows[i])
+	}
 }
 
 // Len implements Index.
@@ -92,7 +109,7 @@ func (id *IDistance) Dims() int { return id.data.Cols() }
 // Partitions returns the number of reference points.
 func (id *IDistance) Partitions() int { return id.refs.Rows() }
 
-// KNN implements Index. NodesVisited counts B+ tree entries touched;
+// KNN implements Index. NodesVisited counts key-array entries touched;
 // PointsScanned counts exact distance computations.
 func (id *IDistance) KNN(query []float64, k int) ([]knn.Neighbor, Stats) {
 	if len(query) != id.Dims() {
@@ -114,15 +131,14 @@ func (id *IDistance) KNN(query []float64, k int) ([]knn.Neighbor, Stats) {
 
 	c := knn.NewCollector(k)
 	scanned := make(map[int]bool)
-	offer := func(_ float64, i int) bool {
+	offer := func(i int) {
 		stats.NodesVisited++
 		if scanned[i] {
-			return true
+			return
 		}
 		scanned[i] = true
 		stats.PointsScanned++
 		c.Offer(i, linalg.Dist2(id.data.RawRow(i), query))
-		return true
 	}
 
 	r := id.deltaR
@@ -145,17 +161,17 @@ func (id *IDistance) KNN(query []float64, k int) ([]knn.Neighbor, Stats) {
 			if !started[p] {
 				started[p] = true
 				lo[p], hi[p] = wantLo, wantHi
-				id.tree.Range(base+wantLo, base+wantHi, func(key float64, v int) bool { return offer(key, v) })
+				id.scan(base+wantLo, base+wantHi, offer)
 				continue
 			}
 			// Scan only the newly uncovered sub-ranges; boundary overlaps
 			// are harmless because offer dedupes by point id.
 			if wantLo < lo[p] {
-				id.tree.Range(base+wantLo, base+lo[p], func(key float64, v int) bool { return offer(key, v) })
+				id.scan(base+wantLo, base+lo[p], offer)
 				lo[p] = wantLo
 			}
 			if wantHi > hi[p] {
-				id.tree.Range(base+hi[p], base+wantHi, func(key float64, v int) bool { return offer(key, v) })
+				id.scan(base+hi[p], base+wantHi, offer)
 				hi[p] = wantHi
 			}
 		}

@@ -217,7 +217,7 @@ func holdOut(all *linalg.Dense, nq int) (data, queries *linalg.Dense) {
 func TestRecallImprovesWithProbes(t *testing.T) {
 	data, queries := holdOut(clusteredPoints(31, 1540, 24, 8), 40)
 	ix := Build(data, Config{Tables: 6, Hashes: 6, Seed: 5})
-	exact := knn.SearchSetParallel(data, queries, 10, knn.Euclidean{}, false)
+	exact := knn.SearchSetBatch(data, queries, 10, knn.Euclidean{}, false)
 	recallAt := func(probes int) float64 {
 		approx, _ := ix.KNNApproxSet(queries, 10, probes)
 		return index.MeanRecall(approx, exact)

@@ -90,7 +90,8 @@ const underflowFloor = 0x1p-1021
 // returns exactly what SearchSet returns. For Euclidean and
 // SquaredEuclidean metrics it computes per-tile inner-product blocks with
 // the GEMM kernel and collects each query's k+1 nearest by norm-cache
-// distance; every other metric falls back to SearchSetParallel.
+// distance; every other metric runs Search per query across the same
+// worker split.
 //
 // Why the answer is SearchSet's: if the k-th and (k+1)-th norm-cache
 // distances of a query lie further apart than normCacheSlack allows the two
@@ -101,11 +102,6 @@ const underflowFloor = 0x1p-1021
 // order. A query whose gap is not that wide — duplicates, lattice data, a
 // genuine near-tie at rank k — is answered by Search itself.
 func SearchSetBatch(data, queries *linalg.Dense, k int, m Metric, selfExclude bool) [][]Neighbor {
-	switch m.(type) {
-	case Euclidean, SquaredEuclidean:
-	default:
-		return SearchSetParallel(data, queries, k, m, selfExclude)
-	}
 	n, d := data.Dims()
 	nq := queries.Rows()
 	if queries.Cols() != d {
@@ -113,6 +109,19 @@ func SearchSetBatch(data, queries *linalg.Dense, k int, m Metric, selfExclude bo
 	}
 	if k <= 0 {
 		panic(fmt.Sprintf("knn: k=%d must be positive", k))
+	}
+	switch m.(type) {
+	case Euclidean, SquaredEuclidean:
+	default:
+		out := make([][]Neighbor, nq)
+		parallelQueries(nq, func(i int) {
+			ex := -1
+			if selfExclude {
+				ex = i
+			}
+			out[i] = Search(data, queries.RawRow(i), k, m, ex)
+		})
+		return out
 	}
 	dataNorms := linalg.MulTRowNormsSq(data)
 	queryNorms := linalg.MulTRowNormsSq(queries)

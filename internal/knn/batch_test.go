@@ -295,14 +295,25 @@ func TestSearchSetBatchFallbackMetric(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("metric %s: fallback differs from scalar", m.Name())
 		}
+		// Four workers over 20 (and 150) queries: the chunked split runs.
+		withProcs(4, func() {
+			if got := SearchSetBatch(data, queries, 4, m, false); !reflect.DeepEqual(got, want) {
+				t.Fatalf("metric %s: chunked parallel fallback differs from serial", m.Name())
+			}
+			if got := SearchSetBatch(data, data, 3, m, true); !reflect.DeepEqual(got, SearchSet(data, data, 3, m, true)) {
+				t.Fatalf("metric %s: chunked parallel self-exclude differs from serial", m.Name())
+			}
+		})
 	}
 }
 
 func TestSearchSetBatchPanics(t *testing.T) {
 	data := linalg.NewDense(3, 2)
 	for name, fn := range map[string]func(){
-		"dim mismatch": func() { SearchSetBatch(data, linalg.NewDense(2, 3), 1, Euclidean{}, false) },
-		"k zero":       func() { SearchSetBatch(data, linalg.NewDense(2, 2), 0, Euclidean{}, false) },
+		"dim mismatch":          func() { SearchSetBatch(data, linalg.NewDense(2, 3), 1, Euclidean{}, false) },
+		"k zero":                func() { SearchSetBatch(data, linalg.NewDense(2, 2), 0, Euclidean{}, false) },
+		"fallback dim mismatch": func() { SearchSetBatch(data, linalg.NewDense(2, 3), 1, Manhattan{}, false) },
+		"fallback k zero":       func() { SearchSetBatch(data, linalg.NewDense(2, 2), 0, Manhattan{}, false) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
@@ -313,21 +324,6 @@ func TestSearchSetBatchPanics(t *testing.T) {
 			fn()
 		})
 	}
-}
-
-func TestSearchSetParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(63))
-	data := randMatrix(rng, 200, 12)
-	queries := randMatrix(rng, 37, 12)
-	want := SearchSet(data, queries, 6, Euclidean{}, false)
-	withProcs(4, func() {
-		if got := SearchSetParallel(data, queries, 6, Euclidean{}, false); !reflect.DeepEqual(got, want) {
-			t.Fatal("chunked parallel search differs from serial")
-		}
-		if got := SearchSetParallel(data, data, 3, Euclidean{}, true); !reflect.DeepEqual(got, SearchSet(data, data, 3, Euclidean{}, true)) {
-			t.Fatal("chunked parallel self-exclude differs from serial")
-		}
-	})
 }
 
 func TestCollectorKLargerThanN(t *testing.T) {
@@ -399,14 +395,6 @@ func benchKNNData(b *testing.B) (data, queries *linalg.Dense) {
 	data = randMatrix(rng, 6598, 166)
 	queries = randMatrix(rng, 50, 166)
 	return data, queries
-}
-
-func BenchmarkSearchSetParallel6598x166(b *testing.B) {
-	data, queries := benchKNNData(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SearchSetParallel(data, queries, 10, Euclidean{}, false)
-	}
 }
 
 func BenchmarkSearchSetBatch6598x166(b *testing.B) {

@@ -3,9 +3,7 @@ package knn
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
-	"sync"
 
 	"repro/internal/linalg"
 )
@@ -239,61 +237,6 @@ func SearchSet(data, queries *linalg.Dense, k int, m Metric, selfExclude bool) [
 		}
 		out[i] = Search(data, queries.RawRow(i), k, m, ex)
 	}
-	return out
-}
-
-// SearchSetParallel is SearchSet with the queries distributed across a
-// worker pool of up to runtime.GOMAXPROCS(0) goroutines. Queries are
-// independent, so the result is exactly SearchSet's; use it for the
-// ground-truth workloads of experiment sweeps, which are embarrassingly
-// parallel and dominated by distance computations. Work is handed out as
-// chunked index ranges over a buffered channel, so per-query scheduling
-// overhead stays negligible even on small-d workloads where a single query
-// is only microseconds of work.
-func SearchSetParallel(data, queries *linalg.Dense, k int, m Metric, selfExclude bool) [][]Neighbor {
-	if queries.Cols() != data.Cols() {
-		panic(fmt.Sprintf("knn: queries have %d dims, data has %d", queries.Cols(), data.Cols()))
-	}
-	nq := queries.Rows()
-	out := make([][]Neighbor, nq)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > nq {
-		workers = nq
-	}
-	if workers <= 1 {
-		return SearchSet(data, queries, k, m, selfExclude)
-	}
-	// A few chunks per worker balances load without per-query channel trips.
-	chunk := nq / (workers * 8)
-	if chunk < 1 {
-		chunk = 1
-	}
-	jobs := make(chan [2]int, workers)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for r := range jobs {
-				for i := r[0]; i < r[1]; i++ {
-					ex := -1
-					if selfExclude {
-						ex = i
-					}
-					out[i] = Search(data, queries.RawRow(i), k, m, ex)
-				}
-			}
-		}()
-	}
-	for lo := 0; lo < nq; lo += chunk {
-		hi := lo + chunk
-		if hi > nq {
-			hi = nq
-		}
-		jobs <- [2]int{lo, hi}
-	}
-	close(jobs)
-	wg.Wait()
 	return out
 }
 

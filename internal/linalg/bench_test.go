@@ -150,14 +150,3 @@ func BenchmarkSVD64x32(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkQR256x64(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	a := randDense(rng, 256, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := QR(a); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -4,108 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
-
-func TestQRReconstructs(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	for _, dims := range [][2]int{{3, 3}, {5, 3}, {10, 7}, {40, 20}} {
-		a := randDense(rng, dims[0], dims[1])
-		qr, err := QR(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !qr.Q.Mul(qr.R).Equal(a, 1e-11) {
-			t.Fatalf("%v: QR does not reconstruct A", dims)
-		}
-		// Q has orthonormal columns.
-		n := dims[1]
-		if !qr.Q.T().Mul(qr.Q).Equal(Identity(n), 1e-11) {
-			t.Fatalf("%v: Q columns not orthonormal", dims)
-		}
-		// R upper triangular.
-		for i := 0; i < n; i++ {
-			for j := 0; j < i; j++ {
-				if qr.R.At(i, j) != 0 {
-					t.Fatalf("%v: R not upper triangular at (%d,%d)", dims, i, j)
-				}
-			}
-		}
-	}
-}
-
-func TestQRRejectsWide(t *testing.T) {
-	if _, err := QR(NewDense(2, 5)); err == nil {
-		t.Fatalf("expected error for wide matrix")
-	}
-}
-
-func TestQRWithZeroColumn(t *testing.T) {
-	a := FromRows([][]float64{{1, 0}, {2, 0}, {3, 0}})
-	qr, err := QR(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !qr.Q.Mul(qr.R).Equal(a, 1e-12) {
-		t.Fatalf("QR with zero column does not reconstruct")
-	}
-}
-
-func TestSolveLeastSquaresExact(t *testing.T) {
-	// Square nonsingular system: least squares equals the exact solution.
-	a := FromRows([][]float64{{2, 1}, {1, 3}})
-	want := []float64{1, -2}
-	b := a.MulVec(want)
-	got, err := SolveLeastSquares(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !VecEqual(got, want, 1e-12) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-}
-
-func TestSolveLeastSquaresOverdetermined(t *testing.T) {
-	// Fit y = 2x + 1 from noiseless samples; the LS solution is exact.
-	xs := []float64{0, 1, 2, 3, 4}
-	a := NewDense(len(xs), 2)
-	b := make([]float64, len(xs))
-	for i, x := range xs {
-		a.Set(i, 0, x)
-		a.Set(i, 1, 1)
-		b[i] = 2*x + 1
-	}
-	got, err := SolveLeastSquares(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !VecEqual(got, []float64{2, 1}, 1e-10) {
-		t.Fatalf("least squares fit = %v, want [2 1]", got)
-	}
-}
-
-func TestSolveLeastSquaresResidualOrthogonality(t *testing.T) {
-	// Property: the LS residual is orthogonal to the column space of A.
-	rng := rand.New(rand.NewSource(21))
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		a := randDense(r, 8, 3)
-		b := make([]float64, 8)
-		for i := range b {
-			b[i] = r.NormFloat64()
-		}
-		x, err := SolveLeastSquares(a, b)
-		if err != nil {
-			return true // rank-deficient random draw: skip
-		}
-		res := SubVec(b, a.MulVec(x))
-		proj := a.MulVecT(res) // Aᵀ r must be ~0
-		return NormInf(proj) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30, Rand: rng}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestGramSchmidt(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
@@ -138,7 +37,11 @@ func TestLUSolveRoundTrip(t *testing.T) {
 			want[i] = rng.NormFloat64()
 		}
 		b := a.MulVec(want)
-		got, err := Solve(a, b)
+		f, err := LU(a)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		got, err := f.Solve(b)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -155,26 +58,6 @@ func TestLUSingular(t *testing.T) {
 	}
 }
 
-func TestLUDeterminant(t *testing.T) {
-	cases := []struct {
-		m    *Dense
-		want float64
-	}{
-		{FromRows([][]float64{{2}}), 2},
-		{FromRows([][]float64{{1, 2}, {3, 4}}), -2},
-		{FromRows([][]float64{{2, 0, 0}, {0, 3, 0}, {0, 0, 4}}), 24},
-		{Identity(5), 1},
-	}
-	for _, tc := range cases {
-		if got := Det(tc.m); math.Abs(got-tc.want) > 1e-10 {
-			t.Fatalf("Det = %v, want %v", got, tc.want)
-		}
-	}
-	if got := Det(FromRows([][]float64{{1, 2}, {2, 4}})); got != 0 {
-		t.Fatalf("Det of singular = %v, want 0", got)
-	}
-}
-
 func TestInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	a := randDense(rng, 6, 6)
@@ -187,70 +70,6 @@ func TestInverse(t *testing.T) {
 	}
 	if !inv.Mul(a).Equal(Identity(6), 1e-9) {
 		t.Fatalf("A⁻¹ A != I")
-	}
-}
-
-func TestCholeskyReconstructs(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	for _, n := range []int{1, 2, 4, 10, 25} {
-		a := randSPD(rng, n)
-		ch, err := Cholesky(a)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if !ch.L.Mul(ch.L.T()).Equal(a, 1e-9) {
-			t.Fatalf("n=%d: L Lᵀ != A", n)
-		}
-		// L lower triangular with positive diagonal.
-		for i := 0; i < n; i++ {
-			if ch.L.At(i, i) <= 0 {
-				t.Fatalf("n=%d: non-positive diagonal", n)
-			}
-			for j := i + 1; j < n; j++ {
-				if ch.L.At(i, j) != 0 {
-					t.Fatalf("n=%d: L not lower triangular", n)
-				}
-			}
-		}
-	}
-}
-
-func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
-	if _, err := Cholesky(a); err != ErrNotPositiveDefinite {
-		t.Fatalf("expected ErrNotPositiveDefinite, got %v", err)
-	}
-}
-
-func TestCholeskySolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(26))
-	a := randSPD(rng, 8)
-	want := make([]float64, 8)
-	for i := range want {
-		want[i] = rng.NormFloat64()
-	}
-	b := a.MulVec(want)
-	ch, err := Cholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ch.Solve(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !VecEqual(got, want, 1e-8) {
-		t.Fatalf("Cholesky solve mismatch: %v vs %v", got, want)
-	}
-}
-
-func TestCholeskyLogDet(t *testing.T) {
-	a := Diag([]float64{2, 3, 4})
-	ch, err := Cholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := ch.LogDet(), math.Log(24); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("LogDet = %v, want %v", got, want)
 	}
 }
 
@@ -297,18 +116,6 @@ func TestSVDKnownValues(t *testing.T) {
 	}
 }
 
-func TestSVDRank(t *testing.T) {
-	// Rank-1 matrix.
-	a := Outer([]float64{1, 2, 3}, []float64{4, 5})
-	sd, err := SVD(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sd.Rank(1e-10); got != 1 {
-		t.Fatalf("Rank = %d, want 1", got)
-	}
-}
-
 func TestSVDAgreesWithEigOfGram(t *testing.T) {
 	// σ_i² must equal the eigenvalues of AᵀA.
 	rng := rand.New(rand.NewSource(28))
@@ -326,37 +133,5 @@ func TestSVDAgreesWithEigOfGram(t *testing.T) {
 		if math.Abs(sd.Values[i]*sd.Values[i]-evDesc[i]) > 1e-8 {
 			t.Fatalf("σ² %v != eigenvalue %v at %d", sd.Values[i]*sd.Values[i], evDesc[i], i)
 		}
-	}
-}
-
-func TestSVDTruncatedReconstructError(t *testing.T) {
-	// Eckart–Young: the rank-k truncation error equals σ_{k+1} in 2-norm;
-	// here we just check the Frobenius error is the tail energy.
-	rng := rand.New(rand.NewSource(29))
-	a := randDense(rng, 8, 5)
-	sd, err := SVD(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := 2
-	approx := sd.TruncatedReconstruct(k)
-	errNorm := a.SubMat(approx).FrobeniusNorm()
-	tail := 0.0
-	for _, v := range sd.Values[k:] {
-		tail += v * v
-	}
-	if math.Abs(errNorm-math.Sqrt(tail)) > 1e-9 {
-		t.Fatalf("truncation error %v != tail energy %v", errNorm, math.Sqrt(tail))
-	}
-}
-
-func TestSVDCondition(t *testing.T) {
-	a := Diag([]float64{4, 2})
-	sd, err := SVD(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sd.Condition(); math.Abs(got-2) > 1e-12 {
-		t.Fatalf("Condition = %v, want 2", got)
 	}
 }

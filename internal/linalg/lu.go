@@ -104,16 +104,6 @@ func (f *LUDecomposition) Solve(b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// Det returns the determinant of the factored matrix.
-func (f *LUDecomposition) Det() float64 {
-	d := f.sign
-	n := f.lu.Rows()
-	for i := 0; i < n; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
 // Inverse returns the inverse of the factored matrix.
 func (f *LUDecomposition) Inverse() (*Dense, error) {
 	n := f.lu.Rows()
@@ -133,15 +123,6 @@ func (f *LUDecomposition) Inverse() (*Dense, error) {
 	return inv, nil
 }
 
-// Solve solves the square linear system a x = b.
-func Solve(a *Dense, b []float64) ([]float64, error) {
-	f, err := LU(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b)
-}
-
 // Inverse returns the inverse of the square matrix a.
 func Inverse(a *Dense) (*Dense, error) {
 	f, err := LU(a)
@@ -149,13 +130,4 @@ func Inverse(a *Dense) (*Dense, error) {
 		return nil, err
 	}
 	return f.Inverse()
-}
-
-// Det returns the determinant of the square matrix a (0 if singular).
-func Det(a *Dense) float64 {
-	f, err := LU(a)
-	if err != nil {
-		return 0
-	}
-	return f.Det()
 }

@@ -6,47 +6,6 @@ import (
 	"math/rand"
 )
 
-// PowerIteration computes the dominant eigenpair of the symmetric matrix a
-// by repeated multiplication with deflation-free iteration. It returns the
-// eigenvalue of largest magnitude and its unit eigenvector. tol bounds the
-// relative change of the Rayleigh quotient between iterations (0 selects
-// 1e-12); maxIter bounds the loop (0 selects 1000). The rng seeds the
-// starting vector so results are deterministic per seed.
-func PowerIteration(a *Dense, tol float64, maxIter int, rng *rand.Rand) (float64, []float64, error) {
-	n, c := a.Dims()
-	if n != c {
-		return 0, nil, fmt.Errorf("linalg: PowerIteration requires square matrix, got %dx%d", n, c)
-	}
-	if tol <= 0 {
-		tol = 1e-12
-	}
-	if maxIter <= 0 {
-		maxIter = 1000
-	}
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = rng.NormFloat64()
-	}
-	Normalize(v)
-	lambda := 0.0
-	for iter := 0; iter < maxIter; iter++ {
-		w := a.MulVec(v)
-		norm := Norm2(w)
-		if norm == 0 {
-			return 0, v, nil // a v = 0: v is a null vector, eigenvalue 0
-		}
-		ScaleVec(1/norm, w)
-		next := Dot(w, a.MulVec(w))
-		converged := math.Abs(next-lambda) <= tol*math.Max(1, math.Abs(next))
-		lambda = next
-		v = w
-		if converged && iter > 2 {
-			return lambda, v, nil
-		}
-	}
-	return lambda, v, ErrNoConvergence
-}
-
 // TopKEigen computes the k eigenpairs of largest eigenvalue of the
 // symmetric positive semi-definite matrix a (covariance matrices — the use
 // case of this library) via Lanczos iteration with full

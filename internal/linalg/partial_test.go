@@ -6,69 +6,6 @@ import (
 	"testing"
 )
 
-func TestPowerIterationDiagonal(t *testing.T) {
-	a := Diag([]float64{1, 5, 2})
-	rng := rand.New(rand.NewSource(1))
-	lambda, v, err := PowerIteration(a, 0, 0, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(lambda-5) > 1e-9 {
-		t.Fatalf("dominant eigenvalue = %v", lambda)
-	}
-	if math.Abs(math.Abs(v[1])-1) > 1e-6 {
-		t.Fatalf("dominant eigenvector = %v", v)
-	}
-}
-
-func TestPowerIterationMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 5; trial++ {
-		b := randDense(rng, 30, 20)
-		a := b.T().Mul(b) // PSD: dominant eigenvalue is the largest one
-		lambda, v, err := PowerIteration(a, 0, 0, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ed, err := EigSym(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := ed.Values[len(ed.Values)-1]
-		if math.Abs(lambda-want) > 1e-6*(1+want) {
-			t.Fatalf("power %v vs dense %v", lambda, want)
-		}
-		// Residual ‖Av − λv‖ small.
-		res := SubVec(a.MulVec(v), func() []float64 {
-			out := make([]float64, len(v))
-			copy(out, v)
-			ScaleVec(lambda, out)
-			return out
-		}())
-		if Norm2(res) > 1e-5*(1+lambda) {
-			t.Fatalf("power residual %v", Norm2(res))
-		}
-	}
-}
-
-func TestPowerIterationZeroMatrix(t *testing.T) {
-	a := NewDense(4, 4)
-	rng := rand.New(rand.NewSource(3))
-	lambda, _, err := PowerIteration(a, 0, 0, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lambda != 0 {
-		t.Fatalf("zero matrix eigenvalue = %v", lambda)
-	}
-}
-
-func TestPowerIterationRejectsNonSquare(t *testing.T) {
-	if _, _, err := PowerIteration(NewDense(2, 3), 0, 0, rand.New(rand.NewSource(1))); err == nil {
-		t.Fatalf("non-square accepted")
-	}
-}
-
 func TestTopKEigenMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, tc := range []struct{ n, k int }{

@@ -1,7 +1,6 @@
 package linalg
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -108,52 +107,7 @@ func SVD(a *Dense) (*SVDDecomposition, error) {
 	return &SVDDecomposition{U: uo, V: vo, Values: sv}, nil
 }
 
-// Rank returns the numerical rank of the decomposition at the given relative
-// tolerance (singular values below tol * max singular value count as zero).
-func (s *SVDDecomposition) Rank(tol float64) int {
-	if len(s.Values) == 0 {
-		return 0
-	}
-	cut := tol * s.Values[0]
-	r := 0
-	for _, v := range s.Values {
-		if v > cut {
-			r++
-		}
-	}
-	return r
-}
-
 // Reconstruct returns U Σ Vᵀ.
 func (s *SVDDecomposition) Reconstruct() *Dense {
 	return s.U.Mul(Diag(s.Values)).Mul(s.V.T())
-}
-
-// Condition returns the 2-norm condition number σ_max/σ_min, or +Inf if the
-// smallest singular value is zero.
-func (s *SVDDecomposition) Condition() float64 {
-	n := len(s.Values)
-	if n == 0 {
-		return math.Inf(1)
-	}
-	min := s.Values[n-1]
-	if min == 0 {
-		return math.Inf(1)
-	}
-	return s.Values[0] / min
-}
-
-// TruncatedReconstruct returns the best rank-k approximation U_k Σ_k V_kᵀ.
-func (s *SVDDecomposition) TruncatedReconstruct(k int) *Dense {
-	n := len(s.Values)
-	if k <= 0 || k > n {
-		panic(fmt.Sprintf("linalg: TruncatedReconstruct rank %d out of range (1..%d)", k, n))
-	}
-	cols := make([]int, k)
-	for i := range cols {
-		cols[i] = i
-	}
-	uk := s.U.SliceCols(cols)
-	vk := s.V.SliceCols(cols)
-	return uk.Mul(Diag(s.Values[:k])).Mul(vk.T())
 }

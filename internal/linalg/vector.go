@@ -63,26 +63,6 @@ func Norm2(v []float64) float64 {
 	return scale * math.Sqrt(ssq)
 }
 
-// Norm1 returns the sum of absolute values of v.
-func Norm1(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += math.Abs(x)
-	}
-	return s
-}
-
-// NormInf returns the maximum absolute value of v.
-func NormInf(v []float64) float64 {
-	m := 0.0
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // Axpy computes y += alpha*x in place, through the same kernel dispatch as
 // Dot.
 func Axpy(alpha float64, x, y []float64) {
@@ -152,16 +132,6 @@ func Normalize(v []float64) float64 {
 	}
 	ScaleVec(1/n, v)
 	return n
-}
-
-// Unit returns a fresh unit-norm copy of v. Panics on the zero vector.
-func Unit(v []float64) []float64 {
-	out := make([]float64, len(v))
-	copy(out, v)
-	if Normalize(out) == 0 {
-		panic("linalg: Unit of zero vector")
-	}
-	return out
 }
 
 // VecEqual reports whether a and b agree elementwise to within tol.

@@ -1,14 +1,8 @@
 // Package stats provides the statistical substrate for the coherence model:
-// descriptive statistics, the standard normal distribution (the paper's
-// coherence probability is 2Φ(z)−1), covariance and correlation matrices,
-// rank correlation, histograms, and streaming moment accumulators.
+// means, the standard normal distribution (the paper's coherence probability
+// is 2Φ(z)−1), covariance and correlation matrices, rank correlation, and
+// histograms.
 package stats
-
-import (
-	"fmt"
-	"math"
-	"sort"
-)
 
 // Mean returns the arithmetic mean of xs. Panics on empty input.
 func Mean(xs []float64) float64 {
@@ -31,57 +25,6 @@ func Sum(xs []float64) float64 {
 	return s
 }
 
-// Variance returns the unbiased sample variance (divisor n−1) of xs.
-// Panics if len(xs) < 2.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		panic("stats: Variance requires at least 2 values")
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs)-1)
-}
-
-// PopVariance returns the population variance (divisor n) of xs.
-// Panics on empty input.
-func PopVariance(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: PopVariance of empty slice")
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the unbiased sample standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// PopStdDev returns the population standard deviation of xs.
-func PopStdDev(xs []float64) float64 { return math.Sqrt(PopVariance(xs)) }
-
-// RMS returns the root mean square of xs about zero. Panics on empty input.
-// This is the σ(e,X) estimator of the paper's null-hypothesis model, which
-// measures spread about the hypothesized mean of zero rather than about the
-// sample mean.
-func RMS(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: RMS of empty slice")
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x * x
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
 // MinMax returns the smallest and largest values in xs. Panics on empty
 // input.
 func MinMax(xs []float64) (min, max float64) {
@@ -98,171 +41,4 @@ func MinMax(xs []float64) (min, max float64) {
 		}
 	}
 	return min, max
-}
-
-// Median returns the median of xs without modifying it.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics. The input is not modified.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Quantile of empty slice")
-	}
-	if q < 0 || q > 1 {
-		panic(fmt.Sprintf("stats: Quantile q=%v out of [0,1]", q))
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Skewness returns the sample skewness of xs (biased, moment estimator).
-func Skewness(xs []float64) float64 {
-	if len(xs) < 2 {
-		panic("stats: Skewness requires at least 2 values")
-	}
-	m := Mean(xs)
-	s2, s3 := 0.0, 0.0
-	for _, x := range xs {
-		d := x - m
-		s2 += d * d
-		s3 += d * d * d
-	}
-	n := float64(len(xs))
-	sd := math.Sqrt(s2 / n)
-	if sd == 0 {
-		return 0
-	}
-	return (s3 / n) / (sd * sd * sd)
-}
-
-// ExcessKurtosis returns the sample excess kurtosis of xs (moment
-// estimator); 0 for a normal distribution.
-func ExcessKurtosis(xs []float64) float64 {
-	if len(xs) < 2 {
-		panic("stats: ExcessKurtosis requires at least 2 values")
-	}
-	m := Mean(xs)
-	s2, s4 := 0.0, 0.0
-	for _, x := range xs {
-		d := x - m
-		d2 := d * d
-		s2 += d2
-		s4 += d2 * d2
-	}
-	n := float64(len(xs))
-	v := s2 / n
-	if v == 0 {
-		return 0
-	}
-	return (s4/n)/(v*v) - 3
-}
-
-// ZScores returns (x−mean)/stddev for each element, using the sample
-// standard deviation. Panics if the standard deviation is zero.
-func ZScores(xs []float64) []float64 {
-	m := Mean(xs)
-	sd := StdDev(xs)
-	if sd == 0 {
-		panic("stats: ZScores of constant data")
-	}
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = (x - m) / sd
-	}
-	return out
-}
-
-// Moments accumulates streaming mean and variance using Welford's algorithm,
-// allowing single-pass, numerically stable computation over large data.
-type Moments struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Push adds a value to the accumulator.
-func (m *Moments) Push(x float64) {
-	m.n++
-	if m.n == 1 {
-		m.min, m.max = x, x
-	} else {
-		if x < m.min {
-			m.min = x
-		}
-		if x > m.max {
-			m.max = x
-		}
-	}
-	delta := x - m.mean
-	m.mean += delta / float64(m.n)
-	m.m2 += delta * (x - m.mean)
-}
-
-// N returns the number of values pushed.
-func (m *Moments) N() int { return m.n }
-
-// Mean returns the running mean (0 if empty).
-func (m *Moments) Mean() float64 { return m.mean }
-
-// Variance returns the unbiased sample variance (0 if fewer than 2 values).
-func (m *Moments) Variance() float64 {
-	if m.n < 2 {
-		return 0
-	}
-	return m.m2 / float64(m.n-1)
-}
-
-// PopVariance returns the population variance (0 if empty).
-func (m *Moments) PopVariance() float64 {
-	if m.n == 0 {
-		return 0
-	}
-	return m.m2 / float64(m.n)
-}
-
-// StdDev returns the unbiased sample standard deviation.
-func (m *Moments) StdDev() float64 { return math.Sqrt(m.Variance()) }
-
-// Min returns the smallest pushed value (0 if empty).
-func (m *Moments) Min() float64 { return m.min }
-
-// Max returns the largest pushed value (0 if empty).
-func (m *Moments) Max() float64 { return m.max }
-
-// Merge combines another accumulator into m (parallel Welford merge).
-func (m *Moments) Merge(o *Moments) {
-	if o.n == 0 {
-		return
-	}
-	if m.n == 0 {
-		*m = *o
-		return
-	}
-	n1, n2 := float64(m.n), float64(o.n)
-	delta := o.mean - m.mean
-	tot := n1 + n2
-	m.m2 += o.m2 + delta*delta*n1*n2/tot
-	m.mean += delta * n2 / tot
-	m.n += o.n
-	if o.min < m.min {
-		m.min = o.min
-	}
-	if o.max > m.max {
-		m.max = o.max
-	}
 }

@@ -63,15 +63,6 @@ func (h *Histogram) BinCenter(i int) float64 {
 	return h.Min + (float64(i)+0.5)*w
 }
 
-// Density returns the relative frequency (count/total) of bin i, or 0 if the
-// histogram is empty.
-func (h *Histogram) Density(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
-}
-
 // Quantile returns an estimate of the q-quantile (q in [0, 1]) of the
 // recorded values: the center of the first bin at which the cumulative count
 // reaches q·Total. It panics on an empty histogram or a q outside [0, 1].
@@ -117,17 +108,6 @@ func (h *Histogram) Merge(o *Histogram) {
 		h.Counts[i] += c
 	}
 	h.total += o.total
-}
-
-// Mode returns the center of the fullest bin (first on ties).
-func (h *Histogram) Mode() float64 {
-	best := 0
-	for i, c := range h.Counts {
-		if c > h.Counts[best] {
-			best = i
-		}
-	}
-	return h.BinCenter(best)
 }
 
 // FromData builds a histogram over the range of xs with the given bin count.

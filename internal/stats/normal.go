@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Normal is a normal (Gaussian) distribution with mean Mu and standard
 // deviation Sigma.
@@ -15,38 +12,11 @@ type Normal struct {
 // StdNormal is the standard normal distribution N(0, 1).
 var StdNormal = Normal{Mu: 0, Sigma: 1}
 
-// PDF returns the probability density at x.
-func (n Normal) PDF(x float64) float64 {
-	z := (x - n.Mu) / n.Sigma
-	return math.Exp(-0.5*z*z) / (n.Sigma * math.Sqrt(2*math.Pi))
-}
-
 // CDF returns P(X <= x), the cumulative distribution function Φ for the
 // standard normal. The paper's coherence probability is 2Φ(z) − 1.
 func (n Normal) CDF(x float64) float64 {
 	z := (x - n.Mu) / (n.Sigma * math.Sqrt2)
 	return 0.5 * math.Erfc(-z)
-}
-
-// Survival returns P(X > x) = 1 − CDF(x), computed without cancellation.
-func (n Normal) Survival(x float64) float64 {
-	z := (x - n.Mu) / (n.Sigma * math.Sqrt2)
-	return 0.5 * math.Erfc(z)
-}
-
-// Quantile returns the value x with CDF(x) = p. Panics for p outside (0,1)
-// unless p is exactly 0 or 1, which map to ∓Inf.
-func (n Normal) Quantile(p float64) float64 {
-	switch {
-	case p == 0:
-		return math.Inf(-1)
-	//drlint:ignore floatcmp IEEE-exact endpoint: only exactly 1 maps to +Inf, anything below goes through Erfinv
-	case p == 1:
-		return math.Inf(1)
-	case p < 0 || p > 1:
-		panic(fmt.Sprintf("stats: Quantile p=%v out of [0,1]", p))
-	}
-	return n.Mu + n.Sigma*math.Sqrt2*math.Erfinv(2*p-1)
 }
 
 // TwoSidedProbability returns the probability mass of the standard normal

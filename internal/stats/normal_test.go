@@ -26,53 +26,6 @@ func TestStdNormalCDFTableValues(t *testing.T) {
 	}
 }
 
-func TestNormalPDF(t *testing.T) {
-	// Peak of the standard normal density.
-	if got := StdNormal.PDF(0); !almostEqual(got, 1/math.Sqrt(2*math.Pi), 1e-15) {
-		t.Fatalf("PDF(0) = %v", got)
-	}
-	// Symmetry.
-	if StdNormal.PDF(1.3) != StdNormal.PDF(-1.3) {
-		t.Fatalf("PDF not symmetric")
-	}
-	// Scaled distribution integrates the same mass: pdf scales by 1/σ.
-	n := Normal{Mu: 2, Sigma: 3}
-	if got := n.PDF(2); !almostEqual(got, StdNormal.PDF(0)/3, 1e-15) {
-		t.Fatalf("scaled PDF = %v", got)
-	}
-}
-
-func TestNormalCDFSurvivalComplement(t *testing.T) {
-	n := Normal{Mu: -1, Sigma: 2.5}
-	for _, x := range []float64{-10, -1, 0, 0.5, 3, 8} {
-		if got := n.CDF(x) + n.Survival(x); !almostEqual(got, 1, 1e-12) {
-			t.Fatalf("CDF+Survival at %v = %v", x, got)
-		}
-	}
-}
-
-func TestNormalQuantileRoundTrip(t *testing.T) {
-	n := Normal{Mu: 5, Sigma: 0.5}
-	for _, p := range []float64{0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999} {
-		x := n.Quantile(p)
-		if got := n.CDF(x); !almostEqual(got, p, 1e-10) {
-			t.Fatalf("CDF(Quantile(%v)) = %v", p, got)
-		}
-	}
-	if !math.IsInf(n.Quantile(0), -1) || !math.IsInf(n.Quantile(1), 1) {
-		t.Fatalf("Quantile endpoints should be infinite")
-	}
-}
-
-func TestNormalQuantileOutOfRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("expected panic")
-		}
-	}()
-	StdNormal.Quantile(1.5)
-}
-
 func TestTwoSidedProbability(t *testing.T) {
 	// The paper's §3 invariant: at coherence factor 1 the coherence
 	// probability is 2Φ(1) − 1 ≈ 0.6827.

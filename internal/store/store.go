@@ -338,18 +338,6 @@ func quantize(x, min, step, maxCode float64) uint64 {
 	return uint64(c)
 }
 
-// ComputeScales returns per-dimension min/max affine scales in original
-// dimension order: step = (max − min) / maxCode, so codes span the full
-// range and the round-trip error is at most step/2 per dimension.
-func ComputeScales(rows func(yield func(row []float64) bool), d int, prec Precision) (mins, steps []float64) {
-	acc := NewScaleAccumulator(d)
-	rows(func(row []float64) bool {
-		acc.Add(row)
-		return true
-	})
-	return acc.Scales(prec)
-}
-
 // ScaleAccumulator builds min/max scales from a stream of rows, so callers
 // (cmd/datagen) can fix scales in a first pass without holding the matrix.
 // It also tracks per-dimension first and second moments, from which
@@ -428,7 +416,9 @@ func (a *ScaleAccumulator) VarianceOrder() []int {
 	return perm
 }
 
-// Scales finalizes (min, step) per dimension for the precision. Constant
+// Scales finalizes (min, step) per dimension for the precision, in original
+// dimension order: step = (max − min) / maxCode, so codes span the full
+// range and the round-trip error is at most step/2 per dimension. Constant
 // (or never-observed) dimensions get step 0.
 func (a *ScaleAccumulator) Scales(prec Precision) (mins, steps []float64) {
 	mins = make([]float64, len(a.mins))

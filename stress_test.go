@@ -11,9 +11,9 @@ import (
 )
 
 // TestStressConcurrentEngines hammers every internally-parallel engine —
-// knn.SearchSetBatch, knn.SearchSetParallel, linalg.MulTInto, linalg.AtA,
-// and the LSH batch build/query — from many goroutines at once over shared
-// read-only inputs. Its job is to give `go test -race` (the mode CI runs)
+// knn.SearchSetBatch (GEMM path and scalar-metric worker split),
+// linalg.MulTInto, linalg.AtA, and the LSH batch build/query — from many
+// goroutines at once over shared read-only inputs. Its job is to give `go test -race` (the mode CI runs)
 // real contention on the panel/worker code paths: nested parallelism,
 // concurrent readers of the same backing arrays, and separately-owned
 // output buffers. Any cross-goroutine write the engines accidentally share
@@ -47,6 +47,7 @@ func TestStressConcurrentEngines(t *testing.T) {
 	// caller must reproduce them exactly (the engines advertise determinism
 	// for fixed inputs, not just absence of races).
 	wantBatch := knn.SearchSetBatch(data, queries, k, knn.Euclidean{}, false)
+	wantScalar := knn.SearchSet(data, queries, k, knn.Manhattan{}, false)
 	wantMulT := linalg.MulT(queries, data)
 	wantAtA := linalg.AtA(data)
 	ix := lsh.Build(data, lsh.Config{Tables: 6, Hashes: 10, Seed: 99})
@@ -84,7 +85,7 @@ func TestStressConcurrentEngines(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				sameNeighbors(t, knn.SearchSetParallel(data, queries, k, knn.Euclidean{}, false), wantBatch, "SearchSetParallel")
+				sameNeighbors(t, knn.SearchSetBatch(data, queries, k, knn.Manhattan{}, false), wantScalar, "SearchSetBatch(Manhattan)")
 			}
 		}()
 		go func() {
