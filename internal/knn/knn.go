@@ -159,10 +159,10 @@ func SortNeighbors(ns []Neighbor) {
 
 // DropNeighbors removes, in place, every neighbor whose Index appears in
 // drop (a sorted ascending list of indices) and returns the shortened
-// slice. This is the tombstone filter of the serving layer's mutation
-// path: a merged candidate list is screened against the deleted set
-// before the canonical (distance, index) sort and truncation to k.
-// Surviving neighbors keep their relative order. drop may be empty.
+// slice. The serving layer's backends that cannot skip tombstoned rows
+// inside their scan (LSH probe, quantized store) screen an over-fetched
+// candidate list against the shard's deleted set with it. Surviving
+// neighbors keep their relative order. drop may be empty.
 //
 //drlint:hotpath
 func DropNeighbors(ns []Neighbor, drop []int) []Neighbor {

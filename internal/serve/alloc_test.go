@@ -10,7 +10,7 @@ import (
 // contract at runtime: scanning a captured delta view against a warm
 // collector allocates exactly once per call — the Results slice the caller
 // keeps (result materialization, exempt under hotalloc). The admission
-// loop, tombstone binary search, and rescore pass are allocation-free.
+// loop, tombstone cursor, and rescore pass are allocation-free.
 func TestDeltaScanAllocs(t *testing.T) {
 	const n, d, k = 64, 8, 4
 	v := flatRows{
@@ -44,19 +44,17 @@ func TestDeltaScanAllocs(t *testing.T) {
 	}
 }
 
-// TestContainsSortedZeroAllocs pins the tombstone membership probe: a
-// binary search over the captured dead list must never allocate.
-func TestContainsSortedZeroAllocs(t *testing.T) {
-	dead := make([]int, 1024)
-	for i := range dead {
-		dead[i] = i * 3
+// TestTombstoneReadAllocs pins the mutated read path end to end: an exact
+// read with 500 tombstones pending allocates no more than one with none —
+// nothing on the request path copies, sorts or grows with the dead lists.
+func TestTombstoneReadAllocs(t *testing.T) {
+	read := func(dead int) float64 {
+		e, queries := tombstoneBenchEngine(t, dead)
+		timeReads(t, e, queries, 8) // size the pooled collector first
+		return testing.AllocsPerRun(100, func() { timeReads(t, e, queries, 1) })
 	}
-	i := 0
-	avg := testing.AllocsPerRun(1000, func() {
-		containsSorted(dead, i%4096)
-		i++
-	})
-	if avg != 0 {
-		t.Errorf("containsSorted does %.2f allocs/op, want 0", avg)
+	clean, mutated := read(0), read(500)
+	if mutated > clean {
+		t.Errorf("exact read allocates %.1f times with 500 tombstones, %.1f with none", mutated, clean)
 	}
 }

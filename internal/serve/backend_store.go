@@ -29,18 +29,19 @@ type quantShard struct {
 // rescoreFactor scales k into the default approximate rescore budget.
 const rescoreFactor = 32
 
-func (s *quantShard) searchExact(query []float64, k int, _ *knn.Collector) shardOut {
-	neigh, _ := s.st.SearchRangeWorkers(query, s.lo, s.hi, k, s.hi-s.lo, s.workers)
-	return shardOut{neigh: neigh}
+func (s *quantShard) searchExact(query []float64, k int, dead []int, _ *knn.Collector) shardOut {
+	neigh, _ := s.st.SearchRangeWorkers(query, s.lo, s.hi, k+len(dead), s.hi-s.lo, s.workers)
+	return shardOut{neigh: liveTopK(neigh, dead, k)}
 }
 
-func (s *quantShard) searchApprox(query []float64, k, probes int) shardOut {
+func (s *quantShard) searchApprox(query []float64, k, probes int, dead []int) shardOut {
+	fetch := k + len(dead)
 	budget := s.rescore
 	if budget <= 0 {
-		budget = rescoreFactor * k
+		budget = rescoreFactor * fetch
 	}
-	neigh, rescored := s.st.SearchRangeWorkers(query, s.lo, s.hi, k, budget, s.workers)
-	return shardOut{neigh: neigh, candidates: rescored}
+	neigh, rescored := s.st.SearchRangeWorkers(query, s.lo, s.hi, fetch, budget, s.workers)
+	return shardOut{neigh: liveTopK(neigh, dead, k), candidates: rescored}
 }
 
 // NewFromStore builds an engine whose shards scan a quantized store instead

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,12 +74,13 @@ type snapshot struct {
 // implementations exist: denseShard (float64 matrix + norms + LSH) and
 // quantShard (mmap-backed quantized store, internal/store).
 type backend interface {
-	// searchExact returns the shard's exact top-k; c is the calling
-	// worker's pooled collector, for backends that scan in Go.
-	searchExact(query []float64, k int, c *knn.Collector) shardOut
-	// searchApprox returns an approximate top-k plus the number of
-	// candidates it refined with exact distances.
-	searchApprox(query []float64, k, probes int) shardOut
+	// searchExact returns the shard's exact top-k over its live rows: dead
+	// is the shard's ascending list of tombstoned positions. c is the
+	// calling worker's pooled collector, for backends that scan in Go.
+	searchExact(query []float64, k int, dead []int, c *knn.Collector) shardOut
+	// searchApprox returns an approximate top-k over the live rows plus the
+	// number of candidates it refined with exact distances.
+	searchApprox(query []float64, k, probes int, dead []int) shardOut
 }
 
 // shard is one contiguous partition [lo, hi) of the snapshot's rows,
@@ -122,26 +122,24 @@ type response struct {
 	err error
 }
 
-// shardTask is one shard's share of a fanned-out request. k is the
-// snapshot scan budget (the caller's k plus the shard's tombstone
-// over-fetch); deltaK, delta and dead describe the shard's captured delta
-// buffer (deltaK 0 skips the delta scan).
+// shardTask is one shard's share of a fanned-out request: the caller's k,
+// the shard's captured dead positions, and its captured delta buffer with
+// the dead delta IDs.
 type shardTask struct {
-	sh     *shard
-	query  []float64
-	k      int
-	approx bool
-	probes int
-	deltaK int
-	delta  flatRows
-	dead   []int           // sorted captured delta tombstone IDs
-	out    chan<- shardOut // buffered(len(shards)): sends never block
+	sh        *shard
+	query     []float64
+	k         int
+	approx    bool
+	probes    int
+	dead      []int
+	delta     flatRows
+	deltaDead []int
+	out       chan<- shardOut // buffered(len(shards)): sends never block
 }
 
-// shardOut carries a shard's partial top-k: neigh holds snapshot
-// candidates as global row positions (tombstone filtering and ID
-// translation happen at the merge), delta holds already-filtered delta
-// candidates as stable IDs.
+// shardOut carries a shard's partial top-k over live rows: neigh holds
+// snapshot candidates as global row positions (ID translation happens at
+// the merge), delta holds delta candidates as stable IDs.
 type shardOut struct {
 	neigh      []knn.Neighbor
 	delta      []knn.Neighbor
@@ -254,7 +252,7 @@ func (e *Engine) Dims() int { return e.snap.Load().d }
 func (e *Engine) Len() int {
 	e.mut.mu.RLock()
 	defer e.mut.mu.RUnlock()
-	return e.snap.Load().n - len(e.mut.snapDead) + e.mut.live
+	return e.snap.Load().n - e.mut.snapDead + e.mut.live
 }
 
 // Shards returns the number of partitions of the live snapshot.
@@ -396,17 +394,15 @@ func (e *Engine) Close() {
 }
 
 // reqScratch is one request worker's reusable per-request state: the
-// fan-out channel, the captured per-shard scan budgets and delta views,
-// and sorted copies of the tombstone lists. Everything is sized to the
-// configured shard maximum (Swap and compaction only ever clamp the shard
-// count down), so steady-state handling does not allocate: handle fully
-// drains the channel and overwrites the slices on every request.
+// fan-out channel and the captured per-shard delta views and dead lists.
+// Everything is sized to the configured shard maximum (Swap and compaction
+// only ever clamp the shard count down), so steady-state handling does not
+// allocate: handle fully drains the channel and overwrites the slices on
+// every request.
 type reqScratch struct {
-	out     chan shardOut
-	budget  []int
-	views   []flatRows
-	deadPos []int // sorted captured snapshot tombstone positions
-	deadIDs []int // sorted captured delta tombstone IDs
+	out   chan shardOut
+	views []flatRows
+	dead  [][]int
 }
 
 // requestWorker drains the admission queue until Close, owning one
@@ -414,34 +410,24 @@ type reqScratch struct {
 func (e *Engine) requestWorker() {
 	defer e.workers.Done()
 	sc := &reqScratch{
-		out:    make(chan shardOut, e.cfg.Shards),
-		budget: make([]int, e.cfg.Shards),
-		views:  make([]flatRows, e.cfg.Shards),
+		out:   make(chan shardOut, e.cfg.Shards),
+		views: make([]flatRows, e.cfg.Shards),
+		dead:  make([][]int, e.cfg.Shards),
 	}
 	for req := range e.queue {
 		e.handle(req, sc)
 	}
 }
 
-// growInts returns a length-n int slice, reusing buf's backing array when
-// it is large enough.
-//
-//drlint:hotpath
-func growInts(buf []int, n int) []int {
-	if cap(buf) < n {
-		return make([]int, n, 2*n)
-	}
-	return buf[:n]
-}
-
 // handle fans one admitted request over the shard pool and merges. The
-// mutation capture (snapshot, per-shard tombstone budgets, delta views,
-// tombstone list headers) happens atomically under one read lock, so the
-// request sees a point-in-time-consistent image of the served set; the
-// scans and the merge then run lock-free against that capture.
+// mutation capture (snapshot, delta views, dead-list headers) happens
+// atomically under one read lock, so the request sees a point-in-time-
+// consistent image of the served set; the scans, which apply the
+// tombstones, and the merge then run lock-free against that capture.
 //
 //drlint:hotpath inline=1
 func (e *Engine) handle(req *request, sc *reqScratch) {
+	wait := time.Since(req.admitted)
 	if err := req.ctx.Err(); err != nil {
 		// Expired while queued: reject without scanning. The caller has
 		// usually already returned ErrDeadline from its own ctx.Done arm;
@@ -458,57 +444,41 @@ func (e *Engine) handle(req *request, sc *reqScratch) {
 		return
 	}
 	p := len(snap.shards)
-	sc.budget = sc.budget[:p]
-	sc.views = sc.views[:p]
-	deltaTotal := 0
-	for s := 0; s < p; s++ {
-		sc.budget[s] = req.k + e.mut.tombSnap[s]
-		sc.views[s] = e.mut.bufs[s]
-		deltaTotal += len(sc.views[s].ids)
-	}
-	snapDead := e.mut.snapDead
-	deltaDead := e.mut.deltaDead
+	views := sc.views[:p]
+	dead := sc.dead[:p]
+	copy(views, e.mut.bufs)
+	copy(dead, e.mut.deadPos)
+	deltaDead := e.mut.deadIDs
 	e.mut.mu.RUnlock()
-	// The captured lists are append-only between installs, so their
-	// prefixes stay immutable after the lock is released; sort copies so
-	// the filters below are binary searches.
-	sc.deadPos = growInts(sc.deadPos, len(snapDead))
-	copy(sc.deadPos, snapDead)
-	slices.Sort(sc.deadPos)
-	sc.deadIDs = growInts(sc.deadIDs, len(deltaDead))
-	copy(sc.deadIDs, deltaDead)
-	slices.Sort(sc.deadIDs)
 
-	wait := time.Since(req.admitted)
 	approx := req.mode == ModeApprox || (req.mode == ModeAuto && req.degraded)
-
+	deltaTotal := 0
 	for s, sh := range snap.shards {
+		deltaTotal += len(views[s].ids)
 		e.shardq <- shardTask{
-			sh:     sh,
-			query:  req.query,
-			k:      sc.budget[s],
-			approx: approx,
-			probes: e.cfg.Probes,
-			deltaK: req.k,
-			delta:  sc.views[s],
-			dead:   sc.deadIDs,
-			out:    sc.out,
+			sh:        sh,
+			query:     req.query,
+			k:         req.k,
+			approx:    approx,
+			probes:    e.cfg.Probes,
+			dead:      dead[s],
+			delta:     views[s],
+			deltaDead: deltaDead,
+			out:       sc.out,
 		}
 	}
-	merged := make([]knn.Neighbor, 0, p*req.k+len(sc.deadPos)+min(deltaTotal, p*req.k))
+	merged := make([]knn.Neighbor, 0, p*req.k+min(deltaTotal, p*req.k))
 	candidates := 0
 	for s := 0; s < p; s++ {
 		o := <-sc.out
-		// Tombstone filter on snapshot candidates (positions), then lift
-		// positions to stable IDs. Delta candidates arrive pre-filtered
-		// and already carry IDs.
-		keep := knn.DropNeighbors(o.neigh, sc.deadPos)
+		// Snapshot candidates arrive as positions and lift to stable IDs
+		// here; delta candidates already carry IDs.
 		if snap.ids != nil {
-			for j := range keep {
-				keep[j].Index = snap.ids[keep[j].Index]
+			for j := range o.neigh {
+				o.neigh[j].Index = snap.ids[o.neigh[j].Index]
 			}
 		}
-		merged = append(merged, keep...)
+		merged = append(merged, o.neigh...)
 		merged = append(merged, o.delta...)
 		candidates += o.candidates
 	}
@@ -541,33 +511,33 @@ func (e *Engine) shardWorker() {
 		t.sh.tasks.Add(1)
 		var o shardOut
 		if t.approx {
-			o = t.sh.be.searchApprox(t.query, t.k, t.probes)
+			o = t.sh.be.searchApprox(t.query, t.k, t.probes, t.dead)
 			t.sh.candidates.Add(uint64(o.candidates))
 		} else {
-			o = t.sh.be.searchExact(t.query, t.k, coll)
+			o = t.sh.be.searchExact(t.query, t.k, t.dead, coll)
 		}
-		if t.deltaK > 0 && len(t.delta.ids) > 0 {
-			o.delta = t.delta.scan(t.query, t.deltaK, t.dead, coll)
+		if len(t.delta.ids) > 0 {
+			o.delta = t.delta.scan(t.query, t.k, t.deltaDead, coll)
 		}
 		t.out <- o
 	}
 }
 
-// searchExact scans the shard's rows (see flatRows.scan). knn.SearchSetBatch
-// answers with the scalar scan's top k, rescored and ordered the same way,
-// so wherever rank k is not a tie within the identity's rounding, merging
-// per-shard results with the canonical comparator reproduces the
-// single-threaded batch engine bit for bit.
-func (s *denseShard) searchExact(query []float64, k int, c *knn.Collector) shardOut {
-	return shardOut{neigh: s.scan(query, k, nil, c)}
+// searchExact scans the shard's live rows (see flatRows.scan).
+// knn.SearchSetBatch answers with the scalar scan's top k, rescored and
+// ordered the same way, so wherever rank k is not a tie within the
+// identity's rounding, merging per-shard results with the canonical
+// comparator reproduces the single-threaded batch engine bit for bit.
+func (s *denseShard) searchExact(query []float64, k int, dead []int, c *knn.Collector) shardOut {
+	return shardOut{neigh: s.scan(query, k, dead, c)}
 }
 
-// searchApprox probes the shard's LSH tables and lifts local row ids to
-// global ones.
-func (s *denseShard) searchApprox(query []float64, k, probes int) shardOut {
-	res, st := s.lsh.KNNApprox(query, k, probes)
+// searchApprox probes the shard's LSH tables, lifts local row ids to global
+// ones and drops the dead.
+func (s *denseShard) searchApprox(query []float64, k, probes int, dead []int) shardOut {
+	res, st := s.lsh.KNNApprox(query, k+len(dead), probes)
 	for i := range res {
 		res[i].Index += s.lo
 	}
-	return shardOut{neigh: res, candidates: st.CandidateSize}
+	return shardOut{neigh: liveTopK(res, dead, k), candidates: st.CandidateSize}
 }

@@ -25,11 +25,11 @@ import (
 //     indexed snapshot with the same norm-cache distance identity the dense
 //     backend uses, so exact results stay bit-identical to a from-scratch
 //     rebuild over the surviving rows.
-//   - Deletes tombstone: a deleted snapshot row lands in snapDead (its
-//     position) and a deleted delta row in deltaDead (its ID). Both lists
-//     are append-only, so a query can capture their headers under a short
-//     read lock and filter against a point-in-time-consistent view without
-//     holding any lock during the scan or the merge.
+//   - Deletes tombstone: a deleted snapshot row lands on its shard's
+//     ascending list of dead positions and a deleted delta row on the one
+//     ascending list of dead delta IDs. Delete replaces a list copy-on-write,
+//     so a query can capture the headers under a short read lock and scan
+//     against a point-in-time-consistent view without holding any lock.
 //   - The compactor freezes (snapshot, delta prefix, tombstones) under the
 //     read lock, builds a rebuilt snapshot off-lock — re-deriving norm
 //     caches and LSH tables via buildSnapshot — and installs it through the
@@ -37,41 +37,40 @@ import (
 //     during the build are re-threaded onto the new generation at install
 //     time, so nothing is lost and nothing resurrects.
 //
-// Exactness of the tombstone filter: each shard scan over-fetches
-// k + tombSnap[s] candidates, where tombSnap[s] counts the shard's dead
-// positions at capture time. At most tombSnap[s] of the returned candidates
-// can be dead, so after filtering, every one of the shard's top-k surviving
-// rows is still present — the canonical (distance, index) merge then sees
-// exactly the candidates a rebuild over survivors would produce. Delta
-// scans instead skip dead rows inline (the scan loop is ours), which needs
-// no over-fetch at all.
+// Exactness of the tombstone filter: flatRows.scan is the one place
+// tombstones are applied. It visits rows in ascending position (snapshot) or
+// ID (delta) with a cursor over the captured ascending dead list and never
+// offers a dead row to the collector, so it returns the top-k over the live
+// rows — what a shard rebuilt over the survivors collects, at the same
+// distances, since a distance depends on the row and the query alone. The
+// canonical (distance, index) merge therefore sees the candidates a rebuild
+// would produce. The two backends whose scan is not ours to steer (the LSH
+// probe, the quantized store) fetch k + len(dead) candidates and drop the
+// dead ones before returning (liveTopK): at most len(dead) can be dead, so
+// the shard's k nearest live rows all survive.
 //
 // Visibility contract: a query captures (snapshot, delta views, tombstone
-// lengths) atomically under mut.mu.RLock. Mutations acknowledged before the
+// lists) atomically under mut.mu.RLock. Mutations acknowledged before the
 // query was issued are therefore always visible; mutations that land while
 // the query is in flight may or may not be, either outcome being a correct
 // linearization.
 
 // mutState is the engine's mutation state. Every field is guarded by mu.
-// The slices referenced by bufs, snapDead and deltaDead are append-only
-// between snapshot installs: readers capture slice headers under RLock and
-// may keep reading the captured prefix after releasing the lock.
+// Delta buffers are append-only between snapshot installs and dead lists are
+// replaced, never written in place: readers capture slice headers under
+// RLock and keep reading what they captured after releasing the lock.
 type mutState struct {
 	mu sync.RWMutex
 	// bufs holds the delta rows, one buffer per snapshot shard
 	// (len(bufs) == len(snap.shards) at all times); insert id i routes to
 	// bufs[i%len(bufs)], so lookups need no directory.
 	bufs []flatRows
-	// snapDead lists tombstoned snapshot positions in delete order;
-	// deltaDead lists tombstoned delta-row IDs in delete order.
-	snapDead  []int
-	deltaDead []int
-	// tombSnap counts dead positions per snapshot shard — the query path's
-	// per-shard over-fetch budget.
-	tombSnap []int
-	// tombIDs indexes every live tombstone by ID for duplicate-delete
-	// detection. Only the write path reads it.
-	tombIDs map[int]struct{}
+	// deadPos[s] lists shard s's tombstoned snapshot positions (snapDead in
+	// total) and deadIDs the tombstoned delta-row IDs, both ascending: the
+	// one record of pending tombstones, for scans, Delete and the compactor.
+	deadPos  [][]int
+	deadIDs  []int
+	snapDead int
 	// live counts delta rows that are not tombstoned (the write-admission
 	// watermark); nextID is the next insert ID, monotone across
 	// compactions.
@@ -101,15 +100,24 @@ func newDeltaBufs(p, d int) []flatRows {
 	return bufs
 }
 
+// key names row i the way results and dead lists do: by stable ID in a delta
+// buffer, by global position in a dense shard.
+func (v *flatRows) key(i int) int {
+	if v.ids != nil {
+		return v.ids[i]
+	}
+	return v.lo + i
+}
+
 // scan returns the top-k live rows as (index, exact distance) pairs in the
-// canonical order. dead is the sorted captured list of tombstoned IDs; rows
-// on it are skipped inline (dense shards pass nil: their tombstones are
-// filtered at the merge, against an over-fetched k). The admission pass is
-// the batch-distance identity ‖x‖²+‖q‖²−2⟨x,q⟩ over the cached norms
-// (linalg.Dot paired with linalg.RowNormsSq), and admitted rows are
-// rescored with the scalar metric, so snapshot and delta results alike
-// merge bit-identically with a from-scratch rebuild over the surviving
-// rows.
+// canonical order. dead is the captured ascending tombstone list — global
+// positions for a dense shard, IDs for a delta buffer; rows visit in the
+// same ascending order, so a cursor over it skips dead rows at O(1) each and
+// a tombstone saves its row's Dot. The admission pass is the batch-distance
+// identity ‖x‖²+‖q‖²−2⟨x,q⟩ over the cached norms (linalg.Dot paired with
+// linalg.RowNormsSq), and admitted rows are rescored with the scalar
+// metric, so snapshot and delta results alike merge bit-identically with a
+// from-scratch rebuild over the surviving rows.
 //
 //drlint:hotpath inline=6
 func (v *flatRows) scan(query []float64, k int, dead []int, c *knn.Collector) []knn.Neighbor {
@@ -119,8 +127,9 @@ func (v *flatRows) scan(query []float64, k int, dead []int, c *knn.Collector) []
 	}
 	c.Reset(k)
 	qn := linalg.Dot(query, query)
+	cur := sortedCursor(dead)
 	for i := 0; i < n; i++ {
-		if len(dead) > 0 && containsSorted(dead, v.ids[i]) {
+		if len(cur) > 0 && cur.has(v.key(i)) {
 			continue
 		}
 		d2 := v.norms[i] + qn - 2*linalg.Dot(v.rows[i*v.d:(i+1)*v.d], query)
@@ -134,30 +143,51 @@ func (v *flatRows) scan(query []float64, k int, dead []int, c *knn.Collector) []
 	for i := range res {
 		li := res[i].Index
 		res[i].Dist = eu.Distance(v.rows[li*v.d:(li+1)*v.d], query)
-		if v.ids != nil {
-			res[i].Index = v.ids[li]
-		} else {
-			res[i].Index = v.lo + li
-		}
+		res[i].Index = v.key(li)
 	}
 	knn.SortNeighbors(res)
 	return res
 }
 
-// containsSorted reports whether x occurs in the ascending list s.
+// sortedCursor is the unvisited tail of an ascending list probed with
+// ascending keys — one side of a merge walk, O(1) amortized per probe.
+type sortedCursor []int
+
+// has drops every entry below key and reports whether key is on the list.
 //
 //drlint:hotpath
-func containsSorted(s []int, x int) bool {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+func (c *sortedCursor) has(key int) bool {
+	s := *c
+	for len(s) > 0 && s[0] < key {
+		s = s[1:]
 	}
-	return lo < len(s) && s[lo] == x
+	*c = s
+	return len(s) > 0 && s[0] == key
+}
+
+// insertSorted returns a copy of the ascending list s with x added, or
+// (s, false) when s already holds x. s itself is never written: readers may
+// still be walking it.
+func insertSorted(s []int, x int) ([]int, bool) {
+	i, found := slices.BinarySearch(s, x)
+	if found {
+		return s, false
+	}
+	out := make([]int, len(s)+1)
+	copy(out, s[:i])
+	out[i] = x
+	copy(out[i+1:], s[i:])
+	return out, true
+}
+
+// liveTopK is the tombstone filter of the backends that cannot skip inline:
+// given candidates fetched k + len(dead) deep, it keeps the first k live.
+func liveTopK(ns []knn.Neighbor, dead []int, k int) []knn.Neighbor {
+	ns = knn.DropNeighbors(ns, dead)
+	if len(ns) > k {
+		ns = ns[:k]
+	}
+	return ns
 }
 
 // resetMutationLocked reinitializes the mutation state for a freshly
@@ -166,10 +196,9 @@ func containsSorted(s []int, x int) bool {
 func (e *Engine) resetMutationLocked(snap *snapshot) {
 	p := len(snap.shards)
 	e.mut.bufs = newDeltaBufs(p, snap.d)
-	e.mut.snapDead = nil
-	e.mut.deltaDead = nil
-	e.mut.tombSnap = make([]int, p)
-	e.mut.tombIDs = make(map[int]struct{})
+	e.mut.deadPos = make([][]int, p)
+	e.mut.deadIDs = nil
+	e.mut.snapDead = 0
 	e.mut.live = 0
 	if snap.ids == nil {
 		e.mut.nextID = snap.n
@@ -284,34 +313,30 @@ func (e *Engine) Delete(ctx context.Context, id int) error {
 
 	e.mut.mu.Lock()
 	snap := e.snap.Load()
-	if _, dead := e.mut.tombIDs[id]; dead {
-		e.mut.mu.Unlock()
-		return fmt.Errorf("%w: id %d already deleted", ErrUnknownID, id)
-	}
 	var row []float64
+	var fresh bool
 	if pos := snapPosOf(snap, id); pos >= 0 {
-		e.mut.tombIDs[id] = struct{}{}
-		e.mut.snapDead = append(e.mut.snapDead, pos)
-		e.mut.tombSnap[shardIndexOf(snap, pos)]++
-		if e.drift != nil {
+		dead := &e.mut.deadPos[shardIndexOf(snap, pos)]
+		if *dead, fresh = insertSorted(*dead, pos); fresh {
+			e.mut.snapDead++
 			row = snap.exact.RawRow(pos)
 		}
 	} else if j, bi := deltaIndexOf(&e.mut, id); j >= 0 {
-		e.mut.tombIDs[id] = struct{}{}
-		e.mut.deltaDead = append(e.mut.deltaDead, id)
-		e.mut.live--
-		if e.drift != nil {
-			b := &e.mut.bufs[bi]
-			row = b.rows[j*snap.d : (j+1)*snap.d]
+		if e.mut.deadIDs, fresh = insertSorted(e.mut.deadIDs, id); fresh {
+			e.mut.live--
+			row = e.mut.bufs[bi].rows[j*snap.d : (j+1)*snap.d]
 		}
 	} else {
 		e.mut.mu.Unlock()
 		return fmt.Errorf("%w: id %d is not in the served set", ErrUnknownID, id)
 	}
 	e.mut.mu.Unlock()
+	if !fresh {
+		return fmt.Errorf("%w: id %d already deleted", ErrUnknownID, id)
+	}
 
 	e.counters.deletes.Add(1)
-	if e.drift != nil && row != nil {
+	if e.drift != nil {
 		e.drift.observe(row, -1)
 	}
 	e.maybeCompact()
@@ -341,7 +366,7 @@ func (e *Engine) maybeCompact() {
 		return
 	}
 	e.mut.mu.RLock()
-	pending := e.mut.live + len(e.mut.snapDead) + len(e.mut.deltaDead)
+	pending := e.mut.live + e.mut.snapDead + len(e.mut.deadIDs)
 	saturated := e.mut.live >= e.cfg.MaxDelta
 	e.mut.mu.RUnlock()
 	if pending == 0 {
@@ -406,19 +431,16 @@ func (e *Engine) compactOnce() uint64 {
 	// ---- capture: freeze (snapshot, delta prefixes, tombstones) ----
 	e.mut.mu.RLock()
 	snap := e.snap.Load()
-	if e.mut.live == 0 && len(e.mut.snapDead) == 0 && len(e.mut.deltaDead) == 0 {
+	if e.mut.live == 0 && e.mut.snapDead == 0 && len(e.mut.deadIDs) == 0 {
 		epoch := snap.epoch
 		e.mut.mu.RUnlock()
 		return epoch
 	}
 	views := slices.Clone(e.mut.bufs) // each view is its buffer's prefix up to the capture cut
-	cutDeadPos := len(e.mut.snapDead)
-	cutDeadIDs := len(e.mut.deltaDead)
-	frozenDeadPos := append([]int(nil), e.mut.snapDead[:cutDeadPos]...)
-	frozenDeadIDs := append([]int(nil), e.mut.deltaDead[:cutDeadIDs]...)
+	// Shard lists concatenate to one ascending list of positions.
+	frozenDeadPos := slices.Concat(e.mut.deadPos...)
+	frozenDeadIDs := e.mut.deadIDs
 	e.mut.mu.RUnlock()
-	slices.Sort(frozenDeadPos)
-	slices.Sort(frozenDeadIDs)
 
 	// ---- build: materialize survivors in ascending ID order ----
 	// Snapshot IDs are ascending and every delta ID exceeds every snapshot
@@ -426,35 +448,32 @@ func (e *Engine) compactOnce() uint64 {
 	// ID-sorted surviving delta rows is the globally sorted order. That
 	// order is a function of the mutation history alone — not of when
 	// compactions ran — which is what makes compaction deterministic.
-	keepPos := make([]int, 0, snap.n)
-	for pos := 0; pos < snap.n; pos++ {
-		if containsSorted(frozenDeadPos, pos) {
-			continue
-		}
-		keepPos = append(keepPos, pos)
-	}
 	var refs []deltaRef
 	for bi := range views {
 		v := &views[bi]
-		for j := range v.ids {
-			if containsSorted(frozenDeadIDs, v.ids[j]) {
-				continue
+		dead := sortedCursor(frozenDeadIDs)
+		for j, id := range v.ids {
+			if !dead.has(id) {
+				refs = append(refs, deltaRef{id: id, buf: bi, idx: j})
 			}
-			refs = append(refs, deltaRef{id: v.ids[j], buf: bi, idx: j})
 		}
 	}
 	slices.SortFunc(refs, func(a, b deltaRef) int { return cmp.Compare(a.id, b.id) })
-	total := len(keepPos) + len(refs)
+	total := snap.n - len(frozenDeadPos) + len(refs)
 	if total == 0 {
 		// Everything captured is deleted: an empty snapshot cannot be
 		// built (or partitioned), so the tombstones simply stay pending.
-		// Queries remain correct — the filter hides every dead row.
+		// Queries remain correct — the scans skip every dead row.
 		return snap.epoch
 	}
 	data := linalg.NewDense(total, snap.d)
 	ids := make([]int, total)
 	r := 0
-	for _, pos := range keepPos {
+	dead := sortedCursor(frozenDeadPos)
+	for pos := 0; pos < snap.n; pos++ {
+		if dead.has(pos) {
+			continue
+		}
 		copy(data.RawRow(r), snap.exact.RawRow(pos))
 		ids[r] = snapIDOf(snap, pos)
 		r++
@@ -506,35 +525,43 @@ func (e *Engine) compactOnce() uint64 {
 		nb.ids = append(nb.ids, ref.id)
 		nb.norms = append(nb.norms, b.norms[ref.idx])
 	}
-	// Tombstones recorded after the capture cut target rows that still
-	// exist: either a row the rebuild kept (it becomes a dead position of
-	// the new snapshot) or a leftover delta row (its ID stays a delta
-	// tombstone). Tombstones before the cut were folded away and vanish.
-	var newSnapDead, newDeltaDead []int
-	newTombSnap := make([]int, pNew)
-	newTombIDs := make(map[int]struct{})
-	for _, pos := range e.mut.snapDead[cutDeadPos:] {
-		id := snapIDOf(snap, pos)
-		np := snapPosOf(next, id)
-		newSnapDead = append(newSnapDead, np)
-		newTombSnap[shardIndexOf(next, np)]++
-		newTombIDs[id] = struct{}{}
+	// Tombstones recorded after the capture (current lists minus captured)
+	// target rows that still exist: a row the rebuild kept becomes a dead
+	// position of the new snapshot, a leftover delta row's ID stays a delta
+	// tombstone; captured tombstones were folded away. Both walks ascend and
+	// folded delta rows sit above kept snapshot rows, so the lists ascend.
+	newDeadPos := make([][]int, pNew)
+	newSnapDead := 0
+	markDead := func(np int) {
+		s := shardIndexOf(next, np)
+		newDeadPos[s] = append(newDeadPos[s], np)
+		newSnapDead++
 	}
-	for _, id := range e.mut.deltaDead[cutDeadIDs:] {
-		if np := snapPosOf(next, id); np >= 0 {
-			newSnapDead = append(newSnapDead, np)
-			newTombSnap[shardIndexOf(next, np)]++
-		} else {
-			newDeltaDead = append(newDeltaDead, id)
+	captured := sortedCursor(frozenDeadPos)
+	for _, list := range e.mut.deadPos {
+		for _, pos := range list {
+			if !captured.has(pos) {
+				markDead(snapPosOf(next, snapIDOf(snap, pos)))
+			}
 		}
-		newTombIDs[id] = struct{}{}
+	}
+	var newDeadIDs []int
+	captured = frozenDeadIDs
+	for _, id := range e.mut.deadIDs {
+		if captured.has(id) {
+			continue
+		}
+		if np := snapPosOf(next, id); np >= 0 {
+			markDead(np)
+		} else {
+			newDeadIDs = append(newDeadIDs, id)
+		}
 	}
 	e.mut.bufs = newBufs
+	e.mut.deadPos = newDeadPos
+	e.mut.deadIDs = newDeadIDs
 	e.mut.snapDead = newSnapDead
-	e.mut.deltaDead = newDeltaDead
-	e.mut.tombSnap = newTombSnap
-	e.mut.tombIDs = newTombIDs
-	e.mut.live = len(leftovers) - len(newDeltaDead)
+	e.mut.live = len(leftovers) - len(newDeadIDs)
 	// nextID is untouched: IDs keep ascending across generations.
 	e.snap.Store(next)
 	e.mut.mu.Unlock()

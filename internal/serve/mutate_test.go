@@ -609,6 +609,30 @@ func TestLatencyRecorderMergeAcrossEpochs(t *testing.T) {
 	}
 }
 
+// TestLatencyQuantileResolution pins the histogram's resolution: over known
+// uniform latency populations, spread over two epochs, Stats reports p50 and
+// p99 within 5% of the true quantiles (20 bins per decade could only promise
+// 6%, and read p99 as a bucket edge).
+func TestLatencyQuantileResolution(t *testing.T) {
+	for _, maxUS := range []int{1300, 2000, 5000, 8000, 10000} {
+		e := newTestEngine(t, randMatrix(rand.New(rand.NewSource(97)), 8, 3), 1)
+		for us := 1; us <= maxUS; us++ {
+			e.lat.record(uint64(1+us%2), time.Duration(us)*time.Microsecond)
+		}
+		st := e.Stats()
+		for _, c := range []struct {
+			name string
+			got  time.Duration
+			q    float64
+		}{{"LatencyP50", st.LatencyP50, 0.50}, {"LatencyP99", st.LatencyP99, 0.99}} {
+			want := time.Duration(c.q*float64(maxUS)) * time.Microsecond
+			if rel := math.Abs(float64(c.got-want)) / float64(want); rel > 0.05 {
+				t.Errorf("uniform 1..%dµs: %s = %v, want %v within 5%% (off by %.1f%%)", maxUS, c.name, c.got, want, 100*rel)
+			}
+		}
+	}
+}
+
 // TestEngineEpochLatencySplit drives searches across a compaction and
 // checks Stats reports both cumulative and live-epoch percentiles.
 func TestEngineEpochLatencySplit(t *testing.T) {

@@ -9,14 +9,14 @@ import (
 	"repro/internal/stats"
 )
 
-// Latency histogram shape: log10(seconds) over [100ns, 10s) at 20 bins per
+// Latency histogram shape: log10(seconds) over [100ns, 10s) at 64 bins per
 // decade. Fixed buckets keep the recorder O(1) per request and O(bins)
 // memory no matter how many requests it absorbs; quantiles are read back
-// with stats.Histogram.Quantile at one-bin (≈12%) resolution.
+// with stats.Histogram.Quantile at one-bin (≈3.7%) resolution.
 const (
 	latMinLog = -7.0
 	latMaxLog = 1.0
-	latBins   = 160
+	latBins   = 512
 )
 
 // latEpochCap bounds how many per-epoch histograms the recorder retains.
@@ -172,7 +172,7 @@ func (e *Engine) Stats() EngineStats {
 	e.mut.mu.RLock()
 	snap := e.snap.Load()
 	deltaRows := e.mut.live
-	tombstones := len(e.mut.snapDead) + len(e.mut.deltaDead)
+	tombstones := e.mut.snapDead + len(e.mut.deadIDs)
 	e.mut.mu.RUnlock()
 	s := EngineStats{
 		Served:          e.counters.served.Load(),
