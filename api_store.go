@@ -7,28 +7,26 @@ import (
 )
 
 // This file exposes the quantized vector store: a block-major, mmap-backed
-// on-disk format with per-dimension scalar quantization and two-phase
-// search (SIMD quantized scan, exact float64 rescore). `drtool -bench
-// store` and `datagen -bin` are the CLI front ends.
+// on-disk format of per-dimension int8 codes in a caller-chosen storage
+// order, with two-phase search (SIMD code scan with an early-abandon
+// prefix, exact float64 rescore). `drtool -bench store` and `datagen -bin`
+// are the CLI front ends.
 
 // VectorStore is an opened quantized store. Search runs the two-phase scan;
 // a rescore budget of Len() makes results bit-identical to SearchSetBatch.
 type VectorStore = store.Store
 
-// StoreConfig parameterizes store construction: code precision, optional
-// float32-precision leading dimensions, a storage-order permutation (e.g.
-// coherence order, so high-coherence dimensions stay full precision), and
-// block granularity.
+// StoreConfig parameterizes store construction: a storage-order
+// permutation (StoreScales.VarianceOrder, so the early-abandon prefix reads
+// the dimensions that carry the distance mass), externally computed scales,
+// and block granularity.
 type StoreConfig = store.BuildConfig
 
-// StorePrecision selects the quantized code width.
+// StorePrecision is the store's code width tag; StoreInt8 is its only value.
 type StorePrecision = store.Precision
 
-// Store precisions: one byte or two bytes per quantized dimension.
-const (
-	StoreInt8  = store.Int8
-	StoreInt16 = store.Int16
-)
+// StoreInt8 is one byte per dimension.
+const StoreInt8 = store.Int8
 
 // StoreWriter streams rows into a store file with O(d) memory.
 type StoreWriter = store.Writer

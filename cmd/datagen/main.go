@@ -6,14 +6,15 @@
 // Usage:
 //
 //	datagen [-seed N] [-dir DIR] [-set name]
-//	datagen -bin out.qvs -n N -d D [-seed N] [-prec int8|int16] [-full F] [-block B]
+//	datagen -bin out.qvs -n N -d D [-seed N] [-block B]
 //
 // Set names: musk, ionosphere, arrhythmia, noisy-a, noisy-b, uniform, all.
 //
 // The -bin mode scales the musk-like latent-factor model to N points in D
 // dimensions and writes the store file in two streaming passes (a scale
 // pass and an encode pass), so peak memory stays O(D) regardless of N —
-// a million-point set never materializes a float64 matrix.
+// a million-point set never materializes a float64 matrix. The file is the
+// store's one layout: int8 codes in variance-descending storage order.
 package main
 
 import (
@@ -34,13 +35,11 @@ func main() {
 	bin := flag.String("bin", "", "write a quantized store file to this path instead of CSVs")
 	n := flag.Int("n", 0, "number of points (store mode)")
 	d := flag.Int("d", 0, "dimensionality (store mode)")
-	prec := flag.String("prec", "int8", "code precision: int8 or int16 (store mode)")
-	full := flag.Int("full", 0, "leading storage dims kept at float32 (store mode)")
 	block := flag.Int("block", 0, "rows per code block, 0 = default (store mode)")
 	flag.Parse()
 
 	if *bin != "" {
-		if err := writeStore(*bin, *n, *d, *seed, *prec, *full, *block); err != nil {
+		if err := writeStore(*bin, *n, *d, *seed, *block); err != nil {
 			fmt.Fprintf(os.Stderr, "datagen: %v\n", err)
 			os.Exit(1)
 		}
@@ -78,21 +77,8 @@ func main() {
 	}
 }
 
-// writeStore streams a musk-like set of n x d points into a store file.
-func writeStore(path string, n, d int, seed int64, prec string, full, block int) error {
-	if n <= 0 || d <= 0 {
-		return fmt.Errorf("store mode needs -n and -d (got n=%d d=%d)", n, d)
-	}
-	cfg := store.BuildConfig{FullDims: full, BlockRows: block}
-	switch prec {
-	case "int8":
-		cfg.Precision = store.Int8
-	case "int16":
-		cfg.Precision = store.Int16
-	default:
-		return fmt.Errorf("unknown -prec %q (want int8 or int16)", prec)
-	}
-
+// muskStream scales the musk-like latent-factor model to n x d points.
+func muskStream(n, d int, seed int64) (*synthetic.RowStream, error) {
 	gen := synthetic.MuskLikeConfig(seed)
 	gen.Name = fmt.Sprintf("musk-like-%dx%d", n, d)
 	gen.N = n
@@ -100,18 +86,29 @@ func writeStore(path string, n, d int, seed int64, prec string, full, block int)
 	if len(gen.ConceptStrengths) > d {
 		gen.ConceptStrengths = gen.ConceptStrengths[:d]
 	}
-	stream, err := synthetic.NewRowStream(gen)
+	return synthetic.NewRowStream(gen)
+}
+
+// writeStore streams a musk-like set of n x d points into a store file.
+func writeStore(path string, n, d int, seed int64, block int) error {
+	if n <= 0 || d <= 0 {
+		return fmt.Errorf("store mode needs -n and -d (got n=%d d=%d)", n, d)
+	}
+	stream, err := muskStream(n, d, seed)
 	if err != nil {
 		return err
 	}
 
-	// Pass 1: per-dimension min/max for the quantization scales.
+	// Pass 1: per-dimension min/max for the quantization scales, and the
+	// variances that order the storage dimensions — the same build
+	// `drtool -bench store` and the benchmark harness do.
 	acc := store.NewScaleAccumulator(d)
 	for i := 0; i < n; i++ {
 		row, _ := stream.Next()
 		acc.Add(row)
 	}
-	cfg.Mins, cfg.Steps = acc.Scales(cfg.Precision)
+	cfg := store.BuildConfig{BlockRows: block, Perm: acc.VarianceOrder()}
+	cfg.Mins, cfg.Steps = acc.Scales(store.Int8)
 
 	// Pass 2: replay the identical rows into the fixed-layout file.
 	if err := stream.Reset(); err != nil {
@@ -135,7 +132,7 @@ func writeStore(path string, n, d int, seed int64, prec string, full, block int)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (%d x %d, %s, %d bytes)\n", path, n, d, prec, st.Size())
+	fmt.Printf("wrote %s (%d x %d, %s, %d bytes)\n", path, n, d, store.Int8, st.Size())
 	return nil
 }
 

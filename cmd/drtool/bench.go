@@ -73,10 +73,6 @@ func storeWorkload(w io.Writer, o options, js *benchReport) (benchWorkload, erro
 			os.RemoveAll(tmpDir)
 		}
 	}}
-	prec, ok := map[string]repro.StorePrecision{"": repro.StoreInt8, "int8": repro.StoreInt8, "int16": repro.StoreInt16}[o.storePrec]
-	if !ok {
-		return wl, fmt.Errorf("unknown -store-prec %q (want int8 or int16)", o.storePrec)
-	}
 	if o.storeN < 2 || o.storeD < 1 || o.storeQueries < 1 {
 		return wl, fmt.Errorf("-store-n %d / -store-d %d / -store-queries %d out of range", o.storeN, o.storeD, o.storeQueries)
 	}
@@ -120,8 +116,8 @@ func storeWorkload(w io.Writer, o options, js *benchReport) (benchWorkload, erro
 
 	if build {
 		start := time.Now()
-		cfg := repro.StoreConfig{Precision: prec, FullDims: o.storeFull}
-		cfg.Mins, cfg.Steps = acc.Scales(prec)
+		var cfg repro.StoreConfig
+		cfg.Mins, cfg.Steps = acc.Scales(repro.StoreInt8)
 		// Store dimensions in descending-variance order so the scan's
 		// partial-distance prefix captures most of the distance mass and
 		// its admissible lower bound rejects points early. Results are
@@ -161,12 +157,12 @@ func storeWorkload(w io.Writer, o options, js *benchReport) (benchWorkload, erro
 	if err != nil {
 		return wl, err
 	}
-	js.Precision, js.FullDims, js.PrefixDims = st.Precision().String(), st.FullDims(), st.PrefixDims()
+	js.Precision, js.PrefixDims = st.Precision().String(), st.PrefixDims()
 	js.Rescore, js.ScanWorkers = o.storeRescore, o.storeWorkers
 	js.FileBytes, js.BytesPerVectorScan, js.BytesPerVectorF64 = fi.Size(), st.BytesPerVectorScan(), 8*st.Dims()
 	js.MemoryCut = float64(js.BytesPerVectorF64) / float64(js.BytesPerVectorScan)
-	fmt.Fprintf(w, "store: %v full=%d, %d bytes (%d B/vector scan vs %d float64, %.1fx cut)\n",
-		st.Precision(), js.FullDims, js.FileBytes, js.BytesPerVectorScan, js.BytesPerVectorF64, js.MemoryCut)
+	fmt.Fprintf(w, "store: %v, %d bytes (%d B/vector scan vs %d float64, %.1fx cut)\n",
+		st.Precision(), js.FileBytes, js.BytesPerVectorScan, js.BytesPerVectorF64, js.MemoryCut)
 	wl.store, wl.rows = st, st.ExactMatrix()
 	return wl, nil
 }
@@ -202,7 +198,6 @@ type benchReport struct {
 
 	// Store mode only.
 	Precision          string  `json:"precision,omitempty"`
-	FullDims           int     `json:"full_dims,omitempty"`
 	PrefixDims         int     `json:"prefix_dims,omitempty"`
 	Rescore            int     `json:"rescore,omitempty"`
 	ScanWorkers        int     `json:"scan_workers,omitempty"`

@@ -47,7 +47,6 @@ func storeInt8() options {
 		neighbors:      10,
 		storeN:         4000,
 		storeD:         48,
-		storePrec:      "int8",
 		storeQueries:   12,
 		storeRescore:   400,
 		serveVerify:    3,
@@ -253,11 +252,6 @@ var benchCases = []benchCase{
 		rerun: func(o *options) {}, rerunOut: "reusing",
 	},
 	{
-		test: "TestStoreBenchInt16FullDims", base: storeInt8,
-		edit:    func(t *testing.T, o *options) { o.storePrec, o.storeFull = "int16", 8 },
-		wantOut: "int16 full=8",
-	},
-	{
 		// The write mix is a property of the load, not of the backend: a
 		// store-backed engine takes it too (its compactions go dense).
 		test: "TestStoreBenchMixed", base: storeInt8,
@@ -265,11 +259,6 @@ var benchCases = []benchCase{
 			o.serveMutateOps, o.serveMutateWrite, o.serveMutateCompactAt, o.serveMode = 600, 0.3, 32, "auto"
 		},
 		wantOut: "bit-identical to a rebuild",
-	},
-	{
-		test: "TestStoreBenchErrors", sub: "precision", base: storeInt8,
-		edit:    func(t *testing.T, o *options) { o.storePrec = "float8" },
-		wantErr: "unknown -store-prec",
 	},
 	{
 		test: "TestStoreBenchErrors", sub: "neighbors", base: storeInt8,
@@ -359,17 +348,16 @@ func runBenchRows(t *testing.T) {
 // The top-level names (TestStoreBenchMixed aside) are those of the tests
 // the three pre-merge bench modes had, so the suite's test IDs stay stable;
 // the assertions all live in benchCases.
-func TestServeBenchSynthetic(t *testing.T)     { runBenchRows(t) }
-func TestServeBenchCSVInput(t *testing.T)      { runBenchRows(t) }
-func TestServeBenchModes(t *testing.T)         { runBenchRows(t) }
-func TestServeBenchErrors(t *testing.T)        { runBenchRows(t) }
-func TestServeMutateSynthetic(t *testing.T)    { runBenchRows(t) }
-func TestServeMutateCSVInput(t *testing.T)     { runBenchRows(t) }
-func TestServeMutateErrors(t *testing.T)       { runBenchRows(t) }
-func TestStoreBenchSynthetic(t *testing.T)     { runBenchRows(t) }
-func TestStoreBenchInt16FullDims(t *testing.T) { runBenchRows(t) }
-func TestStoreBenchMixed(t *testing.T)         { runBenchRows(t) }
-func TestStoreBenchErrors(t *testing.T)        { runBenchRows(t) }
+func TestServeBenchSynthetic(t *testing.T)  { runBenchRows(t) }
+func TestServeBenchCSVInput(t *testing.T)   { runBenchRows(t) }
+func TestServeBenchModes(t *testing.T)      { runBenchRows(t) }
+func TestServeBenchErrors(t *testing.T)     { runBenchRows(t) }
+func TestServeMutateSynthetic(t *testing.T) { runBenchRows(t) }
+func TestServeMutateCSVInput(t *testing.T)  { runBenchRows(t) }
+func TestServeMutateErrors(t *testing.T)    { runBenchRows(t) }
+func TestStoreBenchSynthetic(t *testing.T)  { runBenchRows(t) }
+func TestStoreBenchMixed(t *testing.T)      { runBenchRows(t) }
+func TestStoreBenchErrors(t *testing.T)     { runBenchRows(t) }
 
 // TestLoadViolation covers the gate a correct engine never trips, so no
 // flag set can reach it: each invariant counter alone must fail the run,

@@ -15,9 +15,8 @@
 //	       [-serve-queue Q] [-serve-qps R] [-serve-deadline MS]
 //	       [-serve-mode auto|exact|approx] [-neighbors K] [-serve-verify N]
 //	       [-serve-seed S] [-serve-out report.json]
-//	       [-store path.qvs] [-store-n N] [-store-d D] [-store-prec int8|int16]
-//	       [-store-full F] [-store-queries Q] [-store-rescore R]
-//	       [-store-workers W] [-store-min-recall F]
+//	       [-store path.qvs] [-store-n N] [-store-d D] [-store-queries Q]
+//	       [-store-rescore R] [-store-workers W] [-store-min-recall F]
 //
 // -bench is the one serving benchmark. It builds an engine — `dense`: the
 // in-memory sharded engine over -in, or over a generated musk-like
@@ -95,8 +94,6 @@ type options struct {
 	storePath      string
 	storeN         int
 	storeD         int
-	storePrec      string
-	storeFull      int
 	storeQueries   int
 	storeRescore   int
 	storeWorkers   int
@@ -138,8 +135,6 @@ func main() {
 	flag.StringVar(&o.storePath, "store", "", "bench store: store file path (reused if it exists; empty = temp file)")
 	flag.IntVar(&o.storeN, "store-n", 1_000_000, "bench store: data points")
 	flag.IntVar(&o.storeD, "store-d", 166, "bench store: dimensions")
-	flag.StringVar(&o.storePrec, "store-prec", "int8", "bench store: code precision, int8 or int16")
-	flag.IntVar(&o.storeFull, "store-full", 0, "bench store: leading storage dims kept at float32")
 	flag.IntVar(&o.storeQueries, "store-queries", 32, "bench store: held-out query rows (recall probe set and request stream)")
 	flag.IntVar(&o.storeRescore, "store-rescore", 2000, "bench store: per-shard exact-rescore budget of the approximate path")
 	flag.IntVar(&o.storeWorkers, "store-workers", 0, "bench store: intra-query scan workers per shard (0 = 1)")

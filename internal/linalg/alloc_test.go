@@ -17,19 +17,13 @@ func TestDotQ15ZeroAllocs(t *testing.T) {
 	stride := d + pad
 	u := randCodesQ15(rng, d)
 	c8 := randCodesU8(rng, d)
-	c16 := randCodesU16(rng, d)
 	rows8 := randCodesU8(rng, 7*stride+d)
-	rows16 := randCodesU16(rng, 3*stride+d)
-	var out4 [4]int64
 	var out8 [8]int64
 	var sink int64
 
 	for name, call := range map[string]func(){
-		"DotQ15U8":    func() { sink += DotQ15U8(u, c8) },
-		"DotQ15U16":   func() { sink += DotQ15U16(u, c16) },
-		"DotQ15U8x4":  func() { DotQ15U8x4(u, rows8, stride, &out4) },
-		"DotQ15U16x4": func() { DotQ15U16x4(u, rows16, stride, &out4) },
-		"DotQ15U8x8":  func() { DotQ15U8x8(u, rows8, stride, &out8) },
+		"DotQ15U8":   func() { sink += DotQ15U8(u, c8) },
+		"DotQ15U8x8": func() { DotQ15U8x8(u, rows8, stride, &out8) },
 	} {
 		if avg := testing.AllocsPerRun(500, call); avg != 0 {
 			t.Errorf("%s does %.2f allocs/op, want 0", name, avg)

@@ -14,22 +14,13 @@ package linalg
 func dotQ15U8AVX2(u []uint16, c []uint8) int64
 
 //go:noescape
-func dotQ15U16AVX2(u []uint16, c []uint16) int64
-
-//go:noescape
-func dotQ15U8x4AVX2(u []uint16, rows *uint8, stride int, out *[4]int64)
-
-//go:noescape
-func dotQ15U16x4AVX2(u []uint16, rows *uint16, stride int, out *[4]int64)
-
-//go:noescape
 func dotQ15U8x8AVX2(u []uint16, rows *uint8, stride int, out *[8]int64)
 
 // q15x8MaxLen bounds the ×8 assembly body: its eight i32 accumulators
 // are drained to i64 only once, at the end, which is exact for up to 64
 // 16-code iterations (each i32 lane absorbs one pair sum ≤ 2·32767·255
-// per iteration; 64·16711170 < 2³¹). Longer inputs split into two ×4
-// calls, which drain periodically.
+// per iteration; 64·16711170 < 2³¹). Longer inputs run eight unitary
+// dots, whose kernel drains periodically.
 const q15x8MaxLen = 1024
 
 func dotQ15U8Unitary(u []uint16, c []uint8) int64 {
@@ -45,62 +36,12 @@ func dotQ15U8Unitary(u []uint16, c []uint8) int64 {
 	return dotQ15U8Generic(u, c)
 }
 
-func dotQ15U16Unitary(u []uint16, c []uint16) int64 {
-	if hasAVX2FMA && len(u) >= asmMinLen {
-		c = c[:len(u)] // teach the prover len(c) == len(u) for the scalar tail
-		head := len(u) &^ 15
-		s := dotQ15U16AVX2(u[:head], c[:head])
-		for j := head; j < len(u); j++ {
-			s += int64(u[j]) * int64(c[j])
-		}
-		return s
-	}
-	return dotQ15U16Generic(u, c)
-}
-
-func dotQ15U8x4Unitary(u []uint16, rows []uint8, stride int, out *[4]int64) {
-	if hasAVX2FMA && len(u) >= asmMinLen {
-		head := len(u) &^ 15
-		dotQ15U8x4AVX2(u[:head], &rows[0], stride, out)
-		for r := 0; r < 4; r++ {
-			//drlint:ignore bcegate row geometry (r*stride) is the caller's layout contract; one reslice check per ≤15-element scalar tail
-			row := rows[r*stride:][:len(u)]
-			var s int64
-			for j := head; j < len(u); j++ {
-				s += int64(u[j]) * int64(row[j])
-			}
-			out[r] += s
-		}
-		return
-	}
-	dotQ15U8x4Generic(u, rows, stride, out)
-}
-
-func dotQ15U16x4Unitary(u []uint16, rows []uint16, stride int, out *[4]int64) {
-	if hasAVX2FMA && len(u) >= asmMinLen {
-		head := len(u) &^ 15
-		dotQ15U16x4AVX2(u[:head], &rows[0], stride, out)
-		for r := 0; r < 4; r++ {
-			//drlint:ignore bcegate row geometry (r*stride) is the caller's layout contract; one reslice check per ≤15-element scalar tail
-			row := rows[r*stride:][:len(u)]
-			var s int64
-			for j := head; j < len(u); j++ {
-				s += int64(u[j]) * int64(row[j])
-			}
-			out[r] += s
-		}
-		return
-	}
-	dotQ15U16x4Generic(u, rows, stride, out)
-}
-
 func dotQ15U8x8Unitary(u []uint16, rows []uint8, stride int, out *[8]int64) {
 	if len(u) > q15x8MaxLen {
-		var lo, hi [4]int64
-		dotQ15U8x4Unitary(u, rows, stride, &lo)
-		dotQ15U8x4Unitary(u, rows[4*stride:], stride, &hi)
-		copy(out[:4], lo[:])
-		copy(out[4:], hi[:])
+		for r := range out {
+			//drlint:ignore bcegate row geometry (r*stride) is the caller's layout contract; one reslice check per len(u)-element row
+			out[r] = dotQ15U8Unitary(u, rows[r*stride:r*stride+len(u)])
+		}
 		return
 	}
 	if hasAVX2FMA && len(u) >= asmMinLen {

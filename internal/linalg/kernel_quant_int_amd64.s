@@ -1,37 +1,18 @@
 // AVX2 integer kernels for the Q15 quantized-query scan: exact int64
-// dots s = Σ u[j]·c[j] of 15-bit query codes u against uint8/uint16 data
-// codes c, evaluated with VPMADDWD (16-bit multiply, pairwise i32 add).
+// dots s = Σ u[j]·c[j] of 15-bit query codes u against uint8 data codes
+// c, evaluated with VPMADDWD (16-bit multiply, pairwise i32 add).
 //
 // Exactness argument, which is what lets the Go wrappers compose head and
-// tail without a parity tolerance:
-//   u8 codes:  VPMOVZXBW widens c to i16; each VPMADDWD pair sum is at
-//              most 2·32767·255 = 16 711 170, so a 32-bit lane can absorb
-//              128 iterations before overflow. The loops drain the i32
-//              accumulators into i64 lanes every 64 iterations (1024
-//              dims), staying 2× inside that bound.
-//   u16 codes: c is XORed with 0x8000, which reinterprets the unsigned
-//              code as the signed value c−32768 (same 16 bits). Pair sums
-//              then satisfy |pair| ≤ 2·32767·32768 < 2³¹, exact in one
-//              i32, and are widened to i64 every iteration. The identity
-//              Σu·c = Σu·(c−32768) + 32768·Σu is restored at the end from
-//              an i32 running Σu (exact for d ≤ 65536).
+// tail without a parity tolerance: VPMOVZXBW widens c to i16; each
+// VPMADDWD pair sum is at most 2·32767·255 = 16 711 170, so a 32-bit lane
+// can absorb 128 iterations before overflow. The unitary loop drains its
+// i32 accumulator into i64 lanes every 64 iterations (1024 dims), staying
+// 2× inside that bound; the ×8 body is only called with ≤ 64 iterations.
 //
 // Callers guarantee len(u) == len(c), len(u) ≡ 0 (mod 16), and every
 // u[j] ≤ 32767; the Go dispatch wrappers handle the scalar tail.
 
 #include "textflag.h"
-
-DATA q15flip<>+0(SB)/8, $0x8000800080008000
-DATA q15flip<>+8(SB)/8, $0x8000800080008000
-DATA q15flip<>+16(SB)/8, $0x8000800080008000
-DATA q15flip<>+24(SB)/8, $0x8000800080008000
-GLOBL q15flip<>(SB), RODATA|NOPTR, $32
-
-DATA q15ones<>+0(SB)/8, $0x0001000100010001
-DATA q15ones<>+8(SB)/8, $0x0001000100010001
-DATA q15ones<>+16(SB)/8, $0x0001000100010001
-DATA q15ones<>+24(SB)/8, $0x0001000100010001
-GLOBL q15ones<>(SB), RODATA|NOPTR, $32
 
 // func dotQ15U8AVX2(u []uint16, c []uint8) int64
 //
@@ -86,317 +67,21 @@ q15u8reduce:
 	MOVQ AX, ret+48(FP)
 	RET
 
-// func dotQ15U16AVX2(u []uint16, c []uint16) int64
-//
-// Offset-corrected form: pairs of u·(c−32768) are exact in i32 and
-// widened to i64 every iteration; 32768·Σu is added back at the end.
-TEXT ·dotQ15U16AVX2(SB), NOSPLIT, $0-56
-	MOVQ u_base+0(FP), SI
-	MOVQ c_base+24(FP), DI
-	MOVQ u_len+8(FP), CX
-	SHRQ $4, CX
-	VPXOR Y1, Y1, Y1    // i64 accumulator, low half
-	VPXOR Y2, Y2, Y2    // i64 accumulator, high half
-	VPXOR Y13, Y13, Y13 // i32 running Σu
-	VMOVDQU q15flip<>(SB), Y15
-	VMOVDQU q15ones<>(SB), Y14
-	TESTQ CX, CX
-	JZ    q15u16reduce
-
-q15u16loop:
-	VMOVDQU (SI), Y4 // 16 query codes
-	VMOVDQU (DI), Y5 // 16 data codes
-	VPXOR Y15, Y5, Y5   // c − 32768 as i16
-	VPMADDWD Y4, Y5, Y5 // 8 exact i32 pair sums
-	VPMADDWD Y14, Y4, Y6
-	VPADDD Y6, Y13, Y13 // Σu += pairwise u sums
-	VPMOVSXDQ X5, Y6
-	VPADDQ Y6, Y1, Y1
-	VEXTRACTI128 $1, Y5, X5
-	VPMOVSXDQ X5, Y6
-	VPADDQ Y6, Y2, Y2
-	ADDQ $32, SI
-	ADDQ $32, DI
-	DECQ CX
-	JNZ  q15u16loop
-
-q15u16reduce:
-	VPADDQ Y2, Y1, Y1
-	VEXTRACTI128 $1, Y1, X2
-	VPADDQ X2, X1, X1
-	VPEXTRQ $1, X1, BX
-	MOVQ X1, AX
-	ADDQ BX, AX
-	VEXTRACTI128 $1, Y13, X5
-	VPADDD X5, X13, X13
-	VPHADDD X13, X13, X13
-	VPHADDD X13, X13, X13
-	VMOVD X13, BX // Σu < 2³¹ for d ≤ 65536, zero-extended
-	SHLQ $15, BX  // 32768·Σu
-	ADDQ BX, AX
-	VZEROUPPER
-	MOVQ AX, ret+48(FP)
-	RET
-
-// func dotQ15U8x4AVX2(u []uint16, rows *uint8, stride int, out *[4]int64)
-//
-// Four u8 rows per call: each 16-code query chunk is loaded once and
-// VPMADDWD'd against all four rows, quartering query-side loads. Same
-// overflow discipline as the unitary kernel (drain every 64 iterations);
-// the four row sums ride in Y4..Y7 as i64 quad-lanes.
-//
-// All multi-row kernels share one prefetch scheme: at entry, touch the
-// start of each row of the *next* call's window (this window's rows +
-// rows·stride), so a streaming sweep has its upcoming misses in flight
-// while the current window computes. PREFETCHT0 never faults, so the
-// hint is safe even on the final window of a scan.
-TEXT ·dotQ15U8x4AVX2(SB), NOSPLIT, $0-48
-	MOVQ u_base+0(FP), SI
-	MOVQ u_len+8(FP), CX
-	MOVQ rows+24(FP), R8
-	MOVQ stride+32(FP), R12
-	SHRQ $4, CX
-	MOVQ R8, R9
-	ADDQ R12, R9
-	MOVQ R9, R10
-	ADDQ R12, R10
-	MOVQ R10, R11
-	ADDQ R12, R11
-
-	MOVQ R12, AX
-	SHLQ $2, AX // next-window offset = 4·stride
-	PREFETCHT0 (R8)(AX*1)
-	PREFETCHT0 (R9)(AX*1)
-	PREFETCHT0 (R10)(AX*1)
-	PREFETCHT0 (R11)(AX*1)
-
-	VPXOR Y4, Y4, Y4
-	VPXOR Y5, Y5, Y5
-	VPXOR Y6, Y6, Y6
-	VPXOR Y7, Y7, Y7
-	TESTQ CX, CX
-	JZ    q15u8x4done
-
-q15u8x4outer:
-	MOVQ $64, DX
-	CMPQ CX, DX
-	JAE  q15u8x4block
-	MOVQ CX, DX
-
-q15u8x4block:
-	SUBQ DX, CX
-	VPXOR Y0, Y0, Y0
-	VPXOR Y1, Y1, Y1
-	VPXOR Y2, Y2, Y2
-	VPXOR Y3, Y3, Y3
-
-q15u8x4inner:
-	VMOVDQU (SI), Y8 // query chunk, shared by the four rows
-	VPMOVZXBW (R8), Y9
-	VPMADDWD Y8, Y9, Y9
-	VPADDD Y9, Y0, Y0
-	VPMOVZXBW (R9), Y9
-	VPMADDWD Y8, Y9, Y9
-	VPADDD Y9, Y1, Y1
-	VPMOVZXBW (R10), Y9
-	VPMADDWD Y8, Y9, Y9
-	VPADDD Y9, Y2, Y2
-	VPMOVZXBW (R11), Y9
-	VPMADDWD Y8, Y9, Y9
-	VPADDD Y9, Y3, Y3
-	ADDQ $32, SI
-	ADDQ $16, R8
-	ADDQ $16, R9
-	ADDQ $16, R10
-	ADDQ $16, R11
-	DECQ DX
-	JNZ  q15u8x4inner
-
-	VPMOVSXDQ X0, Y9
-	VPADDQ Y9, Y4, Y4
-	VEXTRACTI128 $1, Y0, X0
-	VPMOVSXDQ X0, Y9
-	VPADDQ Y9, Y4, Y4
-	VPMOVSXDQ X1, Y9
-	VPADDQ Y9, Y5, Y5
-	VEXTRACTI128 $1, Y1, X1
-	VPMOVSXDQ X1, Y9
-	VPADDQ Y9, Y5, Y5
-	VPMOVSXDQ X2, Y9
-	VPADDQ Y9, Y6, Y6
-	VEXTRACTI128 $1, Y2, X2
-	VPMOVSXDQ X2, Y9
-	VPADDQ Y9, Y6, Y6
-	VPMOVSXDQ X3, Y9
-	VPADDQ Y9, Y7, Y7
-	VEXTRACTI128 $1, Y3, X3
-	VPMOVSXDQ X3, Y9
-	VPADDQ Y9, Y7, Y7
-	TESTQ CX, CX
-	JNZ   q15u8x4outer
-
-q15u8x4done:
-	MOVQ out+40(FP), DI
-	VEXTRACTI128 $1, Y4, X9
-	VPADDQ X9, X4, X4
-	VPEXTRQ $1, X4, BX
-	MOVQ X4, AX
-	ADDQ BX, AX
-	MOVQ AX, (DI)
-	VEXTRACTI128 $1, Y5, X9
-	VPADDQ X9, X5, X5
-	VPEXTRQ $1, X5, BX
-	MOVQ X5, AX
-	ADDQ BX, AX
-	MOVQ AX, 8(DI)
-	VEXTRACTI128 $1, Y6, X9
-	VPADDQ X9, X6, X6
-	VPEXTRQ $1, X6, BX
-	MOVQ X6, AX
-	ADDQ BX, AX
-	MOVQ AX, 16(DI)
-	VEXTRACTI128 $1, Y7, X9
-	VPADDQ X9, X7, X7
-	VPEXTRQ $1, X7, BX
-	MOVQ X7, AX
-	ADDQ BX, AX
-	MOVQ AX, 24(DI)
-	VZEROUPPER
-	RET
-
-// func dotQ15U16x4AVX2(u []uint16, rows *uint16, stride int, out *[4]int64)
-//
-// Four u16 rows per call with the same offset-corrected form as the
-// unitary u16 kernel; stride is in codes, Σu is accumulated once per
-// iteration and the 32768·Σu correction is added to all four outputs.
-TEXT ·dotQ15U16x4AVX2(SB), NOSPLIT, $0-48
-	MOVQ u_base+0(FP), SI
-	MOVQ u_len+8(FP), CX
-	MOVQ rows+24(FP), R8
-	MOVQ stride+32(FP), R12
-	SHLQ $1, R12 // code stride → byte stride
-	SHRQ $4, CX
-	MOVQ R8, R9
-	ADDQ R12, R9
-	MOVQ R9, R10
-	ADDQ R12, R10
-	MOVQ R10, R11
-	ADDQ R12, R11
-
-	// Next-window row-start prefetch, same scheme as the u8 multi-row
-	// kernels (R12 is already the byte stride here).
-	MOVQ R12, AX
-	SHLQ $2, AX
-	PREFETCHT0 (R8)(AX*1)
-	PREFETCHT0 (R9)(AX*1)
-	PREFETCHT0 (R10)(AX*1)
-	PREFETCHT0 (R11)(AX*1)
-
-	VPXOR Y0, Y0, Y0 // per-row i64 accumulators
-	VPXOR Y1, Y1, Y1
-	VPXOR Y2, Y2, Y2
-	VPXOR Y3, Y3, Y3
-	VPXOR Y13, Y13, Y13 // i32 running Σu
-	VMOVDQU q15flip<>(SB), Y15
-	VMOVDQU q15ones<>(SB), Y14
-	TESTQ CX, CX
-	JZ    q15u16x4done
-
-q15u16x4loop:
-	VMOVDQU (SI), Y8 // query chunk, shared by the four rows
-	VPMADDWD Y14, Y8, Y9
-	VPADDD Y9, Y13, Y13
-	VMOVDQU (R8), Y9
-	VPXOR Y15, Y9, Y9
-	VPMADDWD Y8, Y9, Y9
-	VPMOVSXDQ X9, Y10
-	VPADDQ Y10, Y0, Y0
-	VEXTRACTI128 $1, Y9, X9
-	VPMOVSXDQ X9, Y10
-	VPADDQ Y10, Y0, Y0
-	VMOVDQU (R9), Y9
-	VPXOR Y15, Y9, Y9
-	VPMADDWD Y8, Y9, Y9
-	VPMOVSXDQ X9, Y10
-	VPADDQ Y10, Y1, Y1
-	VEXTRACTI128 $1, Y9, X9
-	VPMOVSXDQ X9, Y10
-	VPADDQ Y10, Y1, Y1
-	VMOVDQU (R10), Y9
-	VPXOR Y15, Y9, Y9
-	VPMADDWD Y8, Y9, Y9
-	VPMOVSXDQ X9, Y10
-	VPADDQ Y10, Y2, Y2
-	VEXTRACTI128 $1, Y9, X9
-	VPMOVSXDQ X9, Y10
-	VPADDQ Y10, Y2, Y2
-	VMOVDQU (R11), Y9
-	VPXOR Y15, Y9, Y9
-	VPMADDWD Y8, Y9, Y9
-	VPMOVSXDQ X9, Y10
-	VPADDQ Y10, Y3, Y3
-	VEXTRACTI128 $1, Y9, X9
-	VPMOVSXDQ X9, Y10
-	VPADDQ Y10, Y3, Y3
-	ADDQ $32, SI
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $32, R10
-	ADDQ $32, R11
-	DECQ CX
-	JNZ  q15u16x4loop
-
-q15u16x4done:
-	VEXTRACTI128 $1, Y13, X9
-	VPADDD X9, X13, X13
-	VPHADDD X13, X13, X13
-	VPHADDD X13, X13, X13
-	VMOVD X13, DX
-	SHLQ $15, DX // 32768·Σu, added to every row sum
-	MOVQ out+40(FP), DI
-	VEXTRACTI128 $1, Y0, X9
-	VPADDQ X9, X0, X0
-	VPEXTRQ $1, X0, BX
-	MOVQ X0, AX
-	ADDQ BX, AX
-	ADDQ DX, AX
-	MOVQ AX, (DI)
-	VEXTRACTI128 $1, Y1, X9
-	VPADDQ X9, X1, X1
-	VPEXTRQ $1, X1, BX
-	MOVQ X1, AX
-	ADDQ BX, AX
-	ADDQ DX, AX
-	MOVQ AX, 8(DI)
-	VEXTRACTI128 $1, Y2, X9
-	VPADDQ X9, X2, X2
-	VPEXTRQ $1, X2, BX
-	MOVQ X2, AX
-	ADDQ BX, AX
-	ADDQ DX, AX
-	MOVQ AX, 16(DI)
-	VEXTRACTI128 $1, Y3, X9
-	VPADDQ X9, X3, X3
-	VPEXTRQ $1, X3, BX
-	MOVQ X3, AX
-	ADDQ BX, AX
-	ADDQ DX, AX
-	MOVQ AX, 24(DI)
-	VZEROUPPER
-	RET
-
 // func dotQ15U8x8AVX2(u []uint16, rows *uint8, stride int, out *[8]int64)
 //
 // Eight u8 rows per call — the memory-level-parallelism kernel of the
-// streaming scan. Four row streams leave too few independent misses in
-// flight to cover DRAM latency on a sequential sweep; eight streams plus
-// the next-window prefetch roughly double the sustained bandwidth of the
-// ×4 form on uncached data. The price is register pressure: with eight
-// i32 accumulators (Y0..Y7), the query chunk, and one temporary there is
-// no room for i64 drain lanes, so the accumulators are widened exactly
-// once at the end. Pair sums are ≤ 2·32767·255, so 64 iterations — 1024
-// codes — stay inside i32; the Go wrapper routes longer inputs through
-// two ×4 calls instead.
+// streaming scan. Each 16-code query chunk is loaded once and VPMADDWD'd
+// against all eight rows; eight independent row streams keep enough
+// misses in flight to cover DRAM latency on a sequential sweep. At entry
+// the kernel touches the start of each row of the *next* call's window
+// (this window's rows + 8·stride), so the upcoming misses are in flight
+// while the current window computes; PREFETCHT0 never faults, so the hint
+// is safe even on the final window of a scan. The price of eight streams
+// is register pressure: with eight i32 accumulators (Y0..Y7), the query
+// chunk, and one temporary there is no room for i64 drain lanes, so the
+// accumulators are widened exactly once at the end. Pair sums are ≤
+// 2·32767·255, so 64 iterations — 1024 codes — stay inside i32; the Go
+// wrapper routes longer inputs through eight unitary dots instead.
 TEXT ·dotQ15U8x8AVX2(SB), NOSPLIT, $0-48
 	MOVQ u_base+0(FP), SI
 	MOVQ u_len+8(FP), CX

@@ -4,16 +4,6 @@ package linalg
 
 func dotQ15U8Unitary(u []uint16, c []uint8) int64 { return dotQ15U8Generic(u, c) }
 
-func dotQ15U16Unitary(u []uint16, c []uint16) int64 { return dotQ15U16Generic(u, c) }
-
-func dotQ15U8x4Unitary(u []uint16, rows []uint8, stride int, out *[4]int64) {
-	dotQ15U8x4Generic(u, rows, stride, out)
-}
-
-func dotQ15U16x4Unitary(u []uint16, rows []uint16, stride int, out *[4]int64) {
-	dotQ15U16x4Generic(u, rows, stride, out)
-}
-
 func dotQ15U8x8Unitary(u []uint16, rows []uint8, stride int, out *[8]int64) {
 	dotQ15U8x8Generic(u, rows, stride, out)
 }

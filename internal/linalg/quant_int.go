@@ -10,10 +10,10 @@ import "fmt"
 //	‖q − x̂‖² = Σⱼ aⱼ² − 2·Σⱼ tⱼ·cⱼ + Σⱼ (stepⱼ·cⱼ)²
 //
 // with aⱼ = qⱼ − minⱼ and tⱼ = aⱼ·stepⱼ precomputed once per query, so the
-// only per-point work is the dot Σ tⱼ·cⱼ over 1 (or 2) data bytes per
+// only per-point work is the dot Σ tⱼ·cⱼ over one data byte per
 // dimension. Widening every code to float64 in-register makes that scan
 // ALU-bound: the FMA path retires ~1 code per cycle while the memory
-// stream is only 1–2 B/code. These kernels remove the float conversion by
+// stream is only 1 B/code. These kernels remove the float conversion by
 // quantizing the *query* too: the per-query weights tⱼ are affinely
 // mapped to 15-bit codes uⱼ ∈ [0, 32767] (Q15), and the per-point work
 // becomes the exact integer dot Σ uⱼ·cⱼ evaluated with VPMADDWD — no
@@ -30,10 +30,10 @@ import "fmt"
 // VPMADDUBSW saturates its i16 pair sums (u8×u8 pairs reach 2·255·255 =
 // 130050 > 32767), which would make the kernel value depend on data order
 // and break exactness. With u ≤ 32767 every VPMADDWD pair sum fits i32
-// exactly — 2·32767·255 for u8 codes, and < 2³¹ for offset-corrected u16
-// codes — at the same instruction count, while giving the query 128×
-// finer resolution than a u8 grid, so query-side rounding is negligible
-// next to the data-side quantization error the rescore already absorbs.
+// exactly (at most 2·32767·255) at the same instruction count, while
+// giving the query 128× finer resolution than a u8 grid, so query-side
+// rounding is negligible next to the data-side quantization error the
+// rescore already absorbs.
 
 // MaxQ15 is the largest query code the integer kernels accept. Codes
 // above it would be interpreted as negative i16 lanes by VPMADDWD; the
@@ -54,40 +54,12 @@ func DotQ15U8(u []uint16, c []uint8) int64 {
 	return dotQ15U8Unitary(u, c)
 }
 
-// DotQ15U16 is DotQ15U8 for uint16 data codes (int16-precision scalar
-// quantization). Supported up to len(u) = 65536 dimensions (the in-kernel
-// i32 code-sum accumulator bounds it).
-//
-//drlint:hotpath inline=1
-func DotQ15U16(u []uint16, c []uint16) int64 {
-	if len(u) != len(c) {
-		panic(fmt.Sprintf("linalg: DotQ15U16 length mismatch %d vs %d", len(u), len(c)))
-	}
-	return dotQ15U16Unitary(u, c)
-}
-
-// DotQ15U8x4 computes four row dots at once: out[r] = Σⱼ u[j]·rows[r·stride+j]
-// for r ∈ {0,1,2,3}. The assembly body loads each 16-code query chunk once
-// and applies it to all four rows, amortizing query-side loads across the
-// block-major code layout of the store scan. out is fully overwritten.
-//
-//drlint:hotpath inline=1
-func DotQ15U8x4(u []uint16, rows []uint8, stride int, out *[4]int64) {
-	if stride < len(u) {
-		panic(fmt.Sprintf("linalg: DotQ15U8x4 stride %d < dim %d", stride, len(u)))
-	}
-	if len(rows) < 3*stride+len(u) {
-		panic(fmt.Sprintf("linalg: DotQ15U8x4 rows has %d codes, need %d", len(rows), 3*stride+len(u)))
-	}
-	dotQ15U8x4Unitary(u, rows, stride, out)
-}
-
-// DotQ15U8x8 is DotQ15U8x4 over eight rows: out[r] = Σⱼ u[j]·rows[r·stride+j]
-// for r ∈ {0..7}. Eight independent row streams keep roughly twice as
-// many cache misses in flight as the ×4 form, which is what a DRAM-bound
-// streaming scan needs to approach the machine's bandwidth — use it for
-// long sequential sweeps, the ×4 form for short or irregular ones. out
-// is fully overwritten; results are bit-identical to eight unitary dots.
+// DotQ15U8x8 computes eight row dots at once: out[r] = Σⱼ u[j]·rows[r·stride+j]
+// for r ∈ {0..7}. The assembly body loads each 16-code query chunk once
+// and applies it to all eight rows of the store's block-major code layout;
+// eight independent row streams keep enough cache misses in flight for a
+// DRAM-bound streaming scan to approach the machine's bandwidth. out is
+// fully overwritten; results are bit-identical to eight unitary dots.
 //
 //drlint:hotpath inline=1
 func DotQ15U8x8(u []uint16, rows []uint8, stride int, out *[8]int64) {
@@ -98,20 +70,6 @@ func DotQ15U8x8(u []uint16, rows []uint8, stride int, out *[8]int64) {
 		panic(fmt.Sprintf("linalg: DotQ15U8x8 rows has %d codes, need %d", len(rows), 7*stride+len(u)))
 	}
 	dotQ15U8x8Unitary(u, rows, stride, out)
-}
-
-// DotQ15U16x4 is DotQ15U8x4 for uint16 data codes. stride is in codes
-// (uint16 elements), not bytes.
-//
-//drlint:hotpath inline=1
-func DotQ15U16x4(u []uint16, rows []uint16, stride int, out *[4]int64) {
-	if stride < len(u) {
-		panic(fmt.Sprintf("linalg: DotQ15U16x4 stride %d < dim %d", stride, len(u)))
-	}
-	if len(rows) < 3*stride+len(u) {
-		panic(fmt.Sprintf("linalg: DotQ15U16x4 rows has %d codes, need %d", len(rows), 3*stride+len(u)))
-	}
-	dotQ15U16x4Unitary(u, rows, stride, out)
 }
 
 // dotQ15U8Generic is the portable kernel. Four independent accumulators
@@ -137,39 +95,6 @@ func dotQ15U8Generic(u []uint16, c []uint8) int64 {
 		s += int64(uv) * int64(c[i])
 	}
 	return s
-}
-
-func dotQ15U16Generic(u []uint16, c []uint16) int64 {
-	c = c[:len(u)]
-	var s0, s1, s2, s3 int64
-	for len(u) >= 4 && len(c) >= 4 {
-		s0 += int64(u[0]) * int64(c[0])
-		s1 += int64(u[1]) * int64(c[1])
-		s2 += int64(u[2]) * int64(c[2])
-		s3 += int64(u[3]) * int64(c[3])
-		u = u[4:]
-		c = c[4:]
-	}
-	s := (s0 + s2) + (s1 + s3)
-	c = c[:len(u)]
-	for i, uv := range u {
-		s += int64(uv) * int64(c[i])
-	}
-	return s
-}
-
-func dotQ15U8x4Generic(u []uint16, rows []uint8, stride int, out *[4]int64) {
-	for r := 0; r < 4; r++ {
-		//drlint:ignore bcegate row geometry (r*stride) is the caller's layout contract; one reslice check per len(u)-element row
-		out[r] = dotQ15U8Generic(u, rows[r*stride:r*stride+len(u)])
-	}
-}
-
-func dotQ15U16x4Generic(u []uint16, rows []uint16, stride int, out *[4]int64) {
-	for r := 0; r < 4; r++ {
-		//drlint:ignore bcegate row geometry (r*stride) is the caller's layout contract; one reslice check per len(u)-element row
-		out[r] = dotQ15U16Generic(u, rows[r*stride:r*stride+len(u)])
-	}
 }
 
 func dotQ15U8x8Generic(u []uint16, rows []uint8, stride int, out *[8]int64) {

@@ -22,14 +22,6 @@ func randCodesU8(rng *rand.Rand, d int) []uint8 {
 	return c
 }
 
-func randCodesU16(rng *rand.Rand, d int) []uint16 {
-	c := make([]uint16, d)
-	for i := range c {
-		c[i] = uint16(rng.Intn(65536))
-	}
-	return c
-}
-
 func randCodesQ15(rng *rand.Rand, d int) []uint16 {
 	u := make([]uint16, d)
 	for i := range u {
@@ -44,12 +36,9 @@ func TestDotQ15FallbackExactlyMatchesGeneric(t *testing.T) {
 	for _, d := range intParityDims {
 		for trial := 0; trial < 20; trial++ {
 			u := randCodesQ15(rng, d)
-			c8, c16 := randCodesU8(rng, d), randCodesU16(rng, d)
+			c8 := randCodesU8(rng, d)
 			if got, want := dotQ15U8Unitary(u, c8), dotQ15U8Generic(u, c8); got != want {
 				t.Fatalf("d=%d trial=%d: forced-generic dotQ15U8Unitary=%d, generic=%d", d, trial, got, want)
-			}
-			if got, want := dotQ15U16Unitary(u, c16), dotQ15U16Generic(u, c16); got != want {
-				t.Fatalf("d=%d trial=%d: forced-generic dotQ15U16Unitary=%d, generic=%d", d, trial, got, want)
 			}
 		}
 	}
@@ -60,12 +49,9 @@ func TestDotQ15DispatchExactlyMatchesGeneric(t *testing.T) {
 	for _, d := range intParityDims {
 		for trial := 0; trial < 20; trial++ {
 			u := randCodesQ15(rng, d)
-			c8, c16 := randCodesU8(rng, d), randCodesU16(rng, d)
+			c8 := randCodesU8(rng, d)
 			if got, want := DotQ15U8(u, c8), dotQ15U8Generic(u, c8); got != want {
 				t.Fatalf("d=%d trial=%d: DotQ15U8=%d, generic=%d (integer kernels must be exact)", d, trial, got, want)
-			}
-			if got, want := DotQ15U16(u, c16), dotQ15U16Generic(u, c16); got != want {
-				t.Fatalf("d=%d trial=%d: DotQ15U16=%d, generic=%d (integer kernels must be exact)", d, trial, got, want)
 			}
 		}
 	}
@@ -78,19 +64,13 @@ func TestDotQ15ExtremeValuesExact(t *testing.T) {
 	for _, d := range []int{16, 1024, 2080, 4096} {
 		u := make([]uint16, d)
 		c8 := make([]uint8, d)
-		c16 := make([]uint16, d)
 		for i := range u {
 			u[i] = MaxQ15
 			c8[i] = 255
-			c16[i] = 65535
 		}
 		want8 := int64(d) * MaxQ15 * 255
-		want16 := int64(d) * MaxQ15 * 65535
 		if got := DotQ15U8(u, c8); got != want8 {
 			t.Fatalf("d=%d: DotQ15U8 all-max = %d, want %d", d, got, want8)
-		}
-		if got := DotQ15U16(u, c16); got != want16 {
-			t.Fatalf("d=%d: DotQ15U16 all-max = %d, want %d", d, got, want16)
 		}
 		// All-zero query must yield exactly zero regardless of codes.
 		for i := range u {
@@ -99,43 +79,15 @@ func TestDotQ15ExtremeValuesExact(t *testing.T) {
 		if got := DotQ15U8(u, c8); got != 0 {
 			t.Fatalf("d=%d: DotQ15U8 zero query = %d", d, got)
 		}
-		if got := DotQ15U16(u, c16); got != 0 {
-			t.Fatalf("d=%d: DotQ15U16 zero query = %d", d, got)
-		}
 	}
 }
 
-// The ×4 kernels must agree exactly with four unitary calls over the same
+// The ×8 kernel must agree exactly with eight unitary calls over the same
 // rows, for strides both equal to and larger than the dimension (the
 // store's code stride is 16-byte aligned, so rows carry padding bytes the
-// kernel must skip).
-func TestDotQ15x4MatchesUnitary(t *testing.T) {
-	rng := rand.New(rand.NewSource(107))
-	for _, d := range intParityDims {
-		for _, pad := range []int{0, 3, 16} {
-			stride := d + pad
-			u := randCodesQ15(rng, d)
-			rows8 := randCodesU8(rng, 3*stride+d)
-			rows16 := randCodesU16(rng, 3*stride+d)
-			var got8, got16 [4]int64
-			DotQ15U8x4(u, rows8, stride, &got8)
-			DotQ15U16x4(u, rows16, stride, &got16)
-			for r := 0; r < 4; r++ {
-				if want := DotQ15U8(u, rows8[r*stride:r*stride+d]); got8[r] != want {
-					t.Fatalf("d=%d pad=%d row=%d: DotQ15U8x4=%d, unitary=%d", d, pad, r, got8[r], want)
-				}
-				if want := DotQ15U16(u, rows16[r*stride:r*stride+d]); got16[r] != want {
-					t.Fatalf("d=%d pad=%d row=%d: DotQ15U16x4=%d, unitary=%d", d, pad, r, got16[r], want)
-				}
-			}
-		}
-	}
-}
-
-// The ×8 kernel adds two hazards beyond the ×4 contract: its assembly
-// keeps i32 accumulators for the whole call (valid only to 1024 codes),
-// and longer inputs must split into two ×4 calls. intParityDims crosses
-// both the 1024 boundary and the ×4 drain cadence.
+// kernel must skip). Its assembly keeps i32 accumulators for the whole
+// call (valid only to 1024 codes), so longer inputs must take the
+// eight-unitary-dots fallback; intParityDims crosses that boundary.
 func TestDotQ15x8MatchesUnitary(t *testing.T) {
 	rng := rand.New(rand.NewSource(127))
 	for _, d := range intParityDims {
@@ -157,7 +109,7 @@ func TestDotQ15x8MatchesUnitary(t *testing.T) {
 // All-maximum inputs at the assembly's two boundaries: 256 codes is the
 // last length allowed the i32 VPHADDD reduce (row totals reach
 // 16·8·2·32767·255, within 1% of i32 max), 1024 the last allowed the
-// single end-of-call drain; 1040 exercises the two-×4 split.
+// single end-of-call drain; 1040 exercises the unitary fallback.
 func TestDotQ15x8ExtremeValuesExact(t *testing.T) {
 	for _, d := range []int{256, 272, 1024, 1040} {
 		u := make([]uint16, d)
@@ -179,21 +131,6 @@ func TestDotQ15x8ExtremeValuesExact(t *testing.T) {
 	}
 }
 
-func TestDotQ15x4ForcedGenericMatchesUnitary(t *testing.T) {
-	forceGeneric(t)
-	rng := rand.New(rand.NewSource(109))
-	d, stride := 166, 176
-	u := randCodesQ15(rng, d)
-	rows8 := randCodesU8(rng, 3*stride+d)
-	var got [4]int64
-	DotQ15U8x4(u, rows8, stride, &got)
-	for r := 0; r < 4; r++ {
-		if want := dotQ15U8Generic(u, rows8[r*stride:r*stride+d]); got[r] != want {
-			t.Fatalf("row %d: forced-generic DotQ15U8x4=%d, generic=%d", r, got[r], want)
-		}
-	}
-}
-
 func TestDotQ15ValidationPanics(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		defer func() {
@@ -205,17 +142,6 @@ func TestDotQ15ValidationPanics(t *testing.T) {
 	}
 	mustPanic("DotQ15U8 length mismatch", func() {
 		DotQ15U8(make([]uint16, 3), make([]uint8, 4))
-	})
-	mustPanic("DotQ15U16 length mismatch", func() {
-		DotQ15U16(make([]uint16, 4), make([]uint16, 3))
-	})
-	mustPanic("DotQ15U8x4 short stride", func() {
-		var out [4]int64
-		DotQ15U8x4(make([]uint16, 16), make([]uint8, 64), 8, &out)
-	})
-	mustPanic("DotQ15U16x4 short rows", func() {
-		var out [4]int64
-		DotQ15U16x4(make([]uint16, 16), make([]uint16, 40), 16, &out)
 	})
 	mustPanic("DotQ15U8x8 short stride", func() {
 		var out [8]int64
@@ -246,33 +172,6 @@ func BenchmarkDotQ15U8_16(b *testing.B)  { benchDotQ15U8(b, 16) }
 func BenchmarkDotQ15U8_64(b *testing.B)  { benchDotQ15U8(b, 64) }
 func BenchmarkDotQ15U8_166(b *testing.B) { benchDotQ15U8(b, 166) }
 
-func BenchmarkDotQ15U16_166(b *testing.B) {
-	rng := rand.New(rand.NewSource(113))
-	u, c := randCodesQ15(rng, 166), randCodesU16(rng, 166)
-	b.SetBytes(2 * 166)
-	var s int64
-	for i := 0; i < b.N; i++ {
-		s += DotQ15U16(u, c)
-	}
-	benchSinkInt = s
-}
-
-// Per-call = 4 rows; ns/row is the number the blocked scan sees.
-func BenchmarkDotQ15U8x4_166(b *testing.B) {
-	rng := rand.New(rand.NewSource(115))
-	d, stride := 166, 176 // 16-byte-aligned stride, as in the store layout
-	u := randCodesQ15(rng, d)
-	rows := randCodesU8(rng, 3*stride+d)
-	b.SetBytes(4 * int64(d))
-	var out [4]int64
-	var s int64
-	for i := 0; i < b.N; i++ {
-		DotQ15U8x4(u, rows, stride, &out)
-		s += out[0] + out[3]
-	}
-	benchSinkInt = s
-}
-
 // Per-call = 8 rows at the store's code stride; the in-cache figure here
 // understates the kernel's real advantage, which is memory-level
 // parallelism on uncached sweeps.
@@ -291,49 +190,12 @@ func BenchmarkDotQ15U8x8_166(b *testing.B) {
 	benchSinkInt = s
 }
 
-func BenchmarkDotQ15U16x4_166(b *testing.B) {
-	rng := rand.New(rand.NewSource(117))
-	d, stride := 166, 168
-	u := randCodesQ15(rng, d)
-	rows := randCodesU16(rng, 3*stride+d)
-	b.SetBytes(2 * 4 * int64(d))
-	var out [4]int64
-	var s int64
-	for i := 0; i < b.N; i++ {
-		DotQ15U16x4(u, rows, stride, &out)
-		s += out[0] + out[3]
-	}
-	benchSinkInt = s
-}
-
 var benchSinkInt int64
 
-// The multi-row unitary dispatchers (the asm stubs' Go-side entry points)
-// must match their generic twins exactly with the dispatch flag forced
-// off — the parity contract asmabi requires every assembly dispatcher to
-// pin with a direct test reference.
-func TestDotQ15x4UnitaryForcedGenericParity(t *testing.T) {
-	forceGeneric(t)
-	rng := rand.New(rand.NewSource(131))
-	for _, d := range intParityDims {
-		stride := d + 3
-		u := randCodesQ15(rng, d)
-		rows8 := randCodesU8(rng, 3*stride+d)
-		rows16 := randCodesU16(rng, 3*stride+d)
-		var got8, want8, got16, want16 [4]int64
-		dotQ15U8x4Unitary(u, rows8, stride, &got8)
-		dotQ15U8x4Generic(u, rows8, stride, &want8)
-		dotQ15U16x4Unitary(u, rows16, stride, &got16)
-		dotQ15U16x4Generic(u, rows16, stride, &want16)
-		if got8 != want8 {
-			t.Fatalf("d=%d: forced-generic dotQ15U8x4Unitary=%v, generic=%v", d, got8, want8)
-		}
-		if got16 != want16 {
-			t.Fatalf("d=%d: forced-generic dotQ15U16x4Unitary=%v, generic=%v", d, got16, want16)
-		}
-	}
-}
-
+// The multi-row unitary dispatcher (the asm stub's Go-side entry point)
+// must match its generic twin exactly with the dispatch flag forced off —
+// the parity contract asmabi requires every assembly dispatcher to pin
+// with a direct test reference.
 func TestDotQ15x8UnitaryForcedGenericParity(t *testing.T) {
 	forceGeneric(t)
 	rng := rand.New(rand.NewSource(137))
@@ -346,6 +208,38 @@ func TestDotQ15x8UnitaryForcedGenericParity(t *testing.T) {
 		dotQ15U8x8Generic(u, rows, stride, &want)
 		if got != want {
 			t.Fatalf("d=%d: forced-generic dotQ15U8x8Unitary=%v, generic=%v", d, got, want)
+		}
+	}
+}
+
+// Beyond q15x8MaxLen the dispatcher leaves the ×8 assembly body for eight
+// unitary dots (the path that used to split into two ×4 calls): 1040 is
+// the first 16-aligned length past the boundary, 2064 = 2·1024+16 crosses
+// the unitary kernel's drain cadence twice and ends in a one-iteration
+// block. Random and all-maximum rows, padded and unpadded strides.
+func TestDotQ15x8LongInputsMatchGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(139))
+	for _, d := range []int{1040, 2064} {
+		for _, pad := range []int{0, 16} {
+			stride := d + pad
+			u := randCodesQ15(rng, d)
+			rows := randCodesU8(rng, 7*stride+d)
+			for _, extreme := range []bool{false, true} {
+				if extreme {
+					for i := range u {
+						u[i] = MaxQ15
+					}
+					for i := range rows {
+						rows[i] = 255
+					}
+				}
+				var got, want [8]int64
+				DotQ15U8x8(u, rows, stride, &got)
+				dotQ15U8x8Generic(u, rows, stride, &want)
+				if got != want {
+					t.Fatalf("d=%d pad=%d extreme=%v: DotQ15U8x8=%v, generic=%v", d, pad, extreme, got, want)
+				}
+			}
 		}
 	}
 }

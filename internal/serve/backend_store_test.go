@@ -53,21 +53,28 @@ func TestStoreExactMatchesSearchSetBatch(t *testing.T) {
 	queries := randMatrix(rng, nq, d)
 	want := knn.SearchSetBatch(data, queries, k, knn.Euclidean{}, false)
 
-	for _, prec := range []store.Precision{store.Int8, store.Int16} {
-		st := openTestStore(t, data, store.BuildConfig{Precision: prec})
+	reversed := make([]int, d)
+	for j := range reversed {
+		reversed[j] = d - 1 - j
+	}
+	for name, cfg := range map[string]store.BuildConfig{
+		"int8":      {Precision: store.Int8},
+		"int8-perm": {Perm: reversed},
+	} {
+		st := openTestStore(t, data, cfg)
 		for _, shards := range []int{1, 3, 7} {
 			e := newStoreTestEngine(t, st, shards, 0)
 			got := searchAll(t, e, queries, k, ModeExact)
 			for i := range want {
 				if len(got[i]) != len(want[i]) {
-					t.Fatalf("%v shards=%d query %d: %d neighbors, want %d",
-						prec, shards, i, len(got[i]), len(want[i]))
+					t.Fatalf("%s shards=%d query %d: %d neighbors, want %d",
+						name, shards, i, len(got[i]), len(want[i]))
 				}
 				for j := range want[i] {
 					g, w := got[i][j], want[i][j]
 					if g.Index != w.Index || math.Float64bits(g.Dist) != math.Float64bits(w.Dist) {
-						t.Fatalf("%v shards=%d query %d neighbor %d: got %+v want %+v",
-							prec, shards, i, j, g, w)
+						t.Fatalf("%s shards=%d query %d neighbor %d: got %+v want %+v",
+							name, shards, i, j, g, w)
 					}
 				}
 			}
@@ -85,7 +92,7 @@ func TestStoreApproxRecallAndCandidates(t *testing.T) {
 	queries := randMatrix(rng, nq, d)
 	want := knn.SearchSetBatch(data, queries, k, knn.Euclidean{}, false)
 
-	st := openTestStore(t, data, store.BuildConfig{Precision: store.Int16})
+	st := openTestStore(t, data, store.BuildConfig{Precision: store.Int8})
 	e := newStoreTestEngine(t, st, 3, 200)
 
 	got := make([][]knn.Neighbor, nq)

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/knn"
@@ -14,8 +13,6 @@ import (
 func benchStore(b *testing.B, n, d int, cfg BuildConfig, rescore int) {
 	data, queries := testData(b, n, 16, d, 101)
 	s := buildStore(b, data, cfg)
-	rng := rand.New(rand.NewSource(103))
-	_ = rng
 	b.ReportAllocs()
 	b.ResetTimer()
 	qi := 0
@@ -36,11 +33,11 @@ func benchStore(b *testing.B, n, d int, cfg BuildConfig, rescore int) {
 // pooling, the plan alone added three slice allocations per call on this
 // shape, and the collector plus sort.Slice bookkeeping four more.
 func TestSearchSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
 	data, queries := testData(t, 2000, 4, 64, 61)
-	for name, cfg := range map[string]BuildConfig{
-		"int8":  {Precision: Int8},
-		"int16": {Precision: Int16, FullDims: 4},
-	} {
+	for name, cfg := range storeVariants(data) {
 		s := buildStore(t, data, cfg)
 		q := queries.RawRow(0)
 		// Warm the pools and the page cache.
@@ -58,10 +55,6 @@ func TestSearchSteadyStateAllocs(t *testing.T) {
 
 func BenchmarkStoreSearchInt8_6598x166(b *testing.B) {
 	benchStore(b, 6598, 166, BuildConfig{Precision: Int8}, 100)
-}
-
-func BenchmarkStoreSearchInt16_6598x166(b *testing.B) {
-	benchStore(b, 6598, 166, BuildConfig{Precision: Int16}, 100)
 }
 
 // BenchmarkExactSearch6598x166 is the float64 comparison point: one query

@@ -13,8 +13,8 @@ import (
 
 // prefixAux is the per-row side record of the early-abandon pass, packed
 // to 12 bytes so the prefix sweep streams P+12 bytes per row. The code
-// sums are exact: csumP ≤ P·65535 and csumSuf ≤ (quantDims−P)·65535 both
-// fit uint32 with room to spare. snormP is the one lossy field — it is
+// sums are exact: csumP ≤ 255·P and csumSuf ≤ 255·(d−P) both fit uint32
+// with room to spare. snormP is the one lossy field — it is
 // rounded toward zero at build time (never up), so the lower bound it
 // enters can only loosen; admissibility never depends on float32 having
 // enough precision.
@@ -35,12 +35,8 @@ type Store struct {
 	mins, steps []float64 // storage order
 
 	codes []byte
-	// codes16 is the uint16 view over the same code region (Int16 stores
-	// only); rows start at multiples of codeStride/2 elements.
-	codes16 []uint16
-	f32     []float32
-	snorm   []float64
-	exact   []float64
+	snorm []float64
+	exact []float64
 	// exactMat is a zero-copy Dense view over the exact region; reading it
 	// pages the float64 rows in on demand.
 	exactMat *linalg.Dense
@@ -51,12 +47,12 @@ type Store struct {
 	// needs next to each other on one cache line: {snorm[i], csum[i]} at
 	// [2i, 2i+1], where csum[i] = Σⱼ cⱼ is the row's code sum — the exact
 	// correction term that turns the integer dot Σu·c back into Σt̃·c
-	// (see plan.quantizeQ15). Code sums are ≤ 65535·d, exact in float64.
+	// (see plan.quantizeQ15). Code sums are ≤ 255·d, exact in float64.
 	scanAux []float64
 
-	// The early-abandon prefix: the first prefDims quantized storage
-	// dimensions (0 disables the pass). pref8/pref16 hold a contiguous
-	// copy of those leading codes — stride prefDims, no padding — so the
+	// The early-abandon prefix: the first prefDims storage dimensions
+	// (0 disables the pass). pref8 holds a contiguous copy of those
+	// leading codes — stride prefDims, no padding — so the
 	// prefix pass streams ~P bytes per row instead of faulting the full
 	// codeStride row. prefAux holds one packed 12-byte record per row
 	// (see prefixAux) with the prefix parts of snorm and csum plus the
@@ -65,7 +61,6 @@ type Store struct {
 	// scanBlockPrefix).
 	prefDims int
 	pref8    []uint8
-	pref16   []uint16
 	prefAux  []prefixAux
 	// snormMean scales the floating-point safety margin subtracted from
 	// prefix lower bounds.
@@ -135,16 +130,17 @@ func Open(path string) (*Store, error) {
 	}
 	s.mins = castF64(b[l.minsOff : l.minsOff+8*int64(l.d)])
 	s.steps = castF64(b[l.stepsOff : l.stepsOff+8*int64(l.d)])
+	// Every query indexes through perm and multiplies by the scales, so a
+	// damaged metadata region must fail here, not as an out-of-range panic
+	// inside a shard worker or as silently wrong distances.
+	if err := validateMeta(s.perm, s.mins, s.steps); err != nil {
+		mm.close()
+		return nil, fmt.Errorf("store: %s: %w", path, err)
+	}
 	nBlocks := int64((l.n + l.blockRows - 1) / l.blockRows)
 	s.codes = b[l.codesOff : l.codesOff+nBlocks*int64(l.blockRows)*int64(l.codeStride)]
 	s.snorm = castF64(b[l.snormOff : l.snormOff+8*int64(l.n)])
 	s.exact = castF64(b[l.exactOff : l.exactOff+8*int64(l.n)*int64(l.d)])
-	if l.fullDims > 0 {
-		s.f32 = castF32(b[l.f32Off : l.f32Off+4*int64(l.n)*int64(l.fullDims)])
-	}
-	if l.prec == Int16 {
-		s.codes16 = castU16(s.codes)
-	}
 	//drlint:ignore unsafelife exactMat lives inside Store, whose mu gates every read against Close unmapping
 	s.exactMat = linalg.NewDenseData(l.n, l.d, s.exact)
 	s.buildScanCaches()
@@ -158,15 +154,15 @@ func Open(path string) (*Store, error) {
 // kernels' 16-code step, wide enough that a variance-descending
 // permutation concentrates most of the signal in it, and 0 (disabled)
 // when the store is too narrow for a prefix to be a meaningful subset.
-// On the musk-like distribution the leading 32/64 quantized dimensions
+// On the musk-like distribution the leading 32/64 storage dimensions
 // carry ~66%/91% of the variance; at 1M points the wider prefix cuts
 // tight-bound survivors from ~16% to under 1%, which more than pays for
 // streaming the wider plane.
-func prefixDims(quantDims int) int {
+func prefixDims(d int) int {
 	switch {
-	case quantDims < 64:
+	case d < 64:
 		return 0
-	case quantDims < 128:
+	case d < 128:
 		return 32
 	default:
 		return 64
@@ -193,61 +189,37 @@ func adviseHuge[T any](s []T) {
 // its per-row prefix norms and code sums. Runs once at Open; everything
 // it writes is immutable afterwards.
 func (s *Store) buildScanCaches() {
-	n, Q := s.l.n, s.l.quantDims
-	F := s.l.fullDims
+	n, d := s.l.n, s.l.d
 	s.scanAux = make([]float64, 2*n)
 	adviseHuge(s.scanAux)
-	P := prefixDims(Q)
+	P := prefixDims(d)
 	s.prefDims = P
 	if P > 0 {
 		s.prefAux = make([]prefixAux, n)
 		adviseHuge(s.prefAux)
-		if s.l.prec == Int8 {
-			s.pref8 = make([]uint8, n*P)
-			adviseHuge(s.pref8)
-		} else {
-			s.pref16 = make([]uint16, n*P)
-			adviseHuge(s.pref16)
-		}
+		s.pref8 = make([]uint8, n*P)
+		adviseHuge(s.pref8)
 	}
 	// Quantization steps of the prefix dimensions, in storage order.
-	psteps := s.steps[F : F+P]
+	psteps := s.steps[:P]
 	var snormSum float64
 	for i := 0; i < n; i++ {
 		var csum, csumP, snormP float64
-		if s.l.prec == Int8 {
-			row := s.codes[i*s.l.codeStride : i*s.l.codeStride+Q]
-			for _, c := range row {
-				csum += float64(c)
-			}
-			for j := 0; j < P; j++ {
-				c := float64(row[j])
-				csumP += c
-				sc := psteps[j] * c
-				snormP += sc * sc
-			}
-			if P > 0 {
-				copy(s.pref8[i*P:(i+1)*P], row[:P])
-			}
-		} else {
-			row := s.codes16[i*s.l.codeStride/2 : i*s.l.codeStride/2+Q]
-			for _, c := range row {
-				csum += float64(c)
-			}
-			for j := 0; j < P; j++ {
-				c := float64(row[j])
-				csumP += c
-				sc := psteps[j] * c
-				snormP += sc * sc
-			}
-			if P > 0 {
-				copy(s.pref16[i*P:(i+1)*P], row[:P])
-			}
+		row := s.codes[i*s.l.codeStride : i*s.l.codeStride+d]
+		for _, c := range row {
+			csum += float64(c)
+		}
+		for j, step := range psteps {
+			c := float64(row[j])
+			csumP += c
+			sc := step * c
+			snormP += sc * sc
 		}
 		s.scanAux[2*i] = s.snorm[i]
 		s.scanAux[2*i+1] = csum
 		snormSum += s.snorm[i]
 		if P > 0 {
+			copy(s.pref8[i*P:(i+1)*P], row[:P])
 			sn := float32(snormP)
 			if float64(sn) > snormP {
 				sn = math.Nextafter32(sn, 0)
@@ -262,6 +234,21 @@ func (s *Store) buildScanCaches() {
 	if n > 0 {
 		s.snormMean = snormSum / float64(n)
 	}
+}
+
+// validateMeta checks the metadata regions of a mapped file: perm must be
+// a permutation of the dimensions, and every scale finite with a
+// non-negative step.
+func validateMeta(perm []int, mins, steps []float64) error {
+	if !isPermutation(perm) {
+		return fmt.Errorf("perm region is not a permutation of [0,%d) (corrupt file)", len(perm))
+	}
+	for j := range mins {
+		if math.IsNaN(mins[j]) || math.IsInf(mins[j], 0) || math.IsInf(steps[j], 0) || !(steps[j] >= 0) {
+			return fmt.Errorf("scale of storage dimension %d is min=%v step=%v (corrupt file)", j, mins[j], steps[j])
+		}
+	}
+	return nil
 }
 
 // Close unmaps the store after in-flight searches drain. Safe to call twice.
@@ -281,29 +268,20 @@ func (s *Store) Len() int { return s.l.n }
 // Dims returns the ambient dimensionality.
 func (s *Store) Dims() int { return s.l.d }
 
-// Precision returns the quantized code width.
-func (s *Store) Precision() Precision { return s.l.prec }
-
-// FullDims returns how many leading storage dimensions are kept at float32.
-func (s *Store) FullDims() int { return s.l.fullDims }
-
-// BlockRows returns the scan-block granularity of the code region.
-func (s *Store) BlockRows() int { return s.l.blockRows }
-
-// Path returns the backing file path.
-func (s *Store) Path() string { return s.path }
+// Precision returns the code width, always Int8.
+func (s *Store) Precision() Precision { return Int8 }
 
 // BytesPerVectorScan returns the bytes per point that a phase-1 scan keeps
-// resident: the padded code row, the cached {norm, code-sum} pair, the
-// float32 prefix, and — when the early-abandon pass is enabled — the
-// prefix code plane with its packed 12-byte aux record. The float64
+// resident: the padded code row, the cached {norm, code-sum} pair, and —
+// when the early-abandon pass is enabled — the prefix code plane with its
+// packed 12-byte aux record. The float64
 // alternative is 8·d; their ratio is the store's resident-memory win.
 // (An abandoning scan touches far fewer bytes than this on most rows;
 // this is the resident footprint, not the traffic.)
 func (s *Store) BytesPerVectorScan() int {
-	b := s.l.codeStride + 16 + 4*s.l.fullDims
+	b := s.l.codeStride + 16
 	if s.prefDims > 0 {
-		b += s.prefDims*int(s.l.prec) + 12
+		b += s.prefDims + 12
 	}
 	return b
 }
@@ -321,16 +299,9 @@ func (s *Store) PrefixDims() int { return s.prefDims }
 //drlint:ignore unsafelife documented zero-copy escape hatch; valid until Close by contract
 func (s *Store) ExactMatrix() *linalg.Dense { return s.exactMat }
 
-// ExactRow returns the full-precision float64 row i (zero-copy, valid
-// until Close).
-//
-//drlint:ignore unsafelife documented zero-copy escape hatch; valid until Close by contract
-func (s *Store) ExactRow(i int) []float64 { return s.exactMat.RawRow(i) }
-
-// DequantRow reconstructs point i from its stored representation (float32
-// prefix dims plus dequantized codes), in original dimension order. The
-// per-dimension reconstruction error of a quantized dimension is bounded by
-// stepⱼ/2 — the property the round-trip tests pin.
+// DequantRow reconstructs point i from its codes, in original dimension
+// order. The per-dimension reconstruction error is bounded by stepⱼ/2 — the
+// property the round-trip tests pin.
 func (s *Store) DequantRow(i int) []float64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -341,34 +312,18 @@ func (s *Store) DequantRow(i int) []float64 {
 		panic(fmt.Sprintf("store: row %d outside [0,%d)", i, s.l.n))
 	}
 	out := make([]float64, s.l.d)
-	F := s.l.fullDims
-	for j := 0; j < F; j++ {
-		out[s.perm[j]] = float64(s.f32[i*F+j])
-	}
 	row := s.codes[i*s.l.codeStride:]
-	for j := F; j < s.l.d; j++ {
-		var c float64
-		if s.l.prec == Int8 {
-			c = float64(row[j-F])
-		} else {
-			c = float64(castU16(row[:2*s.l.quantDims])[j-F])
-		}
-		out[s.perm[j]] = s.mins[j] + s.steps[j]*c
+	for j, pj := range s.perm {
+		out[pj] = s.mins[j] + s.steps[j]*float64(row[j])
 	}
 	return out
 }
 
-// Mins and Steps return the per-dimension affine scales in original
-// dimension order (copies).
-func (s *Store) Mins() []float64 { return s.scalesOriginal(s.mins) }
-
 // Steps returns the per-dimension quantization steps in original dimension
-// order (copies); a step of 0 marks a constant or full-precision dimension.
-func (s *Store) Steps() []float64 { return s.scalesOriginal(s.steps) }
-
-func (s *Store) scalesOriginal(storageOrder []float64) []float64 {
+// order (a copy); a step of 0 marks a constant dimension.
+func (s *Store) Steps() []float64 {
 	out := make([]float64, s.l.d)
-	for j, v := range storageOrder {
+	for j, v := range s.steps {
 		out[s.perm[j]] = v
 	}
 	return out

@@ -12,8 +12,8 @@ import (
 
 // naiveSearchRange is the scalar reference for the blocked scan: the
 // pre-optimization per-point loop — every point offered straight to the
-// collector, no threshold pruning, no prefix early-abandon, no ×4
-// kernels, sequential — followed by the same exact rescore. The blocked,
+// collector, no threshold pruning, no prefix early-abandon, no ×8
+// kernel, sequential — followed by the same exact rescore. The blocked,
 // threshold-pruned, prefix-abandoning, possibly parallel production scan
 // must reproduce it bit for bit at every budget.
 func naiveSearchRange(s *Store, q []float64, lo, hi, k, rescore int) []knn.Neighbor {
@@ -42,38 +42,44 @@ func naiveSearchRange(s *Store, q []float64, lo, hi, k, rescore int) []knn.Neigh
 	return cand
 }
 
-// TestBlockedScanBitIdenticalToNaive is the property test of the scan
-// rewrite: across the store variant matrix (which covers prefix-enabled
-// shapes — quantDims ≥ 64 — and prefix-disabled ones), every budget in
-// {k, 2k, n} and worker count in {1, 2, 3} must return exactly the
-// neighbors of the naive per-point loop, distances bit-identical. d = 64
-// keeps the early-abandon prefix active for the no-full-prefix variants.
+// prefixTestDims are the widths the scan property test runs at, one per
+// state of the early-abandon pass: disabled (d < 64), the 32-code prefix,
+// and the 64-code prefix with a code row that is not a multiple of the
+// kernels' 16-code step.
+var prefixTestDims = []int{40, 64, 130}
+
+// TestBlockedScanBitIdenticalToNaive is the property test of the scan:
+// across the store variant matrix at every width in prefixTestDims, every
+// budget in {k, 2k, n} and worker count in {1, 2, 3} must return exactly
+// the neighbors of the naive per-point loop, distances bit-identical.
 func TestBlockedScanBitIdenticalToNaive(t *testing.T) {
-	n, d, k := 3000, 64, 10
-	data, queries := testData(t, n, 6, d, 41)
-	for name, cfg := range storeVariants(d) {
-		s := buildStore(t, data, cfg)
-		for qi := 0; qi < queries.Rows(); qi++ {
-			q := queries.RawRow(qi)
-			for _, budget := range []int{k, 2 * k, n} {
-				want := naiveSearchRange(s, q, 0, n, k, budget)
-				for _, workers := range []int{1, 2, 3} {
-					got, rescored := s.SearchRangeWorkers(q, 0, n, k, budget, workers)
-					if rescored != budget {
-						t.Fatalf("%s q=%d budget=%d w=%d: rescored %d candidates, want %d",
-							name, qi, budget, workers, rescored, budget)
-					}
-					if len(got) != len(want) {
-						t.Fatalf("%s q=%d budget=%d w=%d: %d neighbors, want %d",
-							name, qi, budget, workers, len(got), len(want))
-					}
-					for r := range got {
-						if got[r].Index != want[r].Index ||
-							math.Float64bits(got[r].Dist) != math.Float64bits(want[r].Dist) {
-							t.Fatalf("%s q=%d budget=%d w=%d rank %d: got (%d, %x), want (%d, %x)",
-								name, qi, budget, workers, r,
-								got[r].Index, math.Float64bits(got[r].Dist),
-								want[r].Index, math.Float64bits(want[r].Dist))
+	n, k := 3000, 10
+	for _, d := range prefixTestDims {
+		data, queries := testData(t, n, 6, d, 41)
+		for name, cfg := range storeVariants(data) {
+			s := buildStore(t, data, cfg)
+			for qi := 0; qi < queries.Rows(); qi++ {
+				q := queries.RawRow(qi)
+				for _, budget := range []int{k, 2 * k, n} {
+					want := naiveSearchRange(s, q, 0, n, k, budget)
+					for _, workers := range []int{1, 2, 3} {
+						got, rescored := s.SearchRangeWorkers(q, 0, n, k, budget, workers)
+						if rescored != budget {
+							t.Fatalf("%s d=%d q=%d budget=%d w=%d: rescored %d candidates, want %d",
+								name, d, qi, budget, workers, rescored, budget)
+						}
+						if len(got) != len(want) {
+							t.Fatalf("%s d=%d q=%d budget=%d w=%d: %d neighbors, want %d",
+								name, d, qi, budget, workers, len(got), len(want))
+						}
+						for r := range got {
+							if got[r].Index != want[r].Index ||
+								math.Float64bits(got[r].Dist) != math.Float64bits(want[r].Dist) {
+								t.Fatalf("%s d=%d q=%d budget=%d w=%d rank %d: got (%d, %x), want (%d, %x)",
+									name, d, qi, budget, workers, r,
+									got[r].Index, math.Float64bits(got[r].Dist),
+									want[r].Index, math.Float64bits(want[r].Dist))
+							}
 						}
 					}
 				}
@@ -83,23 +89,91 @@ func TestBlockedScanBitIdenticalToNaive(t *testing.T) {
 }
 
 // TestVariantMatrixCoversPrefixStates guards the property test's reach:
-// the variant matrix must include at least one store where the
-// early-abandon prefix is active and one where it is disabled, or the
-// test above silently loses half its subject.
+// prefixTestDims must include a width where the early-abandon prefix is
+// disabled and one for each prefix width, or the test above silently loses
+// part of its subject.
 func TestVariantMatrixCoversPrefixStates(t *testing.T) {
-	d := 64
-	data, _ := testData(t, 200, 1, d, 43)
-	withPrefix, withoutPrefix := 0, 0
-	for _, cfg := range storeVariants(d) {
-		s := buildStore(t, data, cfg)
-		if s.PrefixDims() > 0 {
-			withPrefix++
-		} else {
-			withoutPrefix++
+	seen := map[int]bool{}
+	for _, d := range prefixTestDims {
+		data, _ := testData(t, 200, 1, d, 43)
+		for _, cfg := range storeVariants(data) {
+			seen[buildStore(t, data, cfg).PrefixDims()] = true
 		}
 	}
-	if withPrefix == 0 || withoutPrefix == 0 {
-		t.Fatalf("variant matrix covers prefix=%d no-prefix=%d stores; need both", withPrefix, withoutPrefix)
+	for _, P := range []int{0, 32, 64} {
+		if !seen[P] {
+			t.Errorf("no store in the variant matrix has a %d-code prefix; covered: %v", P, seen)
+		}
+	}
+}
+
+// TestScanSegmentTailResidues holds the ×8-then-unitary shape of both block
+// kinds to the scalar loop at every residue: segment lengths 1…17 (zero to
+// two ×8 groups plus every tail) and 256+{0…7} (a whole block, then a tail
+// block), at an aligned and an unaligned start. Each length runs through
+// scanBlockFull, scanBlockPrefix and scanSegment — whose second block is a
+// prefix block on the 256+r lengths — from the same pre-filled collector,
+// so the prefix bound has something to prune against; the admitted
+// candidates must equal the scalar loop's bit for bit.
+func TestScanSegmentTailResidues(t *testing.T) {
+	n, d, budget := 700, 64, 5
+	data, queries := testData(t, n, 3, d, 67)
+	var lengths []int
+	for L := 1; L <= 17; L++ {
+		lengths = append(lengths, L)
+	}
+	for r := 0; r < 8; r++ {
+		lengths = append(lengths, scanBlockRows+r)
+	}
+	for name, cfg := range storeVariants(data) {
+		s := buildStore(t, data, cfg)
+		if s.PrefixDims() == 0 {
+			t.Fatalf("%s: prefix disabled at d=%d", name, d)
+		}
+		sc := s.getScratch()
+		for qi := 0; qi < queries.Rows(); qi++ {
+			p := s.getPlan(queries.RawRow(qi))
+			// prefilled returns a full collector holding the scalar scan of
+			// the rows no segment below touches.
+			prefilled := func() *knn.Collector {
+				c := knn.NewCollector(budget)
+				for i := 400; i < n; i++ {
+					c.Offer(i, s.scoreAt(p, i))
+				}
+				return c
+			}
+			for _, lo := range []int{0, 3} {
+				for _, L := range lengths {
+					hi := lo + L
+					want := prefilled()
+					for i := lo; i < hi; i++ {
+						want.Offer(i, s.scoreAt(p, i))
+					}
+					paths := map[string]func(c *knn.Collector){
+						"scanSegment": func(c *knn.Collector) { s.scanSegment(p, lo, hi, c) },
+					}
+					if L <= scanBlockRows {
+						paths["scanBlockFull"] = func(c *knn.Collector) { s.scanBlockFull(p, sc, lo, hi, c) }
+						paths["scanBlockPrefix"] = func(c *knn.Collector) { s.scanBlockPrefix(p, sc, lo, hi, c) }
+					}
+					for path, scan := range paths {
+						c := prefilled()
+						scan(c)
+						got, ref := c.Results(), want.Results()
+						if len(got) != len(ref) {
+							t.Fatalf("%s %s q=%d [%d,%d): %d candidates, want %d", name, path, qi, lo, hi, len(got), len(ref))
+						}
+						for r := range got {
+							if got[r].Index != ref[r].Index || math.Float64bits(got[r].Dist) != math.Float64bits(ref[r].Dist) {
+								t.Fatalf("%s %s q=%d [%d,%d) rank %d: got %+v, want %+v", name, path, qi, lo, hi, r, got[r], ref[r])
+							}
+						}
+					}
+				}
+			}
+			s.putPlan(p)
+		}
+		s.scratchPool.Put(sc)
 	}
 }
 
@@ -194,8 +268,7 @@ func TestBuildWithVarianceOrderStaysExact(t *testing.T) {
 }
 
 // TestStressSearchBatchDropExactPages interleaves SearchRange (with and
-// without intra-query workers), SearchBatch, and DropExactPages on one
-// shared store — DropExactPages was previously only exercised
+// without intra-query workers) and DropExactPages on one shared store — DropExactPages was previously only exercised
 // sequentially. Under -race this is the concurrency contract of the scan
 // caches and the madvise path: dropped exact pages must refault
 // transparently mid-rescore, never corrupt results.
@@ -226,22 +299,6 @@ func TestStressSearchBatchDropExactPages(t *testing.T) {
 			}
 		}(w)
 	}
-	// A SearchBatch loop.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for it := 0; it < iters; it++ {
-			out := s.SearchBatch(queries, k, n)
-			for qi := range out {
-				for r := range out[qi] {
-					if out[qi][r] != want[qi][r] {
-						errs <- "SearchBatch diverged from exact under concurrency"
-						return
-					}
-				}
-			}
-		}
-	}()
 	// A DropExactPages loop, yanking the rescore region's residency the
 	// whole time.
 	wg.Add(1)

@@ -9,8 +9,8 @@ import (
 	"repro/internal/linalg"
 )
 
-// scanBlockRows is the granularity of the threshold-pruned sweep: the ×4
-// integer kernels score this many rows into a flat buffer, then a branchy
+// scanBlockRows is the granularity of the threshold-pruned sweep: the ×8
+// integer kernel scores this many rows into a flat buffer, then a branchy
 // pass offers only entries below the collector's current bound. 256 rows
 // keep the score buffer well inside L1 while amortizing the bound reloads.
 const scanBlockRows = 256
@@ -23,11 +23,10 @@ const scanBlockRows = 256
 const minSegmentRows = 1024
 
 // plan holds the per-query precomputed scan terms of the asymmetric
-// decomposition: with aⱼ = q_{perm[j]} − minⱼ over the quantized storage
-// dimensions, phase 1 evaluates a2 + snorm[i] − 2·Σⱼ t̃ⱼcⱼ plus the
-// float32-prefix partial distance. The weights tⱼ = aⱼ·stepⱼ are further
-// quantized to 15-bit codes u (t̃ⱼ = tmin + tstep·uⱼ), so the per-point
-// work is the exact integer dot Σ uⱼcⱼ and the scan reconstructs
+// decomposition: with aⱼ = q_{perm[j]} − minⱼ over the storage dimensions,
+// phase 1 evaluates a2 + snorm[i] − 2·Σⱼ t̃ⱼcⱼ. The weights tⱼ = aⱼ·stepⱼ
+// are further quantized to 15-bit codes u (t̃ⱼ = tmin + tstep·uⱼ), so the
+// per-point work is the exact integer dot Σ uⱼcⱼ and the scan reconstructs
 //
 //	Σ t̃ⱼcⱼ = tmin·csum[i] + tstep·(Σ uⱼcⱼ)
 //
@@ -38,9 +37,8 @@ const minSegmentRows = 1024
 // the budget admits the true neighbors (and bit-identical to exact search
 // at full budget, where admission order cannot matter).
 type plan struct {
-	t  []float64 // aⱼ·stepⱼ over quantized dims
+	t  []float64 // aⱼ·stepⱼ, storage order
 	a2 float64   // Σ aⱼ²
-	qf []float64 // storage-order query over the float32 prefix dims
 
 	u      []uint16 // Q15 codes of t: uⱼ = round((tⱼ−tmin)/tstep)
 	tmin   float64
@@ -60,30 +58,22 @@ func (s *Store) getPlan(q []float64) *plan {
 	if p == nil {
 		p = &plan{}
 	}
-	Q := s.l.quantDims
-	F := s.l.fullDims
-	if cap(p.t) < Q {
-		p.t = make([]float64, Q)
-		p.u = make([]uint16, Q)
+	d := s.l.d
+	if cap(p.t) < d {
+		p.t = make([]float64, d)
+		p.u = make([]uint16, d)
 	}
-	p.t = p.t[:Q]
-	p.u = p.u[:Q]
-	if cap(p.qf) < F {
-		p.qf = make([]float64, F)
-	}
-	p.qf = p.qf[:F]
+	p.t = p.t[:d]
+	p.u = p.u[:d]
 	p.a2 = 0
-	for j := 0; j < F; j++ {
-		p.qf[j] = q[s.perm[j]]
-	}
-	for j := F; j < s.l.d; j++ {
-		a := q[s.perm[j]] - s.mins[j]
-		p.t[j-F] = a * s.steps[j]
+	for j, pj := range s.perm {
+		a := q[pj] - s.mins[j]
+		p.t[j] = a * s.steps[j]
 		p.a2 += a * a
 	}
 	p.a2P = 0
-	for j := F; j < F+s.prefDims; j++ {
-		a := q[s.perm[j]] - s.mins[j]
+	for j, pj := range s.perm[:s.prefDims] {
+		a := q[pj] - s.mins[j]
 		p.a2P += a * a
 	}
 	p.quantizeQ15()
@@ -143,20 +133,12 @@ func (p *plan) quantizeQ15() {
 }
 
 // combine folds an exact integer dot into the phase-1 squared-distance
-// estimate for point i, clamped at zero. Every scan path — blocked ×4,
+// estimate for point i, clamped at zero. Every scan path — blocked ×8,
 // prefix survivors, the scalar reference — funnels through this one
 // expression, so they produce bit-identical floats for the same point
 // (the integer dots themselves are exact and path-independent).
 func (s *Store) combine(p *plan, i int, idot int64) float64 {
 	d2 := p.a2 + s.scanAux[2*i] - 2*(p.tmin*s.scanAux[2*i+1]+p.tstep*float64(idot))
-	if F := s.l.fullDims; F > 0 {
-		frow := s.f32[i*F : (i+1)*F]
-		qf := p.qf[:len(frow)] // len(qf) == len(frow) == F; hoists the bounds check out of the loop
-		for j, fv := range frow {
-			diff := qf[j] - float64(fv)
-			d2 += diff * diff
-		}
-	}
 	if d2 < 0 {
 		d2 = 0
 	}
@@ -166,12 +148,8 @@ func (s *Store) combine(p *plan, i int, idot int64) float64 {
 // rowDotQ is the unitary integer dot of the plan's query codes against
 // code row i.
 func (s *Store) rowDotQ(p *plan, i int) int64 {
-	if s.l.prec == Int8 {
-		row := s.codes[i*s.l.codeStride:]
-		return linalg.DotQ15U8(p.u, row[:s.l.quantDims])
-	}
-	row := s.codes16[i*s.l.codeStride/2:]
-	return linalg.DotQ15U16(p.u, row[:s.l.quantDims])
+	row := s.codes[i*s.l.codeStride:]
+	return linalg.DotQ15U8(p.u, row[:s.l.d])
 }
 
 // scoreAt returns the phase-1 estimate for point i. It is the scalar
@@ -217,7 +195,7 @@ func (s *Store) getPar() *parScratch {
 	return ps
 }
 
-// scanBlockFull scores rows [base, end) with the ×4 kernels into the flat
+// scanBlockFull scores rows [base, end) with the ×8 kernel into the flat
 // scratch buffer, then offers only entries below the collector's bound.
 // Offer admits exactly the candidates with dist < Bound(), so the
 // pre-filter changes nothing about the admitted set — it only keeps the
@@ -228,43 +206,18 @@ func (s *Store) scanBlockFull(p *plan, sc *scanScratch, base, end int, c *knn.Co
 	// every bounds check on the blk writes. The code-row reslices stay —
 	// i*stride geometry is the store's layout contract.
 	scores := sc.scores[:end-base]
-	var dots [4]int64
+	stride := s.l.codeStride
+	var dots [8]int64
 	i := base
 	rem := scores
-	if s.l.prec == Int8 {
-		stride := s.l.codeStride
-		var dots8 [8]int64
-		for ; len(rem) >= 8; i += 8 {
-			//drlint:ignore bcegate code-row geometry (i*stride) is the store layout contract; one reslice check per 8 rows
-			linalg.DotQ15U8x8(p.u, s.codes[i*stride:], stride, &dots8)
-			blk := rem[:8]
-			for r := 0; r < 8; r++ {
-				blk[r] = s.combine(p, i+r, dots8[r])
-			}
-			rem = rem[8:]
+	for ; len(rem) >= 8; i += 8 {
+		//drlint:ignore bcegate code-row geometry (i*stride) is the store layout contract; one reslice check per 8 rows
+		linalg.DotQ15U8x8(p.u, s.codes[i*stride:], stride, &dots)
+		blk := rem[:8]
+		for r := 0; r < 8; r++ {
+			blk[r] = s.combine(p, i+r, dots[r])
 		}
-		for ; len(rem) >= 4; i += 4 {
-			//drlint:ignore bcegate code-row geometry (i*stride) is the store layout contract; one reslice check per 4 rows
-			linalg.DotQ15U8x4(p.u, s.codes[i*stride:], stride, &dots)
-			blk := rem[:4]
-			blk[0] = s.combine(p, i, dots[0])
-			blk[1] = s.combine(p, i+1, dots[1])
-			blk[2] = s.combine(p, i+2, dots[2])
-			blk[3] = s.combine(p, i+3, dots[3])
-			rem = rem[4:]
-		}
-	} else {
-		stride := s.l.codeStride / 2
-		for ; len(rem) >= 4; i += 4 {
-			//drlint:ignore bcegate code-row geometry (i*stride) is the store layout contract; one reslice check per 4 rows
-			linalg.DotQ15U16x4(p.u, s.codes16[i*stride:], stride, &dots)
-			blk := rem[:4]
-			blk[0] = s.combine(p, i, dots[0])
-			blk[1] = s.combine(p, i+1, dots[1])
-			blk[2] = s.combine(p, i+2, dots[2])
-			blk[3] = s.combine(p, i+3, dots[3])
-			rem = rem[4:]
-		}
+		rem = rem[8:]
 	}
 	for j := range rem {
 		rem[j] = s.scoreAt(p, i+j)
@@ -280,7 +233,7 @@ func (s *Store) scanBlockFull(p *plan, sc *scanScratch, base, end int, c *knn.Co
 
 // scanBlockPrefix is the early-abandon variant used once the collector is
 // full: it scores only the variance-leading prefix plane (a contiguous
-// prefDims-wide copy of the leading quantized codes) and computes, per
+// prefDims-wide copy of the leading codes) and computes, per
 // row, the admissible lower bound
 //
 //	lb(i) = prefixEst(i) − tstep·csumSuf[i] − margin
@@ -301,47 +254,21 @@ func (s *Store) scanBlockPrefix(p *plan, sc *scanScratch, base, end int, c *knn.
 	// loop condition so every lb write is bounds-check free; the prefix-row
 	// reslices (i*P geometry) are the layout contract.
 	lbs := sc.scores[:end-base]
-	var dots [4]int64
+	var dots [8]int64
 	i := base
 	rem := lbs
-	if s.l.prec == Int8 {
-		var dots8 [8]int64
-		for ; len(rem) >= 8; i += 8 {
-			//drlint:ignore bcegate prefix-plane geometry (i*P) is the store layout contract; one reslice check per 8 rows
-			linalg.DotQ15U8x8(uP, s.pref8[i*P:], P, &dots8)
-			blk := rem[:8]
-			for r := 0; r < 8; r++ {
-				blk[r] = s.prefixLB(p, i+r, dots8[r])
-			}
-			rem = rem[8:]
+	for ; len(rem) >= 8; i += 8 {
+		//drlint:ignore bcegate prefix-plane geometry (i*P) is the store layout contract; one reslice check per 8 rows
+		linalg.DotQ15U8x8(uP, s.pref8[i*P:], P, &dots)
+		blk := rem[:8]
+		for r := 0; r < 8; r++ {
+			blk[r] = s.prefixLB(p, i+r, dots[r])
 		}
-		for ; len(rem) >= 4; i += 4 {
-			//drlint:ignore bcegate prefix-plane geometry (i*P) is the store layout contract; one reslice check per 4 rows
-			linalg.DotQ15U8x4(uP, s.pref8[i*P:], P, &dots)
-			blk := rem[:4]
-			for r := 0; r < 4; r++ {
-				blk[r] = s.prefixLB(p, i+r, dots[r])
-			}
-			rem = rem[4:]
-		}
-		for j := range rem {
-			//drlint:ignore bcegate prefix-plane geometry (i*P) is the store layout contract; one reslice check per tail row
-			rem[j] = s.prefixLB(p, i+j, linalg.DotQ15U8(uP, s.pref8[(i+j)*P:(i+j+1)*P]))
-		}
-	} else {
-		for ; len(rem) >= 4; i += 4 {
-			//drlint:ignore bcegate prefix-plane geometry (i*P) is the store layout contract; one reslice check per 4 rows
-			linalg.DotQ15U16x4(uP, s.pref16[i*P:], P, &dots)
-			blk := rem[:4]
-			for r := 0; r < 4; r++ {
-				blk[r] = s.prefixLB(p, i+r, dots[r])
-			}
-			rem = rem[4:]
-		}
-		for j := range rem {
-			//drlint:ignore bcegate prefix-plane geometry (i*P) is the store layout contract; one reslice check per tail row
-			rem[j] = s.prefixLB(p, i+j, linalg.DotQ15U16(uP, s.pref16[(i+j)*P:(i+j+1)*P]))
-		}
+		rem = rem[8:]
+	}
+	for j := range rem {
+		//drlint:ignore bcegate prefix-plane geometry (i*P) is the store layout contract; one reslice check per tail row
+		rem[j] = s.prefixLB(p, i+j, linalg.DotQ15U8(uP, s.pref8[(i+j)*P:(i+j+1)*P]))
 	}
 	bound := c.Bound()
 	for j, lb := range lbs {
@@ -388,7 +315,7 @@ const warmupBlocks = 32
 // collector is full it tries the prefix early-abandon pass, but keeps it
 // honest with a payoff probe: a prefix block whose survivor fraction
 // exceeds ~3/8 costs more (prefix dot + full unitary dot per survivor)
-// than the straight ×4 full pass, so such blocks push the sweep back to
+// than the straight ×8 full pass, so such blocks push the sweep back to
 // full mode for prefixHoldoffBlocks before re-probing. The two block
 // kinds admit identical candidates, so this scheduling is invisible in
 // the results — it is purely a bandwidth/ALU trade.
@@ -574,55 +501,6 @@ func (s *Store) scanParallel(p *plan, lo, hi, budget, workers int) []knn.Neighbo
 func (s *Store) segmentWorker(ps *parScratch, p *plan, lo, hi int, c *knn.Collector) {
 	s.scanSegment(p, lo, hi, c)
 	ps.wg.Done()
-}
-
-// SearchBatch runs Search for every row of queries, parallelized over up
-// to GOMAXPROCS goroutines (queries are independent, so per-query scans
-// stay sequential here — inter-query parallelism already saturates the
-// cores). Per-query state rides the store's pools; the only per-batch
-// allocations are the result slice itself and the worker goroutines.
-//
-//drlint:hotpath inline=2
-func (s *Store) SearchBatch(queries *linalg.Dense, k, rescore int) [][]knn.Neighbor {
-	if queries.Cols() != s.l.d {
-		panic(fmt.Sprintf("store: queries have %d dims, store has %d", queries.Cols(), s.l.d))
-	}
-	nq := queries.Rows()
-	out := make([][]knn.Neighbor, nq)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > nq {
-		workers = nq
-	}
-	if workers <= 1 {
-		for i := 0; i < nq; i++ {
-			out[i] = s.Search(queries.RawRow(i), k, rescore)
-		}
-		return out
-	}
-	chunk := (nq + workers - 1) / workers
-	//drlint:ignore escapegate one WaitGroup heap cell per batch, shared by every worker and amortized over nq queries
-	var wg sync.WaitGroup
-	for lo := 0; lo < nq; lo += chunk {
-		hi := lo + chunk
-		if hi > nq {
-			hi = nq
-		}
-		wg.Add(1)
-		go s.batchWorker(&wg, queries, out, lo, hi, k, rescore)
-	}
-	wg.Wait()
-	return out
-}
-
-// batchWorker answers queries [lo, hi) of a SearchBatch fan-out. Done is
-// called directly, not deferred, for the same reason as segmentWorker:
-// the only non-returning exits are process-fatal panics, and the hot
-// path's allocation budget excludes deferred frames.
-func (s *Store) batchWorker(wg *sync.WaitGroup, queries *linalg.Dense, out [][]knn.Neighbor, lo, hi, k, rescore int) {
-	for i := lo; i < hi; i++ {
-		out[i] = s.Search(queries.RawRow(i), k, rescore)
-	}
-	wg.Done()
 }
 
 // DropExactPages hints the kernel to evict the full-precision region from

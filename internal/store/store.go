@@ -6,14 +6,14 @@
 //
 // The design applies the paper's coherence thesis to storage: the
 // semantically coherent components of a representation deserve full
-// fidelity, the rest can be crushed. Each dimension j is stored as an
-// unsigned code c with an affine scale (minⱼ, stepⱼ), so a point row costs
-// 1 (Int8) or 2 (Int16) bytes per dimension instead of 8. Optionally the
-// dimensions are permuted into a caller-chosen order (eigenvalue or
-// coherence order from internal/reduction) and the first FullDims of that
-// order are kept at float32 precision — "keep the coherent components,
-// quantize the tail", the static-pruning recipe of the Matrix Decomposition
-// pruning work cited in PAPERS.md.
+// fidelity, the rest can be crushed. Each dimension j is stored as one
+// unsigned byte code c with an affine scale (minⱼ, stepⱼ), so a point row
+// costs 1 byte per dimension instead of 8. The dimensions are permuted into
+// a caller-chosen storage order — in every recorded run the
+// variance-descending order of ScaleAccumulator.VarianceOrder — so the
+// leading codes carry most of the distance mass and one contiguous prefix
+// of them prunes most rows before their full code row is touched: the
+// static ordered-partition scan of Thomasian (PAPERS.md).
 //
 // Search is two-phase. Phase 1 scans the quantized blocks with the
 // asymmetric decomposition
@@ -22,7 +22,8 @@
 //
 // whose only per-point term is the dot Σ tⱼ·cⱼ (evaluated in integers by
 // the linalg.DotQ15* kernels after quantizing tⱼ to 15 bits, AVX2 on
-// capable hardware) plus a per-point norm cached at build time — the same norm-cache shape knn.SearchSetBatch uses.
+// capable hardware) plus a per-point norm cached at build time — the same
+// norm-cache shape knn.SearchSetBatch uses.
 // Phase 2 rescores the admitted candidates with the scalar Euclidean metric
 // against the untouched float64 region and re-sorts under the canonical
 // (distance, index) order, so with a full rescore budget the result is
@@ -32,16 +33,22 @@
 // On-disk layout (all offsets 64-byte aligned, little-endian):
 //
 //	header | perm (d×u32) | mins (d×f64) | steps (d×f64)
-//	       | f32 prefix (n×FullDims×f32, row-major)
 //	       | codes (block-major: blocks of BlockRows rows, each row
 //	         CodeStride bytes, zero-padded)
-//	       | snorm (n×f64: Σ (stepⱼcⱼ)² over quantized dims)
+//	       | snorm (n×f64: Σ (stepⱼcⱼ)²)
 //	       | exact (n×d×f64, row-major, original dimension order)
+//
+// The header also keeps the slots of two retired layouts, each with one
+// legal value: the code width (always 1 byte, Int8) and the count and
+// offset of a float32 head region between steps and codes (always zero
+// dimensions, so the region is zero-length and its offset equals the codes
+// offset). A file carrying an int16 code width or a non-empty float32 head
+// is refused at Open by name and must be rebuilt.
 //
 // The mmap read path keeps the codes/snorm regions resident (they are
 // scanned) while the exact region pages in lazily — only the rows that
 // phase 2 actually rescores are ever touched, which is what cuts resident
-// vector bytes by ~8× at Int8 against a float64 store.
+// vector bytes by ~8× against a float64 store.
 package store
 
 import (
@@ -53,35 +60,23 @@ import (
 	"unsafe"
 )
 
-// Precision selects the quantized code width.
+// Precision is the header's code-width tag: bytes per stored code. Int8 is
+// its only legal value.
 type Precision uint8
 
-const (
-	// Int8 stores one byte per quantized dimension (256 levels).
-	Int8 Precision = 1
-	// Int16 stores two bytes per quantized dimension (65536 levels).
-	Int16 Precision = 2
-)
+// Int8 stores one byte per dimension (256 levels).
+const Int8 Precision = 1
 
 // String names the precision.
 func (p Precision) String() string {
-	switch p {
-	case Int8:
+	if p == Int8 {
 		return "int8"
-	case Int16:
-		return "int16"
-	default:
-		return fmt.Sprintf("Precision(%d)", uint8(p))
 	}
+	return fmt.Sprintf("Precision(%d)", uint8(p))
 }
 
-// maxCode returns the largest code value of the precision.
-func (p Precision) maxCode() float64 {
-	if p == Int16 {
-		return 65535
-	}
-	return 255
-}
+// maxCode is the largest code value.
+const maxCode = 255
 
 const (
 	magic         = "DRQS"
@@ -103,22 +98,19 @@ const (
 	sectionAlign = 64
 )
 
-// BuildConfig parameterizes store construction. The zero value quantizes
-// every dimension to Int8 in the natural dimension order with min/max
-// scales computed from the data.
+// BuildConfig parameterizes store construction. The zero value stores the
+// codes in the natural dimension order with min/max scales computed from
+// the data.
 type BuildConfig struct {
-	// Precision is the code width (default Int8).
+	// Precision is the code width; zero means Int8, the only legal value.
 	Precision Precision
 	// BlockRows is the number of rows per code block (default 4096).
 	BlockRows int
 	// Perm, if non-nil, is the storage order: storage dimension j holds
-	// original dimension Perm[j]. Pass a coherence or eigenvalue order
-	// (internal/reduction) so FullDims keeps the most coherent components
-	// at full precision. Must be a permutation of [0, d).
+	// original dimension Perm[j]. Pass ScaleAccumulator.VarianceOrder so the
+	// early-abandon prefix reads the dimensions that carry the distance
+	// mass. Must be a permutation of [0, d).
 	Perm []int
-	// FullDims keeps the first FullDims storage dimensions at float32
-	// precision instead of quantizing them (default 0).
-	FullDims int
 	// Mins and Steps, if non-nil, are externally computed per-dimension
 	// scales in ORIGINAL dimension order (e.g. from a whitening transform,
 	// or from a streaming min/max pass). Both or neither must be set; when
@@ -139,22 +131,15 @@ func (c BuildConfig) withDefaults() BuildConfig {
 }
 
 func (c BuildConfig) validate(d int) error {
-	if c.Precision != Int8 && c.Precision != Int16 {
+	if c.Precision != Int8 {
 		return fmt.Errorf("store: unknown precision %d", c.Precision)
-	}
-	if c.FullDims < 0 || c.FullDims > d {
-		return fmt.Errorf("store: FullDims=%d outside [0, %d]", c.FullDims, d)
 	}
 	if c.Perm != nil {
 		if len(c.Perm) != d {
 			return fmt.Errorf("store: perm length %d for %d dims", len(c.Perm), d)
 		}
-		seen := make([]bool, d)
-		for _, p := range c.Perm {
-			if p < 0 || p >= d || seen[p] {
-				return fmt.Errorf("store: perm is not a permutation of [0,%d)", d)
-			}
-			seen[p] = true
+		if !isPermutation(c.Perm) {
+			return fmt.Errorf("store: perm is not a permutation of [0,%d)", d)
 		}
 	}
 	if (c.Mins == nil) != (c.Steps == nil) {
@@ -169,16 +154,12 @@ func (c BuildConfig) validate(d int) error {
 // layout is the resolved geometry of a store file.
 type layout struct {
 	n, d      int
-	prec      Precision
-	fullDims  int
 	blockRows int
-	// quantDims = d − fullDims; codeStride is the padded byte length of one
-	// code row.
-	quantDims  int
+	// codeStride is the padded byte length of one code row.
 	codeStride int
 
 	permOff, minsOff, stepsOff int64
-	f32Off, codesOff           int64
+	codesOff                   int64
 	snormOff, exactOff         int64
 	fileSize                   int64
 }
@@ -186,10 +167,9 @@ type layout struct {
 func align(x int64, a int64) int64 { return (x + a - 1) / a * a }
 
 // computeLayout derives every section offset from the shape parameters.
-func computeLayout(n, d int, prec Precision, fullDims, blockRows int) layout {
-	l := layout{n: n, d: d, prec: prec, fullDims: fullDims, blockRows: blockRows}
-	l.quantDims = d - fullDims
-	l.codeStride = int(align(int64(l.quantDims)*int64(prec), codeRowAlign))
+func computeLayout(n, d, blockRows int) layout {
+	l := layout{n: n, d: d, blockRows: blockRows}
+	l.codeStride = int(align(int64(d), codeRowAlign))
 	nBlocks := (n + blockRows - 1) / blockRows
 	codesLen := int64(nBlocks) * int64(blockRows) * int64(l.codeStride)
 
@@ -200,8 +180,6 @@ func computeLayout(n, d int, prec Precision, fullDims, blockRows int) layout {
 	off = l.minsOff + 8*int64(d)
 	l.stepsOff = align(off, sectionAlign)
 	off = l.stepsOff + 8*int64(d)
-	l.f32Off = align(off, sectionAlign)
-	off = l.f32Off + 4*int64(fullDims)*int64(n)
 	l.codesOff = align(off, sectionAlign)
 	off = l.codesOff + codesLen
 	l.snormOff = align(off, sectionAlign)
@@ -211,7 +189,10 @@ func computeLayout(n, d int, prec Precision, fullDims, blockRows int) layout {
 	return l
 }
 
-// encodeHeader serializes the layout into the fixed header block.
+// encodeHeader serializes the layout into the fixed header block. Bytes
+// 32–39 and 72–79 are the retired layouts' slots (see the package comment):
+// code width Int8, zero float32 head dimensions, and a zero-length float32
+// region sitting at the codes offset.
 func (l layout) encodeHeader() []byte {
 	h := make([]byte, headerSize)
 	copy(h, magic)
@@ -220,14 +201,14 @@ func (l layout) encodeHeader() []byte {
 	le.PutUint64(h[8:], endianSentinel)
 	le.PutUint64(h[16:], uint64(l.n))
 	le.PutUint64(h[24:], uint64(l.d))
-	le.PutUint32(h[32:], uint32(l.prec))
-	le.PutUint32(h[36:], uint32(l.fullDims))
+	le.PutUint32(h[32:], uint32(Int8))
+	le.PutUint32(h[36:], 0)
 	le.PutUint32(h[40:], uint32(l.blockRows))
 	le.PutUint32(h[44:], uint32(l.codeStride))
 	le.PutUint64(h[48:], uint64(l.permOff))
 	le.PutUint64(h[56:], uint64(l.minsOff))
 	le.PutUint64(h[64:], uint64(l.stepsOff))
-	le.PutUint64(h[72:], uint64(l.f32Off))
+	le.PutUint64(h[72:], uint64(l.codesOff))
 	le.PutUint64(h[80:], uint64(l.codesOff))
 	le.PutUint64(h[88:], uint64(l.snormOff))
 	le.PutUint64(h[96:], uint64(l.exactOff))
@@ -251,16 +232,22 @@ func decodeHeader(h []byte) (layout, error) {
 	if s := le.Uint64(h[8:]); s != endianSentinel {
 		return l, fmt.Errorf("store: endian sentinel mismatch (%#x)", s)
 	}
+	prec, f32Dims := le.Uint32(h[32:]), le.Uint32(h[36:])
+	if prec != uint32(Int8) && prec != 2 {
+		return l, fmt.Errorf("store: unknown precision %d", prec)
+	}
+	if prec == 2 || f32Dims > 0 {
+		return l, fmt.Errorf("store: retired layout (%d-byte codes, %d float32 head dims): "+
+			"int16 codes and the float32 head are no longer read, rebuild the file", prec, f32Dims)
+	}
 	l.n = int(le.Uint64(h[16:]))
 	l.d = int(le.Uint64(h[24:]))
-	l.prec = Precision(le.Uint32(h[32:]))
-	l.fullDims = int(le.Uint32(h[36:]))
 	l.blockRows = int(le.Uint32(h[40:]))
 	l.codeStride = int(le.Uint32(h[44:]))
 	l.permOff = int64(le.Uint64(h[48:]))
 	l.minsOff = int64(le.Uint64(h[56:]))
 	l.stepsOff = int64(le.Uint64(h[64:]))
-	l.f32Off = int64(le.Uint64(h[72:]))
+	f32Off := int64(le.Uint64(h[72:]))
 	l.codesOff = int64(le.Uint64(h[80:]))
 	l.snormOff = int64(le.Uint64(h[88:]))
 	l.exactOff = int64(le.Uint64(h[96:]))
@@ -269,15 +256,7 @@ func decodeHeader(h []byte) (layout, error) {
 	if l.n <= 0 || l.d <= 0 || l.blockRows <= 0 {
 		return l, fmt.Errorf("store: invalid shape n=%d d=%d blockRows=%d", l.n, l.d, l.blockRows)
 	}
-	if l.prec != Int8 && l.prec != Int16 {
-		return l, fmt.Errorf("store: unknown precision %d", l.prec)
-	}
-	if l.fullDims < 0 || l.fullDims > l.d {
-		return l, fmt.Errorf("store: fullDims=%d outside [0, %d]", l.fullDims, l.d)
-	}
-	l.quantDims = l.d - l.fullDims
-	want := computeLayout(l.n, l.d, l.prec, l.fullDims, l.blockRows)
-	if want != l {
+	if want := computeLayout(l.n, l.d, l.blockRows); want != l || f32Off != l.codesOff {
 		return l, fmt.Errorf("store: header offsets disagree with computed layout (corrupt or foreign file)")
 	}
 	return l, nil
@@ -300,13 +279,6 @@ func castF64(b []byte) []float64 {
 	return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), len(b)/8)
 }
 
-func castF32(b []byte) []float32 {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), len(b)/4)
-}
-
 func castU32(b []byte) []uint32 {
 	if len(b) == 0 {
 		return nil
@@ -314,17 +286,10 @@ func castU32(b []byte) []uint32 {
 	return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), len(b)/4)
 }
 
-func castU16(b []byte) []uint16 {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*uint16)(unsafe.Pointer(&b[0])), len(b)/2)
-}
-
 // quantize maps x to its code under (min, step), clamped to the code range.
 // step == 0 marks a constant dimension; its code is always 0 and dequant
 // returns min exactly.
-func quantize(x, min, step, maxCode float64) uint64 {
+func quantize(x, min, step float64) uint8 {
 	if step == 0 {
 		return 0
 	}
@@ -333,9 +298,9 @@ func quantize(x, min, step, maxCode float64) uint64 {
 		return 0
 	}
 	if c > maxCode {
-		return uint64(maxCode)
+		return maxCode
 	}
-	return uint64(c)
+	return uint8(c)
 }
 
 // ScaleAccumulator builds min/max scales from a stream of rows, so callers
@@ -416,14 +381,14 @@ func (a *ScaleAccumulator) VarianceOrder() []int {
 	return perm
 }
 
-// Scales finalizes (min, step) per dimension for the precision, in original
-// dimension order: step = (max − min) / maxCode, so codes span the full
-// range and the round-trip error is at most step/2 per dimension. Constant
-// (or never-observed) dimensions get step 0.
-func (a *ScaleAccumulator) Scales(prec Precision) (mins, steps []float64) {
+// Scales finalizes (min, step) per dimension, in original dimension order:
+// step = (max − min) / 255, so codes span the full range and the round-trip
+// error is at most step/2 per dimension. Constant (or never-observed)
+// dimensions get step 0. The argument names the code width; Int8 is the
+// only one, so it does not enter the result.
+func (a *ScaleAccumulator) Scales(Precision) (mins, steps []float64) {
 	mins = make([]float64, len(a.mins))
 	steps = make([]float64, len(a.mins))
-	maxCode := prec.maxCode()
 	for j := range mins {
 		lo, hi := a.mins[j], a.maxs[j]
 		if a.n == 0 || lo > hi {
@@ -437,6 +402,19 @@ func (a *ScaleAccumulator) Scales(prec Precision) (mins, steps []float64) {
 	return mins, steps
 }
 
+// isPermutation reports whether perm holds every value of [0, len(perm))
+// exactly once.
+func isPermutation(perm []int) bool {
+	seen := make([]bool, len(perm))
+	for _, p := range perm {
+		if p < 0 || p >= len(perm) || seen[p] {
+			return false
+		}
+		seen[p] = true
+	}
+	return true
+}
+
 // identityPerm returns [0, 1, ..., d).
 func identityPerm(d int) []int {
 	p := make([]int, d)
@@ -446,7 +424,7 @@ func identityPerm(d int) []int {
 	return p
 }
 
-// writeFileRegions is shared by Writer finalization: flush header and the
+// writeMeta is Writer finalization's last step: flush the header and the
 // small metadata sections.
 func writeMeta(f *os.File, l layout, perm []int, mins, steps []float64) error {
 	if _, err := f.WriteAt(l.encodeHeader(), 0); err != nil {

@@ -1,10 +1,14 @@
 package store
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -61,17 +65,22 @@ func reversePerm(d int) []int {
 	return p
 }
 
-// storeVariants is the configuration matrix the contract tests run under:
-// both precisions, identity and non-identity storage orders, with and
-// without a full-precision prefix, and a block size smaller than n.
-func storeVariants(d int) map[string]BuildConfig {
+// storeVariants is the one configuration matrix the contract tests run
+// under: the natural storage order, a fixed non-identity order, the
+// variance-descending order every recorded run builds with, and a block
+// size smaller than n. Whether the early-abandon prefix is active depends
+// only on the width of data — see prefixTestDims.
+func storeVariants(data *linalg.Dense) map[string]BuildConfig {
+	n, d := data.Dims()
+	acc := NewScaleAccumulator(d)
+	for i := 0; i < n; i++ {
+		acc.Add(data.RawRow(i))
+	}
 	return map[string]BuildConfig{
 		"int8":          {Precision: Int8},
-		"int16":         {Precision: Int16},
-		"int8-perm":     {Precision: Int8, Perm: reversePerm(d)},
-		"int8-full8":    {Precision: Int8, FullDims: 8},
-		"int16-full4":   {Precision: Int16, Perm: reversePerm(d), FullDims: 4},
-		"int8-smallblk": {Precision: Int8, BlockRows: 64},
+		"int8-perm":     {Perm: reversePerm(d)},
+		"int8-variance": {Perm: acc.VarianceOrder()},
+		"int8-smallblk": {BlockRows: 64},
 	}
 }
 
@@ -79,7 +88,7 @@ func storeVariants(d int) map[string]BuildConfig {
 // exact matrix must reproduce the source rows bit for bit.
 func TestExactRegionBitIdentical(t *testing.T) {
 	data, _ := testData(t, 300, 1, 37, 11)
-	for name, cfg := range storeVariants(37) {
+	for name, cfg := range storeVariants(data) {
 		s := buildStore(t, data, cfg)
 		em := s.ExactMatrix()
 		for i := 0; i < data.Rows(); i++ {
@@ -95,34 +104,17 @@ func TestExactRegionBitIdentical(t *testing.T) {
 }
 
 // TestRoundTripErrorBound is the quantization property test: for every
-// stored point and every dimension, |dequant(quant(x)) − x| ≤ step/2 (plus
-// float32 rounding on full-precision prefix dims).
+// stored point and every dimension, |dequant(quant(x)) − x| ≤ step/2.
 func TestRoundTripErrorBound(t *testing.T) {
 	data, _ := testData(t, 400, 1, 29, 13)
-	for name, cfg := range storeVariants(29) {
+	for name, cfg := range storeVariants(data) {
 		s := buildStore(t, data, cfg)
 		steps := s.Steps()
-		full := make([]bool, 29)
-		if f := s.FullDims(); f > 0 {
-			perm := cfg.Perm
-			if perm == nil {
-				perm = identityPerm(29)
-			}
-			for j := 0; j < f; j++ {
-				full[perm[j]] = true
-			}
-		}
 		for i := 0; i < data.Rows(); i++ {
 			src, rec := data.RawRow(i), s.DequantRow(i)
 			for j := range src {
 				err := math.Abs(rec[j] - src[j])
-				var bound float64
-				if full[j] {
-					// float32 round-off: half an ulp at the value's scale.
-					bound = math.Abs(src[j])*math.Pow(2, -24) + 1e-300
-				} else {
-					bound = steps[j]/2*(1+1e-12) + 1e-12*math.Abs(src[j])
-				}
+				bound := steps[j]/2*(1+1e-12) + 1e-12*math.Abs(src[j])
 				if err > bound {
 					t.Fatalf("%s: row %d dim %d: |dequant−x| = %g exceeds bound %g (step %g)",
 						name, i, j, err, bound, steps[j])
@@ -140,7 +132,7 @@ func TestRoundTripErrorBound(t *testing.T) {
 func TestFullRescoreBitIdenticalToSearchSetBatch(t *testing.T) {
 	data, queries := testData(t, 500, 24, 31, 17)
 	want := knn.SearchSetBatch(data, queries, 10, knn.Euclidean{}, false)
-	for name, cfg := range storeVariants(31) {
+	for name, cfg := range storeVariants(data) {
 		s := buildStore(t, data, cfg)
 		for qi := 0; qi < queries.Rows(); qi++ {
 			got := s.Search(queries.RawRow(qi), 10, s.Len())
@@ -167,9 +159,12 @@ func TestPartialRescoreRecall(t *testing.T) {
 	data, queries := testData(t, 3000, 32, 64, 19)
 	k := 10
 	want := knn.SearchSetBatch(data, queries, k, knn.Euclidean{}, false)
-	for name, cfg := range storeVariants(64) {
+	for name, cfg := range storeVariants(data) {
 		s := buildStore(t, data, cfg)
-		got := s.SearchBatch(queries, k, 10*k)
+		got := make([][]knn.Neighbor, queries.Rows())
+		for qi := range got {
+			got[qi] = s.Search(queries.RawRow(qi), k, 10*k)
+		}
 		recall := index.MeanRecall(got, want)
 		if recall < 0.99 {
 			t.Errorf("%s: recall@%d = %.4f with rescore budget %d, want >= 0.99", name, k, recall, 10*k)
@@ -259,7 +254,8 @@ func TestWriterMisuse(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsCorruptFiles covers the header validation paths.
+// TestOpenRejectsCorruptFiles covers the header validation paths and the
+// perm/scale regions every query reads through.
 func TestOpenRejectsCorruptFiles(t *testing.T) {
 	data, _ := testData(t, 50, 1, 5, 29)
 	dir := t.TempDir()
@@ -272,11 +268,20 @@ func TestOpenRejectsCorruptFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	l := computeLayout(data.Rows(), data.Cols(), defaultBlockRows)
+	le := binary.LittleEndian
+	setStep := func(v float64) func([]byte) []byte {
+		return func(b []byte) []byte { le.PutUint64(b[l.stepsOff:], math.Float64bits(v)); return b }
+	}
 	cases := map[string]func([]byte) []byte{
-		"bad magic":       func(b []byte) []byte { b[0] = 'X'; return b },
-		"bad version":     func(b []byte) []byte { b[4] = 99; return b },
-		"truncated":       func(b []byte) []byte { return b[:len(b)/2] },
-		"offset tampered": func(b []byte) []byte { b[80] ^= 0x40; return b },
+		"bad magic":         func(b []byte) []byte { b[0] = 'X'; return b },
+		"bad version":       func(b []byte) []byte { b[4] = 99; return b },
+		"truncated":         func(b []byte) []byte { return b[:len(b)/2] },
+		"offset tampered":   func(b []byte) []byte { b[80] ^= 0x40; return b },
+		"perm out of range": func(b []byte) []byte { le.PutUint32(b[l.permOff:], 1000); return b },
+		"perm duplicate":    func(b []byte) []byte { copy(b[l.permOff+4:l.permOff+8], b[l.permOff:]); return b },
+		"NaN step":          setStep(math.NaN()),
+		"negative step":     setStep(-1),
 	}
 	for name, corrupt := range cases {
 		cp := filepath.Join(dir, "bad.qvs")
@@ -338,7 +343,7 @@ func TestStreamingWriterMatchesWrite(t *testing.T) {
 	dir := t.TempDir()
 
 	whole := filepath.Join(dir, "whole.qvs")
-	if err := Write(whole, data, BuildConfig{Precision: Int16, FullDims: 3}); err != nil {
+	if err := Write(whole, data, BuildConfig{Perm: reversePerm(17)}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -346,9 +351,9 @@ func TestStreamingWriterMatchesWrite(t *testing.T) {
 	for i := 0; i < data.Rows(); i++ {
 		acc.Add(data.RawRow(i))
 	}
-	mins, steps := acc.Scales(Int16)
+	mins, steps := acc.Scales(Int8)
 	streamed := filepath.Join(dir, "streamed.qvs")
-	w, err := Create(streamed, data.Rows(), 17, BuildConfig{Precision: Int16, FullDims: 3, Mins: mins, Steps: steps})
+	w, err := Create(streamed, data.Rows(), 17, BuildConfig{Perm: reversePerm(17), Mins: mins, Steps: steps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,10 +384,125 @@ func TestStreamingWriterMatchesWrite(t *testing.T) {
 	}
 }
 
-func randQuery(rng *rand.Rand, d int) []float64 {
-	q := make([]float64, d)
-	for j := range q {
-		q[j] = rng.NormFloat64()
+// retiredFile writes a file, and returns its header, in the geometry the
+// store had before its layouts were cut to one: codeBytes-wide codes and
+// f32Dims leading dimensions in a float32 region between steps and codes,
+// with every offset, the code stride and the file size exactly as that
+// writer computed them — so the header is self-consistent and a retired
+// field is the only reason to refuse it.
+func retiredFile(t *testing.T, path string, n, d, codeBytes, f32Dims int) []byte {
+	t.Helper()
+	stride := align(int64(d-f32Dims)*int64(codeBytes), codeRowAlign)
+	nBlocks := int64((n + defaultBlockRows - 1) / defaultBlockRows)
+	permOff := int64(headerSize)
+	minsOff := align(permOff+4*int64(d), sectionAlign)
+	stepsOff := align(minsOff+8*int64(d), sectionAlign)
+	f32Off := align(stepsOff+8*int64(d), sectionAlign)
+	codesOff := align(f32Off+4*int64(f32Dims)*int64(n), sectionAlign)
+	snormOff := align(codesOff+nBlocks*defaultBlockRows*stride, sectionAlign)
+	exactOff := align(snormOff+8*int64(n), sectionAlign)
+	fileSize := exactOff + 8*int64(n)*int64(d)
+
+	h := computeLayout(n, d, defaultBlockRows).encodeHeader()
+	le := binary.LittleEndian
+	le.PutUint32(h[32:], uint32(codeBytes))
+	le.PutUint32(h[36:], uint32(f32Dims))
+	le.PutUint32(h[44:], uint32(stride))
+	for i, off := range []int64{permOff, minsOff, stepsOff, f32Off, codesOff, snormOff, exactOff, fileSize} {
+		le.PutUint64(h[48+8*i:], uint64(off))
 	}
-	return q
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write(h); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Truncate(fileSize); err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// TestOpenRejectsRetiredLayouts pins what happens to a file written before
+// the int16 code width and the float32 head were removed: Open names the
+// retired layout instead of mis-reading the regions.
+func TestOpenRejectsRetiredLayouts(t *testing.T) {
+	dir := t.TempDir()
+	for name, c := range map[string]struct{ codeBytes, f32Dims int }{
+		"int16 codes":      {2, 0},
+		"float32 head":     {1, 4},
+		"int16 with head":  {2, 4},
+		"whole-width head": {1, 21},
+	} {
+		path := filepath.Join(dir, "retired.qvs")
+		retiredFile(t, path, 50, 21, c.codeBytes, c.f32Dims)
+		s, err := Open(path)
+		if err == nil {
+			s.Close()
+			t.Errorf("%s: Open accepted a retired layout", name)
+		} else if !strings.Contains(err.Error(), "retired layout") {
+			t.Errorf("%s: Open failed without naming the retired layout: %v", name, err)
+		}
+	}
+	// The helper itself is held to the live layout: at one-byte codes and no
+	// float32 head it must produce the header Open accepts.
+	if _, err := decodeHeader(retiredFile(t, filepath.Join(dir, "live.qvs"), 50, 21, 1, 0)); err != nil {
+		t.Errorf("live-layout header rejected: %v", err)
+	}
+}
+
+// formatDigest is the SHA-256 of the file TestFormatDigest writes, computed
+// at the commit before the int16 width and the float32 head were removed.
+// Format version 1 at int8 is frozen: a change to this constant is a format
+// change and needs a version bump, not a new digest.
+const formatDigest = "b1f5f696366a169cac2ad12b9740ed5d917d35f780f6558cc55500a4903d916f"
+
+// TestFormatDigest writes a fixed 257×70 store — five 64-row blocks with a
+// ragged last one, an 80-byte code stride with ten padding bytes, a
+// constant dimension, values clamped at both ends of the code range — in
+// variance order through Create/Append and compares the file's digest with
+// the pinned one.
+func TestFormatDigest(t *testing.T) {
+	const n, d = 257, 70
+	rng := rand.New(rand.NewSource(1801))
+	rows := make([][]float64, n)
+	acc := NewScaleAccumulator(d)
+	for i := range rows {
+		rows[i] = make([]float64, d)
+		for j := range rows[i] {
+			rows[i][j] = float64(1+j%9) * rng.NormFloat64()
+		}
+		rows[i][13] = 2.5
+		if i < 200 {
+			// Scales come from the first 200 rows, so later rows clamp.
+			acc.Add(rows[i])
+		}
+	}
+	cfg := BuildConfig{Perm: acc.VarianceOrder(), BlockRows: 64}
+	cfg.Mins, cfg.Steps = acc.Scales(Int8)
+	path := filepath.Join(t.TempDir(), "digest.qvs")
+	w, err := Create(path, n, d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range rows {
+		if err := w.Append(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != formatDigest {
+		t.Errorf("store file digest %s, want %s: the on-disk format changed", got, formatDigest)
+	}
+	if formatVersion != 1 {
+		t.Errorf("formatVersion = %d, want 1", formatVersion)
+	}
 }

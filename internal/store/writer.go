@@ -10,18 +10,17 @@ import (
 )
 
 // Writer streams rows into a new store file without ever materializing the
-// float64 matrix in memory: each Append encodes one row's codes, float32
-// prefix, cached quantized norm, and exact bytes into per-region buffers
-// that flush with positioned writes at the offsets the layout fixed up
-// front. cmd/datagen uses it to emit million-point sets with O(d) memory.
+// float64 matrix in memory: each Append encodes one row's codes, cached
+// quantized norm, and exact bytes into per-region buffers that flush with
+// positioned writes at the offsets the layout fixed up front. cmd/datagen
+// uses it to emit million-point sets with O(d) memory.
 //
-// In the file, mins/steps (and codes, and the f32 prefix) are stored in
-// STORAGE order — aligned with the permutation — while BuildConfig supplies
-// scales in original dimension order; Create converts.
+// In the file, mins/steps (and codes) are stored in STORAGE order — aligned
+// with the permutation — while BuildConfig supplies scales in original
+// dimension order; Create converts.
 type Writer struct {
-	f   *os.File
-	l   layout
-	cfg BuildConfig
+	f *os.File
+	l layout
 
 	perm        []int
 	mins, steps []float64 // storage order
@@ -29,13 +28,11 @@ type Writer struct {
 	next int // rows appended so far
 
 	codeBuf  regionBuf
-	f32Buf   regionBuf
 	snormBuf regionBuf
 	exactBuf regionBuf
 
 	rowCodes []byte
 	rowExact []byte
-	rowF32   []byte
 	rowSnorm [8]byte
 }
 
@@ -103,7 +100,7 @@ func Create(path string, n, d int, cfg BuildConfig) (*Writer, error) {
 		steps[j] = cfg.Steps[perm[j]]
 	}
 
-	l := computeLayout(n, d, cfg.Precision, cfg.FullDims, cfg.BlockRows)
+	l := computeLayout(n, d, cfg.BlockRows)
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
@@ -115,17 +112,13 @@ func Create(path string, n, d int, cfg BuildConfig) (*Writer, error) {
 	}
 	const bufRows = 1024
 	w := &Writer{
-		f: f, l: l, cfg: cfg,
+		f: f, l: l,
 		perm: perm, mins: mins, steps: steps,
 		codeBuf:  newRegionBuf(f, l.codesOff, bufRows*l.codeStride),
 		snormBuf: newRegionBuf(f, l.snormOff, bufRows*8),
 		exactBuf: newRegionBuf(f, l.exactOff, bufRows*8*d),
 		rowCodes: make([]byte, l.codeStride),
 		rowExact: make([]byte, 8*d),
-	}
-	if l.fullDims > 0 {
-		w.f32Buf = newRegionBuf(f, l.f32Off, bufRows*4*l.fullDims)
-		w.rowF32 = make([]byte, 4*l.fullDims)
 	}
 	return w, nil
 }
@@ -145,30 +138,13 @@ func (w *Writer) Append(row []float64) error {
 	if err := w.exactBuf.write(w.rowExact); err != nil {
 		return err
 	}
-	F := w.l.fullDims
-	for j := 0; j < F; j++ {
-		le.PutUint32(w.rowF32[4*j:], math.Float32bits(float32(row[w.perm[j]])))
-	}
-	if F > 0 {
-		if err := w.f32Buf.write(w.rowF32); err != nil {
-			return err
-		}
-	}
-	maxCode := w.cfg.Precision.maxCode()
+	// rowCodes[d:] is the stride padding; it is never written and stays zero.
 	snorm := 0.0
-	for i := range w.rowCodes {
-		w.rowCodes[i] = 0 // stride padding stays zero
-	}
-	for j := F; j < w.l.d; j++ {
-		c := quantize(row[w.perm[j]], w.mins[j], w.steps[j], maxCode)
+	for j, pj := range w.perm {
+		c := quantize(row[pj], w.mins[j], w.steps[j])
 		v := w.steps[j] * float64(c)
 		snorm += v * v
-		q := j - F
-		if w.cfg.Precision == Int8 {
-			w.rowCodes[q] = uint8(c)
-		} else {
-			le.PutUint16(w.rowCodes[2*q:], uint16(c))
-		}
+		w.rowCodes[j] = c
 	}
 	if err := w.codeBuf.write(w.rowCodes); err != nil {
 		return err
@@ -190,12 +166,6 @@ func (w *Writer) Close() error {
 	}
 	for _, r := range []*regionBuf{&w.codeBuf, &w.snormBuf, &w.exactBuf} {
 		if err := r.flush(); err != nil {
-			w.f.Close()
-			return err
-		}
-	}
-	if w.l.fullDims > 0 {
-		if err := w.f32Buf.flush(); err != nil {
 			w.f.Close()
 			return err
 		}

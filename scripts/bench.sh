@@ -40,7 +40,7 @@ trap 'rm -f "$tmp"' EXIT
 
 # The ns-scale Dot kernels need enough iterations to swamp timer overhead,
 # so they get a time-based budget instead of the fixed iteration count.
-go test -run=NONE -benchtime=200ms -bench='^(BenchmarkDot166|BenchmarkDotQ15U8_166|BenchmarkDotQ15U16_166|BenchmarkDotQ15U8x4_166|BenchmarkDotQ15U8x8_166)$' ./internal/linalg/ >>"$tmp"
+go test -run=NONE -benchtime=200ms -bench='^(BenchmarkDot166|BenchmarkDotQ15U8_166|BenchmarkDotQ15U8x8_166)$' ./internal/linalg/ >>"$tmp"
 go test -run=NONE -benchtime="$benchtime" \
   -bench='^(BenchmarkMulT512x166|BenchmarkMulNaiveT512x166|BenchmarkAtA6598x166)$' \
   ./internal/linalg/ >>"$tmp"
@@ -49,7 +49,7 @@ go test -run=NONE -benchtime="$benchtime" \
   ./internal/knn/ >>"$tmp"
 go test -run=NONE -benchtime="$benchtime" -bench='^BenchmarkLSHQueryD166$' . >>"$tmp"
 go test -run=NONE -benchtime="$benchtime" \
-  -bench='^(BenchmarkStoreSearchInt8_6598x166|BenchmarkStoreSearchInt16_6598x166|BenchmarkExactSearch6598x166)$' \
+  -bench='^(BenchmarkStoreSearchInt8_6598x166|BenchmarkExactSearch6598x166)$' \
   ./internal/store/ >>"$tmp"
 # One full drlint pass (parse + type-check + all seventeen rules, witness
 # build included): the cost CI and `go test ./...` pay per run, recorded so
