@@ -52,3 +52,19 @@ func TestMulTIntoAllocatesOnePanel(t *testing.T) {
 		t.Errorf("MulTInto allocated %d bytes, want at most one panel (%d)", got, limit)
 	}
 }
+
+// TestEigSymAllocs pins EigSym's allocation count at the paper's d = 166:
+// 177 (the working copy, d and e, the sort permutation, and one column slice
+// per eigenvector in sortEigen). reduce_pipeline's resident-memory reading
+// depends on bytes allocated per op (ROADMAP 1(e)), so a change here is a
+// change to that workload and has to be made on purpose.
+func TestEigSymAllocs(t *testing.T) {
+	a := covShaped(166)
+	if avg := testing.AllocsPerRun(3, func() {
+		if _, err := EigSym(a); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 177 {
+		t.Errorf("EigSym(166x166) does %.0f allocs/op, want 177", avg)
+	}
+}

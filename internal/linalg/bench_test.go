@@ -10,8 +10,27 @@ func benchSym(n int) *Dense {
 	return randSym(rng, n)
 }
 
+// covShaped returns an n x n sample covariance (3n points), the input the
+// PCA fit hands the eigensolver: PSD with a decaying, well-separated
+// spectrum, unlike benchSym's indefinite matrix.
+func covShaped(n int) *Dense {
+	rng := rand.New(rand.NewSource(99))
+	return AtA(randDense(rng, 3*n, n)).Scale(1 / float64(3*n))
+}
+
 func BenchmarkEigSymQL64(b *testing.B) {
 	a := benchSym(64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := EigSymQL(a); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEigSymQL166 is the solver at the size reduce_pipeline runs it.
+func BenchmarkEigSymQL166(b *testing.B) {
+	a := covShaped(166)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := EigSymQL(a); err != nil {

@@ -21,15 +21,22 @@ type EigenDecomposition struct {
 // converge within its iteration budget.
 var ErrNoConvergence = errors.New("linalg: eigensolver failed to converge")
 
+// ErrNotFinite is returned when the matrix handed to an eigensolver holds a
+// NaN or ±Inf entry. Neither solver can make progress on one: QL gives up
+// after its iteration budget, Jacobi spins through all of its sweeps, and an
+// infinite diagonal comes back as an "eigenvalue".
+var ErrNotFinite = errors.New("linalg: matrix has a non-finite entry")
+
 // EigSym computes the spectral decomposition of the symmetric matrix a.
 // It first attempts the fast Householder-tridiagonalization + implicit-shift
 // QL path and falls back to the (slower but extremely robust) cyclic Jacobi
 // method if QL fails to converge. The input is not modified.
 func EigSym(a *Dense) (*EigenDecomposition, error) {
-	if a.Rows() != a.Cols() {
-		return nil, fmt.Errorf("linalg: EigSym requires a square matrix, got %dx%d", a.Rows(), a.Cols())
+	maxAbs, err := checkSquareFinite("EigSym", a)
+	if err != nil {
+		return nil, err
 	}
-	if !a.IsSymmetric(1e-10 * (1 + a.MaxAbs())) {
+	if !a.IsSymmetric(1e-10 * (1 + maxAbs)) {
 		return nil, errors.New("linalg: EigSym requires a symmetric matrix")
 	}
 	ed, err := eigSymTridiag(a)
@@ -42,8 +49,8 @@ func EigSym(a *Dense) (*EigenDecomposition, error) {
 // EigSymJacobi computes the spectral decomposition using the cyclic Jacobi
 // method only. It is exposed for cross-validation against the QL path.
 func EigSymJacobi(a *Dense) (*EigenDecomposition, error) {
-	if a.Rows() != a.Cols() {
-		return nil, fmt.Errorf("linalg: EigSymJacobi requires a square matrix, got %dx%d", a.Rows(), a.Cols())
+	if _, err := checkSquareFinite("EigSymJacobi", a); err != nil {
+		return nil, err
 	}
 	return eigSymJacobi(a)
 }
@@ -51,10 +58,29 @@ func EigSymJacobi(a *Dense) (*EigenDecomposition, error) {
 // EigSymQL computes the spectral decomposition using Householder
 // tridiagonalization followed by the implicit-shift QL algorithm only.
 func EigSymQL(a *Dense) (*EigenDecomposition, error) {
-	if a.Rows() != a.Cols() {
-		return nil, fmt.Errorf("linalg: EigSymQL requires a square matrix, got %dx%d", a.Rows(), a.Cols())
+	if _, err := checkSquareFinite("EigSymQL", a); err != nil {
+		return nil, err
 	}
 	return eigSymTridiag(a)
+}
+
+// checkSquareFinite is the one pass every entry point makes over its input:
+// it rejects a non-square matrix and a NaN or ±Inf entry (ErrNotFinite), and
+// returns the largest absolute entry, which scales EigSym's symmetry
+// tolerance.
+func checkSquareFinite(fn string, a *Dense) (maxAbs float64, err error) {
+	if a.rows != a.cols {
+		return 0, fmt.Errorf("linalg: %s requires a square matrix, got %dx%d", fn, a.rows, a.cols)
+	}
+	for i, v := range a.data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return 0, fmt.Errorf("%w: %s got %v at (%d,%d)", ErrNotFinite, fn, v, i/a.cols, i%a.cols)
+		}
+		if abs := math.Abs(v); abs > maxAbs {
+			maxAbs = abs
+		}
+	}
+	return maxAbs, nil
 }
 
 // eigSymJacobi implements the cyclic Jacobi eigenvalue algorithm with the
@@ -145,16 +171,41 @@ func eigSymJacobi(in *Dense) (*EigenDecomposition, error) {
 
 // eigSymTridiag reduces a to tridiagonal form with Householder reflections
 // (tred2) and then diagonalizes with the implicit-shift QL algorithm (tqli).
+//
+// Layout: tred2 leaves the accumulated transformation Z in z; tqli would
+// rotate pairs of its columns, a stride-n walk, so z is transposed in place
+// between the two and tqli rotates pairs of contiguous rows of Zᵀ; it is
+// transposed back before the eigenvectors are sorted into columns.
+//
+// Both routines index z.data directly, and every floating-point expression
+// keeps the shape, operand order and per-element loop order of the
+// At/Set-based EISPACK transcription frozen in eigen_test.go (no
+// re-association: arm64 may fuse x*y+z, so even an algebraically equal
+// rewrite can change bits). TestEigSymBitIdenticalToOracle holds Values and
+// Vectors to that transcription bit for bit; results downstream (coherence
+// order, accuracy) are pinned to these bits.
 func eigSymTridiag(in *Dense) (*EigenDecomposition, error) {
 	n := in.Rows()
 	z := in.Clone() // will accumulate the transformation
 	d := make([]float64, n)
 	e := make([]float64, n)
 	tred2(z, d, e)
+	transposeSquare(z)
 	if err := tqli(d, e, z); err != nil {
 		return nil, err
 	}
+	transposeSquare(z)
 	return sortEigen(d, z), nil
+}
+
+// transposeSquare transposes the square matrix m in place.
+func transposeSquare(m *Dense) {
+	n, a := m.rows, m.data
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			a[i*n+j], a[j*n+i] = a[j*n+i], a[i*n+j]
+		}
+	}
 }
 
 // tred2 performs Householder reduction of the symmetric matrix z to
@@ -163,89 +214,93 @@ func eigSymTridiag(in *Dense) (*EigenDecomposition, error) {
 // Adapted to 0-based indexing from the classic EISPACK/Numerical Recipes
 // routine.
 func tred2(z *Dense, d, e []float64) {
-	n := z.Rows()
+	n, a := z.rows, z.data
 	for i := n - 1; i >= 1; i-- {
 		l := i - 1
+		zi := a[i*n : i*n+i] // row i left of the diagonal: z(i, 0..l)
 		h := 0.0
 		scale := 0.0
 		if l > 0 {
-			for k := 0; k <= l; k++ {
-				scale += math.Abs(z.At(i, k))
+			for _, v := range zi {
+				scale += math.Abs(v)
 			}
 			if scale == 0 {
-				e[i] = z.At(i, l)
+				e[i] = zi[l]
 			} else {
-				for k := 0; k <= l; k++ {
-					zik := z.At(i, k) / scale
-					z.Set(i, k, zik)
+				for k, v := range zi {
+					zik := v / scale
+					zi[k] = zik
 					h += zik * zik
 				}
-				f := z.At(i, l)
+				f := zi[l]
 				g := math.Sqrt(h)
 				if f >= 0 {
 					g = -g
 				}
 				e[i] = scale * g
 				h -= f * g
-				z.Set(i, l, f-g)
+				zi[l] = f - g
 				f = 0.0
 				for j := 0; j <= l; j++ {
-					z.Set(j, i, z.At(i, j)/h)
+					a[j*n+i] = zi[j] / h
 					g = 0.0
-					for k := 0; k <= j; k++ {
-						g += z.At(j, k) * z.At(i, k)
+					zj := a[j*n : j*n+j+1]
+					for k, v := range zj {
+						g += v * zi[k]
 					}
 					for k := j + 1; k <= l; k++ {
-						g += z.At(k, j) * z.At(i, k)
+						g += a[k*n+j] * zi[k]
 					}
 					e[j] = g / h
-					f += e[j] * z.At(i, j)
+					f += e[j] * zi[j]
 				}
 				hh := f / (h + h)
 				for j := 0; j <= l; j++ {
-					f = z.At(i, j)
+					f = zi[j]
 					g = e[j] - hh*f
 					e[j] = g
-					for k := 0; k <= j; k++ {
-						z.Set(j, k, z.At(j, k)-f*e[k]-g*z.At(i, k))
+					zj := a[j*n : j*n+j+1]
+					for k, v := range zj {
+						zj[k] = v - f*e[k] - g*zi[k]
 					}
 				}
 			}
 		} else {
-			e[i] = z.At(i, l)
+			e[i] = zi[l]
 		}
 		d[i] = h
 	}
 	d[0] = 0.0
 	e[0] = 0.0
 	for i := 0; i < n; i++ {
-		l := i - 1
+		zi := a[i*n : i*n+i] // z(i, 0..i-1)
 		if d[i] != 0 {
-			for j := 0; j <= l; j++ {
+			for j := range zi {
 				g := 0.0
-				for k := 0; k <= l; k++ {
-					g += z.At(i, k) * z.At(k, j)
+				for k, v := range zi {
+					g += v * a[k*n+j]
 				}
-				for k := 0; k <= l; k++ {
-					z.Set(k, j, z.At(k, j)-g*z.At(k, i))
+				for k := range zi {
+					a[k*n+j] -= g * a[k*n+i]
 				}
 			}
 		}
-		d[i] = z.At(i, i)
-		z.Set(i, i, 1.0)
-		for j := 0; j <= l; j++ {
-			z.Set(j, i, 0.0)
-			z.Set(i, j, 0.0)
+		d[i] = a[i*n+i]
+		a[i*n+i] = 1.0
+		for j := range zi {
+			a[j*n+i] = 0.0
+			zi[j] = 0.0
 		}
 	}
 }
 
 // tqli diagonalizes a symmetric tridiagonal matrix given by diagonal d and
 // subdiagonal e (e[0] unused) using the QL algorithm with implicit shifts,
-// accumulating the rotations into z. On success d holds the eigenvalues and
-// the columns of z the eigenvectors.
-func tqli(d, e []float64, z *Dense) error {
-	n := len(d)
+// accumulating the rotations into zt, the transpose of tred2's
+// transformation. On success d holds the eigenvalues and the rows of zt the
+// eigenvectors.
+func tqli(d, e []float64, zt *Dense) error {
+	n, a := len(d), zt.data
 	for i := 1; i < n; i++ {
 		e[i-1] = e[i]
 	}
@@ -293,10 +348,12 @@ func tqli(d, e []float64, z *Dense) error {
 				p = s * r
 				d[i+1] = g + p
 				g = c*r - b
-				for k := 0; k < n; k++ {
-					f = z.At(k, i+1)
-					z.Set(k, i+1, s*z.At(k, i)+c*f)
-					z.Set(k, i, c*z.At(k, i)-s*f)
+				lo := a[i*n : (i+1)*n]     // column i of Z
+				hi := a[(i+1)*n : (i+2)*n] // column i+1 of Z
+				for k, v := range lo {
+					f = hi[k]
+					hi[k] = s*v + c*f
+					lo[k] = c*v - s*f
 				}
 			}
 			if underflow {
@@ -343,10 +400,7 @@ func (ed *EigenDecomposition) Descending() ([]float64, *Dense) {
 
 // Reconstruct returns V Λ Vᵀ, useful for verifying the decomposition.
 func (ed *EigenDecomposition) Reconstruct() *Dense {
-	n := len(ed.Values)
-	lam := Diag(ed.Values)
-	_ = n
-	return ed.Vectors.Mul(lam).Mul(ed.Vectors.T())
+	return ed.Vectors.Mul(Diag(ed.Values)).Mul(ed.Vectors.T())
 }
 
 // Residual returns the max-abs entry of A·V − V·Λ, a direct measure of the

@@ -1,6 +1,7 @@
 package reduction
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -50,6 +51,18 @@ func TestAccumulatorFitMatchesBatchFit(t *testing.T) {
 		if math.Abs(math.Abs(a[i])-math.Abs(b[i])) > 1e-7 {
 			t.Fatalf("projection %d: |%v| vs |%v|", i, a[i], b[i])
 		}
+	}
+}
+
+func TestAccumulatorFitNonFiniteIsTyped(t *testing.T) {
+	ds := synthetic.IonosphereLike(2)
+	acc := NewCovarianceAccumulator(ds.Dims())
+	acc.AddMatrix(ds.X)
+	bad := ds.X.Row(0)
+	bad[3] = math.Inf(1)
+	acc.Add(bad)
+	if p, err := acc.FitPCA(); !errors.Is(err, linalg.ErrNotFinite) || p != nil {
+		t.Fatalf("FitPCA after an Inf point returned fit %v, error %v, want linalg.ErrNotFinite", p != nil, err)
 	}
 }
 
