@@ -6,7 +6,7 @@
 //
 // The library covers the full pipeline the paper evaluates:
 //
-//   - labelled data sets (CSV/ARFF loaders plus synthetic generators that
+//   - labelled data sets (a CSV loader plus synthetic generators that
 //     stand in for the paper's UCI workloads),
 //   - PCA with covariance or correlation (studentized) normalization,
 //   - the paper's coherence model — per-direction coherence factors and
@@ -74,12 +74,6 @@ func ReadCSV(r io.Reader, name string, opts CSVOptions) (*Dataset, error) {
 
 // WriteCSV writes features plus a final class column.
 func WriteCSV(w io.Writer, d *Dataset) error { return dataset.WriteCSV(w, d) }
-
-// ReadARFF parses the Weka/UCI ARFF format; the last nominal attribute
-// becomes the class.
-func ReadARFF(r io.Reader, fallbackName string) (*Dataset, error) {
-	return dataset.ReadARFF(r, fallbackName)
-}
 
 // LatentFactorConfig describes a synthetic data set with low implicit
 // dimensionality: x = S(Wz + ε) with a class-dependent latent z.

@@ -12,9 +12,8 @@ import (
 
 // This file exposes the extension features the paper sketches beyond its
 // core evaluation: local (projected-clustering) reduction for data with
-// high global implicit dimensionality (§3.1), streaming covariance
-// maintenance for dynamic databases (reference [17]), and the economical
-// partial-decomposition fitting paths.
+// high global implicit dimensionality (§3.1) and streaming covariance
+// maintenance for dynamic databases (reference [17]).
 
 // SearchSetBatch is SearchSet routed through the blocked batch-distance
 // engine: for Euclidean and SquaredEuclidean metrics, squared distances come
@@ -70,18 +69,6 @@ type CovarianceAccumulator = reduction.CovarianceAccumulator
 // NewCovarianceAccumulator creates an accumulator for d-dimensional points.
 func NewCovarianceAccumulator(d int) *CovarianceAccumulator {
 	return reduction.NewCovarianceAccumulator(d)
-}
-
-// FitSVD computes the same transform as Fit via the SVD of the data matrix
-// (numerically preferable when eigenvalues span many orders of magnitude or
-// when n < d).
-func FitSVD(x *Matrix, opts Options) (*PCA, error) { return reduction.FitSVD(x, opts) }
-
-// FitTopK computes only the k leading principal components via Lanczos
-// iteration — economical when d is large and only an aggressive reduction
-// is wanted.
-func FitTopK(x *Matrix, k int, opts Options, seed int64) (*PCA, error) {
-	return reduction.FitTopK(x, k, opts, seed)
 }
 
 // IGrid is the inverted-grid similarity index of the paper's reference [3]:

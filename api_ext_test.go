@@ -55,30 +55,6 @@ func TestPublicStreamingAccumulator(t *testing.T) {
 	}
 }
 
-func TestPublicFitVariants(t *testing.T) {
-	ds := IonosphereLike(2)
-	svd, err := FitSVD(ds.X, Options{Scaling: ScalingStudentize})
-	if err != nil {
-		t.Fatal(err)
-	}
-	topk, err := FitTopK(ds.X, 5, Options{Scaling: ScalingStudentize}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := Fit(ds.X, Options{Scaling: ScalingStudentize})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if math.Abs(svd.Eigenvalues[i]-full.Eigenvalues[i]) > 1e-6 {
-			t.Fatalf("svd eigenvalue %d diverges", i)
-		}
-		if math.Abs(topk.Eigenvalues[i]-full.Eigenvalues[i]) > 1e-5 {
-			t.Fatalf("topk eigenvalue %d diverges", i)
-		}
-	}
-}
-
 func TestPublicIGridAndIDistance(t *testing.T) {
 	ds := UniformCube("u", 300, 6, 4)
 	g := BuildIGrid(ds.X, 6, 2)
@@ -111,25 +87,6 @@ func TestPublicCorrelationDimension(t *testing.T) {
 	}
 	if est.D2 < 1.5 || est.D2 > 3.5 {
 		t.Fatalf("uniform cube D2 = %v", est.D2)
-	}
-}
-
-func TestPublicWhitenedTransform(t *testing.T) {
-	ds := IonosphereLike(3)
-	p, err := FitDataset(ds, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	comps := p.TopK(ByEigenvalue, 4)
-	w := p.TransformWhitened(ds.X, comps)
-	if w.Cols() != 4 || w.Rows() != ds.N() {
-		t.Fatalf("whitened shape %dx%d", w.Rows(), w.Cols())
-	}
-	single := p.TransformPointWhitened(ds.X.Row(0), comps)
-	for j := range single {
-		if math.Abs(single[j]-w.At(0, j)) > 1e-12 {
-			t.Fatalf("whitened point diverges at %d", j)
-		}
 	}
 }
 

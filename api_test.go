@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -43,17 +42,6 @@ func TestPublicCSVRoundTrip(t *testing.T) {
 	}
 	if !back.X.Equal(ds.X, 0) {
 		t.Fatalf("round trip changed features")
-	}
-}
-
-func TestPublicARFF(t *testing.T) {
-	in := "@relation r\n@attribute a numeric\n@attribute c {x,y}\n@data\n1,x\n2,y\n"
-	ds, err := ReadARFF(strings.NewReader(in), "r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.N() != 2 || ds.Dims() != 1 {
-		t.Fatalf("arff shape: %s", ds)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package dataset provides the data-handling substrate: an in-memory
-// labelled data set abstraction, CSV and ARFF loaders for real data, and
+// labelled data set abstraction, a CSV loader for real data, and
 // (in the synthetic subpackage) generators that stand in for the UCI data
 // sets used by the paper.
 //

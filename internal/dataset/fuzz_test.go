@@ -2,13 +2,12 @@ package dataset
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 )
 
-// Fuzz targets for the two parsers: whatever bytes arrive, the parsers must
-// either return an error or a structurally valid data set — never panic,
-// never return a set that fails Validate.
+// Fuzz target for the CSV parser: whatever bytes arrive, it must either
+// return an error or a structurally valid data set — never panic, never
+// return a set that fails Validate.
 
 func FuzzReadCSV(f *testing.F) {
 	f.Add([]byte("1,2,a\n3,4,b\n"), true, -1)
@@ -49,40 +48,6 @@ func FuzzReadCSV(f *testing.F) {
 		}
 		if back.N() != ds.N() || back.Dims() != ds.Dims() {
 			t.Fatalf("round trip changed shape: %dx%d vs %dx%d", back.N(), back.Dims(), ds.N(), ds.Dims())
-		}
-	})
-}
-
-func FuzzReadARFF(f *testing.F) {
-	f.Add("@relation r\n@attribute a numeric\n@attribute c {x,y}\n@data\n1,x\n")
-	f.Add("@relation r\n@attribute 'q a' real\n@attribute c {x}\n@data\n2,x\n")
-	f.Add("% comment\n@data\n")
-	f.Add("@attribute only numeric\n")
-	f.Add("@relation r\n@attribute a {p,q}\n@attribute c {x,y}\n@data\np,x\nq,y\n")
-	f.Add("@relation r\n@attribute a numeric\n@attribute c {x,y}\n@data\n?,x\n")
-	// Quoted attribute names — terminated, unterminated, and mixed quotes.
-	f.Add("@relation 'my rel'\n@attribute \"dotted.name\" numeric\n@attribute 'the class' {x,y}\n@data\n3,y\n")
-	f.Add("@relation r\n@attribute 'unterminated numeric\n@attribute c {x}\n@data\n1,x\n")
-	f.Add("@relation r\n@attribute \"mixed' real\n@attribute c {x}\n@data\n1,x\n")
-	// Weka sparse data format: explicitly unsupported, must error cleanly.
-	f.Add("@relation r\n@attribute a numeric\n@attribute c {x,y}\n@data\n{0 1, 1 x}\n")
-	f.Add("@relation r\n@attribute a numeric\n@attribute c {x,y}\n@data\n{}\n")
-	// Truncated files: header only, cut mid-declaration, cut mid-row.
-	f.Add("@relation r\n@attribute a numeric\n@attribute c {x,y}\n@data\n")
-	f.Add("@relation r\n@attribute a num")
-	f.Add("@relation r\n@attribute a numeric\n@attribute c {x,y\n@data\n1,x\n")
-	f.Add("@relation r\n@attribute a numeric\n@attribute c {x,y}\n@data\n1,\n")
-	f.Add("@relation r\n@attribute a numeric\n@attribute c {x,y}\n@data\n1")
-	f.Fuzz(func(t *testing.T, data string) {
-		ds, err := ReadARFF(strings.NewReader(data), "fuzz")
-		if err != nil {
-			return
-		}
-		if err := ds.Validate(); err != nil {
-			t.Fatalf("parser returned invalid dataset: %v", err)
-		}
-		if ds.Dims() < 1 || ds.N() < 1 {
-			t.Fatalf("parser returned empty dataset without error")
 		}
 	})
 }

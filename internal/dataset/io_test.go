@@ -103,80 +103,3 @@ func TestWriteCSVWithoutNames(t *testing.T) {
 		t.Fatalf("csv = %q", got)
 	}
 }
-
-const arffSample = `% a comment
-@relation weather
-
-@attribute temperature numeric
-@attribute humidity real
-@attribute windy {true, false}
-@attribute play {yes, no}
-
-@data
-85, 85, false, no
-80, 90, true, no
-83, 86, false, yes
-`
-
-func TestReadARFF(t *testing.T) {
-	d, err := ReadARFF(strings.NewReader(arffSample), "fallback")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Name != "weather" {
-		t.Fatalf("name = %q", d.Name)
-	}
-	if d.N() != 3 || d.Dims() != 3 {
-		t.Fatalf("shape = %dx%d", d.N(), d.Dims())
-	}
-	// Class = last nominal attribute (play); windy became a 0/1 feature.
-	if len(d.ClassNames) != 2 || d.ClassNames[0] != "yes" {
-		t.Fatalf("classes = %v", d.ClassNames)
-	}
-	if d.Labels[0] != 1 || d.Labels[2] != 0 {
-		t.Fatalf("labels = %v", d.Labels)
-	}
-	// windy false -> index 1.
-	if d.X.At(0, 2) != 1 || d.X.At(1, 2) != 0 {
-		t.Fatalf("windy encoding wrong: %v %v", d.X.At(0, 2), d.X.At(1, 2))
-	}
-	if d.FeatureNames[0] != "temperature" || d.FeatureNames[2] != "windy" {
-		t.Fatalf("features = %v", d.FeatureNames)
-	}
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReadARFFQuotedAttributeName(t *testing.T) {
-	in := "@relation r\n@attribute 'my attr' numeric\n@attribute class {a,b}\n@data\n1,a\n"
-	d, err := ReadARFF(strings.NewReader(in), "x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.FeatureNames[0] != "my attr" {
-		t.Fatalf("quoted name = %q", d.FeatureNames[0])
-	}
-}
-
-func TestReadARFFErrors(t *testing.T) {
-	cases := map[string]string{
-		"no data":         "@relation r\n@attribute a numeric\n@attribute c {x,y}\n@data\n",
-		"no class":        "@relation r\n@attribute a numeric\n@attribute b numeric\n@data\n1,2\n",
-		"missing value":   "@relation r\n@attribute a numeric\n@attribute c {x,y}\n@data\n?,x\n",
-		"unknown class":   "@relation r\n@attribute a numeric\n@attribute c {x,y}\n@data\n1,z\n",
-		"bad number":      "@relation r\n@attribute a numeric\n@attribute c {x,y}\n@data\nfoo,x\n",
-		"short row":       "@relation r\n@attribute a numeric\n@attribute c {x,y}\n@data\n1\n",
-		"bad type":        "@relation r\n@attribute a string\n@attribute c {x,y}\n@data\nhi,x\n",
-		"too few attrs":   "@relation r\n@attribute c {x,y}\n@data\nx\n",
-		"bad header line": "@relation r\nbogus\n@data\n",
-		"empty nominal":   "@relation r\n@attribute a numeric\n@attribute c {}\n@data\n1,x\n",
-	}
-	for name, in := range cases {
-		t.Run(name, func(t *testing.T) {
-			if _, err := ReadARFF(strings.NewReader(in), "x"); err == nil {
-				t.Fatalf("expected error")
-			}
-		})
-	}
-}

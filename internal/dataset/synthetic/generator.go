@@ -185,33 +185,3 @@ func UniformCube(name string, n, d int, seed int64) *dataset.Dataset {
 	}
 	return dataset.MustNew(name, x, labels)
 }
-
-// GaussianClusters returns n points drawn from `classes` spherical Gaussian
-// clusters in d dimensions with the given center spread and cluster radius.
-// Unlike the latent-factor model every direction carries class signal, so it
-// exercises the "no single dominant concept" regime.
-func GaussianClusters(name string, n, d, classes int, centerSpread, radius float64, seed int64) *dataset.Dataset {
-	if n < 2 || d < 1 || classes < 2 {
-		panic(fmt.Sprintf("synthetic: GaussianClusters n=%d d=%d classes=%d", n, d, classes))
-	}
-	rng := rand.New(rand.NewSource(seed))
-	centers := make([][]float64, classes)
-	for c := range centers {
-		center := make([]float64, d)
-		for j := range center {
-			center[j] = rng.NormFloat64() * centerSpread
-		}
-		centers[c] = center
-	}
-	x := linalg.NewDense(n, d)
-	labels := make([]int, n)
-	for i := 0; i < n; i++ {
-		c := i % classes
-		labels[i] = c
-		row := x.RawRow(i)
-		for j := range row {
-			row[j] = centers[c][j] + rng.NormFloat64()*radius
-		}
-	}
-	return dataset.MustNew(name, x, labels)
-}

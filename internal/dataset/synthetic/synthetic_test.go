@@ -189,41 +189,6 @@ func TestUniformCube(t *testing.T) {
 	}
 }
 
-func TestGaussianClusters(t *testing.T) {
-	d := GaussianClusters("g", 300, 5, 3, 10, 0.5, 4)
-	if d.N() != 300 || d.NumClasses() != 3 {
-		t.Fatalf("shape wrong: %s", d)
-	}
-	// Clusters with large separation and small radius: a point's nearest
-	// same-class centroid should be much closer than other centroids —
-	// verified indirectly by within-class variance << total variance.
-	within := 0.0
-	centroids := make([][]float64, 3)
-	counts := make([]int, 3)
-	for c := range centroids {
-		centroids[c] = make([]float64, d.Dims())
-	}
-	for i := 0; i < d.N(); i++ {
-		linalg.Axpy(1, d.X.RawRow(i), centroids[d.Labels[i]])
-		counts[d.Labels[i]]++
-	}
-	for c := range centroids {
-		linalg.ScaleVec(1/float64(counts[c]), centroids[c])
-	}
-	for i := 0; i < d.N(); i++ {
-		dd := linalg.Dist2(d.X.RawRow(i), centroids[d.Labels[i]])
-		within += dd * dd
-	}
-	within /= float64(d.N())
-	total := 0.0
-	for _, v := range stats.ColumnVariances(d.X) {
-		total += v
-	}
-	if within > total/4 {
-		t.Fatalf("clusters not separated: within %v vs total %v", within, total)
-	}
-}
-
 func TestCorrupt(t *testing.T) {
 	d := MustGenerate(LatentFactorConfig{
 		Name: "c", N: 50, Dims: 10, Classes: 2,

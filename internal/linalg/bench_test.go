@@ -158,14 +158,3 @@ func BenchmarkAtANaive6598x166(b *testing.B) {
 		x.T().Mul(x)
 	}
 }
-
-func BenchmarkSVD64x32(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	a := randDense(rng, 64, 32)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := SVD(a); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

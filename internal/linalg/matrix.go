@@ -1,7 +1,7 @@
 // Package linalg provides the dense linear algebra substrate used by the
-// dimensionality-reduction library: matrices, vectors, decompositions
-// (symmetric eigendecomposition, QR, LU, Cholesky, SVD) and the norms and
-// solvers built on top of them.
+// dimensionality-reduction library: matrices, vectors, the symmetric
+// eigendecomposition, Gram–Schmidt, and the dot/GEMM kernels the scans and
+// the covariance run on.
 //
 // The package is self-contained (standard library only) and tuned for the
 // moderate problem sizes that arise in similarity-search dimensionality
@@ -11,7 +11,7 @@
 //
 // Conventions:
 //   - Dimension mismatches are programming errors and panic.
-//   - Numerical failures (singular systems, non-convergence) return errors.
+//   - Numerical failures (non-finite input, non-convergence) return errors.
 //   - Decompositions never alias or mutate their inputs unless documented.
 package linalg
 

@@ -111,18 +111,6 @@ func AddVec(a, b []float64) []float64 {
 	return out
 }
 
-// SubVec returns a - b as a new slice.
-func SubVec(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("linalg: SubVec length mismatch %d vs %d", len(a), len(b)))
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
 // Normalize scales v in place to unit Euclidean norm and returns the original
 // norm. A zero vector is left unchanged and 0 is returned.
 func Normalize(v []float64) float64 {

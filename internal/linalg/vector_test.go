@@ -74,14 +74,11 @@ func TestAxpyAndScale(t *testing.T) {
 	}
 }
 
-func TestAddSubVec(t *testing.T) {
+func TestAddVec(t *testing.T) {
 	a := []float64{1, 2}
 	b := []float64{3, 5}
 	if got := AddVec(a, b); !VecEqual(got, []float64{4, 7}, 0) {
 		t.Fatalf("AddVec = %v", got)
-	}
-	if got := SubVec(b, a); !VecEqual(got, []float64{2, 3}, 0) {
-		t.Fatalf("SubVec = %v", got)
 	}
 }
 

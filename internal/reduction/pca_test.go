@@ -371,4 +371,26 @@ func TestScalingString(t *testing.T) {
 	}
 }
 
+func TestEnergyTargetZeroVarianceAndFullTail(t *testing.T) {
+	// All-zero eigenvalues: degenerate transform keeps one component.
+	p := &PCA{
+		Mean:        make([]float64, 3),
+		Eigenvalues: []float64{0, 0, 0},
+		Components:  linalg.Identity(3),
+	}
+	if got := p.EnergyTarget(0.5); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("zero-variance EnergyTarget = %v", got)
+	}
+	// Floating-point shortfall: requesting slightly more than the
+	// accumulated fraction returns everything.
+	p2 := &PCA{
+		Mean:        make([]float64, 2),
+		Eigenvalues: []float64{1, 1},
+		Components:  linalg.Identity(2),
+	}
+	if got := p2.EnergyTarget(1.0); len(got) != 2 {
+		t.Fatalf("full EnergyTarget = %v", got)
+	}
+}
+
 var _ = dataset.Dataset{} // keep import when test set shrinks

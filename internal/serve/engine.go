@@ -52,16 +52,14 @@ type Engine struct {
 
 // snapshot is one immutable generation of the serving state. Queries load
 // it once per request, so a Swap never tears a request across two
-// generations. data is the in-memory matrix for dense-backed snapshots and
-// nil for store-backed ones; n and d describe the snapshot either way.
-// exact is the float64 row source shared by the compactor and the drift
-// monitor: the matrix itself for dense snapshots, the store's
-// full-precision region for store-backed ones. ids maps row positions to
-// stable mutation IDs (ascending); nil means the identity mapping.
+// generations. n and d describe the snapshot whatever its backend. exact is
+// the float64 row source shared by the compactor and the drift monitor: the
+// matrix itself for dense snapshots, the store's full-precision region for
+// store-backed ones. ids maps row positions to stable mutation IDs
+// (ascending); nil means the identity mapping.
 type snapshot struct {
 	epoch  uint64
 	n, d   int
-	data   *linalg.Dense
 	exact  *linalg.Dense
 	ids    []int
 	shards []*shard
@@ -197,7 +195,7 @@ func (e *Engine) start() {
 // byte-deterministic for a fixed config.
 func buildSnapshot(data *linalg.Dense, cfg Config, epoch uint64) *snapshot {
 	n := data.Rows()
-	snap := &snapshot{epoch: epoch, n: n, d: data.Cols(), data: data, exact: data, shards: make([]*shard, cfg.Shards)}
+	snap := &snapshot{epoch: epoch, n: n, d: data.Cols(), exact: data, shards: make([]*shard, cfg.Shards)}
 	for s, r := range shardRanges(n, cfg.Shards) {
 		lo, hi := r[0], r[1]
 		view := data.RowSlice(lo, hi)
@@ -303,7 +301,8 @@ func (e *Engine) Search(ctx context.Context, query []float64, k int) (Result, er
 // SearchMode runs one k-NN query through admission control and the sharded
 // worker pools. It blocks until the request is served, its context
 // expires (ErrDeadline), the queue rejects it (ErrOverloaded), or the
-// engine is closed (ErrClosed). Rejected requests do no search work.
+// engine is closed (ErrClosed). Rejected requests do no search work. A k
+// larger than the served set answers with every live row.
 func (e *Engine) SearchMode(ctx context.Context, query []float64, k int, mode Mode) (Result, error) {
 	if k <= 0 {
 		return Result{}, fmt.Errorf("serve: k=%d must be positive", k)
@@ -453,12 +452,18 @@ func (e *Engine) handle(req *request, sc *reqScratch) {
 
 	approx := req.mode == ModeApprox || (req.mode == ModeAuto && req.degraded)
 	deltaTotal := 0
-	for s, sh := range snap.shards {
+	for s := range views {
 		deltaTotal += len(views[s].ids)
+	}
+	// No answer is longer than the captured rows (a snapshot is never
+	// empty), so a caller's oversized k neither sizes an allocation nor
+	// overflows k+len(dead) in a backend.
+	k := min(req.k, snap.n+deltaTotal)
+	for s, sh := range snap.shards {
 		e.shardq <- shardTask{
 			sh:        sh,
 			query:     req.query,
-			k:         req.k,
+			k:         k,
 			approx:    approx,
 			probes:    e.cfg.Probes,
 			dead:      dead[s],
@@ -467,7 +472,7 @@ func (e *Engine) handle(req *request, sc *reqScratch) {
 			out:       sc.out,
 		}
 	}
-	merged := make([]knn.Neighbor, 0, p*req.k+min(deltaTotal, p*req.k))
+	merged := make([]knn.Neighbor, 0, p*k+min(deltaTotal, p*k))
 	candidates := 0
 	for s := 0; s < p; s++ {
 		o := <-sc.out
@@ -483,8 +488,8 @@ func (e *Engine) handle(req *request, sc *reqScratch) {
 		candidates += o.candidates
 	}
 	knn.SortNeighbors(merged)
-	if len(merged) > req.k {
-		merged = merged[:req.k]
+	if len(merged) > k {
+		merged = merged[:k]
 	}
 	req.resp <- response{res: Result{
 		Neighbors:  merged,

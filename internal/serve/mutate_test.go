@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -305,6 +306,58 @@ func TestStoreMutationMatchesRebuild(t *testing.T) {
 	}
 }
 
+// TestOversizedK: a k at or beyond the served set answers with every live
+// row — on the exact path exactly the live set, bit-identical to
+// SearchSetBatch over it — whatever the backend, mode and shard count, with
+// inserts and deletes pending. Nothing sizes an allocation from the caller's
+// k or adds a dead-list length to it unclamped.
+func TestOversizedK(t *testing.T) {
+	const n, d, nq = 50, 7, 4
+	rng := rand.New(rand.NewSource(59))
+	data := randMatrix(rng, n, d)
+	queries := randMatrix(rng, nq, d)
+	st := openTestStore(t, data, store.BuildConfig{Precision: store.Int8})
+
+	for _, backend := range []string{"dense", "store"} {
+		for _, shards := range []int{1, 3} {
+			cfg := mutTestConfig(shards)
+			base := data
+			var e *Engine
+			var err error
+			if backend == "store" {
+				base = st.ExactMatrix()
+				e, err = NewFromStore(st, cfg)
+			} else {
+				e, err = New(data, cfg)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := newMutModel(base)
+			applyOps(t, e, m, rand.New(rand.NewSource(61)), d, 12)
+			live := e.Len()
+			checkBitIdentical(t, e, m, queries, live, tagf(backend, shards, 0, 0))
+
+			for _, mode := range []Mode{ModeExact, ModeApprox} {
+				atLen := searchAll(t, e, queries, live, mode)
+				for _, k := range []int{live + 1, 1 << 20, math.MaxInt} {
+					for q, got := range searchAll(t, e, queries, k, mode) {
+						if len(got) > live || (mode == ModeExact && len(got) != live) {
+							t.Fatalf("%s/shards=%d %v k=%d query %d: %d neighbors, Len is %d",
+								backend, shards, mode, k, q, len(got), live)
+						}
+						if !reflect.DeepEqual(got, atLen[q]) {
+							t.Fatalf("%s/shards=%d %v k=%d query %d differs from the k=Len answer",
+								backend, shards, mode, k, q)
+						}
+					}
+				}
+			}
+			e.Close()
+		}
+	}
+}
+
 func tagf(backend string, shards, compactEvery, chunk int) string {
 	return backend + "/shards=" + itoa(shards) + "/compact=" + itoa(compactEvery) + "/chunk=" + itoa(chunk)
 }
@@ -424,7 +477,7 @@ func TestCompactDeterministic(t *testing.T) {
 				ids[i] = i
 			}
 		}
-		return final{ids: append([]int(nil), ids...), rows: snap.data, n: snap.n}
+		return final{ids: append([]int(nil), ids...), rows: snap.exact, n: snap.n}
 	}
 
 	ref := run(0)

@@ -80,7 +80,9 @@ const (
 	ModeAuto Mode = iota
 	// ModeExact always runs the exact sharded scan.
 	ModeExact
-	// ModeApprox always runs the sharded multi-probe LSH path.
+	// ModeApprox always runs the sharded approximate path: multi-probe LSH
+	// on dense shards, the quantized scan with a capped exact-rescore
+	// budget (Config.Rescore) on store shards.
 	ModeApprox
 )
 
@@ -196,7 +198,10 @@ func (c Config) withDefaults(n, procs int) Config {
 // Result is one served query.
 type Result struct {
 	// Neighbors holds up to k results in the canonical (distance, index)
-	// order; indices refer to rows of the snapshot's data matrix.
+	// order. Index is the row's stable ID: its position in the matrix or
+	// store the engine was built over (or last swapped to), the value
+	// Insert returned for a later row. IDs equal positions in the served
+	// snapshot only until the first compaction that drops a row.
 	Neighbors []knn.Neighbor
 	// Approx reports whether the approximate path served the request.
 	Approx bool
