@@ -342,6 +342,28 @@ func TestLocalKNNExcludeAndKBounds(t *testing.T) {
 	lr.KNN(ds.X.Row(0), 0, -1)
 }
 
+// TestLocalKNNMemberIsItsOwnNearest: the query is projected alone
+// (TransformPoint), the members as a matrix (Transform); the two are the same
+// chain, so every member scores exactly 0 against its own reduced row.
+func TestLocalKNNMemberIsItsOwnNearest(t *testing.T) {
+	ds, err := synthetic.SubspaceMixture(synthetic.SubspaceMixtureConfig{
+		Name: "mix", N: 300, Dims: 24, Clusters: 3, LatentPerCluster: 3,
+		ConceptStrength: 2, ClassSeparation: 1, CenterSpread: 5, NoiseStdDev: 0.5, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lr, err := FitLocal(ds.X, LocalConfig{Clusters: 3, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < ds.N(); i++ {
+		if nb := lr.KNN(ds.X.RawRow(i), 1, -1)[0]; nb.Dist != 0 {
+			t.Fatalf("member %d: nearest is row %d at distance %g, want itself (or a duplicate) at exactly 0", i, nb.Index, nb.Dist)
+		}
+	}
+}
+
 func TestSubspaceMixtureValidation(t *testing.T) {
 	bad := []synthetic.SubspaceMixtureConfig{
 		{N: 1, Dims: 4, Clusters: 1, LatentPerCluster: 1, ConceptStrength: 1},

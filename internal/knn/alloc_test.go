@@ -1,6 +1,11 @@
 package knn
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+
+	"repro/internal/linalg"
+)
 
 // TestOfferZeroAllocs pins Collector.Offer's //drlint:hotpath contract at
 // runtime: once the collector's heap is at capacity, admitting and
@@ -52,5 +57,32 @@ func TestResetZeroAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("Reset+Offer does %.2f allocs/op, want 0", avg)
+	}
+}
+
+// TestScanTileZeroAllocs pins the tile scans' //drlint:hotpath contract:
+// finding, clamping and offering a row's candidates — to one collector or,
+// on a mirrored tile, to the row's and each column's — allocates nothing.
+func TestScanTileZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(113))
+	x := randMatrix(rng, 300, 8)
+	norms := linalg.MulTRowNormsSq(x)
+	g := linalg.MulT(x.RowSlice(0, 1), x).RawRow(0)
+	collectors := make([]Collector, 300)
+	bounds := make([]float64, 300)
+	reset := func() {
+		for i := range collectors {
+			collectors[i].Reset(4)
+			bounds[i] = collectors[i].Bound()
+		}
+	}
+	reset() // the heaps exist from here on
+	for name, call := range map[string]func(){
+		"scanTile":         func() { scanTile(&collectors[0], g, norms, norms[0], 0, 0) },
+		"scanTileMirrored": func() { scanTileMirrored(collectors, bounds, g[40:], norms, 0, 40) },
+	} {
+		if avg := testing.AllocsPerRun(100, func() { reset(); call() }); avg != 0 {
+			t.Errorf("%s does %.2f allocs/op, want 0", name, avg)
+		}
 	}
 }

@@ -29,6 +29,10 @@ const (
 	// and keeps a tile's inner-product block cache-resident while the
 	// collectors scan it.
 	batchDataTile = 2048
+	// batchSelfBlock is the side of the square tiles a self-join walks
+	// (searchSelfTiles): block² float64s of scratch — 512 KB — that a core's
+	// L2 keeps while the mirrored scan reads it back.
+	batchSelfBlock = 256
 )
 
 // PairwiseSq returns the queries.Rows() × data.Rows() matrix of squared
@@ -101,6 +105,12 @@ const underflowFloor = 0x1p-1021
 // the scalar metric and sorting canonically then reproduces distances and
 // order. A query whose gap is not that wide — duplicates, lattice data, a
 // genuine near-tie at rank k — is answered by Search itself.
+//
+// When data and queries are the same matrix — every leave-one-out
+// evaluation — each unordered pair's inner product is computed once and
+// serves both of its rows (searchSelfTiles); the collectors, and so
+// everything after them, end up exactly as the two-matrix schedule leaves
+// them.
 func SearchSetBatch(data, queries *linalg.Dense, k int, m Metric, selfExclude bool) [][]Neighbor {
 	n, d := data.Dims()
 	nq := queries.Rows()
@@ -124,7 +134,6 @@ func SearchSetBatch(data, queries *linalg.Dense, k int, m Metric, selfExclude bo
 		return out
 	}
 	dataNorms := linalg.MulTRowNormsSq(data)
-	queryNorms := linalg.MulTRowNormsSq(queries)
 	maxNorm := 0.0
 	for _, v := range dataNorms {
 		maxNorm = math.Max(maxNorm, v) // NaN propagates and fails every gap test
@@ -133,28 +142,12 @@ func SearchSetBatch(data, queries *linalg.Dense, k int, m Metric, selfExclude bo
 	for i := range collectors {
 		collectors[i].Reset(min(k+1, n)) // n ≤ k: every row is a neighbor
 	}
-
-	tile := min(batchDataTile, n)
-	block := min(batchQueryBlock, nq)
-	scratch := make([]float64, block*tile)
-	for qlo := 0; qlo < nq; qlo += block {
-		qhi := min(qlo+block, nq)
-		qview := queries.RowSlice(qlo, qhi)
-		for jt := 0; jt < n; jt += tile {
-			je := min(jt+tile, n)
-			// The GEMM kernel parallelizes its own row panels; the
-			// collector scans then parallelize over the block's queries.
-			g := linalg.NewDenseData(qhi-qlo, je-jt, scratch[:(qhi-qlo)*(je-jt)])
-			linalg.MulTInto(g, qview, data.RowSlice(jt, je))
-			parallelQueries(qhi-qlo, func(bi int) {
-				i := qlo + bi
-				ex := -1
-				if selfExclude {
-					ex = i - jt // the query's own row, if it lies in this tile
-				}
-				scanTile(&collectors[i], g.RawRow(bi), dataNorms[jt:je], queryNorms[i], jt, ex)
-			})
-		}
+	queryNorms := dataNorms
+	if data == queries {
+		searchSelfTiles(data, dataNorms, collectors, selfExclude)
+	} else {
+		queryNorms = linalg.MulTRowNormsSq(queries)
+		searchTiles(data, queries, dataNorms, queryNorms, collectors, selfExclude)
 	}
 
 	slack := normCacheSlack(d)
@@ -187,19 +180,110 @@ func SearchSetBatch(data, queries *linalg.Dense, k int, m Metric, selfExclude bo
 	return out
 }
 
+// searchTiles is the two-matrix schedule: query blocks × data tiles, one
+// GEMM and one scan per pair.
+func searchTiles(data, queries *linalg.Dense, dataNorms, queryNorms []float64, collectors []Collector, selfExclude bool) {
+	n, nq := data.Rows(), queries.Rows()
+	tile := min(batchDataTile, n)
+	block := min(batchQueryBlock, nq)
+	scratch := make([]float64, block*tile)
+	for qlo := 0; qlo < nq; qlo += block {
+		qhi := min(qlo+block, nq)
+		qview := queries.RowSlice(qlo, qhi)
+		for jt := 0; jt < n; jt += tile {
+			je := min(jt+tile, n)
+			// The GEMM kernel parallelizes its own row panels; the
+			// collector scans then parallelize over the block's queries.
+			g := linalg.NewDenseData(qhi-qlo, je-jt, scratch[:(qhi-qlo)*(je-jt)])
+			linalg.MulTInto(g, qview, data.RowSlice(jt, je))
+			parallelQueries(qhi-qlo, func(bi int) {
+				i := qlo + bi
+				ex := -1
+				if selfExclude {
+					ex = i - jt // the query's own row, if it lies in this tile
+				}
+				scanTile(&collectors[i], g.RawRow(bi), dataNorms[jt:je], queryNorms[i], jt, ex)
+			})
+		}
+	}
+}
+
+// searchSelfTiles is the self-join schedule: one square grid of
+// batchSelfBlock-row blocks over x, of which only the tiles on or above the
+// diagonal are multiplied. ⟨xᵢ,xⱼ⟩ and ⟨xⱼ,xᵢ⟩ are one product chain (each
+// step's product commutes) and norms[i] + norms[j] one sum, so the d2 a
+// strictly-upper tile (I, J) yields for (i, j) is, bit for bit, the value
+// the two-matrix schedule computes twice; it is offered to collectors[i] as
+// row j and to collectors[j] as row i.
+//
+// Why the collectors cannot tell: tiles are visited in row-major order, so
+// collector j of block J is offered its mirrored candidates from blocks
+// I < J first (ascending I, and within a tile ascending row i), then J's
+// diagonal tile, then the tiles to its right — every candidate in ascending
+// row index, each tested against the bound of the moment, which is the
+// two-matrix scan's sequence. Equal-distance ties at the admission boundary
+// are the one thing that depends on that order, and it is unchanged.
+//
+// A diagonal tile is a full product scanned like a two-matrix tile, in
+// parallel over its rows. A mirrored tile's scan writes collectors of both
+// its blocks from every row, so it runs on this goroutine alone; the product
+// before it is still parallel inside MulTInto.
+func searchSelfTiles(x *linalg.Dense, norms []float64, collectors []Collector, selfExclude bool) {
+	n := x.Rows()
+	block := min(batchSelfBlock, n)
+	scratch := make([]float64, block*block)
+	// bounds[i] shadows collectors[i].Bound() in the contiguous form the
+	// mirrored scan's kernel reads a tile's columns from.
+	bounds := make([]float64, n)
+	for i := range bounds {
+		bounds[i] = collectors[i].Bound()
+	}
+	for ilo := 0; ilo < n; ilo += block {
+		ihi := min(ilo+block, n)
+		rows := x.RowSlice(ilo, ihi)
+		for jlo := ilo; jlo < n; jlo += block {
+			jhi := min(jlo+block, n)
+			g := linalg.NewDenseData(ihi-ilo, jhi-jlo, scratch[:(ihi-ilo)*(jhi-jlo)])
+			linalg.MulTInto(g, rows, x.RowSlice(jlo, jhi))
+			if jlo > ilo {
+				for bi := 0; bi < ihi-ilo; bi++ {
+					scanTileMirrored(collectors, bounds, g.RawRow(bi), norms, ilo+bi, jlo)
+				}
+				continue
+			}
+			parallelQueries(ihi-ilo, func(bi int) {
+				i := ilo + bi
+				ex := -1
+				if selfExclude {
+					ex = bi
+				}
+				scanTile(&collectors[i], g.RawRow(bi), norms[jlo:jhi], norms[i], jlo, ex)
+				bounds[i] = collectors[i].Bound()
+			})
+		}
+	}
+}
+
 // scanTile offers one query's row of a tile's inner products to its
-// collector as norm-cache squared distances. Entries are tested against
-// Collector.Bound() first: on all but a handful of rows per tile that one
-// comparison is the whole cost. ex is the tile-relative index to skip
-// (negative or beyond the tile: none).
+// collector as norm-cache squared distances. linalg.FirstBelow finds the
+// entries below Collector.Bound() — a handful per tile; a NaN counts as
+// below and goes on to Offer, as in an unfiltered scan — and the loop body
+// runs once per such entry. ex is the tile-relative index to skip (negative
+// or beyond the tile: none).
+//
+//drlint:hotpath inline=1
 func scanTile(c *Collector, g, norms []float64, qn float64, base, ex int) {
 	norms = norms[:len(g)]
 	bound := c.Bound()
-	for jj, gv := range g {
-		d2 := qn + norms[jj] - 2*gv
-		if d2 >= bound || jj == ex { // a NaN goes on to Offer, as in an unfiltered scan
+	for jj := 0; ; jj++ {
+		jj += linalg.FirstBelow(g[jj:], norms[jj:], qn, bound)
+		if jj >= len(g) {
+			return
+		}
+		if jj == ex {
 			continue
 		}
+		d2 := normCacheSq(qn, norms[jj], g[jj])
 		if d2 < 0 {
 			d2 = 0
 		}
@@ -207,6 +291,42 @@ func scanTile(c *Collector, g, norms []float64, qn float64, base, ex int) {
 		bound = c.Bound()
 	}
 }
+
+// scanTileMirrored is scanTile for row i of a strictly-upper self-join tile
+// whose columns are rows base… of the same matrix: each d2 is tested against
+// row i's bound and against its column's, and offered wherever it is below.
+// norms and bounds are the whole matrix's.
+//
+//drlint:hotpath inline=2
+func scanTileMirrored(collectors []Collector, bounds, g, norms []float64, i, base int) {
+	qn, bound := norms[i], bounds[i]
+	row := &collectors[i]
+	norms, colBounds, cols := norms[base:][:len(g)], bounds[base:][:len(g)], collectors[base:][:len(g)]
+	for jj := 0; ; jj++ {
+		jj += linalg.FirstBelowEither(g[jj:], norms[jj:], colBounds[jj:], qn, bound)
+		if jj >= len(g) {
+			break
+		}
+		d2 := normCacheSq(qn, norms[jj], g[jj])
+		below, belowCol := !(d2 >= bound), !(d2 >= colBounds[jj])
+		if d2 < 0 {
+			d2 = 0
+		}
+		if below {
+			row.Offer(base+jj, d2)
+			bound = row.Bound()
+		}
+		if belowCol {
+			cols[jj].Offer(i, d2)
+			colBounds[jj] = cols[jj].Bound()
+		}
+	}
+	bounds[i] = bound
+}
+
+// normCacheSq is the norm-cache squared distance, in the operation order
+// linalg.FirstBelow tests: the caller sees the bits the kernel saw.
+func normCacheSq(qn, xn, g float64) float64 { return qn + xn - (g + g) }
 
 // parallelQueries runs fn(i) for i in [0, n) across contiguous chunks on up
 // to GOMAXPROCS goroutines (inline when only one worker is warranted).

@@ -56,3 +56,25 @@ func BenchmarkEuclideanDistance256(b *testing.B) {
 		m.Distance(row, q)
 	}
 }
+
+// benchSelfJoin is eval.DatasetAccuracy's search at reduce_pipeline's shape:
+// leave-one-out k = 3 over 6598 points reduced to 16 dimensions.
+func benchSelfJoin(b *testing.B, queries func(x *linalg.Dense) *linalg.Dense) {
+	x, _ := benchData(6598, 16)
+	q := queries(x)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		SearchSetBatch(x, q, 3, Euclidean{}, true)
+	}
+}
+
+// The same answers from the two schedules: the mirrored grid multiplies
+// each unordered pair once, the two-matrix schedule (selected by handing it
+// a copy) twice.
+func BenchmarkSearchSetBatchSelf6598x16(b *testing.B) {
+	benchSelfJoin(b, func(x *linalg.Dense) *linalg.Dense { return x })
+}
+
+func BenchmarkSearchSetBatchTwoMatrix6598x16(b *testing.B) {
+	benchSelfJoin(b, (*linalg.Dense).Clone)
+}

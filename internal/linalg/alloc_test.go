@@ -35,22 +35,52 @@ func TestDotQ15ZeroAllocs(t *testing.T) {
 // TestMulTIntoAllocatesOnePanel pins the kernel's memory contract: per
 // worker, one packed panel of b (9·k float64) and nothing that scales with
 // either operand's row count — packing a whole data tile per call showed up
-// as resident memory in every caller.
+// as resident memory in every caller. Up to 256 columns (mulTStackCols) the
+// panel is on the worker's frame, so a caller that multiplies block by block
+// (core.AnalyzeBasis, the self-join grid) allocates nothing per block; wider
+// operands take the one panel from the heap.
 func TestMulTIntoAllocatesOnePanel(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rng := rand.New(rand.NewSource(223))
-	a, b := randDense(rng, 128, 166), randDense(rng, 2048, 166)
-	dst := NewDense(128, 2048)
-	if avg := testing.AllocsPerRun(5, func() { MulTInto(dst, a, b) }); avg > 1 {
-		t.Errorf("MulTInto does %.2f allocs/op, want at most the one panel", avg)
+	for _, c := range []struct {
+		k      int
+		allocs float64
+		bytes  uint64
+	}{{166, 0, 0}, {300, 1, 16 * 300 * 8}} {
+		if !hasAVX2FMA {
+			c.allocs, c.bytes = 0, 0 // the portable chain packs nothing
+		}
+		a, b := randDense(rng, 128, c.k), randDense(rng, 2048, c.k)
+		dst := NewDense(128, 2048)
+		if avg := testing.AllocsPerRun(5, func() { MulTInto(dst, a, b) }); avg > c.allocs {
+			t.Errorf("k=%d: MulTInto does %.2f allocs/op, want at most %.0f", c.k, avg, c.allocs)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		MulTInto(dst, a, b)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > c.bytes {
+			t.Errorf("k=%d: MulTInto allocated %d bytes, want at most %d", c.k, got, c.bytes)
+		}
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	MulTInto(dst, a, b)
-	runtime.ReadMemStats(&after)
-	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(16*166*8); got > limit {
-		t.Errorf("MulTInto allocated %d bytes, want at most one panel (%d)", got, limit)
+}
+
+// TestFirstBelowZeroAllocs pins the //drlint:hotpath contract of the scan
+// kernels' entry points: dispatch, assembly head and scalar tail allocate
+// nothing — they run once per tile row and once more per admitted candidate.
+func TestFirstBelowZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(227))
+	g, norms, bounds := randVec(rng, 261), randVec(rng, 261), randVec(rng, 261)
+	sink := 0
+	for name, call := range map[string]func(){
+		"FirstBelow":       func() { sink += FirstBelow(g, norms, 100, -100) },
+		"FirstBelowEither": func() { sink += FirstBelowEither(g, norms, bounds, 100, -100) },
+	} {
+		if avg := testing.AllocsPerRun(500, call); avg != 0 {
+			t.Errorf("%s does %.2f allocs/op, want 0", name, avg)
+		}
 	}
+	_ = sink
 }
 
 // TestEigSymAllocs pins EigSym's allocation count at the paper's d = 166:

@@ -158,3 +158,44 @@ func BenchmarkAtANaive6598x166(b *testing.B) {
 		x.T().Mul(x)
 	}
 }
+
+var benchSinkIndex int
+
+// benchFirstBelow times one full-length scan of an n-entry tile row in
+// which nothing is below either bound — the common case the kernel exists
+// for — and reports it through SetBytes as bytes of g consumed.
+func benchFirstBelow(b *testing.B, n int, either, generic bool) {
+	rng := rand.New(rand.NewSource(10))
+	g, norms, bounds := randVec(rng, n), randVec(rng, n), make([]float64, n)
+	for j := range norms {
+		norms[j] = 40 + norms[j] // d2 ≈ 50 ± a few, bound 1
+		bounds[j] = 1
+	}
+	if generic {
+		saved := hasAVX2FMA
+		hasAVX2FMA = false
+		defer func() { hasAVX2FMA = saved }()
+	}
+	b.SetBytes(int64(8 * n))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if either {
+			benchSinkIndex = FirstBelowEither(g, norms, bounds, 10, 1)
+		} else {
+			benchSinkIndex = FirstBelow(g, norms, 10, 1)
+		}
+	}
+	if benchSinkIndex != n {
+		b.Fatalf("scan stopped at %d of %d", benchSinkIndex, n)
+	}
+}
+
+// 512 entries is a row of the self-join grid's tile, 2048 a row of the
+// two-matrix schedule's; both rows sit in L1 here, where the kernel is
+// compute-bound.
+func BenchmarkFirstBelow512(b *testing.B)              { benchFirstBelow(b, 512, false, false) }
+func BenchmarkFirstBelow2048(b *testing.B)             { benchFirstBelow(b, 2048, false, false) }
+func BenchmarkFirstBelowGeneric512(b *testing.B)       { benchFirstBelow(b, 512, false, true) }
+func BenchmarkFirstBelowGeneric2048(b *testing.B)      { benchFirstBelow(b, 2048, false, true) }
+func BenchmarkFirstBelowEither512(b *testing.B)        { benchFirstBelow(b, 512, true, false) }
+func BenchmarkFirstBelowEitherGeneric512(b *testing.B) { benchFirstBelow(b, 512, true, true) }

@@ -76,9 +76,20 @@ func mulTRows(dst, a, b *Dense, lo, hi int) {
 		return
 	}
 	// One packed panel plus the zero row a ragged last panel pads with:
-	// 9·k float64 (≈12 KB at k=166), dead on return.
-	mulTRowsAVX2(dst, a, b, lo, hi, make([]float64, (mulTPanelRows+1)*a.cols))
+	// 9·k float64 (≈12 KB at k=166), dead on return — on this frame up to
+	// mulTStackCols columns, so a caller that multiplies block by block
+	// allocates nothing per block.
+	var frame [(mulTPanelRows + 1) * mulTStackCols]float64
+	scratch := frame[:]
+	if need := (mulTPanelRows + 1) * a.cols; need > len(scratch) {
+		scratch = make([]float64, need)
+	}
+	mulTRowsAVX2(dst, a, b, lo, hi, scratch)
 }
+
+// mulTStackCols is the widest operand whose packed panel mulTRows keeps on
+// its own frame (18 KB); wider ones take it from the heap.
+const mulTStackCols = 256
 
 // mulTPanelRows is the number of b rows per packed panel: two YMM of lanes.
 const mulTPanelRows = 8

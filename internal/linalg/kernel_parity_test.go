@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -303,4 +304,148 @@ func TestMulTRowNormsSqIsTheDiagonal(t *testing.T) {
 			}
 		}
 	}
+}
+
+// The first-hit scan kernels (scan.go) are exact too: the AVX2 bodies, the
+// portable loops and a reference written straight from the definition must
+// name the same index on every input, NaN and infinities included.
+
+// refFirstBelow is the definition; bounds == nil is the one-bound form.
+func refFirstBelow(g, norms, bounds []float64, qn, bound float64) int {
+	for j := range g {
+		d2 := qn + norms[j] - 2*g[j]
+		if !(d2 >= bound) || bounds != nil && !(d2 >= bounds[j]) {
+			return j
+		}
+	}
+	return len(g)
+}
+
+// requireFirstBelow holds the exported entry points, the dispatchers with
+// the assembly forced off, and the portable loops to the reference.
+func requireFirstBelow(t *testing.T, g, norms, bounds []float64, qn, bound float64) {
+	t.Helper()
+	want := refFirstBelow(g, norms, nil, qn, bound)
+	got := map[string]int{"FirstBelow": FirstBelow(g, norms, qn, bound), "generic": firstBelowGeneric(g, norms, qn, bound)}
+	withGeneric(func() { got["forced-generic dispatcher"] = firstBelowUnitary(g, norms, qn, bound) })
+	for name, j := range got {
+		if j != want {
+			t.Fatalf("%s = %d, reference %d (qn=%v bound=%v g=%v norms=%v)", name, j, want, qn, bound, g, norms)
+		}
+	}
+	want = refFirstBelow(g, norms, bounds, qn, bound)
+	got = map[string]int{"FirstBelowEither": FirstBelowEither(g, norms, bounds, qn, bound), "generic": firstBelowEitherGeneric(g, norms, bounds, qn, bound)}
+	withGeneric(func() { got["forced-generic dispatcher"] = firstBelowEitherUnitary(g, norms, bounds, qn, bound) })
+	for name, j := range got {
+		if j != want {
+			t.Fatalf("Either: %s = %d, reference %d (qn=%v bound=%v g=%v norms=%v bounds=%v)", name, j, want, qn, bound, g, norms, bounds)
+		}
+	}
+}
+
+func TestFirstBelowHitAtEveryPosition(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	// How the entry at the hit position gets below a bound: through the
+	// row's bound, through its own column bound, or by being unordered or
+	// infinite in g or norms.
+	hits := []func(g, norms, bounds []float64, p int){
+		func(g, _, _ []float64, p int) { g[p] = 3 },            // d2 = 1 + 9 − 6 = 4 < 5
+		func(_, _, bounds []float64, p int) { bounds[p] = 11 }, // the column's bound alone
+		func(g, _, _ []float64, p int) { g[p] = nan },
+		func(_, norms, _ []float64, p int) { norms[p] = nan },
+		func(g, _, _ []float64, p int) { g[p] = inf },                    // d2 = −Inf
+		func(g, norms, _ []float64, p int) { g[p], norms[p] = inf, inf }, // Inf − Inf
+		func(_, _, bounds []float64, p int) { bounds[p] = nan },
+		func(_, _, bounds []float64, p int) { bounds[p] = inf },
+	}
+	for n := 0; n <= 70; n++ {
+		for p := 0; p <= n; p++ { // p == n: no hit
+			for hi, hit := range hits {
+				g, norms, bounds := make([]float64, n), make([]float64, n), make([]float64, n)
+				for j := range g {
+					// d2 = 1 + 9 − 0 = 10: at or above every finite bound used here.
+					norms[j] = 9
+					bounds[j] = []float64{10, -3, math.Inf(-1)}[j%3]
+				}
+				if p < n {
+					hit(g, norms, bounds, p)
+					if p+2 < n {
+						g[p+2] = 4 // a later hit must not be the one reported
+					}
+				}
+				requireFirstBelow(t, g, norms, bounds, 1, 5)
+				if hi == 0 {
+					requireFirstBelow(t, g, norms, bounds, 1, math.Inf(-1)) // only NaN can be below
+					requireFirstBelow(t, g, norms, bounds, 1, inf)          // everything finite is
+					requireFirstBelow(t, g, norms, bounds, 1, nan)          // everything is
+					requireFirstBelow(t, g, norms, bounds, nan, 5)
+					requireFirstBelow(t, g, norms, bounds, math.Inf(-1), 5)
+				}
+			}
+		}
+	}
+}
+
+// TestFirstBelowRandom runs near-bound values through all three
+// implementations: d2 within an ulp or two of the bound is where a fused or
+// reordered evaluation would name a different index.
+func TestFirstBelowRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(107))
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 1e308, -1e308, math.SmallestNonzeroFloat64}
+	for trial := 0; trial < 4000; trial++ {
+		n := rng.Intn(71)
+		g, norms, bounds := randVec(rng, n), randVec(rng, n), make([]float64, n)
+		qn := rng.Float64() * 3
+		bound := rng.Float64() * 0.2
+		for j := range g {
+			norms[j] = math.Abs(norms[j])
+			bounds[j] = qn + norms[j] - 2*g[j] // exactly at d2 …
+			switch rng.Intn(4) {
+			case 0:
+				bounds[j] = math.Nextafter(bounds[j], math.Inf(1)) // … or one ulp above it
+			case 1:
+				bounds[j] = math.Inf(-1)
+			}
+			if rng.Intn(200) == 0 {
+				g[j] = specials[rng.Intn(len(specials))]
+			}
+			if rng.Intn(200) == 0 {
+				norms[j] = specials[rng.Intn(len(specials))]
+			}
+		}
+		requireFirstBelow(t, g, norms, bounds, qn, bound)
+	}
+}
+
+// FuzzFirstBelow: eight bytes per float64, so the fuzzer reaches every bit
+// pattern; the first two values are qn and bound, the rest g, norms and
+// bounds in turn.
+func FuzzFirstBelow(f *testing.F) {
+	seed := func(vs ...float64) []byte {
+		var out []byte
+		for _, v := range vs {
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+		}
+		return out
+	}
+	f.Add(seed(1, 5))
+	f.Add(seed(1, 5, 0, 9, 10, 3, 9, 10))
+	f.Add(seed(1, math.Inf(1), 0, 9, math.NaN()))
+	f.Add(seed(math.NaN(), 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		vals := make([]float64, len(data)/8)
+		for i := range vals {
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		if len(vals) < 2 {
+			t.Skip()
+		}
+		qn, bound, rest := vals[0], vals[1], vals[2:]
+		n := len(rest) / 3
+		g, norms, bounds := make([]float64, n), make([]float64, n), make([]float64, n)
+		for j := range g {
+			g[j], norms[j], bounds[j] = rest[3*j], rest[3*j+1], rest[3*j+2]
+		}
+		requireFirstBelow(t, g, norms, bounds, qn, bound)
+	})
 }

@@ -255,25 +255,6 @@ func (m *Dense) MulVec(x []float64) []float64 {
 	return out
 }
 
-// MulVecT returns the vector-matrix product xᵀ * m (i.e. mᵀ * x).
-func (m *Dense) MulVecT(x []float64) []float64 {
-	if m.rows != len(x) {
-		panic(fmt.Sprintf("linalg: MulVecT dimension mismatch %d * %dx%d", len(x), m.rows, m.cols))
-	}
-	out := make([]float64, m.cols)
-	for i := 0; i < m.rows; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, v := range row {
-			out[j] += xi * v
-		}
-	}
-	return out
-}
-
 // IsSymmetric reports whether m is square and symmetric to within tol.
 func (m *Dense) IsSymmetric(tol float64) bool {
 	if m.rows != m.cols {

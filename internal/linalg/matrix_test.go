@@ -160,20 +160,6 @@ func TestMulVecMatchesMul(t *testing.T) {
 	}
 }
 
-func TestMulVecTMatchesTransposeMul(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a := randDense(rng, 6, 4)
-	x := make([]float64, 6)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	got := a.MulVecT(x)
-	want := a.T().MulVec(x)
-	if !VecEqual(got, want, 1e-13) {
-		t.Fatalf("MulVecT disagrees with T().MulVec: %v vs %v", got, want)
-	}
-}
-
 func TestAddSubScale(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}})
 	b := FromRows([][]float64{{4, 3}, {2, 1}})

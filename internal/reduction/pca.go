@@ -48,8 +48,8 @@ type Options struct {
 	Scaling Scaling
 	// ComputeCoherence additionally evaluates the coherence probability
 	// P(D,e) of every component (needed by coherence-ordered selection and
-	// the paper's scatter plots). It costs one extra pass over the data per
-	// component.
+	// the paper's scatter plots). It costs two matrix products per 256-row
+	// block of the data (core.AnalyzeBasis), all components at once.
 	ComputeCoherence bool
 }
 
@@ -150,30 +150,20 @@ func (p *PCA) EnergyFraction(components []int) float64 {
 	return kept / total
 }
 
-// normalize applies the fitted centering and scaling to a raw point.
-func (p *PCA) normalize(x []float64) []float64 {
-	if len(x) != len(p.Mean) {
-		panic(fmt.Sprintf("reduction: point has %d dims, transform expects %d", len(x), len(p.Mean)))
-	}
-	out := make([]float64, len(x))
-	for j := range x {
-		out[j] = (x[j] - p.Mean[j]) / p.Scale[j]
-	}
-	return out
-}
-
 // TransformPoint projects a single raw point onto the selected components.
+// It is Transform on a one-row matrix: each score is the same product chain
+// (linalg.MulTInto's definition) of the normalized point and the component,
+// so a point projected alone equals, bit for bit, its row of a projected
+// matrix.
 func (p *PCA) TransformPoint(x []float64, components []int) []float64 {
-	z := p.normalize(x)
-	out := make([]float64, len(components))
-	for k, i := range components {
-		out[k] = linalg.Dot(z, p.Components.Col(i))
-	}
-	return out
+	return p.Transform(linalg.NewDenseData(1, len(x), x), components).RawRow(0)
 }
 
 // Transform projects every row of the raw matrix x onto the selected
-// components, returning an n x len(components) score matrix.
+// components, returning an n x len(components) score matrix: one normalized
+// copy of x, one product. The number of allocations does not depend on n.
+// (Normalizing 256 rows at a time into a reused block is ≈ 1 ms faster at
+// 6598 x 166 and waits for ROADMAP 1(e): EXPERIMENTS.md, PR 22 "Second pass".)
 func (p *PCA) Transform(x *linalg.Dense, components []int) *linalg.Dense {
 	n, d := x.Dims()
 	if d != len(p.Mean) {
@@ -182,12 +172,17 @@ func (p *PCA) Transform(x *linalg.Dense, components []int) *linalg.Dense {
 	if len(components) == 0 {
 		panic("reduction: Transform with no components")
 	}
-	sub := p.Components.SliceCols(components)
-	out := linalg.NewDense(n, len(components))
+	// The components as rows: the right-hand operand MulTInto takes.
+	e := p.Components.SliceCols(components).T()
+	z := linalg.NewDense(n, d)
 	for i := 0; i < n; i++ {
-		z := p.normalize(x.RawRow(i))
-		out.SetRow(i, sub.MulVecT(z))
+		zi := z.RawRow(i)
+		for j, v := range x.RawRow(i) {
+			zi[j] = (v - p.Mean[j]) / p.Scale[j]
+		}
 	}
+	out := linalg.NewDense(n, len(components))
+	linalg.MulTInto(out, z, e)
 	return out
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -177,18 +178,46 @@ func TestTransformScoreVarianceMatchesEigenvalue(t *testing.T) {
 	}
 }
 
+// TestTransformPointMatchesTransform: a point projected alone is its own row
+// of the projected matrix, bit for bit — the per-cluster search projects the
+// query with one and scans rows projected with the other, and a member must
+// score exactly 0 against itself. 549 rows is two whole blocks of Transform
+// and a ragged third.
 func TestTransformPointMatchesTransform(t *testing.T) {
-	ds := synthetic.UniformCube("u", 30, 5, 8)
+	ds := synthetic.UniformCube("u", 549, 21, 8)
 	p, err := Fit(ds.X, Options{Scaling: ScalingStudentize})
 	if err != nil {
 		t.Fatal(err)
 	}
-	comps := []int{0, 2, 4}
+	comps := []int{0, 2, 4, 20, 7, 1, 3, 19, 11, 5, 6, 13, 17, 8, 9, 10}
 	m := p.Transform(ds.X, comps)
 	for i := 0; i < ds.N(); i++ {
 		single := p.TransformPoint(ds.X.Row(i), comps)
-		if !linalg.VecEqual(single, m.Row(i), 1e-12) {
-			t.Fatalf("row %d: TransformPoint disagrees with Transform", i)
+		for c, v := range m.RawRow(i) {
+			if math.Float64bits(single[c]) != math.Float64bits(v) {
+				t.Fatalf("row %d component %d: TransformPoint %v (%#x), Transform %v (%#x)",
+					i, comps[c], single[c], math.Float64bits(single[c]), v, math.Float64bits(v))
+			}
+		}
+	}
+}
+
+// TestTransformAllocs pins Transform's memory contract: eight allocations —
+// the component rows (a column slice and its transpose), the normalized copy
+// and the output, header and data each — whatever the number of rows. It was
+// two per row. One worker, so the product spawns nothing.
+func TestTransformAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ds := synthetic.UniformCube("u", 6598, 20, 8)
+	p, err := Fit(ds.X, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	comps := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	for _, n := range []int{1, 255, 256, 257, 6598} {
+		x := ds.X.RowSlice(0, n)
+		if avg := testing.AllocsPerRun(5, func() { p.Transform(x, comps) }); avg != 8 {
+			t.Errorf("Transform of %d rows does %.0f allocs, want 8", n, avg)
 		}
 	}
 }
