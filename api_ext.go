@@ -90,18 +90,15 @@ func BuildIDistance(data *Matrix, partitions int, seed int64) Index {
 	return index.BuildIDistance(data, partitions, seed)
 }
 
-// ApproxIndex is an approximate Euclidean k-NN structure whose queries
-// trade recall for work via a probing-depth argument, reporting
-// BucketsProbed and CandidateSize in its stats.
-type ApproxIndex = index.ApproxIndex
-
 // LSHConfig configures BuildLSH: table count, hashes per table, slot width
 // (0 = estimated from the data) and the root seed all tables derive from.
 type LSHConfig = lsh.Config
 
 // LSHIndex is a multi-probe locality-sensitive hash index (p-stable random
-// projections; Lv et al., VLDB 2007). It implements ApproxIndex; its
-// KNNApproxSet answers batch workloads on a GOMAXPROCS-sized worker pool.
+// projections; Lv et al., VLDB 2007): approximate Euclidean k-NN whose
+// queries trade recall for work via a probing-depth argument, reporting
+// BucketsProbed and CandidateSize in their stats. Its KNNApproxSet answers
+// batch workloads on a GOMAXPROCS-sized worker pool.
 type LSHIndex = lsh.Index
 
 // BuildLSH hashes the rows of data into cfg.Tables bucket maps, building
@@ -109,7 +106,7 @@ type LSHIndex = lsh.Index
 func BuildLSH(data *Matrix, cfg LSHConfig) *LSHIndex { return lsh.Build(data, cfg) }
 
 // Recall is the fraction of the exact neighbor set an approximate answer
-// recovered — the recall@k of an ApproxIndex judged against an exact
+// recovered — the recall@k of an approximate index judged against an exact
 // index's ground truth.
 func Recall(approx, exact []Neighbor) float64 { return index.Recall(approx, exact) }
 

@@ -9,8 +9,8 @@ import (
 // This file exposes the quantized vector store: a block-major, mmap-backed
 // on-disk format of per-dimension int8 codes in a caller-chosen storage
 // order, with two-phase search (SIMD code scan with an early-abandon
-// prefix, exact float64 rescore). `drtool -bench store` and `datagen -bin`
-// are the CLI front ends.
+// prefix, exact float64 rescore). The benchmark's store_approx workload
+// builds and serves one.
 
 // VectorStore is an opened quantized store. Search runs the two-phase scan;
 // a rescore budget of Len() makes results bit-identical to SearchSetBatch.

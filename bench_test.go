@@ -190,7 +190,7 @@ func benchLSHBuild(b *testing.B, d int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ix := BuildLSH(data, cfg)
-		if ix.Len() != 4000 {
+		if ix.Dims() != d {
 			b.Fatal("bad build")
 		}
 	}

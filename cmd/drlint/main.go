@@ -19,11 +19,11 @@
 //	go run ./cmd/drlint -timing ./...       # per-rule wall-clock report on stderr
 //	go run ./cmd/drlint -list
 //
-// Findings print as file:line:col: [rule] message (-format text), as a JSON
-// document (-format json), or as SARIF 2.1.0 for GitHub code scanning
-// (-format sarif). Any finding fails the run; the one way to accept an
-// intentional finding is a justified directive on the offending line or the
-// line above: //drlint:ignore <rule> <reason>.
+// Findings print as file:line:col: [rule] message (-format text) or as
+// SARIF 2.1.0 for GitHub code scanning (-format sarif). Any finding fails
+// the run; the one way to accept an intentional finding is a justified
+// directive on the offending line or the line above:
+// //drlint:ignore <rule> <reason>.
 //
 // The compiler-witness family shells out to the active go toolchain; when
 // the toolchain is untested or its output unrecognizable the family
@@ -47,11 +47,11 @@ import (
 func main() {
 	rules := flag.String("rules", "", "comma-separated subset of rules to run (default: all)")
 	list := flag.Bool("list", false, "list available rules and exit")
-	format := flag.String("format", "text", "output format: text, json or sarif")
+	format := flag.String("format", "text", "output format: text or sarif")
 	noWitness := flag.Bool("no-witness", false, "skip the compiler-witness rule family (no go build shell-out)")
 	timing := flag.Bool("timing", false, "report per-rule wall-clock time on stderr after the run")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: drlint [-rules r1,r2] [-format text|json|sarif] [-no-witness] [-timing] [-list] [patterns...]\n\npatterns are directories or ./... (default ./...)\n")
+		fmt.Fprintf(os.Stderr, "usage: drlint [-rules r1,r2] [-format text|sarif] [-no-witness] [-timing] [-list] [patterns...]\n\npatterns are directories or ./... (default ./...)\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -82,9 +82,9 @@ func main() {
 		analysis.EnableTimings()
 	}
 	switch *format {
-	case "text", "json", "sarif":
+	case "text", "sarif":
 	default:
-		fmt.Fprintf(os.Stderr, "drlint: unknown -format %q (text, json or sarif)\n", *format)
+		fmt.Fprintf(os.Stderr, "drlint: unknown -format %q (text or sarif)\n", *format)
 		os.Exit(2)
 	}
 
@@ -123,8 +123,6 @@ func main() {
 	switch *format {
 	case "text":
 		err = analysis.WriteText(os.Stdout, root, failing)
-	case "json":
-		err = analysis.WriteJSON(os.Stdout, root, failing)
 	case "sarif":
 		err = analysis.WriteSARIF(os.Stdout, root, analyzers, failing)
 	}

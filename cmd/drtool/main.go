@@ -1,7 +1,6 @@
 // Command drtool analyzes a labelled CSV data set with the coherence model,
 // (optionally) writes a reduced representation, and (optionally) benchmarks
-// a similarity index — exact or approximate — on the reduced data. With
-// -bench it instead load-tests a serving engine.
+// a similarity index — exact or approximate — on the reduced data.
 //
 // Usage:
 //
@@ -9,33 +8,6 @@
 //	       [-k N | -threshold F | -energy F | -floor F] [-out reduced.csv] [-report]
 //	       [-index kdtree|vafile|rtree|idistance|lsh] [-neighbors K]
 //	       [-queries N] [-tables L] [-probes T]
-//	drtool -bench dense|store [-in data.csv] [-serve-mutate-ops N]
-//	       [-serve-mutate-write F] [-serve-mutate-compact-at W]
-//	       [-serve-concurrency C] [-serve-shards P] [-serve-workers W]
-//	       [-serve-queue Q] [-serve-qps R] [-serve-deadline MS]
-//	       [-serve-mode auto|exact|approx] [-neighbors K] [-serve-verify N]
-//	       [-serve-seed S] [-serve-out report.json]
-//	       [-store path.qvs] [-store-n N] [-store-d D] [-store-queries Q]
-//	       [-store-rescore R] [-store-workers W] [-store-min-recall F]
-//
-// -bench is the one serving benchmark. It builds an engine — `dense`: the
-// in-memory sharded engine over -in, or over a generated musk-like
-// n=6598 d=166 set; `store`: the store-backed engine over a quantized
-// vector store that is stream-built at -store-n × -store-d (or reused if
-// the -store file exists) — verifies its exact path bit-identical to
-// SearchSetBatch on -serve-verify queries, then drives it with
-// -serve-mutate-ops closed-loop operations of which a fraction
-// -serve-mutate-write are inserts and deletes (0 = a read-only run) while
-// background compactions fold the accumulated deltas and tombstones into
-// fresh snapshot generations. The run fails unless every op completes
-// exactly once, every acknowledged insert is visible to later reads and no
-// deleted ID is ever returned; a run with writes must also see a
-// compaction install mid-run, and ends with the quiesced engine's exact
-// results verified bit-identical to a from-scratch rebuild over the
-// surviving rows. Store mode additionally measures recall@k of the
-// budgeted approximate path against exact ground truth (failing below
-// -store-min-recall), drops the full-precision region from the page cache
-// before the load, and reports scan bandwidth and resident memory.
 //
 // The input's label column (default: last) is the semantic class used by the
 // feature-stripped quality measurement; it is never part of the features.
@@ -46,7 +18,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -74,80 +45,33 @@ type options struct {
 	queries   int
 	tables    int
 	probes    int
+}
 
-	bench            string
-	serveConcurrency int
-	serveShards      int
-	serveWorkers     int
-	serveQueue       int
-	serveQPS         float64
-	serveDeadlineMS  float64
-	serveMode        string
-	serveVerify      int
-	serveSeed        int64
-	serveOut         string
-
-	serveMutateOps       int
-	serveMutateWrite     float64
-	serveMutateCompactAt int
-
-	storePath      string
-	storeN         int
-	storeD         int
-	storeQueries   int
-	storeRescore   int
-	storeWorkers   int
-	storeMinRecall float64
+// registerFlags binds every option to its flag.
+func registerFlags(fs *flag.FlagSet, o *options) {
+	fs.StringVar(&o.in, "in", "", "input CSV path (required)")
+	fs.BoolVar(&o.header, "header", false, "input has a header row")
+	fs.IntVar(&o.labelCol, "label", -1, "label column index (-1 = last)")
+	fs.BoolVar(&o.scale, "scale", true, "studentize dimensions (correlation PCA)")
+	fs.StringVar(&o.order, "order", "coherence", "component ordering: eigenvalue or coherence")
+	fs.IntVar(&o.k, "k", 0, "retain exactly k components (0 = use -threshold/-energy/-floor)")
+	fs.Float64Var(&o.threshold, "threshold", 0, "retain eigenvalues >= F * largest, F in [0,1] (0 = off)")
+	fs.Float64Var(&o.energy, "energy", 0, "retain smallest prefix with >= F of variance, F in [0,1] (0 = off)")
+	fs.Float64Var(&o.floor, "floor", 0, "retain components with coherence >= F (0 = off)")
+	fs.StringVar(&o.out, "out", "", "write reduced CSV here")
+	fs.BoolVar(&o.report, "report", true, "print the per-component analysis")
+	fs.StringVar(&o.index, "index", "", "benchmark an index on the reduced data: kdtree, vafile, rtree, idistance or lsh")
+	fs.IntVar(&o.neighbors, "neighbors", 10, "k-NN neighbor count for the index benchmark")
+	fs.IntVar(&o.queries, "queries", 25, "query count for the index benchmark")
+	fs.IntVar(&o.tables, "tables", 0, "lsh: hash tables (0 = default)")
+	fs.IntVar(&o.probes, "probes", 16, "lsh: buckets probed per table")
 }
 
 func main() {
 	var o options
-	flag.StringVar(&o.in, "in", "", "input CSV path (required, except with -bench)")
-	flag.BoolVar(&o.header, "header", false, "input has a header row")
-	flag.IntVar(&o.labelCol, "label", -1, "label column index (-1 = last)")
-	flag.BoolVar(&o.scale, "scale", true, "studentize dimensions (correlation PCA)")
-	flag.StringVar(&o.order, "order", "coherence", "component ordering: eigenvalue or coherence")
-	flag.IntVar(&o.k, "k", 0, "retain exactly k components (0 = use -threshold/-energy/-floor)")
-	flag.Float64Var(&o.threshold, "threshold", 0, "retain eigenvalues >= F * largest (0 = off)")
-	flag.Float64Var(&o.energy, "energy", 0, "retain smallest prefix with >= F of variance (0 = off)")
-	flag.Float64Var(&o.floor, "floor", 0, "retain components with coherence >= F (0 = off)")
-	flag.StringVar(&o.out, "out", "", "write reduced CSV here")
-	flag.BoolVar(&o.report, "report", true, "print the per-component analysis")
-	flag.StringVar(&o.index, "index", "", "benchmark an index on the reduced data: kdtree, vafile, rtree, idistance or lsh")
-	flag.IntVar(&o.neighbors, "neighbors", 10, "k-NN neighbor count for the index benchmark and -bench")
-	flag.IntVar(&o.queries, "queries", 25, "query count for the index benchmark")
-	flag.IntVar(&o.tables, "tables", 0, "lsh: hash tables (0 = default)")
-	flag.IntVar(&o.probes, "probes", 16, "lsh: buckets probed per table")
-	flag.StringVar(&o.bench, "bench", "", "benchmark a serving engine under load: dense (sharded in-memory engine over -in, or without -in the generated musk-like n=6598 d=166 workload) or store (store-backed engine over a quantized vector store)")
-	flag.IntVar(&o.serveMutateOps, "serve-mutate-ops", 10000, "bench: total operations (reads + writes)")
-	flag.Float64Var(&o.serveMutateWrite, "serve-mutate-write", 0.10, "bench: write fraction in [0,1] (split between inserts and deletes; 0 = read-only)")
-	flag.IntVar(&o.serveMutateCompactAt, "serve-mutate-compact-at", 256, "bench: pending-mutation watermark that triggers background compaction")
-	flag.IntVar(&o.serveConcurrency, "serve-concurrency", 32, "bench: closed-loop clients")
-	flag.IntVar(&o.serveShards, "serve-shards", 0, "bench: engine shards (0 = GOMAXPROCS)")
-	flag.IntVar(&o.serveWorkers, "serve-workers", 0, "bench: request workers (0 = 2*GOMAXPROCS)")
-	flag.IntVar(&o.serveQueue, "serve-queue", 0, "bench: admission queue depth (0 = default)")
-	flag.Float64Var(&o.serveQPS, "serve-qps", 0, "bench: aggregate operation rate (0 = unthrottled)")
-	flag.Float64Var(&o.serveDeadlineMS, "serve-deadline", 0, "bench: per-operation deadline in ms (0 = none)")
-	flag.StringVar(&o.serveMode, "serve-mode", "auto", "bench: search path of reads — auto, exact or approx")
-	flag.IntVar(&o.serveVerify, "serve-verify", 64, "bench: queries checked bit-identical to SearchSetBatch (and, after a run with writes, to a rebuild over the survivors)")
-	flag.Int64Var(&o.serveSeed, "serve-seed", 1, "bench: workload, op-mix and LSH seed")
-	flag.StringVar(&o.serveOut, "serve-out", "", "bench: write a JSON report here (e.g. BENCH_serve.json)")
-	flag.StringVar(&o.storePath, "store", "", "bench store: store file path (reused if it exists; empty = temp file)")
-	flag.IntVar(&o.storeN, "store-n", 1_000_000, "bench store: data points")
-	flag.IntVar(&o.storeD, "store-d", 166, "bench store: dimensions")
-	flag.IntVar(&o.storeQueries, "store-queries", 32, "bench store: held-out query rows (recall probe set and request stream)")
-	flag.IntVar(&o.storeRescore, "store-rescore", 2000, "bench store: per-shard exact-rescore budget of the approximate path")
-	flag.IntVar(&o.storeWorkers, "store-workers", 0, "bench store: intra-query scan workers per shard (0 = 1)")
-	flag.Float64Var(&o.storeMinRecall, "store-min-recall", 0, "bench store: fail unless recall@k reaches this (0 = report only)")
+	registerFlags(flag.CommandLine, &o)
 	flag.Parse()
 
-	if o.bench != "" {
-		if err := runBench(context.Background(), os.Stdout, o); err != nil {
-			fmt.Fprintf(os.Stderr, "drtool: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if o.in == "" {
 		fmt.Fprintln(os.Stderr, "drtool: -in is required")
 		flag.Usage()
@@ -176,6 +100,18 @@ func run(o options) error {
 	}
 	ds, _ = ds.DropConstantColumns(1e-12)
 	fmt.Printf("loaded %s\n", ds)
+
+	// Flag values are outside input: reject here what the selection rules
+	// below would panic on. The negated form also rejects NaN.
+	if o.k < 0 || o.k > ds.Dims() {
+		return fmt.Errorf("-k %d out of range [0,%d] (the data's non-constant dimensions; 0 = off)", o.k, ds.Dims())
+	}
+	if !(o.threshold >= 0 && o.threshold <= 1) {
+		return fmt.Errorf("-threshold %v out of range [0,1] (0 = off)", o.threshold)
+	}
+	if !(o.energy >= 0 && o.energy <= 1) {
+		return fmt.Errorf("-energy %v out of range [0,1] (0 = off)", o.energy)
+	}
 
 	opts := repro.Options{ComputeCoherence: true}
 	if o.scale {

@@ -1,8 +1,14 @@
 package main
 
 import (
+	"flag"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
+	"strings"
 	"testing"
 
 	repro "repro"
@@ -135,6 +141,21 @@ func TestRunErrors(t *testing.T) {
 	if err := run(o); err == nil {
 		t.Fatalf("unwritable output accepted")
 	}
+	// Flag values the selection rules would panic on.
+	for _, bad := range []struct {
+		flag string
+		set  func(*options)
+	}{
+		{"-k", func(o *options) { o.k = 1000 }},
+		{"-threshold", func(o *options) { o.threshold = 1.5 }},
+		{"-energy", func(o *options) { o.energy = 2 }},
+	} {
+		o = baseOptions(in)
+		bad.set(&o)
+		if err := run(o); err == nil || !strings.Contains(err.Error(), bad.flag+" ") {
+			t.Fatalf("out-of-range %s: got error %v, want one naming the flag", bad.flag, err)
+		}
+	}
 	// Bad index configurations.
 	o = baseOptions(in)
 	o.k = 3
@@ -155,5 +176,36 @@ func TestRunErrors(t *testing.T) {
 	o.queries = 0
 	if err := run(o); err == nil {
 		t.Fatalf("zero queries accepted")
+	}
+}
+
+// TestDrtoolFlagSet keeps the package doc's usage block and the registered
+// flags the same set of names.
+func TestDrtoolFlagSet(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.ParseComments|parser.PackageClauseOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var documented []string
+	flagName := regexp.MustCompile(`(?:^|[\s\[|])-([a-z]+)`)
+	for _, line := range strings.Split(f.Doc.Text(), "\n") {
+		if !strings.HasPrefix(line, "\t") { // the usage block is the doc's only indented text
+			continue
+		}
+		for _, m := range flagName.FindAllStringSubmatch(line, -1) {
+			documented = append(documented, m[1])
+		}
+	}
+	var registered []string
+	fs := flag.NewFlagSet("drtool", flag.ContinueOnError)
+	registerFlags(fs, new(options))
+	fs.VisitAll(func(f *flag.Flag) { registered = append(registered, f.Name) })
+	slices.Sort(documented)
+	slices.Sort(registered)
+	if !slices.Equal(documented, registered) {
+		t.Fatalf("usage block documents %v\nflag set registers %v", documented, registered)
+	}
+	if len(registered) != 16 {
+		t.Fatalf("%d flags registered, want 16", len(registered))
 	}
 }

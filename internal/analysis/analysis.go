@@ -30,10 +30,9 @@
 //     without a default, Wait, time.Sleep, or a call into a same-package
 //     function that blocks) while a sync.Mutex/RWMutex is held in
 //     internal/serve.
-//   - ctxflow: exported context-accepting functions in internal/serve and
-//     cmd/drtool must propagate their context to every context-accepting
-//     call they make; context.Background()/TODO() is reserved for main and
-//     tests.
+//   - ctxflow: exported context-accepting functions in internal/serve must
+//     propagate their context to every context-accepting call they make;
+//     context.Background()/TODO() is reserved for main and tests.
 //   - errwrap: the serving layer's typed sentinel errors must be compared
 //     with errors.Is and wrapped with %w — never ==/!=, switch cases, or
 //     string matching on Error() text.

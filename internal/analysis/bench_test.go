@@ -7,9 +7,8 @@ import "testing"
 // run all seventeen analyzers — including the dataflow rules' call-graph
 // construction, taint fixpoint, asm parsing, and the compiler-witness
 // layer's `go build` shell-out (cached per process, so the first
-// iteration pays it). This is the cost
-// `go test ./...` and CI pay on every run, so scripts/bench.sh records it
-// next to the numeric kernels; it must stay well under 5 s per pass.
+// iteration pays it). This is the cost `go test ./...` and CI pay on every
+// run; it must stay well under 5 s per pass.
 func BenchmarkDrlintModule(b *testing.B) {
 	root, err := moduleRoot()
 	if err != nil {

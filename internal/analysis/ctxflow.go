@@ -6,7 +6,7 @@ import (
 	"strings"
 )
 
-// CtxFlow enforces context propagation in the serving layer and its CLI:
+// CtxFlow enforces context propagation in the serving layer:
 // a request's deadline only means anything if every stage of the request
 // sees the same context. Two shapes break that chain:
 //
@@ -23,13 +23,13 @@ import (
 var CtxFlow = &Analyzer{
 	Name:       "ctxflow",
 	Family:     "type-aware",
-	Doc:        "exported context-accepting functions in internal/serve and cmd/drtool must propagate their context; context roots only in main and tests",
+	Doc:        "exported context-accepting functions in internal/serve must propagate their context; context roots only in main and tests",
 	NeedsTypes: true,
 	Run:        runCtxFlow,
 }
 
 // ctxFlowPackages are the import-path suffixes the rule applies to.
-var ctxFlowPackages = []string{"internal/serve", "cmd/drtool"}
+var ctxFlowPackages = []string{"internal/serve"}
 
 func runCtxFlow(pass *Pass) {
 	applies := false

@@ -8,24 +8,6 @@ import (
 	"strings"
 )
 
-// Finding is the machine-readable form of a Diagnostic, with the file path
-// made module-relative (forward slashes) so output is stable across
-// machines and checkouts.
-type Finding struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Column  int    `json:"column"`
-	Rule    string `json:"rule"`
-	Message string `json:"message"`
-}
-
-// jsonReport is the document `drlint -format json` emits.
-type jsonReport struct {
-	Version  int       `json:"version"`
-	Count    int       `json:"count"`
-	Findings []Finding `json:"findings"`
-}
-
 // relPath makes filename module-relative with forward slashes; paths
 // outside root pass through unchanged.
 func relPath(root, filename string) string {
@@ -37,22 +19,6 @@ func relPath(root, filename string) string {
 	return filepath.ToSlash(filename)
 }
 
-// ToFindings converts diagnostics to their machine-readable form, with
-// paths relative to root.
-func ToFindings(root string, diags []Diagnostic) []Finding {
-	out := make([]Finding, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, Finding{
-			File:    relPath(root, d.Pos.Filename),
-			Line:    d.Pos.Line,
-			Column:  d.Pos.Column,
-			Rule:    d.Rule,
-			Message: d.Message,
-		})
-	}
-	return out
-}
-
 // WriteText prints diagnostics in the classic file:line:col form.
 func WriteText(w io.Writer, root string, diags []Diagnostic) error {
 	for _, d := range diags {
@@ -62,14 +28,6 @@ func WriteText(w io.Writer, root string, diags []Diagnostic) error {
 		}
 	}
 	return nil
-}
-
-// WriteJSON emits the findings as a JSON document.
-func WriteJSON(w io.Writer, root string, diags []Diagnostic) error {
-	rep := jsonReport{Version: 1, Count: len(diags), Findings: ToFindings(root, diags)}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }
 
 // Minimal SARIF 2.1.0 document structure — enough for GitHub code scanning

@@ -6,6 +6,9 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -43,14 +46,6 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-func TestWriteJSONGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, "", goldenDiags()); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "findings.json", buf.Bytes())
-}
-
 func TestWriteSARIFGolden(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteSARIF(&buf, "", All(), goldenDiags()); err != nil {
@@ -67,34 +62,31 @@ type formatKey struct {
 	Message string
 }
 
-// TestFormatsAgree parses the JSON and SARIF outputs back and checks they
+// TestFormatsAgree parses the text and SARIF outputs back and checks they
 // describe the identical finding set, in the same order.
 func TestFormatsAgree(t *testing.T) {
 	diags := goldenDiags()
 
-	var jsonBuf, sarifBuf bytes.Buffer
-	if err := WriteJSON(&jsonBuf, "", diags); err != nil {
+	var textBuf, sarifBuf bytes.Buffer
+	if err := WriteText(&textBuf, "", diags); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteSARIF(&sarifBuf, "", All(), diags); err != nil {
 		t.Fatal(err)
 	}
 
-	var rep struct {
-		Version  int `json:"version"`
-		Count    int `json:"count"`
-		Findings []struct {
-			File    string `json:"file"`
-			Line    int    `json:"line"`
-			Rule    string `json:"rule"`
-			Message string `json:"message"`
-		} `json:"findings"`
+	var fromText []formatKey
+	textLine := regexp.MustCompile(`^(.+):(\d+):\d+: \[(\w+)\] (.+)$`)
+	for _, line := range strings.Split(strings.TrimSuffix(textBuf.String(), "\n"), "\n") {
+		m := textLine.FindStringSubmatch(line)
+		if m == nil {
+			t.Fatalf("text line does not parse: %q", line)
+		}
+		n, _ := strconv.Atoi(m[2])
+		fromText = append(fromText, formatKey{m[1], n, m[3], m[4]})
 	}
-	if err := json.Unmarshal(jsonBuf.Bytes(), &rep); err != nil {
-		t.Fatalf("JSON output does not parse: %v", err)
-	}
-	if rep.Version != 1 || rep.Count != len(diags) {
-		t.Fatalf("JSON header: version %d count %d, want 1 and %d", rep.Version, rep.Count, len(diags))
+	if len(fromText) != len(diags) {
+		t.Fatalf("text has %d findings, want %d", len(fromText), len(diags))
 	}
 
 	var sarif struct {
@@ -148,10 +140,7 @@ func TestFormatsAgree(t *testing.T) {
 		}
 	}
 
-	var fromJSON, fromSARIF []formatKey
-	for _, f := range rep.Findings {
-		fromJSON = append(fromJSON, formatKey{f.File, f.Line, f.Rule, f.Message})
-	}
+	var fromSARIF []formatKey
 	for _, r := range run.Results {
 		if len(r.Locations) != 1 {
 			t.Fatalf("SARIF result has %d locations", len(r.Locations))
@@ -159,12 +148,12 @@ func TestFormatsAgree(t *testing.T) {
 		loc := r.Locations[0].PhysicalLocation
 		fromSARIF = append(fromSARIF, formatKey{loc.ArtifactLocation.URI, loc.Region.StartLine, r.RuleID, r.Message.Text})
 	}
-	if len(fromJSON) != len(fromSARIF) {
-		t.Fatalf("JSON has %d findings, SARIF has %d", len(fromJSON), len(fromSARIF))
+	if len(fromText) != len(fromSARIF) {
+		t.Fatalf("text has %d findings, SARIF has %d", len(fromText), len(fromSARIF))
 	}
-	for i := range fromJSON {
-		if fromJSON[i] != fromSARIF[i] {
-			t.Errorf("finding %d diverges across formats:\n json: %+v\nsarif: %+v", i, fromJSON[i], fromSARIF[i])
+	for i := range fromText {
+		if fromText[i] != fromSARIF[i] {
+			t.Errorf("finding %d diverges across formats:\n text: %+v\nsarif: %+v", i, fromText[i], fromSARIF[i])
 		}
 	}
 }

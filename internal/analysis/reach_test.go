@@ -9,9 +9,10 @@ import (
 	"testing"
 )
 
-// unreachedOracles are the package-level functions of internal/* that no
-// program reaches and that stay anyway, each because a test of a reachable
-// function uses it as its oracle, fixture builder or data generator.
+// unreachedOracles are the functions and methods of internal/* that no
+// program reaches and that stay anyway, each because the named test of a
+// reachable function uses it as its oracle, driver, fixture builder or data
+// generator. What only a listed entry calls stays with it, unlisted.
 var unreachedOracles = map[string]string{
 	"internal/linalg.EigSymJacobi": "TestEigSymJacobiVsQL: the Jacobi fallback of EigSym, run alone, against the QL path",
 	"internal/linalg.EigSymQL":     "TestEigSymJacobiVsQL: the QL path EigSym takes first, run alone",
@@ -20,29 +21,64 @@ var unreachedOracles = map[string]string{
 	"internal/linalg.VecEqual":     "tolerance comparison in the linalg, stats and core tests",
 	"internal/linalg.FromRows":     "literal matrices in the tests of reachable functions (TestGramSchmidtDropsDependentColumns, TestEigSym2x2Known, the stats and knn tests)",
 
+	"(*internal/linalg.Dense).Mul":                      "TestMulTMatchesMul, TestAtAMatchesNaive: the naive product MulT and AtA are held to; TestGramSchmidt's QᵀQ",
+	"(*internal/linalg.Dense).Equal":                    "matrix comparison in TestMulTIsTheSequentialChain, TestMulTIndependentOfWorkers, TestAtAMatchesNaive and the root TestPublicCSVRoundTrip and stress tests",
+	"(*internal/linalg.Dense).AddMat":                   "TestEigSymBitIdenticalToOracle and randSym: symmetrise the random inputs of every EigSym test",
+	"(*internal/linalg.Dense).SubMat":                   "checkDecomposition (VᵀV − I of every EigSym test) and TestEigSymBitIdenticalToOracle's reflections",
+	"(*internal/linalg.Dense).MaxAbs":                   "checkDecomposition: the size of VᵀV − I",
+	"(*internal/linalg.EigenDecomposition).Residual":    "checkDecomposition: max |A·V − V·Λ| of every EigSym test",
+	"(*internal/linalg.EigenDecomposition).Reconstruct": "TestEigenReconstruct, TestEigenPropertyQuick: V Λ Vᵀ must give back EigSym's input",
+
 	"internal/knn.SearchSet":  "the scalar reference SearchSetBatch's bit-identity is defined against (TestSearchSetBatchEquivalence, TestSearchSetBatchEqualsSearchSetOnLattices)",
 	"internal/knn.PairwiseSq": "TestPropertyPCAContraction in reduction/property_test.go: all-pairs distances before and after Transform",
 
 	"internal/stats.CorrelationMatrix": "TestTransformScoreVarianceMatchesEigenvalue in reduction/pca_test.go checks that PCA scores are decorrelated with it",
+	"(internal/stats.Normal).CDF":      "TestTwoSidedMatchesDefinition: 2Φ(z) − 1 from the definition, against TwoSidedProbability's erf short-cut",
 	"internal/cluster.Silhouette":      "TestSubspaceMixtureStructure: the separability KMeans must reach on SubspaceMixture's cells",
-	"internal/store.Write":             "builds the file under every Open/Search test of store_test.go and serve/backend_store_test.go; TestStreamingWriterMatchesWrite pins it byte-for-byte to Create+Append",
-	"internal/index/lsh.DecodeKey":     "inverse of EncodeKey in FuzzBucketKey and the lsh key tests",
-	"internal/index/lsh.unzigzag":      "DecodeKey's half of the zigzag varint coding",
-	"internal/index.NewLinearScan":     "the exact baseline in the cross-index agreement and iDistance tests",
+
+	"(*internal/dataset.Dataset).Validate":    "TestGenerateShapeAndLabels, TestNoisyDataA, TestNoisyDataB and TestSubspaceMixtureStructure: every generator's output is finite and consistently labelled",
+	"(*internal/dataset.Dataset).ClassCounts": "TestGenerateShapeAndLabels: Generate balances its classes",
+
+	"(*internal/reduction.CovarianceAccumulator).AddMatrix": "feeds the accumulator in TestAccumulatorMatchesBatchCovariance, TestAccumulatorFitMatchesBatchFit, TestAccumulateMatrixMatchesAddMatrix and ExampleCovarianceAccumulator",
+
+	"internal/store.Write":                  "builds the file under every Open/Search test of store_test.go and serve/backend_store_test.go; TestStreamingWriterMatchesWrite pins it byte-for-byte to Create+Append",
+	"(*internal/store.Store).DequantRow":    "TestRoundTripErrorBound: decodes every stored row to hold the encoder to |dequant − x| ≤ step/2",
+	"(*internal/store.Store).Steps":         "TestRoundTripErrorBound: the per-dimension step of that bound",
+	"(*internal/store.Store).PrefixDims":    "TestVariantMatrixCoversPrefixStates, TestScanSegmentTailResidues, TestBuildWithVarianceOrderStaysExact: assert the early-abandon prefix is on in the shapes that claim to test it",
+	"internal/index/lsh.DecodeKey":          "inverse of EncodeKey in FuzzBucketKey and the lsh key tests",
+	"internal/index/lsh.unzigzag":           "DecodeKey's half of the zigzag varint coding",
+	"(*internal/index/lsh.Index).MaxProbes": "TestCrossIndexAgreementFixture: the probe depth at which KNNApprox is held against the exact indexes",
+	"internal/index.NewLinearScan":          "the exact baseline in the cross-index agreement and iDistance tests",
+
+	"(internal/experiments.LSHRecallResult).Best": "TestLSHRecallTradeoff: the acceptance bar (recall ≥ 0.9 under 20 % scanned) LSHRecall's table is held to; BenchmarkLSHRecall's headline",
+
+	"internal/serve.RunLoad":             "the driver of TestMutateStress (the race gate), TestDriftTriggersRecompaction and TestTombstoneScanMatchesRebuild; TestRunLoad pins its accounting",
+	"internal/serve.VerifyMutated":       "the rebuild oracle of TestMutateStress, TestTombstoneScanMatchesRebuild and TestStoreMutationMatchesRebuild; TestVerifyMutatedDetectsDivergence pins it",
+	"(*internal/serve.Engine).Swap":      "TestStressSwapOverload (raced), TestSwap, TestSwapDiscardsMutations and the shard-permutation relation of metamorphic_test.go: wholesale replacement against snapshot loads, admission and stats, all reached",
+	"(*internal/serve.Engine).SwapStore": "TestSwapBetweenDenseAndStore: one engine moves between the dense and the store backend across generations",
 }
 
 // TestInternalFunctionsAreReachable is ROADMAP's "no code that nothing on a
-// measured path needs" as a check: every package-level function under
+// measured path needs" as a check: every function and method declared under
 // internal/ (this package exempt) must be reachable from a program or be
 // listed above. Roots are main in every main package (cmd/*, examples/*,
 // benchmark), every init and every package-level initialiser. The root
 // facade is not a root: it re-exports what some program runs, and an
 // exported wrapper there that no program calls keeps nothing alive —
-// otherwise three lines of facade would justify any amount of substrate. A
-// reached declaration contributes every function its identifiers resolve to
-// and every method of every named type it mentions — which stands in for
-// interface dispatch (container/heap, fmt.Stringer, index.Index). Tests are
-// not roots.
+// otherwise three lines of facade would justify any amount of substrate.
+// Tests are not roots.
+//
+// A reached declaration reaches every function and method its identifiers
+// resolve to — a selector on a concrete receiver resolves to the method
+// itself, promoted ones included. A selector on an interface value resolves
+// to the interface's method instead, which marks that interface dispatched;
+// every exported interface of a standard-library package the module imports
+// (sort.Interface, heap.Interface, fmt.Stringer, io.Writer, …) and error
+// count as dispatched by the library. A dispatched interface reaches, on
+// every named type that reached code mentions and whose pointer implements
+// it, the implementation of each of its methods: the interface is the unit,
+// because a type cannot drop one method and keep satisfying it. Mentioning
+// a type reaches no method by itself.
 func TestInternalFunctionsAreReachable(t *testing.T) {
 	root, err := moduleRoot()
 	if err != nil {
@@ -56,12 +92,28 @@ func TestInternalFunctionsAreReachable(t *testing.T) {
 		node ast.Node
 		info *types.Info
 	}
-	decls := map[*types.Func]site{} // every declared function and method
+	decls := map[*types.Func]site{}           // every declared function and method
+	typeDecls := map[*types.TypeName]site{}   // every declared type
+	dispatched := map[*types.Interface]bool{} // interfaces somebody calls a method through
 	var queue []site
-	var checked []*types.Func // package-level functions under internal/
+	var checked []*types.Func // functions and methods under internal/
 	for _, pkg := range pkgs {
 		if pkg.TypesInfo == nil {
 			continue
+		}
+		for _, imp := range pkg.Types.Imports() {
+			if imp.Path() == modulePath || strings.HasPrefix(imp.Path(), modulePath+"/") {
+				continue
+			}
+			for _, name := range imp.Scope().Names() {
+				tn, _ := imp.Scope().Lookup(name).(*types.TypeName)
+				if tn == nil || !tn.Exported() {
+					continue
+				}
+				if iface, ok := tn.Type().Underlying().(*types.Interface); ok {
+					dispatched[iface] = true
+				}
+			}
 		}
 		for _, f := range pkg.Files {
 			if f.Test {
@@ -71,9 +123,15 @@ func TestInternalFunctionsAreReachable(t *testing.T) {
 				s := site{decl, pkg.TypesInfo}
 				fd, isFunc := decl.(*ast.FuncDecl)
 				if !isFunc {
+					gd := decl.(*ast.GenDecl)
 					// Package-level initialisers run at start-up.
-					if decl.(*ast.GenDecl).Tok == token.VAR {
+					if gd.Tok == token.VAR {
 						queue = append(queue, s)
+					}
+					for _, spec := range gd.Specs {
+						if ts, ok := spec.(*ast.TypeSpec); ok {
+							typeDecls[pkg.TypesInfo.Defs[ts.Name].(*types.TypeName)] = site{ts, pkg.TypesInfo}
+						}
 					}
 					continue
 				}
@@ -83,12 +141,13 @@ func TestInternalFunctionsAreReachable(t *testing.T) {
 				case fd.Recv == nil && fd.Name.Name == "init",
 					fd.Recv == nil && fd.Name.Name == "main" && pkg.Types.Name() == "main":
 					queue = append(queue, s)
-				case fd.Recv == nil && strings.HasPrefix(pkg.Dir, "internal/") && pkg.Dir != "internal/analysis":
+				case strings.HasPrefix(pkg.Dir, "internal/") && pkg.Dir != "internal/analysis":
 					checked = append(checked, obj)
 				}
 			}
 		}
 	}
+	dispatched[types.Universe.Lookup("error").Type().Underlying().(*types.Interface)] = true
 
 	reached := map[*types.Func]bool{}
 	reach := func(f *types.Func) {
@@ -98,40 +157,81 @@ func TestInternalFunctionsAreReachable(t *testing.T) {
 			queue = append(queue, s)
 		}
 	}
-	for len(queue) > 0 {
-		s := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		ast.Inspect(s.node, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			switch obj := s.info.Uses[id].(type) {
-			case *types.Func:
-				reach(obj)
-			case *types.TypeName:
-				if named, ok := types.Unalias(obj.Type()).(*types.Named); ok {
-					for i := 0; i < named.NumMethods(); i++ {
-						reach(named.Method(i))
+	// bind reaches the mentioned type's implementation of every method of
+	// the dispatched interface, if the type's pointer implements it.
+	bind := func(named *types.Named, iface *types.Interface) {
+		ptr := types.NewPointer(named)
+		if !types.Implements(ptr, iface) {
+			return
+		}
+		for i := 0; i < iface.NumMethods(); i++ {
+			im := iface.Method(i)
+			m, _, _ := types.LookupFieldOrMethod(ptr, false, im.Pkg(), im.Name())
+			reach(m.(*types.Func))
+		}
+	}
+	mentioned := map[*types.Named]bool{}
+	drain := func() {
+		for len(queue) > 0 {
+			s := queue[len(queue)-1]
+			queue = queue[:len(queue)-1]
+			ast.Inspect(s.node, func(n ast.Node) bool {
+				id, ok := n.(*ast.Ident)
+				if !ok {
+					return true
+				}
+				switch obj := s.info.Uses[id].(type) {
+				case *types.Func:
+					recv := obj.Type().(*types.Signature).Recv()
+					if recv == nil || !types.IsInterface(recv.Type()) {
+						reach(obj)
+					} else if iface := recv.Type().Underlying().(*types.Interface); !dispatched[iface] {
+						dispatched[iface] = true
+						for named := range mentioned {
+							bind(named, iface)
+						}
+					}
+				case *types.TypeName:
+					named, ok := types.Unalias(obj.Type()).(*types.Named)
+					if !ok || mentioned[named.Origin()] {
+						return true
+					}
+					named = named.Origin()
+					mentioned[named] = true
+					if ts, ok := typeDecls[named.Obj()]; ok {
+						queue = append(queue, ts) // the types of its fields are mentioned too
+					}
+					for iface := range dispatched {
+						bind(named, iface)
 					}
 				}
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
+	drain()
 
-	var orphans []string
+	// The listed oracles must be out of every program's reach; what only
+	// they reach stays with them.
 	seen := map[string]bool{}
 	for _, f := range checked {
 		name := qualifiedName(f)
-		_, listed := unreachedOracles[name]
-		switch {
-		case !reached[f] && !listed:
-			orphans = append(orphans, name)
-		case reached[f] && listed:
+		seen[name] = true
+		if _, listed := unreachedOracles[name]; !listed {
+			continue
+		}
+		if reached[f] {
 			t.Errorf("%s is reachable now: drop it from unreachedOracles", name)
 		}
-		seen[name] = true
+		reach(f)
+	}
+	drain()
+
+	var orphans []string
+	for _, f := range checked {
+		if !reached[f] {
+			orphans = append(orphans, qualifiedName(f))
+		}
 	}
 	sort.Strings(orphans)
 	for _, name := range orphans {
@@ -139,7 +239,7 @@ func TestInternalFunctionsAreReachable(t *testing.T) {
 	}
 	for name := range unreachedOracles {
 		if !seen[name] {
-			t.Errorf("unreachedOracles lists %s, which is not a package-level function under internal/", name)
+			t.Errorf("unreachedOracles lists %s, which is not a function or method under internal/", name)
 		}
 	}
 }

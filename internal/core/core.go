@@ -195,25 +195,6 @@ func (b *BasisAnalysis) Coherences() []float64 {
 	return out
 }
 
-// Eigenvalues returns the variance along every basis column, in column
-// order.
-func (b *BasisAnalysis) Eigenvalues() []float64 {
-	out := make([]float64, len(b.Reports))
-	for i, r := range b.Reports {
-		out[i] = r.Eigenvalue
-	}
-	return out
-}
-
-// EigenvalueCoherenceCorrelation returns the Pearson correlation between
-// eigenvalue magnitudes and coherence probabilities across the basis — the
-// quantity the paper's scatter plots (Figures 3, 6, 9, 12, 14) visualize.
-// Data sets where this correlation is high are well served by classical
-// eigenvalue-ordered reduction; where it is low, coherence ordering wins.
-func (b *BasisAnalysis) EigenvalueCoherenceCorrelation() float64 {
-	return stats.Pearson(b.Eigenvalues(), b.Coherences())
-}
-
 // ContributionHistogram bins the per-dimension contributions of the centered
 // point x along e into the given number of bins — the distribution the
 // paper's Figure 1 draws for its two illustrative eigenvectors.

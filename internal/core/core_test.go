@@ -194,9 +194,8 @@ func TestAnalyzeBasisConceptVsNoise(t *testing.T) {
 		t.Fatalf("concept coherence %v not separated from noise mean %v", concept, noiseMean)
 	}
 	// Eigenvalue of the top report must dominate.
-	evs := ba.Eigenvalues()
-	if evs[0] < 5*evs[1] {
-		t.Fatalf("top eigenvalue %v not dominant over %v", evs[0], evs[1])
+	if top, next := ba.Reports[0].Eigenvalue, ba.Reports[1].Eigenvalue; top < 5*next {
+		t.Fatalf("top eigenvalue %v not dominant over %v", top, next)
 	}
 }
 
@@ -261,7 +260,11 @@ func TestEigenvalueCoherenceCorrelation(t *testing.T) {
 	}
 	_, vecs := ed.Descending()
 	ba := AnalyzeBasis(std.X, vecs, true)
-	if r := ba.EigenvalueCoherenceCorrelation(); r < 0.5 {
+	evs := make([]float64, len(ba.Reports))
+	for i, rep := range ba.Reports {
+		evs[i] = rep.Eigenvalue
+	}
+	if r := stats.Pearson(evs, ba.Coherences()); r < 0.5 {
 		t.Fatalf("clean data eigenvalue/coherence correlation = %v, want strong positive", r)
 	}
 }

@@ -12,7 +12,6 @@ package dataset
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/linalg"
 	"repro/internal/stats"
@@ -109,43 +108,6 @@ func (d *Dataset) WithMatrix(name string, x *linalg.Dense) *Dataset {
 	return &Dataset{Name: name, X: x, Labels: d.Labels, ClassNames: d.ClassNames}
 }
 
-// Subset returns a Dataset containing only the given rows, in order.
-func (d *Dataset) Subset(rows []int) *Dataset {
-	labels := make([]int, len(rows))
-	for k, i := range rows {
-		labels[k] = d.Labels[i]
-	}
-	out := &Dataset{Name: d.Name, X: d.X.SliceRows(rows), Labels: labels, ClassNames: d.ClassNames}
-	if d.FeatureNames != nil {
-		out.FeatureNames = append([]string(nil), d.FeatureNames...)
-	}
-	return out
-}
-
-// Shuffled returns a copy with rows permuted by the given source.
-func (d *Dataset) Shuffled(rng *rand.Rand) *Dataset {
-	perm := rng.Perm(d.N())
-	return d.Subset(perm)
-}
-
-// Split partitions the rows into two data sets: the first gets every row
-// whose index mod k is nonzero, the second every k-th row. It is a simple
-// deterministic holdout used to separate reference points from queries.
-func (d *Dataset) Split(k int) (ref, query *Dataset) {
-	if k < 2 {
-		panic(fmt.Sprintf("dataset: Split k=%d must be >= 2", k))
-	}
-	var refRows, qRows []int
-	for i := 0; i < d.N(); i++ {
-		if i%k == 0 {
-			qRows = append(qRows, i)
-		} else {
-			refRows = append(refRows, i)
-		}
-	}
-	return d.Subset(refRows), d.Subset(qRows)
-}
-
 // DropConstantColumns removes features whose population variance is below
 // eps (the paper: "if the initial variance is zero along any dimension, then
 // that dimension may be discarded"). It returns the reduced data set and the
@@ -185,12 +147,6 @@ func (d *Dataset) DropConstantColumns(eps float64) (*Dataset, []int) {
 func (d *Dataset) Standardized() *Dataset {
 	x, _, _ := stats.Standardize(d.X, 1e-12)
 	return &Dataset{Name: d.Name + " (scaled)", X: x, Labels: d.Labels, ClassNames: d.ClassNames, FeatureNames: d.FeatureNames}
-}
-
-// Centered returns a copy with column means removed but scales untouched.
-func (d *Dataset) Centered() *Dataset {
-	x, _ := stats.Center(d.X)
-	return &Dataset{Name: d.Name, X: x, Labels: d.Labels, ClassNames: d.ClassNames, FeatureNames: d.FeatureNames}
 }
 
 // Validate checks internal consistency and that no feature is NaN or Inf.

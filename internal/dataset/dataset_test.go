@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/linalg"
@@ -83,46 +82,6 @@ func TestWithMatrix(t *testing.T) {
 	d.WithMatrix("bad", linalg.NewDense(3, 2))
 }
 
-func TestSubsetAndShuffle(t *testing.T) {
-	d := smallSet(t)
-	s := d.Subset([]int{3, 0})
-	if s.N() != 2 || s.Labels[0] != 1 || s.Labels[1] != 0 {
-		t.Fatalf("Subset labels wrong: %v", s.Labels)
-	}
-	if s.X.At(0, 0) != 4 {
-		t.Fatalf("Subset rows wrong")
-	}
-	sh := d.Shuffled(rand.New(rand.NewSource(1)))
-	if sh.N() != d.N() {
-		t.Fatalf("Shuffled size changed")
-	}
-	// The multiset of labels is preserved.
-	c1, c2 := d.ClassCounts(), sh.ClassCounts()
-	if c1[0] != c2[0] || c1[1] != c2[1] {
-		t.Fatalf("Shuffled changed class counts")
-	}
-}
-
-func TestSplit(t *testing.T) {
-	d := smallSet(t)
-	ref, q := d.Split(2)
-	if ref.N()+q.N() != d.N() {
-		t.Fatalf("Split sizes %d+%d != %d", ref.N(), q.N(), d.N())
-	}
-	if q.N() != 2 { // rows 0 and 2
-		t.Fatalf("query size = %d", q.N())
-	}
-	if q.X.At(0, 0) != 1 || q.X.At(1, 0) != 3 {
-		t.Fatalf("query rows wrong")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("Split(1) must panic")
-		}
-	}()
-	d.Split(1)
-}
-
 func TestDropConstantColumns(t *testing.T) {
 	d := smallSet(t) // column 1 is constant (10)
 	reduced, keep := d.DropConstantColumns(1e-12)
@@ -144,7 +103,7 @@ func TestDropConstantColumns(t *testing.T) {
 	}
 }
 
-func TestStandardizedAndCentered(t *testing.T) {
+func TestStandardized(t *testing.T) {
 	d := smallSet(t)
 	s := d.Standardized()
 	vars := stats.ColumnVariances(s.X)
@@ -157,22 +116,9 @@ func TestStandardizedAndCentered(t *testing.T) {
 			t.Fatalf("standardized means = %v", means)
 		}
 	}
-	c := d.Centered()
-	cm := stats.ColumnMeans(c.X)
-	for _, m := range cm {
-		if math.Abs(m) > 1e-12 {
-			t.Fatalf("centered means = %v", cm)
-		}
-	}
-	// Centered keeps original scales.
-	cv := stats.ColumnVariances(c.X)
-	ov := stats.ColumnVariances(d.X)
-	if !linalg.VecEqual(cv, ov, 1e-12) {
-		t.Fatalf("Centered changed variances")
-	}
 	// Originals untouched.
 	if d.X.At(0, 0) != 1 {
-		t.Fatalf("Standardized/Centered mutated the original")
+		t.Fatalf("Standardized mutated the original")
 	}
 }
 

@@ -73,12 +73,6 @@ func NewRowStream(c LatentFactorConfig) (*RowStream, error) {
 	}, nil
 }
 
-// N returns the configured row count.
-func (s *RowStream) N() int { return s.cfg.N }
-
-// Dims returns the ambient dimensionality.
-func (s *RowStream) Dims() int { return s.cfg.Dims }
-
 // Next returns the next row and its class label. The returned slice is
 // reused by the following Next call; copy it to retain. It panics past row
 // N−1 (the stream is finite by construction, like the matrix it replaces).

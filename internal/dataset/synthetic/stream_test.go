@@ -25,9 +25,6 @@ func TestRowStreamMatchesGenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.N() != c.N || st.Dims() != c.Dims {
-		t.Fatalf("stream reports %dx%d, want %dx%d", st.N(), st.Dims(), c.N, c.Dims)
-	}
 	for i := 0; i < c.N; i++ {
 		row, label := st.Next()
 		if label != ds.Labels[i] {

@@ -111,17 +111,6 @@ func (c Curve) Optimal() CurvePoint {
 	return best
 }
 
-// At returns the curve point with exactly the given dimensionality, or
-// false if that dimensionality was not swept.
-func (c Curve) At(dims int) (CurvePoint, bool) {
-	for _, p := range c.Points {
-		if p.Dims == dims {
-			return p, true
-		}
-	}
-	return CurvePoint{}, false
-}
-
 // SweepConfig configures an accuracy sweep.
 type SweepConfig struct {
 	// K is the neighbor count (0 selects PaperK = 3).

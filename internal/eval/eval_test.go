@@ -146,7 +146,7 @@ func TestNeighborPrecisionRowMismatchPanics(t *testing.T) {
 	NeighborPrecision(linalg.NewDense(3, 2), linalg.NewDense(4, 2), 1, knn.Euclidean{})
 }
 
-func TestCurveOptimalAndAt(t *testing.T) {
+func TestCurveOptimal(t *testing.T) {
 	c := Curve{Points: []CurvePoint{
 		{Dims: 1, Accuracy: 0.5},
 		{Dims: 5, Accuracy: 0.9},
@@ -156,12 +156,6 @@ func TestCurveOptimalAndAt(t *testing.T) {
 	opt := c.Optimal()
 	if opt.Dims != 5 || opt.Accuracy != 0.9 {
 		t.Fatalf("Optimal = %+v (want dims=5 on tie)", opt)
-	}
-	if p, ok := c.At(10); !ok || p.Accuracy != 0.9 {
-		t.Fatalf("At(10) = %+v,%v", p, ok)
-	}
-	if _, ok := c.At(7); ok {
-		t.Fatalf("At(7) should miss")
 	}
 	defer func() {
 		if recover() == nil {
@@ -215,9 +209,9 @@ func TestSweepOnLatentData(t *testing.T) {
 		t.Fatalf("curve shape wrong: %+v", curve)
 	}
 	opt := curve.Optimal()
-	full, ok := curve.At(40)
-	if !ok {
-		t.Fatalf("full point missing")
+	full := curve.Points[7]
+	if full.Dims != 40 {
+		t.Fatalf("last point has %d dims, want the full 40", full.Dims)
 	}
 	if opt.Dims > 12 {
 		t.Fatalf("optimum at %d dims, expected aggressive (<=12)", opt.Dims)
@@ -250,11 +244,13 @@ func TestSweepWithPrecision(t *testing.T) {
 		Dims: []int{2, 8}, ComputePrecision: true,
 	})
 	// Full-rank projection is a rotation: precision 1.
-	fullPt, _ := curve.At(8)
+	lowPt, fullPt := curve.Points[0], curve.Points[1]
+	if lowPt.Dims != 2 || fullPt.Dims != 8 {
+		t.Fatalf("sweep points at %d and %d dims, want 2 and 8", lowPt.Dims, fullPt.Dims)
+	}
 	if math.Abs(fullPt.Precision-1) > 1e-12 {
 		t.Fatalf("full-rank precision = %v", fullPt.Precision)
 	}
-	lowPt, _ := curve.At(2)
 	if !(lowPt.Precision < 1) {
 		t.Fatalf("low-dim precision = %v, expected < 1", lowPt.Precision)
 	}

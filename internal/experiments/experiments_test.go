@@ -194,8 +194,8 @@ func TestScalingQualityCurves(t *testing.T) {
 			t.Errorf("%s: scaled optimum %.3f not above unscaled %.3f",
 				r.Dataset, scaled.Optimal().Accuracy, unscaled.Optimal().Accuracy)
 		}
-		full, ok := scaled.At(spec.Data.Dims())
-		if !ok {
+		full := scaled.Points[len(scaled.Points)-1]
+		if full.Dims != spec.Data.Dims() {
 			t.Fatalf("%s: full-dim point missing", r.Dataset)
 		}
 		if scaled.Optimal().Accuracy <= full.Accuracy {
@@ -245,7 +245,10 @@ func TestOrderingQualityOnNoisyData(t *testing.T) {
 		}
 		// The eigenvalue curve's early points are far below its own full-
 		// dimensional value: reduction by eigenvalue always loses here.
-		full, _ := eig.At(tc.spec.Data.Dims())
+		full := eig.Points[len(eig.Points)-1]
+		if full.Dims != tc.spec.Data.Dims() {
+			t.Fatalf("%s: full-dim point missing", r.Dataset)
+		}
 		early := eig.Points[1]
 		if early.Accuracy >= full.Accuracy {
 			t.Errorf("%s: eigenvalue ordering should lose information early (%.3f vs full %.3f)",

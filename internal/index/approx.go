@@ -4,23 +4,6 @@ import (
 	"repro/internal/knn"
 )
 
-// ApproxIndex is an approximate Euclidean k-nearest-neighbor structure.
-// Unlike Index, results may miss true neighbors; the probes argument lets
-// callers trade work for recall at query time, and Stats reports how many
-// buckets were probed and how large the refined candidate set was so
-// experiments can chart recall against ScanFraction.
-type ApproxIndex interface {
-	// KNNApprox returns up to k approximate nearest neighbors of query by
-	// Euclidean distance, sorted ascending, along with the work performed.
-	// probes controls the per-table probing depth (1 probes only each
-	// table's home bucket; higher values probe neighboring buckets too).
-	KNNApprox(query []float64, k, probes int) ([]knn.Neighbor, Stats)
-	// Len returns the number of indexed points.
-	Len() int
-	// Dims returns the dimensionality of the indexed points.
-	Dims() int
-}
-
 // Recall is the fraction of the exact neighbor set an approximate answer
 // recovered: |approx ∩ exact| / |exact|. With equal k on both sides this is
 // the standard recall@k used to judge approximate indexes against an exact

@@ -62,8 +62,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Index is a built multi-probe LSH structure. It implements
-// index.ApproxIndex.
+// Index is a built multi-probe LSH structure: an approximate Euclidean
+// k-nearest-neighbor index whose results may miss true neighbors. The
+// probes argument of its queries trades work for recall, and the returned
+// index.Stats report how many buckets were probed and how large the refined
+// candidate set was, so experiments can chart recall against ScanFraction.
 type Index struct {
 	data   *linalg.Dense
 	norms  []float64 // squared L2 norm of every data row, cached at Build
@@ -209,20 +212,8 @@ func sampleRows(rng *rand.Rand, n, max int) []int {
 	return idx
 }
 
-// Len implements index.ApproxIndex.
-func (ix *Index) Len() int { return ix.data.Rows() }
-
-// Dims implements index.ApproxIndex.
+// Dims returns the dimensionality of the indexed points.
 func (ix *Index) Dims() int { return ix.data.Cols() }
-
-// Tables returns the number of hash tables.
-func (ix *Index) Tables() int { return len(ix.tables) }
-
-// Hashes returns the number of projections per table.
-func (ix *Index) Hashes() int { return ix.hashes }
-
-// Width returns the slot width in use (estimated if Config.Width was 0).
-func (ix *Index) Width() float64 { return ix.width }
 
 // MaxProbes returns the number of distinct buckets a query can probe per
 // table: the home bucket plus every valid perturbation (3^m - 1 of them),
@@ -238,10 +229,11 @@ func (ix *Index) MaxProbes() int {
 	return total
 }
 
-// KNNApprox implements index.ApproxIndex: the union of the contents of
-// `probes` buckets per table (home bucket first, then neighbors in
-// query-directed perturbation order) is refined with exact Euclidean
-// distances and the k best are returned sorted ascending.
+// KNNApprox returns up to k approximate nearest neighbors of query by
+// Euclidean distance, sorted ascending, along with the work performed: the
+// union of the contents of `probes` buckets per table (the home bucket
+// first, then neighbors in query-directed perturbation order) is refined
+// with exact Euclidean distances and the k best are kept.
 //
 // Re-ranking runs through the batch-distance identity
 // ‖x‖² + ‖q‖² − 2⟨x,q⟩ with the point norms cached at Build, so each
@@ -364,6 +356,3 @@ func parallelFor(n int, fn func(i int)) {
 	close(next)
 	wg.Wait()
 }
-
-// Interface conformance.
-var _ index.ApproxIndex = (*Index)(nil)

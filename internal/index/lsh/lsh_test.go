@@ -145,8 +145,8 @@ func TestBuildDeterministicAcrossRuns(t *testing.T) {
 	cfg := Config{Tables: 6, Hashes: 8, Seed: 99}
 	a := Build(data, cfg)
 	b := Build(data, cfg)
-	if a.Width() != b.Width() {
-		t.Fatalf("widths differ: %v vs %v", a.Width(), b.Width())
+	if a.width != b.width {
+		t.Fatalf("widths differ: %v vs %v", a.width, b.width)
 	}
 	queries := clusteredPoints(8, 20, 20, 5)
 	for i := 0; i < queries.Rows(); i++ {

@@ -85,9 +85,6 @@ func (v *VAFile) Len() int { return v.data.Rows() }
 // Dims implements Index.
 func (v *VAFile) Dims() int { return v.data.Cols() }
 
-// Bits returns the quantization resolution.
-func (v *VAFile) Bits() int { return v.bits }
-
 // KNN implements Index via the standard two-phase VA-SSA algorithm.
 // NodesVisited counts approximation records examined (always n);
 // PointsScanned counts full vectors refined in phase two.

@@ -307,11 +307,6 @@ func (m *Dense) MaxAbs() float64 {
 	return max
 }
 
-// FrobeniusNorm returns the Frobenius norm of m.
-func (m *Dense) FrobeniusNorm() float64 {
-	return Norm2(m.data)
-}
-
 // RowSlice returns a view of rows [lo, hi) that shares m's backing storage
 // (no copy); mutations are visible through both. It is how the batch engine
 // carves query blocks and data tiles without touching the data.

@@ -198,24 +198,6 @@ func (p *PCA) TransformAll(x *linalg.Dense) *linalg.Dense {
 	return p.Transform(x, all)
 }
 
-// InverseTransformPoint maps a reduced point (scores on the given
-// components) back to the original feature space.
-func (p *PCA) InverseTransformPoint(scores []float64, components []int) []float64 {
-	if len(scores) != len(components) {
-		panic(fmt.Sprintf("reduction: %d scores for %d components", len(scores), len(components)))
-	}
-	d := p.Dims()
-	out := make([]float64, d)
-	for k, i := range components {
-		col := p.Components.Col(i)
-		linalg.Axpy(scores[k], col, out)
-	}
-	for j := 0; j < d; j++ {
-		out[j] = out[j]*p.Scale[j] + p.Mean[j]
-	}
-	return out
-}
-
 // ReduceDataset projects a labelled data set onto the selected components,
 // preserving labels.
 func (p *PCA) ReduceDataset(d *dataset.Dataset, components []int, name string) *dataset.Dataset {

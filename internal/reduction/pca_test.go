@@ -244,46 +244,6 @@ func TestTransformPanics(t *testing.T) {
 	}
 }
 
-func TestInverseTransformRoundTripFullRank(t *testing.T) {
-	// With all components retained, inverse(transform(x)) == x.
-	ds := synthetic.UniformCube("u", 40, 6, 10)
-	for _, sc := range []Scaling{ScalingNone, ScalingStudentize} {
-		p, err := Fit(ds.X, Options{Scaling: sc})
-		if err != nil {
-			t.Fatal(err)
-		}
-		all := make([]int, 6)
-		for i := range all {
-			all[i] = i
-		}
-		for i := 0; i < 5; i++ {
-			orig := ds.X.Row(i)
-			back := p.InverseTransformPoint(p.TransformPoint(orig, all), all)
-			if !linalg.VecEqual(back, orig, 1e-9) {
-				t.Fatalf("%v: round trip failed: %v vs %v", sc, back, orig)
-			}
-		}
-	}
-}
-
-func TestInverseTransformTruncationError(t *testing.T) {
-	// Truncated reconstruction error must equal the energy in the dropped
-	// components (per point, in the normalized space this is the sum of
-	// squared dropped scores).
-	x := anisotropic2D(500, 11)
-	p, err := Fit(x, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt := x.Row(7)
-	scores := p.TransformPoint(pt, []int{0, 1})
-	back := p.InverseTransformPoint(scores[:1], []int{0})
-	err2 := linalg.Dist2(back, pt)
-	if math.Abs(err2-math.Abs(scores[1])) > 1e-9 {
-		t.Fatalf("truncation error %v != dropped score %v", err2, math.Abs(scores[1]))
-	}
-}
-
 func TestReduceDatasetPreservesLabels(t *testing.T) {
 	ds := synthetic.IonosphereLike(7)
 	p, err := Fit(ds.X, Options{ComputeCoherence: true})

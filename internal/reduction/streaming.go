@@ -126,21 +126,6 @@ func (a *CovarianceAccumulator) CapturedEnergy(basis *linalg.Dense) float64 {
 	return captured / total
 }
 
-// Merge folds another accumulator into a (both remain d-dimensional).
-func (a *CovarianceAccumulator) Merge(b *CovarianceAccumulator) {
-	if a.d != b.d {
-		panic(fmt.Sprintf("reduction: merging %d-dim into %d-dim accumulator", b.d, a.d))
-	}
-	a.n += b.n
-	for i := range a.sum {
-		a.sum[i] += b.sum[i]
-		ra, rb := a.outer.RawRow(i), b.outer.RawRow(i)
-		for j := range ra {
-			ra[j] += rb[j]
-		}
-	}
-}
-
 // Mean returns the current mean vector. Panics when empty.
 func (a *CovarianceAccumulator) Mean() []float64 {
 	if a.n == 0 {

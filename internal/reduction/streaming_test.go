@@ -97,28 +97,6 @@ func TestAccumulatorRemoveUndoesAdd(t *testing.T) {
 	}
 }
 
-func TestAccumulatorMergeMatchesSingle(t *testing.T) {
-	ds := synthetic.UniformCube("u", 200, 6, 7)
-	whole := NewCovarianceAccumulator(6)
-	whole.AddMatrix(ds.X)
-	a := NewCovarianceAccumulator(6)
-	b := NewCovarianceAccumulator(6)
-	for i := 0; i < ds.N(); i++ {
-		if i%3 == 0 {
-			a.Add(ds.X.RawRow(i))
-		} else {
-			b.Add(ds.X.RawRow(i))
-		}
-	}
-	a.Merge(b)
-	if a.N() != whole.N() {
-		t.Fatalf("merged N = %d", a.N())
-	}
-	if !a.Covariance().Equal(whole.Covariance(), 1e-10) {
-		t.Fatalf("merged covariance diverges")
-	}
-}
-
 func TestAccumulatorPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"zero dims":    func() { NewCovarianceAccumulator(0) },
@@ -129,9 +107,6 @@ func TestAccumulatorPanics(t *testing.T) {
 			a := NewCovarianceAccumulator(2)
 			a.Add([]float64{1, 2})
 			a.Covariance()
-		},
-		"merge mismatch": func() {
-			NewCovarianceAccumulator(2).Merge(NewCovarianceAccumulator(3))
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -180,8 +155,8 @@ func TestAccumulatorIncrementalRefreshProperty(t *testing.T) {
 }
 
 func TestStreamingDynamicDatabaseScenario(t *testing.T) {
-	// End-to-end dynamic-database flow: ingest in two partitions, merge,
-	// fit, then verify reduced-space quality matches the batch pipeline.
+	// End-to-end dynamic-database flow: ingest in two batches, fit, then
+	// verify reduced-space quality matches the batch pipeline.
 	ds := synthetic.MuskLike(3)
 	half := ds.N() / 2
 	first := make([]int, half)
@@ -194,9 +169,7 @@ func TestStreamingDynamicDatabaseScenario(t *testing.T) {
 	}
 	a := NewCovarianceAccumulator(ds.Dims())
 	a.AddMatrix(ds.X.SliceRows(first))
-	b := NewCovarianceAccumulator(ds.Dims())
-	b.AddMatrix(ds.X.SliceRows(second))
-	a.Merge(b)
+	a.AddMatrix(ds.X.SliceRows(second))
 	sp, err := a.FitPCA()
 	if err != nil {
 		t.Fatal(err)

@@ -239,9 +239,6 @@ func shardSeed(root int64, s int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// Epoch returns the live snapshot's generation number.
-func (e *Engine) Epoch() uint64 { return e.snap.Load().epoch }
-
 // Dims returns the live snapshot's dimensionality.
 func (e *Engine) Dims() int { return e.snap.Load().d }
 
@@ -290,12 +287,6 @@ func (e *Engine) installSnapshot(next *snapshot) {
 	e.resetMutationLocked(next)
 	e.mut.mu.Unlock()
 	e.counters.swaps.Add(1)
-}
-
-// Search serves one query in ModeAuto: exact unless admission control
-// degrades it. See SearchMode.
-func (e *Engine) Search(ctx context.Context, query []float64, k int) (Result, error) {
-	return e.SearchMode(ctx, query, k, ModeAuto)
 }
 
 // SearchMode runs one k-NN query through admission control and the sharded

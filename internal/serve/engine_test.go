@@ -249,7 +249,7 @@ func TestDegradation(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; i < perClient; i++ {
-				res, err := e.Search(context.Background(), data.RawRow((c*perClient+i)%data.Rows()), 5)
+				res, err := e.SearchMode(context.Background(), data.RawRow((c*perClient+i)%data.Rows()), 5, ModeAuto)
 				if err != nil {
 					if !errors.Is(err, ErrOverloaded) {
 						t.Errorf("unexpected error: %v", err)
@@ -322,8 +322,8 @@ func TestSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if epoch != 2 || e.Epoch() != 2 || e.Len() != 400 {
-		t.Fatalf("post-swap epoch %d len %d", e.Epoch(), e.Len())
+	if epoch != 2 || e.Stats().Epoch != 2 || e.Len() != 400 {
+		t.Fatalf("post-swap epoch %d len %d", e.Stats().Epoch, e.Len())
 	}
 	after, err := e.SearchMode(context.Background(), q, 4, ModeExact)
 	if err != nil {
@@ -361,12 +361,12 @@ func TestClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Search(context.Background(), data.RawRow(0), 3); err != nil {
+	if _, err := e.SearchMode(context.Background(), data.RawRow(0), 3, ModeAuto); err != nil {
 		t.Fatal(err)
 	}
 	e.Close()
 	e.Close() // idempotent
-	if _, err := e.Search(context.Background(), data.RawRow(0), 3); !errors.Is(err, ErrClosed) {
+	if _, err := e.SearchMode(context.Background(), data.RawRow(0), 3, ModeAuto); !errors.Is(err, ErrClosed) {
 		t.Fatalf("closed engine returned %v, want ErrClosed", err)
 	}
 }
@@ -376,10 +376,10 @@ func TestBadInputs(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	data := randMatrix(rng, 50, 5)
 	e := newTestEngine(t, data, 2)
-	if _, err := e.Search(context.Background(), data.RawRow(0), 0); err == nil {
+	if _, err := e.SearchMode(context.Background(), data.RawRow(0), 0, ModeAuto); err == nil {
 		t.Fatalf("k=0 accepted")
 	}
-	if _, err := e.Search(context.Background(), []float64{1, 2}, 3); !errors.Is(err, ErrDims) {
+	if _, err := e.SearchMode(context.Background(), []float64{1, 2}, 3, ModeAuto); !errors.Is(err, ErrDims) {
 		t.Fatalf("short query returned %v, want ErrDims", err)
 	}
 }
@@ -390,7 +390,7 @@ func TestStatsLatency(t *testing.T) {
 	data := randMatrix(rng, 300, 10)
 	e := newTestEngine(t, data, 2)
 	for i := 0; i < 20; i++ {
-		if _, err := e.Search(context.Background(), data.RawRow(i), 3); err != nil {
+		if _, err := e.SearchMode(context.Background(), data.RawRow(i), 3, ModeAuto); err != nil {
 			t.Fatal(err)
 		}
 	}

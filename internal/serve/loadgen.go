@@ -15,8 +15,8 @@ import (
 	"repro/internal/linalg"
 )
 
-// LoadConfig parameterizes RunLoad, the closed-loop load generator behind
-// `drtool -bench`.
+// LoadConfig parameterizes RunLoad, the closed-loop load generator the
+// raced mutation tests drive an engine with.
 type LoadConfig struct {
 	// Ops is the total number of operations to issue, reads plus writes
 	// (0 selects 10000).
@@ -28,9 +28,6 @@ type LoadConfig struct {
 	// write (split roughly evenly between inserts and deletes); the rest
 	// are k-NN reads. 0 is a read-only run.
 	WriteFraction float64
-	// QPS throttles the aggregate operation rate (0 = unthrottled: every
-	// client issues its next operation as soon as the previous returns).
-	QPS float64
 	// Deadline is the per-operation context deadline (0 = none).
 	Deadline time.Duration
 	// K is the neighbor count per read (0 selects 10).
@@ -67,53 +64,53 @@ func (c LoadConfig) withDefaults() LoadConfig {
 // lost and no deleted row ever resurrects" means operationally, and all
 // four must be zero.
 type LoadReport struct {
-	Ops           int     `json:"ops"`
-	Concurrency   int     `json:"concurrency"`
-	WriteFraction float64 `json:"write_fraction"`
-	Mode          string  `json:"mode"`
+	Ops           int
+	Concurrency   int
+	WriteFraction float64
+	Mode          string
 
 	// Reads counts served read queries, split by the path that served them
 	// (Reads = Exact + Approx; Degraded ⊆ Approx counts ModeAuto reads that
 	// admission control downgraded). Inserts and Deletes count
 	// acknowledged mutations.
-	Reads    int `json:"reads"`
-	Exact    int `json:"exact"`
-	Approx   int `json:"approx"`
-	Degraded int `json:"degraded"`
-	Inserts  int `json:"inserts"`
-	Deletes  int `json:"deletes"`
+	Reads    int
+	Exact    int
+	Approx   int
+	Degraded int
+	Inserts  int
+	Deletes  int
 
 	// Typed rejections. UnknownID must be zero: clients only ever delete
 	// IDs they own and have not yet deleted, so an ErrUnknownID is an
 	// engine-side accounting bug, not load.
-	Overloaded       int `json:"overloaded"`
-	DeadlineExceeded int `json:"deadline_exceeded"`
-	UnknownID        int `json:"unknown_id"`
-	OtherErrors      int `json:"other_errors"`
+	Overloaded       int
+	DeadlineExceeded int
+	UnknownID        int
+	OtherErrors      int
 
 	// Lost counts op slots that finished with no recorded outcome;
 	// Duplicated counts slots with more than one.
-	Lost       int `json:"lost"`
-	Duplicated int `json:"duplicated"`
+	Lost       int
+	Duplicated int
 	// DeletedIDHits counts read results containing an ID whose deletion the
 	// same client had already been acknowledged — a resurrection.
-	DeletedIDHits int `json:"deleted_id_hits"`
+	DeletedIDHits int
 	// StaleAcks counts acknowledged inserts that a later ModeExact read by
 	// the same client failed to observe — a broken read-your-writes fence.
-	StaleAcks int `json:"stale_acks"`
+	StaleAcks int
 
 	// Compactions and Epoch sample the engine after the run: on a run with
 	// writes, at least one mid-run compaction is what makes it exercise the
 	// full capture/build/install cycle rather than pure delta scanning.
-	Compactions uint64 `json:"compactions"`
-	Epoch       uint64 `json:"epoch"`
+	Compactions uint64
+	Epoch       uint64
 	// FinalRows is the surviving row count (base − deletes + inserts).
-	FinalRows int `json:"final_rows"`
+	FinalRows int
 
-	Elapsed    time.Duration `json:"elapsed_ns"`
-	Throughput float64       `json:"throughput_ops"` // completed operations per second
+	Elapsed    time.Duration
+	Throughput float64 // completed operations per second
 	// MeanWait is the average queued time of served reads.
-	MeanWait time.Duration `json:"mean_wait_ns"`
+	MeanWait time.Duration
 }
 
 // LiveSet is the ground-truth state an engine should be serving: the
@@ -211,17 +208,6 @@ func RunLoad(ctx context.Context, e *Engine, base, queries *linalg.Dense, cfg Lo
 		clients[w] = cl
 	}
 
-	// Optional aggregate pacing: each client waits for its slot on a
-	// shared ticker. Closed-loop otherwise. The interval is clamped to the
-	// ticker's 1 ns minimum, so an absurd rate degrades to unthrottled
-	// instead of panicking.
-	var tick <-chan time.Time
-	if c.QPS > 0 {
-		t := time.NewTicker(max(time.Duration(float64(time.Second)/c.QPS), 1))
-		defer t.Stop()
-		tick = t.C
-	}
-
 	start := time.Now()
 	var wg sync.WaitGroup
 	wg.Add(c.Concurrency)
@@ -230,12 +216,6 @@ func RunLoad(ctx context.Context, e *Engine, base, queries *linalg.Dense, cfg Lo
 			defer wg.Done()
 			cl := clients[w]
 			for i := w; i < c.Ops; i += c.Concurrency {
-				if tick != nil {
-					select {
-					case <-tick:
-					case <-ctx.Done(): // stop pacing; the op below fails fast with ErrDeadline
-					}
-				}
 				rctx := ctx
 				cancel := func() {}
 				if c.Deadline > 0 {

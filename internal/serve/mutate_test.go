@@ -521,7 +521,7 @@ func TestCompactAllDeleted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	epochBefore := e.Epoch()
+	epochBefore := e.Stats().Epoch
 	epoch, err := e.Compact(ctx)
 	if err != nil {
 		t.Fatal(err)

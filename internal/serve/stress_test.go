@@ -140,8 +140,8 @@ func TestStressSwapOverload(t *testing.T) {
 	if served.Load() == 0 {
 		t.Fatalf("stress run served nothing (overloaded=%d deadline=%d)", overloaded.Load(), deadline.Load())
 	}
-	if e.Epoch() != swaps+1 {
-		t.Fatalf("final epoch %d, want %d", e.Epoch(), swaps+1)
+	if e.Stats().Epoch != swaps+1 {
+		t.Fatalf("final epoch %d, want %d", e.Stats().Epoch, swaps+1)
 	}
 
 	// After the storm the engine still serves correctly on the final

@@ -7,8 +7,8 @@ import (
 )
 
 // The store benchmarks measure the phase-1 quantized scan against the
-// float64 batch engine on the same data shape. scripts/bench.sh records
-// them into BENCH_knn.json next to the float kernels.
+// float64 batch engine on the same data shape. CI's bench job holds
+// StoreSearchInt8_6598x166 to at least twice ExactSearch6598x166's speed.
 
 func benchStore(b *testing.B, n, d int, cfg BuildConfig, rescore int) {
 	data, queries := testData(b, n, 16, d, 101)

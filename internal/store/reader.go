@@ -268,9 +268,6 @@ func (s *Store) Len() int { return s.l.n }
 // Dims returns the ambient dimensionality.
 func (s *Store) Dims() int { return s.l.d }
 
-// Precision returns the code width, always Int8.
-func (s *Store) Precision() Precision { return Int8 }
-
 // BytesPerVectorScan returns the bytes per point that a phase-1 scan keeps
 // resident: the padded code row, the cached {norm, code-sum} pair, and —
 // when the early-abandon pass is enabled — the prefix code plane with its

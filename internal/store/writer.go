@@ -184,8 +184,8 @@ func (w *Writer) Close() error {
 // Write builds a store file from an in-memory matrix: scales are computed
 // from the data unless cfg supplies them, then every row streams through a
 // Writer. This is the whole-matrix convenience path: the store and serve
-// tests build their files with it, and no command does (drtool and datagen
-// stream through Create and Append).
+// tests build their files with it, and no program does (the benchmark
+// streams through Create and Append).
 func Write(path string, data *linalg.Dense, cfg BuildConfig) error {
 	n, d := data.Dims()
 	cfg = cfg.withDefaults()
