@@ -69,6 +69,10 @@ func write(path string, ds *repro.Dataset) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return repro.WriteCSV(f, ds)
+	if err := repro.WriteCSV(f, ds); err != nil {
+		f.Close()
+		return err
+	}
+	// Close can be where a write-back failure (full disk, NFS) surfaces.
+	return f.Close()
 }

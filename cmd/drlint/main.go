@@ -1,10 +1,10 @@
 // Command drlint runs this repository's project-specific static analyzers
-// over the module and exits nonzero on findings. Seventeen rules in five
+// over the module and exits nonzero on findings. Fourteen rules in five
 // families: four syntactic (dimguard, globalrand, floatcmp,
-// goroutinehygiene); four type-aware (atomicmix, lockhold, ctxflow,
-// errwrap) over a go/types-checked view of every package; three dataflow
-// (hotalloc, unsafelife, asmabi) over a module-local call graph; three
-// compiler-witness gates (escapegate, inlinegate, bcegate) that join real
+// goroutinehygiene); three type-aware (lockhold, ctxflow, errwrap) over a
+// go/types-checked view of every package; one dataflow (unsafelife) over a
+// module-local call graph; three compiler-witness gates (escapegate,
+// inlinegate, bcegate) that join real
 // `go build -gcflags='-m=2 -d=ssa/check_bce/debug=1'` diagnostics against
 // the //drlint:hotpath closure; and three determinism rules (maporder,
 // seedprov, snapcapture) guarding reproducibility of reported results.
@@ -15,8 +15,6 @@
 //	go run ./cmd/drlint internal/knn   # one directory
 //	go run ./cmd/drlint -rules floatcmp,dimguard ./...
 //	go run ./cmd/drlint -format sarif ./... > drlint.sarif
-//	go run ./cmd/drlint -no-witness ./...   # skip the compiler-witness family
-//	go run ./cmd/drlint -timing ./...       # per-rule wall-clock report on stderr
 //	go run ./cmd/drlint -list
 //
 // Findings print as file:line:col: [rule] message (-format text) or as
@@ -28,9 +26,7 @@
 // The compiler-witness family shells out to the active go toolchain; when
 // the toolchain is untested or its output unrecognizable the family
 // degrades to disabled and a notice prints on stderr (the run still
-// succeeds). -no-witness skips the family outright — for cross-compiled CI
-// legs (e.g. GOARCH=arm64) where the witness build would describe the
-// wrong architecture.
+// succeeds; CI fails the build on that notice).
 package main
 
 import (
@@ -39,25 +35,35 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"repro/internal/analysis"
 )
 
+// options is the parsed command line.
+type options struct {
+	rules  string
+	list   bool
+	format string
+}
+
+// registerFlags binds every option to its flag.
+func registerFlags(fs *flag.FlagSet, o *options) {
+	fs.StringVar(&o.rules, "rules", "", "comma-separated subset of rules to run (default: all)")
+	fs.BoolVar(&o.list, "list", false, "list available rules and exit")
+	fs.StringVar(&o.format, "format", "text", "output format: text or sarif")
+}
+
 func main() {
-	rules := flag.String("rules", "", "comma-separated subset of rules to run (default: all)")
-	list := flag.Bool("list", false, "list available rules and exit")
-	format := flag.String("format", "text", "output format: text or sarif")
-	noWitness := flag.Bool("no-witness", false, "skip the compiler-witness rule family (no go build shell-out)")
-	timing := flag.Bool("timing", false, "report per-rule wall-clock time on stderr after the run")
+	var o options
+	registerFlags(flag.CommandLine, &o)
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: drlint [-rules r1,r2] [-format text|sarif] [-no-witness] [-timing] [-list] [patterns...]\n\npatterns are directories or ./... (default ./...)\n")
+		fmt.Fprintf(os.Stderr, "usage: drlint [-rules r1,r2] [-format text|sarif] [-list] [patterns...]\n\npatterns are directories or ./... (default ./...)\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
 
 	analyzers := analysis.All()
-	if *list {
+	if o.list {
 		for _, a := range analyzers {
 			family := a.Family
 			if a.NeedsAnnotation {
@@ -67,24 +73,18 @@ func main() {
 		}
 		return
 	}
-	if *rules != "" {
+	if o.rules != "" {
 		var err error
-		analyzers, err = analysis.ByName(strings.Split(*rules, ","))
+		analyzers, err = analysis.ByName(strings.Split(o.rules, ","))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
 	}
-	if *noWitness {
-		analyzers = dropFamily(analyzers, "compiler-witness")
-	}
-	if *timing {
-		analysis.EnableTimings()
-	}
-	switch *format {
+	switch o.format {
 	case "text", "sarif":
 	default:
-		fmt.Fprintf(os.Stderr, "drlint: unknown -format %q (text or sarif)\n", *format)
+		fmt.Fprintf(os.Stderr, "drlint: unknown -format %q (text or sarif)\n", o.format)
 		os.Exit(2)
 	}
 
@@ -114,13 +114,8 @@ func main() {
 	if n := analysis.WitnessNotice(); n != "" {
 		fmt.Fprintln(os.Stderr, "drlint: "+n)
 	}
-	if *timing {
-		for _, rt := range analysis.Timings() {
-			fmt.Fprintf(os.Stderr, "drlint: timing %-16s %s\n", rt.Rule, rt.Elapsed.Round(time.Microsecond))
-		}
-	}
 
-	switch *format {
+	switch o.format {
 	case "text":
 		err = analysis.WriteText(os.Stdout, root, failing)
 	case "sarif":
@@ -134,17 +129,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "drlint: %d finding(s)\n", len(failing))
 		os.Exit(1)
 	}
-}
-
-// dropFamily removes every analyzer of one family from the run set.
-func dropFamily(analyzers []*analysis.Analyzer, family string) []*analysis.Analyzer {
-	kept := make([]*analysis.Analyzer, 0, len(analyzers))
-	for _, a := range analyzers {
-		if a.Family != family {
-			kept = append(kept, a)
-		}
-	}
-	return kept
 }
 
 // runPattern resolves one CLI pattern and returns the surviving findings:

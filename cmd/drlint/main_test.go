@@ -1,7 +1,12 @@
 package main
 
 import (
+	"flag"
+	"go/parser"
+	"go/token"
+	"maps"
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -15,22 +20,6 @@ func TestModuleRootFindsGoMod(t *testing.T) {
 	}
 	if root == "" {
 		t.Fatal("empty module root")
-	}
-}
-
-// TestCleanTreeHasNoFindings is the CLI-level view of the self-enforcing
-// lint: the committed tree must produce zero diagnostics.
-func TestCleanTreeHasNoFindings(t *testing.T) {
-	root, err := moduleRoot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := runPattern(root, "./...", analysis.All())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
-		t.Errorf("%s", d)
 	}
 }
 
@@ -70,7 +59,7 @@ func TestRunPatternSubtree(t *testing.T) {
 	}
 }
 
-// TestRunPatternAppliesDirectives: the atomicmix fixture carries one
+// TestRunPatternAppliesDirectives: the errwrap fixture carries one
 // //drlint:ignore directive among its violations; through the CLI machinery
 // the other findings come back and the directive's line stays silent.
 func TestRunPatternAppliesDirectives(t *testing.T) {
@@ -78,19 +67,19 @@ func TestRunPatternAppliesDirectives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := runPattern(root, "internal/analysis/testdata/src/atomicmix", analysis.All())
+	diags, err := runPattern(root, "internal/analysis/testdata/src/errwrap", analysis.All())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(diags) == 0 {
-		t.Fatal("expected atomicmix findings from the fixture, got none")
+		t.Fatal("expected errwrap findings from the fixture, got none")
 	}
 	// One fixture file; its findings all point into it.
 	src, err := os.ReadFile(diags[0].Pos.Filename)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const directive = "//drlint:ignore atomicmix"
+	const directive = "//drlint:ignore errwrap"
 	if !strings.Contains(string(src), directive) {
 		t.Fatalf("the fixture no longer carries a %s directive", directive)
 	}
@@ -111,17 +100,31 @@ func TestRulesFilter(t *testing.T) {
 	}
 }
 
-// TestDropFamilyNoWitness pins the -no-witness opt-out: exactly the three
-// compiler-witness analyzers drop out, everything else survives.
-func TestDropFamilyNoWitness(t *testing.T) {
-	all := analysis.All()
-	kept := dropFamily(all, "compiler-witness")
-	if len(kept) != len(all)-3 {
-		t.Fatalf("dropFamily kept %d of %d analyzers, want %d", len(kept), len(all), len(all)-3)
+// TestDrlintFlagSet keeps the package doc's usage block and the registered
+// flags the same set of names.
+func TestDrlintFlagSet(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.ParseComments|parser.PackageClauseOnly)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, a := range kept {
-		if a.Family == "compiler-witness" {
-			t.Errorf("witness analyzer %s survived -no-witness", a.Name)
+	documented := map[string]bool{}
+	flagName := regexp.MustCompile(`\s-([a-z]+)`)
+	for _, line := range strings.Split(f.Doc.Text(), "\n") {
+		if !strings.HasPrefix(line, "\t") { // the usage block is the doc's only indented text
+			continue
 		}
+		for _, m := range flagName.FindAllStringSubmatch(line, -1) {
+			documented[m[1]] = true
+		}
+	}
+	registered := map[string]bool{}
+	fs := flag.NewFlagSet("drlint", flag.ContinueOnError)
+	registerFlags(fs, new(options))
+	fs.VisitAll(func(f *flag.Flag) { registered[f.Name] = true })
+	if !maps.Equal(documented, registered) {
+		t.Fatalf("usage block documents %v\nflag set registers %v", documented, registered)
+	}
+	if len(registered) != 3 {
+		t.Fatalf("%d flags registered, want 3", len(registered))
 	}
 }

@@ -190,8 +190,12 @@ func run(o options) error {
 		if err != nil {
 			return err
 		}
-		defer of.Close()
 		if err := repro.WriteCSV(of, reduced); err != nil {
+			of.Close()
+			return err
+		}
+		// Close can be where a write-back failure (full disk, NFS) surfaces.
+		if err := of.Close(); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s\n", o.out)

@@ -5,7 +5,7 @@
 //
 //	experiments [-seed N] [-threshold F] [-only name]
 //
-// Section names for -only: table1, figure1, figure2, scatter, coherence,
+// Section names for -only: figure1, figure2, table1, scatter, coherence,
 // quality, ordering, uniform, contrast, pruning, recall, local, igrid,
 // implicit, ablations.
 package main
@@ -13,12 +13,95 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/experiments"
 	"repro/internal/reduction"
 )
+
+// section is one named report; sections lists them in print order and is
+// the one place a name -only accepts is written down.
+type section struct {
+	name string
+	run  func(out io.Writer, cfg experiments.Config)
+}
+
+var sections = []section{
+	{"figure1", func(out io.Writer, _ experiments.Config) { experiments.Figure1().Format(out) }},
+	{"figure2", func(out io.Writer, _ experiments.Config) { experiments.Figure2().Format(out) }},
+	{"table1", func(out io.Writer, cfg experiments.Config) { experiments.Table1(cfg).Format(out) }},
+	{"scatter", func(out io.Writer, cfg experiments.Config) {
+		// Figures 3, 6, 9 (clean, normalized) and 12, 14 (noisy, raw).
+		for _, spec := range experiments.AllClean(cfg.Seed) {
+			experiments.Scatter(spec, reduction.ScalingStudentize).Format(out)
+			fmt.Fprintln(out)
+		}
+		experiments.Scatter(experiments.NoisyA(cfg.Seed), reduction.ScalingNone).Format(out)
+		fmt.Fprintln(out)
+		experiments.Scatter(experiments.NoisyB(cfg.Seed), reduction.ScalingNone).Format(out)
+	}},
+	{"coherence", func(out io.Writer, cfg experiments.Config) {
+		// Figures 4, 7, 10.
+		for _, spec := range experiments.AllClean(cfg.Seed) {
+			experiments.CoherenceDistribution(spec).Format(out)
+			fmt.Fprintln(out)
+		}
+	}},
+	{"quality", func(out io.Writer, cfg experiments.Config) {
+		// Figures 5, 8, 11.
+		for _, spec := range experiments.AllClean(cfg.Seed) {
+			experiments.ScalingQuality(spec).Format(out)
+			fmt.Fprintln(out)
+		}
+	}},
+	{"ordering", func(out io.Writer, cfg experiments.Config) {
+		// Figures 13, 15.
+		experiments.OrderingQuality(experiments.NoisyA(cfg.Seed)).Format(out)
+		fmt.Fprintln(out)
+		experiments.OrderingQuality(experiments.NoisyB(cfg.Seed)).Format(out)
+	}},
+	{"uniform", func(out io.Writer, cfg experiments.Config) { experiments.UniformCoherence(cfg).Format(out) }},
+	{"contrast", func(out io.Writer, cfg experiments.Config) { experiments.ContrastSweep(cfg).Format(out) }},
+	{"pruning", func(out io.Writer, cfg experiments.Config) { experiments.IndexPruning(cfg).Format(out) }},
+	{"recall", func(out io.Writer, cfg experiments.Config) { experiments.LSHRecall(cfg).Format(out) }},
+	{"local", func(out io.Writer, cfg experiments.Config) { experiments.LocalReduction(cfg).Format(out) }},
+	{"igrid", func(out io.Writer, cfg experiments.Config) { experiments.IGridComparison(cfg).Format(out) }},
+	{"implicit", func(out io.Writer, cfg experiments.Config) { experiments.ImplicitDimensionality(cfg).Format(out) }},
+	{"ablations", func(out io.Writer, cfg experiments.Config) {
+		experiments.ScalingAblation(cfg).Format(out)
+		fmt.Fprintln(out)
+		experiments.SelectionAblation(cfg).Format(out)
+		fmt.Fprintln(out)
+		experiments.MetricAblation(cfg).Format(out)
+		fmt.Fprintln(out)
+		experiments.NoiseAblation(cfg).Format(out)
+	}},
+}
+
+// run prints every section, or the one named by only (case-insensitive).
+// A name that is not in sections is an error, not an empty report.
+func run(out io.Writer, cfg experiments.Config, only string) error {
+	match := func(s section) bool { return only == "" || strings.EqualFold(only, s.name) }
+	if !slices.ContainsFunc(sections, match) {
+		names := make([]string, len(sections))
+		for i, s := range sections {
+			names[i] = s.name
+		}
+		return fmt.Errorf("experiments: unknown section %q for -only; valid names: %s", only, strings.Join(names, ", "))
+	}
+	for _, s := range sections {
+		if !match(s) {
+			continue
+		}
+		fmt.Fprintf(out, "==== %s ====\n", s.name)
+		s.run(out, cfg)
+		fmt.Fprintln(out)
+	}
+	return nil
+}
 
 func main() {
 	seed := flag.Int64("seed", 1, "seed for all synthetic data generation")
@@ -27,64 +110,8 @@ func main() {
 	flag.Parse()
 
 	cfg := experiments.Config{Seed: *seed, ThresholdFrac: *threshold}
-	out := os.Stdout
-
-	run := func(name string, fn func()) {
-		if *only != "" && !strings.EqualFold(*only, name) {
-			return
-		}
-		fmt.Fprintf(out, "==== %s ====\n", name)
-		fn()
-		fmt.Fprintln(out)
+	if err := run(os.Stdout, cfg, *only); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
-
-	run("figure1", func() { experiments.Figure1().Format(out) })
-	run("figure2", func() { experiments.Figure2().Format(out) })
-	run("table1", func() { experiments.Table1(cfg).Format(out) })
-	run("scatter", func() {
-		// Figures 3, 6, 9 (clean, normalized) and 12, 14 (noisy, raw).
-		for _, spec := range experiments.AllClean(*seed) {
-			experiments.Scatter(spec, reduction.ScalingStudentize).Format(out)
-			fmt.Fprintln(out)
-		}
-		experiments.Scatter(experiments.NoisyA(*seed), reduction.ScalingNone).Format(out)
-		fmt.Fprintln(out)
-		experiments.Scatter(experiments.NoisyB(*seed), reduction.ScalingNone).Format(out)
-	})
-	run("coherence", func() {
-		// Figures 4, 7, 10.
-		for _, spec := range experiments.AllClean(*seed) {
-			experiments.CoherenceDistribution(spec).Format(out)
-			fmt.Fprintln(out)
-		}
-	})
-	run("quality", func() {
-		// Figures 5, 8, 11.
-		for _, spec := range experiments.AllClean(*seed) {
-			experiments.ScalingQuality(spec).Format(out)
-			fmt.Fprintln(out)
-		}
-	})
-	run("ordering", func() {
-		// Figures 13, 15.
-		experiments.OrderingQuality(experiments.NoisyA(*seed)).Format(out)
-		fmt.Fprintln(out)
-		experiments.OrderingQuality(experiments.NoisyB(*seed)).Format(out)
-	})
-	run("uniform", func() { experiments.UniformCoherence(cfg).Format(out) })
-	run("contrast", func() { experiments.ContrastSweep(cfg).Format(out) })
-	run("pruning", func() { experiments.IndexPruning(cfg).Format(out) })
-	run("recall", func() { experiments.LSHRecall(cfg).Format(out) })
-	run("local", func() { experiments.LocalReduction(cfg).Format(out) })
-	run("igrid", func() { experiments.IGridComparison(cfg).Format(out) })
-	run("implicit", func() { experiments.ImplicitDimensionality(cfg).Format(out) })
-	run("ablations", func() {
-		experiments.ScalingAblation(cfg).Format(out)
-		fmt.Fprintln(out)
-		experiments.SelectionAblation(cfg).Format(out)
-		fmt.Fprintln(out)
-		experiments.MetricAblation(cfg).Format(out)
-		fmt.Fprintln(out)
-		experiments.NoiseAblation(cfg).Format(out)
-	})
 }

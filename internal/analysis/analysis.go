@@ -20,12 +20,9 @@
 //     paired with a sync.WaitGroup Add/Done (or a result-channel handshake)
 //     in the same function.
 //
-// Four type-aware rules enforce the serving layer's concurrency and
+// Three type-aware rules enforce the serving layer's concurrency and
 // error-contract idioms:
 //
-//   - atomicmix: a struct field accessed through sync/atomic operations
-//     anywhere in the package must never be read or written plainly
-//     elsewhere.
 //   - lockhold: no blocking operation (channel send/receive, selects
 //     without a default, Wait, time.Sleep, or a call into a same-package
 //     function that blocks) while a sync.Mutex/RWMutex is held in
@@ -37,15 +34,10 @@
 //     with errors.Is and wrapped with %w — never ==/!=, switch cases, or
 //     string matching on Error() text.
 //
-// Three dataflow rules reason over a module-local call graph:
+// One dataflow rule reasons over a module-local call graph:
 //
-//   - hotalloc: no per-call heap allocation in functions reachable from a
-//     //drlint:hotpath annotation, unless exempted (pool refills, result
-//     materialization, cold error paths).
 //   - unsafelife: mmap-derived views must stay confined to their mapping's
 //     lifetime — no escaping to globals, returns past Close, or goroutines.
-//   - asmabi: Go declarations for the amd64 assembly kernels must match the
-//     contracts the .s files actually implement.
 //
 // Three compiler-witness rules join real `go build` diagnostics
 // (-gcflags='-m=2 -d=ssa/check_bce/debug=1') against the hot-path closure,
@@ -53,7 +45,8 @@
 // (see witness.go; the family degrades to disabled on toolchain skew):
 //
 //   - escapegate: no compiler-witnessed heap escape or moved-to-heap local
-//     in a hot function.
+//     in a function reachable from a //drlint:hotpath annotation, unless
+//     exempted (pool refills, result materialization, cold error paths).
 //   - inlinegate: non-inlined calls in a hot function must fit the
 //     function's declared budget (//drlint:hotpath inline=N).
 //   - bcegate: no retained bounds check inside loops of asm-adjacent
@@ -198,7 +191,7 @@ type Analyzer struct {
 	// cmd/drlint -list output.
 	Family string
 	// NeedsAnnotation marks rules that only fire on code opted in via a
-	// source annotation (e.g. hotalloc's //drlint:hotpath roots).
+	// source annotation (e.g. escapegate's //drlint:hotpath roots).
 	NeedsAnnotation bool
 	// IncludeTests runs the rule over *_test.go files too. All shipped
 	// analyzers enforce production invariants and leave tests alone.
@@ -213,14 +206,14 @@ type Analyzer struct {
 }
 
 // All returns the analyzers this project enforces, in stable order: the
-// four syntactic rules from the first drlint, the four type-aware rules,
-// the three dataflow rules, the three compiler-witness gates, and the
-// three determinism rules.
+// four syntactic rules from the first drlint, the three type-aware rules,
+// the dataflow rule, the three compiler-witness gates, and the three
+// determinism rules.
 func All() []*Analyzer {
 	return []*Analyzer{
 		DimGuard, GlobalRand, FloatCmp, GoroutineHygiene,
-		AtomicMix, LockHold, CtxFlow, ErrWrap,
-		HotAlloc, UnsafeLife, AsmABI,
+		LockHold, CtxFlow, ErrWrap,
+		UnsafeLife,
 		EscapeGate, InlineGate, BceGate,
 		MapOrder, SeedProv, SnapCapture,
 	}
@@ -258,7 +251,7 @@ func RunPackages(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 				continue
 			}
 			pass := &Pass{Analyzer: a, Pkg: pkg, diags: &perPkg[i]}
-			timeRule(a.Name, func() { a.Run(pass) })
+			a.Run(pass)
 		}
 		perPkg[i] = append(perPkg[i], typeErrorDiagnostics(pkg)...)
 	}
@@ -278,7 +271,7 @@ func RunPackages(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 			continue
 		}
 		mp := &ModulePass{Analyzer: a, Pkgs: pkgs}
-		timeRule(a.Name, func() { a.RunModule(mp) })
+		a.RunModule(mp)
 		for _, d := range mp.diags {
 			if i, ok := fileOwner[d.Pos.Filename]; ok {
 				perPkg[i] = append(perPkg[i], d)

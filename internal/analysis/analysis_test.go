@@ -8,7 +8,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -109,10 +108,6 @@ func TestGoroutineHygieneFixture(t *testing.T) {
 	runFixture(t, GoroutineHygiene, "goroutinehygiene", "")
 }
 
-func TestAtomicMixFixture(t *testing.T) {
-	runFixture(t, AtomicMix, "atomicmix", "")
-}
-
 func TestLockHoldFixture(t *testing.T) {
 	runFixture(t, LockHold, "lockhold", "repro/internal/serve")
 }
@@ -149,10 +144,6 @@ func TestErrWrapFixture(t *testing.T) {
 	runFixture(t, ErrWrap, "errwrap", "")
 }
 
-func TestHotAllocFixture(t *testing.T) {
-	runFixture(t, HotAlloc, "hotalloc", "repro/internal/hotfix")
-}
-
 func TestUnsafeLifeStoreFixture(t *testing.T) {
 	// Under the store's own import path: taint, escape, and liveness checks.
 	runFixture(t, UnsafeLife, "unsafelife", "repro/internal/store")
@@ -161,13 +152,6 @@ func TestUnsafeLifeStoreFixture(t *testing.T) {
 func TestUnsafeLifeConfinementFixture(t *testing.T) {
 	// Under any other import path every unsafe use is flagged outright.
 	runFixture(t, UnsafeLife, "unsafeleak", "repro/internal/leak")
-}
-
-func TestAsmABIFixture(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skip("asmabi is inert off amd64")
-	}
-	runFixture(t, AsmABI, "asmabi", "repro/internal/asmfix")
 }
 
 // requireWitnessToolchain skips tests that need a real witness build: the
@@ -377,33 +361,29 @@ func loadTempPkg(t *testing.T, src string) (string, *Package) {
 	return dir, pkg
 }
 
-const atomicMixViolation = `package p
+// errTextViolation needs the type checker to be a finding at all: err.Error
+// is flagged only because err resolves to the error interface.
+const errTextViolation = `package p
 
-import "sync/atomic"
-
-type c struct{ n uint64 }
-
-func bump(x *c) { atomic.AddUint64(&x.n, 1) }
-
-func peek(x *c) uint64 {
-	return x.n %s
+func timedOut(err error) bool {
+	return err.Error() == "deadline exceeded" %s
 }
 `
 
 func TestDirectiveSuppressesTypeAwareFinding(t *testing.T) {
-	_, pkg := loadTempPkg(t, fmt.Sprintf(atomicMixViolation,
-		"//drlint:ignore atomicmix monitor-only read, torn values acceptable"))
-	if diags := RunPackages([]*Package{pkg}, []*Analyzer{AtomicMix}); len(diags) != 0 {
+	_, pkg := loadTempPkg(t, fmt.Sprintf(errTextViolation,
+		"//drlint:ignore errwrap third-party error with no sentinel to match"))
+	if diags := RunPackages([]*Package{pkg}, []*Analyzer{ErrWrap}); len(diags) != 0 {
 		t.Fatalf("directive did not suppress: %v", diags)
 	}
 }
 
 func TestDirectiveWrongRuleDoesNotSuppress(t *testing.T) {
-	_, pkg := loadTempPkg(t, fmt.Sprintf(atomicMixViolation,
+	_, pkg := loadTempPkg(t, fmt.Sprintf(errTextViolation,
 		"//drlint:ignore floatcmp names the wrong rule"))
-	diags := RunPackages([]*Package{pkg}, []*Analyzer{AtomicMix})
-	if len(diags) != 1 || diags[0].Rule != "atomicmix" {
-		t.Fatalf("want the atomicmix finding to survive a wrong-rule directive, got %v", diags)
+	diags := RunPackages([]*Package{pkg}, []*Analyzer{ErrWrap})
+	if len(diags) != 1 || diags[0].Rule != "errwrap" {
+		t.Fatalf("want the errwrap finding to survive a wrong-rule directive, got %v", diags)
 	}
 }
 
@@ -452,8 +432,8 @@ func TestAllAnalyzersHaveDistinctNames(t *testing.T) {
 		}
 		seen[a.Name] = true
 	}
-	if len(seen) < 17 {
-		t.Fatalf("want at least 17 analyzers, got %d", len(seen))
+	if len(seen) != 14 {
+		t.Fatalf("want 14 analyzers, got %d", len(seen))
 	}
 }
 

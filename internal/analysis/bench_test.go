@@ -4,11 +4,11 @@ import "testing"
 
 // BenchmarkDrlintModule measures one full drlint pass over the module:
 // parse every package, type-check it with the file-system importer, and
-// run all seventeen analyzers — including the dataflow rules' call-graph
-// construction, taint fixpoint, asm parsing, and the compiler-witness
-// layer's `go build` shell-out (cached per process, so the first
-// iteration pays it). This is the cost `go test ./...` and CI pay on every
-// run; it must stay well under 5 s per pass.
+// run all fourteen analyzers — including the call-graph construction,
+// unsafelife's taint fixpoint, and the compiler-witness layer's `go build`
+// shell-out (cached per process, so the first iteration pays it). This is
+// the cost `go test ./...` and CI pay on every run; it must stay well under
+// 5 s per pass.
 func BenchmarkDrlintModule(b *testing.B) {
 	root, err := moduleRoot()
 	if err != nil {

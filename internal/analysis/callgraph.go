@@ -6,8 +6,8 @@ import (
 	"strings"
 )
 
-// This file builds the module-local static call graph the dataflow rules
-// (hotalloc, unsafelife) run over. Only statically resolvable edges are
+// This file builds the module-local static call graph unsafelife and the
+// compiler-witness gates run over. Only statically resolvable edges are
 // recorded: calls to package-level functions and to methods with a concrete
 // receiver type, resolved through go/types object identity. Calls through
 // interface values, function-typed variables, or method values are NOT

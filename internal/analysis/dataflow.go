@@ -9,16 +9,16 @@ import (
 )
 
 // This file holds the intra-procedural value-tracking helpers the dataflow
-// rules share: recognizing sync.Pool-backed scratch, "this value is the
-// function's result" sinks, capacity-guarded growth, and per-function
-// summaries (returns fresh memory / result aliases a parameter / retains a
-// parameter) that let call sites be judged without inlining the callee.
+// and compiler-witness rules share: recognizing sync.Pool-backed scratch,
+// "this value is the function's result" sinks, capacity-guarded growth, and
+// per-function summaries (result aliases a parameter / retains a parameter)
+// that let call sites be judged without inlining the callee.
 // Everything here is deliberately one-hop and object-identity based — strong
 // enough for the idioms this module actually uses, simple enough to stay
 // predictable.
 
-// hotpathDirective is the annotation marking a function as an allocation-free
-// hot path for the hotalloc rule.
+// hotpathDirective is the annotation marking a function as the root of an
+// allocation-free hot path: the compiler-witness gates check its closure.
 const hotpathDirective = "//drlint:hotpath"
 
 // hasHotpathDirective reports whether the function's doc comment group
@@ -77,7 +77,7 @@ func hotpathInlineBudget(fd *ast.FuncDecl) (int, *ast.Comment, error) {
 // poolGetVars returns the objects assigned (directly or through a type
 // assertion) from a (*sync.Pool).Get call anywhere in body. Allocations
 // guarded by `if v == nil` on such a variable are pool-miss refills — the
-// amortized-to-zero idiom hotalloc accepts.
+// amortized-to-zero idiom escapegate accepts.
 func poolGetVars(info *types.Info, body ast.Node) map[types.Object]bool {
 	out := map[types.Object]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -196,45 +196,9 @@ func condIsNilCheckOn(info *types.Info, cond ast.Expr, objs map[types.Object]boo
 	return found
 }
 
-// preSizedExprs collects the render (types.ExprString) of every expression
-// assigned a fresh make(...) under a cap/len guard in body. A later
-// `x = append(x, ...)` on such an expression reuses the guarded capacity, so
-// hotalloc treats it as clean.
-func preSizedExprs(body ast.Node) map[string]bool {
-	out := map[string]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		ifs, ok := n.(*ast.IfStmt)
-		if !ok || !condHasCapLenGuard(ifs.Cond) {
-			return true
-		}
-		ast.Inspect(ifs.Body, func(m ast.Node) bool {
-			as, ok := m.(*ast.AssignStmt)
-			if !ok {
-				return true
-			}
-			for i, rhs := range as.Rhs {
-				if i >= len(as.Lhs) {
-					break
-				}
-				call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-				if !ok {
-					continue
-				}
-				if id, ok := ast.Unparen(call.Fun).(*ast.Ident); !ok || id.Name != "make" {
-					continue
-				}
-				out[types.ExprString(as.Lhs[i])] = true
-			}
-			return true
-		})
-		return true
-	})
-	return out
-}
-
-// allocExempt bundles the per-function value sets behind the exemption walk
-// hotalloc and escapegate share: a context that makes an allocation (or a
-// compiler-witnessed escape) acceptable on a hot path.
+// allocExempt bundles the per-function value sets behind escapegate's
+// exemption walk: a context that makes a compiler-witnessed escape
+// acceptable on a hot path.
 type allocExempt struct {
 	info  *types.Info
 	pools map[types.Object]bool
@@ -294,11 +258,6 @@ func (x *allocExempt) exempted(stack []ast.Node) bool {
 // funcFacts is the one-hop summary of a module function the call-site rules
 // consume.
 type funcFacts struct {
-	// returnsFresh: every return path hands back memory allocated inside
-	// the call (composite literal, make, new, append, conversion) — never a
-	// pooled or parameter-aliasing value. Calling such a function from a
-	// hot path pays an allocation unless the result sinks.
-	returnsFresh bool
 	// aliasParams: the result may alias the memory of parameter i
 	// (receiver encoded as -1). Used by unsafelife to propagate mmap taint
 	// through zero-copy cast helpers like castF64 or Dense.RawRow.
@@ -342,31 +301,6 @@ func summarize(fi *funcInfo) *funcFacts {
 	}
 	info := fi.pkg.TypesInfo
 
-	pools := poolGetVars(info, fi.decl.Body)
-
-	// Freshly allocated locals: vars assigned from an allocating expression
-	// and never from a pool.
-	freshVars := map[types.Object]bool{}
-	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		for i, rhs := range as.Rhs {
-			if i >= len(as.Lhs) || !isAllocExpr(rhs) {
-				continue
-			}
-			if id, ok := as.Lhs[i].(*ast.Ident); ok {
-				if obj := info.ObjectOf(id); obj != nil && !pools[obj] {
-					freshVars[obj] = true
-				}
-			}
-		}
-		return true
-	})
-
-	returns := 0
-	freshReturns := 0
 	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false // nested closures have their own returns
@@ -375,25 +309,9 @@ func summarize(fi *funcInfo) *funcFacts {
 		if !ok {
 			return true
 		}
-		returns++
 		for _, r := range ret.Results {
-			r = ast.Unparen(r)
 			if isAllocExpr(r) {
-				freshReturns++
-				continue
-			}
-			if id, ok := r.(*ast.Ident); ok {
-				obj := info.ObjectOf(id)
-				if obj != nil && freshVars[obj] {
-					freshReturns++
-					continue
-				}
-				if obj != nil {
-					if i, isParam := paramIndexOf(fi, obj); isParam {
-						facts.aliasParams[i] = true
-					}
-				}
-				continue
+				continue // memory allocated inside the call aliases no parameter
 			}
 			// Any parameter referenced in the returned expression (outside
 			// len/cap) may be aliased by the result: slicing, field
@@ -402,7 +320,6 @@ func summarize(fi *funcInfo) *funcFacts {
 		}
 		return true
 	})
-	facts.returnsFresh = returns > 0 && freshReturns >= returns && len(facts.aliasParams) == 0
 
 	// Retention: a parameter stored into a composite-literal field or onto
 	// a selector (x.f = param) outlives the call.

@@ -9,11 +9,12 @@ import (
 // EscapeGate proves hot paths allocation-free with the compiler's own
 // escape analysis instead of syntactic pattern matching: any expression the
 // optimizer reports as escaping to the heap inside a //drlint:hotpath
-// closure is flagged, unless the shared exemption walk recognizes it as an
+// closure is flagged, unless the exemption walk recognizes it as an
 // amortized-to-zero idiom (pool-miss refill, cap-guarded growth, result
-// materialization, panic path). hotalloc approximates allocation sites from
-// the AST; escapegate is the ground truth check that the approximation did
-// not miss one the compiler actually emits.
+// materialization, panic path). It is the static half of the hot paths'
+// allocation gate; the dynamic half is the testing.AllocsPerRun pin on each
+// annotated root, which also sees what escape analysis cannot — an append
+// that outgrows its backing array.
 //
 // Escape facts the compiler attributes to an ordinary call's left
 // parenthesis are the inlined copy of a callee's allocation and are skipped
@@ -28,7 +29,7 @@ var EscapeGate = &Analyzer{
 	Name: "escapegate",
 	Doc: "no compiler-witnessed heap escape may survive in a //drlint:hotpath " +
 		"closure; pool refills, cap-guarded growth, and result materialization " +
-		"are exempt as in hotalloc",
+		"are exempt",
 	Family:          "compiler-witness",
 	NeedsAnnotation: true,
 	NeedsTypes:      true,

@@ -20,7 +20,7 @@ import (
 // budget, every non-inlined site is reported with the compiler's own
 // cannot-inline reason for its callee.
 //
-// Unlike hotalloc, the gate covers only functions carrying the annotation
+// Unlike escapegate, the gate covers only functions carrying the annotation
 // directly, not their transitive callees: the budget is an author-measured
 // property of one function's inner loop, and an un-annotated callee has no
 // doc comment to carry `inline=N`. Callees that matter are annotated
@@ -28,8 +28,8 @@ import (
 //
 // Out of scope by construction: calls through interfaces or func values
 // (no static callee), assembly-backed declarations (nothing to inline),
-// go/defer statements (never inlined, governed by goroutinehygiene and
-// hotalloc), panic arguments (cold path), and self-recursion.
+// go/defer statements (never inlined; goroutinehygiene governs the former),
+// panic arguments (cold path), and self-recursion.
 var InlineGate = &Analyzer{
 	Name: "inlinegate",
 	Doc: "statically-resolved module calls in a //drlint:hotpath function must " +

@@ -384,9 +384,7 @@ func (w *lockWalker) mutexOp(call *ast.CallExpr) (v *types.Var, acquire, ok bool
 	case *ast.Ident:
 		v, _ = w.info.Uses[x].(*types.Var)
 	case *ast.SelectorExpr:
-		if v = fieldObject(w.info, x); v == nil {
-			v, _ = w.info.Uses[x.Sel].(*types.Var)
-		}
+		v, _ = w.info.Uses[x.Sel].(*types.Var)
 	}
 	if v == nil {
 		return nil, false, false

@@ -32,8 +32,8 @@ import (
 // context-insensitively through the module call graph via one-hop summaries
 // (result-aliases-parameter, retains-parameter), so helpers like castF64 or
 // Dense.RawRow propagate taint without special cases. Scalar element reads
-// drop taint. Calls through interfaces are not followed (documented gap
-// shared with hotalloc).
+// drop taint. Calls through interfaces are not followed (the call graph's
+// documented gap).
 var UnsafeLife = &Analyzer{
 	Name: "unsafelife",
 	Doc: "mmap-derived zero-copy views must stay confined to internal/store, must not " +

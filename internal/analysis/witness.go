@@ -357,8 +357,7 @@ func moduleRootOf(pass *ModulePass) string {
 	return ""
 }
 
-// hotWhere renders the hot-path attribution for gate messages, matching
-// hotalloc's phrasing.
+// hotWhere renders the hot-path attribution for gate messages.
 func hotWhere(fi *funcInfo, root string) string {
 	name := qualifiedName(fi.obj)
 	if name == root {

@@ -16,6 +16,6 @@ func ExampleIndex() {
 	kd := index.BuildKDTree(data, 2)
 	res, stats := kd.KNN([]float64{0.2, 0.1}, 2)
 	fmt.Printf("nearest: %d and %d (pruned: %v)\n",
-		res[0].Index, res[1].Index, stats.PointsScanned < kd.Len())
+		res[0].Index, res[1].Index, stats.PointsScanned < data.Rows())
 	// Output: nearest: 0 and 1 (pruned: true)
 }

@@ -100,9 +100,6 @@ func (id *IDistance) scan(from, to float64, offer func(row int)) {
 	}
 }
 
-// Len implements Index.
-func (id *IDistance) Len() int { return id.data.Rows() }
-
 // Dims implements Index.
 func (id *IDistance) Dims() int { return id.data.Cols() }
 

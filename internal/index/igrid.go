@@ -117,9 +117,6 @@ func (g *IGrid) rangeOf(j int, x float64) int {
 	return r
 }
 
-// Len returns the number of indexed points.
-func (g *IGrid) Len() int { return g.data.Rows() }
-
 // Dims returns the dimensionality.
 func (g *IGrid) Dims() int { return g.data.Cols() }
 

@@ -41,8 +41,6 @@ type Index interface {
 	// sorted ascending, along with the work performed. If the structure
 	// holds fewer than k points, all points are returned.
 	KNN(query []float64, k int) ([]knn.Neighbor, Stats)
-	// Len returns the number of indexed points.
-	Len() int
 	// Dims returns the dimensionality of the indexed points.
 	Dims() int
 }

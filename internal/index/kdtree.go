@@ -104,9 +104,6 @@ func (t *KDTree) build(idx []int) *kdNode {
 	}
 }
 
-// Len implements Index.
-func (t *KDTree) Len() int { return t.data.Rows() }
-
 // Dims implements Index.
 func (t *KDTree) Dims() int { return t.data.Cols() }
 

@@ -17,9 +17,6 @@ type LinearScan struct {
 // NewLinearScan wraps a point matrix (retained, not copied).
 func NewLinearScan(data *linalg.Dense) *LinearScan { return &LinearScan{data: data} }
 
-// Len implements Index.
-func (l *LinearScan) Len() int { return l.data.Rows() }
-
 // Dims implements Index.
 func (l *LinearScan) Dims() int { return l.data.Cols() }
 

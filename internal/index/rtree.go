@@ -177,9 +177,6 @@ func (n *rtNode) minDistSq(q []float64) float64 {
 	return s
 }
 
-// Len implements Index.
-func (t *RTree) Len() int { return t.data.Rows() }
-
 // Dims implements Index.
 func (t *RTree) Dims() int { return t.data.Cols() }
 

@@ -79,9 +79,6 @@ func (v *VAFile) cellOf(j int, x float64) uint8 {
 	return uint8(c)
 }
 
-// Len implements Index.
-func (v *VAFile) Len() int { return v.data.Rows() }
-
 // Dims implements Index.
 func (v *VAFile) Dims() int { return v.data.Cols() }
 

@@ -193,9 +193,7 @@ func BenchmarkDotQ15U8x8_166(b *testing.B) {
 var benchSinkInt int64
 
 // The multi-row unitary dispatcher (the asm stub's Go-side entry point)
-// must match its generic twin exactly with the dispatch flag forced off —
-// the parity contract asmabi requires every assembly dispatcher to pin
-// with a direct test reference.
+// must match its generic twin exactly with the dispatch flag forced off.
 func TestDotQ15x8UnitaryForcedGenericParity(t *testing.T) {
 	forceGeneric(t)
 	rng := rand.New(rand.NewSource(137))

@@ -9,7 +9,7 @@ import (
 // TestDeltaScanAllocs pins the mutation read path's //drlint:hotpath
 // contract at runtime: scanning a captured delta view against a warm
 // collector allocates exactly once per call — the Results slice the caller
-// keeps (result materialization, exempt under hotalloc). The admission
+// keeps (result materialization, exempt under escapegate). The admission
 // loop, tombstone cursor, and rescore pass are allocation-free.
 func TestDeltaScanAllocs(t *testing.T) {
 	const n, d, k = 64, 8, 4
@@ -44,9 +44,12 @@ func TestDeltaScanAllocs(t *testing.T) {
 	}
 }
 
-// TestTombstoneReadAllocs pins the mutated read path end to end: an exact
-// read with 500 tombstones pending allocates no more than one with none —
-// nothing on the request path copies, sorts or grows with the dead lists.
+// TestTombstoneReadAllocs pins the read path end to end, across the caller,
+// Engine.handle and Engine.shardWorker (AllocsPerRun counts every
+// goroutine): an exact read allocates five times — the request, its reply
+// channel and the result slices — and one with 500 tombstones pending no
+// more than one with none: nothing on the request path copies, sorts or
+// grows with the dead lists.
 func TestTombstoneReadAllocs(t *testing.T) {
 	read := func(dead int) float64 {
 		e, queries := tombstoneBenchEngine(t, dead)
@@ -54,6 +57,9 @@ func TestTombstoneReadAllocs(t *testing.T) {
 		return testing.AllocsPerRun(100, func() { timeReads(t, e, queries, 1) })
 	}
 	clean, mutated := read(0), read(500)
+	if clean > 5 {
+		t.Errorf("exact read allocates %.1f times, want at most 5", clean)
+	}
 	if mutated > clean {
 		t.Errorf("exact read allocates %.1f times with 500 tombstones, %.1f with none", mutated, clean)
 	}

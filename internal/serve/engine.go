@@ -499,9 +499,7 @@ func (e *Engine) handle(req *request, sc *reqScratch) {
 //
 //drlint:hotpath inline=1
 func (e *Engine) shardWorker() {
-	//drlint:ignore hotalloc one deferred frame per worker lifetime, not per task; Close relies on it to join the pool
 	defer e.shardWorkers.Done()
-	//drlint:ignore hotalloc one collector per worker lifetime, not per task; every scan Resets it to its own k
 	coll := knn.NewCollector(1)
 	for t := range e.shardq {
 		t.sh.tasks.Add(1)

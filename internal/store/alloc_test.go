@@ -12,7 +12,7 @@ var raceEnabled bool
 // runtime: with the plan, scratch, and collector pools warm, one full
 // phase-1 sweep — plan construction, quantization, the blocked ×8
 // kernel scan with prefix early-abandon, and collector admission — does
-// zero heap allocations. This is the exact code path hotalloc verifies
+// zero heap allocations. This is the exact code path escapegate verifies
 // statically; the two must agree, and a regression in either flags the
 // same commit.
 func TestScanHotPathZeroAllocs(t *testing.T) {
@@ -34,7 +34,7 @@ func TestScanHotPathZeroAllocs(t *testing.T) {
 			s.putPlan(p)
 		})
 		if avg != 0 {
-			t.Errorf("%s: warm phase-1 scan does %.1f allocs/op, want 0 (hotalloc contract)", name, avg)
+			t.Errorf("%s: warm phase-1 scan does %.1f allocs/op, want 0 (hot-path contract)", name, avg)
 		}
 	}
 }

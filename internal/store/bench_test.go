@@ -31,7 +31,10 @@ func benchStore(b *testing.B, n, d int, cfg BuildConfig, rescore int) {
 // is materializing the sorted results copy the caller keeps — the scan
 // itself is pinned at exactly zero by TestScanHotPathZeroAllocs. Before
 // pooling, the plan alone added three slice allocations per call on this
-// shape, and the collector plus sort.Slice bookkeeping four more.
+// shape, and the collector plus sort.Slice bookkeeping four more. The
+// two-segment fan-out of SearchRangeWorkers holds the same count: its
+// collectors and join group are pooled and its goroutines come off the
+// runtime's free list.
 func TestSearchSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
@@ -49,6 +52,15 @@ func TestSearchSteadyStateAllocs(t *testing.T) {
 		})
 		if avg > 1 {
 			t.Errorf("%s: steady-state Search does %.1f allocs/op, want <= 1 (pool plumbing or sort regressed?)", name, avg)
+		}
+		for i := 0; i < 3; i++ {
+			s.SearchRangeWorkers(q, 0, s.Len(), 10, 100, 2)
+		}
+		avg = testing.AllocsPerRun(100, func() {
+			s.SearchRangeWorkers(q, 0, s.Len(), 10, 100, 2)
+		})
+		if avg > 1 {
+			t.Errorf("%s: steady-state two-worker SearchRangeWorkers does %.1f allocs/op, want <= 1", name, avg)
 		}
 	}
 }

@@ -384,7 +384,6 @@ func (s *Store) SearchRange(q []float64, lo, hi, k, rescore int) ([]knn.Neighbor
 //drlint:hotpath inline=8
 func (s *Store) SearchRangeWorkers(q []float64, lo, hi, k, rescore, workers int) ([]knn.Neighbor, int) {
 	s.mu.RLock()
-	//drlint:ignore hotalloc one deferred frame per query guards the mapping against Close on every panic path; not per-point cost
 	defer s.mu.RUnlock()
 	if s.closed {
 		panic("store: search on closed store")
