@@ -6,21 +6,23 @@ import (
 )
 
 // This file exposes the concurrent serving layer: a sharded query engine
-// over the exact batch-distance path and the approximate LSH path, with
-// admission control, atomic snapshot swaps and a live mutation path
-// (Engine.Insert/Delete/Compact with delta buffers, tombstones and a
-// background compactor). `go run ./benchmark` measures it (dense_exact,
-// store_approx, mutate_mix).
+// over the exact batch-distance path (and, store-backed, the quantized
+// store's budgeted rescore — see api_store.go), with admission control and
+// a live mutation path (Engine.Insert/Delete/Compact with delta buffers,
+// tombstones and a background compactor whose install is the one atomic
+// replacement of the served snapshot). `go run ./benchmark` measures it
+// (dense_exact, store_approx, mutate_mix).
 
 // Engine is a sharded, concurrent k-NN query engine. Data is partitioned
-// into shards, each with its own cached norms and LSH tables; queries fan
-// out over a fixed worker pool and per-shard top-k results merge under the
-// canonical (distance, index) order, so exact answers are bit-identical to
+// into shards, each with its own cached norms; queries fan out over a fixed
+// worker pool and per-shard top-k results merge under the canonical
+// (distance, index) order, so exact answers are bit-identical to
 // SearchSetBatch.
 type Engine = serve.Engine
 
 // ServeConfig configures NewEngine (shard count, worker pools, admission
-// queue depth, degradation watermark and the per-shard LSH layout).
+// queue depth, degradation watermark, the store backend's rescore budget
+// and the mutation path's limits).
 type ServeConfig = serve.Config
 
 // ServeResult is one answered query: neighbors, the path that served it,
@@ -31,7 +33,9 @@ type ServeResult = serve.Result
 type ServeMode = serve.Mode
 
 // Serve modes: ModeAuto lets admission control degrade exact to approximate
-// under load; ModeExact and ModeApprox pin the path.
+// under load; ModeExact and ModeApprox pin the path. Only a store-backed
+// engine has an approximate path; an engine over a matrix answers every
+// mode exactly and ServeResult.Approx says so.
 const (
 	ModeAuto   = serve.ModeAuto
 	ModeExact  = serve.ModeExact

@@ -54,7 +54,9 @@ func NewStoreScales(d int) *StoreScales { return store.NewScaleAccumulator(d) }
 
 // NewEngineFromStore builds a sharded serving engine whose shards scan a
 // quantized store: exact mode is bit-identical to SearchSetBatch (full
-// rescore), approximate mode caps per-shard rescoring at cfg.Rescore.
+// rescore), approximate mode caps per-shard rescoring at cfg.Rescore — the
+// serving layer's one approximate path, which lasts until the engine's
+// first compaction folds the store's exact rows into an in-memory snapshot.
 func NewEngineFromStore(st *VectorStore, cfg ServeConfig) (*Engine, error) {
 	return serve.NewFromStore(st, cfg)
 }

@@ -222,6 +222,12 @@ func benchIndex(w *os.File, o options, full, reduced *repro.Dataset) error {
 	if nq > full.N() {
 		nq = full.N()
 	}
+	if o.tables < 0 {
+		return fmt.Errorf("-tables %d must not be negative (0 = default)", o.tables)
+	}
+	if o.probes < 1 {
+		return fmt.Errorf("-probes %d must be positive", o.probes)
+	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "index benchmark: %s, %d-NN, %d queries\n", o.index, o.neighbors, nq)
 	fmt.Fprintln(tw, "representation\tdims\tscanned\trecall\tbuckets/query")

@@ -141,7 +141,8 @@ func TestRunErrors(t *testing.T) {
 	if err := run(o); err == nil {
 		t.Fatalf("unwritable output accepted")
 	}
-	// Flag values the selection rules would panic on.
+	// Flag values the selection rules or the index build would panic on, or
+	// quietly replace.
 	for _, bad := range []struct {
 		flag string
 		set  func(*options)
@@ -149,6 +150,9 @@ func TestRunErrors(t *testing.T) {
 		{"-k", func(o *options) { o.k = 1000 }},
 		{"-threshold", func(o *options) { o.threshold = 1.5 }},
 		{"-energy", func(o *options) { o.energy = 2 }},
+		{"-tables", func(o *options) { o.k, o.index, o.tables = 3, "lsh", -2 }},
+		{"-probes", func(o *options) { o.k, o.index, o.probes = 3, "lsh", 0 }},
+		{"-probes", func(o *options) { o.k, o.index, o.probes = 3, "lsh", -3 }},
 	} {
 		o = baseOptions(in)
 		bad.set(&o)

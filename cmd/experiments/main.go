@@ -82,8 +82,13 @@ var sections = []section{
 }
 
 // run prints every section, or the one named by only (case-insensitive).
-// A name that is not in sections is an error, not an empty report.
+// A name that is not in sections is an error, not an empty report, and so
+// is a threshold fraction the Table 1 selection rule would panic on (the
+// negated form also rejects NaN).
 func run(out io.Writer, cfg experiments.Config, only string) error {
+	if !(cfg.ThresholdFrac >= 0 && cfg.ThresholdFrac <= 1) {
+		return fmt.Errorf("experiments: -threshold %v out of range [0,1]", cfg.ThresholdFrac)
+	}
 	match := func(s section) bool { return only == "" || strings.EqualFold(only, s.name) }
 	if !slices.ContainsFunc(sections, match) {
 		names := make([]string, len(sections))

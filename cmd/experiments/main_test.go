@@ -29,6 +29,18 @@ func TestRunRejectsUnknownSection(t *testing.T) {
 	}
 }
 
+// A -threshold outside [0,1] is an error before anything prints, not a panic
+// inside the Table 1 selection rule.
+func TestRunRejectsThresholdOutOfRange(t *testing.T) {
+	for _, frac := range []float64{5, -1} {
+		var out bytes.Buffer
+		err := run(&out, experiments.Config{Seed: 1, ThresholdFrac: frac}, "table1")
+		if err == nil || !strings.Contains(err.Error(), "-threshold") || out.Len() != 0 {
+			t.Errorf("-threshold %v: error %v after printing %q, want an error naming the flag and no output", frac, err, out.String())
+		}
+	}
+}
+
 func TestRunOnlyPrintsOneSection(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(&out, experiments.Config{Seed: 1, ThresholdFrac: 0.01}, "Figure2"); err != nil {

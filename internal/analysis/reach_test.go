@@ -52,10 +52,8 @@ var unreachedOracles = map[string]string{
 
 	"(internal/experiments.LSHRecallResult).Best": "TestLSHRecallTradeoff: the acceptance bar (recall ≥ 0.9 under 20 % scanned) LSHRecall's table is held to; BenchmarkLSHRecall's headline",
 
-	"internal/serve.RunLoad":             "the driver of TestMutateStress (the race gate), TestDriftTriggersRecompaction and TestTombstoneScanMatchesRebuild; TestRunLoad pins its accounting",
-	"internal/serve.VerifyMutated":       "the rebuild oracle of TestMutateStress, TestTombstoneScanMatchesRebuild and TestStoreMutationMatchesRebuild; TestVerifyMutatedDetectsDivergence pins it",
-	"(*internal/serve.Engine).Swap":      "TestStressSwapOverload (raced), TestSwap, TestSwapDiscardsMutations and the shard-permutation relation of metamorphic_test.go: wholesale replacement against snapshot loads, admission and stats, all reached",
-	"(*internal/serve.Engine).SwapStore": "TestSwapBetweenDenseAndStore: one engine moves between the dense and the store backend across generations",
+	"internal/serve.RunLoad":       "the driver of TestMutateStress (the race gate), TestDriftTriggersRecompaction and TestTombstoneScanMatchesRebuild; TestRunLoad pins its accounting",
+	"internal/serve.VerifyMutated": "the rebuild oracle of TestMutateStress, TestTombstoneScanMatchesRebuild and TestStoreMutationMatchesRebuild; TestVerifyMutatedDetectsDivergence pins it",
 }
 
 // TestInternalFunctionsAreReachable is ROADMAP's "no code that nothing on a

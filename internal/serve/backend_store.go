@@ -16,9 +16,8 @@ import (
 // budget, which is bit-identical to the float64 scan (every point is
 // admitted and exactly rescored), so a store-backed engine preserves the
 // engine's exact-path contract. The approximate path keeps the quantized
-// scan but caps phase-2 rescoring at the configured budget — the store's
-// replacement for LSH probing, with the budget playing the role the probe
-// count plays on dense shards.
+// scan but caps phase-2 rescoring at the configured budget — the engine's
+// one approximate mechanism.
 type quantShard struct {
 	lo, hi  int
 	st      *store.Store
@@ -29,13 +28,12 @@ type quantShard struct {
 // rescoreFactor scales k into the default approximate rescore budget.
 const rescoreFactor = 32
 
-func (s *quantShard) searchExact(query []float64, k int, dead []int, _ *knn.Collector) shardOut {
-	neigh, _ := s.st.SearchRangeWorkers(query, s.lo, s.hi, k+len(dead), s.hi-s.lo, s.workers)
-	return shardOut{neigh: liveTopK(neigh, dead, k)}
-}
-
-func (s *quantShard) searchApprox(query []float64, k, probes int, dead []int) shardOut {
+func (s *quantShard) search(query []float64, k int, approx bool, dead []int, _ *knn.Collector) shardOut {
 	fetch := k + len(dead)
+	if !approx {
+		neigh, _ := s.st.SearchRangeWorkers(query, s.lo, s.hi, fetch, s.hi-s.lo, s.workers)
+		return shardOut{neigh: liveTopK(neigh, dead, k)}
+	}
 	budget := s.rescore
 	if budget <= 0 {
 		budget = rescoreFactor * fetch
@@ -46,9 +44,8 @@ func (s *quantShard) searchApprox(query []float64, k, probes int, dead []int) sh
 
 // NewFromStore builds an engine whose shards scan a quantized store instead
 // of an in-memory matrix. The store is retained, not copied; it must stay
-// open while the engine serves. cfg.LSH and cfg.Probes are ignored (the
-// store's rescore budget replaces probing); cfg.Rescore bounds the
-// approximate path's per-shard exact refinement.
+// open while the engine serves. cfg.Rescore bounds the approximate path's
+// per-shard exact refinement.
 func NewFromStore(st *store.Store, cfg Config) (*Engine, error) {
 	if st == nil {
 		return nil, fmt.Errorf("serve: nil store")
@@ -58,27 +55,20 @@ func NewFromStore(st *store.Store, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("serve: cannot serve %dx%d store", n, d)
 	}
 	c := cfg.withDefaults(n, runtime.GOMAXPROCS(0))
-	e := newEngine(c)
-	snap := buildStoreSnapshot(st, c, 1)
-	e.snap.Store(snap)
-	e.resetMutationLocked(snap)
-	if c.Drift.Components > 0 {
-		e.drift = newDriftMonitor(c.Drift, st.ExactMatrix())
-	}
-	e.start()
-	return e, nil
+	return newEngine(c, buildStoreSnapshot(st, c)), nil
 }
 
 // buildStoreSnapshot partitions the store's rows into cfg.Shards contiguous
 // quantShards over the shared mapping.
-func buildStoreSnapshot(st *store.Store, cfg Config, epoch uint64) *snapshot {
+func buildStoreSnapshot(st *store.Store, cfg Config) *snapshot {
 	n := st.Len()
 	// exact is the store's resident full-precision region: the float64
 	// ground truth its own exact path rescores against, and therefore the
 	// row source the compactor folds from. A store-backed engine's first
 	// compaction consequently produces a dense-backed snapshot over those
-	// exact rows, which preserves bit-identity of every later query.
-	snap := &snapshot{epoch: epoch, n: n, d: st.Dims(), exact: st.ExactMatrix(), shards: make([]*shard, cfg.Shards)}
+	// exact rows, which preserves bit-identity of every later query and
+	// ends the engine's budgeted approximate path.
+	snap := &snapshot{epoch: 1, n: n, d: st.Dims(), exact: st.ExactMatrix(), shards: make([]*shard, cfg.Shards), budgeted: true}
 	for s, r := range shardRanges(n, cfg.Shards) {
 		snap.shards[s] = &shard{
 			lo: r[0],
@@ -87,27 +77,4 @@ func buildStoreSnapshot(st *store.Store, cfg Config, epoch uint64) *snapshot {
 		}
 	}
 	return snap
-}
-
-// SwapStore is Swap for a quantized store: it builds a store-backed
-// snapshot and atomically installs it, so an engine can move between dense
-// and store backends across generations without dropping queries.
-func (e *Engine) SwapStore(st *store.Store) (uint64, error) {
-	if st == nil {
-		return 0, fmt.Errorf("serve: nil store")
-	}
-	n, d := st.Len(), st.Dims()
-	if n == 0 || d == 0 {
-		return 0, fmt.Errorf("serve: cannot swap in %dx%d store", n, d)
-	}
-	cfg := e.cfg
-	if cfg.Shards > n {
-		cfg.Shards = n
-	}
-	next := buildStoreSnapshot(st, cfg, e.snap.Load().epoch+1)
-	e.installSnapshot(next)
-	if e.drift != nil {
-		e.drift.reseed(st.ExactMatrix())
-	}
-	return next.epoch, nil
 }

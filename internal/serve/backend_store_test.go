@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/index"
@@ -168,58 +169,56 @@ func TestStoreScanWorkersBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSwapBetweenDenseAndStore moves one engine across backends and checks
-// each generation serves from the right one.
-func TestSwapBetweenDenseAndStore(t *testing.T) {
+// TestStoreApproxUntilFirstCompaction: the store's rescore budget is the
+// engine's one approximate mechanism and the first compaction folds the store
+// into a dense snapshot, so ModeApprox is served approximately before it and
+// exactly — bit-identical to ModeExact, and saying so — after it.
+func TestStoreApproxUntilFirstCompaction(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const n, d, k = 300, 13, 5
-	dense := randMatrix(rng, n, d)
-	other := randMatrix(rng, n, d)
-	q := dense.RawRow(0)
+	data := randMatrix(rng, n, d)
+	q := randMatrix(rng, 1, d).RawRow(0)
+	e := newStoreTestEngine(t, openTestStore(t, data, store.BuildConfig{}), 2, 40)
+	ctx := context.Background()
 
-	e := newTestEngine(t, dense, 2)
-	st := openTestStore(t, other, store.BuildConfig{})
-	epoch, err := e.SwapStore(st)
+	res, err := e.SearchMode(ctx, q, k, ModeApprox)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if epoch != 2 {
-		t.Fatalf("epoch %d after SwapStore, want 2", epoch)
-	}
-	res, err := e.SearchMode(context.Background(), q, k, ModeExact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := knn.SearchSetBatch(other, linalg.NewDenseData(1, d, append([]float64(nil), q...)), k, knn.Euclidean{}, false)[0]
-	for j := range want {
-		if res.Neighbors[j] != want[j] {
-			t.Fatalf("store generation neighbor %d: got %+v want %+v", j, res.Neighbors[j], want[j])
-		}
+	if !res.Approx || res.Candidates <= 0 || res.Epoch != 1 {
+		t.Fatalf("before compaction: approx=%v candidates=%d epoch=%d, want an approximate answer of epoch 1",
+			res.Approx, res.Candidates, res.Epoch)
 	}
 
-	// And back to dense.
-	if _, err := e.Swap(dense); err != nil {
+	if _, err := e.Insert(ctx, randMatrix(rng, 1, d).RawRow(0)); err != nil {
 		t.Fatal(err)
 	}
-	res, err = e.SearchMode(context.Background(), q, k, ModeExact)
+	if epoch, err := e.Compact(ctx); err != nil || epoch != 2 {
+		t.Fatalf("Compact = %d, %v, want epoch 2", epoch, err)
+	}
+	res, err = e.SearchMode(ctx, q, k, ModeApprox)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Neighbors[0].Index != 0 || res.Neighbors[0].Dist != 0 {
-		t.Fatalf("dense generation: query is row 0, got nearest %+v", res.Neighbors[0])
+	exact, err := e.SearchMode(ctx, q, k, ModeExact)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Epoch != 3 {
-		t.Fatalf("epoch %d after Swap back, want 3", res.Epoch)
+	if res.Approx || res.Candidates != 0 || res.Epoch != 2 {
+		t.Fatalf("after compaction: approx=%v candidates=%d epoch=%d, want an exact answer of epoch 2",
+			res.Approx, res.Candidates, res.Epoch)
+	}
+	if !slices.Equal(res.Neighbors, exact.Neighbors) {
+		t.Fatalf("after compaction ModeApprox answers %+v, ModeExact %+v", res.Neighbors, exact.Neighbors)
+	}
+	if st := e.Stats(); st.Approx != 1 || st.Exact != 2 {
+		t.Fatalf("stats approx=%d exact=%d, want 1/2", st.Approx, st.Exact)
 	}
 }
 
-// TestNewFromStoreRejectsNil pins the constructor's error paths.
+// TestNewFromStoreRejectsNil pins the constructor's error path.
 func TestNewFromStoreRejectsNil(t *testing.T) {
 	if _, err := NewFromStore(nil, Config{}); err == nil {
 		t.Fatal("nil store accepted")
-	}
-	e := newTestEngine(t, randMatrix(rand.New(rand.NewSource(1)), 10, 3), 2)
-	if _, err := e.SwapStore(nil); err == nil {
-		t.Fatal("nil store accepted by SwapStore")
 	}
 }

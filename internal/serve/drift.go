@@ -132,15 +132,6 @@ func (m *driftMonitor) refitLocked() bool {
 	return true
 }
 
-// reseed rebuilds the accumulator over a wholesale-replaced dataset (Swap /
-// SwapStore) and refreezes.
-func (m *driftMonitor) reseed(data *linalg.Dense) {
-	m.mu.Lock()
-	m.acc = reduction.AccumulateMatrix(data)
-	m.refitLocked()
-	m.mu.Unlock()
-}
-
 // energies returns (at-freeze fraction, last measured fraction) for Stats.
 func (m *driftMonitor) energies() (baseline, current float64) {
 	m.mu.Lock()

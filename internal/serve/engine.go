@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/index/lsh"
 	"repro/internal/knn"
 	"repro/internal/linalg"
 )
@@ -51,34 +50,37 @@ type Engine struct {
 }
 
 // snapshot is one immutable generation of the serving state. Queries load
-// it once per request, so a Swap never tears a request across two
+// it once per request, so a compaction never tears a request across two
 // generations. n and d describe the snapshot whatever its backend. exact is
 // the float64 row source shared by the compactor and the drift monitor: the
 // matrix itself for dense snapshots, the store's full-precision region for
 // store-backed ones. ids maps row positions to stable mutation IDs
-// (ascending); nil means the identity mapping.
+// (ascending); nil means the identity mapping. budgeted reports that the
+// shards' backend has a cheaper-than-exact path (quantShard's capped
+// rescore); without one an approximate request is served exactly and the
+// result says so.
 type snapshot struct {
-	epoch  uint64
-	n, d   int
-	exact  *linalg.Dense
-	ids    []int
-	shards []*shard
+	epoch    uint64
+	n, d     int
+	exact    *linalg.Dense
+	ids      []int
+	shards   []*shard
+	budgeted bool
 }
 
 // backend is the per-shard search implementation. The engine's fan-out,
 // admission control, and merge are backend-agnostic: any backend that
 // returns per-shard top-k lists with global indices in the canonical
 // (distance, index) order composes with the rest of the pipeline. Two
-// implementations exist: denseShard (float64 matrix + norms + LSH) and
-// quantShard (mmap-backed quantized store, internal/store).
+// implementations exist: flatRows (float64 matrix + norms, exact whatever
+// approx says) and quantShard (mmap-backed quantized store, internal/store).
 type backend interface {
-	// searchExact returns the shard's exact top-k over its live rows: dead
-	// is the shard's ascending list of tombstoned positions. c is the
-	// calling worker's pooled collector, for backends that scan in Go.
-	searchExact(query []float64, k int, dead []int, c *knn.Collector) shardOut
-	// searchApprox returns an approximate top-k over the live rows plus the
-	// number of candidates it refined with exact distances.
-	searchApprox(query []float64, k, probes int, dead []int) shardOut
+	// search returns the shard's top-k over its live rows: dead is the
+	// shard's ascending list of tombstoned positions. approx asks for the
+	// backend's cheaper path, if it has one; candidates then counts the
+	// points refined with exact distances. c is the calling worker's pooled
+	// collector, for backends that scan in Go.
+	search(query []float64, k int, approx bool, dead []int, c *knn.Collector) shardOut
 }
 
 // shard is one contiguous partition [lo, hi) of the snapshot's rows,
@@ -92,15 +94,6 @@ type shard struct {
 	candidates atomic.Uint64
 	// tasks counts shard scans executed (exact or approximate).
 	tasks atomic.Uint64
-}
-
-// denseShard is the in-memory backend: a view of the snapshot matrix
-// (shared backing array, so global row i is local row i-lo and distance
-// kernels read the same floats the unsharded path would) with cached
-// squared row norms, and the shard's LSH tables.
-type denseShard struct {
-	flatRows
-	lsh *lsh.Index
 }
 
 // request travels through the admission queue.
@@ -128,7 +121,6 @@ type shardTask struct {
 	query     []float64
 	k         int
 	approx    bool
-	probes    int
 	dead      []int
 	delta     flatRows
 	deltaDead []int
@@ -146,37 +138,33 @@ type shardOut struct {
 
 // New builds an engine over the rows of data and starts its worker pools.
 // The matrix is retained, not copied; it must not be mutated while the
-// engine serves (use Swap to install new data).
+// engine serves (new data is Insert/Delete, or a new Engine).
 func New(data *linalg.Dense, cfg Config) (*Engine, error) {
 	n, d := data.Dims()
 	if n == 0 || d == 0 {
 		return nil, fmt.Errorf("serve: cannot serve %dx%d data", n, d)
 	}
 	c := cfg.withDefaults(n, runtime.GOMAXPROCS(0))
-	e := newEngine(c)
-	snap := buildSnapshot(data, c, 1)
-	e.snap.Store(snap)
-	e.resetMutationLocked(snap)
-	if c.Drift.Components > 0 {
-		e.drift = newDriftMonitor(c.Drift, data)
-	}
-	e.start()
-	return e, nil
+	return newEngine(c, buildSnapshot(data, c, 1)), nil
 }
 
-// newEngine allocates an engine shell from a resolved config; the caller
-// installs the first snapshot and calls start.
-func newEngine(c Config) *Engine {
-	return &Engine{
+// newEngine starts an engine from a resolved config over its first
+// snapshot: empty mutation state (IDs are the snapshot's row positions), the
+// drift monitor seeded from the snapshot's exact rows, both worker pools.
+func newEngine(c Config, snap *snapshot) *Engine {
+	e := &Engine{
 		cfg:    c,
 		queue:  make(chan *request, c.QueueDepth),
 		shardq: make(chan shardTask, c.Shards*c.Workers),
 		lat:    newLatencyRecorder(),
 	}
-}
-
-// start launches the request and shard worker pools.
-func (e *Engine) start() {
+	e.snap.Store(snap)
+	e.mut.bufs = newDeltaBufs(len(snap.shards), snap.d)
+	e.mut.deadPos = make([][]int, len(snap.shards))
+	e.mut.nextID = snap.n
+	if c.Drift.Components > 0 {
+		e.drift = newDriftMonitor(c.Drift, snap.exact)
+	}
 	e.workers.Add(e.cfg.Workers)
 	for w := 0; w < e.cfg.Workers; w++ {
 		//drlint:ignore goroutinehygiene long-lived server pool: each worker defers workers.Done and Close joins via workers.Wait after closing the queue
@@ -187,27 +175,23 @@ func (e *Engine) start() {
 		//drlint:ignore goroutinehygiene long-lived server pool: each worker defers shardWorkers.Done and Close joins via shardWorkers.Wait after closing shardq
 		go e.shardWorker()
 	}
+	return e
 }
 
-// buildSnapshot partitions data into cfg.Shards contiguous shards and
-// builds each shard's norm cache and LSH tables. Shard i's hash family is
-// seeded by a splitmix64 derivation of cfg.LSH.Seed, so the snapshot is
-// byte-deterministic for a fixed config.
+// buildSnapshot partitions data into cfg.Shards contiguous shards, each a
+// flatRows view of the matrix (shared backing array, so global row i is
+// local row i-lo and distance kernels read the same floats the unsharded
+// path would) with its cached squared row norms.
 func buildSnapshot(data *linalg.Dense, cfg Config, epoch uint64) *snapshot {
 	n := data.Rows()
 	snap := &snapshot{epoch: epoch, n: n, d: data.Cols(), exact: data, shards: make([]*shard, cfg.Shards)}
 	for s, r := range shardRanges(n, cfg.Shards) {
 		lo, hi := r[0], r[1]
 		view := data.RowSlice(lo, hi)
-		shardCfg := cfg.LSH
-		shardCfg.Seed = shardSeed(cfg.LSH.Seed, s)
 		snap.shards[s] = &shard{
 			lo: lo,
 			hi: hi,
-			be: &denseShard{
-				flatRows: flatRows{rows: view.RawData(), norms: linalg.RowNormsSq(view), lo: lo, d: view.Cols()},
-				lsh:      lsh.Build(view, shardCfg),
-			},
+			be: &flatRows{rows: view.RawData(), norms: linalg.RowNormsSq(view), lo: lo, d: view.Cols()},
 		}
 	}
 	return snap
@@ -230,15 +214,6 @@ func shardRanges(n, p int) [][2]int {
 	return out
 }
 
-// shardSeed expands the root seed into decorrelated per-shard seeds
-// (splitmix64 step, matching the LSH index's own table-seed derivation).
-func shardSeed(root int64, s int) int64 {
-	z := uint64(root) + (uint64(s)+1)*0xD1B54A32D192ED03
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int64(z ^ (z >> 31))
-}
-
 // Dims returns the live snapshot's dimensionality.
 func (e *Engine) Dims() int { return e.snap.Load().d }
 
@@ -253,50 +228,19 @@ func (e *Engine) Len() int {
 // Shards returns the number of partitions of the live snapshot.
 func (e *Engine) Shards() int { return len(e.snap.Load().shards) }
 
-// Swap builds a snapshot over new data (a rebuilt reduction, refreshed
-// points, or both) and atomically installs it. In-flight queries finish on
-// whichever snapshot they loaded; queries admitted after Swap returns see
-// only the new one. Pending mutation state is discarded — a Swap replaces
-// the served set wholesale, so delta rows and tombstones of the retired
-// generation are meaningless and row IDs restart at the new row count.
-// Returns the new epoch.
-func (e *Engine) Swap(data *linalg.Dense) (uint64, error) {
-	n, d := data.Dims()
-	if n == 0 || d == 0 {
-		return 0, fmt.Errorf("serve: cannot swap in %dx%d data", n, d)
-	}
-	cfg := e.cfg
-	if cfg.Shards > n {
-		cfg.Shards = n
-	}
-	next := buildSnapshot(data, cfg, e.snap.Load().epoch+1)
-	e.installSnapshot(next)
-	if e.drift != nil {
-		e.drift.reseed(data)
-	}
-	return next.epoch, nil
-}
-
-// installSnapshot stores a wholesale-replacement snapshot and resets the
-// mutation state under the mutation lock, so a query can never capture the
-// new snapshot paired with the old generation's delta buffers or
-// tombstones (or vice versa).
-func (e *Engine) installSnapshot(next *snapshot) {
-	e.mut.mu.Lock()
-	e.snap.Store(next)
-	e.resetMutationLocked(next)
-	e.mut.mu.Unlock()
-	e.counters.swaps.Add(1)
-}
-
 // SearchMode runs one k-NN query through admission control and the sharded
 // worker pools. It blocks until the request is served, its context
 // expires (ErrDeadline), the queue rejects it (ErrOverloaded), or the
-// engine is closed (ErrClosed). Rejected requests do no search work. A k
-// larger than the served set answers with every live row.
+// engine is closed (ErrClosed). Rejected requests do no search work; a
+// query of the wrong width is refused with ErrDims before it can take a
+// queue slot (the served dimensionality is fixed for the engine's life). A
+// k larger than the served set answers with every live row.
 func (e *Engine) SearchMode(ctx context.Context, query []float64, k int, mode Mode) (Result, error) {
 	if k <= 0 {
 		return Result{}, fmt.Errorf("serve: k=%d must be positive", k)
+	}
+	if d := e.Dims(); len(query) != d {
+		return Result{}, fmt.Errorf("%w: query has %d dims, index has %d", ErrDims, len(query), d)
 	}
 	if err := ctx.Err(); err != nil {
 		e.counters.deadline.Add(1)
@@ -385,8 +329,8 @@ func (e *Engine) Close() {
 
 // reqScratch is one request worker's reusable per-request state: the
 // fan-out channel and the captured per-shard delta views and dead lists.
-// Everything is sized to the configured shard maximum (Swap and compaction
-// only ever clamp the shard count down), so steady-state handling does not
+// Everything is sized to the configured shard maximum (compaction only ever
+// clamps the shard count down), so steady-state handling does not
 // allocate: handle fully drains the channel and overwrites the slices on
 // every request.
 type reqScratch struct {
@@ -427,12 +371,6 @@ func (e *Engine) handle(req *request, sc *reqScratch) {
 	}
 	e.mut.mu.RLock()
 	snap := e.snap.Load()
-	if len(req.query) != snap.d {
-		e.mut.mu.RUnlock()
-		req.resp <- response{err: fmt.Errorf("%w: query has %d dims, index has %d",
-			ErrDims, len(req.query), snap.d)}
-		return
-	}
 	p := len(snap.shards)
 	views := sc.views[:p]
 	dead := sc.dead[:p]
@@ -441,7 +379,7 @@ func (e *Engine) handle(req *request, sc *reqScratch) {
 	deltaDead := e.mut.deadIDs
 	e.mut.mu.RUnlock()
 
-	approx := req.mode == ModeApprox || (req.mode == ModeAuto && req.degraded)
+	approx := snap.budgeted && (req.mode == ModeApprox || (req.mode == ModeAuto && req.degraded))
 	deltaTotal := 0
 	for s := range views {
 		deltaTotal += len(views[s].ids)
@@ -456,7 +394,6 @@ func (e *Engine) handle(req *request, sc *reqScratch) {
 			query:     req.query,
 			k:         k,
 			approx:    approx,
-			probes:    e.cfg.Probes,
 			dead:      dead[s],
 			delta:     views[s],
 			deltaDead: deltaDead,
@@ -503,12 +440,9 @@ func (e *Engine) shardWorker() {
 	coll := knn.NewCollector(1)
 	for t := range e.shardq {
 		t.sh.tasks.Add(1)
-		var o shardOut
+		o := t.sh.be.search(t.query, t.k, t.approx, t.dead, coll)
 		if t.approx {
-			o = t.sh.be.searchApprox(t.query, t.k, t.probes, t.dead)
 			t.sh.candidates.Add(uint64(o.candidates))
-		} else {
-			o = t.sh.be.searchExact(t.query, t.k, t.dead, coll)
 		}
 		if len(t.delta.ids) > 0 {
 			o.delta = t.delta.scan(t.query, t.k, t.deltaDead, coll)
@@ -517,21 +451,12 @@ func (e *Engine) shardWorker() {
 	}
 }
 
-// searchExact scans the shard's live rows (see flatRows.scan).
-// knn.SearchSetBatch answers with the scalar scan's top k, rescored and
-// ordered the same way, so wherever rank k is not a tie within the
-// identity's rounding, merging per-shard results with the canonical
-// comparator reproduces the single-threaded batch engine bit for bit.
-func (s *denseShard) searchExact(query []float64, k int, dead []int, c *knn.Collector) shardOut {
-	return shardOut{neigh: s.scan(query, k, dead, c)}
-}
-
-// searchApprox probes the shard's LSH tables, lifts local row ids to global
-// ones and drops the dead.
-func (s *denseShard) searchApprox(query []float64, k, probes int, dead []int) shardOut {
-	res, st := s.lsh.KNNApprox(query, k+len(dead), probes)
-	for i := range res {
-		res[i].Index += s.lo
-	}
-	return shardOut{neigh: liveTopK(res, dead, k), candidates: st.CandidateSize}
+// search scans the shard's live rows (see flatRows.scan); a dense shard has
+// no cheaper path, so approx changes nothing. knn.SearchSetBatch answers
+// with the scalar scan's top k, rescored and ordered the same way, so
+// wherever rank k is not a tie within the identity's rounding, merging
+// per-shard results with the canonical comparator reproduces the
+// single-threaded batch engine bit for bit.
+func (v *flatRows) search(query []float64, k int, _ bool, dead []int, c *knn.Collector) shardOut {
+	return shardOut{neigh: v.scan(query, k, dead, c)}
 }

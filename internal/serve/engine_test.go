@@ -4,13 +4,14 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/index/lsh"
 	"repro/internal/knn"
 	"repro/internal/linalg"
+	"repro/internal/store"
 )
 
 // randMatrix fills an n x d matrix from a seeded source.
@@ -32,7 +33,6 @@ func newTestEngine(t *testing.T, data *linalg.Dense, shards int) *Engine {
 	e, err := New(data, Config{
 		Shards:     shards,
 		QueueDepth: 4096,
-		LSH:        lsh.Config{Tables: 4, Hashes: 8, Seed: 7},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -53,6 +53,15 @@ func searchAll(t *testing.T, e *Engine, queries *linalg.Dense, k int, mode Mode)
 		out[i] = res.Neighbors
 	}
 	return out
+}
+
+// rawRequest is a request as SearchMode builds it, for tests that put one on
+// the queue themselves to fix what admission would have decided.
+func rawRequest(query []float64, k int, mode Mode) *request {
+	return &request{
+		ctx: context.Background(), query: query, k: k, mode: mode,
+		admitted: time.Now(), resp: make(chan response, 1),
+	}
 }
 
 // TestExactMatchesSearchSetBatch is the core correctness contract: the
@@ -82,57 +91,54 @@ func TestExactMatchesSearchSetBatch(t *testing.T) {
 	}
 }
 
-// TestApproxMatchesUnshardedUnion: the sharded approximate path must return
-// neighbors drawn from the union of per-shard LSH candidates with exact
-// distances, sorted canonically — and with generous probing it should agree
-// with exact search on most queries.
-func TestApproxRecall(t *testing.T) {
+// TestDenseApproxIsExact: a dense snapshot has no cheaper path, so ModeApprox
+// and a ModeAuto request that admission marked degraded are served by the
+// exact scan — bit-identical to ModeExact — and say so: not Approx, not
+// Degraded, no Candidates, in the result and in the counters.
+func TestDenseApproxIsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const n, d, nq, k = 800, 16, 40, 5
 	data := randMatrix(rng, n, d)
 	queries := randMatrix(rng, nq, d)
-	e, err := New(data, Config{
-		Shards:     4,
-		QueueDepth: 4096,
-		Probes:     64,
-		LSH:        lsh.Config{Tables: 8, Hashes: 8, Seed: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
+	e := newTestEngine(t, data, 4)
 
-	exact := knn.SearchSetBatch(data, queries, k, knn.Euclidean{}, false)
-	hits, total := 0, 0
+	want := searchAll(t, e, queries, k, ModeExact)
+	check := func(i int, name string, res Result) {
+		t.Helper()
+		if res.Approx || res.Degraded || res.Candidates != 0 {
+			t.Fatalf("query %d %s: approx=%v degraded=%v candidates=%d on a dense engine",
+				i, name, res.Approx, res.Degraded, res.Candidates)
+		}
+		if !slices.Equal(res.Neighbors, want[i]) {
+			t.Fatalf("query %d %s: %+v, exact path answers %+v", i, name, res.Neighbors, want[i])
+		}
+	}
 	for i := 0; i < nq; i++ {
 		res, err := e.SearchMode(context.Background(), queries.RawRow(i), k, ModeApprox)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Approx {
-			t.Fatalf("ModeApprox result not flagged approximate")
+		check(i, "ModeApprox", res)
+		// Forced degradation: the request as SearchMode enqueues it when the
+		// queue is past the watermark.
+		req := rawRequest(queries.RawRow(i), k, ModeAuto)
+		req.degraded = true
+		e.queue <- req
+		r := <-req.resp
+		if r.err != nil {
+			t.Fatal(r.err)
 		}
-		if res.Candidates <= 0 {
-			t.Fatalf("approximate result refined no candidates")
-		}
-		set := map[int]bool{}
-		for _, nb := range exact[i] {
-			set[nb.Index] = true
-		}
-		for _, nb := range res.Neighbors {
-			total++
-			if set[nb.Index] {
-				hits++
-			}
-		}
-		for j := 1; j < len(res.Neighbors); j++ {
-			if knn.LessNeighbor(res.Neighbors[j], res.Neighbors[j-1]) {
-				t.Fatalf("approx results out of canonical order at query %d", i)
-			}
-		}
+		check(i, "degraded ModeAuto", r.res)
 	}
-	if recall := float64(hits) / float64(total); recall < 0.8 {
-		t.Fatalf("approx recall %.3f too low for generous probing", recall)
+	st := e.Stats()
+	if st.Approx != 0 || st.Degraded != 0 || st.Exact != st.Served {
+		t.Fatalf("stats approx=%d degraded=%d exact=%d served=%d, want every answer counted exact",
+			st.Approx, st.Degraded, st.Exact, st.Served)
+	}
+	for s, c := range st.ShardCandidates {
+		if c != 0 {
+			t.Fatalf("shard %d counts %d approximate candidates", s, c)
+		}
 	}
 }
 
@@ -170,7 +176,6 @@ func TestAdmissionOverload(t *testing.T) {
 		Workers:      1,
 		ShardWorkers: 1,
 		QueueDepth:   4,
-		LSH:          lsh.Config{Tables: 2, Hashes: 6, Width: 4, Seed: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -221,20 +226,19 @@ func TestAdmissionOverload(t *testing.T) {
 
 // TestDegradation fills the queue beyond the watermark and checks that
 // ModeAuto requests admitted above it come back flagged Degraded+Approx
-// while ModeExact requests never degrade.
+// while ModeExact requests never degrade. The engine is store-backed: that
+// is the snapshot with a cheaper path to degrade to.
 func TestDegradation(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	// Expensive exact scans with a deep-enough queue: ModeAuto requests
 	// arriving behind the backlog cross the 0.25 watermark and degrade.
 	data := randMatrix(rng, 100000, 16)
-	e, err := New(data, Config{
+	e, err := NewFromStore(openTestStore(t, data, store.BuildConfig{}), Config{
 		Shards:           2,
 		Workers:          1,
 		ShardWorkers:     1,
 		QueueDepth:       32,
 		DegradeWatermark: 0.25,
-		Probes:           8,
-		LSH:              lsh.Config{Tables: 4, Hashes: 8, Width: 4, Seed: 9},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -299,65 +303,12 @@ func TestDeadline(t *testing.T) {
 	}
 }
 
-// TestSwap verifies the atomic snapshot swap: results computed against the
-// new data, epoch bumped, dims free to change, and stale-dimension queries
-// typed as ErrDims.
-func TestSwap(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	const d, d2 = 12, 9
-	dataA := randMatrix(rng, 300, d)
-	dataB := randMatrix(rng, 400, d)
-	e := newTestEngine(t, dataA, 3)
-
-	q := dataA.RawRow(7)
-	before, err := e.SearchMode(context.Background(), q, 4, ModeExact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if before.Epoch != 1 {
-		t.Fatalf("initial epoch %d, want 1", before.Epoch)
-	}
-
-	epoch, err := e.Swap(dataB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if epoch != 2 || e.Stats().Epoch != 2 || e.Len() != 400 {
-		t.Fatalf("post-swap epoch %d len %d", e.Stats().Epoch, e.Len())
-	}
-	after, err := e.SearchMode(context.Background(), q, 4, ModeExact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Epoch != 2 {
-		t.Fatalf("post-swap query served by epoch %d", after.Epoch)
-	}
-	want := knn.SearchSetBatch(dataB, dataA.RowSlice(7, 8), 4, knn.Euclidean{}, false)[0]
-	for j := range want {
-		if after.Neighbors[j] != want[j] {
-			t.Fatalf("post-swap result %d = %+v, want %+v", j, after.Neighbors[j], want[j])
-		}
-	}
-
-	// Dimensionality change: old-width queries get a typed rejection.
-	if _, err := e.Swap(randMatrix(rng, 200, d2)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.SearchMode(context.Background(), q, 4, ModeExact); !errors.Is(err, ErrDims) {
-		t.Fatalf("stale-width query returned %v, want ErrDims", err)
-	}
-	st := e.Stats()
-	if st.Swaps != 2 || st.Epoch != 3 {
-		t.Fatalf("stats swaps=%d epoch=%d, want 2/3", st.Swaps, st.Epoch)
-	}
-}
-
 // TestClose: closed engines reject with ErrClosed, Close is idempotent, and
 // requests in flight at Close time still complete.
 func TestClose(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	data := randMatrix(rng, 400, 8)
-	e, err := New(data, Config{Shards: 2, QueueDepth: 64, LSH: lsh.Config{Tables: 2, Hashes: 6, Seed: 2}})
+	e, err := New(data, Config{Shards: 2, QueueDepth: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,6 +332,47 @@ func TestBadInputs(t *testing.T) {
 	}
 	if _, err := e.SearchMode(context.Background(), []float64{1, 2}, 3, ModeAuto); !errors.Is(err, ErrDims) {
 		t.Fatalf("short query returned %v, want ErrDims", err)
+	}
+}
+
+// TestWrongWidthRefusedAtAdmission: the served dimensionality is fixed for
+// the engine's life, so a wrong-width query is ErrDims before it can take a
+// queue slot — even when there is none to take — and is not counted as an
+// overload rejection.
+func TestWrongWidthRefusedAtAdmission(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	data := randMatrix(rng, 50, 6)
+	e, err := New(data, Config{Shards: 2, Workers: 1, QueueDepth: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	// Park the one request worker on the mutation lock, then fill the queue:
+	// of Workers + QueueDepth blocking sends the worker can take one, so when
+	// the last send returns the queue is full and stays full.
+	e.mut.mu.Lock()
+	fillers := make([]*request, 3)
+	for i := range fillers {
+		fillers[i] = rawRequest(data.RawRow(i), 1, ModeExact)
+		e.queue <- fillers[i]
+	}
+	_, wide := e.SearchMode(context.Background(), data.RawRow(0), 3, ModeExact)
+	_, narrow := e.SearchMode(context.Background(), []float64{1, 2}, 3, ModeExact)
+	e.mut.mu.Unlock()
+	for _, f := range fillers {
+		if r := <-f.resp; r.err != nil {
+			t.Fatal(r.err)
+		}
+	}
+	if !errors.Is(wide, ErrOverloaded) {
+		t.Fatalf("right-width query against a full queue returned %v, want ErrOverloaded", wide)
+	}
+	if !errors.Is(narrow, ErrDims) {
+		t.Fatalf("2-wide query on 6-wide data against a full queue returned %v, want ErrDims", narrow)
+	}
+	if rejected := e.Stats().Rejected; rejected != 1 {
+		t.Fatalf("rejected=%d after one overload and one wrong-width query, want 1", rejected)
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/index/lsh"
 	"repro/internal/linalg"
+	"repro/internal/store"
 )
 
 // TestRunLoad drives the one load harness into every outcome bucket. Each
@@ -22,11 +22,13 @@ func TestRunLoad(t *testing.T) {
 	// cannot keep a shallow queue drained against bursting clients.
 	big := randMatrix(rng, 60000, 16)
 	queries := randMatrix(rng, 32, 16)
-	lshCfg := lsh.Config{Tables: 2, Hashes: 6, Width: 4, Seed: 1}
 
+	// store rows serve data from a quantized store: the backend with an
+	// approximate path to pin or degrade to.
 	cases := []struct {
 		name  string
 		data  *linalg.Dense
+		store bool
 		eng   Config
 		load  LoadConfig
 		check func(t *testing.T, e *Engine, rep LoadReport, live LiveSet)
@@ -34,7 +36,7 @@ func TestRunLoad(t *testing.T) {
 		{
 			name: "read-only",
 			data: small,
-			eng:  Config{Shards: 2, QueueDepth: 1024, LSH: lshCfg},
+			eng:  Config{Shards: 2, QueueDepth: 1024},
 			load: LoadConfig{Ops: 300, Concurrency: 8, K: 5, Mode: ModeExact},
 			check: func(t *testing.T, e *Engine, rep LoadReport, live LiveSet) {
 				if rep.Reads != rep.Ops || rep.Exact != rep.Ops {
@@ -56,7 +58,7 @@ func TestRunLoad(t *testing.T) {
 		{
 			name: "overloaded",
 			data: big,
-			eng:  Config{Shards: 2, Workers: 1, ShardWorkers: 1, QueueDepth: 2, LSH: lshCfg},
+			eng:  Config{Shards: 2, Workers: 1, ShardWorkers: 1, QueueDepth: 2},
 			load: LoadConfig{Ops: 200, Concurrency: 16, K: 5, Mode: ModeExact},
 			check: func(t *testing.T, e *Engine, rep LoadReport, _ LiveSet) {
 				if rep.Overloaded == 0 {
@@ -70,7 +72,7 @@ func TestRunLoad(t *testing.T) {
 		{
 			name: "deadline",
 			data: small,
-			eng:  Config{Shards: 2, LSH: lshCfg},
+			eng:  Config{Shards: 2},
 			load: LoadConfig{Ops: 100, Concurrency: 4, K: 5, Deadline: time.Nanosecond},
 			check: func(t *testing.T, _ *Engine, rep LoadReport, _ LiveSet) {
 				if rep.DeadlineExceeded != rep.Ops {
@@ -79,10 +81,11 @@ func TestRunLoad(t *testing.T) {
 			},
 		},
 		{
-			name: "degraded",
-			data: big,
-			eng:  Config{Shards: 2, Workers: 1, ShardWorkers: 1, QueueDepth: 32, DegradeWatermark: 0.1, LSH: lshCfg},
-			load: LoadConfig{Ops: 240, Concurrency: 24, K: 5, Mode: ModeAuto},
+			name:  "degraded",
+			data:  big,
+			store: true,
+			eng:   Config{Shards: 2, Workers: 1, ShardWorkers: 1, QueueDepth: 32, DegradeWatermark: 0.1},
+			load:  LoadConfig{Ops: 240, Concurrency: 24, K: 5, Mode: ModeAuto},
 			check: func(t *testing.T, e *Engine, rep LoadReport, _ LiveSet) {
 				if rep.Degraded == 0 || rep.Approx < rep.Degraded {
 					t.Errorf("no degradation past a 0.1 watermark under 24-way load: %+v", rep)
@@ -96,10 +99,11 @@ func TestRunLoad(t *testing.T) {
 			},
 		},
 		{
-			name: "approx",
-			data: small,
-			eng:  Config{Shards: 2, QueueDepth: 1024, LSH: lshCfg},
-			load: LoadConfig{Ops: 100, Concurrency: 4, K: 5, Mode: ModeApprox},
+			name:  "approx",
+			data:  small,
+			store: true,
+			eng:   Config{Shards: 2, QueueDepth: 1024},
+			load:  LoadConfig{Ops: 100, Concurrency: 4, K: 5, Mode: ModeApprox},
 			check: func(t *testing.T, _ *Engine, rep LoadReport, _ LiveSet) {
 				if rep.Approx != rep.Ops || rep.Exact != 0 || rep.Degraded != 0 {
 					t.Errorf("pinned approx mode: %+v", rep)
@@ -109,7 +113,7 @@ func TestRunLoad(t *testing.T) {
 		{
 			name: "mixed",
 			data: small,
-			eng:  Config{Shards: 2, QueueDepth: 1024, CompactAt: 32, LSH: lshCfg},
+			eng:  Config{Shards: 2, QueueDepth: 1024, CompactAt: 32},
 			load: LoadConfig{Ops: 600, Concurrency: 8, WriteFraction: 0.3, K: 5, Seed: 7},
 			check: func(t *testing.T, e *Engine, rep LoadReport, live LiveSet) {
 				if rep.Reads == 0 || rep.Inserts == 0 || rep.Deletes == 0 {
@@ -134,7 +138,13 @@ func TestRunLoad(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			e, err := New(c.data, c.eng)
+			var e *Engine
+			var err error
+			if c.store {
+				e, err = NewFromStore(openTestStore(t, c.data, store.BuildConfig{}), c.eng)
+			} else {
+				e, err = New(c.data, c.eng)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}

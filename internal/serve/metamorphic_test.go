@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -88,20 +89,33 @@ func TestEngineMetamorphic(t *testing.T) {
 		assertSameNeighbors(t, "engine/zero-pad", got, base)
 	})
 
-	// The relations must also survive a snapshot swap: swapping the
-	// transformed data into a live engine yields the same answers as an
-	// engine built on it from scratch.
+	// The relations must also survive a snapshot replacement: a live engine
+	// whose rows are replaced by their permutation through the one writer of
+	// the snapshot pointer — insert the permuted rows, delete the originals,
+	// compact — yields the same answers as an engine built on them from
+	// scratch. Inserted row i is data row perm[i] and carries ID n+i.
 	t.Run("swap to permuted data", func(t *testing.T) {
 		perm := rng.Perm(n)
 		e := newTestEngine(t, data, shards)
 		defer e.Close()
-		if _, err := e.Swap(data.SliceRows(perm)); err != nil {
-			t.Fatal(err)
+		ctx := context.Background()
+		for _, p := range perm {
+			if _, err := e.Insert(ctx, data.RawRow(p)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for id := 0; id < n; id++ {
+			if err := e.Delete(ctx, id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if epoch, err := e.Compact(ctx); err != nil || epoch != 2 {
+			t.Fatalf("Compact = %d, %v, want epoch 2", epoch, err)
 		}
 		got := searchAll(t, e, queries, k, ModeExact)
 		for i := range got {
 			for j := range got[i] {
-				got[i][j].Index = perm[got[i][j].Index]
+				got[i][j].Index = perm[got[i][j].Index-n]
 			}
 			knn.SortNeighbors(got[i])
 		}

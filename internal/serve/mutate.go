@@ -31,11 +31,13 @@ import (
 //     so a query can capture the headers under a short read lock and scan
 //     against a point-in-time-consistent view without holding any lock.
 //   - The compactor freezes (snapshot, delta prefix, tombstones) under the
-//     read lock, builds a rebuilt snapshot off-lock — re-deriving norm
-//     caches and LSH tables via buildSnapshot — and installs it through the
-//     same atomic.Pointer epoch machinery Swap uses. Mutations that arrive
-//     during the build are re-threaded onto the new generation at install
-//     time, so nothing is lost and nothing resurrects.
+//     read lock, builds a rebuilt snapshot off-lock — re-deriving the norm
+//     caches via buildSnapshot — and installs it with one atomic.Pointer
+//     store. It is the only writer of Engine.snap after construction, and
+//     compactMu runs one cycle at a time, so the snapshot it captured is
+//     still the live one when it installs. Mutations that arrive during
+//     the build are re-threaded onto the new generation at install time,
+//     so nothing is lost and nothing resurrects.
 //
 // Exactness of the tombstone filter: flatRows.scan is the one place
 // tombstones are applied. It visits rows in ascending position (snapshot) or
@@ -44,10 +46,10 @@ import (
 // rows — what a shard rebuilt over the survivors collects, at the same
 // distances, since a distance depends on the row and the query alone. The
 // canonical (distance, index) merge therefore sees the candidates a rebuild
-// would produce. The two backends whose scan is not ours to steer (the LSH
-// probe, the quantized store) fetch k + len(dead) candidates and drop the
-// dead ones before returning (liveTopK): at most len(dead) can be dead, so
-// the shard's k nearest live rows all survive.
+// would produce. The one backend whose scan is not ours to steer (the
+// quantized store) fetches k + len(dead) candidates and drops the dead ones
+// before returning (liveTopK): at most len(dead) can be dead, so the shard's
+// k nearest live rows all survive.
 //
 // Visibility contract: a query captures (snapshot, delta views, tombstone
 // lists) atomically under mut.mu.RLock. Mutations acknowledged before the
@@ -180,7 +182,7 @@ func insertSorted(s []int, x int) ([]int, bool) {
 	return out, true
 }
 
-// liveTopK is the tombstone filter of the backends that cannot skip inline:
+// liveTopK is the tombstone filter of the backend that cannot skip inline:
 // given candidates fetched k + len(dead) deep, it keeps the first k live.
 func liveTopK(ns []knn.Neighbor, dead []int, k int) []knn.Neighbor {
 	ns = knn.DropNeighbors(ns, dead)
@@ -188,23 +190,6 @@ func liveTopK(ns []knn.Neighbor, dead []int, k int) []knn.Neighbor {
 		ns = ns[:k]
 	}
 	return ns
-}
-
-// resetMutationLocked reinitializes the mutation state for a freshly
-// installed snapshot that carries no pending mutations (New, Swap,
-// SwapStore). Caller holds mut.mu, or the engine is not yet started.
-func (e *Engine) resetMutationLocked(snap *snapshot) {
-	p := len(snap.shards)
-	e.mut.bufs = newDeltaBufs(p, snap.d)
-	e.mut.deadPos = make([][]int, p)
-	e.mut.deadIDs = nil
-	e.mut.snapDead = 0
-	e.mut.live = 0
-	if snap.ids == nil {
-		e.mut.nextID = snap.n
-	} else {
-		e.mut.nextID = snap.ids[len(snap.ids)-1] + 1
-	}
 }
 
 // snapIDOf returns the stable ID of snapshot position pos.
@@ -401,9 +386,8 @@ func (e *Engine) maybeCompact() {
 
 // Compact synchronously folds the pending delta rows and tombstones into a
 // rebuilt snapshot and installs it, returning the epoch serving when it is
-// done. With nothing pending (or when a concurrent Swap supersedes the
-// rebuild mid-build) the live epoch is returned unchanged. Queries and
-// mutations keep flowing throughout: the build runs off-lock against a
+// done. With nothing pending the live epoch is returned unchanged. Queries
+// and mutations keep flowing throughout: the build runs off-lock against a
 // frozen capture, and only the pointer install takes the write lock.
 func (e *Engine) Compact(ctx context.Context) (uint64, error) {
 	if err := ctx.Err(); err != nil {
@@ -497,14 +481,6 @@ func (e *Engine) compactOnce() uint64 {
 
 	// ---- install: swap the snapshot, re-thread concurrent mutations ----
 	e.mut.mu.Lock()
-	//drlint:ignore snapcapture deliberate re-validation under mut.mu: a Swap may have retired the captured snapshot during the lock-free build
-	if cur := e.snap.Load(); cur != snap {
-		// A Swap replaced the dataset while we were building; our rebuild
-		// describes a retired generation. Discard it.
-		epoch := cur.epoch
-		e.mut.mu.Unlock()
-		return epoch
-	}
 	pNew := len(next.shards)
 	// Delta rows appended after the capture cut move onto the new
 	// generation, re-bucketed by id mod pNew in ascending ID order so every
@@ -566,7 +542,6 @@ func (e *Engine) compactOnce() uint64 {
 	e.snap.Store(next)
 	e.mut.mu.Unlock()
 
-	e.counters.swaps.Add(1)
 	e.counters.compactions.Add(1)
 	if e.drift != nil && e.drift.refit() {
 		e.counters.refits.Add(1)

@@ -2,13 +2,19 @@ package serve
 
 import (
 	"context"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/index/lsh"
 	"repro/internal/linalg"
 )
 
@@ -31,7 +37,6 @@ func TestMutateStress(t *testing.T) {
 		Shards:     4,
 		QueueDepth: 8192,
 		CompactAt:  192, // force several mid-run background compactions
-		LSH:        lsh.Config{Tables: 4, Hashes: 8, Seed: 7},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -104,6 +109,12 @@ func TestMutateStress(t *testing.T) {
 	if got := e.Len(); got != len(live.IDs) {
 		t.Fatalf("engine Len=%d, ground truth %d", got, len(live.IDs))
 	}
+	// The compactor is the only writer of the snapshot pointer: every epoch
+	// past the first is one counted compaction, background or forced.
+	if st := e.Stats(); st.Swaps != st.Compactions || st.Epoch != 1+st.Compactions {
+		t.Fatalf("swaps=%d compactions=%d epoch=%d, want swaps == compactions == epoch-1",
+			st.Swaps, st.Compactions, st.Epoch)
+	}
 }
 
 // TestDriftTriggersRecompaction pins the streaming-PCA wiring: a mutation
@@ -133,7 +144,6 @@ func TestDriftTriggersRecompaction(t *testing.T) {
 			DecayThreshold: 0.9,
 			CheckEvery:     32,
 		},
-		LSH: lsh.Config{Tables: 2, Hashes: 4, Seed: 7},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -185,5 +195,44 @@ func TestDriftTriggersRecompaction(t *testing.T) {
 	}
 	if final.BasisRefits == 0 {
 		t.Fatalf("compaction installed but basis never refit (stats: %+v)", final)
+	}
+}
+
+// TestMutateStressJobListResolves holds the hand-written -run alternation of
+// CI's mutate-stress job to the tree: every name in it must be a Test
+// function of this package, or a rename quietly shrinks the race gate.
+func TestMutateStressJobListResolves(t *testing.T) {
+	ci, err := os.ReadFile(filepath.Join("..", "..", ".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, job, ok := strings.Cut(string(ci), "\n  mutate-stress:\n")
+	if !ok {
+		t.Fatal("ci.yml has no mutate-stress job")
+	}
+	m := regexp.MustCompile(`-run '([^']+)'`).FindStringSubmatch(job)
+	if m == nil {
+		t.Fatal("the mutate-stress job has no -run '…' list")
+	}
+	files, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]bool{}
+	for _, name := range files {
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil {
+				declared[fn.Name.Name] = true
+			}
+		}
+	}
+	for _, name := range strings.Split(m[1], "|") {
+		if !strings.HasPrefix(name, "Test") || !declared[name] {
+			t.Errorf("mutate-stress runs %q, which is not a Test function of internal/serve", name)
+		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/index/lsh"
 	"repro/internal/linalg"
 	"repro/internal/store"
 )
@@ -60,7 +59,6 @@ func mutTestConfig(shards int) Config {
 		Shards:     shards,
 		QueueDepth: 4096,
 		CompactAt:  -1,
-		LSH:        lsh.Config{Tables: 4, Hashes: 8, Seed: 7},
 	}
 }
 
@@ -724,45 +722,6 @@ func TestEngineEpochLatencySplit(t *testing.T) {
 	}
 	if st := e.Stats(); st.EpochLatencyP50 <= 0 {
 		t.Fatal("live epoch p50 still zero after serving")
-	}
-}
-
-// TestSwapDiscardsMutations pins Swap's documented contract: wholesale
-// replacement resets pending deltas, tombstones and the ID space.
-func TestSwapDiscardsMutations(t *testing.T) {
-	rng := rand.New(rand.NewSource(79))
-	const n, d = 50, 6
-	data := randMatrix(rng, n, d)
-	e, err := New(data, mutTestConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(e.Close)
-	ctx := context.Background()
-	if _, err := e.Insert(ctx, data.RawRow(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Delete(ctx, 2); err != nil {
-		t.Fatal(err)
-	}
-	next := randMatrix(rng, 35, d)
-	if _, err := e.Swap(next); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.Len(); got != 35 {
-		t.Fatalf("Len after swap = %d, want 35", got)
-	}
-	st := e.Stats()
-	if st.DeltaRows != 0 || st.Tombstones != 0 {
-		t.Fatalf("swap left delta=%d tombstones=%d pending", st.DeltaRows, st.Tombstones)
-	}
-	// The ID space restarts at the new row count.
-	id, err := e.Insert(ctx, next.RawRow(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != 35 {
-		t.Fatalf("first post-swap insert id = %d, want 35", id)
 	}
 }
 

@@ -1,23 +1,25 @@
 // Package serve is the concurrent query-serving layer of the similarity
 // pipeline: a sharded engine that fronts the exact batch-distance path
-// (knn.SearchSetBatch's norm-cache kernels) and the approximate multi-probe
-// LSH path behind one admission-controlled API.
+// (knn.SearchSetBatch's norm-cache kernels) and the quantized store's
+// budgeted two-phase search behind one admission-controlled API.
 //
 // The design follows the operational setting of Thomasian's clustered /
 // reduced-index serving work (PAPERS.md): the dataset is partitioned into P
-// contiguous shards, each carrying its own cached squared row norms and its
-// own independently seeded LSH tables. A query fans out over the shards on
-// a fixed worker pool; per-shard top-k lists are merged with the canonical
-// (distance, index) comparator, so the exact path is bit-identical to a
-// single-threaded knn.SearchSetBatch over the unsharded data.
+// contiguous shards, each carrying its own cached squared row norms. A
+// query fans out over the shards on a fixed worker pool; per-shard top-k
+// lists are merged with the canonical (distance, index) comparator, so the
+// exact path is bit-identical to a single-threaded knn.SearchSetBatch over
+// the unsharded data.
 //
-// Shards search through a small backend interface with two
-// implementations: the in-memory dense backend above, and a quantized
-// mmap-backed store backend (internal/store, NewFromStore) whose exact
-// path runs the store's two-phase search with a full rescore budget —
-// preserving the bit-identity contract — and whose approximate path caps
-// phase-2 rescoring at Config.Rescore candidates per shard in place of LSH
-// probing.
+// Shards search through a one-method backend interface with two
+// implementations: the in-memory dense backend above, which answers every
+// request exactly, and a quantized mmap-backed store backend
+// (internal/store, NewFromStore) whose exact path runs the store's
+// two-phase search with a full rescore budget — preserving the bit-identity
+// contract — and whose approximate path caps phase-2 rescoring at
+// Config.Rescore candidates per shard. That budget is the engine's one
+// approximate mechanism: a dense snapshot has no cheaper path, so it serves
+// ModeApprox and a degraded ModeAuto exactly and reports Approx == false.
 //
 // Three serving concerns the single-request CLIs never had to own live
 // here:
@@ -26,13 +28,15 @@
 //     queue rejects immediately with ErrOverloaded, a request whose
 //     context deadline expires before completion returns ErrDeadline, and
 //     when queue depth crosses a configurable watermark, ModeAuto requests
-//     degrade gracefully from exact scans to approximate LSH probing
-//     instead of queueing further behind work they cannot beat.
+//     on a store-backed snapshot degrade from the full to the capped
+//     rescore budget instead of queueing further behind work they cannot
+//     beat.
 //
-//   - Index lifecycle. The live snapshot (shards, norms, LSH tables) hangs
-//     off an atomic.Pointer; Swap builds a replacement off to the side and
-//     installs it with one pointer store, so rebuilds with a new reduction
-//     basis or new probe configuration never block in-flight queries.
+//   - Index lifecycle. The live snapshot (shards, norms) hangs off an
+//     atomic.Pointer; the compactor (mutate.go) builds a replacement off to
+//     the side and installs it with one pointer store — the only writer
+//     after construction — so folding mutations in never blocks in-flight
+//     queries. Serving different data means building a new Engine.
 //
 //   - Observability. Every request outcome is counted (served, rejected,
 //     degraded, deadline-expired), per-shard candidate work is tracked, and
@@ -44,7 +48,6 @@ import (
 	"errors"
 	"time"
 
-	"repro/internal/index/lsh"
 	"repro/internal/knn"
 )
 
@@ -62,9 +65,8 @@ var (
 	ErrDeadline = errors.New("serve: request deadline exceeded")
 	// ErrClosed reports that the engine has been Closed.
 	ErrClosed = errors.New("serve: engine closed")
-	// ErrDims reports a query whose dimensionality does not match the live
-	// snapshot (possible when a Swap changes the reduction basis while the
-	// request is in flight).
+	// ErrDims reports a query or insert whose dimensionality does not match
+	// the served data.
 	ErrDims = errors.New("serve: query dimensionality does not match live index")
 	// ErrUnknownID reports a Delete whose ID is not in the served set:
 	// never issued, already deleted, or deleted and since compacted away.
@@ -80,9 +82,10 @@ const (
 	ModeAuto Mode = iota
 	// ModeExact always runs the exact sharded scan.
 	ModeExact
-	// ModeApprox always runs the sharded approximate path: multi-probe LSH
-	// on dense shards, the quantized scan with a capped exact-rescore
-	// budget (Config.Rescore) on store shards.
+	// ModeApprox always runs the sharded approximate path: the quantized
+	// scan with a capped exact-rescore budget (Config.Rescore) on store
+	// shards. Dense shards have none and answer exactly (Result.Approx is
+	// false), as a store-backed engine does after its first compaction.
 	ModeApprox
 )
 
@@ -119,15 +122,13 @@ type Config struct {
 	// DegradeWatermark is the queue-depth fraction in (0, 1] beyond which
 	// ModeAuto requests fall back to the approximate path (0 selects 0.75;
 	// 1 disables degradation — the queue rejects before it ever degrades).
+	// Without an approximate path (dense snapshots) nothing degrades.
 	DegradeWatermark float64
-	// Probes is the per-table probing depth of the approximate path
-	// (0 selects 16). Ignored by store-backed engines.
-	Probes int
 	// Rescore bounds the exact-refinement budget of the approximate path
-	// on store-backed shards (NewFromStore/SwapStore): each shard's
-	// quantized scan admits at most Rescore candidates for float64
-	// rescoring. 0 selects 32·k at query time. Ignored by dense-backed
-	// engines, whose approximate path is LSH probing.
+	// on store-backed shards (NewFromStore): each shard's quantized scan
+	// admits at most Rescore candidates for float64 rescoring. 0 selects
+	// 32·k at query time. Ignored by dense-backed engines, which have no
+	// approximate path.
 	Rescore int
 	// ScanWorkers is the intra-query parallelism of store-backed shards:
 	// each shard's quantized scan splits its row range across up to
@@ -150,10 +151,6 @@ type Config struct {
 	// a decayed basis forces a re-projection compaction. The zero value
 	// disables it.
 	Drift DriftConfig
-	// LSH configures each shard's hash index. LSH.Seed is the root seed;
-	// shard i derives an independent seed from it, so a snapshot is
-	// deterministic for a fixed config regardless of build parallelism.
-	LSH lsh.Config
 }
 
 // withDefaults resolves zero fields against the data size n and the number
@@ -180,9 +177,6 @@ func (c Config) withDefaults(n, procs int) Config {
 	if c.DegradeWatermark > 1 {
 		c.DegradeWatermark = 1
 	}
-	if c.Probes <= 0 {
-		c.Probes = 16
-	}
 	if c.ScanWorkers <= 0 {
 		c.ScanWorkers = 1
 	}
@@ -199,17 +193,18 @@ func (c Config) withDefaults(n, procs int) Config {
 type Result struct {
 	// Neighbors holds up to k results in the canonical (distance, index)
 	// order. Index is the row's stable ID: its position in the matrix or
-	// store the engine was built over (or last swapped to), the value
-	// Insert returned for a later row. IDs equal positions in the served
-	// snapshot only until the first compaction that drops a row.
+	// store the engine was built over, the value Insert returned for a
+	// later row. IDs equal positions in the served snapshot only until the
+	// first compaction that drops a row.
 	Neighbors []knn.Neighbor
-	// Approx reports whether the approximate path served the request.
+	// Approx reports whether an approximate path served the request: false
+	// for every answer of a dense snapshot, whatever Mode asked.
 	Approx bool
 	// Degraded reports whether admission control downgraded a ModeAuto
 	// request to the approximate path (implies Approx).
 	Degraded bool
 	// Epoch identifies the snapshot that served the query; it increases by
-	// one per Swap, so tests can assert which index a response saw.
+	// one per compaction, so tests can assert which index a response saw.
 	Epoch uint64
 	// Wait is the time the request spent queued before a worker picked it
 	// up; Total is admission-to-merge latency.

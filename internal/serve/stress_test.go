@@ -8,18 +8,16 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/index/lsh"
-	"repro/internal/linalg"
 )
 
 // TestStressSwapOverload is the engine's race-mode workout: many concurrent
-// clients mixing modes and deadlines, a rebuilder swapping snapshots mid
-// flight, and a queue small enough to overflow under the burst load. It
+// clients mixing modes and deadlines, a rebuilder growing the served set and
+// compacting mid flight — the compactor's install is the one snapshot swap
+// there is — and a queue small enough to overflow under the burst load. It
 // asserts the engine's liveness contract — every request ends in exactly
-// one of served / ErrOverloaded / ErrDeadline / ErrDims, none lost — and
-// the swap contract: a query admitted after a swap completes is served by
-// the new epoch (in-flight ones may see either, but never a torn mix).
+// one of served / ErrOverloaded / ErrDeadline, none lost — and the swap
+// contract: a query admitted after a compaction returns is served by the new
+// epoch or a later one (in-flight ones may see either, but never a torn mix).
 func TestStressSwapOverload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test skipped in -short mode")
@@ -33,18 +31,17 @@ func TestStressSwapOverload(t *testing.T) {
 		k        = 5
 		queueCap = 8
 	)
-	generations := make([]*linalg.Dense, swaps+1)
-	for g := range generations {
-		generations[g] = randMatrix(rng, n+g, d) // distinct sizes mark generations
-	}
-	e, err := New(generations[0], Config{
+	// Each generation is one row larger than the last, so sizes mark
+	// generations: epoch g serves n+g-1 snapshot rows. Only the rebuilder's
+	// explicit Compact installs a snapshot.
+	extra := randMatrix(rng, swaps, d)
+	e, err := New(randMatrix(rng, n, d), Config{
 		Shards:           3,
 		Workers:          2,
 		ShardWorkers:     2,
 		QueueDepth:       queueCap,
 		DegradeWatermark: 0.5,
-		Probes:           8,
-		LSH:              lsh.Config{Tables: 3, Hashes: 8, Width: 4, Seed: 21},
+		CompactAt:        -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -54,26 +51,30 @@ func TestStressSwapOverload(t *testing.T) {
 	queries := randMatrix(rng, 64, d)
 
 	// minEpoch is a monotone lower bound on the live epoch, advanced by the
-	// rebuilder BEFORE Swap returns and read by clients BEFORE admission;
+	// rebuilder once Compact has returned and read by clients BEFORE admission;
 	// a served response must never report an epoch below the bound read
 	// before its own admission.
 	var minEpoch atomic.Uint64
 	minEpoch.Store(1)
 
 	var (
-		served, overloaded, deadline, dims, lost atomic.Uint64
+		served, overloaded, deadline, lost atomic.Uint64
 	)
 	var wg sync.WaitGroup
 	wg.Add(clients + 1)
 
-	// Rebuilder: swap through the generations while clients hammer.
+	// Rebuilder: compact through the generations while clients hammer.
 	go func() {
 		defer wg.Done()
 		for g := 1; g <= swaps; g++ {
 			time.Sleep(2 * time.Millisecond)
-			epoch, err := e.Swap(generations[g])
+			if _, err := e.Insert(context.Background(), extra.RawRow(g-1)); err != nil {
+				t.Errorf("insert %d: %v", g, err)
+				return
+			}
+			epoch, err := e.Compact(context.Background())
 			if err != nil {
-				t.Errorf("swap %d: %v", g, err)
+				t.Errorf("compact %d: %v", g, err)
 				return
 			}
 			minEpoch.Store(epoch)
@@ -107,9 +108,11 @@ func TestStressSwapOverload(t *testing.T) {
 					if len(res.Neighbors) > k {
 						t.Errorf("served %d neighbors, more than k=%d", len(res.Neighbors), k)
 					}
-					// The response's row indices must be valid for the
-					// generation that served it (sizes differ per epoch).
-					maxRow := n + int(res.Epoch) - 1
+					// The response's row IDs must be valid for the
+					// generation that served it (sizes differ per epoch):
+					// its snapshot rows plus, at most, the one delta row
+					// the next generation will fold in.
+					maxRow := n + int(res.Epoch)
 					for _, nb := range res.Neighbors {
 						if nb.Index < 0 || nb.Index >= maxRow {
 							t.Errorf("epoch %d returned row %d outside [0,%d)", res.Epoch, nb.Index, maxRow)
@@ -119,8 +122,6 @@ func TestStressSwapOverload(t *testing.T) {
 					overloaded.Add(1)
 				case errors.Is(err, ErrDeadline):
 					deadline.Add(1)
-				case errors.Is(err, ErrDims):
-					dims.Add(1)
 				default:
 					lost.Add(1)
 					t.Errorf("untyped error: %v", err)
@@ -130,7 +131,7 @@ func TestStressSwapOverload(t *testing.T) {
 	}
 	wg.Wait()
 
-	total := served.Load() + overloaded.Load() + deadline.Load() + dims.Load() + lost.Load()
+	total := served.Load() + overloaded.Load() + deadline.Load() + lost.Load()
 	if total != clients*perCli {
 		t.Fatalf("accounting hole: %d outcomes for %d requests", total, clients*perCli)
 	}
