@@ -15,7 +15,8 @@ import (
 	"os"
 	"path/filepath"
 
-	repro "repro"
+	"repro/internal/dataset"
+	"repro/internal/dataset/synthetic"
 )
 
 func main() {
@@ -24,13 +25,13 @@ func main() {
 	set := flag.String("set", "all", "which data set to emit")
 	flag.Parse()
 
-	sets := map[string]func() *repro.Dataset{
-		"musk":       func() *repro.Dataset { return repro.MuskLike(*seed) },
-		"ionosphere": func() *repro.Dataset { return repro.IonosphereLike(*seed) },
-		"arrhythmia": func() *repro.Dataset { return repro.ArrhythmiaLike(*seed) },
-		"noisy-a":    func() *repro.Dataset { d, _ := repro.NoisyDataA(*seed); return d },
-		"noisy-b":    func() *repro.Dataset { d, _ := repro.NoisyDataB(*seed); return d },
-		"uniform":    func() *repro.Dataset { return repro.UniformCube("uniform", 1000, 50, *seed) },
+	sets := map[string]func() *dataset.Dataset{
+		"musk":       func() *dataset.Dataset { return synthetic.MuskLike(*seed) },
+		"ionosphere": func() *dataset.Dataset { return synthetic.IonosphereLike(*seed) },
+		"arrhythmia": func() *dataset.Dataset { return synthetic.ArrhythmiaLike(*seed) },
+		"noisy-a":    func() *dataset.Dataset { d, _ := synthetic.NoisyDataA(*seed); return d },
+		"noisy-b":    func() *dataset.Dataset { d, _ := synthetic.NoisyDataB(*seed); return d },
+		"uniform":    func() *dataset.Dataset { return synthetic.UniformCube("uniform", 1000, 50, *seed) },
 	}
 
 	var names []string
@@ -55,7 +56,7 @@ func main() {
 	}
 }
 
-func write(path string, ds *repro.Dataset) error {
+func write(path string, ds *dataset.Dataset) error {
 	// Name the features so the CSV round-trips with a header row
 	// (drtool -header).
 	if ds.FeatureNames == nil {
@@ -69,7 +70,7 @@ func write(path string, ds *repro.Dataset) error {
 	if err != nil {
 		return err
 	}
-	if err := repro.WriteCSV(f, ds); err != nil {
+	if err := dataset.WriteCSV(f, ds); err != nil {
 		f.Close()
 		return err
 	}

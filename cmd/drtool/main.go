@@ -23,7 +23,12 @@ import (
 	"os"
 	"text/tabwriter"
 
-	repro "repro"
+	"repro/internal/dataset"
+	"repro/internal/eval"
+	"repro/internal/index"
+	"repro/internal/index/lsh"
+	"repro/internal/knn"
+	"repro/internal/reduction"
 )
 
 // options carries every flag of the CLI.
@@ -57,7 +62,7 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.IntVar(&o.k, "k", 0, "retain exactly k components (0 = use -threshold/-energy/-floor)")
 	fs.Float64Var(&o.threshold, "threshold", 0, "retain eigenvalues >= F * largest, F in [0,1] (0 = off)")
 	fs.Float64Var(&o.energy, "energy", 0, "retain smallest prefix with >= F of variance, F in [0,1] (0 = off)")
-	fs.Float64Var(&o.floor, "floor", 0, "retain components with coherence >= F (0 = off)")
+	fs.Float64Var(&o.floor, "floor", 0, "retain components with coherence >= F, F in [0,1] (0 = off)")
 	fs.StringVar(&o.out, "out", "", "write reduced CSV here")
 	fs.BoolVar(&o.report, "report", true, "print the per-component analysis")
 	fs.StringVar(&o.index, "index", "", "benchmark an index on the reduced data: kdtree, vafile, rtree, idistance or lsh")
@@ -84,16 +89,19 @@ func main() {
 }
 
 // readInput loads the labelled CSV named by -in.
-func readInput(o options) (*repro.Dataset, error) {
+func readInput(o options) (*dataset.Dataset, error) {
 	f, err := os.Open(o.in)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return repro.ReadCSV(f, o.in, repro.CSVOptions{HasHeader: o.header, LabelColumn: o.labelCol})
+	return dataset.ReadCSV(f, o.in, dataset.CSVOptions{HasHeader: o.header, LabelColumn: o.labelCol})
 }
 
 func run(o options) error {
+	if o.labelCol < -1 {
+		return fmt.Errorf("-label %d out of range (a column index, or -1 = last)", o.labelCol)
+	}
 	ds, err := readInput(o)
 	if err != nil {
 		return err
@@ -112,21 +120,24 @@ func run(o options) error {
 	if !(o.energy >= 0 && o.energy <= 1) {
 		return fmt.Errorf("-energy %v out of range [0,1] (0 = off)", o.energy)
 	}
-
-	opts := repro.Options{ComputeCoherence: true}
-	if o.scale {
-		opts.Scaling = repro.ScalingStudentize
+	if !(o.floor >= 0 && o.floor <= 1) {
+		return fmt.Errorf("-floor %v out of range [0,1] (0 = off)", o.floor)
 	}
-	p, err := repro.FitDataset(ds, opts)
+
+	opts := reduction.Options{ComputeCoherence: true}
+	if o.scale {
+		opts.Scaling = reduction.ScalingStudentize
+	}
+	p, err := reduction.FitDataset(ds, opts)
 	if err != nil {
 		return err
 	}
 
-	ordering := repro.ByCoherence
+	ordering := reduction.ByCoherence
 	switch o.order {
 	case "coherence":
 	case "eigenvalue":
-		ordering = repro.ByEigenvalue
+		ordering = reduction.ByEigenvalue
 	default:
 		return fmt.Errorf("unknown -order %q", o.order)
 	}
@@ -145,13 +156,13 @@ func run(o options) error {
 		// The paper's scatter-gap heuristic on the chosen ordering.
 		vals := make([]float64, ds.Dims())
 		for i, idx := range p.Order(ordering) {
-			if ordering == repro.ByCoherence {
+			if ordering == reduction.ByCoherence {
 				vals[i] = p.Coherence[idx]
 			} else {
 				vals[i] = p.Eigenvalues[idx]
 			}
 		}
-		cut := repro.GapCutoff(vals, 2, ds.Dims())
+		cut := reduction.GapCutoff(vals, 2, ds.Dims())
 		components = p.Order(ordering)[:cut]
 	}
 
@@ -172,9 +183,9 @@ func run(o options) error {
 		tw.Flush()
 	}
 
-	fullAcc := repro.DatasetAccuracy(ds)
+	fullAcc := eval.DatasetAccuracy(ds)
 	reduced := p.ReduceDataset(ds, components, ds.Name+" (reduced)")
-	redAcc := repro.DatasetAccuracy(reduced)
+	redAcc := eval.DatasetAccuracy(reduced)
 	fmt.Printf("retained %d of %d components (%.1f%% of variance)\n",
 		len(components), ds.Dims(), 100*p.EnergyFraction(components))
 	fmt.Printf("feature-stripped 3-NN accuracy: full %.1f%% -> reduced %.1f%%\n", 100*fullAcc, 100*redAcc)
@@ -190,7 +201,7 @@ func run(o options) error {
 		if err != nil {
 			return err
 		}
-		if err := repro.WriteCSV(of, reduced); err != nil {
+		if err := dataset.WriteCSV(of, reduced); err != nil {
 			of.Close()
 			return err
 		}
@@ -206,7 +217,7 @@ func run(o options) error {
 // benchIndex builds the chosen structure over the full and reduced feature
 // matrices and reports per-query work (and recall, for the approximate
 // index) on a workload of the first -queries points.
-func benchIndex(w *os.File, o options, full, reduced *repro.Dataset) error {
+func benchIndex(w *os.File, o options, full, reduced *dataset.Dataset) error {
 	switch o.index {
 	case "kdtree", "vafile", "rtree", "idistance", "lsh":
 	default:
@@ -231,7 +242,7 @@ func benchIndex(w *os.File, o options, full, reduced *repro.Dataset) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "index benchmark: %s, %d-NN, %d queries\n", o.index, o.neighbors, nq)
 	fmt.Fprintln(tw, "representation\tdims\tscanned\trecall\tbuckets/query")
-	for _, rep := range []*repro.Dataset{full, reduced} {
+	for _, rep := range []*dataset.Dataset{full, reduced} {
 		if err := benchOneRep(tw, o, rep, nq); err != nil {
 			return err
 		}
@@ -240,40 +251,40 @@ func benchIndex(w *os.File, o options, full, reduced *repro.Dataset) error {
 	return nil
 }
 
-func benchOneRep(tw *tabwriter.Writer, o options, ds *repro.Dataset, nq int) error {
+func benchOneRep(tw *tabwriter.Writer, o options, ds *dataset.Dataset, nq int) error {
 	queryRows := make([]int, nq)
 	for i := range queryRows {
 		queryRows[i] = i
 	}
 	queries := ds.X.SliceRows(queryRows)
 
-	var stats repro.IndexStats
+	var stats index.Stats
 	recall := 1.0
 	switch o.index {
 	case "lsh":
-		ix := repro.BuildLSH(ds.X, repro.LSHConfig{Tables: o.tables, Seed: 1})
+		ix := lsh.Build(ds.X, lsh.Config{Tables: o.tables, Seed: 1})
 		approx, s := ix.KNNApproxSet(queries, o.neighbors, o.probes)
 		stats = s
-		exact := repro.SearchSetBatch(ds.X, queries, o.neighbors, repro.Euclidean{}, false)
-		recall = repro.MeanRecall(approx, exact)
+		exact := knn.SearchSetBatch(ds.X, queries, o.neighbors, knn.Euclidean{}, false)
+		recall = index.MeanRecall(approx, exact)
 	case "kdtree", "vafile", "rtree", "idistance":
-		var ix repro.Index
+		var ix index.Index
 		switch o.index {
 		case "kdtree":
-			ix = repro.BuildKDTree(ds.X, 0)
+			ix = index.BuildKDTree(ds.X, 0)
 		case "vafile":
-			ix = repro.BuildVAFile(ds.X, 6)
+			ix = index.BuildVAFile(ds.X, 6)
 		case "rtree":
-			ix = repro.BuildRTree(ds.X, 0)
+			ix = index.BuildRTree(ds.X, 0)
 		case "idistance":
-			ix = repro.BuildIDistance(ds.X, 16, 1)
+			ix = index.BuildIDistance(ds.X, 16, 1)
 		}
 		for i := 0; i < nq; i++ {
 			_, s := ix.KNN(queries.RawRow(i), o.neighbors)
 			stats.Add(s)
 		}
 	}
-	frac := repro.ScanFraction(stats, nq*ds.N())
+	frac := index.ScanFraction(stats, nq*ds.N())
 	buckets := float64(stats.BucketsProbed) / float64(nq)
 	fmt.Fprintf(tw, "%s\t%d\t%.1f%%\t%.3f\t%.0f\n", ds.Name, ds.Dims(), 100*frac, recall, buckets)
 	return nil

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"go/parser"
 	"go/token"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -11,20 +12,21 @@ import (
 	"strings"
 	"testing"
 
-	repro "repro"
+	"repro/internal/dataset"
+	"repro/internal/dataset/synthetic"
 )
 
 // writeTestCSV generates a labelled data set and writes it to a temp file.
 func writeTestCSV(t *testing.T) string {
 	t.Helper()
-	ds := repro.IonosphereLike(1)
+	ds := synthetic.IonosphereLike(1)
 	path := filepath.Join(t.TempDir(), "data.csv")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := repro.WriteCSV(f, ds); err != nil {
+	if err := dataset.WriteCSV(f, ds); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -52,7 +54,7 @@ func TestRunEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	reduced, err := repro.ReadCSV(f, "reduced", repro.CSVOptions{LabelColumn: -1})
+	reduced, err := dataset.ReadCSV(f, "reduced", dataset.CSVOptions{LabelColumn: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,6 +152,10 @@ func TestRunErrors(t *testing.T) {
 		{"-k", func(o *options) { o.k = 1000 }},
 		{"-threshold", func(o *options) { o.threshold = 1.5 }},
 		{"-energy", func(o *options) { o.energy = 2 }},
+		{"-floor", func(o *options) { o.floor = -1 }},
+		{"-floor", func(o *options) { o.floor = 2 }},
+		{"-floor", func(o *options) { o.floor = math.NaN() }},
+		{"-label", func(o *options) { o.labelCol = -5 }},
 		{"-tables", func(o *options) { o.k, o.index, o.tables = 3, "lsh", -2 }},
 		{"-probes", func(o *options) { o.k, o.index, o.probes = 3, "lsh", 0 }},
 		{"-probes", func(o *options) { o.k, o.index, o.probes = 3, "lsh", -3 }},

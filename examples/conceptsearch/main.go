@@ -19,7 +19,11 @@ import (
 	"fmt"
 	"math/rand"
 
-	repro "repro"
+	"repro/internal/dataset"
+	"repro/internal/eval"
+	"repro/internal/knn"
+	"repro/internal/linalg"
+	"repro/internal/reduction"
 )
 
 const (
@@ -40,9 +44,9 @@ func main() {
 
 	// Full-dimensional retrieval: cosine similarity on raw term counts —
 	// dominated by the stopword counts.
-	fullAcc := repro.PredictionAccuracy(ds.X, ds.Labels, repro.PaperK, repro.Cosine{})
+	fullAcc := eval.PredictionAccuracy(ds.X, ds.Labels, eval.PaperK, knn.Cosine{})
 
-	p, err := repro.FitDataset(ds, repro.Options{ComputeCoherence: true})
+	p, err := reduction.FitDataset(ds, reduction.Options{ComputeCoherence: true})
 	if err != nil {
 		panic(err)
 	}
@@ -57,13 +61,13 @@ func main() {
 	dims := []int{2, 4, 8, 16, 32, 64}
 	for _, ord := range []struct {
 		name string
-		o    repro.Ordering
+		o    reduction.Ordering
 	}{
-		{"eigenvalue-ordered", repro.ByEigenvalue},
-		{"coherence-ordered ", repro.ByCoherence},
+		{"eigenvalue-ordered", reduction.ByEigenvalue},
+		{"coherence-ordered ", reduction.ByCoherence},
 	} {
-		curve := repro.Sweep(ds, p, p.Order(ord.o), ord.name, repro.SweepConfig{
-			Dims: dims, Metric: repro.Cosine{},
+		curve := eval.Sweep(ds, p, p.Order(ord.o), ord.name, eval.SweepConfig{
+			Dims: dims, Metric: knn.Cosine{},
 		})
 		fmt.Printf("  %s:", ord.name)
 		for _, pt := range curve.Points {
@@ -74,12 +78,12 @@ func main() {
 	}
 
 	// Show one retrieval in the coherent concept space.
-	components := p.TopK(repro.ByCoherence, 8)
+	components := p.TopK(reduction.ByCoherence, 8)
 	reduced := p.ReduceDataset(ds, components, "concept space")
 	queryDoc := 0
 	fmt.Printf("\nquery: document %d (topic %d)\n", queryDoc, ds.Labels[queryDoc])
-	show := func(space string, x *repro.Matrix) {
-		nbs := repro.Search(x, x.Row(queryDoc), 3, repro.Cosine{}, queryDoc)
+	show := func(space string, x *linalg.Dense) {
+		nbs := knn.Search(x, x.Row(queryDoc), 3, knn.Cosine{}, queryDoc)
 		fmt.Printf("  %s neighbors:", space)
 		for _, nb := range nbs {
 			fmt.Printf(" doc%d(topic %d)", nb.Index, ds.Labels[nb.Index])
@@ -96,12 +100,12 @@ func main() {
 // topic i%topics and uses synonym group (i/topics)%groupsPer of that topic.
 // The vocabulary is laid out as: per-topic synonym groups, per-topic context
 // terms, then the stopwords.
-func buildCorpus(seed int64) *repro.Dataset {
+func buildCorpus(seed int64) *dataset.Dataset {
 	rng := rand.New(rand.NewSource(seed))
 	groupBlock := topics * groupsPer * termsPerGroup
 	contextBlock := topics * contextTerms
 	vocab := groupBlock + contextBlock + stopwords
-	x := repro.NewMatrix(docs, vocab)
+	x := linalg.NewDense(docs, vocab)
 	labels := make([]int, docs)
 	for i := 0; i < docs; i++ {
 		topic := i % topics
@@ -126,7 +130,7 @@ func buildCorpus(seed int64) *repro.Dataset {
 			x.Add(i, term, 1)
 		}
 	}
-	ds, err := repro.NewDataset("synthetic corpus", x, labels)
+	ds, err := dataset.New("synthetic corpus", x, labels)
 	if err != nil {
 		panic(err)
 	}

@@ -9,17 +9,19 @@ import (
 	"fmt"
 	"math"
 
-	repro "repro"
+	"repro/internal/dataset/synthetic"
+	"repro/internal/eval"
+	"repro/internal/reduction"
 )
 
 func main() {
 	// The full "future" database, revealed in batches.
-	stream := repro.MuskLike(1)
+	stream := synthetic.MuskLike(1)
 	d := stream.Dims()
 	fmt.Printf("streaming %d points of %d dims in batches\n", stream.N(), d)
 
-	acc := repro.NewCovarianceAccumulator(d)
-	var current *repro.PCA
+	acc := reduction.NewCovarianceAccumulator(d)
+	var current *reduction.PCA
 	var lastRefit []float64 // eigenvalues at the last refit
 
 	const batch = 100
@@ -52,15 +54,15 @@ func main() {
 
 	// Final quality check: the streamed transform's reduced space matches
 	// a from-scratch batch fit.
-	batchPCA, err := repro.FitDataset(stream, repro.Options{})
+	batchPCA, err := reduction.FitDataset(stream, reduction.Options{})
 	if err != nil {
 		panic(err)
 	}
 	k := 13
-	streamed := current.ReduceDataset(stream, current.TopK(repro.ByEigenvalue, k), "streamed")
-	batchRed := batchPCA.ReduceDataset(stream, batchPCA.TopK(repro.ByEigenvalue, k), "batch")
+	streamed := current.ReduceDataset(stream, current.TopK(reduction.ByEigenvalue, k), "streamed")
+	batchRed := batchPCA.ReduceDataset(stream, batchPCA.TopK(reduction.ByEigenvalue, k), "batch")
 	fmt.Printf("\n3-NN accuracy in %d-dim reduced space: streamed %.1f%%, batch %.1f%%\n",
-		k, 100*repro.DatasetAccuracy(streamed), 100*repro.DatasetAccuracy(batchRed))
+		k, 100*eval.DatasetAccuracy(streamed), 100*eval.DatasetAccuracy(batchRed))
 	fmt.Printf("transform refits: %d (vs %d batches ingested)\n", refits, (stream.N()+batch-1)/batch)
 }
 

@@ -9,36 +9,39 @@ import (
 	"fmt"
 	"math/rand"
 
-	repro "repro"
+	"repro/internal/dataset/synthetic"
+	"repro/internal/index"
+	"repro/internal/linalg"
+	"repro/internal/reduction"
 )
 
 func main() {
 	// A larger draw from the Arrhythmia-analogue distribution: 6000 points
 	// in 279 dimensions.
-	cfg := repro.LatentFactorConfig{
+	cfg := synthetic.LatentFactorConfig{
 		Name: "arrhythmia-6k", N: 6000, Dims: 279, Classes: 8,
 		ConceptStrengths: []float64{7, 7, 7, 7, 7, 4, 4, 4, 4, 4},
 		ClassSeparation:  1.8, NoiseStdDev: 1.8, ScaleSpread: 1.6, Seed: 1,
 	}
-	ds, err := repro.Generate(cfg)
+	ds, err := synthetic.Generate(cfg)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Println("data:", ds)
 
-	p, err := repro.FitDataset(ds, repro.Options{Scaling: repro.ScalingStudentize})
+	p, err := reduction.FitDataset(ds, reduction.Options{Scaling: reduction.ScalingStudentize})
 	if err != nil {
 		panic(err)
 	}
-	full := p.Transform(ds.X, p.TopK(repro.ByEigenvalue, ds.Dims()))
-	reduced := p.Transform(ds.X, p.TopK(repro.ByEigenvalue, 10))
+	full := p.Transform(ds.X, p.TopK(reduction.ByEigenvalue, ds.Dims()))
+	reduced := p.Transform(ds.X, p.TopK(reduction.ByEigenvalue, 10))
 
 	//drlint:ignore globalrand fixed demo seed keeps the example's printed output reproducible
 	rng := rand.New(rand.NewSource(2))
 	const queries = 20
 	for _, rep := range []struct {
 		name string
-		data *repro.Matrix
+		data *linalg.Dense
 	}{
 		{"full dimensionality (279 dims)", full},
 		{"aggressively reduced (10 dims)", reduced},
@@ -46,14 +49,14 @@ func main() {
 		fmt.Printf("\n%s:\n", rep.name)
 		for _, idx := range []struct {
 			name  string
-			build func(*repro.Matrix) repro.Index
+			build func(*linalg.Dense) index.Index
 		}{
-			{"kd-tree", func(m *repro.Matrix) repro.Index { return repro.BuildKDTree(m, 0) }},
-			{"r-tree ", func(m *repro.Matrix) repro.Index { return repro.BuildRTree(m, 0) }},
-			{"va-file", func(m *repro.Matrix) repro.Index { return repro.BuildVAFile(m, 6) }},
+			{"kd-tree", func(m *linalg.Dense) index.Index { return index.BuildKDTree(m, 0) }},
+			{"r-tree ", func(m *linalg.Dense) index.Index { return index.BuildRTree(m, 0) }},
+			{"va-file", func(m *linalg.Dense) index.Index { return index.BuildVAFile(m, 6) }},
 		} {
 			structure := idx.build(rep.data)
-			var total repro.IndexStats
+			var total index.Stats
 			for q := 0; q < queries; q++ {
 				query := rep.data.Row(rng.Intn(rep.data.Rows()))
 				_, stats := structure.KNN(query, 3)

@@ -8,17 +8,19 @@ package main
 import (
 	"fmt"
 
-	repro "repro"
+	"repro/internal/dataset/synthetic"
+	"repro/internal/eval"
+	"repro/internal/reduction"
 )
 
 func main() {
 	// "Noisy data set A": the Ionosphere analogue with 10 of 34 features
 	// replaced by uniform noise of amplitude 6 (variance 3 — larger than
 	// any signal dimension's).
-	ds, corrupted := repro.NoisyDataA(1)
+	ds, corrupted := synthetic.NoisyDataA(1)
 	fmt.Printf("data: %s (corrupted columns: %v)\n", ds, corrupted)
 
-	p, err := repro.FitDataset(ds, repro.Options{ComputeCoherence: true})
+	p, err := reduction.FitDataset(ds, reduction.Options{ComputeCoherence: true})
 	if err != nil {
 		panic(err)
 	}
@@ -35,13 +37,13 @@ func main() {
 
 	for _, ordering := range []struct {
 		name string
-		o    repro.Ordering
+		o    reduction.Ordering
 	}{
-		{"eigenvalue ordering (classical)", repro.ByEigenvalue},
-		{"coherence ordering (the paper's rule)", repro.ByCoherence},
+		{"eigenvalue ordering (classical)", reduction.ByEigenvalue},
+		{"coherence ordering (the paper's rule)", reduction.ByCoherence},
 	} {
 		fmt.Printf("\naccuracy vs dims retained — %s\n", ordering.name)
-		curve := repro.Sweep(ds, p, p.Order(ordering.o), ordering.name, repro.SweepConfig{
+		curve := eval.Sweep(ds, p, p.Order(ordering.o), ordering.name, eval.SweepConfig{
 			Dims: []int{2, 5, 10, 15, 20, 34},
 		})
 		for _, pt := range curve.Points {

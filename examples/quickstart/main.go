@@ -7,19 +7,22 @@ package main
 import (
 	"fmt"
 
-	repro "repro"
+	"repro/internal/dataset/synthetic"
+	"repro/internal/eval"
+	"repro/internal/knn"
+	"repro/internal/reduction"
 )
 
 func main() {
 	// A 351-point, 34-dimensional data set with ten latent concepts —
 	// the library's stand-in for UCI Ionosphere.
-	ds := repro.IonosphereLike(1)
+	ds := synthetic.IonosphereLike(1)
 	fmt.Println("data:", ds)
 
 	// Fit correlation-matrix PCA (the paper's recommended scaling) and
 	// evaluate each eigenvector's coherence probability P(D,e).
-	p, err := repro.FitDataset(ds, repro.Options{
-		Scaling:          repro.ScalingStudentize,
+	p, err := reduction.FitDataset(ds, reduction.Options{
+		Scaling:          reduction.ScalingStudentize,
 		ComputeCoherence: true,
 	})
 	if err != nil {
@@ -33,12 +36,12 @@ func main() {
 
 	// The paper's selection rule: keep the most coherent directions. The
 	// scatter-gap heuristic picks how many.
-	ordered := p.Order(repro.ByCoherence)
+	ordered := p.Order(reduction.ByCoherence)
 	coh := make([]float64, len(ordered))
 	for i, idx := range ordered {
 		coh[i] = p.Coherence[idx]
 	}
-	k := repro.GapCutoff(coh, 2, ds.Dims()/2)
+	k := reduction.GapCutoff(coh, 2, ds.Dims()/2)
 	components := ordered[:k]
 	fmt.Printf("\nretaining %d of %d components (%.0f%% of variance)\n",
 		k, ds.Dims(), 100*p.EnergyFraction(components))
@@ -47,14 +50,14 @@ func main() {
 
 	// Feature-stripped quality: how often do a point's 3 nearest neighbors
 	// share its class?
-	fullAcc := repro.DatasetAccuracy(ds)
-	redAcc := repro.DatasetAccuracy(reduced)
+	fullAcc := eval.DatasetAccuracy(ds)
+	redAcc := eval.DatasetAccuracy(reduced)
 	fmt.Printf("3-NN class-match accuracy: full %.1f%% -> reduced %.1f%%\n",
 		100*fullAcc, 100*redAcc)
 
 	// Run one similarity query in the reduced space.
 	query := reduced.Point(0)
-	neighbors := repro.Search(reduced.X, query, 4, repro.Euclidean{}, 0)
+	neighbors := knn.Search(reduced.X, query, 4, knn.Euclidean{}, 0)
 	fmt.Println("\nnearest neighbors of point 0 in the reduced space:")
 	for _, nb := range neighbors {
 		same := "different class"

@@ -9,8 +9,8 @@ import (
 	"testing"
 )
 
-// unreachedOracles are the functions and methods of internal/* that no
-// program reaches and that stay anyway, each because the named test of a
+// unreachedOracles are the functions and methods of non-main packages that
+// no program reaches and that stay anyway, each because the named test of a
 // reachable function uses it as its oracle, driver, fixture builder or data
 // generator. What only a listed entry calls stays with it, unlisted.
 var unreachedOracles = map[string]string{
@@ -22,7 +22,7 @@ var unreachedOracles = map[string]string{
 	"internal/linalg.FromRows":     "literal matrices in the tests of reachable functions (TestGramSchmidtDropsDependentColumns, TestEigSym2x2Known, the stats and knn tests)",
 
 	"(*internal/linalg.Dense).Mul":                      "TestMulTMatchesMul, TestAtAMatchesNaive: the naive product MulT and AtA are held to; TestGramSchmidt's QᵀQ",
-	"(*internal/linalg.Dense).Equal":                    "matrix comparison in TestMulTIsTheSequentialChain, TestMulTIndependentOfWorkers, TestAtAMatchesNaive and the root TestPublicCSVRoundTrip and stress tests",
+	"(*internal/linalg.Dense).Equal":                    "matrix comparison in TestMulTIsTheSequentialChain, TestMulTIndependentOfWorkers, TestAtAMatchesNaive, TestCSVRoundTrip and TestStressConcurrentEngines",
 	"(*internal/linalg.Dense).AddMat":                   "TestEigSymBitIdenticalToOracle and randSym: symmetrise the random inputs of every EigSym test",
 	"(*internal/linalg.Dense).SubMat":                   "checkDecomposition (VᵀV − I of every EigSym test) and TestEigSymBitIdenticalToOracle's reflections",
 	"(*internal/linalg.Dense).MaxAbs":                   "checkDecomposition: the size of VᵀV − I",
@@ -57,13 +57,10 @@ var unreachedOracles = map[string]string{
 }
 
 // TestInternalFunctionsAreReachable is ROADMAP's "no code that nothing on a
-// measured path needs" as a check: every function and method declared under
-// internal/ (this package exempt) must be reachable from a program or be
-// listed above. Roots are main in every main package (cmd/*, examples/*,
-// benchmark), every init and every package-level initialiser. The root
-// facade is not a root: it re-exports what some program runs, and an
-// exported wrapper there that no program calls keeps nothing alive —
-// otherwise three lines of facade would justify any amount of substrate.
+// measured path needs" as a check: every function and method declared in a
+// package that is not main (internal/analysis exempt) must be reachable from
+// a program or be listed above. Roots are main in every main package (cmd/*,
+// examples/*, benchmark), every init and every package-level initialiser.
 // Tests are not roots.
 //
 // A reached declaration reaches every function and method its identifiers
@@ -94,7 +91,7 @@ func TestInternalFunctionsAreReachable(t *testing.T) {
 	typeDecls := map[*types.TypeName]site{}   // every declared type
 	dispatched := map[*types.Interface]bool{} // interfaces somebody calls a method through
 	var queue []site
-	var checked []*types.Func // functions and methods under internal/
+	var checked []*types.Func // functions and methods of non-main packages
 	for _, pkg := range pkgs {
 		if pkg.TypesInfo == nil {
 			continue
@@ -139,7 +136,7 @@ func TestInternalFunctionsAreReachable(t *testing.T) {
 				case fd.Recv == nil && fd.Name.Name == "init",
 					fd.Recv == nil && fd.Name.Name == "main" && pkg.Types.Name() == "main":
 					queue = append(queue, s)
-				case strings.HasPrefix(pkg.Dir, "internal/") && pkg.Dir != "internal/analysis":
+				case pkg.Types.Name() != "main" && pkg.Dir != "internal/analysis":
 					checked = append(checked, obj)
 				}
 			}
@@ -237,7 +234,7 @@ func TestInternalFunctionsAreReachable(t *testing.T) {
 	}
 	for name := range unreachedOracles {
 		if !seen[name] {
-			t.Errorf("unreachedOracles lists %s, which is not a function or method under internal/", name)
+			t.Errorf("unreachedOracles lists %s, which is not a function or method of a non-main package", name)
 		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 // math/rand source constructors, arguments bound to module parameters
 // named *seed*, and values assigned to *Seed* fields — back through local
 // assignments, conversions, arithmetic, and module derivation helpers
-// (shardSeed-style splitmix chains) to its leaves. Every leaf must be a
+// (splitmix chains such as lsh's deriveSeed) to its leaves. Every leaf must be a
 // fixed literal or constant, a struct/config field, a flag, a package-level
 // variable, or a parameter of the enclosing function (whose own callers are
 // then judged at their call sites). Leaves that reach wall clocks, process

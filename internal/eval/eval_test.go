@@ -116,6 +116,24 @@ func TestDatasetAccuracyMatchesExplicit(t *testing.T) {
 	}
 }
 
+// TestCoherenceReductionBeatsFull is the quickstart's pipeline as an
+// assertion: studentized PCA, the eight most coherent directions, and a
+// feature-stripped accuracy above the full-dimensional one.
+func TestCoherenceReductionBeatsFull(t *testing.T) {
+	ds := synthetic.IonosphereLike(1)
+	p, err := reduction.FitDataset(ds, reduction.Options{Scaling: reduction.ScalingStudentize, ComputeCoherence: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reduced := p.ReduceDataset(ds, p.TopK(reduction.ByCoherence, 8), "reduced")
+	if reduced.Dims() != 8 || reduced.N() != ds.N() {
+		t.Fatalf("reduced shape %dx%d", reduced.N(), reduced.Dims())
+	}
+	if full, red := DatasetAccuracy(ds), DatasetAccuracy(reduced); red <= full {
+		t.Fatalf("reduction did not improve accuracy: %.3f vs %.3f", red, full)
+	}
+}
+
 func TestNeighborPrecisionIdentity(t *testing.T) {
 	ds := synthetic.UniformCube("u", 80, 6, 3)
 	if got := NeighborPrecision(ds.X, ds.X, 3, knn.Euclidean{}); got != 1 {

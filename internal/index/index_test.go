@@ -45,10 +45,13 @@ func TestAllIndexesAgreeWithBruteForce(t *testing.T) {
 						q[j] = rng.Float64() * 10
 					}
 					k := 1 + rng.Intn(8)
-					got, _ := idx.KNN(q, k)
+					got, st := idx.KNN(q, k)
 					want := knn.Search(data, q, k, knn.Euclidean{}, -1)
 					if len(got) != len(want) {
 						t.Fatalf("d=%d k=%d: got %d results, want %d", dims, k, len(got), len(want))
+					}
+					if st.PointsScanned <= 0 {
+						t.Fatalf("d=%d k=%d: no work reported: %+v", dims, k, st)
 					}
 					for i := range got {
 						if math.Abs(got[i].Dist-want[i].Dist) > 1e-9 {

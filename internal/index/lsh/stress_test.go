@@ -1,11 +1,10 @@
-package repro
+package lsh
 
 import (
 	"math/rand"
 	"sync"
 	"testing"
 
-	"repro/internal/index/lsh"
 	"repro/internal/knn"
 	"repro/internal/linalg"
 )
@@ -50,7 +49,7 @@ func TestStressConcurrentEngines(t *testing.T) {
 	wantScalar := knn.SearchSet(data, queries, k, knn.Manhattan{}, false)
 	wantMulT := linalg.MulT(queries, data)
 	wantAtA := linalg.AtA(data)
-	ix := lsh.Build(data, lsh.Config{Tables: 6, Hashes: 10, Seed: 99})
+	ix := Build(data, Config{Tables: 6, Hashes: 10, Seed: 99})
 	wantLSH, _ := ix.KNNApproxSet(queries, k, 12)
 
 	sameNeighbors := func(t *testing.T, got, want [][]knn.Neighbor, engine string) {
@@ -112,7 +111,7 @@ func TestStressConcurrentEngines(t *testing.T) {
 			defer wg.Done()
 			// Each caller builds its own index (exercising the parallel
 			// build) and also queries the shared prebuilt one.
-			own := lsh.Build(data, lsh.Config{Tables: 6, Hashes: 10, Seed: 99 + seed})
+			own := Build(data, Config{Tables: 6, Hashes: 10, Seed: 99 + seed})
 			for r := 0; r < rounds; r++ {
 				got, _ := ix.KNNApproxSet(queries, k, 12)
 				sameNeighbors(t, got, wantLSH, "lsh.KNNApproxSet")
