@@ -43,7 +43,7 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		if current == nil || spectrumDrift(lastRefit, p.Eigenvalues) > 0.05 {
+		if current == nil || spectrumShift(lastRefit, p.Eigenvalues) > 0.05 {
 			current = p
 			lastRefit = append([]float64(nil), p.Eigenvalues...)
 			refits++
@@ -66,9 +66,9 @@ func main() {
 	fmt.Printf("transform refits: %d (vs %d batches ingested)\n", refits, (stream.N()+batch-1)/batch)
 }
 
-// spectrumDrift returns the relative L1 drift between two eigenvalue
+// spectrumShift returns the relative L1 distance between two eigenvalue
 // spectra.
-func spectrumDrift(old, cur []float64) float64 {
+func spectrumShift(old, cur []float64) float64 {
 	if old == nil {
 		return math.Inf(1)
 	}

@@ -86,7 +86,7 @@ func TestFirstBelowZeroAllocs(t *testing.T) {
 // TestEigSymAllocs pins EigSym's allocation count at the paper's d = 166:
 // 177 (the working copy, d and e, the sort permutation, and one column slice
 // per eigenvector in sortEigen). reduce_pipeline's resident-memory reading
-// depends on bytes allocated per op (ROADMAP 1(e)), so a change here is a
+// depends on bytes allocated per op (ROADMAP 1(a)), so a change here is a
 // change to that workload and has to be made on purpose. Twenty runs, so the
 // runtime's own one-off allocations (the first GC cycle's workers, when this
 // test runs first or alone) round away instead of reading as 178.

@@ -243,18 +243,6 @@ func (m *Dense) Mul(b *Dense) *Dense {
 	return out
 }
 
-// MulVec returns the matrix-vector product m * x.
-func (m *Dense) MulVec(x []float64) []float64 {
-	if m.cols != len(x) {
-		panic(fmt.Sprintf("linalg: MulVec dimension mismatch %dx%d * %d", m.rows, m.cols, len(x)))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = Dot(m.data[i*m.cols:(i+1)*m.cols], x)
-	}
-	return out
-}
-
 // IsSymmetric reports whether m is square and symmetric to within tol.
 func (m *Dense) IsSymmetric(tol float64) bool {
 	if m.rows != m.cols {
@@ -268,18 +256,6 @@ func (m *Dense) IsSymmetric(tol float64) bool {
 		}
 	}
 	return true
-}
-
-// Trace returns the sum of the diagonal of a square matrix.
-func (m *Dense) Trace() float64 {
-	if m.rows != m.cols {
-		panic(fmt.Sprintf("linalg: Trace of non-square %dx%d matrix", m.rows, m.cols))
-	}
-	t := 0.0
-	for i := 0; i < m.rows; i++ {
-		t += m.data[i*m.cols+i]
-	}
-	return t
 }
 
 // Equal reports whether m and b have the same shape and all entries agree to

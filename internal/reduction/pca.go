@@ -163,7 +163,7 @@ func (p *PCA) TransformPoint(x []float64, components []int) []float64 {
 // components, returning an n x len(components) score matrix: one normalized
 // copy of x, one product. The number of allocations does not depend on n.
 // (Normalizing 256 rows at a time into a reused block is ≈ 1 ms faster at
-// 6598 x 166 and waits for ROADMAP 1(e): EXPERIMENTS.md, PR 22 "Second pass".)
+// 6598 x 166 and waits for ROADMAP 1(b): EXPERIMENTS.md, PR 22 "Second pass".)
 func (p *PCA) Transform(x *linalg.Dense, components []int) *linalg.Dense {
 	n, d := x.Dims()
 	if d != len(p.Mean) {

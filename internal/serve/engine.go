@@ -41,10 +41,6 @@ type Engine struct {
 	compacting atomic.Bool
 	compactWG  sync.WaitGroup
 
-	// drift tracks streaming-PCA basis decay over the mutation stream;
-	// nil unless Config.Drift enables it.
-	drift *driftMonitor
-
 	counters counters
 	lat      *latencyRecorder
 }
@@ -52,7 +48,7 @@ type Engine struct {
 // snapshot is one immutable generation of the serving state. Queries load
 // it once per request, so a compaction never tears a request across two
 // generations. n and d describe the snapshot whatever its backend. exact is
-// the float64 row source shared by the compactor and the drift monitor: the
+// the float64 row source the compactor rebuilds from: the
 // matrix itself for dense snapshots, the store's full-precision region for
 // store-backed ones. ids maps row positions to stable mutation IDs
 // (ascending); nil means the identity mapping. budgeted reports that the
@@ -149,8 +145,8 @@ func New(data *linalg.Dense, cfg Config) (*Engine, error) {
 }
 
 // newEngine starts an engine from a resolved config over its first
-// snapshot: empty mutation state (IDs are the snapshot's row positions), the
-// drift monitor seeded from the snapshot's exact rows, both worker pools.
+// snapshot: empty mutation state (IDs are the snapshot's row positions) and
+// both worker pools.
 func newEngine(c Config, snap *snapshot) *Engine {
 	e := &Engine{
 		cfg:    c,
@@ -162,9 +158,6 @@ func newEngine(c Config, snap *snapshot) *Engine {
 	e.mut.bufs = newDeltaBufs(len(snap.shards), snap.d)
 	e.mut.deadPos = make([][]int, len(snap.shards))
 	e.mut.nextID = snap.n
-	if c.Drift.Components > 0 {
-		e.drift = newDriftMonitor(c.Drift, snap.exact)
-	}
 	e.workers.Add(e.cfg.Workers)
 	for w := 0; w < e.cfg.Workers; w++ {
 		//drlint:ignore goroutinehygiene long-lived server pool: each worker defers workers.Done and Close joins via workers.Wait after closing the queue

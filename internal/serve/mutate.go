@@ -273,9 +273,6 @@ func (e *Engine) Insert(ctx context.Context, vec []float64) (int, error) {
 	e.mut.mu.Unlock()
 
 	e.counters.inserts.Add(1)
-	if e.drift != nil {
-		e.drift.observe(vec, +1)
-	}
 	e.maybeCompact()
 	return id, nil
 }
@@ -298,18 +295,15 @@ func (e *Engine) Delete(ctx context.Context, id int) error {
 
 	e.mut.mu.Lock()
 	snap := e.snap.Load()
-	var row []float64
 	var fresh bool
 	if pos := snapPosOf(snap, id); pos >= 0 {
 		dead := &e.mut.deadPos[shardIndexOf(snap, pos)]
 		if *dead, fresh = insertSorted(*dead, pos); fresh {
 			e.mut.snapDead++
-			row = snap.exact.RawRow(pos)
 		}
-	} else if j, bi := deltaIndexOf(&e.mut, id); j >= 0 {
+	} else if deltaHas(&e.mut, id) {
 		if e.mut.deadIDs, fresh = insertSorted(e.mut.deadIDs, id); fresh {
 			e.mut.live--
-			row = e.mut.bufs[bi].rows[j*snap.d : (j+1)*snap.d]
 		}
 	} else {
 		e.mut.mu.Unlock()
@@ -321,30 +315,22 @@ func (e *Engine) Delete(ctx context.Context, id int) error {
 	}
 
 	e.counters.deletes.Add(1)
-	if e.drift != nil {
-		e.drift.observe(row, -1)
-	}
 	e.maybeCompact()
 	return nil
 }
 
-// deltaIndexOf locates a live-or-dead delta row by ID: (row index within
-// its buffer, buffer index), or (-1, -1). Caller holds mut.mu.
-func deltaIndexOf(m *mutState, id int) (int, int) {
+// deltaHas reports whether id names a live-or-dead delta row. Caller holds
+// mut.mu.
+func deltaHas(m *mutState, id int) bool {
 	if id < 0 || id >= m.nextID || len(m.bufs) == 0 {
-		return -1, -1
+		return false
 	}
-	bi := id % len(m.bufs)
-	j, ok := slices.BinarySearch(m.bufs[bi].ids, id)
-	if !ok {
-		return -1, -1
-	}
-	return j, bi
+	_, ok := slices.BinarySearch(m.bufs[id%len(m.bufs)].ids, id)
+	return ok
 }
 
 // maybeCompact schedules a background compaction when pending mutation
-// state crosses Config.CompactAt, the write path is saturated, or the
-// drift monitor reports that the frozen PCA basis has decayed. At most one
+// state crosses Config.CompactAt or the write path is saturated. At most one
 // compactor runs at a time; redundant triggers are coalesced.
 func (e *Engine) maybeCompact() {
 	if e.cfg.CompactAt < 0 {
@@ -357,8 +343,7 @@ func (e *Engine) maybeCompact() {
 	if pending == 0 {
 		return
 	}
-	decayed := e.drift != nil && e.drift.decayed()
-	if pending < e.cfg.CompactAt && !saturated && !decayed {
+	if pending < e.cfg.CompactAt && !saturated {
 		return
 	}
 	if !e.compacting.CompareAndSwap(false, true) {
@@ -543,8 +528,5 @@ func (e *Engine) compactOnce() uint64 {
 	e.mut.mu.Unlock()
 
 	e.counters.compactions.Add(1)
-	if e.drift != nil && e.drift.refit() {
-		e.counters.refits.Add(1)
-	}
 	return next.epoch
 }

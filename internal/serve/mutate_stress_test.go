@@ -14,8 +14,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/linalg"
 )
 
 // TestMutateStress is the satellite-2 race harness: concurrent writers,
@@ -114,87 +112,6 @@ func TestMutateStress(t *testing.T) {
 	if st := e.Stats(); st.Swaps != st.Compactions || st.Epoch != 1+st.Compactions {
 		t.Fatalf("swaps=%d compactions=%d epoch=%d, want swaps == compactions == epoch-1",
 			st.Swaps, st.Compactions, st.Epoch)
-	}
-}
-
-// TestDriftTriggersRecompaction pins the streaming-PCA wiring: a mutation
-// stream that rotates the data's principal subspace must decay the frozen
-// basis's captured energy, force a compaction through the decay trigger
-// (even though the pending count stays below CompactAt), and refit the
-// basis during the install.
-func TestDriftTriggersRecompaction(t *testing.T) {
-	const n, d = 300, 8
-	// Base data: variance concentrated on axis 0.
-	rng := rand.New(rand.NewSource(101))
-	data := linalg.NewDense(n, d)
-	for i := 0; i < n; i++ {
-		row := data.RawRow(i)
-		row[0] = rng.NormFloat64() * 10
-		for j := 1; j < d; j++ {
-			row[j] = rng.NormFloat64() * 0.01
-		}
-	}
-	e, err := New(data, Config{
-		Shards:     2,
-		QueueDepth: 1024,
-		CompactAt:  1 << 20, // count watermark unreachable: only decay can trigger
-		MaxDelta:   1 << 20,
-		Drift: DriftConfig{
-			Components:     1,
-			DecayThreshold: 0.9,
-			CheckEvery:     32,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(e.Close)
-	ctx := context.Background()
-
-	st := e.Stats()
-	if st.DriftBaselineEnergy <= 0.9 {
-		t.Fatalf("baseline captured energy %v, want near 1 for axis-aligned data", st.DriftBaselineEnergy)
-	}
-
-	// Insert rows whose variance lives on axis 1: the frozen axis-0 basis
-	// captures almost none of it, so the energy fraction decays.
-	vec := make([]float64, d)
-	deadline := time.Now().Add(10 * time.Second)
-	triggered := false
-	for i := 0; i < 4000 && !triggered; i++ {
-		for j := range vec {
-			vec[j] = rng.NormFloat64() * 0.01
-		}
-		vec[1] = rng.NormFloat64() * 10
-		if _, err := e.Insert(ctx, append([]float64(nil), vec...)); err != nil {
-			t.Fatal(err)
-		}
-		if e.Stats().Compactions > 0 {
-			triggered = true
-		}
-	}
-	// The trigger spawns a background compactor; give it a bounded moment.
-	for !triggered && time.Now().Before(deadline) {
-		if e.Stats().Compactions > 0 {
-			triggered = true
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if !triggered {
-		t.Fatalf("drift decay never forced a compaction (stats: %+v)", e.Stats())
-	}
-	// Wait for the refit that follows the install.
-	var final EngineStats
-	for time.Now().Before(deadline) {
-		final = e.Stats()
-		if final.BasisRefits > 0 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if final.BasisRefits == 0 {
-		t.Fatalf("compaction installed but basis never refit (stats: %+v)", final)
 	}
 }
 

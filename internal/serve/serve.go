@@ -147,10 +147,6 @@ type Config struct {
 	// 1024; negative disables automatic compaction, leaving Compact to the
 	// caller).
 	CompactAt int
-	// Drift enables streaming-PCA drift tracking of the mutation stream;
-	// a decayed basis forces a re-projection compaction. The zero value
-	// disables it.
-	Drift DriftConfig
 }
 
 // withDefaults resolves zero fields against the data size n and the number

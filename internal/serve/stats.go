@@ -41,7 +41,6 @@ type counters struct {
 	inserts     atomic.Uint64
 	deletes     atomic.Uint64
 	compactions atomic.Uint64
-	refits      atomic.Uint64
 }
 
 // latencyRecorder keeps one fixed-bucket histogram per snapshot epoch. Keying
@@ -138,10 +137,9 @@ type EngineStats struct {
 	// than the compactions installed.
 	Swaps, Epoch uint64
 	// Inserts and Deletes count acknowledged mutations over the engine's
-	// life; Compactions counts background/explicit compaction installs and
-	// BasisRefits counts drift-triggered PCA basis refreezes. All four are
-	// cumulative across snapshot swaps.
-	Inserts, Deletes, Compactions, BasisRefits uint64
+	// life; Compactions counts background/explicit compaction installs. All
+	// three are cumulative across snapshot swaps.
+	Inserts, Deletes, Compactions uint64
 	// DeltaRows is the live (inserted, not yet compacted or deleted) delta
 	// depth at sampling time; Tombstones counts pending deletions not yet
 	// folded away by a compaction.
@@ -160,10 +158,6 @@ type EngineStats struct {
 	// served (zero until it serves one).
 	LatencyP50, LatencyP99           time.Duration
 	EpochLatencyP50, EpochLatencyP99 time.Duration
-	// DriftBaselineEnergy/DriftCapturedEnergy are the PCA basis's captured
-	// variance fraction at freeze time and at the last decay check (zero
-	// when drift tracking is disabled).
-	DriftBaselineEnergy, DriftCapturedEnergy float64
 }
 
 // Stats samples the engine's counters. Per-shard numbers describe the live
@@ -188,7 +182,6 @@ func (e *Engine) Stats() EngineStats {
 		Deletes:         e.counters.deletes.Load(),
 		Compactions:     compactions,
 		Swaps:           compactions,
-		BasisRefits:     e.counters.refits.Load(),
 		DeltaRows:       deltaRows,
 		Tombstones:      tombstones,
 		Epoch:           snap.epoch,
@@ -199,9 +192,6 @@ func (e *Engine) Stats() EngineStats {
 		LatencyP99:      e.lat.quantile(0.99),
 		EpochLatencyP50: e.lat.epochQuantile(snap.epoch, 0.50),
 		EpochLatencyP99: e.lat.epochQuantile(snap.epoch, 0.99),
-	}
-	if e.drift != nil {
-		s.DriftBaselineEnergy, s.DriftCapturedEnergy = e.drift.energies()
 	}
 	s.ShardTasks = make([]uint64, len(snap.shards))
 	s.ShardCandidates = make([]uint64, len(snap.shards))
