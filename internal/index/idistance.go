@@ -174,7 +174,7 @@ func (id *IDistance) KNN(query []float64, k int) ([]knn.Neighbor, Stats) {
 		}
 		// Exact termination: the k-th best distance is provably final once
 		// it is within the searched radius.
-		if c.Full() && c.Worst() <= r {
+		if c.Full() && c.Bound() <= r {
 			break
 		}
 		if r > maxR {

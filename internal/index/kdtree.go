@@ -136,7 +136,7 @@ func (t *KDTree) KNN(query []float64, k int) ([]knn.Neighbor, Stats) {
 		walk(near)
 		// The far child can only contain a closer point if the hyperplane
 		// is nearer than the current k-th best (squared) distance.
-		if diff*diff < c.Worst() {
+		if diff*diff < c.Bound() {
 			walk(far)
 		}
 	}

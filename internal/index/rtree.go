@@ -215,7 +215,7 @@ func (t *RTree) KNN(query []float64, k int) ([]knn.Neighbor, Stats) {
 	pq := &nodeQueue{{node: t.root, dist: t.root.minDistSq(query)}}
 	for pq.Len() > 0 {
 		e := heap.Pop(pq).(nodeEntry)
-		if e.dist >= c.Worst() {
+		if e.dist >= c.Bound() {
 			break // every remaining node is at least this far
 		}
 		stats.NodesVisited++
@@ -228,7 +228,7 @@ func (t *RTree) KNN(query []float64, k int) ([]knn.Neighbor, Stats) {
 		}
 		for _, child := range e.node.children {
 			d := child.minDistSq(query)
-			if d < c.Worst() {
+			if d < c.Bound() {
 				heap.Push(pq, nodeEntry{node: child, dist: d})
 			}
 		}

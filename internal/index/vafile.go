@@ -109,7 +109,7 @@ func (v *VAFile) KNN(query []float64, k int) ([]knn.Neighbor, Stats) {
 		lb[i] = bound{idx: i, lbSq: lbSq}
 		ubHeap.Offer(i, ubSq)
 	}
-	threshold := ubHeap.Worst()
+	threshold := ubHeap.Bound()
 
 	// Phase 2: visit candidates in ascending lower-bound order, refining
 	// with exact distances; stop when the next lower bound exceeds the
@@ -121,7 +121,7 @@ func (v *VAFile) KNN(query []float64, k int) ([]knn.Neighbor, Stats) {
 		if b.lbSq > threshold {
 			break
 		}
-		if c.Full() && b.lbSq > c.Worst() {
+		if c.Full() && b.lbSq > c.Bound() {
 			break
 		}
 		stats.PointsScanned++

@@ -23,24 +23,6 @@ func TestOfferZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestDropNeighborsZeroAllocs pins DropNeighbors' //drlint:hotpath contract:
-// screening a candidate list against a deleted set filters in place.
-func TestDropNeighborsZeroAllocs(t *testing.T) {
-	ns := make([]Neighbor, 64)
-	drop := []int{3, 17, 40, 63, 90}
-	avg := testing.AllocsPerRun(500, func() {
-		for i := range ns {
-			ns[i] = Neighbor{Index: i, Dist: float64(i)}
-		}
-		if kept := DropNeighbors(ns, drop); len(kept) != 60 {
-			t.Fatalf("kept %d of 64, want 60", len(kept))
-		}
-	})
-	if avg != 0 {
-		t.Errorf("DropNeighbors does %.2f allocs/op, want 0", avg)
-	}
-}
-
 // TestSortNeighborsZeroAllocs pins the slices.SortFunc + named-comparator
 // form: sorting an existing neighbor list on the hot path must not box
 // into sort.Interface or materialize a per-call closure.

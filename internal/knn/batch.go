@@ -90,6 +90,25 @@ func normCacheSlack(d int) float64 { return 8 * float64(d+8) * 0x1p-53 }
 
 const underflowFloor = 0x1p-1021
 
+// NormCacheSeparated reports whether the k nearest rows by norm-cache
+// squared distance are the k nearest under the scalar Euclidean and
+// SquaredEuclidean metrics too. ns holds the min(k+1, n) nearest of the n
+// rows scanned, ascending by norm-cache distance, and s is ‖q‖² plus the
+// largest ‖x‖² among those rows. It holds when every row is among the k, or
+// when the k-th and (k+1)-th distances lie further apart than
+// normCacheSlack allows the two arithmetics to disagree: then each of the
+// first k is strictly nearer than every other row under the scalar metric
+// as well, so a scalar scan keeps that same set whatever its tie handling
+// inside it, and only the set's distances need rescoring. Inf or NaN
+// coordinates, and norms within a factor 4 of overflow (the scalar sums can
+// reach 2s), fail it whatever the gap.
+func NormCacheSeparated(ns []Neighbor, k, d int, s float64) bool {
+	if !(s <= math.MaxFloat64/4) {
+		return false
+	}
+	return len(ns) <= k || ns[k].Dist-ns[k-1].Dist > normCacheSlack(d)*(s+underflowFloor)
+}
+
 // SearchSetBatch is SearchSet routed through the batch-distance engine, and
 // returns exactly what SearchSet returns. For Euclidean and
 // SquaredEuclidean metrics it computes per-tile inner-product blocks with
@@ -150,16 +169,11 @@ func SearchSetBatch(data, queries *linalg.Dense, k int, m Metric, selfExclude bo
 		searchTiles(data, queries, dataNorms, queryNorms, collectors, selfExclude)
 	}
 
-	slack := normCacheSlack(d)
 	out := make([][]Neighbor, nq)
 	parallelQueries(nq, func(i int) {
 		res := collectors[i].Results()
 		q := queries.RawRow(i)
-		// Inf or NaN coordinates, or norms within a factor 4 of overflow
-		// (the scalar sums can reach 2S), fail the first test; a gap inside
-		// the band fails the second.
-		S := queryNorms[i] + maxNorm
-		if !(S <= math.MaxFloat64/4) || len(res) > k && !(res[k].Dist-res[k-1].Dist > slack*(S+underflowFloor)) {
+		if !NormCacheSeparated(res, k, d, queryNorms[i]+maxNorm) {
 			ex := -1
 			if selfExclude {
 				ex = i

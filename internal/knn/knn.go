@@ -101,26 +101,22 @@ func (c *Collector) Offer(index int, dist float64) bool {
 	return true
 }
 
-// Worst returns the current k-th best distance, or +Inf while the collector
-// is not yet full. Index structures prune subtrees whose optimistic bound is
-// no better than this.
-func (c *Collector) Worst() float64 {
+// Full reports whether k candidates have been admitted.
+func (c *Collector) Full() bool { return len(c.heap) == c.k }
+
+// Bound is the admission threshold Offer applies: the current k-th best
+// distance, or +Inf while the collector is not yet full; a candidate is
+// admitted iff its distance is strictly below it. Index structures prune
+// subtrees whose optimistic bound is no better than this, and blocked scans
+// pre-filter a scored block against it before offering, which admits
+// exactly the same set as offering every entry, so threshold pruning cannot
+// change results.
+func (c *Collector) Bound() float64 {
 	if len(c.heap) < c.k {
 		return math.Inf(1)
 	}
 	return c.heap[0].Dist
 }
-
-// Full reports whether k candidates have been admitted.
-func (c *Collector) Full() bool { return len(c.heap) == c.k }
-
-// Bound is the admission threshold Offer applies: a candidate is admitted
-// iff its distance is strictly below Bound(). It equals Worst() — the
-// current k-th best distance, +Inf while not full — under a name that
-// matches how blocked scans use it: pre-filtering a scored block against
-// Bound() before offering admits exactly the same set as offering every
-// entry, so threshold pruning cannot change results.
-func (c *Collector) Bound() float64 { return c.Worst() }
 
 // LessNeighbor is the canonical result ordering shared by every search
 // path: ascending distance, exact-distance ties broken by ascending index.
@@ -155,37 +151,6 @@ func compareNeighbor(a, b Neighbor) int {
 // order without allocating.
 func SortNeighbors(ns []Neighbor) {
 	slices.SortFunc(ns, compareNeighbor)
-}
-
-// DropNeighbors removes, in place, every neighbor whose Index appears in
-// drop (a sorted ascending list of indices) and returns the shortened
-// slice. The serving layer's backends that cannot skip tombstoned rows
-// inside their scan (LSH probe, quantized store) screen an over-fetched
-// candidate list against the shard's deleted set with it. Surviving
-// neighbors keep their relative order. drop may be empty.
-//
-//drlint:hotpath
-func DropNeighbors(ns []Neighbor, drop []int) []Neighbor {
-	if len(drop) == 0 {
-		return ns
-	}
-	kept := ns[:0]
-	for _, nb := range ns {
-		lo, hi := 0, len(drop)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if drop[mid] < nb.Index {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo < len(drop) && drop[lo] == nb.Index {
-			continue
-		}
-		kept = append(kept, nb)
-	}
-	return kept
 }
 
 // Results returns the collected neighbors sorted by ascending distance

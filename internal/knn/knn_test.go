@@ -148,14 +148,14 @@ func TestMetricLengthMismatchPanics(t *testing.T) {
 
 func TestCollector(t *testing.T) {
 	c := NewCollector(2)
-	if c.Worst() != math.Inf(1) || c.Full() {
+	if c.Bound() != math.Inf(1) || c.Full() {
 		t.Fatalf("fresh collector state wrong")
 	}
 	if !c.Offer(0, 5) || !c.Offer(1, 3) {
 		t.Fatalf("initial offers rejected")
 	}
-	if !c.Full() || c.Worst() != 5 {
-		t.Fatalf("after fill: full=%v worst=%v", c.Full(), c.Worst())
+	if !c.Full() || c.Bound() != 5 {
+		t.Fatalf("after fill: full=%v bound=%v", c.Full(), c.Bound())
 	}
 	if c.Offer(2, 7) {
 		t.Fatalf("worse candidate admitted")

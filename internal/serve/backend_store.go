@@ -12,12 +12,12 @@ import (
 // mmap-backed store.Store (shared across the snapshot's shards, since the
 // store is already safe for concurrent range scans).
 //
-// The exact path runs the store's two-phase search with a full rescore
-// budget, which is bit-identical to the float64 scan (every point is
-// admitted and exactly rescored), so a store-backed engine preserves the
-// engine's exact-path contract. The approximate path keeps the quantized
-// scan but caps phase-2 rescoring at the configured budget — the engine's
-// one approximate mechanism.
+// Both paths hand the shard's dead positions to the store's sweep, which
+// skips them inside the scan. The exact path rescores every live row, which
+// is bit-identical to the float64 scan, so a store-backed engine preserves
+// the engine's exact-path contract. The approximate path keeps the quantized
+// scan but caps phase-2 rescoring at the configured budget of live
+// candidates — the engine's one approximate mechanism.
 type quantShard struct {
 	lo, hi  int
 	st      *store.Store
@@ -29,17 +29,16 @@ type quantShard struct {
 const rescoreFactor = 32
 
 func (s *quantShard) search(query []float64, k int, approx bool, dead []int, _ *knn.Collector) shardOut {
-	fetch := k + len(dead)
 	if !approx {
-		neigh, _ := s.st.SearchRangeWorkers(query, s.lo, s.hi, fetch, s.hi-s.lo, s.workers)
-		return shardOut{neigh: liveTopK(neigh, dead, k)}
+		neigh, _ := s.st.SearchLive(query, s.lo, s.hi, k, s.hi-s.lo, s.workers, dead)
+		return shardOut{neigh: neigh}
 	}
 	budget := s.rescore
 	if budget <= 0 {
-		budget = rescoreFactor * fetch
+		budget = rescoreFactor * k
 	}
-	neigh, rescored := s.st.SearchRangeWorkers(query, s.lo, s.hi, fetch, budget, s.workers)
-	return shardOut{neigh: liveTopK(neigh, dead, k), candidates: rescored}
+	neigh, rescored := s.st.SearchLive(query, s.lo, s.hi, k, budget, s.workers, dead)
+	return shardOut{neigh: neigh, candidates: rescored}
 }
 
 // NewFromStore builds an engine whose shards scan a quantized store instead

@@ -43,46 +43,6 @@ func newStoreTestEngine(t *testing.T, st *store.Store, shards, rescore int) *Eng
 	return e
 }
 
-// TestStoreExactMatchesSearchSetBatch extends the engine's core contract to
-// the quantized backend: ModeExact over a store-backed snapshot (full
-// rescore) must be bit-identical to the single-threaded batch engine over
-// the original float64 data, for every shard count.
-func TestStoreExactMatchesSearchSetBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	const n, d, nq, k = 500, 23, 40, 10
-	data := randMatrix(rng, n, d)
-	queries := randMatrix(rng, nq, d)
-	want := knn.SearchSetBatch(data, queries, k, knn.Euclidean{}, false)
-
-	reversed := make([]int, d)
-	for j := range reversed {
-		reversed[j] = d - 1 - j
-	}
-	for name, cfg := range map[string]store.BuildConfig{
-		"int8":      {Precision: store.Int8},
-		"int8-perm": {Perm: reversed},
-	} {
-		st := openTestStore(t, data, cfg)
-		for _, shards := range []int{1, 3, 7} {
-			e := newStoreTestEngine(t, st, shards, 0)
-			got := searchAll(t, e, queries, k, ModeExact)
-			for i := range want {
-				if len(got[i]) != len(want[i]) {
-					t.Fatalf("%s shards=%d query %d: %d neighbors, want %d",
-						name, shards, i, len(got[i]), len(want[i]))
-				}
-				for j := range want[i] {
-					g, w := got[i][j], want[i][j]
-					if g.Index != w.Index || math.Float64bits(g.Dist) != math.Float64bits(w.Dist) {
-						t.Fatalf("%s shards=%d query %d neighbor %d: got %+v want %+v",
-							name, shards, i, j, g, w)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestStoreApproxRecallAndCandidates checks that the budgeted approximate
 // path returns high-recall results, reports its rescore work, and that the
 // reported distances are exact (phase 2 always rescores what it returns).
@@ -118,54 +78,6 @@ func TestStoreApproxRecallAndCandidates(t *testing.T) {
 	}
 	if r := index.MeanRecall(got, want); r < 0.95 {
 		t.Fatalf("approx recall %.3f < 0.95", r)
-	}
-}
-
-// TestStoreScanWorkersBitIdentical pins the intra-query parallelism knob:
-// engines differing only in ScanWorkers must serve bit-identical results on
-// both the exact and the budgeted approximate path — segment splitting and
-// merge order are invisible to callers.
-func TestStoreScanWorkersBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	const n, d, nq, k = 3000, 23, 25, 10
-	data := randMatrix(rng, n, d)
-	queries := randMatrix(rng, nq, d)
-	st := openTestStore(t, data, store.BuildConfig{Precision: store.Int8})
-
-	run := func(scanWorkers int) [][]knn.Neighbor {
-		e, err := NewFromStore(st, Config{
-			Shards:      2,
-			QueueDepth:  4096,
-			Rescore:     150,
-			ScanWorkers: scanWorkers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer e.Close()
-		out := searchAll(t, e, queries, k, ModeExact)
-		for i := 0; i < nq; i++ {
-			res, err := e.SearchMode(context.Background(), queries.RawRow(i), k, ModeApprox)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, res.Neighbors)
-		}
-		return out
-	}
-
-	want := run(1)
-	for _, workers := range []int{0, 2, 3} {
-		got := run(workers)
-		for i := range want {
-			for j := range want[i] {
-				g, w := got[i][j], want[i][j]
-				if g.Index != w.Index || math.Float64bits(g.Dist) != math.Float64bits(w.Dist) {
-					t.Fatalf("ScanWorkers=%d result %d neighbor %d: got %+v want %+v",
-						workers, i, j, g, w)
-				}
-			}
-		}
 	}
 }
 

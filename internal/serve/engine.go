@@ -281,7 +281,7 @@ func (e *Engine) SearchMode(ctx context.Context, query []float64, k int, mode Mo
 		if r.res.Degraded {
 			e.counters.degraded.Add(1)
 		}
-		e.lat.record(r.res.Epoch, r.res.Total)
+		e.lat.record(r.res.Total)
 		return r.res, nil
 	case <-ctx.Done():
 		// The worker will still complete the request and drop its result
@@ -378,8 +378,7 @@ func (e *Engine) handle(req *request, sc *reqScratch) {
 		deltaTotal += len(views[s].ids)
 	}
 	// No answer is longer than the captured rows (a snapshot is never
-	// empty), so a caller's oversized k neither sizes an allocation nor
-	// overflows k+len(dead) in a backend.
+	// empty), so a caller's oversized k never sizes an allocation.
 	k := min(req.k, snap.n+deltaTotal)
 	for s, sh := range snap.shards {
 		e.shardq <- shardTask{
@@ -445,11 +444,10 @@ func (e *Engine) shardWorker() {
 }
 
 // search scans the shard's live rows (see flatRows.scan); a dense shard has
-// no cheaper path, so approx changes nothing. knn.SearchSetBatch answers
-// with the scalar scan's top k, rescored and ordered the same way, so
-// wherever rank k is not a tie within the identity's rounding, merging
-// per-shard results with the canonical comparator reproduces the
-// single-threaded batch engine bit for bit.
+// no cheaper path, so approx changes nothing. Each shard answers with the
+// scalar top k of its live rows, as knn.Search and so knn.SearchSetBatch
+// would, so merging per-shard results with the canonical comparator
+// reproduces the single-threaded batch engine bit for bit.
 func (v *flatRows) search(query []float64, k int, _ bool, dead []int, c *knn.Collector) shardOut {
 	return shardOut{neigh: v.scan(query, k, dead, c)}
 }

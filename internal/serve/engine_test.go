@@ -64,33 +64,6 @@ func rawRequest(query []float64, k int, mode Mode) *request {
 	}
 }
 
-// TestExactMatchesSearchSetBatch is the core correctness contract: the
-// sharded exact path must be bit-identical to the single-threaded batch
-// engine, for every shard count including degenerate ones.
-func TestExactMatchesSearchSetBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	const n, d, nq, k = 500, 23, 60, 10
-	data := randMatrix(rng, n, d)
-	queries := randMatrix(rng, nq, d)
-	want := knn.SearchSetBatch(data, queries, k, knn.Euclidean{}, false)
-
-	for _, shards := range []int{1, 2, 3, 7, 16} {
-		e := newTestEngine(t, data, shards)
-		got := searchAll(t, e, queries, k, ModeExact)
-		for i := range want {
-			if len(got[i]) != len(want[i]) {
-				t.Fatalf("shards=%d query %d: %d neighbors, want %d", shards, i, len(got[i]), len(want[i]))
-			}
-			for j := range want[i] {
-				if got[i][j] != want[i][j] {
-					t.Fatalf("shards=%d query %d neighbor %d: got %+v want %+v",
-						shards, i, j, got[i][j], want[i][j])
-				}
-			}
-		}
-	}
-}
-
 // TestDenseApproxIsExact: a dense snapshot has no cheaper path, so ModeApprox
 // and a ModeAuto request that admission marked degraded are served by the
 // exact scan — bit-identical to ModeExact — and say so: not Approx, not
@@ -139,27 +112,6 @@ func TestDenseApproxIsExact(t *testing.T) {
 		if c != 0 {
 			t.Fatalf("shard %d counts %d approximate candidates", s, c)
 		}
-	}
-}
-
-// TestKLargerThanData: k beyond the row count returns every row once.
-func TestKLargerThanData(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	data := randMatrix(rng, 13, 6)
-	e := newTestEngine(t, data, 4)
-	res, err := e.SearchMode(context.Background(), data.RawRow(0), 50, ModeExact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Neighbors) != 13 {
-		t.Fatalf("k>n returned %d neighbors, want all 13", len(res.Neighbors))
-	}
-	seen := map[int]bool{}
-	for _, nb := range res.Neighbors {
-		if seen[nb.Index] {
-			t.Fatalf("duplicate index %d in k>n result", nb.Index)
-		}
-		seen[nb.Index] = true
 	}
 }
 

@@ -39,17 +39,19 @@ import (
 //     the build are re-threaded onto the new generation at install time,
 //     so nothing is lost and nothing resurrects.
 //
-// Exactness of the tombstone filter: flatRows.scan is the one place
-// tombstones are applied. It visits rows in ascending position (snapshot) or
-// ID (delta) with a cursor over the captured ascending dead list and never
-// offers a dead row to the collector, so it returns the top-k over the live
-// rows — what a shard rebuilt over the survivors collects, at the same
-// distances, since a distance depends on the row and the query alone. The
-// canonical (distance, index) merge therefore sees the candidates a rebuild
-// would produce. The one backend whose scan is not ours to steer (the
-// quantized store) fetches k + len(dead) candidates and drops the dead ones
-// before returning (liveTopK): at most len(dead) can be dead, so the shard's
-// k nearest live rows all survive.
+// Exactness of the tombstone filter: every scan applies the tombstones
+// itself, and none over-fetches. flatRows.scan (dense shards and delta
+// buffers) visits rows in ascending position or ID with a cursor over the
+// captured ascending dead list and never offers a dead row to its
+// collector; the quantized store's sweep (store.SearchLive, behind
+// quantShard) walks the shard's dead list the same way, checking a row only
+// once it would be offered or survives the prefix bound. A filter that skips
+// rows and never changes an admitted value leaves each scan with the top-k
+// over the live rows — what a shard rebuilt over the survivors collects, at
+// the same distances, since a distance depends on the row and the query
+// alone — so the canonical (distance, index) merge sees the candidates a
+// rebuild would produce, and an approximate rescore budget counts live
+// candidates however many rows are dead.
 //
 // Visibility contract: a query captures (snapshot, delta views, tombstone
 // lists) atomically under mut.mu.RLock. Mutations acknowledged before the
@@ -112,28 +114,33 @@ func (v *flatRows) key(i int) int {
 }
 
 // scan returns the top-k live rows as (index, exact distance) pairs in the
-// canonical order. dead is the captured ascending tombstone list — global
-// positions for a dense shard, IDs for a delta buffer; rows visit in the
-// same ascending order, so a cursor over it skips dead rows at O(1) each and
-// a tombstone saves its row's Dot. The admission pass is the batch-distance
-// identity ‖x‖²+‖q‖²−2⟨x,q⟩ over the cached norms (linalg.Dot paired with
-// linalg.RowNormsSq), and admitted rows are rescored with the scalar
-// metric, so snapshot and delta results alike merge bit-identically with a
+// canonical order: the k nearest under the scalar Euclidean metric, ties
+// broken by key, which is what knn.Search returns over the live rows. dead
+// is the captured ascending tombstone list — global positions for a dense
+// shard, IDs for a delta buffer; rows visit in the same ascending order, so
+// a cursor over it skips dead rows at O(1) each and a tombstone saves its
+// row's Dot. The admission pass collects the k+1 nearest by the
+// batch-distance identity ‖x‖²+‖q‖²−2⟨x,q⟩ over the cached norms
+// (linalg.Dot paired with linalg.RowNormsSq). Where knn.NormCacheSeparated
+// vouches for the first k — the gap test knn.SearchSetBatch applies — they
+// are rescored with the scalar metric; otherwise (duplicates, a tie at rank
+// k, cancellation) the live rows are ranked by the scalar metric itself.
+// Snapshot and delta results alike therefore merge bit-identically with a
 // from-scratch rebuild over the surviving rows.
 //
-//drlint:hotpath inline=6
+//drlint:hotpath inline=9
 func (v *flatRows) scan(query []float64, k int, dead []int, c *knn.Collector) []knn.Neighbor {
 	n := len(v.norms)
-	if k > n {
-		k = n
-	}
-	c.Reset(k)
+	k = min(k, n)
+	c.Reset(min(k+1, n))
 	qn := linalg.Dot(query, query)
+	maxNorm := 0.0 // over the live rows; a NaN propagates and fails the gap test
 	cur := sortedCursor(dead)
 	for i := 0; i < n; i++ {
 		if len(cur) > 0 && cur.has(v.key(i)) {
 			continue
 		}
+		maxNorm = max(maxNorm, v.norms[i])
 		d2 := v.norms[i] + qn - 2*linalg.Dot(v.rows[i*v.d:(i+1)*v.d], query)
 		if d2 < 0 {
 			d2 = 0
@@ -142,10 +149,25 @@ func (v *flatRows) scan(query []float64, k int, dead []int, c *knn.Collector) []
 	}
 	res := c.Results()
 	eu := knn.Euclidean{}
+	if knn.NormCacheSeparated(res, k, v.d, qn+maxNorm) {
+		res = res[:min(k, len(res))]
+		for i := range res {
+			li := res[i].Index
+			res[i].Dist = eu.Distance(v.rows[li*v.d:(li+1)*v.d], query)
+		}
+	} else {
+		c.Reset(k)
+		cur = sortedCursor(dead)
+		for i := 0; i < n; i++ {
+			if len(cur) > 0 && cur.has(v.key(i)) {
+				continue
+			}
+			c.Offer(i, eu.Distance(v.rows[i*v.d:(i+1)*v.d], query))
+		}
+		res = c.Results()
+	}
 	for i := range res {
-		li := res[i].Index
-		res[i].Dist = eu.Distance(v.rows[li*v.d:(li+1)*v.d], query)
-		res[i].Index = v.key(li)
+		res[i].Index = v.key(res[i].Index)
 	}
 	knn.SortNeighbors(res)
 	return res
@@ -180,16 +202,6 @@ func insertSorted(s []int, x int) ([]int, bool) {
 	out[i] = x
 	copy(out[i+1:], s[i:])
 	return out, true
-}
-
-// liveTopK is the tombstone filter of the backend that cannot skip inline:
-// given candidates fetched k + len(dead) deep, it keeps the first k live.
-func liveTopK(ns []knn.Neighbor, dead []int, k int) []knn.Neighbor {
-	ns = knn.DropNeighbors(ns, dead)
-	if len(ns) > k {
-		ns = ns[:k]
-	}
-	return ns
 }
 
 // snapIDOf returns the stable ID of snapshot position pos.

@@ -5,13 +5,11 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"reflect"
 	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/linalg"
-	"repro/internal/store"
 )
 
 // mutModel is the test-side ground truth of the served set: stable ID →
@@ -192,201 +190,6 @@ func TestMutationTypedErrors(t *testing.T) {
 	if _, err := e.Compact(ctx); !errors.Is(err, ErrClosed) {
 		t.Fatalf("closed compact err = %v, want ErrClosed", err)
 	}
-}
-
-// applyOps drives a deterministic interleaving of inserts and deletes
-// through both the engine and the model. Roughly 60/40 insert/delete so the
-// set grows and the ID space fragments.
-func applyOps(t *testing.T, e *Engine, m *mutModel, rng *rand.Rand, d, ops int) {
-	t.Helper()
-	ctx := context.Background()
-	for op := 0; op < ops; op++ {
-		if rng.Float64() < 0.6 || len(m.rows) == 0 {
-			vec := make([]float64, d)
-			for j := range vec {
-				vec[j] = rng.NormFloat64()
-			}
-			id, err := e.Insert(ctx, vec)
-			if err != nil {
-				t.Fatalf("op %d insert: %v", op, err)
-			}
-			if _, dup := m.rows[id]; dup {
-				t.Fatalf("op %d: engine reissued live id %d", op, id)
-			}
-			m.rows[id] = vec
-		} else {
-			ids := make([]int, 0, len(m.rows))
-			for id := range m.rows {
-				ids = append(ids, id)
-			}
-			sort.Ints(ids)
-			id := ids[rng.Intn(len(ids))]
-			if err := e.Delete(ctx, id); err != nil {
-				t.Fatalf("op %d delete %d: %v", op, id, err)
-			}
-			delete(m.rows, id)
-		}
-	}
-}
-
-// TestMutationMatchesRebuild is the property test at the heart of the PR:
-// after any interleaving of inserts and deletes — with and without
-// interior compactions — the engine's exact results are bit-identical
-// under the canonical (dist, index) order to a from-scratch rebuild over
-// the surviving rows, across shard counts and both backends.
-func TestMutationMatchesRebuild(t *testing.T) {
-	const n, d, nq, k, ops = 200, 11, 25, 8, 150
-	rng := rand.New(rand.NewSource(47))
-	data := randMatrix(rng, n, d)
-	queries := randMatrix(rng, nq, d)
-
-	for _, shards := range []int{1, 3, 7} {
-		for _, compactEvery := range []int{0, 40} {
-			opRng := rand.New(rand.NewSource(101))
-			e, err := New(data, mutTestConfig(shards))
-			if err != nil {
-				t.Fatal(err)
-			}
-			m := newMutModel(data)
-			for chunk := 0; chunk < 3; chunk++ {
-				applyOps(t, e, m, opRng, d, ops/3)
-				if compactEvery > 0 {
-					if _, err := e.Compact(context.Background()); err != nil {
-						t.Fatal(err)
-					}
-				}
-				tag := "dense"
-				checkBitIdentical(t, e, m, queries, k,
-					tagf(tag, shards, compactEvery, chunk))
-			}
-			e.Close()
-		}
-	}
-}
-
-// TestStoreMutationMatchesRebuild runs the same property against the
-// quantized-store backend: deltas and tombstones over an int8 store, with a
-// compaction that transitions the engine onto a dense-backed snapshot
-// mid-test.
-func TestStoreMutationMatchesRebuild(t *testing.T) {
-	const n, d, nq, k, ops = 200, 11, 20, 8, 120
-	rng := rand.New(rand.NewSource(53))
-	data := randMatrix(rng, n, d)
-	queries := randMatrix(rng, nq, d)
-	st := openTestStore(t, data, store.BuildConfig{Precision: store.Int8})
-
-	for _, shards := range []int{1, 3} {
-		for _, compact := range []bool{false, true} {
-			opRng := rand.New(rand.NewSource(103))
-			e, err := NewFromStore(st, Config{
-				Shards:     shards,
-				QueueDepth: 4096,
-				CompactAt:  -1,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Base ground truth is the store's full-precision region — the
-			// float64 bits its own exact path rescores against.
-			m := newMutModel(st.ExactMatrix())
-			for chunk := 0; chunk < 2; chunk++ {
-				applyOps(t, e, m, opRng, d, ops/2)
-				if compact {
-					if _, err := e.Compact(context.Background()); err != nil {
-						t.Fatal(err)
-					}
-				}
-				checkBitIdentical(t, e, m, queries, k,
-					tagf("store", shards, boolToInt(compact), chunk))
-			}
-			e.Close()
-		}
-	}
-}
-
-// TestOversizedK: a k at or beyond the served set answers with every live
-// row — on the exact path exactly the live set, bit-identical to
-// SearchSetBatch over it — whatever the backend, mode and shard count, with
-// inserts and deletes pending. Nothing sizes an allocation from the caller's
-// k or adds a dead-list length to it unclamped.
-func TestOversizedK(t *testing.T) {
-	const n, d, nq = 50, 7, 4
-	rng := rand.New(rand.NewSource(59))
-	data := randMatrix(rng, n, d)
-	queries := randMatrix(rng, nq, d)
-	st := openTestStore(t, data, store.BuildConfig{Precision: store.Int8})
-
-	for _, backend := range []string{"dense", "store"} {
-		for _, shards := range []int{1, 3} {
-			cfg := mutTestConfig(shards)
-			base := data
-			var e *Engine
-			var err error
-			if backend == "store" {
-				base = st.ExactMatrix()
-				e, err = NewFromStore(st, cfg)
-			} else {
-				e, err = New(data, cfg)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			m := newMutModel(base)
-			applyOps(t, e, m, rand.New(rand.NewSource(61)), d, 12)
-			live := e.Len()
-			checkBitIdentical(t, e, m, queries, live, tagf(backend, shards, 0, 0))
-
-			for _, mode := range []Mode{ModeExact, ModeApprox} {
-				atLen := searchAll(t, e, queries, live, mode)
-				for _, k := range []int{live + 1, 1 << 20, math.MaxInt} {
-					for q, got := range searchAll(t, e, queries, k, mode) {
-						if len(got) > live || (mode == ModeExact && len(got) != live) {
-							t.Fatalf("%s/shards=%d %v k=%d query %d: %d neighbors, Len is %d",
-								backend, shards, mode, k, q, len(got), live)
-						}
-						if !reflect.DeepEqual(got, atLen[q]) {
-							t.Fatalf("%s/shards=%d %v k=%d query %d differs from the k=Len answer",
-								backend, shards, mode, k, q)
-						}
-					}
-				}
-			}
-			e.Close()
-		}
-	}
-}
-
-func tagf(backend string, shards, compactEvery, chunk int) string {
-	return backend + "/shards=" + itoa(shards) + "/compact=" + itoa(compactEvery) + "/chunk=" + itoa(chunk)
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var b [20]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
-}
-
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // mutOp is one entry of a recorded mutation log (TestCompactDeterministic).
@@ -612,63 +415,15 @@ func TestMutationCountersSurviveCompaction(t *testing.T) {
 	}
 }
 
-// TestLatencyRecorderMergeAcrossEpochs pins the per-epoch histogram
-// recorder: epochs record independently, the aggregate quantile merges
-// every epoch (including ones folded into history once the retention cap
-// is crossed), and a folded epoch stops reporting individually.
-func TestLatencyRecorderMergeAcrossEpochs(t *testing.T) {
-	l := newLatencyRecorder()
-	// Two live epochs with well-separated latencies.
-	for i := 0; i < 100; i++ {
-		l.record(1, time.Microsecond)
-		l.record(2, 100*time.Millisecond)
-	}
-	p50e1 := l.epochQuantile(1, 0.5)
-	p50e2 := l.epochQuantile(2, 0.5)
-	if p50e1 <= 0 || p50e2 <= 0 || p50e1 >= p50e2 {
-		t.Fatalf("epoch quantiles p50(1)=%v p50(2)=%v, want 0 < p50(1) < p50(2)", p50e1, p50e2)
-	}
-	// The merged median sits between the two epochs' medians: the merge saw
-	// both populations.
-	p50 := l.quantile(0.5)
-	if p50 < p50e1 || p50 > p50e2 {
-		t.Fatalf("merged p50 = %v outside [%v, %v]", p50, p50e1, p50e2)
-	}
-	// p99 of the merge lands in epoch 2's range.
-	if p99 := l.quantile(0.99); p99 < p50e2/2 {
-		t.Fatalf("merged p99 = %v, want >= %v", p99, p50e2/2)
-	}
-	if got := l.epochQuantile(404, 0.5); got != 0 {
-		t.Fatalf("unknown epoch quantile = %v, want 0", got)
-	}
-
-	// Blow past the retention cap: early epochs fold into history but stay
-	// in the aggregate.
-	total := 0
-	for ep := uint64(1); ep <= latEpochCap+8; ep++ {
-		l.record(ep+100, time.Millisecond)
-		total++
-	}
-	if got := l.epochQuantile(101, 0.5); got != 0 {
-		t.Fatalf("folded epoch still individually readable: %v", got)
-	}
-	if got := l.epochQuantile(100+latEpochCap+8, 0.5); got == 0 {
-		t.Fatal("live epoch lost its histogram")
-	}
-	if p99 := l.quantile(0.999); p99 <= 0 {
-		t.Fatalf("aggregate quantile after folding = %v, want > 0", p99)
-	}
-}
-
 // TestLatencyQuantileResolution pins the histogram's resolution: over known
-// uniform latency populations, spread over two epochs, Stats reports p50 and
-// p99 within 5% of the true quantiles (20 bins per decade could only promise
-// 6%, and read p99 as a bucket edge).
+// uniform latency populations, Stats reports p50 and p99 within 5% of the
+// true quantiles (20 bins per decade could only promise 6%, and read p99 as
+// a bucket edge).
 func TestLatencyQuantileResolution(t *testing.T) {
 	for _, maxUS := range []int{1300, 2000, 5000, 8000, 10000} {
 		e := newTestEngine(t, randMatrix(rand.New(rand.NewSource(97)), 8, 3), 1)
 		for us := 1; us <= maxUS; us++ {
-			e.lat.record(uint64(1+us%2), time.Duration(us)*time.Microsecond)
+			e.lat.record(time.Duration(us) * time.Microsecond)
 		}
 		st := e.Stats()
 		for _, c := range []struct {
@@ -681,47 +436,6 @@ func TestLatencyQuantileResolution(t *testing.T) {
 				t.Errorf("uniform 1..%dµs: %s = %v, want %v within 5%% (off by %.1f%%)", maxUS, c.name, c.got, want, 100*rel)
 			}
 		}
-	}
-}
-
-// TestEngineEpochLatencySplit drives searches across a compaction and
-// checks Stats reports both cumulative and live-epoch percentiles.
-func TestEngineEpochLatencySplit(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	const n, d = 60, 5
-	data := randMatrix(rng, n, d)
-	e, err := New(data, mutTestConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(e.Close)
-	ctx := context.Background()
-	q := data.RawRow(0)
-	for i := 0; i < 20; i++ {
-		if _, err := e.SearchMode(ctx, q, 3, ModeExact); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := e.Insert(ctx, q); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Compact(ctx); err != nil {
-		t.Fatal(err)
-	}
-	st := e.Stats()
-	if st.LatencyP50 <= 0 {
-		t.Fatal("cumulative p50 lost after compaction")
-	}
-	if st.EpochLatencyP50 != 0 {
-		t.Fatalf("fresh epoch p50 = %v before it served anything", st.EpochLatencyP50)
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := e.SearchMode(ctx, q, 3, ModeExact); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := e.Stats(); st.EpochLatencyP50 <= 0 {
-		t.Fatal("live epoch p50 still zero after serving")
 	}
 }
 

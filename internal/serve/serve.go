@@ -20,6 +20,8 @@
 // Config.Rescore candidates per shard. That budget is the engine's one
 // approximate mechanism: a dense snapshot has no cheaper path, so it serves
 // ModeApprox and a degraded ModeAuto exactly and reports Approx == false.
+// Every backend skips tombstoned rows inside its own scan (mutate.go), so
+// the budget counts live candidates however many rows are dead.
 //
 // Three serving concerns the single-request CLIs never had to own live
 // here:
@@ -40,8 +42,8 @@
 //
 //   - Observability. Every request outcome is counted (served, rejected,
 //     degraded, deadline-expired), per-shard candidate work is tracked, and
-//     latency is recorded in a fixed-bucket log-scale histogram
-//     (internal/stats) from which Stats reports p50/p99.
+//     latency is recorded in one cumulative fixed-bucket log-scale
+//     histogram (internal/stats) from which Stats reports p50/p99.
 package serve
 
 import (
@@ -126,13 +128,13 @@ type Config struct {
 	DegradeWatermark float64
 	// Rescore bounds the exact-refinement budget of the approximate path
 	// on store-backed shards (NewFromStore): each shard's quantized scan
-	// admits at most Rescore candidates for float64 rescoring. 0 selects
-	// 32·k at query time. Ignored by dense-backed engines, which have no
-	// approximate path.
+	// admits at most Rescore live candidates for float64 rescoring (the scan
+	// skips tombstoned rows, so they never count). 0 selects 32·k at query
+	// time. Ignored by dense-backed engines, which have no approximate path.
 	Rescore int
 	// ScanWorkers is the intra-query parallelism of store-backed shards:
 	// each shard's quantized scan splits its row range across up to
-	// ScanWorkers goroutines (see store.SearchRangeWorkers). Results are
+	// ScanWorkers goroutines (see store.SearchLive). Results are
 	// bit-identical at any worker count. 0 selects 1 — shards already
 	// spread concurrent queries across cores, so intra-query splitting
 	// only pays when queries are scarce relative to processors (few large

@@ -19,12 +19,6 @@ const (
 	latBins   = 512
 )
 
-// latEpochCap bounds how many per-epoch histograms the recorder retains.
-// Older epochs fold into one historical histogram, so aggregate quantiles
-// stay exact over the engine's whole life while memory stays O(cap·bins)
-// even under compaction-heavy workloads that burn an epoch per second.
-const latEpochCap = 32
-
 // counters is the engine's atomic counter block.
 type counters struct {
 	served   atomic.Uint64
@@ -43,82 +37,37 @@ type counters struct {
 	compactions atomic.Uint64
 }
 
-// latencyRecorder keeps one fixed-bucket histogram per snapshot epoch. Keying
-// by epoch makes the recorder snapshot-swap-safe: a request records into the
-// histogram of the epoch that served it, so a compaction installing epoch
-// e+1 mid-flight never splices a stale request's latency into the new
-// generation's numbers, and per-epoch percentiles remain readable after the
-// swap. Aggregate quantiles merge all retained epochs plus the historical
-// fold, which is exact because histogram bins are position-aligned.
+// latencyRecorder is one cumulative fixed-bucket histogram of served-request
+// latency: every request the engine answers, whichever epoch served it.
 type latencyRecorder struct {
-	mu     sync.Mutex
-	epochs map[uint64]*stats.Histogram
-	order  []uint64         // epochs in first-record order, oldest first
-	folded *stats.Histogram // merged histograms of evicted epochs
+	mu sync.Mutex
+	h  *stats.Histogram
 }
 
 func newLatencyRecorder() *latencyRecorder {
-	return &latencyRecorder{epochs: make(map[uint64]*stats.Histogram, latEpochCap)}
+	return &latencyRecorder{h: stats.NewHistogram(latMinLog, latMaxLog, latBins)}
 }
 
-// record adds one request's total latency under the epoch that served it.
-func (l *latencyRecorder) record(epoch uint64, d time.Duration) {
+// record adds one request's total latency.
+func (l *latencyRecorder) record(d time.Duration) {
 	sec := d.Seconds()
 	if sec <= 0 {
 		sec = 1e-9 // clock-resolution floor; clamps into the first bucket
 	}
 	x := math.Log10(sec)
 	l.mu.Lock()
-	h := l.epochs[epoch]
-	if h == nil {
-		if len(l.order) >= latEpochCap {
-			// Fold the oldest epoch into the historical histogram rather
-			// than dropping it: aggregate quantiles must cover every
-			// request ever served.
-			old := l.order[0]
-			l.order = l.order[1:]
-			if l.folded == nil {
-				l.folded = stats.NewHistogram(latMinLog, latMaxLog, latBins)
-			}
-			l.folded.Merge(l.epochs[old])
-			delete(l.epochs, old)
-		}
-		h = stats.NewHistogram(latMinLog, latMaxLog, latBins)
-		l.epochs[epoch] = h
-		l.order = append(l.order, epoch)
-	}
-	h.Add(x)
+	l.h.Add(x)
 	l.mu.Unlock()
 }
 
-// quantile returns the q-quantile latency over every epoch (retained and
-// folded), or 0 before any request.
+// quantile returns the q-quantile latency, or 0 before any request.
 func (l *latencyRecorder) quantile(q float64) time.Duration {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	m := stats.NewHistogram(latMinLog, latMaxLog, latBins)
-	if l.folded != nil {
-		m.Merge(l.folded)
-	}
-	for _, h := range l.epochs {
-		m.Merge(h)
-	}
-	if m.Total() == 0 {
+	if l.h.Total() == 0 {
 		return 0
 	}
-	return time.Duration(math.Pow(10, m.Quantile(q)) * float64(time.Second))
-}
-
-// epochQuantile returns the q-quantile latency of one epoch's requests, or 0
-// if that epoch recorded nothing (or has been folded into history).
-func (l *latencyRecorder) epochQuantile(epoch uint64, q float64) time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	h := l.epochs[epoch]
-	if h == nil || h.Total() == 0 {
-		return 0
-	}
-	return time.Duration(math.Pow(10, h.Quantile(q)) * float64(time.Second))
+	return time.Duration(math.Pow(10, l.h.Quantile(q)) * float64(time.Second))
 }
 
 // EngineStats is a point-in-time snapshot of the engine's counters.
@@ -153,11 +102,9 @@ type EngineStats struct {
 	ShardTasks      []uint64
 	ShardCandidates []uint64
 	// LatencyP50/LatencyP99 are served-request latency percentiles over
-	// every epoch (zero before the first served request);
-	// EpochLatencyP50/EpochLatencyP99 cover only requests the live epoch
-	// served (zero until it serves one).
-	LatencyP50, LatencyP99           time.Duration
-	EpochLatencyP50, EpochLatencyP99 time.Duration
+	// the engine's life, every epoch included (zero before the first served
+	// request).
+	LatencyP50, LatencyP99 time.Duration
 }
 
 // Stats samples the engine's counters. Per-shard numbers describe the live
@@ -172,26 +119,24 @@ func (e *Engine) Stats() EngineStats {
 	e.mut.mu.RUnlock()
 	compactions := e.counters.compactions.Load()
 	s := EngineStats{
-		Served:          e.counters.served.Load(),
-		Exact:           e.counters.exact.Load(),
-		Approx:          e.counters.approx.Load(),
-		Degraded:        e.counters.degraded.Load(),
-		Rejected:        e.counters.rejected.Load(),
-		Deadline:        e.counters.deadline.Load(),
-		Inserts:         e.counters.inserts.Load(),
-		Deletes:         e.counters.deletes.Load(),
-		Compactions:     compactions,
-		Swaps:           compactions,
-		DeltaRows:       deltaRows,
-		Tombstones:      tombstones,
-		Epoch:           snap.epoch,
-		QueueDepth:      len(e.queue),
-		QueueCap:        cap(e.queue),
-		Shards:          len(snap.shards),
-		LatencyP50:      e.lat.quantile(0.50),
-		LatencyP99:      e.lat.quantile(0.99),
-		EpochLatencyP50: e.lat.epochQuantile(snap.epoch, 0.50),
-		EpochLatencyP99: e.lat.epochQuantile(snap.epoch, 0.99),
+		Served:      e.counters.served.Load(),
+		Exact:       e.counters.exact.Load(),
+		Approx:      e.counters.approx.Load(),
+		Degraded:    e.counters.degraded.Load(),
+		Rejected:    e.counters.rejected.Load(),
+		Deadline:    e.counters.deadline.Load(),
+		Inserts:     e.counters.inserts.Load(),
+		Deletes:     e.counters.deletes.Load(),
+		Compactions: compactions,
+		Swaps:       compactions,
+		DeltaRows:   deltaRows,
+		Tombstones:  tombstones,
+		Epoch:       snap.epoch,
+		QueueDepth:  len(e.queue),
+		QueueCap:    cap(e.queue),
+		Shards:      len(snap.shards),
+		LatencyP50:  e.lat.quantile(0.50),
+		LatencyP99:  e.lat.quantile(0.99),
 	}
 	s.ShardTasks = make([]uint64, len(snap.shards))
 	s.ShardCandidates = make([]uint64, len(snap.shards))

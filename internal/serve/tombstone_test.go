@@ -10,119 +10,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/knn"
 	"repro/internal/linalg"
-	"repro/internal/store"
 )
-
-// TestTombstoneScanMatchesRebuild pins the inline tombstone skip against a
-// from-scratch rebuild over the survivors, aiming the deletes where a wrong
-// filter shows: at every query's true nearest neighbours. Exact answers must
-// be bit-identical to New over the survivors and to knn.SearchSetBatch
-// (VerifyMutated), and the approximate path must never return a dead ID.
-func TestTombstoneScanMatchesRebuild(t *testing.T) {
-	const n, d, nq, k = 420, 9, 12, 6
-	rng := rand.New(rand.NewSource(211))
-	data := randMatrix(rng, n, d)
-	queries := randMatrix(rng, nq, d)
-	st := openTestStore(t, data, store.BuildConfig{Precision: store.Int8})
-	base := map[string]*linalg.Dense{"dense": data, "store": st.ExactMatrix()}
-	ctx := context.Background()
-
-	// Deletion order: each query's true neighbours first, nearest first,
-	// round-robin over the queries, then every remaining row.
-	truth := knn.SearchSetBatch(data, queries, n, knn.Euclidean{}, false)
-	var order []int
-	seen := make(map[int]bool, n)
-	for rank := 0; rank < n; rank++ {
-		for q := range truth {
-			if id := truth[q][rank].Index; !seen[id] {
-				seen[id] = true
-				order = append(order, id)
-			}
-		}
-	}
-
-	for _, backend := range []string{"dense", "store"} {
-		for _, shards := range []int{1, 3, 7} {
-			for _, tomb := range []string{"0", "1", "200", "shard", "all-but-3"} {
-				t.Run(fmt.Sprintf("%s/shards=%d/T=%s", backend, shards, tomb), func(t *testing.T) {
-					cfg := mutTestConfig(shards)
-					var e *Engine
-					var err error
-					if backend == "dense" {
-						e, err = New(data, cfg)
-					} else {
-						e, err = NewFromStore(st, cfg)
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer e.Close()
-
-					var dead []int
-					switch tomb {
-					case "0":
-					case "1":
-						dead = slices.Clone(order[:1])
-					case "200":
-						dead = slices.Clone(order[:200])
-					case "shard": // every row of the last shard: its scan finds nothing
-						r := shardRanges(n, shards)[shards-1]
-						for id := r[0]; id < r[1]; id++ {
-							dead = append(dead, id)
-						}
-					case "all-but-3": // k exceeds the live rows
-						dead = slices.Clone(order[:n-3])
-					}
-					m := newMutModel(base[backend])
-					for _, id := range dead {
-						if err := e.Delete(ctx, id); err != nil {
-							t.Fatalf("delete %d: %v", id, err)
-						}
-						delete(m.rows, id)
-					}
-					// A few delta rows, one of them dead, so the delta scan's
-					// skip runs next to the snapshot's.
-					for i := 0; i < 5; i++ {
-						vec := append([]float64(nil), queries.RawRow(i)...)
-						vec[0] += 0.5
-						id, err := e.Insert(ctx, vec)
-						if err != nil {
-							t.Fatal(err)
-						}
-						m.rows[id] = vec
-					}
-					if err := e.Delete(ctx, n+2); err != nil {
-						t.Fatal(err)
-					}
-					delete(m.rows, n+2)
-					dead = append(dead, n+2)
-
-					// Engine = SearchSetBatch over the survivors = an engine built
-					// from scratch over the survivors, each bit for bit.
-					checkBitIdentical(t, e, m, queries, k, "mutated engine")
-					live := m.liveSet(d)
-					fresh, err := New(live.Rows, mutTestConfig(min(shards, len(live.IDs))))
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer fresh.Close()
-					if err := VerifyMutated(ctx, fresh, LiveSet{Rows: live.Rows}, queries, k, 0); err != nil {
-						t.Fatalf("rebuilt engine: %v", err)
-					}
-					for q, res := range searchAll(t, e, queries, k, ModeApprox) {
-						for _, nb := range res {
-							if slices.Contains(dead, nb.Index) {
-								t.Fatalf("query %d: approximate path returned dead id %d", q, nb.Index)
-							}
-						}
-					}
-				})
-			}
-		}
-	}
-}
 
 // TestDeadListCopyOnWrite pins the contract readers rely on after releasing
 // the read lock: a captured dead-list header names an immutable array, so

@@ -94,22 +94,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.BinCenter(len(h.Counts) - 1)
 }
 
-// Merge adds every bin count of o into h. The histograms must have the same
-// range and bin count; per-worker histograms merged at read time let
-// concurrent recorders run without shared-write contention.
-func (h *Histogram) Merge(o *Histogram) {
-	if len(h.Counts) != len(o.Counts) ||
-		math.Float64bits(h.Min) != math.Float64bits(o.Min) ||
-		math.Float64bits(h.Max) != math.Float64bits(o.Max) {
-		panic(fmt.Sprintf("stats: Histogram.Merge shape mismatch: [%v,%v]x%d vs [%v,%v]x%d",
-			h.Min, h.Max, len(h.Counts), o.Min, o.Max, len(o.Counts)))
-	}
-	for i, c := range o.Counts {
-		h.Counts[i] += c
-	}
-	h.total += o.total
-}
-
 // FromData builds a histogram over the range of xs with the given bin count.
 func FromData(xs []float64, bins int) *Histogram {
 	min, max := MinMax(xs)

@@ -137,36 +137,3 @@ func TestHistogramQuantilePanics(t *testing.T) {
 	mustPanic("q > 1", func() { h.Quantile(1.1) })
 	mustPanic("q NaN", func() { h.Quantile(math.NaN()) })
 }
-
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram(0, 10, 10)
-	b := NewHistogram(0, 10, 10)
-	a.AddAll([]float64{0.5, 1.5, 2.5})
-	b.AddAll([]float64{2.5, 9.5})
-	a.Merge(b)
-	if a.Total() != 5 {
-		t.Fatalf("merged total = %d, want 5", a.Total())
-	}
-	if a.Counts[2] != 2 {
-		t.Fatalf("merged bin 2 count = %d, want 2", a.Counts[2])
-	}
-	if a.Counts[9] != 1 {
-		t.Fatalf("merged bin 9 count = %d, want 1", a.Counts[9])
-	}
-	// Merging must feed Quantile the combined population.
-	if got := a.Quantile(1); math.Abs(got-9.5) > 1e-12 {
-		t.Fatalf("post-merge max quantile = %v, want 9.5", got)
-	}
-
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("bin mismatch", func() { a.Merge(NewHistogram(0, 10, 5)) })
-	mustPanic("range mismatch", func() { a.Merge(NewHistogram(0, 5, 10)) })
-}

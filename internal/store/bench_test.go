@@ -62,6 +62,13 @@ func TestSearchSteadyStateAllocs(t *testing.T) {
 		if avg > 1 {
 			t.Errorf("%s: steady-state two-worker SearchRangeWorkers does %.1f allocs/op, want <= 1", name, avg)
 		}
+		dead := []int{3, 1024, 1999}
+		avg = testing.AllocsPerRun(100, func() {
+			s.SearchLive(q, 0, s.Len(), 10, 100, 2, dead)
+		})
+		if avg > 1 {
+			t.Errorf("%s: steady-state two-worker SearchLive with dead rows does %.1f allocs/op, want <= 1", name, avg)
+		}
 	}
 }
 

@@ -11,24 +11,25 @@ import (
 )
 
 // naiveSearchRange is the scalar reference for the blocked scan: the
-// pre-optimization per-point loop — every point offered straight to the
-// collector, no threshold pruning, no prefix early-abandon, no ×8
+// pre-optimization per-point loop — every live point offered straight to
+// the collector, no threshold pruning, no prefix early-abandon, no ×8
 // kernel, sequential — followed by the same exact rescore. The blocked,
 // threshold-pruned, prefix-abandoning, possibly parallel production scan
-// must reproduce it bit for bit at every budget.
-func naiveSearchRange(s *Store, q []float64, lo, hi, k, rescore int) []knn.Neighbor {
-	budget := rescore
-	if budget < k {
-		budget = k
-	}
-	if budget > hi-lo {
-		budget = hi - lo
+// must reproduce it bit for bit at every budget. dead is ascending.
+func naiveSearchRange(s *Store, q []float64, lo, hi, k, rescore int, dead []int) []knn.Neighbor {
+	isDead := map[int]bool{}
+	for _, i := range dead {
+		if i >= lo && i < hi {
+			isDead[i] = true
+		}
 	}
 	p := s.getPlan(q)
 	defer s.putPlan(p)
-	c := knn.NewCollector(budget)
+	c := knn.NewCollector(min(max(rescore, k), hi-lo-len(isDead)))
 	for i := lo; i < hi; i++ {
-		c.Offer(i, s.scoreAt(p, i))
+		if !isDead[i] {
+			c.Offer(i, s.scoreAt(p, i))
+		}
 	}
 	cand := c.Results()
 	e := knn.Euclidean{}
@@ -51,22 +52,28 @@ var prefixTestDims = []int{40, 64, 130}
 // TestBlockedScanBitIdenticalToNaive is the property test of the scan:
 // across the store variant matrix at every width in prefixTestDims, every
 // budget in {k, 2k, n} and worker count in {1, 2, 3} must return exactly
-// the neighbors of the naive per-point loop, distances bit-identical.
+// the neighbors of the naive per-point loop, distances bit-identical —
+// with no dead rows on even queries, and every fifth row dead on odd ones.
 func TestBlockedScanBitIdenticalToNaive(t *testing.T) {
 	n, k := 3000, 10
+	var everyFifth []int
+	for i := 2; i < n; i += 5 {
+		everyFifth = append(everyFifth, i)
+	}
 	for _, d := range prefixTestDims {
 		data, queries := testData(t, n, 6, d, 41)
 		for name, cfg := range storeVariants(data) {
 			s := buildStore(t, data, cfg)
 			for qi := 0; qi < queries.Rows(); qi++ {
 				q := queries.RawRow(qi)
+				dead := everyFifth[:qi%2*len(everyFifth)]
 				for _, budget := range []int{k, 2 * k, n} {
-					want := naiveSearchRange(s, q, 0, n, k, budget)
+					want := naiveSearchRange(s, q, 0, n, k, budget, dead)
 					for _, workers := range []int{1, 2, 3} {
-						got, rescored := s.SearchRangeWorkers(q, 0, n, k, budget, workers)
-						if rescored != budget {
+						got, rescored := s.SearchLive(q, 0, n, k, budget, workers, dead)
+						if live := n - len(dead); rescored != min(budget, live) {
 							t.Fatalf("%s d=%d q=%d budget=%d w=%d: rescored %d candidates, want %d",
-								name, d, qi, budget, workers, rescored, budget)
+								name, d, qi, budget, workers, rescored, min(budget, live))
 						}
 						if len(got) != len(want) {
 							t.Fatalf("%s d=%d q=%d budget=%d w=%d: %d neighbors, want %d",
@@ -185,7 +192,7 @@ func TestSearchRangeWorkersClampsAndMerges(t *testing.T) {
 	data, queries := testData(t, n, 4, d, 47)
 	s := buildStore(t, data, BuildConfig{Precision: Int8})
 	q := queries.RawRow(0)
-	want := naiveSearchRange(s, q, 100, n-100, k, 3*k)
+	want := naiveSearchRange(s, q, 100, n-100, k, 3*k, nil)
 	for _, workers := range []int{0, 1, 2, 7, 100} {
 		got, _ := s.SearchRangeWorkers(q, 100, n-100, k, 3*k, workers)
 		for r := range want {

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/knn"
@@ -45,12 +46,26 @@ type plan struct {
 	tstep  float64
 	a2P    float64 // Σ aⱼ² over the early-abandon prefix dims
 	margin float64 // FP slack subtracted from prefix lower bounds
+
+	dead []int // ascending tombstoned positions the sweep skips (SearchLive)
 }
 
 // scanScratch is the per-segment block buffer, pooled so steady-state
-// searches do not allocate.
+// searches do not allocate, and the part of the plan's dead list the
+// segment has not walked past.
 type scanScratch struct {
 	scores []float64
+	dead   []int
+}
+
+// isDead reports whether row i is tombstoned. A segment probes rows in
+// ascending order, so each probe drops the entries below i and the segment
+// walks the dead list once, up to its last row.
+func (sc *scanScratch) isDead(i int) bool {
+	for len(sc.dead) > 0 && sc.dead[0] < i {
+		sc.dead = sc.dead[1:]
+	}
+	return len(sc.dead) > 0 && sc.dead[0] == i
 }
 
 func (s *Store) getPlan(q []float64) *plan {
@@ -196,10 +211,11 @@ func (s *Store) getPar() *parScratch {
 }
 
 // scanBlockFull scores rows [base, end) with the ×8 kernel into the flat
-// scratch buffer, then offers only entries below the collector's bound.
-// Offer admits exactly the candidates with dist < Bound(), so the
+// scratch buffer, then offers only live entries below the collector's
+// bound. Offer admits exactly the candidates with dist < Bound(), so the
 // pre-filter changes nothing about the admitted set — it only keeps the
-// heap branch out of the kernel loop.
+// heap branch out of the kernel loop — and a row is looked up on the dead
+// list only once it would be offered.
 func (s *Store) scanBlockFull(p *plan, sc *scanScratch, base, end int, c *knn.Collector) {
 	// rem is the unwritten suffix of scores; keeping the block width in the
 	// loop condition (len(rem) >= 8 ⇔ i+8 <= end) lets the prover drop
@@ -224,7 +240,7 @@ func (s *Store) scanBlockFull(p *plan, sc *scanScratch, base, end int, c *knn.Co
 	}
 	bound := c.Bound()
 	for j, v := range scores {
-		if v < bound {
+		if v < bound && !sc.isDead(base+j) {
 			c.Offer(base+j, v)
 			bound = c.Bound()
 		}
@@ -246,7 +262,8 @@ func (s *Store) scanBlockFull(p *plan, sc *scanScratch, base, end int, c *knn.Co
 // the same admission test as the full pass. Bound() only shrinks during a
 // scan, so using a momentarily stale bound never prunes a row the naive
 // loop would admit — blocked+prefix stays bit-identical to the scalar
-// reference at every budget.
+// reference at every budget. A dead row is skipped once it survives the
+// bound, before its full code row is read.
 func (s *Store) scanBlockPrefix(p *plan, sc *scanScratch, base, end int, c *knn.Collector) (survivors int) {
 	P := s.prefDims
 	uP := p.u[:P]
@@ -272,7 +289,7 @@ func (s *Store) scanBlockPrefix(p *plan, sc *scanScratch, base, end int, c *knn.
 	}
 	bound := c.Bound()
 	for j, lb := range lbs {
-		if lb < bound {
+		if lb < bound && !sc.isDead(base+j) {
 			survivors++
 			v := s.scoreAt(p, base+j)
 			if v < bound {
@@ -323,6 +340,7 @@ const warmupBlocks = 32
 //drlint:hotpath inline=2
 func (s *Store) scanSegment(p *plan, lo, hi int, c *knn.Collector) {
 	sc := s.getScratch()
+	sc.dead = p.dead
 	usePrefix := s.prefDims > 0
 	holdoff := 0
 	// Cap the warmup at an eighth of the segment so short segments — small
@@ -349,6 +367,7 @@ func (s *Store) scanSegment(p *plan, lo, hi int, c *knn.Collector) {
 			}
 		}
 	}
+	sc.dead = nil
 	s.scratchPool.Put(sc)
 }
 
@@ -361,28 +380,38 @@ func (s *Store) scanSegment(p *plan, lo, hi int, c *knn.Collector) {
 //
 //drlint:hotpath
 func (s *Store) Search(q []float64, k, rescore int) []knn.Neighbor {
-	res, _ := s.SearchRange(q, 0, s.l.n, k, rescore)
+	res, _ := s.SearchRangeWorkers(q, 0, s.l.n, k, rescore, 1)
 	return res
 }
 
-// SearchRange is Search restricted to the contiguous point range [lo, hi)
-// — the shard entry point of the serving layer. Returned indices are
-// global. The second result is the number of candidates phase 2 rescored.
-func (s *Store) SearchRange(q []float64, lo, hi, k, rescore int) ([]knn.Neighbor, int) {
-	return s.SearchRangeWorkers(q, lo, hi, k, rescore, 1)
+// SearchRangeWorkers is SearchLive over every row of [lo, hi).
+//
+//drlint:hotpath inline=1
+func (s *Store) SearchRangeWorkers(q []float64, lo, hi, k, rescore, workers int) ([]knn.Neighbor, int) {
+	return s.SearchLive(q, lo, hi, k, rescore, workers, nil)
 }
 
-// SearchRangeWorkers is SearchRange with the phase-1 sweep split across
-// up to workers parallel segments (workers ≤ 1 scans sequentially). Each
-// segment fills its own full-budget collector; the merged candidate set,
-// truncated under the canonical (dist, index) order, equals the
-// sequential scan's set exactly — a point survives iff fewer than budget
-// points precede it in that total order, regardless of segmentation — so
-// results are bit-identical for every worker count. Worker counts beyond
-// what minSegmentRows-sized slices of [lo, hi) can occupy are clamped.
+// SearchLive is Search restricted to the live rows of the contiguous point
+// range [lo, hi) — the shard entry point of the serving layer. dead lists
+// tombstoned positions in ascending order (entries outside [lo, hi) are
+// ignored). The sweep skips them itself, looking a row up only once it
+// would be offered or survives the prefix bound, so the rescore budget
+// counts live candidates however many rows are dead; a budget of at least
+// the live rows is bit-identical to exact search over them. Returned
+// indices are global; the second result is the number of candidates phase 2
+// rescored.
+//
+// The phase-1 sweep splits across up to workers parallel segments
+// (workers ≤ 1 scans sequentially). Each segment fills its own full-budget
+// collector; the merged candidate set, truncated under the canonical (dist,
+// index) order, equals the sequential scan's set exactly — a point survives
+// iff fewer than budget points precede it in that total order, regardless
+// of segmentation — so results are bit-identical for every worker count.
+// Worker counts beyond what minSegmentRows-sized slices of [lo, hi) can
+// occupy are clamped.
 //
 //drlint:hotpath inline=8
-func (s *Store) SearchRangeWorkers(q []float64, lo, hi, k, rescore, workers int) ([]knn.Neighbor, int) {
+func (s *Store) SearchLive(q []float64, lo, hi, k, rescore, workers int, dead []int) ([]knn.Neighbor, int) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
@@ -397,13 +426,14 @@ func (s *Store) SearchRangeWorkers(q []float64, lo, hi, k, rescore, workers int)
 	if k <= 0 {
 		panic(fmt.Sprintf("store: k=%d must be positive", k))
 	}
-	budget := rescore
-	if budget < k {
-		budget = k
+	a, _ := slices.BinarySearch(dead, lo)
+	b, _ := slices.BinarySearch(dead, hi)
+	dead = dead[a:b]
+	live := hi - lo - len(dead)
+	if live == 0 {
+		return nil, 0
 	}
-	if budget > hi-lo {
-		budget = hi - lo
-	}
+	budget := min(max(rescore, k), live)
 	if maxW := (hi - lo + minSegmentRows - 1) / minSegmentRows; workers > maxW {
 		workers = maxW
 	}
@@ -412,6 +442,7 @@ func (s *Store) SearchRangeWorkers(q []float64, lo, hi, k, rescore, workers int)
 	}
 
 	p := s.getPlan(q)
+	p.dead = dead
 	var cand []knn.Neighbor
 	if workers <= 1 {
 		c := s.getCollector(budget)
@@ -421,6 +452,7 @@ func (s *Store) SearchRangeWorkers(q []float64, lo, hi, k, rescore, workers int)
 	} else {
 		cand = s.scanParallel(p, lo, hi, budget, workers)
 	}
+	p.dead = nil
 	s.putPlan(p)
 	s.scanned.Add(uint64(hi - lo))
 

@@ -195,7 +195,7 @@ func TestSearchRangeMergesToWholeStore(t *testing.T) {
 		for _, cuts := range [][]int{{0, 350, 700}, {0, 128, 512, 700}, {0, 1, 699, 700}} {
 			var merged []knn.Neighbor
 			for c := 0; c+1 < len(cuts); c++ {
-				part, _ := s.SearchRange(q, cuts[c], cuts[c+1], k, cuts[c+1]-cuts[c])
+				part, _ := s.SearchLive(q, cuts[c], cuts[c+1], k, cuts[c+1]-cuts[c], 1, nil)
 				merged = append(merged, part...)
 			}
 			knn.SortNeighbors(merged)
