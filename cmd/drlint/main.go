@@ -1,10 +1,9 @@
 // Command drlint runs this repository's project-specific static analyzers
-// over the module and exits nonzero on findings. Fourteen rules in five
+// over the module and exits nonzero on findings. Eleven rules in five
 // families: four syntactic (dimguard, globalrand, floatcmp,
-// goroutinehygiene); three type-aware (lockhold, ctxflow, errwrap) over a
-// go/types-checked view of every package; one dataflow (unsafelife) over a
-// module-local call graph; three compiler-witness gates (escapegate,
-// inlinegate, bcegate) that join real
+// goroutinehygiene); one type-aware (lockhold) over a go/types-checked view
+// of every package; one dataflow (unsafelife) over a module-local call
+// graph; two compiler-witness gates (inlinegate, bcegate) that join real
 // `go build -gcflags='-m=2 -d=ssa/check_bce/debug=1'` diagnostics against
 // the //drlint:hotpath closure; and three determinism rules (maporder,
 // seedprov, snapcapture) guarding reproducibility of reported results.

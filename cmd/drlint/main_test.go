@@ -59,33 +59,35 @@ func TestRunPatternSubtree(t *testing.T) {
 	}
 }
 
-// TestRunPatternAppliesDirectives: the errwrap fixture carries one
-// //drlint:ignore directive among its violations; through the CLI machinery
-// the other findings come back and the directive's line stays silent.
+// TestRunPatternAppliesDirectives: the floatcmp fixture carries one
+// //drlint:ignore directive, on the line above its violation; through the
+// CLI machinery the other findings come back and the silenced line stays
+// silent.
 func TestRunPatternAppliesDirectives(t *testing.T) {
 	root, err := moduleRoot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := runPattern(root, "internal/analysis/testdata/src/errwrap", analysis.All())
+	diags, err := runPattern(root, "internal/analysis/testdata/src/floatcmp", analysis.All())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(diags) == 0 {
-		t.Fatal("expected errwrap findings from the fixture, got none")
+		t.Fatal("expected floatcmp findings from the fixture, got none")
 	}
 	// One fixture file; its findings all point into it.
 	src, err := os.ReadFile(diags[0].Pos.Filename)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const directive = "//drlint:ignore errwrap"
+	const directive = "//drlint:ignore floatcmp"
 	if !strings.Contains(string(src), directive) {
 		t.Fatalf("the fixture no longer carries a %s directive", directive)
 	}
 	lines := strings.Split(string(src), "\n")
 	for _, d := range diags {
-		if strings.Contains(lines[d.Pos.Line-1], directive) {
+		if strings.Contains(lines[d.Pos.Line-1], directive) ||
+			d.Pos.Line >= 2 && strings.HasPrefix(strings.TrimSpace(lines[d.Pos.Line-2]), directive) {
 			t.Errorf("finding on a line its directive should silence: %s", d)
 		}
 	}

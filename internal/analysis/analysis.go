@@ -20,37 +20,32 @@
 //     paired with a sync.WaitGroup Add/Done (or a result-channel handshake)
 //     in the same function.
 //
-// Three type-aware rules enforce the serving layer's concurrency and
-// error-contract idioms:
+// One type-aware rule enforces the serving layer's locking idiom:
 //
 //   - lockhold: no blocking operation (channel send/receive, selects
 //     without a default, Wait, time.Sleep, or a call into a same-package
 //     function that blocks) while a sync.Mutex/RWMutex is held in
 //     internal/serve.
-//   - ctxflow: exported context-accepting functions in internal/serve must
-//     propagate their context to every context-accepting call they make;
-//     context.Background()/TODO() is reserved for main and tests.
-//   - errwrap: the serving layer's typed sentinel errors must be compared
-//     with errors.Is and wrapped with %w — never ==/!=, switch cases, or
-//     string matching on Error() text.
 //
 // One dataflow rule reasons over a module-local call graph:
 //
 //   - unsafelife: mmap-derived views must stay confined to their mapping's
 //     lifetime — no escaping to globals, returns past Close, or goroutines.
 //
-// Three compiler-witness rules join real `go build` diagnostics
+// Two compiler-witness rules join real `go build` diagnostics
 // (-gcflags='-m=2 -d=ssa/check_bce/debug=1') against the hot-path closure,
 // gating on what the compiler did rather than what the source suggests
 // (see witness.go; the family degrades to disabled on toolchain skew):
 //
-//   - escapegate: no compiler-witnessed heap escape or moved-to-heap local
-//     in a function reachable from a //drlint:hotpath annotation, unless
-//     exempted (pool refills, result materialization, cold error paths).
 //   - inlinegate: non-inlined calls in a hot function must fit the
 //     function's declared budget (//drlint:hotpath inline=N).
 //   - bcegate: no retained bounds check inside loops of asm-adjacent
 //     kernels (internal/linalg, internal/store scan kernels).
+//
+// Allocation on a hot path, context propagation and sentinel-error
+// wrapping have no rule: the AllocsPerRun pins and the serve tests that
+// drive RunLoad and VerifyMutated under cancelled and overloaded engines
+// report those defects (EXPERIMENTS.md, "drlint: one gate per defect").
 //
 // Three determinism rules guard reproducibility of reported results:
 //
@@ -191,7 +186,7 @@ type Analyzer struct {
 	// cmd/drlint -list output.
 	Family string
 	// NeedsAnnotation marks rules that only fire on code opted in via a
-	// source annotation (e.g. escapegate's //drlint:hotpath roots).
+	// source annotation (e.g. inlinegate's //drlint:hotpath roots).
 	NeedsAnnotation bool
 	// IncludeTests runs the rule over *_test.go files too. All shipped
 	// analyzers enforce production invariants and leave tests alone.
@@ -206,15 +201,15 @@ type Analyzer struct {
 }
 
 // All returns the analyzers this project enforces, in stable order: the
-// four syntactic rules from the first drlint, the three type-aware rules,
-// the dataflow rule, the three compiler-witness gates, and the three
-// determinism rules.
+// four syntactic rules from the first drlint, the type-aware rule, the
+// dataflow rule, the two compiler-witness gates, and the three determinism
+// rules.
 func All() []*Analyzer {
 	return []*Analyzer{
 		DimGuard, GlobalRand, FloatCmp, GoroutineHygiene,
-		LockHold, CtxFlow, ErrWrap,
+		LockHold,
 		UnsafeLife,
-		EscapeGate, InlineGate, BceGate,
+		InlineGate, BceGate,
 		MapOrder, SeedProv, SnapCapture,
 	}
 }

@@ -4,7 +4,7 @@ import "testing"
 
 // BenchmarkDrlintModule measures one full drlint pass over the module:
 // parse every package, type-check it with the file-system importer, and
-// run all fourteen analyzers — including the call-graph construction,
+// run all eleven analyzers — including the call-graph construction,
 // unsafelife's taint fixpoint, and the compiler-witness layer's `go build`
 // shell-out (cached per process, so the first iteration pays it). This is
 // the cost `go test ./...` and CI pay on every run; it must stay well under

@@ -8,17 +8,16 @@ import (
 	"strings"
 )
 
-// This file holds the intra-procedural value-tracking helpers the dataflow
-// and compiler-witness rules share: recognizing sync.Pool-backed scratch,
-// "this value is the function's result" sinks, capacity-guarded growth, and
-// per-function summaries (result aliases a parameter / retains a parameter)
-// that let call sites be judged without inlining the callee.
-// Everything here is deliberately one-hop and object-identity based — strong
-// enough for the idioms this module actually uses, simple enough to stay
-// predictable.
+// This file holds the helpers several rules share: the //drlint:hotpath
+// annotation the compiler-witness gates start from, the "this value is the
+// function's result" sinks maporder checks, and the per-function summaries
+// (result aliases a parameter / retains a parameter) that let unsafelife
+// judge call sites without inlining the callee. Everything here is
+// deliberately one-hop and object-identity based — strong enough for the
+// idioms this module actually uses, simple enough to stay predictable.
 
-// hotpathDirective is the annotation marking a function as the root of an
-// allocation-free hot path: the compiler-witness gates check its closure.
+// hotpathDirective is the annotation marking a function as the root of a
+// hot path: the compiler-witness gates check its closure.
 const hotpathDirective = "//drlint:hotpath"
 
 // hasHotpathDirective reports whether the function's doc comment group
@@ -74,52 +73,9 @@ func hotpathInlineBudget(fd *ast.FuncDecl) (int, *ast.Comment, error) {
 	return budget, c, nil
 }
 
-// poolGetVars returns the objects assigned (directly or through a type
-// assertion) from a (*sync.Pool).Get call anywhere in body. Allocations
-// guarded by `if v == nil` on such a variable are pool-miss refills — the
-// amortized-to-zero idiom escapegate accepts.
-func poolGetVars(info *types.Info, body ast.Node) map[types.Object]bool {
-	out := map[types.Object]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Rhs) != 1 {
-			return true
-		}
-		rhs := ast.Unparen(as.Rhs[0])
-		if ta, ok := rhs.(*ast.TypeAssertExpr); ok {
-			rhs = ast.Unparen(ta.X)
-		}
-		call, ok := rhs.(*ast.CallExpr)
-		if !ok || !isPoolGet(info, call) {
-			return true
-		}
-		if id, ok := as.Lhs[0].(*ast.Ident); ok {
-			if obj := info.ObjectOf(id); obj != nil {
-				out[obj] = true
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// isPoolGet reports whether call is (*sync.Pool).Get.
-func isPoolGet(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Get" {
-		return false
-	}
-	f, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok {
-		return false
-	}
-	return f.FullName() == "(*sync.Pool).Get"
-}
-
 // sinkVars returns the local objects whose value reaches a return statement
-// or a channel send in body. An allocation flowing into a sink is the
-// function's deliverable — materializing a result is the caller's cost, not
-// a hidden hot-path allocation.
+// or a channel send in body: the values whose order a caller observes
+// (maporder flags map-ordered slices that reach one unsorted).
 func sinkVars(info *types.Info, body ast.Node) map[types.Object]bool {
 	out := map[types.Object]bool{}
 	mark := func(e ast.Expr) {
@@ -146,113 +102,6 @@ func sinkVars(info *types.Info, body ast.Node) map[types.Object]bool {
 		return true
 	})
 	return out
-}
-
-// condHasCapLenGuard reports whether the if-condition contains a cap(...) or
-// len(...) call inside a comparison — the shape of every "grow only when the
-// reusable buffer is too small" guard in this module.
-func condHasCapLenGuard(cond ast.Expr) bool {
-	found := false
-	ast.Inspect(cond, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-			if id.Name == "cap" || id.Name == "len" {
-				found = true
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// condIsNilCheckOn reports whether cond compares one of the given objects
-// against nil (either order, == or !=).
-func condIsNilCheckOn(info *types.Info, cond ast.Expr, objs map[types.Object]bool) bool {
-	found := false
-	ast.Inspect(cond, func(n ast.Node) bool {
-		be, ok := n.(*ast.BinaryExpr)
-		if !ok {
-			return true
-		}
-		check := func(a, b ast.Expr) {
-			id, ok := ast.Unparen(a).(*ast.Ident)
-			if !ok {
-				return
-			}
-			if nid, ok := ast.Unparen(b).(*ast.Ident); !ok || nid.Name != "nil" {
-				return
-			}
-			if obj := info.ObjectOf(id); obj != nil && objs[obj] {
-				found = true
-			}
-		}
-		check(be.X, be.Y)
-		check(be.Y, be.X)
-		return true
-	})
-	return found
-}
-
-// allocExempt bundles the per-function value sets behind escapegate's
-// exemption walk: a context that makes a compiler-witnessed escape
-// acceptable on a hot path.
-type allocExempt struct {
-	info  *types.Info
-	pools map[types.Object]bool
-	sinks map[types.Object]bool
-}
-
-func newAllocExempt(info *types.Info, body ast.Node) *allocExempt {
-	return &allocExempt{
-		info:  info,
-		pools: poolGetVars(info, body),
-		sinks: sinkVars(info, body),
-	}
-}
-
-// exempted walks the ancestor stack looking for a context that makes an
-// allocation acceptable: a panic argument, a cap/len-guarded or
-// pool-miss-guarded branch, or a statement whose value is the function's
-// result (return, channel send, or assignment to a variable that reaches
-// one).
-func (x *allocExempt) exempted(stack []ast.Node) bool {
-	for i := len(stack) - 2; i >= 0; i-- {
-		switch a := stack[i].(type) {
-		case *ast.CallExpr:
-			if id, ok := ast.Unparen(a.Fun).(*ast.Ident); ok && id.Name == "panic" {
-				if _, isBuiltin := x.info.Uses[id].(*types.Builtin); isBuiltin {
-					return true
-				}
-			}
-		case *ast.IfStmt:
-			if condHasCapLenGuard(a.Cond) {
-				return true
-			}
-			if condIsNilCheckOn(x.info, a.Cond, x.pools) {
-				return true
-			}
-		case *ast.ReturnStmt, *ast.SendStmt:
-			return true
-		case *ast.AssignStmt:
-			for _, lhs := range a.Lhs {
-				if id, ok := lhs.(*ast.Ident); ok {
-					if obj := x.info.ObjectOf(id); obj != nil && x.sinks[obj] {
-						return true
-					}
-				}
-			}
-		case *ast.ValueSpec:
-			for _, name := range a.Names {
-				if obj := x.info.ObjectOf(name); obj != nil && x.sinks[obj] {
-					return true
-				}
-			}
-		}
-	}
-	return false
 }
 
 // funcFacts is the one-hop summary of a module function the call-site rules

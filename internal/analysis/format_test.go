@@ -16,7 +16,7 @@ import (
 // rules, multiple files, and a position with column 0 (SARIF clamps to 1).
 func goldenDiags() []Diagnostic {
 	return []Diagnostic{
-		{Pos: token.Position{Filename: "cmd/drtool/servebench.go", Line: 152, Column: 29}, Rule: "ctxflow", Message: "context.Background() outside main/tests discards the caller's deadline and cancellation; accept and propagate a context.Context instead"},
+		{Pos: token.Position{Filename: "benchmark/dense.go", Line: 92, Column: 35}, Rule: "seedprov", Message: "seed derives from time.UnixNano, not a config field, flag, or fixed literal; thread the seed through configuration so runs are reproducible"},
 		{Pos: token.Position{Filename: "internal/serve/engine.go", Line: 42, Column: 7}, Rule: "lockhold", Message: "time.Sleep while holding mu; release the lock before blocking"},
 		{Pos: token.Position{Filename: "internal/serve/stats.go", Line: 9, Column: 0}, Rule: "snapcapture", Message: "second Load of atomic snapshot e.snap in this scope is a TOCTOU race; Load once into a local and reuse it"},
 	}
@@ -163,7 +163,7 @@ func TestWriteTextForm(t *testing.T) {
 	if err := WriteText(&buf, "", goldenDiags()[:1]); err != nil {
 		t.Fatal(err)
 	}
-	want := "cmd/drtool/servebench.go:152:29: [ctxflow] context.Background() outside main/tests discards the caller's deadline and cancellation; accept and propagate a context.Context instead\n"
+	want := "benchmark/dense.go:92:35: [seedprov] seed derives from time.UnixNano, not a config field, flag, or fixed literal; thread the seed through configuration so runs are reproducible\n"
 	if buf.String() != want {
 		t.Fatalf("text form:\ngot  %q\nwant %q", buf.String(), want)
 	}

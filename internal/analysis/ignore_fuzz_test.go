@@ -24,7 +24,7 @@ import (
 func FuzzIgnoreDirective(f *testing.F) {
 	seeds := []string{
 		"//drlint:ignore floatcmp tolerance set by the paper's table 2",
-		"//drlint:ignore escapegate,unsafelife two rules one reason",
+		"//drlint:ignore inlinegate,unsafelife two rules one reason",
 		"//drlint:ignore",
 		"// drlint:ignore   ",
 		"//drlint:ignore floatcmp",

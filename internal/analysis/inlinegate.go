@@ -20,7 +20,7 @@ import (
 // budget, every non-inlined site is reported with the compiler's own
 // cannot-inline reason for its callee.
 //
-// Unlike escapegate, the gate covers only functions carrying the annotation
+// Unlike bcegate, the gate covers only functions carrying the annotation
 // directly, not their transitive callees: the budget is an author-measured
 // property of one function's inner loop, and an un-annotated callee has no
 // doc comment to carry `inline=N`. Callees that matter are annotated

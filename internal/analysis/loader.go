@@ -27,7 +27,7 @@ func Load(root string) ([]*Package, error) {
 
 // LoadUnder is Load restricted to the subtree at dir; package import paths
 // are still computed relative to the module root so path-scoped analyzers
-// (dimguard, lockhold, ctxflow) resolve identically to a full-module run,
+// (dimguard, lockhold, snapcapture) resolve identically to a full-module run,
 // and imports of packages outside the subtree are loaded on demand for
 // type checking.
 func LoadUnder(root, dir string) ([]*Package, error) {

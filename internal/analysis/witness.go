@@ -11,10 +11,10 @@ import (
 	"sync"
 )
 
-// This file is the compiler-witness layer behind the escapegate, inlinegate
-// and bcegate rules. Instead of re-deriving escape analysis, inlining
-// decisions, or bounds-check elimination in go/ast — which would drift from
-// the real optimizer — it shells out to the compiler itself:
+// This file is the compiler-witness layer behind the inlinegate and bcegate
+// rules. Instead of re-deriving inlining decisions or bounds-check
+// elimination in go/ast — which would drift from the real optimizer — it
+// shells out to the compiler itself:
 //
 //	go build -gcflags='-m=2 -d=ssa/check_bce/debug=1' <hot packages>
 //
@@ -31,8 +31,9 @@ import (
 // cmd/drlint surfaces the reason via WitnessNotice.
 
 // witnessFlags is the exact gcflags string the witness build passes to the
-// compiler: -m=2 prints escape analysis and inlining decisions, and the
-// check_bce debug key prints every bounds check the SSA backend retained.
+// compiler: -m=2 prints inlining decisions with the reason for each refusal
+// (and escape analysis, which no rule reads), and the check_bce debug key
+// prints every bounds check the SSA backend retained.
 const witnessFlags = "-m=2 -d=ssa/check_bce/debug=1"
 
 // witnessVersions are the go toolchain release prefixes this parser has
@@ -49,12 +50,6 @@ type witnessReport struct {
 	disabled  bool
 	reason    string
 
-	// escapes: positions of "X escapes to heap" facts, keyed to the
-	// allocating expression. The message is the compiler's own phrasing.
-	escapes map[string]string
-	// moved: positions of "moved to heap: x" facts, keyed to the variable
-	// declaration; the value is the variable name.
-	moved map[string]string
 	// inlinedCalls: call sites (keyed at the call's left parenthesis) the
 	// compiler inlined ("inlining call to F").
 	inlinedCalls map[string]bool
@@ -71,8 +66,6 @@ type witnessReport struct {
 func newWitnessReport(version string) *witnessReport {
 	return &witnessReport{
 		goVersion:    version,
-		escapes:      map[string]string{},
-		moved:        map[string]string{},
 		inlinedCalls: map[string]bool{},
 		cannotInline: map[string]string{},
 		canInline:    map[string]bool{},
@@ -127,9 +120,9 @@ func runWitnessBuild(root string, dirs []string) (string, []byte, error) {
 	return version, out, nil
 }
 
-// witnessCache holds one parsed report per (root, package set): the three
+// witnessCache holds one parsed report per (root, package set): the two
 // witness rules run in the same process over the same hot closure, so the
-// second and third rule reuse the first one's build.
+// second rule reuses the first one's build.
 var witnessCache = struct {
 	sync.Mutex
 	reports map[string]*witnessReport
@@ -272,18 +265,15 @@ func parseWitnessLine(r *witnessReport, line string) bool {
 		r.cannotInline[key] = reason
 	case msg == "Found IsInBounds" || msg == "Found IsSliceInBounds":
 		r.boundsChecks[key] = strings.TrimPrefix(msg, "Found ")
-	case strings.HasPrefix(msg, "moved to heap: "):
-		r.moved[key] = strings.TrimPrefix(msg, "moved to heap: ")
-	case strings.HasSuffix(msg, " escapes to heap") || strings.HasSuffix(msg, " escapes to heap:"):
-		r.escapes[key] = strings.TrimSuffix(strings.TrimSuffix(msg, ":"), " escapes to heap")
-	case strings.Contains(msg, "does not escape"),
+	case strings.Contains(msg, "escapes to heap"),
+		strings.HasPrefix(msg, "moved to heap: "),
+		strings.Contains(msg, "does not escape"),
 		strings.HasPrefix(msg, "leaking param"),
 		strings.HasPrefix(msg, "parameter "),
 		strings.Contains(msg, "ignoring self-assignment"),
-		strings.HasPrefix(msg, "mark inlined call"),
-		strings.HasPrefix(msg, "escapes to heap"):
-		// Recognized no-ops: parameter leak annotations and non-escape
-		// confirmations carry no gate-relevant fact.
+		strings.HasPrefix(msg, "mark inlined call"):
+		// Recognized no-ops: escape analysis and parameter leak annotations
+		// carry no gate-relevant fact.
 	default:
 		return false
 	}
@@ -292,7 +282,7 @@ func parseWitnessLine(r *witnessReport, line string) bool {
 
 // witnessContext joins the //drlint:hotpath call-graph closure with the
 // witness report for the packages that closure touches. It is the shared
-// entry point of the three compiler-witness rules; when it returns nil the
+// entry point of the two compiler-witness rules; when it returns nil the
 // rule has nothing to do (no annotations, no module root, or a disabled
 // witness build).
 type witnessContext struct {

@@ -37,12 +37,6 @@ func TestParseWitnessGolden(t *testing.T) {
 	if !r.inlinedCalls["kernel/scan.go:33:14"] {
 		t.Errorf("inlined-call fact missing: %v", r.inlinedCalls)
 	}
-	if got := r.escapes["kernel/scan.go:11:7"]; got != "&node{...}" {
-		t.Errorf("escape fact = %q, want %q", got, "&node{...}")
-	}
-	if got := r.moved["kernel/scan.go:22:2"]; got != "total" {
-		t.Errorf("moved fact = %q, want %q", got, "total")
-	}
 	if got := r.boundsChecks["kernel/scan.go:50:11"]; got != "IsInBounds" {
 		t.Errorf("bounds fact = %q, want IsInBounds", got)
 	}
@@ -50,9 +44,6 @@ func TestParseWitnessGolden(t *testing.T) {
 		t.Errorf("bounds fact = %q, want IsSliceInBounds", got)
 	}
 	// Recognized no-ops must not invent facts.
-	if len(r.escapes) != 2 { // &node{...} and the "total escapes to heap:" header
-		t.Errorf("escapes table has %d entries, want 2: %v", len(r.escapes), r.escapes)
-	}
 	if len(r.boundsChecks) != 2 {
 		t.Errorf("bounds table has %d entries, want 2: %v", len(r.boundsChecks), r.boundsChecks)
 	}
@@ -127,7 +118,7 @@ func TestWitnessForBuildFailure(t *testing.T) {
 	}
 }
 
-// TestWitnessRulesDegradeOnMalformedOutput runs the three gate rules over a
+// TestWitnessRulesDegradeOnMalformedOutput runs the two gate rules over a
 // fixture that WOULD produce findings, with the runner returning garbage:
 // every rule must report nothing and the notice must say disabled.
 func TestWitnessRulesDegradeOnMalformedOutput(t *testing.T) {
@@ -139,11 +130,11 @@ func TestWitnessRulesDegradeOnMalformedOutput(t *testing.T) {
 	defer func() { witnessRunner = old; resetWitness() }()
 
 	root := filepath.Join("testdata", "src")
-	pkg, err := LoadDir(root, filepath.Join(root, "escapegate"))
+	pkg, err := LoadDir(root, filepath.Join(root, "inlinegate"))
 	if err != nil || pkg == nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
-	diags := RunPackages([]*Package{pkg}, []*Analyzer{EscapeGate, InlineGate, BceGate})
+	diags := RunPackages([]*Package{pkg}, []*Analyzer{InlineGate, BceGate})
 	if len(diags) != 0 {
 		t.Fatalf("witness rules fired on a disabled report: %v", diags)
 	}
@@ -163,11 +154,11 @@ func TestWitnessRulesDegradeOnVersionSkew(t *testing.T) {
 	defer func() { witnessRunner = old; resetWitness() }()
 
 	root := filepath.Join("testdata", "src")
-	pkg, err := LoadDir(root, filepath.Join(root, "escapegate"))
+	pkg, err := LoadDir(root, filepath.Join(root, "inlinegate"))
 	if err != nil || pkg == nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
-	diags := RunPackages([]*Package{pkg}, []*Analyzer{EscapeGate, InlineGate, BceGate})
+	diags := RunPackages([]*Package{pkg}, []*Analyzer{InlineGate, BceGate})
 	if len(diags) != 0 {
 		t.Fatalf("witness rules fired on an untested toolchain: %v", diags)
 	}
@@ -218,7 +209,7 @@ func FuzzWitnessParser(f *testing.F) {
 		if r.disabled && r.reason == "" {
 			t.Fatal("disabled report without a reason")
 		}
-		for _, m := range []map[string]string{r.escapes, r.moved, r.cannotInline, r.boundsChecks} {
+		for _, m := range []map[string]string{r.cannotInline, r.boundsChecks} {
 			for key := range m {
 				if _, _, _, ok := splitWitnessKey(key); !ok {
 					t.Fatalf("malformed fact key %q", key)

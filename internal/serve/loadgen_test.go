@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -22,16 +23,30 @@ func TestRunLoad(t *testing.T) {
 	// cannot keep a shallow queue drained against bursting clients.
 	big := randMatrix(rng, 60000, 16)
 	queries := randMatrix(rng, 32, 16)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	// Every op under a cancelled parent must come back ErrDeadline, whether
+	// RunLoad derives a per-op timeout from it or hands it on as is, and
+	// VerifyMutated must say so through errors.Is.
+	deadParent := func(t *testing.T, e *Engine, rep LoadReport, live LiveSet) {
+		if rep.DeadlineExceeded != rep.Ops {
+			t.Errorf("cancelled parent: %d of %d ops expired: %+v", rep.DeadlineExceeded, rep.Ops, rep)
+		}
+		if err := VerifyMutated(cancelled, e, live, queries, 5, 0); !errors.Is(err, ErrDeadline) {
+			t.Errorf("VerifyMutated under a cancelled context: %v, want ErrDeadline", err)
+		}
+	}
 
 	// store rows serve data from a quantized store: the backend with an
 	// approximate path to pin or degrade to.
 	cases := []struct {
-		name  string
-		data  *linalg.Dense
-		store bool
-		eng   Config
-		load  LoadConfig
-		check func(t *testing.T, e *Engine, rep LoadReport, live LiveSet)
+		name   string
+		data   *linalg.Dense
+		store  bool
+		parent context.Context // nil: context.Background()
+		eng    Config
+		load   LoadConfig
+		check  func(t *testing.T, e *Engine, rep LoadReport, live LiveSet)
 	}{
 		{
 			name: "read-only",
@@ -77,6 +92,34 @@ func TestRunLoad(t *testing.T) {
 			check: func(t *testing.T, _ *Engine, rep LoadReport, _ LiveSet) {
 				if rep.DeadlineExceeded != rep.Ops {
 					t.Errorf("1 ns deadline: %d of %d ops expired", rep.DeadlineExceeded, rep.Ops)
+				}
+			},
+		},
+		{
+			name:   "cancelled parent",
+			data:   small,
+			parent: cancelled,
+			eng:    Config{Shards: 2},
+			load:   LoadConfig{Ops: 100, Concurrency: 4, WriteFraction: 0.3, K: 5},
+			check:  deadParent,
+		},
+		{
+			name:   "cancelled parent, per-op deadline",
+			data:   small,
+			parent: cancelled,
+			eng:    Config{Shards: 2},
+			load:   LoadConfig{Ops: 100, Concurrency: 4, WriteFraction: 0.3, K: 5, Deadline: time.Minute},
+			check:  deadParent,
+		},
+		{
+			name: "write-overload",
+			data: small,
+			eng:  Config{Shards: 2, MaxDelta: 4, CompactAt: -1},
+			load: LoadConfig{Ops: 200, Concurrency: 4, WriteFraction: 1, K: 5},
+			check: func(t *testing.T, _ *Engine, rep LoadReport, _ LiveSet) {
+				if rep.Overloaded == 0 || rep.OtherErrors != 0 {
+					t.Errorf("inserts past a 4-row delta bound with compaction off: %d overloaded, %d other errors, want > 0 and 0",
+						rep.Overloaded, rep.OtherErrors)
 				}
 			},
 		},
@@ -149,7 +192,11 @@ func TestRunLoad(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer e.Close()
-			rep, live, err := RunLoad(context.Background(), e, c.data, queries, c.load)
+			parent := c.parent
+			if parent == nil {
+				parent = context.Background()
+			}
+			rep, live, err := RunLoad(parent, e, c.data, queries, c.load)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -12,9 +12,8 @@ var raceEnabled bool
 // runtime: with the plan, scratch, and collector pools warm, one full
 // phase-1 sweep — plan construction, quantization, the blocked ×8
 // kernel scan with prefix early-abandon, and collector admission — does
-// zero heap allocations. This is the exact code path escapegate verifies
-// statically; the two must agree, and a regression in either flags the
-// same commit.
+// zero heap allocations. No static rule backs this pin: it is the one gate
+// for an allocation on this path.
 func TestScanHotPathZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")

@@ -69,6 +69,31 @@ func TestSearchSteadyStateAllocs(t *testing.T) {
 		if avg > 1 {
 			t.Errorf("%s: steady-state two-worker SearchLive with dead rows does %.1f allocs/op, want <= 1", name, avg)
 		}
+		// The remaining branches of SearchLive: a range with every row dead
+		// answers nothing, a worker count past what the range can split
+		// into is clamped, and after a page drop the candidates' exact rows
+		// are queued as read-ahead before the rescore.
+		allDead := []int{10, 11, 12, 13}
+		avg = testing.AllocsPerRun(100, func() {
+			s.SearchLive(q, 10, 14, 10, 100, 2, allDead)
+		})
+		if avg != 0 {
+			t.Errorf("%s: SearchLive over an all-dead range does %.1f allocs/op, want 0", name, avg)
+		}
+		avg = testing.AllocsPerRun(100, func() {
+			s.SearchRangeWorkers(q, 0, 100, 10, 100, 8)
+		})
+		if avg > 1 {
+			t.Errorf("%s: SearchRangeWorkers with more workers than segments does %.1f allocs/op, want <= 1", name, avg)
+		}
+		s.DropExactPages()
+		s.Search(q, 10, 100)
+		avg = testing.AllocsPerRun(100, func() {
+			s.Search(q, 10, 100)
+		})
+		if avg > 1 {
+			t.Errorf("%s: Search after DropExactPages does %.1f allocs/op, want <= 1", name, avg)
+		}
 	}
 }
 
