@@ -9,7 +9,6 @@ package synthetic
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/dataset"
@@ -73,76 +72,20 @@ func (c *LatentFactorConfig) Validate() error {
 	return nil
 }
 
-// Generate builds the data set described by the config.
+// Generate builds the data set described by the config: N rows of its
+// RowStream, copied into one matrix.
 func Generate(c LatentFactorConfig) (*dataset.Dataset, error) {
-	if err := c.Validate(); err != nil {
+	s, err := NewRowStream(c)
+	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(c.Seed))
-	k := len(c.ConceptStrengths)
-	d := c.Dims
-
-	// Mixing matrix W: random directions, orthonormalized so each concept is
-	// a distinct direction, then scaled by concept strength.
-	raw := linalg.NewDense(d, k)
-	for i := 0; i < d; i++ {
-		for j := 0; j < k; j++ {
-			raw.Set(i, j, rng.NormFloat64())
-		}
-	}
-	w := linalg.GramSchmidt(raw)
-	if w.Cols() < k {
-		// Random Gaussian columns in d >= k dimensions are almost surely
-		// independent; regenerate deterministically if not.
-		return nil, fmt.Errorf("synthetic: degenerate mixing matrix (%d of %d concepts)", w.Cols(), k)
-	}
-	for j := 0; j < k; j++ {
-		col := w.Col(j)
-		linalg.ScaleVec(c.ConceptStrengths[j], col)
-		w.SetCol(j, col)
-	}
-
-	// Per-class latent means.
-	mus := make([][]float64, c.Classes)
-	for cls := range mus {
-		mu := make([]float64, k)
-		for j := range mu {
-			mu[j] = rng.NormFloat64() * c.ClassSeparation
-		}
-		mus[cls] = mu
-	}
-
-	// Per-dimension scales.
-	scales := make([]float64, d)
-	for j := range scales {
-		if c.ScaleSpread == 0 {
-			scales[j] = 1
-		} else {
-			scales[j] = math.Pow(10, (rng.Float64()-0.5)*c.ScaleSpread)
-		}
-	}
-
-	x := linalg.NewDense(c.N, d)
+	x := linalg.NewDense(c.N, c.Dims)
 	labels := make([]int, c.N)
-	z := make([]float64, k)
-	for i := 0; i < c.N; i++ {
-		cls := i % c.Classes // balanced classes
-		labels[i] = cls
-		for j := 0; j < k; j++ {
-			z[j] = mus[cls][j] + rng.NormFloat64()
-		}
-		row := x.RawRow(i)
-		// row = W z + noise, then apply per-dimension scales.
-		for dd := 0; dd < d; dd++ {
-			v := 0.0
-			for j := 0; j < k; j++ {
-				v += w.At(dd, j) * z[j]
-			}
-			v += rng.NormFloat64() * c.NoiseStdDev
-			row[dd] = v * scales[dd]
-		}
+	for i := range labels {
+		var row []float64
+		row, labels[i] = s.Next()
+		copy(x.RawRow(i), row)
 	}
-
 	ds, err := dataset.New(c.Name, x, labels)
 	if err != nil {
 		return nil, err

@@ -175,7 +175,10 @@ func eigSymJacobi(in *Dense) (*EigenDecomposition, error) {
 // Layout: tred2 leaves the accumulated transformation Z in z; tqli would
 // rotate pairs of its columns, a stride-n walk, so z is transposed in place
 // between the two and tqli rotates pairs of contiguous rows of Zᵀ; it is
-// transposed back before the eigenvectors are sorted into columns.
+// transposed back before the eigenvectors are sorted into columns. That
+// rotation is rotRows: on amd64 an AVX2 kernel whose unfused multiplies,
+// adds and subtracts round exactly as rotGeneric's (Go does not fuse on
+// amd64), elsewhere rotGeneric itself.
 //
 // Both routines index z.data directly, and every floating-point expression
 // keeps the shape, operand order and per-element loop order of the
@@ -348,13 +351,7 @@ func tqli(d, e []float64, zt *Dense) error {
 				p = s * r
 				d[i+1] = g + p
 				g = c*r - b
-				lo := a[i*n : (i+1)*n]     // column i of Z
-				hi := a[(i+1)*n : (i+2)*n] // column i+1 of Z
-				for k, v := range lo {
-					f = hi[k]
-					hi[k] = s*v + c*f
-					lo[k] = c*v - s*f
-				}
+				rotRows(s, c, a[i*n:(i+1)*n], a[(i+1)*n:(i+2)*n]) // columns i, i+1 of Z
 			}
 			if underflow {
 				continue
@@ -365,6 +362,17 @@ func tqli(d, e []float64, zt *Dense) error {
 		}
 	}
 	return nil
+}
+
+// rotGeneric is tqli's rotation of two rows of Zᵀ (columns i and i+1 of
+// Z), the loop rotRows's assembly twin reproduces.
+func rotGeneric(s, c float64, lo, hi []float64) {
+	hi = hi[:len(lo)]
+	for k, v := range lo {
+		f := hi[k]
+		hi[k] = s*v + c*f
+		lo[k] = c*v - s*f
+	}
 }
 
 // sortEigen sorts eigenpairs ascending by eigenvalue, reordering the columns

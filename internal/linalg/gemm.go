@@ -128,7 +128,10 @@ func chainDot(a, b []float64) float64 {
 // symmetric by construction (the lower triangle is mirrored from the
 // computed upper triangle, so no post-hoc symmetrization is needed). Row
 // panels accumulate per-worker partial sums that are reduced in worker
-// order, so the result is deterministic for a fixed GOMAXPROCS.
+// order, so the result is deterministic for a fixed GOMAXPROCS. Within a
+// panel each entry is the row-order sum of its rows' products (ataPanel),
+// computed four rows per pass over the accumulator by one register-blocked
+// kernel (axpy4Unitary) and bit-identical to one axpy per row.
 func AtA(a *Dense) *Dense {
 	n, k := a.rows, a.cols
 	out := NewDense(k, k)
@@ -181,11 +184,34 @@ func AtA(a *Dense) *Dense {
 }
 
 // ataPanel accumulates the upper triangle of Σ_{i∈[lo,hi)} rowᵢ·rowᵢᵀ into
-// acc (a k×k row-major buffer): one suffix axpy per (row, leading index).
+// acc (a k×k row-major buffer). Its definition is one suffix axpy per
+// (row, leading index j) with a non-zero leading element, rows in order:
+// acc[j][j:] += row[j]·row[j:]. Four rows at a time share one pass over
+// each acc row (axpy4Unitary): every element still takes the four rows'
+// steps in row order, so the bits are the definition's. A leading index
+// where any of the four leading elements is zero goes row by row, so the
+// zero skip stays exact (0·Inf is NaN, not nothing).
 func ataPanel(a *Dense, acc []float64, lo, hi int) {
 	k := a.cols
-	for i := lo; i < hi; i++ {
-		row := a.data[i*k : (i+1)*k]
+	rows := a.data[lo*k : hi*k]
+	for ; len(rows) >= 4*k; rows = rows[4*k:] {
+		r0, r1, r2, r3 := rows[:k], rows[k:2*k], rows[2*k:3*k], rows[3*k:4*k]
+		for j, v0 := range r0 {
+			v1, v2, v3 := r1[j], r2[j], r3[j]
+			y := acc[j*k+j : (j+1)*k]
+			if v0 != 0 && v1 != 0 && v2 != 0 && v3 != 0 {
+				axpy4Unitary(v0, v1, v2, v3, r0[j:], r1[j:], r2[j:], r3[j:], y)
+				continue
+			}
+			for _, r := range [4][]float64{r0, r1, r2, r3} {
+				if r[j] != 0 {
+					axpyUnitary(r[j], r[j:], y)
+				}
+			}
+		}
+	}
+	for ; len(rows) >= k; rows = rows[k:] {
+		row := rows[:k]
 		for j, v := range row {
 			if v == 0 {
 				continue

@@ -1,6 +1,8 @@
 package linalg
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -223,4 +225,159 @@ func TestRowSlice(t *testing.T) {
 			fn()
 		}()
 	}
+}
+
+// ataOracle is AtA as it was before ataPanel blocked four rows per pass:
+// the same worker split and worker-order reduction, and one suffix axpy per
+// (row, non-zero leading element), frozen here. AtA promises the same
+// floating-point operations per output element in the same order, so its
+// result must match this bit for bit at every GOMAXPROCS; do not "tidy"
+// this function.
+func ataOracle(a *Dense) *Dense {
+	n, k := a.rows, a.cols
+	out := NewDense(k, k)
+	panel := func(acc []float64, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			row := a.data[i*k : (i+1)*k]
+			for j, v := range row {
+				if v == 0 {
+					continue
+				}
+				axpyUnitary(v, row[j:], acc[j*k+j:(j+1)*k])
+			}
+		}
+	}
+	workers := runtime.GOMAXPROCS(0)
+	if maxW := n / 64; workers > maxW {
+		workers = maxW
+	}
+	if workers <= 1 {
+		panel(out.data, 0, n)
+	} else {
+		chunk := (n + workers - 1) / workers
+		for w := 0; w < workers; w++ {
+			lo, hi := w*chunk, min((w+1)*chunk, n)
+			if lo >= hi {
+				break
+			}
+			buf := make([]float64, k*k)
+			panel(buf, lo, hi)
+			for i := 0; i < k; i++ {
+				Axpy(1, buf[i*k+i:(i+1)*k], out.data[i*k+i:(i+1)*k])
+			}
+		}
+	}
+	for i := 0; i < k; i++ {
+		for j := i + 1; j < k; j++ {
+			out.data[j*k+i] = out.data[i*k+j]
+		}
+	}
+	return out
+}
+
+// diffAtABits compares AtA(a) with the oracle at the current GOMAXPROCS and
+// describes the first entry whose bits differ, or returns "".
+func diffAtABits(a *Dense) string {
+	got, want := AtA(a), ataOracle(a)
+	for i, v := range got.data {
+		if w := want.data[i]; math.Float64bits(v) != math.Float64bits(w) {
+			return fmt.Sprintf("(%d,%d) = %v (%#x), oracle %v (%#x)", i/a.cols, i%a.cols,
+				v, math.Float64bits(v), w, math.Float64bits(w))
+		}
+	}
+	return ""
+}
+
+// ataProcs are the worker counts AtA's bits are checked at: one core, the
+// smallest split, an odd split, and more workers than most shapes have
+// 64-row chunks for.
+var ataProcs = []int{1, 2, 3, 8}
+
+// TestAtABitIdenticalToRowAxpy holds AtA to ataOracle: shapes on both sides
+// of the 64-row worker floor, row counts off the four-row block, widths
+// below, at and just past asmMinLen, and the paper's 6598 × 166; entries
+// with ±0, subnormals, all-zero rows and Inf/NaN.
+func TestAtABitIdenticalToRowAxpy(t *testing.T) {
+	special := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -3e-310,
+		math.Inf(1), math.Inf(-1), math.NaN()}
+	fill := func(rng *rand.Rand, n, k int, specials bool) *Dense {
+		a := randDense(rng, n, k)
+		for i := 0; i < n; i++ {
+			row := a.RawRow(i)
+			if i%7 == 3 {
+				clear(row)
+				continue
+			}
+			for j := range row {
+				switch u := rng.Float64(); {
+				case u < 0.1:
+					row[j] = 0
+				case specials && u < 0.13:
+					row[j] = special[rng.Intn(len(special))]
+				}
+			}
+		}
+		return a
+	}
+	rng := rand.New(rand.NewSource(97))
+	for _, c := range []struct{ n, k int }{
+		{1, 1}, {3, 5}, {5, 16}, {63, 17}, {64, 15}, {130, 7}, {131, 16}, {257, 17},
+		{403, 40}, {6598, 166},
+	} {
+		for _, specials := range []bool{false, true} {
+			a := fill(rng, c.n, c.k, specials)
+			for _, p := range ataProcs {
+				withWorkers(p, func() {
+					if diff := diffAtABits(a); diff != "" {
+						t.Errorf("%dx%d specials=%v GOMAXPROCS=%d: %s", c.n, c.k, specials, p, diff)
+					}
+				})
+			}
+		}
+	}
+}
+
+// FuzzAtA: two bytes pick the shape (up to 400 × 40), one the worker count,
+// and each entry takes three bytes: an int16 mantissa m and a shift s give
+// m/8192 · 2^−5s, so zeros, repeated values and subnormals are all a few
+// byte flips away, and the three mantissas nearest overflow stand for NaN,
+// +Inf and −Inf, as in fuzzSymmetric. Missing bytes read as zero, so short
+// inputs are sparse matrices.
+func FuzzAtA(f *testing.F) {
+	f.Add([]byte{0, 0, 0})
+	f.Add([]byte{3, 4, 1, 0, 64, 0, 0, 0x80, 0, 0, 32, 0})
+	f.Add([]byte{200, 16, 2, 0xff, 0x7f, 0, 0x01, 0x80, 0, 7, 9, 47, 250, 17, 40})
+	f.Add([]byte{255, 23, 3, 99, 200, 5, 61, 8, 12, 0, 0, 0, 1, 2, 3, 4, 5, 6})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			t.Skip()
+		}
+		n := 1 + int(data[0])%300
+		if data[0] >= 200 {
+			n += 100 // reach the three- and four-worker splits
+		}
+		k, procs := 1+int(data[1])%40, ataProcs[int(data[2])%len(ataProcs)]
+		data = data[3:]
+		a := NewDense(n, k)
+		for i := range a.data {
+			var b [3]byte
+			data = data[copy(b[:], data):]
+			m := int16(binary.LittleEndian.Uint16(b[:2]))
+			v := math.Ldexp(float64(m)/8192, -5*int(b[2]))
+			switch m {
+			case math.MinInt16:
+				v = math.NaN()
+			case math.MaxInt16:
+				v = math.Inf(1)
+			case math.MinInt16 + 1:
+				v = math.Inf(-1)
+			}
+			a.data[i] = v
+		}
+		withWorkers(procs, func() {
+			if diff := diffAtABits(a); diff != "" {
+				t.Fatalf("%dx%d GOMAXPROCS=%d: %s", n, k, procs, diff)
+			}
+		})
+	})
 }

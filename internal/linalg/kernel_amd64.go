@@ -14,6 +14,12 @@ func dotAVX2(a, b []float64) float64
 func axpyAVX2(alpha float64, x, y []float64)
 
 //go:noescape
+func axpy4AVX2(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64)
+
+//go:noescape
+func rotAVX2(s, c float64, lo, hi []float64)
+
+//go:noescape
 func mulTPanelAVX2(dst *float64, ldc int, a *float64, m, k int, bp *float64, w int)
 
 func cpuidx(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
@@ -66,6 +72,29 @@ func axpyUnitary(alpha float64, x, y []float64) {
 		return
 	}
 	axpyGeneric(alpha, x, y)
+}
+
+// axpy4Unitary is axpyUnitary(a0, x0, y) … axpyUnitary(a3, x3, y) in that
+// order, bit for bit: the assembly kernel keeps each element's four fused
+// steps in row order, and below asmMinLen the four generic calls run as
+// they would one by one.
+func axpy4Unitary(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64) {
+	if hasAVX2FMA && len(y) >= asmMinLen {
+		axpy4AVX2(a0, a1, a2, a3, x0, x1, x2, x3, y)
+		return
+	}
+	axpy4Generic(a0, a1, a2, a3, x0, x1, x2, x3, y)
+}
+
+// rotRows applies tqli's Givens rotation to two equal-length rows. The
+// assembly kernel rounds every product, sum and difference exactly as
+// rotGeneric does on amd64, where Go does not fuse.
+func rotRows(s, c float64, lo, hi []float64) {
+	if hasAVX2FMA {
+		rotAVX2(s, c, lo, hi)
+		return
+	}
+	rotGeneric(s, c, lo, hi)
 }
 
 // mulTRows computes output rows [lo, hi) of a·bᵀ (MulTInto's worker body;

@@ -13,4 +13,12 @@ func dotUnitary(a, b []float64) float64 { return dotGeneric(a, b) }
 
 func axpyUnitary(alpha float64, x, y []float64) { axpyGeneric(alpha, x, y) }
 
+func axpy4Unitary(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64) {
+	axpy4Generic(a0, a1, a2, a3, x0, x1, x2, x3, y)
+}
+
 func mulTRows(dst, a, b *Dense, lo, hi int) { mulTRowsChain(dst, a, b, lo, hi) }
+
+// rotRows stays the Go loop off amd64: a target that fuses s·v + c·f
+// computes its own bits, and the loop is what defines them.
+func rotRows(s, c float64, lo, hi []float64) { rotGeneric(s, c, lo, hi) }

@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -140,6 +141,75 @@ func TestKernelEdgeValues(t *testing.T) {
 		got, want := dotUnitary(c[0], c[1]), dotGeneric(c[0], c[1])
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("case %d: short-vector dot %v vs generic %v must be bit-identical", i, got, want)
+		}
+	}
+}
+
+// The two row kernels under AtA and tqli promise more than tolerance:
+// axpy4Unitary is four axpyUnitary calls in row order and rotRows is
+// rotGeneric, bit for bit, at every length on both sides of asmMinLen and
+// every tail residue.
+
+// parityValue draws a normal value, or one time in eight an edge value.
+func parityValue(rng *rand.Rand) float64 {
+	edges := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, 1e308, -1e-310}
+	if rng.Intn(8) == 0 {
+		return edges[rng.Intn(len(edges))]
+	}
+	return rng.NormFloat64()
+}
+
+func parityVec(rng *rand.Rand, d int) []float64 {
+	v := make([]float64, d)
+	for i := range v {
+		v[i] = parityValue(rng)
+	}
+	return v
+}
+
+func requireSameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: [%d] = %v (%#x), want %v (%#x)", what, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+func TestAxpy4IsFourAxpys(t *testing.T) {
+	rng := rand.New(rand.NewSource(101))
+	for d := 0; d <= 40; d++ {
+		for trial := 0; trial < 20; trial++ {
+			var a [4]float64
+			var x [4][]float64
+			for r := range a {
+				a[r], x[r] = rng.NormFloat64(), parityVec(rng, d)
+			}
+			y := parityVec(rng, d)
+			want := append([]float64(nil), y...)
+			for r := range a {
+				axpyUnitary(a[r], x[r], want)
+			}
+			axpy4Unitary(a[0], a[1], a[2], a[3], x[0], x[1], x[2], x[3], y)
+			requireSameBits(t, fmt.Sprintf("d=%d trial=%d", d, trial), y, want)
+		}
+	}
+}
+
+func TestRotRowsIsRotGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(103))
+	for d := 0; d <= 40; d++ {
+		for trial := 0; trial < 20; trial++ {
+			theta := rng.Float64() * 2 * math.Pi
+			s, c := math.Sin(theta), math.Cos(theta)
+			lo, hi := parityVec(rng, d), parityVec(rng, d)
+			wantLo, wantHi := append([]float64(nil), lo...), append([]float64(nil), hi...)
+			rotGeneric(s, c, wantLo, wantHi)
+			rotRows(s, c, lo, hi)
+			what := fmt.Sprintf("d=%d trial=%d", d, trial)
+			requireSameBits(t, what+" lo", lo, wantLo)
+			requireSameBits(t, what+" hi", hi, wantHi)
 		}
 	}
 }

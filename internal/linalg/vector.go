@@ -92,6 +92,15 @@ func axpyGeneric(alpha float64, x, y []float64) {
 	}
 }
 
+// axpy4Generic is four axpyGeneric calls, in row order: the portable twin
+// of the four-row kernel.
+func axpy4Generic(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64) {
+	axpyGeneric(a0, x0, y)
+	axpyGeneric(a1, x1, y)
+	axpyGeneric(a2, x2, y)
+	axpyGeneric(a3, x3, y)
+}
+
 // ScaleVec multiplies v by s in place.
 func ScaleVec(s float64, v []float64) {
 	for i := range v {
