@@ -48,7 +48,7 @@ func bceScope(fi *funcInfo) bool {
 	case modulePath + "/internal/store":
 		name := fi.decl.Name.Name
 		switch name {
-		case "combine", "prefixLB", "rowDotQ", "scoreAt":
+		case "combine", "rowDotQ", "scoreAt":
 			return true
 		}
 		return strings.HasPrefix(name, "scanBlock")

@@ -519,3 +519,186 @@ func FuzzFirstBelow(f *testing.F) {
 		requireFirstBelow(t, g, norms, bounds, qn, bound)
 	})
 }
+
+// The store's prefix-bound kernel (PrefixBounds) is exact in the same sense:
+// the assembly and its portable twin write the same bounds, bit for bit, and
+// the same mask, on every input.
+
+// prefixBlock is one input of PrefixBounds.
+type prefixBlock struct {
+	q             PrefixQuery
+	rows          []uint8
+	snorm         []float32
+	csum, csumSuf []uint32
+	bound         float64
+	// boundRow ≥ 0 replaces bound by the bound of row boundRow mod n, which
+	// splits the block and puts one row exactly at it (a tie is not below).
+	boundRow int
+}
+
+// requirePrefixBounds runs the block dispatched and with the assembly forced
+// off, each into mask words full of stale bits plus one word past the block
+// that must stay untouched, and holds the two runs to the same bits: equal
+// bounds (any NaN equal to any NaN), equal mask words, and bit j set iff
+// bound j is below the block-start bound.
+func requirePrefixBounds(t *testing.T, what string, b *prefixBlock) {
+	t.Helper()
+	n := len(b.snorm)
+	if b.boundRow >= 0 && n > 0 {
+		var lbs []float64
+		withGeneric(func() { lbs, _ = runPrefixBounds(b, math.Inf(1)) })
+		b.bound = lbs[b.boundRow%n]
+	}
+	lbs, mask := runPrefixBounds(b, b.bound)
+	var glbs []float64
+	var gmask []uint64
+	withGeneric(func() { glbs, gmask = runPrefixBounds(b, b.bound) })
+	for j := range lbs {
+		if math.Float64bits(lbs[j]) != math.Float64bits(glbs[j]) && !(math.IsNaN(lbs[j]) && math.IsNaN(glbs[j])) {
+			t.Fatalf("%s: row %d of %d: bound %v (%#x), portable twin %v (%#x)",
+				what, j, n, lbs[j], math.Float64bits(lbs[j]), glbs[j], math.Float64bits(glbs[j]))
+		}
+		if below := glbs[j] < b.bound; mask[j>>6]>>(j&63)&1 == 1 != below {
+			t.Fatalf("%s: row %d of %d: mask bit %d, bound %v against %v", what, j, n, mask[j>>6]>>(j&63)&1, glbs[j], b.bound)
+		}
+	}
+	for w := range mask {
+		if mask[w] != gmask[w] {
+			t.Fatalf("%s: mask word %d = %#x, portable twin %#x", what, w, mask[w], gmask[w])
+		}
+	}
+	if last := mask[len(mask)-1]; last != ^uint64(0) {
+		t.Fatalf("%s: the mask word past %d rows was overwritten: %#x", what, n, last)
+	}
+	if n%64 != 0 && mask[n/64]>>(n%64) != 0 {
+		t.Fatalf("%s: mask bits past row %d set: %#x", what, n, mask[n/64])
+	}
+}
+
+func runPrefixBounds(b *prefixBlock, bound float64) ([]float64, []uint64) {
+	n := len(b.snorm)
+	lbs := make([]float64, n)
+	mask := make([]uint64, (n+63)/64+1)
+	for w := range mask {
+		mask[w] = ^uint64(0)
+	}
+	PrefixBounds(&b.q, b.rows, b.snorm, b.csum, b.csumSuf, bound, lbs, mask)
+	return lbs, mask
+}
+
+// randPrefixBlock draws n rows of P codes, one code in eight at 0 or 255,
+// query codes up to MaxQ15 and store-shaped terms: csum the row's own code
+// sum, snorm its Σ (step·c)² for a random step, and a suffix sum up to
+// 255·100.
+func randPrefixBlock(rng *rand.Rand, P, n int) *prefixBlock {
+	b := &prefixBlock{rows: make([]uint8, n*P), snorm: make([]float32, n), csum: make([]uint32, n), csumSuf: make([]uint32, n)}
+	for i := range b.rows {
+		switch rng.Intn(16) {
+		case 0:
+			b.rows[i] = 0
+		case 1:
+			b.rows[i] = 255
+		default:
+			b.rows[i] = uint8(rng.Intn(256))
+		}
+	}
+	b.q.U = randCodesQ15(rng, P)
+	for i := range b.q.U {
+		if rng.Intn(8) == 0 {
+			b.q.U[i] = MaxQ15
+		}
+	}
+	step := rng.Float64()
+	for j := 0; j < n; j++ {
+		var sum uint32
+		var sn float64
+		for _, c := range b.rows[j*P : (j+1)*P] {
+			sum += uint32(c)
+			sn += (step * float64(c)) * (step * float64(c))
+		}
+		b.csum[j], b.snorm[j], b.csumSuf[j] = sum, float32(sn), uint32(rng.Intn(255*100+1))
+	}
+	b.q.A2 = math.Abs(rng.NormFloat64()) * 1e4
+	b.q.Tmin = rng.NormFloat64() * 10
+	b.q.Tstep = math.Abs(rng.NormFloat64()) / MaxQ15
+	b.q.Margin = 1e-9 * (b.q.A2 + 1)
+	return b
+}
+
+// TestPrefixBoundsMatchTwin runs every block length from 0 to 40 rows (zero
+// to five groups of eight, every tail) at every prefix width the assembly
+// takes, and at 48 codes, which it does not (the twin runs alone), against
+// a bound that splits the block, ±Inf and NaN.
+func TestPrefixBoundsMatchTwin(t *testing.T) {
+	rng := rand.New(rand.NewSource(109))
+	for _, P := range []int{16, 32, 48, 64, 256} {
+		for n := 0; n <= 40; n++ {
+			for bi, bound := range []float64{0, math.Inf(1), math.Inf(-1), math.NaN()} {
+				b := randPrefixBlock(rng, P, n)
+				b.bound, b.boundRow = bound, -1
+				if bi == 0 {
+					b.boundRow = rng.Intn(n + 1)
+				}
+				requirePrefixBounds(t, fmt.Sprintf("P=%d n=%d bound#%d", P, n, bi), b)
+			}
+		}
+	}
+}
+
+// FuzzPrefixBound holds the assembly to its portable twin on fuzzer-chosen
+// blocks. The first three bytes pick the width (32 or 64 codes), the row
+// count (0 to 40) and the bound (a row's own bound, +Inf, −Inf or NaN);
+// the next twelve the query scalars; the rest, cycled, the query codes
+// (masked to MaxQ15), the row codes and the per-row terms.
+func FuzzPrefixBound(f *testing.F) {
+	f.Add([]byte{0, 9, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 255, 0})
+	f.Add([]byte{1, 40, 1, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 0x7f, 0xff, 255, 255, 0, 0})
+	f.Add([]byte{1, 17, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{0, 31, 2, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 1, 2, 0x7f, 0xff, 0, 255})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 15 {
+			t.Skip()
+		}
+		P := []int{32, 64}[data[0]&1]
+		n := int(data[1]) % 41
+		rest := data[15:]
+		k := 0
+		next := func() byte {
+			if len(rest) == 0 {
+				return 0
+			}
+			v := rest[k%len(rest)]
+			k++
+			return v
+		}
+		le := binary.LittleEndian
+		b := &prefixBlock{rows: make([]uint8, n*P), snorm: make([]float32, n), csum: make([]uint32, n), csumSuf: make([]uint32, n), boundRow: -1}
+		b.q.A2 = float64(le.Uint32(data[3:])) / 16
+		b.q.Tmin = float64(int32(le.Uint32(data[7:]))) / 1024
+		b.q.Tstep = float64(le.Uint32(data[11:])) / (1 << 40)
+		b.q.Margin = 1e-9 * (b.q.A2 + 1)
+		b.q.U = make([]uint16, P)
+		for i := range b.q.U {
+			b.q.U[i] = (uint16(next())<<8 | uint16(next())) & MaxQ15
+		}
+		for i := range b.rows {
+			b.rows[i] = next()
+		}
+		for j := 0; j < n; j++ {
+			b.snorm[j] = float32(uint32(next())<<16|uint32(next())<<8|uint32(next())) / 64
+			b.csum[j] = uint32(next())<<24 | uint32(next())<<16 | uint32(next())<<8 | uint32(next())
+			b.csumSuf[j] = uint32(next())<<24 | uint32(next())<<16 | uint32(next())<<8 | uint32(next())
+		}
+		switch data[2] & 3 {
+		case 0:
+			b.boundRow = int(next())
+		case 1:
+			b.bound = math.Inf(1)
+		case 2:
+			b.bound = math.Inf(-1)
+		case 3:
+			b.bound = math.NaN()
+		}
+		requirePrefixBounds(t, fmt.Sprintf("P=%d n=%d", P, n), b)
+	})
+}

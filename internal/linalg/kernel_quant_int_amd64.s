@@ -171,8 +171,8 @@ q15u8x8done:
 	// ≤ 16 iterations (256 codes): every row total fits i32 — 8 lanes of
 	// at most 16 pair sums ≤ 2·32767·255 each is < 2³¹ — so a VPHADDD
 	// tree collapses all eight rows in a dozen instructions. This is the
-	// path the store's 64-dim prefix sweep takes, where the reduce would
-	// otherwise rival the 4-iteration dot loop itself.
+	// path the store's full pass takes at d ≤ 256, where the reduce would
+	// otherwise rival the ten-iteration dot loop of 166 codes itself.
 	VPHADDD Y1, Y0, Y0
 	VPHADDD Y3, Y2, Y2
 	VPHADDD Y2, Y0, Y0 // rows 0..3, halves split across 128-bit lanes
@@ -279,5 +279,173 @@ q15u8x8wide:
 	ADDQ BX, AX
 	MOVQ AX, 56(DI)
 
+	VZEROUPPER
+	RET
+
+// func prefixBoundsAVX2(u []uint16, rows *uint8, snorm *float32, csum, csumSuf *uint32, groups int, terms *[5]float64, lbs *float64, mask *uint64)
+//
+// The prefix sweep of the quantized store, eight rows per group (PrefixBounds
+// in quant_int.go has the contract). rows is the prefix plane, stride
+// P = len(u), P a multiple of 16 up to 256; terms is {A2, Tmin, Tstep,
+// Margin, bound}. Per group: the ×8 dot loop with rows 0–3 and 4–7 addressed
+// from two bases (R8, R9) by P and 3P, the VPHADDD tree of dotQ15U8x8AVX2's
+// short path (each row total is below 2³¹, so the i32 sums and VCVTDQ2PD
+// are exact), then per four rows the bound as unfused double operations in
+// the portable twin's order, one 32-byte store of bounds and a VMOVMSKPD
+// of the LT_OQ compare against bound; the two nibbles make one mask byte.
+// The uint32 terms are widened exactly by the 2⁵² trick: zero-extend to
+// 64 bits, OR in the exponent of 2⁵², subtract 2⁵². The sweep is a
+// sequential stream the hardware prefetcher alone does not keep ahead of
+// (four streams and survivors' scattered code rows between them), so R14
+// walks the plane 4 KB ahead, two lines per 16-code step — 8P bytes per
+// group, in step with the rows — and each group touches the three columns
+// 64 rows ahead. PREFETCHT0 never faults, so running past the end is safe.
+TEXT ·prefixBoundsAVX2(SB), NOSPLIT, $0-88
+	MOVQ u_base+0(FP), SI
+	MOVQ u_len+8(FP), R12 // P
+	MOVQ rows+24(FP), R8
+	MOVQ snorm+32(FP), R10
+	MOVQ csum+40(FP), R11
+	MOVQ csumSuf+48(FP), BX
+	MOVQ groups+56(FP), AX
+	MOVQ terms+64(FP), DX
+	MOVQ mask+80(FP), DI
+	VBROADCASTSD 0(DX), Y10  // A2
+	VBROADCASTSD 8(DX), Y11  // Tmin
+	VBROADCASTSD 16(DX), Y12 // Tstep
+	VBROADCASTSD 24(DX), Y13 // Margin
+	VBROADCASTSD 32(DX), Y14 // bound
+	MOVQ lbs+72(FP), DX
+	MOVQ $0x4330000000000000, R14 // 2⁵² as a double
+	MOVQ R14, X15
+	VPBROADCASTQ X15, Y15
+	LEAQ (R12)(R12*2), R13 // 3P
+	LEAQ (R8)(R12*4), R9   // row 4
+	LEAQ 4096(R8), R14     // prefetch cursor
+	TESTQ AX, AX
+	JZ    pbdone
+
+pbgroup:
+	MOVQ R12, CX
+	SHRQ $4, CX
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	VPXOR Y4, Y4, Y4
+	VPXOR Y5, Y5, Y5
+	VPXOR Y6, Y6, Y6
+	VPXOR Y7, Y7, Y7
+
+pbdot:
+	VMOVDQU (SI), Y8
+	VPMOVZXBW (R8), Y9
+	VPMADDWD Y8, Y9, Y9
+	VPADDD Y9, Y0, Y0
+	VPMOVZXBW (R8)(R12*1), Y9
+	VPMADDWD Y8, Y9, Y9
+	VPADDD Y9, Y1, Y1
+	VPMOVZXBW (R8)(R12*2), Y9
+	VPMADDWD Y8, Y9, Y9
+	VPADDD Y9, Y2, Y2
+	VPMOVZXBW (R8)(R13*1), Y9
+	VPMADDWD Y8, Y9, Y9
+	VPADDD Y9, Y3, Y3
+	VPMOVZXBW (R9), Y9
+	VPMADDWD Y8, Y9, Y9
+	VPADDD Y9, Y4, Y4
+	VPMOVZXBW (R9)(R12*1), Y9
+	VPMADDWD Y8, Y9, Y9
+	VPADDD Y9, Y5, Y5
+	VPMOVZXBW (R9)(R12*2), Y9
+	VPMADDWD Y8, Y9, Y9
+	VPADDD Y9, Y6, Y6
+	VPMOVZXBW (R9)(R13*1), Y9
+	VPMADDWD Y8, Y9, Y9
+	VPADDD Y9, Y7, Y7
+	PREFETCHT0 (R14)
+	PREFETCHT0 64(R14)
+	ADDQ $128, R14
+	ADDQ $32, SI
+	ADDQ $16, R8
+	ADDQ $16, R9
+	DECQ CX
+	JNZ  pbdot
+
+	SUBQ R12, SI           // rewind u (2P bytes)
+	SUBQ R12, SI
+	LEAQ (R9)(R13*1), R8   // next group: row 4 + P + 3P = row 0 + 8P
+	LEAQ (R8)(R12*4), R9
+
+	VPHADDD Y1, Y0, Y0
+	VPHADDD Y3, Y2, Y2
+	VPHADDD Y2, Y0, Y0
+	VPHADDD Y5, Y4, Y4
+	VPHADDD Y7, Y6, Y6
+	VPHADDD Y6, Y4, Y4
+	VEXTRACTI128 $1, Y0, X1
+	VPADDD X1, X0, X0 // rows 0..3, i32
+	VEXTRACTI128 $1, Y4, X5
+	VPADDD X5, X4, X4 // rows 4..7
+	VCVTDQ2PD X0, Y0
+	VCVTDQ2PD X4, Y4
+
+	PREFETCHT0 256(R10)
+	PREFETCHT0 256(R11)
+	PREFETCHT0 256(BX)
+	// Rows 0..3: est = (A2 + snorm) − 2·(Tmin·csum + Tstep·dot),
+	// lb = (est − Tstep·csumSuf) − Margin.
+	VCVTPS2PD (R10), Y1
+	VADDPD Y1, Y10, Y1
+	VPMOVZXDQ (R11), Y2
+	VPOR Y15, Y2, Y2
+	VSUBPD Y15, Y2, Y2
+	VMULPD Y11, Y2, Y2
+	VMULPD Y12, Y0, Y0
+	VADDPD Y0, Y2, Y2
+	VADDPD Y2, Y2, Y2
+	VSUBPD Y2, Y1, Y1
+	VPMOVZXDQ (BX), Y3
+	VPOR Y15, Y3, Y3
+	VSUBPD Y15, Y3, Y3
+	VMULPD Y12, Y3, Y3
+	VSUBPD Y3, Y1, Y1
+	VSUBPD Y13, Y1, Y1
+	VMOVUPD Y1, (DX)
+	VCMPPD $0x11, Y14, Y1, Y1 // LT_OQ: lb < bound, false on NaN
+	VMOVMSKPD Y1, CX
+	MOVB CX, (DI) // rows 0..3: the mask byte's low nibble
+
+	// Rows 4..7, the same sequence.
+	VCVTPS2PD 16(R10), Y5
+	VADDPD Y5, Y10, Y5
+	VPMOVZXDQ 16(R11), Y6
+	VPOR Y15, Y6, Y6
+	VSUBPD Y15, Y6, Y6
+	VMULPD Y11, Y6, Y6
+	VMULPD Y12, Y4, Y4
+	VADDPD Y4, Y6, Y6
+	VADDPD Y6, Y6, Y6
+	VSUBPD Y6, Y5, Y5
+	VPMOVZXDQ 16(BX), Y7
+	VPOR Y15, Y7, Y7
+	VSUBPD Y15, Y7, Y7
+	VMULPD Y12, Y7, Y7
+	VSUBPD Y7, Y5, Y5
+	VSUBPD Y13, Y5, Y5
+	VMOVUPD Y5, 32(DX)
+	VCMPPD $0x11, Y14, Y5, Y5
+	VMOVMSKPD Y5, CX
+	SHLB $4, CX
+	ORB  CX, (DI)
+	ADDQ $32, R10
+	ADDQ $32, R11
+	ADDQ $32, BX
+	ADDQ $64, DX
+	INCQ DI
+	DECQ AX
+	JNZ  pbgroup
+
+pbdone:
 	VZEROUPPER
 	RET

@@ -103,3 +103,84 @@ func dotQ15U8x8Generic(u []uint16, rows []uint8, stride int, out *[8]int64) {
 		out[r] = dotQ15U8Generic(u, rows[r*stride:r*stride+len(u)])
 	}
 }
+
+// PrefixQuery is the query side of the quantized store's early-abandon
+// bound (PrefixBounds): the Q15 codes of the P leading scan weights and
+// the scalars the bound folds them into, with aⱼ = qⱼ − minⱼ, tⱼ =
+// aⱼ·stepⱼ and tⱼ rounded to the Q15 grid t̃ⱼ = Tmin + Tstep·uⱼ.
+type PrefixQuery struct {
+	U           []uint16 // uⱼ, j < P
+	A2          float64  // Σ_{j<P} aⱼ²
+	Tmin, Tstep float64  // the grid of every uⱼ, prefix and suffix alike
+	Margin      float64  // floating-point slack, subtracted last
+}
+
+// PrefixBounds writes the admissible lower bound of each row of a P-code
+// prefix block, P = len(q.U), and marks the rows below bound: for the
+// n = len(lbs) rows j, with dotⱼ = Σ_{i<P} q.U[i]·rows[j·P+i],
+//
+//	lbs[j] = A2 + snorm[j] − 2·(Tmin·csum[j] + Tstep·dotⱼ) − Tstep·csumSuf[j] − Margin
+//
+// rounded operation by operation in that order, each product on its own,
+// and bit j of mask is set iff lbs[j] < bound. mask[:(n+63)/64] is
+// overwritten; the rest of mask is untouched.
+//
+// The quantized store computes its phase-1 estimate of ‖q − x̂‖² as
+//
+//	full = a2 + snorm − 2·(Tmin·csum + Tstep·Σⱼ uⱼcⱼ)
+//
+// over all d dimensions. In exact arithmetic that is Σⱼ (aⱼ − stepⱼcⱼ)² −
+// 2eⱼcⱼ, where eⱼ = t̃ⱼ − tⱼ is the query's Q15 rounding error, |eⱼ| ≤
+// Tstep/2. The same sum over j < P is the prefix estimate, so the suffix
+// adds at least −2·Σ_{j≥P} eⱼcⱼ ≥ −Tstep·csumSuf (cⱼ ≥ 0): the bound
+// without Margin never exceeds the full estimate. The store passes the
+// prefix's Σ (stepⱼcⱼ)² as snorm rounded toward zero, which only lowers the
+// bound. What is left is floating point: both sides round a handful of
+// times at the scale of a2 + snorm and of the two products, and the
+// quantizer's own rounding can push |eⱼ| a few ulps past Tstep/2. The store
+// sets Margin to 10⁻⁹·(a2 + mean snorm + 1), millions of ulps at that
+// scale, which covers all of it; TestPrefixBoundAdmissible (internal/store) holds
+// every row of every test store to lbs ≤ full, far-outlier queries included.
+//
+// On AVX2 hardware, for P a multiple of 16 up to 256, eight rows at a time
+// run in assembly: the eight dots stay in int32 lanes (a whole row is at
+// most 256·32767·255 < 2³¹, so the conversion to float64 is exact), and the
+// bound is the same unfused VMULPD/VADDPD/VSUBPD sequence as the portable
+// twin's, so both write the same bits. rows holds n rows of stride P;
+// snorm, csum and csumSuf at least n entries each.
+//
+//drlint:hotpath inline=1
+func PrefixBounds(q *PrefixQuery, rows []uint8, snorm []float32, csum, csumSuf []uint32, bound float64, lbs []float64, mask []uint64) {
+	n, P := len(lbs), len(q.U)
+	if len(rows) < n*P || len(snorm) < n || len(csum) < n || len(csumSuf) < n || len(mask) < (n+63)/64 {
+		panic(fmt.Sprintf("linalg: PrefixBounds over %d rows of %d codes has %d codes, %d/%d/%d row terms, %d mask words",
+			n, P, len(rows), len(snorm), len(csum), len(csumSuf), len(mask)))
+	}
+	clear(mask[:(n+63)/64])
+	prefixBoundsUnitary(q, rows, snorm[:n], csum[:n], csumSuf[:n], bound, lbs, mask)
+}
+
+// bound is one row of PrefixBounds, the expression the assembly evaluates.
+// The explicit conversions round each product before it is added, so no
+// toolchain may fuse them into an FMA the assembly does not use.
+func (q *PrefixQuery) bound(dot int64, snorm float32, csum, csumSuf uint32) float64 {
+	s := float64(q.Tmin*float64(csum)) + float64(q.Tstep*float64(dot))
+	est := q.A2 + float64(snorm) - float64(2*s)
+	return est - float64(q.Tstep*float64(csumSuf)) - q.Margin
+}
+
+// prefixBoundsGeneric is the portable twin of PrefixBounds over rows
+// [from, len(lbs)); mask bits of those rows must be clear on entry.
+func prefixBoundsGeneric(q *PrefixQuery, rows []uint8, snorm []float32, csum, csumSuf []uint32, bound float64, lbs []float64, mask []uint64, from int) {
+	P := len(q.U)
+	snorm, csum, csumSuf = snorm[:len(lbs)], csum[:len(lbs)], csumSuf[:len(lbs)]
+	for j := from; j < len(lbs); j++ {
+		//drlint:ignore bcegate prefix-plane geometry (j*P) is the caller's layout contract; one reslice check per row
+		lb := q.bound(dotQ15U8Unitary(q.U, rows[j*P:(j+1)*P]), snorm[j], csum[j], csumSuf[j])
+		lbs[j] = lb
+		if lb < bound {
+			//drlint:ignore bcegate mask covers len(lbs) bits by PrefixBounds' length check; one check per row below the bound
+			mask[j>>6] |= 1 << (j & 63)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/knn"
 )
@@ -114,6 +115,40 @@ func BenchmarkExactSearch6598x166(b *testing.B) {
 		}
 		qi = (qi + 1) % queries.Rows()
 	}
+}
+
+// BenchmarkScanBlockPrefix times the prefix pass alone, in ns per row: each
+// iteration scans a variance-ordered 166-dim store as scanSegment does at
+// one worker with a budget of 320 (32·k at k = 10) — 32 full warm-up
+// blocks, then prefix blocks over the 64-code plane to the end, where about
+// 6 % of rows survive the bound — and only the prefix blocks are on the
+// clock. 32768 rows keep CI's one-pass smoke run short.
+func BenchmarkScanBlockPrefix(b *testing.B) {
+	const n, warm, budget = 32768, warmupBlocks * scanBlockRows, 320
+	data, queries := testData(b, n, 16, 166, 101)
+	acc := NewScaleAccumulator(166)
+	for i := 0; i < n; i++ {
+		acc.Add(data.RawRow(i))
+	}
+	s := buildStore(b, data, BuildConfig{Perm: acc.VarianceOrder()})
+	sc := s.getScratch()
+	c := knn.NewCollector(budget)
+	var prefix time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := s.getPlan(queries.RawRow(i % queries.Rows()))
+		c.Reset(budget)
+		for base := 0; base < warm; base += scanBlockRows {
+			s.scanBlockFull(p, sc, base, base+scanBlockRows, c)
+		}
+		t0 := time.Now()
+		for base := warm; base < n; base += scanBlockRows {
+			s.scanBlockPrefix(p, sc, base, base+scanBlockRows, c)
+		}
+		prefix += time.Since(t0)
+		s.putPlan(p)
+	}
+	b.ReportMetric(float64(prefix.Nanoseconds())/float64(b.N*(n-warm)), "ns/row")
 }
 
 func BenchmarkStoreBuild6598x166(b *testing.B) {

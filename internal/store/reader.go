@@ -11,18 +11,6 @@ import (
 	"repro/internal/linalg"
 )
 
-// prefixAux is the per-row side record of the early-abandon pass, packed
-// to 12 bytes so the prefix sweep streams P+12 bytes per row. The code
-// sums are exact: csumP ≤ 255·P and csumSuf ≤ 255·(d−P) both fit uint32
-// with room to spare. snormP is the one lossy field — it is
-// rounded toward zero at build time (never up), so the lower bound it
-// enters can only loosen; admissibility never depends on float32 having
-// enough precision.
-type prefixAux struct {
-	snormP         float32
-	csumP, csumSuf uint32
-}
-
 // Store is an opened, mmap-backed quantized vector store. All search
 // methods are safe for concurrent use; Close waits for in-flight searches
 // and unmaps the file.
@@ -52,16 +40,16 @@ type Store struct {
 
 	// The early-abandon prefix: the first prefDims storage dimensions
 	// (0 disables the pass). pref8 holds a contiguous copy of those
-	// leading codes — stride prefDims, no padding — so the
-	// prefix pass streams ~P bytes per row instead of faulting the full
-	// codeStride row. prefAux holds one packed 12-byte record per row
-	// (see prefixAux) with the prefix parts of snorm and csum plus the
-	// suffix code sum csum−csumP that scales the admissible slack
-	// (prefix lower bound = prefix estimate − tstep·csumSuf, see
-	// scanBlockPrefix).
-	prefDims int
-	pref8    []uint8
-	prefAux  []prefixAux
+	// leading codes — stride prefDims, no padding — so the prefix pass
+	// streams P bytes per row instead of the full codeStride row, and
+	// three columns, 12 bytes per row in all, hold the row terms of
+	// linalg.PrefixBounds: the prefix part of snorm, rounded toward zero
+	// (never up, so the bound it enters can only loosen), and the prefix
+	// and suffix code sums (exact: ≤ 255·d fits uint32).
+	prefDims       int
+	pref8          []uint8
+	snormP         []float32
+	csumP, csumSuf []uint32
 	// snormMean scales the floating-point safety margin subtracted from
 	// prefix lower bounds.
 	snormMean float64
@@ -103,6 +91,9 @@ func Open(path string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	if st.Size() < headerSize {
+		return nil, fmt.Errorf("%w: %s is %d bytes, shorter than the header", ErrCorrupt, path, st.Size())
+	}
 	hdr := make([]byte, headerSize)
 	if _, err := f.ReadAt(hdr, 0); err != nil {
 		return nil, fmt.Errorf("store: reading header of %s: %w", path, err)
@@ -112,10 +103,10 @@ func Open(path string) (*Store, error) {
 		return nil, fmt.Errorf("store: %s: %w", path, err)
 	}
 	if st.Size() != l.fileSize {
-		return nil, fmt.Errorf("store: %s is %d bytes, header says %d", path, st.Size(), l.fileSize)
+		return nil, fmt.Errorf("%w: %s is %d bytes, header says %d", ErrCorrupt, path, st.Size(), l.fileSize)
 	}
 	if endianSentinelNative(hdr) != endianSentinel {
-		return nil, fmt.Errorf("store: %s: native byte order does not match the little-endian file layout", path)
+		return nil, fmt.Errorf("%w: %s: native byte order does not match the little-endian file layout", ErrFormat, path)
 	}
 	mm, err := mapFile(f, l.fileSize)
 	if err != nil {
@@ -195,10 +186,17 @@ func (s *Store) buildScanCaches() {
 	P := prefixDims(d)
 	s.prefDims = P
 	if P > 0 {
-		s.prefAux = make([]prefixAux, n)
-		adviseHuge(s.prefAux)
+		// The columns go before the plane, where the packed record they
+		// replaced was: allocated after it, they left 3 MB more resident
+		// on store_approx (EXPERIMENTS.md, "The prefix sweep in one kernel").
+		s.snormP = make([]float32, n)
+		s.csumP = make([]uint32, n)
+		s.csumSuf = make([]uint32, n)
 		s.pref8 = make([]uint8, n*P)
 		adviseHuge(s.pref8)
+		adviseHuge(s.snormP)
+		adviseHuge(s.csumP)
+		adviseHuge(s.csumSuf)
 	}
 	// Quantization steps of the prefix dimensions, in storage order.
 	psteps := s.steps[:P]
@@ -224,11 +222,9 @@ func (s *Store) buildScanCaches() {
 			if float64(sn) > snormP {
 				sn = math.Nextafter32(sn, 0)
 			}
-			s.prefAux[i] = prefixAux{
-				snormP:  sn,
-				csumP:   uint32(csumP),
-				csumSuf: uint32(csum - csumP),
-			}
+			s.snormP[i] = sn
+			s.csumP[i] = uint32(csumP)
+			s.csumSuf[i] = uint32(csum - csumP)
 		}
 	}
 	if n > 0 {
@@ -241,11 +237,11 @@ func (s *Store) buildScanCaches() {
 // non-negative step.
 func validateMeta(perm []int, mins, steps []float64) error {
 	if !isPermutation(perm) {
-		return fmt.Errorf("perm region is not a permutation of [0,%d) (corrupt file)", len(perm))
+		return fmt.Errorf("%w: perm region is not a permutation of [0,%d)", ErrCorrupt, len(perm))
 	}
 	for j := range mins {
 		if math.IsNaN(mins[j]) || math.IsInf(mins[j], 0) || math.IsInf(steps[j], 0) || !(steps[j] >= 0) {
-			return fmt.Errorf("scale of storage dimension %d is min=%v step=%v (corrupt file)", j, mins[j], steps[j])
+			return fmt.Errorf("%w: scale of storage dimension %d is min=%v step=%v", ErrCorrupt, j, mins[j], steps[j])
 		}
 	}
 	return nil
@@ -270,11 +266,11 @@ func (s *Store) Dims() int { return s.l.d }
 
 // BytesPerVectorScan returns the bytes per point that a phase-1 scan keeps
 // resident: the padded code row, the cached {norm, code-sum} pair, and —
-// when the early-abandon pass is enabled — the prefix code plane with its
-// packed 12-byte aux record. The float64
-// alternative is 8·d; their ratio is the store's resident-memory win.
-// (An abandoning scan touches far fewer bytes than this on most rows;
-// this is the resident footprint, not the traffic.)
+// when the early-abandon pass is enabled — the prefix code plane and its
+// three 4-byte columns (snormP, csumP, csumSuf). The float64 alternative
+// is 8·d; their ratio is the store's resident-memory win. This is the
+// resident footprint, not the traffic: a row the prefix bound prunes costs
+// the sweep only its P + 12 bytes.
 func (s *Store) BytesPerVectorScan() int {
 	b := s.l.codeStride + 16
 	if s.prefDims > 0 {

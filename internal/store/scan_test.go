@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/knn"
+	"repro/internal/linalg"
 )
 
 // naiveSearchRange is the scalar reference for the blocked scan: the
@@ -110,6 +111,53 @@ func TestVariantMatrixCoversPrefixStates(t *testing.T) {
 	for _, P := range []int{0, 32, 64} {
 		if !seen[P] {
 			t.Errorf("no store in the variant matrix has a %d-code prefix; covered: %v", P, seen)
+		}
+	}
+}
+
+// TestPrefixBoundAdmissible holds the argument written at
+// linalg.PrefixBounds to the stores the scan tests run on: at every width
+// in prefixTestDims that has a prefix, under the whole variant matrix, no
+// row's prefix bound exceeds its full phase-1 estimate (combine). The
+// queries are held-out rows as they are; stored rows decoded from their
+// codes, where the suffix's squared terms vanish for that row and only the
+// query-rounding slack Tstep·csumSuf keeps its bound below; and held-out
+// rows moved 10 and 1000 code ranges off the data, dimension by dimension
+// in alternating directions, where the a2 and Tmin·csum terms dwarf the
+// rest.
+func TestPrefixBoundAdmissible(t *testing.T) {
+	n := 3000
+	lbs, mask := make([]float64, n), make([]uint64, (n+63)/64)
+	for _, d := range prefixTestDims {
+		data, queries := testData(t, n, 4, d, 47)
+		for name, cfg := range storeVariants(data) {
+			s := buildStore(t, data, cfg)
+			if s.PrefixDims() == 0 {
+				continue
+			}
+			steps := s.Steps()
+			var qs [][]float64
+			for qi := 0; qi < queries.Rows(); qi++ {
+				qs = append(qs, s.DequantRow(qi*701))
+				for _, ranges := range []float64{0, 10, -1000} {
+					q := append([]float64(nil), queries.RawRow(qi)...)
+					for j := range q {
+						q[j] += ranges * maxCode * steps[j] * float64(1-2*(j%2))
+					}
+					qs = append(qs, q)
+				}
+			}
+			for qi, q := range qs {
+				p := s.getPlan(q)
+				linalg.PrefixBounds(&p.pre, s.pref8, s.snormP, s.csumP, s.csumSuf, math.Inf(1), lbs, mask)
+				for i, lb := range lbs {
+					if est := s.scoreAt(p, i); !(lb <= est) {
+						t.Fatalf("%s d=%d query %d: row %d has prefix bound %v above its estimate %v",
+							name, d, qi, i, lb, est)
+					}
+				}
+				s.putPlan(p)
+			}
 		}
 	}
 }

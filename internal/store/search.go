@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -10,10 +11,12 @@ import (
 	"repro/internal/linalg"
 )
 
-// scanBlockRows is the granularity of the threshold-pruned sweep: the ×8
-// integer kernel scores this many rows into a flat buffer, then a branchy
-// pass offers only entries below the collector's current bound. 256 rows
-// keep the score buffer well inside L1 while amortizing the bound reloads.
+// scanBlockRows is the granularity of the threshold-pruned sweep: a full
+// block scores this many rows with the ×8 kernel into a flat buffer, a
+// prefix block is one linalg.PrefixBounds call (bounds plus survivor
+// mask), and a branchy pass then offers only rows below the collector's
+// current bound. The 2 KB buffer and 32-byte mask are still in L1 when
+// that pass reads them, and one kernel call and bound load serve 256 rows.
 const scanBlockRows = 256
 
 // minSegmentRows is the smallest per-worker slice of an intra-query
@@ -41,20 +44,20 @@ type plan struct {
 	t  []float64 // aⱼ·stepⱼ, storage order
 	a2 float64   // Σ aⱼ²
 
-	u      []uint16 // Q15 codes of t: uⱼ = round((tⱼ−tmin)/tstep)
-	tmin   float64
-	tstep  float64
-	a2P    float64 // Σ aⱼ² over the early-abandon prefix dims
-	margin float64 // FP slack subtracted from prefix lower bounds
+	u     []uint16 // Q15 codes of t: uⱼ = round((tⱼ−tmin)/tstep)
+	tmin  float64
+	tstep float64
+	pre   linalg.PrefixQuery // the prefix lower bound's query side
 
 	dead []int // ascending tombstoned positions the sweep skips (SearchLive)
 }
 
-// scanScratch is the per-segment block buffer, pooled so steady-state
-// searches do not allocate, and the part of the plan's dead list the
-// segment has not walked past.
+// scanScratch is the per-segment block buffer and prefix-block survivor
+// mask, pooled so steady-state searches do not allocate, and the part of
+// the plan's dead list the segment has not walked past.
 type scanScratch struct {
 	scores []float64
+	mask   [scanBlockRows / 64]uint64
 	dead   []int
 }
 
@@ -86,10 +89,10 @@ func (s *Store) getPlan(q []float64) *plan {
 		p.t[j] = a * s.steps[j]
 		p.a2 += a * a
 	}
-	p.a2P = 0
+	a2P := 0.0
 	for j, pj := range s.perm[:s.prefDims] {
 		a := q[pj] - s.mins[j]
-		p.a2P += a * a
+		a2P += a * a
 	}
 	p.quantizeQ15()
 	// The prefix lower bound and the full estimate round differently on
@@ -97,7 +100,8 @@ func (s *Store) getPlan(q []float64) *plan {
 	// (it is ~10⁶ ulps at the distance scale a2+snorm sets) while staying
 	// ~10⁻⁹ relative — far below any distance gap that could flip a
 	// pruning decision the exact arithmetic would not.
-	p.margin = 1e-9 * (p.a2 + s.snormMean + 1)
+	p.pre = linalg.PrefixQuery{U: p.u[:s.prefDims], A2: a2P, Tmin: p.tmin, Tstep: p.tstep,
+		Margin: 1e-9 * (p.a2 + s.snormMean + 1)}
 	return p
 }
 
@@ -248,67 +252,39 @@ func (s *Store) scanBlockFull(p *plan, sc *scanScratch, base, end int, c *knn.Co
 }
 
 // scanBlockPrefix is the early-abandon variant used once the collector is
-// full: it scores only the variance-leading prefix plane (a contiguous
-// prefDims-wide copy of the leading codes) and computes, per
-// row, the admissible lower bound
-//
-//	lb(i) = prefixEst(i) − tstep·csumSuf[i] − margin
-//
-// on the full estimate. Writing the suffix terms as Σ (aⱼ−stepⱼcⱼ)² −
-// 2eⱼcⱼ with eⱼ = t̃ⱼ−tⱼ the query-rounding error (|eⱼ| ≤ tstep/2) shows
-// fullEst − prefixEst ≥ −tstep·Σ_suffix cⱼ, so any row with lb(i) ≥
-// Bound() would have been rejected by Offer anyway and is skipped without
-// touching its full code row; survivors get the exact full estimate and
-// the same admission test as the full pass. Bound() only shrinks during a
-// scan, so using a momentarily stale bound never prunes a row the naive
-// loop would admit — blocked+prefix stays bit-identical to the scalar
+// full: linalg.PrefixBounds scores only the variance-leading prefix plane
+// (a contiguous prefDims-wide copy of the leading codes) into an
+// admissible lower bound per row on the full estimate, and marks the rows
+// below the block-start bound. Only marked rows are visited: any row with
+// lb ≥ Bound() would have been rejected by Offer anyway and is skipped
+// without touching its full code row; survivors get the exact full
+// estimate and the same admission test as the full pass. Bound() only
+// shrinks during a scan, so an unmarked row cannot pass the current bound
+// and using a momentarily stale bound never prunes a row the naive loop
+// would admit — blocked+prefix stays bit-identical to the scalar
 // reference at every budget. A dead row is skipped once it survives the
 // bound, before its full code row is read.
 func (s *Store) scanBlockPrefix(p *plan, sc *scanScratch, base, end int, c *knn.Collector) (survivors int) {
 	P := s.prefDims
-	uP := p.u[:P]
-	// Same rem-advance shape as scanBlockFull: the block width lives in the
-	// loop condition so every lb write is bounds-check free; the prefix-row
-	// reslices (i*P geometry) are the layout contract.
 	lbs := sc.scores[:end-base]
-	var dots [8]int64
-	i := base
-	rem := lbs
-	for ; len(rem) >= 8; i += 8 {
-		//drlint:ignore bcegate prefix-plane geometry (i*P) is the store layout contract; one reslice check per 8 rows
-		linalg.DotQ15U8x8(uP, s.pref8[i*P:], P, &dots)
-		blk := rem[:8]
-		for r := 0; r < 8; r++ {
-			blk[r] = s.prefixLB(p, i+r, dots[r])
-		}
-		rem = rem[8:]
-	}
-	for j := range rem {
-		//drlint:ignore bcegate prefix-plane geometry (i*P) is the store layout contract; one reslice check per tail row
-		rem[j] = s.prefixLB(p, i+j, linalg.DotQ15U8(uP, s.pref8[(i+j)*P:(i+j+1)*P]))
-	}
 	bound := c.Bound()
-	for j, lb := range lbs {
-		if lb < bound && !sc.isDead(base+j) {
-			survivors++
-			v := s.scoreAt(p, base+j)
-			if v < bound {
-				c.Offer(base+j, v)
-				bound = c.Bound()
+	linalg.PrefixBounds(&p.pre, s.pref8[base*P:end*P], s.snormP[base:end], s.csumP[base:end], s.csumSuf[base:end],
+		bound, lbs, sc.mask[:])
+	for w, m := range sc.mask[:(end-base+63)/64] {
+		for ; m != 0; m &= m - 1 {
+			j := w*64 + bits.TrailingZeros64(m)
+			//drlint:ignore bcegate j is a set mask bit, below len(lbs) by PrefixBounds' contract; one check per marked row
+			if lbs[j] < bound && !sc.isDead(base+j) {
+				survivors++
+				v := s.scoreAt(p, base+j)
+				if v < bound {
+					c.Offer(base+j, v)
+					bound = c.Bound()
+				}
 			}
 		}
 	}
 	return survivors
-}
-
-// prefixLB folds a prefix-plane integer dot into the lower bound tested
-// against the collector's admission threshold. The aux code sums are
-// exact integers; snormP is stored rounded toward zero, which can only
-// lower the bound — both keep it admissible.
-func (s *Store) prefixLB(p *plan, i int, idot int64) float64 {
-	aux := &s.prefAux[i]
-	est := p.a2P + float64(aux.snormP) - 2*(p.tmin*float64(aux.csumP)+p.tstep*float64(idot))
-	return est - p.tstep*float64(aux.csumSuf) - p.margin
 }
 
 // prefixHoldoffBlocks is how many blocks the sweep runs in full mode
@@ -322,7 +298,10 @@ const prefixHoldoffBlocks = 16
 // budget rows is far looser than the final one, so an immediate switch
 // to the prefix pass pays full price (prefix dot + survivor dot) on the
 // many rows that loose bound cannot prune; a short warmup at 256 rows
-// per block tightens the bound at ~33 ns/row before pruning starts.
+// per block tightens the bound at the full pass's ≈ 70 ns/row, admissions
+// included, before pruning starts (250,000 × 166 variance-ordered store,
+// budget 320, 2-core Xeon at GOMAXPROCS 1, where a row the prefix bound
+// prunes costs ≈ 10 ns).
 // Pure scheduling — admitted candidates are unchanged (see scanSegment).
 // At the 1M-point benchmark, 32 blocks cut the whole-scan survivor rate
 // about 4× over switching as soon as the collector fills.
@@ -330,12 +309,13 @@ const warmupBlocks = 32
 
 // scanSegment runs the blocked phase-1 sweep over [lo, hi). Once the
 // collector is full it tries the prefix early-abandon pass, but keeps it
-// honest with a payoff probe: a prefix block whose survivor fraction
-// exceeds ~3/8 costs more (prefix dot + full unitary dot per survivor)
-// than the straight ×8 full pass, so such blocks push the sweep back to
-// full mode for prefixHoldoffBlocks before re-probing. The two block
-// kinds admit identical candidates, so this scheduling is invisible in
-// the results — it is purely a bandwidth/ALU trade.
+// honest with a payoff probe: a prefix row costs ≈ 10 ns and each
+// survivor ≈ 130 ns more (a unitary dot over its cold full code row), so
+// a prefix block whose survivor fraction exceeds ~3/8 costs more than
+// the straight ×8 full pass (≈ 40–70 ns/row, measured as at
+// warmupBlocks), and such blocks push the sweep back to full mode for
+// prefixHoldoffBlocks before re-probing. The two block kinds admit
+// identical candidates, so this scheduling is invisible in the results.
 //
 //drlint:hotpath inline=2
 func (s *Store) scanSegment(p *plan, lo, hi int, c *knn.Collector) {

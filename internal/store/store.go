@@ -53,6 +53,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -74,6 +75,17 @@ func (p Precision) String() string {
 	}
 	return fmt.Sprintf("Precision(%d)", uint8(p))
 }
+
+// Open's errors for a file it cannot serve wrap one of two sentinels, so a
+// caller can tell a file to rebuild from a damaged one with errors.Is.
+var (
+	// ErrFormat marks a file this build does not read: bad magic, format
+	// version, endian sentinel or precision, or a retired layout.
+	ErrFormat = errors.New("store: unsupported file format")
+	// ErrCorrupt marks a file whose size, offsets, shape, permutation or
+	// scales are inconsistent.
+	ErrCorrupt = errors.New("store: corrupt file")
+)
 
 // maxCode is the largest code value.
 const maxCode = 255
@@ -220,25 +232,25 @@ func (l layout) encodeHeader() []byte {
 func decodeHeader(h []byte) (layout, error) {
 	var l layout
 	if len(h) < headerSize {
-		return l, fmt.Errorf("store: truncated header (%d bytes)", len(h))
+		return l, fmt.Errorf("%w: truncated header (%d bytes)", ErrCorrupt, len(h))
 	}
 	if string(h[:4]) != magic {
-		return l, fmt.Errorf("store: bad magic %q", h[:4])
+		return l, fmt.Errorf("%w: bad magic %q", ErrFormat, h[:4])
 	}
 	le := binary.LittleEndian
 	if v := le.Uint32(h[4:]); v != formatVersion {
-		return l, fmt.Errorf("store: unsupported format version %d (want %d)", v, formatVersion)
+		return l, fmt.Errorf("%w: version %d (want %d)", ErrFormat, v, formatVersion)
 	}
 	if s := le.Uint64(h[8:]); s != endianSentinel {
-		return l, fmt.Errorf("store: endian sentinel mismatch (%#x)", s)
+		return l, fmt.Errorf("%w: endian sentinel mismatch (%#x)", ErrFormat, s)
 	}
 	prec, f32Dims := le.Uint32(h[32:]), le.Uint32(h[36:])
 	if prec != uint32(Int8) && prec != 2 {
-		return l, fmt.Errorf("store: unknown precision %d", prec)
+		return l, fmt.Errorf("%w: unknown precision %d", ErrFormat, prec)
 	}
 	if prec == 2 || f32Dims > 0 {
-		return l, fmt.Errorf("store: retired layout (%d-byte codes, %d float32 head dims): "+
-			"int16 codes and the float32 head are no longer read, rebuild the file", prec, f32Dims)
+		return l, fmt.Errorf("%w: retired layout (%d-byte codes, %d float32 head dims): "+
+			"int16 codes and the float32 head are no longer read, rebuild the file", ErrFormat, prec, f32Dims)
 	}
 	l.n = int(le.Uint64(h[16:]))
 	l.d = int(le.Uint64(h[24:]))
@@ -254,10 +266,10 @@ func decodeHeader(h []byte) (layout, error) {
 	l.fileSize = int64(le.Uint64(h[104:]))
 
 	if l.n <= 0 || l.d <= 0 || l.blockRows <= 0 {
-		return l, fmt.Errorf("store: invalid shape n=%d d=%d blockRows=%d", l.n, l.d, l.blockRows)
+		return l, fmt.Errorf("%w: invalid shape n=%d d=%d blockRows=%d", ErrCorrupt, l.n, l.d, l.blockRows)
 	}
 	if want := computeLayout(l.n, l.d, l.blockRows); want != l || f32Off != l.codesOff {
-		return l, fmt.Errorf("store: header offsets disagree with computed layout (corrupt or foreign file)")
+		return l, fmt.Errorf("%w: header offsets disagree with computed layout", ErrCorrupt)
 	}
 	return l, nil
 }

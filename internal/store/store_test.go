@@ -3,6 +3,7 @@ package store
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -255,7 +256,8 @@ func TestWriterMisuse(t *testing.T) {
 }
 
 // TestOpenRejectsCorruptFiles covers the header validation paths and the
-// perm/scale regions every query reads through.
+// perm/scale regions every query reads through: each case must fail with
+// the sentinel of its class, ErrFormat or ErrCorrupt.
 func TestOpenRejectsCorruptFiles(t *testing.T) {
 	data, _ := testData(t, 50, 1, 5, 29)
 	dir := t.TempDir()
@@ -273,26 +275,36 @@ func TestOpenRejectsCorruptFiles(t *testing.T) {
 	setStep := func(v float64) func([]byte) []byte {
 		return func(b []byte) []byte { le.PutUint64(b[l.stepsOff:], math.Float64bits(v)); return b }
 	}
-	cases := map[string]func([]byte) []byte{
-		"bad magic":         func(b []byte) []byte { b[0] = 'X'; return b },
-		"bad version":       func(b []byte) []byte { b[4] = 99; return b },
-		"truncated":         func(b []byte) []byte { return b[:len(b)/2] },
-		"offset tampered":   func(b []byte) []byte { b[80] ^= 0x40; return b },
-		"perm out of range": func(b []byte) []byte { le.PutUint32(b[l.permOff:], 1000); return b },
-		"perm duplicate":    func(b []byte) []byte { copy(b[l.permOff+4:l.permOff+8], b[l.permOff:]); return b },
-		"NaN step":          setStep(math.NaN()),
-		"negative step":     setStep(-1),
+	cases := map[string]struct {
+		corrupt func([]byte) []byte
+		want    error
+	}{
+		"bad magic":           {func(b []byte) []byte { b[0] = 'X'; return b }, ErrFormat},
+		"bad version":         {func(b []byte) []byte { b[4] = 99; return b }, ErrFormat},
+		"endian sentinel":     {func(b []byte) []byte { b[8] ^= 0xff; return b }, ErrFormat},
+		"unknown precision":   {func(b []byte) []byte { b[32] = 7; return b }, ErrFormat},
+		"truncated":           {func(b []byte) []byte { return b[:len(b)/2] }, ErrCorrupt},
+		"shorter than header": {func(b []byte) []byte { return b[:headerSize-1] }, ErrCorrupt},
+		"zero rows":           {func(b []byte) []byte { le.PutUint64(b[16:], 0); return b }, ErrCorrupt},
+		"offset tampered":     {func(b []byte) []byte { b[80] ^= 0x40; return b }, ErrCorrupt},
+		"perm out of range":   {func(b []byte) []byte { le.PutUint32(b[l.permOff:], 1000); return b }, ErrCorrupt},
+		"perm duplicate":      {func(b []byte) []byte { copy(b[l.permOff+4:l.permOff+8], b[l.permOff:]); return b }, ErrCorrupt},
+		"NaN step":            {setStep(math.NaN()), ErrCorrupt},
+		"negative step":       {setStep(-1), ErrCorrupt},
 	}
-	for name, corrupt := range cases {
+	for name, c := range cases {
 		cp := filepath.Join(dir, "bad.qvs")
 		buf := make([]byte, len(raw))
 		copy(buf, raw)
-		if err := os.WriteFile(cp, corrupt(buf), 0o644); err != nil {
+		if err := os.WriteFile(cp, c.corrupt(buf), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if s, err := Open(cp); err == nil {
+		s, err := Open(cp)
+		if err == nil {
 			s.Close()
 			t.Errorf("%s: Open accepted a corrupt file", name)
+		} else if !errors.Is(err, c.want) {
+			t.Errorf("%s: Open failed with %v, want an error wrapping %v", name, err, c.want)
 		}
 	}
 }
@@ -442,8 +454,8 @@ func TestOpenRejectsRetiredLayouts(t *testing.T) {
 		if err == nil {
 			s.Close()
 			t.Errorf("%s: Open accepted a retired layout", name)
-		} else if !strings.Contains(err.Error(), "retired layout") {
-			t.Errorf("%s: Open failed without naming the retired layout: %v", name, err)
+		} else if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "retired layout") {
+			t.Errorf("%s: Open failed without an ErrFormat naming the retired layout: %v", name, err)
 		}
 	}
 	// The helper itself is held to the live layout: at one-byte codes and no
