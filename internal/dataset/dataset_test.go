@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/linalg"
@@ -59,7 +60,12 @@ func TestBasicAccessors(t *testing.T) {
 
 func TestCloneIndependent(t *testing.T) {
 	d := smallSet(t)
+	d.ClassNames = []string{"a", "b"}
+	d.FeatureNames = []string{"f0", "f1", "f2"}
 	c := d.Clone()
+	if !reflect.DeepEqual(c, d) {
+		t.Fatalf("Clone = %+v, want a copy of %+v", c, d)
+	}
 	c.X.Set(0, 0, -1)
 	c.Labels[0] = 1
 	if d.X.At(0, 0) != 1 || d.Labels[0] != 0 {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"repro/internal/dataset"
+	"repro/internal/linalg"
 )
 
 // Corrupt implements the paper's noisy-data-set construction (§4.1): it
@@ -27,16 +28,34 @@ func Corrupt(d *dataset.Dataset, cols []int, amplitude float64, seed int64) *dat
 		}
 		seen[j] = true
 	}
-	rng := rand.New(rand.NewSource(seed))
+	// The clone is the last use of d, and the noise is drawn in a frame of
+	// its own. The draw loop makes no call that checks for preemption, so a
+	// collection stops it by signal and scans the stopped frame
+	// conservatively: a stale slot holding d there would keep d's matrix
+	// for one more cycle. Whether that happened used to decide, run to run,
+	// whether the benchmark's reduce_pipeline read 12.5 or 16.5 MB rss_mb
+	// (EXPERIMENTS.md, "Half the cost of a generated row", steadiness pass).
+	name := d.Name + " (corrupted)"
 	out := d.Clone()
-	out.Name = d.Name + " (corrupted)"
-	for i := 0; i < out.N(); i++ {
-		row := out.X.RawRow(i)
+	out.Name = name
+	overwriteUniform(out.X, cols, amplitude, seed)
+	return out
+}
+
+// overwriteUniform replaces the given columns of x, row by row, by draws
+// from U[0, amplitude) of the stream seeded with seed. It is kept out of
+// line so that its frame, not Corrupt's, is the one a preempting signal
+// stops (see Corrupt).
+//
+//go:noinline
+func overwriteUniform(x *linalg.Dense, cols []int, amplitude float64, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < x.Rows(); i++ {
+		row := x.RawRow(i)
 		for _, j := range cols {
 			row[j] = rng.Float64() * amplitude
 		}
 	}
-	return out
 }
 
 // CorruptRandom replaces `count` randomly chosen distinct dimensions with

@@ -73,7 +73,7 @@ func (c *LatentFactorConfig) Validate() error {
 }
 
 // Generate builds the data set described by the config: N rows of its
-// RowStream, copied into one matrix.
+// RowStream, each written straight into its row of one matrix.
 func Generate(c LatentFactorConfig) (*dataset.Dataset, error) {
 	s, err := NewRowStream(c)
 	if err != nil {
@@ -82,9 +82,7 @@ func Generate(c LatentFactorConfig) (*dataset.Dataset, error) {
 	x := linalg.NewDense(c.N, c.Dims)
 	labels := make([]int, c.N)
 	for i := range labels {
-		var row []float64
-		row, labels[i] = s.Next()
-		copy(x.RawRow(i), row)
+		labels[i] = s.nextInto(x.RawRow(i))
 	}
 	ds, err := dataset.New(c.Name, x, labels)
 	if err != nil {

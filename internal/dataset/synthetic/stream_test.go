@@ -199,3 +199,19 @@ func TestGenerateBitIdenticalToOracle(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkRowStreamNext times one generated row of the Musk analogue's
+// shape (166 dimensions, 13 concepts): its 179 normal draws and the mixing
+// kernel. ns/op is ns per row; the prelude is outside the timer.
+func BenchmarkRowStreamNext(b *testing.B) {
+	c := MuskLikeConfig(1)
+	c.N = max(b.N, 2)
+	st, err := NewRowStream(c)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.Next()
+	}
+}

@@ -20,6 +20,9 @@ func axpy4AVX2(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64)
 func rotAVX2(s, c float64, lo, hi []float64)
 
 //go:noescape
+func mixRowAVX2(dst, wt []float64, ldw int, z, eps []float64, sigma float64, scales []float64)
+
+//go:noescape
 func mulTPanelAVX2(dst *float64, ldc int, a *float64, m, k int, bp *float64, w int)
 
 func cpuidx(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
@@ -95,6 +98,19 @@ func rotRows(s, c float64, lo, hi []float64) {
 		return
 	}
 	rotGeneric(s, c, lo, hi)
+}
+
+// mixRowUnitary runs the assembly over the largest multiple of four
+// columns and mixRowGeneric over the rest. Both round every product and sum
+// as the definition does, so the split cannot move a bit.
+func mixRowUnitary(dst, wt, z, eps []float64, sigma float64, scales []float64) {
+	d := len(dst)
+	head := 0
+	if hasAVX2FMA && len(z) > 0 {
+		head = d &^ 3
+		mixRowAVX2(dst[:head], wt, d, z, eps, sigma, scales)
+	}
+	mixRowGeneric(dst[head:], wt[head:], d, z, eps[head:], sigma, scales[head:])
 }
 
 // mulTRows computes output rows [lo, hi) of a·bᵀ (MulTInto's worker body;

@@ -241,3 +241,158 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	MOVL AX, eax+0(FP)
 	MOVL DX, edx+4(FP)
 	RET
+
+// func mixRowAVX2(dst, wt []float64, ldw int, z, eps []float64, sigma float64, scales []float64)
+//
+// MixRow over len(dst) columns, a multiple of four, with concept j's row of
+// Wᵀ at wt[j·ldw] and k = len(z) ≥ 1. Each column's accumulator starts at
+// +0 and stays in a register across all k concepts; the products, sums and
+// the noise/scale step are unfused and rounded one by one, exactly as
+// mixRowGeneric compiles on amd64. Where two NaNs meet, x86 returns the
+// first source's, so each instruction names its sources in the order the
+// standard build of the twin does (w before z, eps before sigma, the
+// product before the sum it joins, the sum before the scale) and NaN
+// payloads match too. 32 columns (eight independent chains) per block,
+// then 4 at a time.
+TEXT ·mixRowAVX2(SB), NOSPLIT, $0-136
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ wt_base+24(FP), SI
+	MOVQ ldw+48(FP), R8
+	SHLQ $3, R8
+	MOVQ z_base+56(FP), R9
+	MOVQ z_len+64(FP), R10
+	MOVQ eps_base+80(FP), R11
+	VBROADCASTSD sigma+104(FP), Y15
+	MOVQ scales_base+112(FP), R12
+	CMPQ CX, $32
+	JLT  mix4
+
+mix32:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ SI, R13
+	MOVQ R9, R14
+	MOVQ R10, BX
+
+mix32k:
+	VBROADCASTSD (R14), Y8
+	VMOVUPD (R13), Y9
+	VMULPD Y8, Y9, Y9
+	VADDPD Y0, Y9, Y0
+	VMOVUPD 32(R13), Y10
+	VMULPD Y8, Y10, Y10
+	VADDPD Y1, Y10, Y1
+	VMOVUPD 64(R13), Y11
+	VMULPD Y8, Y11, Y11
+	VADDPD Y2, Y11, Y2
+	VMOVUPD 96(R13), Y12
+	VMULPD Y8, Y12, Y12
+	VADDPD Y3, Y12, Y3
+	VMOVUPD 128(R13), Y9
+	VMULPD Y8, Y9, Y9
+	VADDPD Y4, Y9, Y4
+	VMOVUPD 160(R13), Y10
+	VMULPD Y8, Y10, Y10
+	VADDPD Y5, Y10, Y5
+	VMOVUPD 192(R13), Y11
+	VMULPD Y8, Y11, Y11
+	VADDPD Y6, Y11, Y6
+	VMOVUPD 224(R13), Y12
+	VMULPD Y8, Y12, Y12
+	VADDPD Y7, Y12, Y7
+	ADDQ R8, R13
+	ADDQ $8, R14
+	DECQ BX
+	JNZ  mix32k
+
+	VMOVUPD (R11), Y9
+	VMULPD Y15, Y9, Y9
+	VADDPD Y0, Y9, Y0
+	VMULPD (R12), Y0, Y0
+	VMOVUPD Y0, (DI)
+	VMOVUPD 32(R11), Y10
+	VMULPD Y15, Y10, Y10
+	VADDPD Y1, Y10, Y1
+	VMULPD 32(R12), Y1, Y1
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD 64(R11), Y11
+	VMULPD Y15, Y11, Y11
+	VADDPD Y2, Y11, Y2
+	VMULPD 64(R12), Y2, Y2
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD 96(R11), Y12
+	VMULPD Y15, Y12, Y12
+	VADDPD Y3, Y12, Y3
+	VMULPD 96(R12), Y3, Y3
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD 128(R11), Y9
+	VMULPD Y15, Y9, Y9
+	VADDPD Y4, Y9, Y4
+	VMULPD 128(R12), Y4, Y4
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD 160(R11), Y10
+	VMULPD Y15, Y10, Y10
+	VADDPD Y5, Y10, Y5
+	VMULPD 160(R12), Y5, Y5
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD 192(R11), Y11
+	VMULPD Y15, Y11, Y11
+	VADDPD Y6, Y11, Y6
+	VMULPD 192(R12), Y6, Y6
+	VMOVUPD Y6, 192(DI)
+	VMOVUPD 224(R11), Y12
+	VMULPD Y15, Y12, Y12
+	VADDPD Y7, Y12, Y7
+	VMULPD 224(R12), Y7, Y7
+	VMOVUPD Y7, 224(DI)
+	ADDQ $256, SI
+	ADDQ $256, DI
+	ADDQ $256, R11
+	ADDQ $256, R12
+	SUBQ $32, CX
+	CMPQ CX, $32
+	JGE  mix32
+
+mix4:
+	CMPQ CX, $4
+	JLT  mixdone
+
+mix4col:
+	VXORPD Y0, Y0, Y0
+	MOVQ SI, R13
+	MOVQ R9, R14
+	MOVQ R10, BX
+
+mix4k:
+	VBROADCASTSD (R14), Y8
+	VMOVUPD (R13), Y9
+	VMULPD Y8, Y9, Y9
+	VADDPD Y0, Y9, Y0
+	ADDQ R8, R13
+	ADDQ $8, R14
+	DECQ BX
+	JNZ  mix4k
+
+	VMOVUPD (R11), Y9
+	VMULPD Y15, Y9, Y9
+	VADDPD Y0, Y9, Y0
+	VMULPD (R12), Y0, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	ADDQ $32, R11
+	ADDQ $32, R12
+	SUBQ $4, CX
+	CMPQ CX, $4
+	JGE  mix4col
+
+mixdone:
+	VZEROUPPER
+	RET

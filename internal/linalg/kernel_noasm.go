@@ -22,3 +22,7 @@ func mulTRows(dst, a, b *Dense, lo, hi int) { mulTRowsChain(dst, a, b, lo, hi) }
 // rotRows stays the Go loop off amd64: a target that fuses s·v + c·f
 // computes its own bits, and the loop is what defines them.
 func rotRows(s, c float64, lo, hi []float64) { rotGeneric(s, c, lo, hi) }
+
+func mixRowUnitary(dst, wt, z, eps []float64, sigma float64, scales []float64) {
+	mixRowGeneric(dst, wt, len(dst), z, eps, sigma, scales)
+}

@@ -702,3 +702,93 @@ func FuzzPrefixBound(f *testing.F) {
 		requirePrefixBounds(t, fmt.Sprintf("P=%d n=%d", P, n), b)
 	})
 }
+
+// MixRow is one chain of unfused steps per element, so the assembly and the
+// portable twin must agree on every bit, with one freedom: where two NaNs
+// meet, x86 returns the first source's, and Go fixes no operand order for a
+// commutative + or ·. The assembly names its sources in the order the
+// standard build of the twin does, but an instrumented build (-fuzz)
+// allocates registers differently, so a NaN result matches a NaN result
+// whatever its payload.
+
+// mixValue draws a normal value, or one time in four an edge value: ±0,
+// subnormals, ±Inf, a huge magnitude and two NaNs of different sign and
+// payload.
+func mixValue(rng *rand.Rand) float64 {
+	edges := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -1e-310, 1e308,
+		math.Inf(1), math.Inf(-1), math.NaN(), math.Float64frombits(0xfff8_0000_0000_0123)}
+	if rng.Intn(4) == 0 {
+		return edges[rng.Intn(len(edges))]
+	}
+	return rng.NormFloat64()
+}
+
+func requireMixRow(t *testing.T, what string, wt, z, eps []float64, sigma float64, scales []float64) {
+	t.Helper()
+	d := len(eps)
+	got, want := make([]float64, d), make([]float64, d)
+	MixRow(got, wt, z, eps, sigma, scales)
+	mixRowGeneric(want, wt, d, z, eps, sigma, scales)
+	for i, g := range got {
+		if math.Float64bits(g) != math.Float64bits(want[i]) && !(math.IsNaN(g) && math.IsNaN(want[i])) {
+			t.Fatalf("%s: [%d] = %v (%#x), twin %v (%#x)", what, i, g, math.Float64bits(g), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// TestMixRowMatchesTwin runs every row length from 0 to 40 (the 32-column
+// block, the 4-column block and every tail) at 1 to 16 concepts.
+func TestMixRowMatchesTwin(t *testing.T) {
+	rng := rand.New(rand.NewSource(113))
+	vec := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = mixValue(rng)
+		}
+		return v
+	}
+	for d := 0; d <= 40; d++ {
+		for k := 1; k <= 16; k++ {
+			for trial := 0; trial < 4; trial++ {
+				requireMixRow(t, fmt.Sprintf("d=%d k=%d trial=%d", d, k, trial),
+					vec(k*d), vec(k), vec(d), mixValue(rng), vec(d))
+			}
+		}
+	}
+}
+
+// FuzzMixRow holds the assembly to its portable twin on fuzzer-chosen bits.
+// The first two bytes pick the row length (0 to 40) and the concept count
+// (1 to 16); the rest, cycled eight bytes at a time, are the raw bits of
+// sigma, then Wᵀ, z, eps and the scales, so every NaN payload can occur.
+func FuzzMixRow(f *testing.F) {
+	f.Add([]byte{7, 3, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f})
+	f.Add([]byte{40, 15, 0x01, 0, 0, 0, 0, 0, 0xf8, 0x7f, 0, 0, 0, 0, 0, 0, 0xf0, 0xff, 0, 0, 0, 0, 0, 0, 0, 0x80})
+	f.Add([]byte{33, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 10 {
+			t.Skip()
+		}
+		d, k := int(data[0])%41, int(data[1])%16+1
+		rest, off := data[2:], 0
+		next := func() float64 {
+			var b [8]byte
+			for i := range b {
+				b[i] = rest[off%len(rest)]
+				off++
+			}
+			return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+		}
+		vec := func(n int) []float64 {
+			v := make([]float64, n)
+			for i := range v {
+				v[i] = next()
+			}
+			return v
+		}
+		sigma := next()
+		wt, z := vec(k*d), vec(k)
+		eps, scales := vec(d), vec(d)
+		requireMixRow(t, fmt.Sprintf("d=%d k=%d", d, k), wt, z, eps, sigma, scales)
+	})
+}

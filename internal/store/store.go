@@ -56,6 +56,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"os"
 	"sort"
 	"unsafe"
@@ -265,13 +266,38 @@ func decodeHeader(h []byte) (layout, error) {
 	l.exactOff = int64(le.Uint64(h[96:]))
 	l.fileSize = int64(le.Uint64(h[104:]))
 
-	if l.n <= 0 || l.d <= 0 || l.blockRows <= 0 {
+	if l.n <= 0 || l.d <= 0 || l.blockRows <= 0 || !shapeFits(l.n, l.d, l.blockRows) {
 		return l, fmt.Errorf("%w: invalid shape n=%d d=%d blockRows=%d", ErrCorrupt, l.n, l.d, l.blockRows)
 	}
 	if want := computeLayout(l.n, l.d, l.blockRows); want != l || f32Off != l.codesOff {
 		return l, fmt.Errorf("%w: header offsets disagree with computed layout", ErrCorrupt)
 	}
 	return l, nil
+}
+
+// maxRegionBytes bounds each region of a file Open accepts: far above any
+// real store, and far enough below 2⁶³ that computeLayout's int64 sums of
+// a few such regions cannot wrap.
+const maxRegionBytes = 1 << 56
+
+// shapeFits reports that the code region and the exact region of an n×d
+// store in blocks of blockRows rows (n, d, blockRows > 0) stay under
+// maxRegionBytes, multiplied out in 128 bits. Without it a header can name
+// a shape whose int64 region sizes wrap to a few hundred bytes and agree
+// with computeLayout, and Open slices the mapping with a negative bound.
+func shapeFits(n, d, blockRows int) bool {
+	below := func(factors ...uint64) bool {
+		p := uint64(1)
+		for _, f := range factors {
+			hi, lo := bits.Mul64(p, f)
+			if hi != 0 || lo >= maxRegionBytes {
+				return false
+			}
+			p = lo
+		}
+		return true
+	}
+	return below(uint64(n/blockRows)+1, uint64(blockRows), uint64(d)+codeRowAlign) && below(uint64(n), uint64(d), 8)
 }
 
 // endianSentinelNative reads the header sentinel through the same

@@ -255,30 +255,21 @@ func TestWriterMisuse(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsCorruptFiles covers the header validation paths and the
-// perm/scale regions every query reads through: each case must fail with
-// the sentinel of its class, ErrFormat or ErrCorrupt.
-func TestOpenRejectsCorruptFiles(t *testing.T) {
-	data, _ := testData(t, 50, 1, 5, 29)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ok.qvs")
-	if err := Write(path, data, BuildConfig{}); err != nil {
-		t.Fatal(err)
-	}
+// corruptCase is one damaged copy of a valid file and the sentinel Open
+// must fail with.
+type corruptCase struct {
+	corrupt func([]byte) []byte
+	want    error
+}
 
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := computeLayout(data.Rows(), data.Cols(), defaultBlockRows)
+// corruptCases are the header validation paths and the perm/scale regions
+// every query reads through, for a valid file of layout l.
+func corruptCases(l layout) map[string]corruptCase {
 	le := binary.LittleEndian
 	setStep := func(v float64) func([]byte) []byte {
 		return func(b []byte) []byte { le.PutUint64(b[l.stepsOff:], math.Float64bits(v)); return b }
 	}
-	cases := map[string]struct {
-		corrupt func([]byte) []byte
-		want    error
-	}{
+	return map[string]corruptCase{
 		"bad magic":           {func(b []byte) []byte { b[0] = 'X'; return b }, ErrFormat},
 		"bad version":         {func(b []byte) []byte { b[4] = 99; return b }, ErrFormat},
 		"endian sentinel":     {func(b []byte) []byte { b[8] ^= 0xff; return b }, ErrFormat},
@@ -291,8 +282,32 @@ func TestOpenRejectsCorruptFiles(t *testing.T) {
 		"perm duplicate":      {func(b []byte) []byte { copy(b[l.permOff+4:l.permOff+8], b[l.permOff:]); return b }, ErrCorrupt},
 		"NaN step":            {setStep(math.NaN()), ErrCorrupt},
 		"negative step":       {setStep(-1), ErrCorrupt},
+		// 2⁶⁰ one-dimensional rows in one-row blocks: every region length
+		// is a multiple of 2⁶³, so int64 offsets wrap to a file of a few
+		// hundred bytes whose header agrees with computeLayout.
+		"shape overflows": {func(b []byte) []byte {
+			big := computeLayout(1<<60, 1, 1)
+			copy(b, big.encodeHeader())
+			return b[:big.fileSize]
+		}, ErrCorrupt},
 	}
-	for name, c := range cases {
+}
+
+// TestOpenRejectsCorruptFiles runs every corruptCases entry: each must fail
+// with the sentinel of its class, ErrFormat or ErrCorrupt.
+func TestOpenRejectsCorruptFiles(t *testing.T) {
+	data, _ := testData(t, 50, 1, 5, 29)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ok.qvs")
+	if err := Write(path, data, BuildConfig{}); err != nil {
+		t.Fatal(err)
+	}
+
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range corruptCases(computeLayout(data.Rows(), data.Cols(), defaultBlockRows)) {
 		cp := filepath.Join(dir, "bad.qvs")
 		buf := make([]byte, len(raw))
 		copy(buf, raw)
