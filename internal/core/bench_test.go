@@ -4,7 +4,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/dataset/synthetic"
 	"repro/internal/linalg"
+	"repro/internal/stats"
 )
 
 func BenchmarkCoherenceFactor256(b *testing.B) {
@@ -33,5 +35,24 @@ func BenchmarkAnalyzeBasis500x64(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		AnalyzeBasis(x, basis, true)
+	}
+}
+
+// BenchmarkAnalyzeBasis6598x166 is AnalyzeBasis at reduce_pipeline's shape:
+// 6598 centred Musk-like rows against all 166 directions of their PCA
+// basis.
+func BenchmarkAnalyzeBasis6598x166(b *testing.B) {
+	gen := synthetic.MuskLikeConfig(1)
+	gen.N = 6598
+	ds := synthetic.MustGenerate(gen)
+	work, _ := stats.Center(ds.X)
+	ed, err := linalg.EigSym(stats.CovarianceMatrix(work))
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, vecs := ed.Descending()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		AnalyzeBasis(work, vecs, false)
 	}
 }

@@ -123,6 +123,11 @@ const analyzeBlockRows = 256
 // Σⱼ (xⱼeⱼ)² = Σⱼ xⱼ²·eⱼ² — so for a block of rows and all directions at
 // once they are two matrix products, P = X·Eᵀ and S = (X∘X)·(E∘E)ᵀ with the
 // directions as the rows of E, and CF = |P|/√S elementwise (σ·√d = √S).
+// The per-row pass over P and S (coherenceRow) is an AVX2 kernel on amd64,
+// four directions per register, that returns the bits of the plain loop
+// (coherenceRowGeneric): the same correctly rounded √ and ÷, and fdlibm's
+// erf evaluated step for step on its exp-free range, with math.Erf itself
+// for the rest.
 func AnalyzeBasis(x *linalg.Dense, basis *linalg.Dense, center bool) *BasisAnalysis {
 	n, d := x.Dims()
 	bd, k := basis.Dims()
@@ -143,6 +148,7 @@ func AnalyzeBasis(x *linalg.Dense, basis *linalg.Dense, center bool) *BasisAnaly
 	sumsCP := make([]float64, k)
 	sumsCF := make([]float64, k)
 	sumsSq := make([]float64, k)
+	fallback := make([]int32, k)
 	for lo := 0; lo < n; lo += rows {
 		hi := min(lo+rows, n)
 		blk := work.RowSlice(lo, hi)
@@ -151,16 +157,7 @@ func AnalyzeBasis(x *linalg.Dense, basis *linalg.Dense, center bool) *BasisAnaly
 		linalg.MulTInto(pb, blk, e)
 		linalg.MulTInto(sb, x2b, e2)
 		for i := 0; i < hi-lo; i++ {
-			srow := sb.RawRow(i)
-			for j, p := range pb.RawRow(i) {
-				sumsSq[j] += p * p
-				if srow[j] == 0 { // σ = 0: a zero point, or no overlap with e
-					continue
-				}
-				cf := math.Abs(p) / math.Sqrt(srow[j])
-				sumsCF[j] += cf
-				sumsCP[j] += stats.TwoSidedProbability(cf)
-			}
+			coherenceRow(pb.RawRow(i), sb.RawRow(i), sumsSq, sumsCF, sumsCP, fallback)
 		}
 	}
 	reports := make([]VectorReport, k)
@@ -173,6 +170,23 @@ func AnalyzeBasis(x *linalg.Dense, basis *linalg.Dense, center bool) *BasisAnaly
 		}
 	}
 	return &BasisAnalysis{Reports: reports}
+}
+
+// coherenceRowGeneric adds one data row's terms to AnalyzeBasis's three
+// running sums. For each direction j, with p = P[i][j] and s = S[i][j]:
+// p² goes into sumsSq[j]; unless s = 0 (σ = 0: a zero point, or no overlap
+// with e), CF = |p|/√s goes into sumsCF[j] and 2Φ(CF)−1 into sumsCP[j]. It
+// defines the bits coherenceRow's kernel reproduces.
+func coherenceRowGeneric(p, s, sumsSq, sumsCF, sumsCP []float64) {
+	for j, pj := range p {
+		sumsSq[j] += pj * pj
+		if s[j] == 0 {
+			continue
+		}
+		cf := math.Abs(pj) / math.Sqrt(s[j])
+		sumsCF[j] += cf
+		sumsCP[j] += stats.TwoSidedProbability(cf)
+	}
 }
 
 // squareInto writes the elementwise square of src into dst (same shape).

@@ -99,7 +99,7 @@ func BenchmarkDotGeneric166(b *testing.B) {
 
 // benchMulT times MulTInto at one shape and reports the kernel's rate in
 // GFMA/s (packing included), the number to hold against the core's FMA peak
-// (2 ports × 4 lanes × clock).
+// (FMA ports × lanes × clock: 4 lanes per YMM, 8 per ZMM).
 func benchMulT(b *testing.B, m, n, k int) {
 	rng := rand.New(rand.NewSource(8))
 	x := randDense(rng, m, k)
@@ -118,6 +118,12 @@ func benchMulT(b *testing.B, m, n, k int) {
 func BenchmarkMulT128x2048x16(b *testing.B)  { benchMulT(b, 128, 2048, 16) }
 func BenchmarkMulT128x2048x166(b *testing.B) { benchMulT(b, 128, 2048, 166) }
 func BenchmarkMulT512x6598x166(b *testing.B) { benchMulT(b, 512, 6598, 166) }
+
+// The two shapes reduce_pipeline runs most: core.AnalyzeBasis's 256-row
+// block against the 166 directions, and a 256 × 256 tile of the k = 3
+// self-join at the 16 retained dimensions.
+func BenchmarkMulT256x166x166(b *testing.B) { benchMulT(b, 256, 166, 166) }
+func BenchmarkMulT256x256x16(b *testing.B)  { benchMulT(b, 256, 256, 16) }
 
 // BenchmarkMulT512x166 against BenchmarkMulNaiveT512x166 is the blocked
 // kernel's proof of win over the seed's ikj Mul on the same product shape.

@@ -20,12 +20,18 @@ import (
 // with one rounding per step. The value of out[i][j] therefore depends on
 // row i of a and row j of b and on nothing else — not on where the element
 // falls in a register tile, on the ragged edges, on how rows were split
-// among workers, or on which implementation ran: the AVX2 micro-kernel
-// (kernel_mult_amd64.s: a 4×8 register tile swept over a k-major packed
-// 8-row panel of b) and the portable chain below agree bit for bit wherever
-// the hardware has FMA. On amd64 without FMA the chain is the unfused
-// acc + a·b (two roundings per step, still position-independent): software
-// math.FMA is correct but ~100× slower than the multiply-add it replaces.
+// among workers, or on which implementation ran. There are three, and they
+// agree bit for bit wherever the hardware has FMA:
+//   - the AVX-512 micro-kernel (kernel_mult_amd64.s, mulTPanelAVX512): an
+//     8×16 ZMM tile over a k-major packed 16-row panel of b, k in slabs of
+//     256 so the panel stays on the worker's frame; chosen when the CPU
+//     has AVX512F and the OS saves opmask and ZMM state;
+//   - the AVX2 micro-kernel (mulTPanelAVX2): a 4×8 YMM tile over an 8-row
+//     panel, on CPUs with AVX2 and FMA but no AVX-512;
+//   - the portable chain below, everywhere else.
+// On amd64 without FMA the chain is the unfused acc + a·b (two roundings
+// per step, still position-independent): software math.FMA is correct but
+// ~100× slower than the multiply-add it replaces.
 
 // MulT returns a · bᵀ for an m×k matrix a and an n×k matrix b (both row
 // major), as a new m×n matrix: out[i][j] is the product chain of a.Row(i)
@@ -38,8 +44,10 @@ func MulT(a, b *Dense) *Dense {
 
 // MulTInto computes a · bᵀ into dst (which must be a.Rows() × b.Rows() and
 // must not share storage with a or b) and returns dst. Its only allocation
-// is one packed panel of b per worker (9·k float64), released on return, so
-// per-block output scratch can be reused across calls.
+// is one packed panel of b per worker, released on return, and only on the
+// AVX2 path past 256 columns (9·k float64); the AVX-512 path and narrower
+// operands keep it on the worker's frame. So per-block output scratch can
+// be reused across calls.
 func MulTInto(dst, a, b *Dense) *Dense {
 	if a.cols != b.cols {
 		panic(fmt.Sprintf("linalg: MulT dimension mismatch %dx%d · (%dx%d)ᵀ", a.rows, a.cols, b.rows, b.cols))

@@ -6,6 +6,8 @@ package linalg
 // kernel_mult_amd64.s. Detection mirrors internal/cpu: the instruction sets
 // must be present (FMA, AVX, AVX2) and the OS must have enabled XMM+YMM
 // state saving (OSXSAVE + XGETBV), otherwise the generic Go kernels run.
+// MulTInto's AVX-512 panel kernel further needs AVX512F and the OS's
+// opmask and ZMM state (XCR0 bits 5-7).
 
 //go:noescape
 func dotAVX2(a, b []float64) float64
@@ -25,37 +27,46 @@ func mixRowAVX2(dst, wt []float64, ldw int, z, eps []float64, sigma float64, sca
 //go:noescape
 func mulTPanelAVX2(dst *float64, ldc int, a *float64, m, k int, bp *float64, w int)
 
+//go:noescape
+func mulTPanelAVX512(dst *float64, ldc int, a *float64, lda, t0, m, k int, bp *float64, w int)
+
 func cpuidx(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 
 // hasFMA reports that math.FMA compiles to one hardware instruction — the
 // same CPUID test the runtime applies before it intrinsifies the call — and
 // selects the fused form of the product chain (fmaStep). hasAVX2FMA gates
-// the assembly kernels. Both are vars so tests can force the portable paths
-// and assert the implementations agree.
-var hasFMA, hasAVX2FMA = detectFMA()
+// the assembly kernels; hasAVX512 selects MulTInto's ZMM panel kernel where
+// hasAVX2FMA holds too. All three are vars so tests can force the other
+// paths and assert the implementations agree.
+var hasFMA, hasAVX2FMA, hasAVX512 = detectFMA()
 
-func detectFMA() (fma, avx2fma bool) {
+func detectFMA() (fma, avx2fma, avx512 bool) {
 	const (
 		cpuid1FMA     = 1 << 12 // CPUID.1:ECX.FMA
 		cpuid1OSXSAVE = 1 << 27 // CPUID.1:ECX.OSXSAVE
 		cpuid1AVX     = 1 << 28 // CPUID.1:ECX.AVX
 		cpuid7AVX2    = 1 << 5  // CPUID.7.0:EBX.AVX2
+		cpuid7AVX512F = 1 << 16 // CPUID.7.0:EBX.AVX512F
 	)
 	maxID, _, _, _ := cpuidx(0, 0)
 	if maxID < 1 {
-		return false, false
+		return false, false, false
 	}
 	_, _, ecx1, _ := cpuidx(1, 0)
 	fma = ecx1&cpuid1FMA != 0 && ecx1&cpuid1OSXSAVE != 0
 	if !fma || ecx1&cpuid1AVX == 0 || maxID < 7 {
-		return fma, false
+		return fma, false, false
 	}
-	if eax, _ := xgetbv0(); eax&0x6 != 0x6 { // XMM and YMM state enabled by the OS
-		return fma, false
+	xcr0, _ := xgetbv0()
+	if xcr0&0x6 != 0x6 { // XMM and YMM state enabled by the OS
+		return fma, false, false
 	}
 	_, ebx7, _, _ := cpuidx(7, 0)
-	return fma, ebx7&cpuid7AVX2 != 0
+	avx2fma = ebx7&cpuid7AVX2 != 0
+	// Opmask, upper-ZMM0-15 and ZMM16-31 state as well (XCR0 bits 5-7).
+	avx512 = avx2fma && ebx7&cpuid7AVX512F != 0 && xcr0&0xE6 == 0xE6
+	return fma, avx2fma, avx512
 }
 
 // asmMinLen is the vector length below which the call + VZEROUPPER overhead
@@ -116,45 +127,52 @@ func mixRowUnitary(dst, wt, z, eps []float64, sigma float64, scales []float64) {
 // mulTRows computes output rows [lo, hi) of a·bᵀ (MulTInto's worker body;
 // dimensions validated, a.cols ≥ 1).
 func mulTRows(dst, a, b *Dense, lo, hi int) {
-	if !hasAVX2FMA {
+	switch {
+	case !hasAVX2FMA:
 		mulTRowsChain(dst, a, b, lo, hi)
-		return
+	case hasAVX512:
+		mulTRowsAVX512(dst, a, b, lo, hi)
+	default:
+		mulTRowsAVX2(dst, a, b, lo, hi)
 	}
-	// One packed panel plus the zero row a ragged last panel pads with:
-	// 9·k float64 (≈12 KB at k=166), dead on return — on this frame up to
-	// mulTStackCols columns, so a caller that multiplies block by block
-	// allocates nothing per block.
-	var frame [(mulTPanelRows + 1) * mulTStackCols]float64
-	scratch := frame[:]
-	if need := (mulTPanelRows + 1) * a.cols; need > len(scratch) {
-		scratch = make([]float64, need)
-	}
-	mulTRowsAVX2(dst, a, b, lo, hi, scratch)
 }
 
-// mulTStackCols is the widest operand whose packed panel mulTRows keeps on
-// its own frame (18 KB); wider ones take it from the heap.
+// mulTStackCols is the widest operand whose packed 8-row panel
+// mulTRowsAVX2 keeps on its own frame (18 KB), and the k-slab of
+// mulTRowsAVX512's 16-row panel (32 KB); a wider operand takes the AVX2
+// panel from the heap and runs the AVX-512 panel in slabs.
 const mulTStackCols = 256
 
-// mulTPanelRows is the number of b rows per packed panel: two YMM of lanes.
-const mulTPanelRows = 8
+// mulTPanelRows is the number of b rows per packed AVX2 panel (two YMM of
+// lanes); mulTPanelRows512 is the AVX-512 panel's (two ZMM).
+const (
+	mulTPanelRows    = 8
+	mulTPanelRows512 = 16
+)
 
 // mulTRowsAVX2 packs b one 8-row panel at a time — the panel stays in L1
 // while every a row of [lo, hi) sweeps past it — and never holds more than
-// that one panel, so the product's working memory is scratch, not a second
-// copy of b.
+// that one panel plus the zero row a ragged last panel pads with: 9·k
+// float64 (≈12 KB at k=166), dead on return, on this frame up to
+// mulTStackCols columns, so a caller that multiplies block by block
+// allocates nothing per block.
 //
 //drlint:hotpath inline=1
-func mulTRowsAVX2(dst, a, b *Dense, lo, hi int, scratch []float64) {
+func mulTRowsAVX2(dst, a, b *Dense, lo, hi int) {
+	var frame [(mulTPanelRows + 1) * mulTStackCols]float64
 	k, ldc := a.cols, dst.cols
 	pk := mulTPanelRows * k
+	scratch := frame[:]
+	if need := pk + k; need > len(scratch) {
+		scratch = make([]float64, need)
+	}
 	panel, zero := scratch[:pk], scratch[pk:pk+k]
 	arows := a.data[lo*k : hi*k]
 	out := dst.data[lo*ldc : hi*ldc]
 	brows := b.data[:b.rows*k]
 	a0, p0 := &arows[0], &panel[0]
 	for len(brows) > 0 && len(out) > 0 {
-		packPanel(panel, brows, zero, k)
+		packPanel(panel, brows, zero, k, 0, k, mulTPanelRows)
 		mulTPanelAVX2(&out[0], ldc, a0, hi-lo, k, p0, min(mulTPanelRows, len(brows)/k))
 		if len(brows) <= pk || len(out) <= mulTPanelRows {
 			break
@@ -163,35 +181,74 @@ func mulTRowsAVX2(dst, a, b *Dense, lo, hi int, scratch []float64) {
 	}
 }
 
-// packPanel writes the first eight k-long rows of rows k-major into panel
-// (panel[8t+c] = row c, element t), reading zero for the rows a ragged last
-// panel lacks.
-func packPanel(panel, rows, zero []float64, k int) {
-	r0, rows := takeRow(rows, zero, k)
-	r1, rows := takeRow(rows, zero, k)
-	r2, rows := takeRow(rows, zero, k)
-	r3, rows := takeRow(rows, zero, k)
-	r4, rows := takeRow(rows, zero, k)
-	r5, rows := takeRow(rows, zero, k)
-	r6, rows := takeRow(rows, zero, k)
-	r7, _ := takeRow(rows, zero, k)
+// mulTRowsAVX512 is mulTRowsAVX2 at twice the panel width, k in slabs of
+// mulTStackCols columns: for each slab, every 16-row panel of b is packed
+// and swept past a, and the kernel resumes each output's chain where the
+// previous slab left it in dst. The panel and its zero row (34 KB) are
+// this frame at every operand width, so nothing is allocated.
+//
+//drlint:hotpath inline=1
+func mulTRowsAVX512(dst, a, b *Dense, lo, hi int) {
+	var frame [(mulTPanelRows512 + 1) * mulTStackCols]float64
+	k, ldc := a.cols, dst.cols
+	arows := a.data[lo*k : hi*k]
+	out := dst.data[lo*ldc : hi*ldc]
+	brows := b.data[:b.rows*k]
+	zero, a0 := frame[mulTPanelRows512*mulTStackCols:], &arows[0]
+	for t0 := 0; t0 < k; t0 += mulTStackCols {
+		kc := min(mulTStackCols, k-t0)
+		rows, cols := brows, out
+		for len(rows) > 0 && len(cols) > 0 {
+			w := min(mulTPanelRows512, len(rows)/k)
+			// Rows 0-7 of the panel into its lanes 0-7, rows 8-15 into
+			// lanes 8-15; packPanel hands back what is left of b.
+			half := frame[:]
+			for range 2 {
+				rows = packPanel(half, rows, zero, k, t0, kc, mulTPanelRows512)
+				half = frame[mulTPanelRows:]
+			}
+			mulTPanelAVX512(&cols[0], ldc, a0, k, t0, hi-lo, kc, &frame[0], w)
+			if len(cols) <= mulTPanelRows512 {
+				break
+			}
+			cols = cols[mulTPanelRows512:]
+		}
+	}
+}
+
+// packPanel writes elements [t0, t0+kc) of the first eight k-long rows of
+// rows k-major into panel, stride elements per step (panel[stride·t+c] =
+// row c, element t0+t), reading zero for the rows a ragged last panel
+// lacks, and returns the rows after those eight. An 8-row panel is one
+// call with stride 8; a 16-row panel is two, the second on rows 8-15 at
+// panel[8:].
+func packPanel(panel, rows, zero []float64, k, t0, kc int, stride uint) (rest []float64) {
+	r0, rows := takeRow(rows, zero, k, t0, kc)
+	r1, rows := takeRow(rows, zero, k, t0, kc)
+	r2, rows := takeRow(rows, zero, k, t0, kc)
+	r3, rows := takeRow(rows, zero, k, t0, kc)
+	r4, rows := takeRow(rows, zero, k, t0, kc)
+	r5, rows := takeRow(rows, zero, k, t0, kc)
+	r6, rows := takeRow(rows, zero, k, t0, kc)
+	r7, rows := takeRow(rows, zero, k, t0, kc)
 	r1, r2, r3, r4 = r1[:len(r0)], r2[:len(r0)], r3[:len(r0)], r4[:len(r0)]
 	r5, r6, r7 = r5[:len(r0)], r6[:len(r0)], r7[:len(r0)]
 	for t, v := range r0 {
-		if len(panel) < mulTPanelRows {
+		if len(panel) < 8 || uint(len(panel)) < stride {
 			break
 		}
 		panel[0], panel[1], panel[2], panel[3] = v, r1[t], r2[t], r3[t]
 		panel[4], panel[5], panel[6], panel[7] = r4[t], r5[t], r6[t], r7[t]
-		panel = panel[mulTPanelRows:]
+		panel = panel[stride:]
 	}
+	return rows
 }
 
-// takeRow splits the next k-long row off rows, or returns zero when none is
-// left.
-func takeRow(rows, zero []float64, k int) (row, rest []float64) {
+// takeRow splits the next k-long row off rows and returns its elements
+// [t0, t0+kc), or returns zero[:kc] when no row is left.
+func takeRow(rows, zero []float64, k, t0, kc int) (row, rest []float64) {
 	if len(rows) < k {
-		return zero[:k], nil
+		return zero[:kc], nil
 	}
-	return rows[:k], rows[k:]
+	return rows[t0:][:kc], rows[k:]
 }

@@ -1,5 +1,8 @@
-// AVX2/FMA micro-kernel of the A·Bᵀ engine (MulTInto). One call sweeps m
-// rows of a past one packed panel of b and writes an m×w block of dst.
+// AVX2/FMA and AVX-512 micro-kernels of the A·Bᵀ engine (MulTInto). One
+// call sweeps m rows of a past one packed panel of b and writes an m×w
+// block of dst. mulTRows (kernel_amd64.go) runs mulTPanelAVX512 when the
+// CPU has AVX512F and XCR0 enables opmask and ZMM state, else
+// mulTPanelAVX2; the AVX2 kernel is described first.
 //
 // The panel bp holds eight b rows k-major: bp[8t+c] = b[j0+c][t], zero in
 // the lanes c ≥ w of a ragged last panel. Lane c of an accumulator
@@ -18,6 +21,14 @@
 // the 2 ports × 4 cycles of latency a core needs in flight to retire two
 // FMAs per cycle; per step the tile issues 2 panel loads + 4 broadcasts for
 // its 8 FMAs, inside the two load ports' budget.
+//
+// Why 8×16 on AVX-512: a ZMM FMA does twice a YMM FMA's work at the same
+// throughput (≈ 42 against ≈ 21 GFMA/s measured on one core, EXPERIMENTS.md),
+// and AVX-512 has 32 vector registers. Sixteen accumulators hold the tile,
+// twice the chains the ports need in flight, and the other sixteen take
+// the two panel vectors and the eight broadcasts: 10 loads per 16 FMAs,
+// inside the two load ports' budget. The 16-row panel costs 128·k bytes, so k is packed in slabs of 256 columns
+// (32 KB, the worker's frame) and the chain crosses a slab through dst.
 
 #include "textflag.h"
 
@@ -165,5 +176,194 @@ next1:
 	JMP  tile1
 
 done:
+	VZEROUPPER
+	RET
+
+// func mulTPanelAVX512(dst *float64, ldc int, a *float64, lda, t0, m, k int, bp *float64, w int)
+//
+// The AVX-512 twin of mulTPanelAVX2 over a sixteen-row panel:
+// bp[16t+c] = b[j0+c][t0+t] for t < k, zero in the lanes c ≥ w. The 8×16
+// tile keeps sixteen ZMM accumulators (two per a row) in flight, and per
+// step issues 2 panel loads + 8 broadcasts for its 16 FMAs. a is row-major
+// with row stride lda, and the chains run over its elements t0 … t0+k−1.
+// At t0 = 0 every lane starts its chain from +0; past it the lane resumes
+// the chain from the value dst holds, which is how the caller runs k in
+// slabs without a rounding more (a float64 store and load are exact).
+// Stores and resuming loads are masked to the w real lanes (K1 lanes 0-7,
+// K2 lanes 8-15), so a ragged panel never touches dst past column w.
+// Requires m ≥ 1, k ≥ 1, 1 ≤ w ≤ 16.
+TEXT ·mulTPanelAVX512(SB), NOSPLIT, $0-72
+	MOVQ dst+0(FP), DI
+	MOVQ ldc+8(FP), R8
+	MOVQ a+16(FP), SI
+	MOVQ lda+24(FP), R9
+	MOVQ t0+32(FP), R13       // non-zero: resume the chains from dst
+	MOVQ m+40(FP), BX
+	MOVQ k+48(FP), R11
+	MOVQ bp+56(FP), R12
+	MOVQ w+64(FP), CX
+	LEAQ (SI)(R13*8), SI      // element t0 of a's first row
+	SHLQ $3, R8               // dst row stride in bytes
+	SHLQ $3, R9               // a row stride in bytes
+	LEAQ (R9)(R9*2), R10      // three a rows
+	MOVL $1, AX
+	SHLL CX, AX
+	DECL AX                   // (1 << w) − 1: one bit per real lane
+	KMOVW AX, K1              // lanes 0-7 (the low eight bits)
+	SHRL $8, AX
+	KMOVW AX, K2              // lanes 8-15
+
+tile8:
+	CMPQ BX, $8
+	JLT  tile1
+	TESTQ R13, R13
+	JNZ  resume8
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z9, Z9, Z9
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+	VPXORQ Z12, Z12, Z12
+	VPXORQ Z13, Z13, Z13
+	VPXORQ Z14, Z14, Z14
+	VPXORQ Z15, Z15, Z15
+	JMP  sweep8
+
+resume8:
+	MOVQ DI, AX
+	VMOVUPD.Z (AX), K1, Z0
+	VMOVUPD.Z 64(AX), K2, Z1
+	ADDQ R8, AX
+	VMOVUPD.Z (AX), K1, Z2
+	VMOVUPD.Z 64(AX), K2, Z3
+	ADDQ R8, AX
+	VMOVUPD.Z (AX), K1, Z4
+	VMOVUPD.Z 64(AX), K2, Z5
+	ADDQ R8, AX
+	VMOVUPD.Z (AX), K1, Z6
+	VMOVUPD.Z 64(AX), K2, Z7
+	ADDQ R8, AX
+	VMOVUPD.Z (AX), K1, Z8
+	VMOVUPD.Z 64(AX), K2, Z9
+	ADDQ R8, AX
+	VMOVUPD.Z (AX), K1, Z10
+	VMOVUPD.Z 64(AX), K2, Z11
+	ADDQ R8, AX
+	VMOVUPD.Z (AX), K1, Z12
+	VMOVUPD.Z 64(AX), K2, Z13
+	ADDQ R8, AX
+	VMOVUPD.Z (AX), K1, Z14
+	VMOVUPD.Z 64(AX), K2, Z15
+
+sweep8:
+	MOVQ SI, AX               // a rows 0-3 of the tile
+	LEAQ (SI)(R9*4), R14      // a rows 4-7
+	MOVQ R12, DX
+	MOVQ R11, CX
+
+step8:
+	VMOVUPD (DX), Z16
+	VMOVUPD 64(DX), Z17
+	VBROADCASTSD (AX), Z18
+	VFMADD231PD Z16, Z18, Z0
+	VFMADD231PD Z17, Z18, Z1
+	VBROADCASTSD (AX)(R9*1), Z19
+	VFMADD231PD Z16, Z19, Z2
+	VFMADD231PD Z17, Z19, Z3
+	VBROADCASTSD (AX)(R9*2), Z20
+	VFMADD231PD Z16, Z20, Z4
+	VFMADD231PD Z17, Z20, Z5
+	VBROADCASTSD (AX)(R10*1), Z21
+	VFMADD231PD Z16, Z21, Z6
+	VFMADD231PD Z17, Z21, Z7
+	VBROADCASTSD (R14), Z22
+	VFMADD231PD Z16, Z22, Z8
+	VFMADD231PD Z17, Z22, Z9
+	VBROADCASTSD (R14)(R9*1), Z23
+	VFMADD231PD Z16, Z23, Z10
+	VFMADD231PD Z17, Z23, Z11
+	VBROADCASTSD (R14)(R9*2), Z24
+	VFMADD231PD Z16, Z24, Z12
+	VFMADD231PD Z17, Z24, Z13
+	VBROADCASTSD (R14)(R10*1), Z25
+	VFMADD231PD Z16, Z25, Z14
+	VFMADD231PD Z17, Z25, Z15
+	ADDQ $8, AX
+	ADDQ $8, R14
+	ADDQ $128, DX
+	DECQ CX
+	JNZ  step8
+
+	MOVQ DI, AX
+	VMOVUPD Z0, K1, (AX)
+	VMOVUPD Z1, K2, 64(AX)
+	ADDQ R8, AX
+	VMOVUPD Z2, K1, (AX)
+	VMOVUPD Z3, K2, 64(AX)
+	ADDQ R8, AX
+	VMOVUPD Z4, K1, (AX)
+	VMOVUPD Z5, K2, 64(AX)
+	ADDQ R8, AX
+	VMOVUPD Z6, K1, (AX)
+	VMOVUPD Z7, K2, 64(AX)
+	ADDQ R8, AX
+	VMOVUPD Z8, K1, (AX)
+	VMOVUPD Z9, K2, 64(AX)
+	ADDQ R8, AX
+	VMOVUPD Z10, K1, (AX)
+	VMOVUPD Z11, K2, 64(AX)
+	ADDQ R8, AX
+	VMOVUPD Z12, K1, (AX)
+	VMOVUPD Z13, K2, 64(AX)
+	ADDQ R8, AX
+	VMOVUPD Z14, K1, (AX)
+	VMOVUPD Z15, K2, 64(AX)
+
+	LEAQ (DI)(R8*8), DI
+	LEAQ (SI)(R9*8), SI
+	SUBQ $8, BX
+	JMP  tile8
+
+	// The m mod 8 remaining rows, one at a time: the same chain per lane,
+	// two accumulators instead of sixteen.
+tile1:
+	TESTQ BX, BX
+	JZ    done512
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	TESTQ R13, R13
+	JZ   sweep1
+	VMOVUPD.Z (DI), K1, Z0
+	VMOVUPD.Z 64(DI), K2, Z1
+
+sweep1:
+	MOVQ SI, AX
+	MOVQ R12, DX
+	MOVQ R11, CX
+
+step1z:
+	VBROADCASTSD (AX), Z18
+	VFMADD231PD (DX), Z18, Z0
+	VFMADD231PD 64(DX), Z18, Z1
+	ADDQ $8, AX
+	ADDQ $128, DX
+	DECQ CX
+	JNZ  step1z
+
+	VMOVUPD Z0, K1, (DI)
+	VMOVUPD Z1, K2, 64(DI)
+	ADDQ R8, DI
+	ADDQ R9, SI
+	DECQ BX
+	JMP  tile1
+
+done512:
 	VZEROUPPER
 	RET

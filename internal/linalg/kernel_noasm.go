@@ -2,12 +2,13 @@
 
 package linalg
 
-// hasAVX2FMA is declared on every platform so tests can reference it; off
-// amd64 it is always false and only the generic kernels run. hasFMA selects
-// the fused product chain (fmaStep): the other 64-bit targets compile
-// math.FMA to one instruction, and where it is software it is still the
-// correctly rounded value, so results stay those of the definition.
-var hasFMA, hasAVX2FMA = true, false
+// hasAVX2FMA and hasAVX512 are declared on every platform so tests can
+// reference them; off amd64 they are always false and only the generic
+// kernels run. hasFMA selects the fused product chain (fmaStep): the other
+// 64-bit targets compile math.FMA to one instruction, and where it is
+// software it is still the correctly rounded value, so results stay those
+// of the definition.
+var hasFMA, hasAVX2FMA, hasAVX512 = true, false, false
 
 func dotUnitary(a, b []float64) float64 { return dotGeneric(a, b) }
 

@@ -324,6 +324,118 @@ func TestMulTEdgeValues(t *testing.T) {
 	}
 }
 
+// mulTPaths are MulTInto's three implementations, chosen through the
+// dispatch vars: the AVX-512 16-row panel, the AVX2 8-row panel and the
+// portable chain.
+var mulTPaths = []struct {
+	name         string
+	avx2, avx512 bool
+}{{"zmm", true, true}, {"avx2", true, false}, {"chain", false, false}}
+
+// mulTEachPath returns a·bᵀ from every implementation this CPU can run,
+// by name.
+func mulTEachPath(a, b *Dense) map[string]*Dense {
+	saved2, saved512 := hasAVX2FMA, hasAVX512
+	defer func() { hasAVX2FMA, hasAVX512 = saved2, saved512 }()
+	out := map[string]*Dense{}
+	for _, p := range mulTPaths {
+		if p.avx2 && !saved2 || p.avx512 && !saved512 {
+			continue
+		}
+		hasAVX2FMA, hasAVX512 = p.avx2, p.avx512
+		dst := NewDense(a.rows, b.rows)
+		for i := range dst.data {
+			dst.data[i] = math.NaN() // every element must be overwritten
+		}
+		out[p.name] = MulTInto(dst, a, b)
+	}
+	return out
+}
+
+// requireMulTPathsAgree holds every implementation to the chain's bits.
+func requireMulTPathsAgree(t *testing.T, a, b *Dense) {
+	t.Helper()
+	got := mulTEachPath(a, b)
+	want := got["chain"]
+	for name, g := range got {
+		for i, v := range g.data {
+			if w := want.data[i]; math.Float64bits(v) != math.Float64bits(w) {
+				t.Fatalf("%dx%dx%d %s: out[%d][%d] = %v (%#x), chain %v (%#x)",
+					a.rows, b.rows, a.cols, name, i/g.cols, i%g.cols, v, math.Float64bits(v), w, math.Float64bits(w))
+			}
+		}
+	}
+}
+
+// mulTValue is a standard normal draw, or with probability 1/16 one of
+// the values the chain must carry through unchanged: ±0, subnormals, ±Inf
+// and NaN.
+func mulTValue(rng *rand.Rand) float64 {
+	special := [...]float64{0, math.Copysign(0, -1), 5e-324, -3e-310, 1e-310,
+		math.Inf(1), math.Inf(-1), math.NaN()}
+	if rng.Intn(16) == 0 {
+		return special[rng.Intn(len(special))]
+	}
+	return rng.NormFloat64()
+}
+
+// TestMulTPathsAgree runs the three implementations over every tile edge:
+// m mod 8 from 0 to 7 (the ZMM tile's row tail, and the AVX2 tile's),
+// n mod 16 from 0 to 15 (every ragged panel of either width), and k across
+// the AVX-512 path's 256-column slab boundary.
+func TestMulTPathsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(131))
+	for _, k := range []int{1, 2, 15, 16, 17, 166, 256, 257, 300} {
+		for mr := 0; mr < 8; mr++ {
+			for nr := 0; nr < 16; nr++ {
+				a := &Dense{rows: 8 + mr, cols: k, data: make([]float64, (8+mr)*k)}
+				b := &Dense{rows: 16 + nr, cols: k, data: make([]float64, (16+nr)*k)}
+				for i := range a.data {
+					a.data[i] = mulTValue(rng)
+				}
+				for i := range b.data {
+					b.data[i] = mulTValue(rng)
+				}
+				requireMulTPathsAgree(t, a, b)
+			}
+		}
+	}
+}
+
+// FuzzMulT holds the three implementations to one another on
+// fuzzer-chosen shapes and bits. The first three bytes pick m (1 to 40),
+// n (1 to 40) and k (1 to 300); the rest, cycled eight bytes at a time,
+// are the raw bits of a then b, so every NaN payload can occur.
+func FuzzMulT(f *testing.F) {
+	f.Add([]byte{8, 16, 1, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f})
+	f.Add([]byte{15, 31, 0x01, 0x01, 0, 0, 0, 0, 0, 0xf8, 0x7f, 0, 0, 0, 0, 0, 0, 0xf0, 0xff, 0, 0, 0, 0, 0, 0, 0, 0x80})
+	f.Add([]byte{7, 17, 0xff, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			t.Skip()
+		}
+		m, n, k := int(data[0])%40+1, int(data[1])%40+1, (int(data[2])<<8|int(data[3]))%300+1
+		rest, off := data[4:], 0
+		if len(rest) == 0 {
+			rest = data
+		}
+		mat := func(r int) *Dense {
+			d := &Dense{rows: r, cols: k, data: make([]float64, r*k)}
+			for i := range d.data {
+				var b [8]byte
+				for j := range b {
+					b[j] = rest[off%len(rest)]
+					off++
+				}
+				d.data[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+			}
+			return d
+		}
+		a := mat(m)
+		requireMulTPathsAgree(t, a, mat(n))
+	})
+}
+
 // TestMulTUnfusedWithoutFMA pins the amd64-without-FMA form of the chain:
 // no software math.FMA, a rounded product and a rounded sum per step — and
 // the paired norm follows it, so identical rows still cancel exactly.

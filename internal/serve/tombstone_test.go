@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -156,27 +155,39 @@ func BenchmarkSearchTombstones(b *testing.B) {
 	}
 }
 
-// TestTombstoneReadCost gates the benchmark's claim at a fixed iteration
-// count: a read with 500 tombstones pending costs at most 1.15× a read with
-// none (it was 2.0–2.2× under the over-fetch protocol). The two engines are
-// timed in alternating rounds and compared on their fastest rounds, which
-// is what a shared host cannot inflate.
+// TestTombstoneReadCost gates the benchmark's claim: a read with 500
+// tombstones pending costs at most 1.15× a read with none (it was 2.0–2.2×
+// under the over-fetch protocol). Every query is read by both engines back
+// to back, which of them goes first alternating from query to query, and
+// the gate is the median of the per-query ratios: a burst of load from
+// elsewhere on a shared host lands on a few pairs, or on both reads of one
+// pair, and moves that median little, where it moved a ratio of two
+// best-of-rounds means by 25 %.
 func TestTombstoneReadCost(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("timing gate: the race detector instruments the cursor but not the assembly Dot it saves")
 	}
-	const rounds, iters = 7, 60
+	const pairs = 401
 	clean, queries := tombstoneBenchEngine(t, 0)
 	mutated, _ := tombstoneBenchEngine(t, 500)
-	best := [2]time.Duration{math.MaxInt64, math.MaxInt64}
-	for r := 0; r < rounds; r++ {
-		for i, e := range []*Engine{clean, mutated} {
-			best[i] = min(best[i], timeReads(t, e, queries, iters))
-		}
+	engines := [2]*Engine{clean, mutated}
+	for _, e := range engines {
+		timeReads(t, e, queries, 32) // warm the collector and the caches
 	}
-	ratio := float64(best[1]) / float64(best[0])
-	t.Logf("exact read: T=0 %v, T=500 %v, ratio %.3f", best[0], best[1], ratio)
+	ratios := make([]float64, pairs)
+	for i := range ratios {
+		q := queries.RowSlice(i%queries.Rows(), i%queries.Rows()+1)
+		var took [2]time.Duration
+		for j := range engines {
+			which := (i + j) % 2
+			took[which] = timeReads(t, engines[which], q, 1)
+		}
+		ratios[i] = float64(took[1]) / float64(took[0])
+	}
+	slices.Sort(ratios)
+	ratio := ratios[pairs/2]
+	t.Logf("exact read, T=500 over T=0 per query: median %.3f, quartiles %.3f–%.3f", ratio, ratios[pairs/4], ratios[3*pairs/4])
 	if ratio > 1.15 {
-		t.Errorf("read with 500 tombstones costs %.2f× a read with none, want ≤ 1.15×", ratio)
+		t.Errorf("read with 500 tombstones costs %.2f× a read with none (median of %d queries), want ≤ 1.15×", ratio, pairs)
 	}
 }
