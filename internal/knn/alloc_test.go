@@ -62,12 +62,15 @@ func TestResetZeroAllocs(t *testing.T) {
 
 // TestScanTileZeroAllocs pins the tile scans' //drlint:hotpath contract:
 // finding, clamping and offering a row's candidates — to one collector or,
-// on a mirrored tile, to the row's and each column's — allocates nothing.
+// on a strip of a strictly-upper self-join tile, to each row's and each
+// column's — allocates nothing.
 func TestScanTileZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(113))
 	x := randMatrix(rng, 300, 8)
 	norms := linalg.MulTRowNormsSq(x)
 	g := linalg.MulT(x.RowSlice(0, 1), x).RawRow(0)
+	sj := linalg.NewSelfJoin(x)
+	strip, mask := make([]float64, linalg.StripRows*260), make([]uint64, linalg.StripRows*5)
 	collectors := make([]Collector, 300)
 	bounds := make([]float64, 300)
 	reset := func() {
@@ -78,11 +81,34 @@ func TestScanTileZeroAllocs(t *testing.T) {
 	}
 	reset() // the heaps exist from here on
 	for name, call := range map[string]func(){
-		"scanTile":         func() { scanTile(&collectors[0], g, norms, norms[0], 0, 0) },
-		"scanTileMirrored": func() { scanTileMirrored(collectors, bounds, g[40:], norms, 0, 40) },
+		"scanTile": func() { scanTile(&collectors[0], g, norms, norms[0], 0, 0) },
+		"resolveStrip": func() {
+			sj.Strip(strip, mask, 0, linalg.StripRows, 32, 260, norms, bounds)
+			resolveStrip(collectors, bounds, norms, strip[:linalg.StripRows*260], mask, 0, 32, 260)
+		},
 	} {
 		if avg := testing.AllocsPerRun(100, func() { reset(); call() }); avg != 0 {
 			t.Errorf("%s does %.2f allocs/op, want 0", name, avg)
 		}
 	}
+}
+
+// TestSearchSetBatchSelfAllocsFlat pins the self-join's allocations as a
+// count independent of the number of queries: the collectors' heaps share
+// one arena and the answers are slices of it, so with no query falling back
+// to the scalar scan, 300 and 1200 queries allocate alike.
+func TestSearchSetBatchSelfAllocsFlat(t *testing.T) {
+	withProcs(1, func() {
+		rng := rand.New(rand.NewSource(127))
+		var allocs []float64
+		for _, n := range []int{300, 1200} {
+			x := randMatrix(rng, n, 16)
+			allocs = append(allocs, testing.AllocsPerRun(20, func() {
+				SearchSetBatch(x, x, 3, Euclidean{}, true)
+			}))
+		}
+		if allocs[0] != allocs[1] {
+			t.Errorf("self-join allocates %.0f times at 300 queries and %.0f at 1200, want the same count", allocs[0], allocs[1])
+		}
+	})
 }

@@ -3,6 +3,7 @@ package knn
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 
@@ -31,7 +32,7 @@ const (
 	batchDataTile = 2048
 	// batchSelfBlock is the side of the square tiles a self-join walks
 	// (searchSelfTiles): block² float64s of scratch — 512 KB — that a core's
-	// L2 keeps while the mirrored scan reads it back.
+	// L2 keeps while a diagonal tile's scan reads it back.
 	batchSelfBlock = 256
 )
 
@@ -157,9 +158,14 @@ func SearchSetBatch(data, queries *linalg.Dense, k int, m Metric, selfExclude bo
 	for _, v := range dataNorms {
 		maxNorm = math.Max(maxNorm, v) // NaN propagates and fails every gap test
 	}
+	// One arena holds every collector's heap, k+1 slots each (n ≤ k: every
+	// row is a neighbor); each heap's capacity ends at its own slots.
+	kk := min(k+1, n)
+	arena := make([]Neighbor, nq*kk)
 	collectors := make([]Collector, nq)
 	for i := range collectors {
-		collectors[i].Reset(min(k+1, n)) // n ≤ k: every row is a neighbor
+		collectors[i].heap = arena[i*kk : i*kk : (i+1)*kk]
+		collectors[i].Reset(kk)
 	}
 	queryNorms := dataNorms
 	if data == queries {
@@ -171,7 +177,10 @@ func SearchSetBatch(data, queries *linalg.Dense, k int, m Metric, selfExclude bo
 
 	out := make([][]Neighbor, nq)
 	parallelQueries(nq, func(i int) {
-		res := collectors[i].Results()
+		// The collector is finished: its heap, sorted in place, is the
+		// answer's storage.
+		res := collectors[i].heap
+		SortNeighbors(res)
 		q := queries.RawRow(i)
 		if !NormCacheSeparated(res, k, d, queryNorms[i]+maxNorm) {
 			ex := -1
@@ -181,7 +190,7 @@ func SearchSetBatch(data, queries *linalg.Dense, k int, m Metric, selfExclude bo
 			out[i] = Search(data, q, k, m, ex)
 			return
 		}
-		res = res[:min(k, len(res))]
+		res = res[:min(k, len(res)):min(k, len(res))] // an append must not reach the next heap
 		// Rescore with the scalar metric so reported distances are
 		// bit-identical to the scalar path, then restore (dist, index)
 		// order. O(nq·k·d) — noise next to the O(nq·n·d) scan.
@@ -224,7 +233,7 @@ func searchTiles(data, queries *linalg.Dense, dataNorms, queryNorms []float64, c
 
 // searchSelfTiles is the self-join schedule: one square grid of
 // batchSelfBlock-row blocks over x, of which only the tiles on or above the
-// diagonal are multiplied. ⟨xᵢ,xⱼ⟩ and ⟨xⱼ,xᵢ⟩ are one product chain (each
+// diagonal are computed. ⟨xᵢ,xⱼ⟩ and ⟨xⱼ,xᵢ⟩ are one product chain (each
 // step's product commutes) and norms[i] + norms[j] one sum, so the d2 a
 // strictly-upper tile (I, J) yields for (i, j) is, bit for bit, the value
 // the two-matrix schedule computes twice; it is offered to collectors[i] as
@@ -238,43 +247,109 @@ func searchTiles(data, queries *linalg.Dense, dataNorms, queryNorms []float64, c
 // two-matrix scan's sequence. Equal-distance ties at the admission boundary
 // are the one thing that depends on that order, and it is unchanged.
 //
-// A diagonal tile is a full product scanned like a two-matrix tile, in
-// parallel over its rows. A mirrored tile's scan writes collectors of both
-// its blocks from every row, so it runs on this goroutine alone; the product
-// before it is still parallel inside MulTInto.
+// Every tile's products come from linalg.SelfJoin.Strip, one call per
+// strip of linalg.StripRows rows, which also marks the strip's pairs below
+// their row's or their column's bound as the strip starts. A diagonal
+// tile's strips are computed in parallel and the tile is scanned like a
+// two-matrix tile, in parallel over its rows; its marks go unread. A
+// strictly-upper tile is walked strip by strip: the kernel call, then
+// resolveStrip, which offers the marked pairs row by row. A strip writes
+// collectors of both its blocks from every row, so the walk runs on this
+// goroutine alone (EXPERIMENTS.md, "The paper's op at the register tile",
+// measures it against the parent's parallel products at one, two and
+// eight processors).
 func searchSelfTiles(x *linalg.Dense, norms []float64, collectors []Collector, selfExclude bool) {
 	n := x.Rows()
 	block := min(batchSelfBlock, n)
 	scratch := make([]float64, block*block)
 	// bounds[i] shadows collectors[i].Bound() in the contiguous form the
-	// mirrored scan's kernel reads a tile's columns from.
+	// strip kernel reads a tile's rows and columns from.
 	bounds := make([]float64, n)
 	for i := range bounds {
 		bounds[i] = collectors[i].Bound()
 	}
-	for ilo := 0; ilo < n; ilo += block {
-		ihi := min(ilo+block, n)
-		rows := x.RowSlice(ilo, ihi)
-		for jlo := ilo; jlo < n; jlo += block {
-			jhi := min(jlo+block, n)
-			g := linalg.NewDenseData(ihi-ilo, jhi-jlo, scratch[:(ihi-ilo)*(jhi-jlo)])
-			linalg.MulTInto(g, rows, x.RowSlice(jlo, jhi))
-			if jlo > ilo {
-				for bi := 0; bi < ihi-ilo; bi++ {
-					scanTileMirrored(collectors, bounds, g.RawRow(bi), norms, ilo+bi, jlo)
-				}
-				continue
-			}
-			parallelQueries(ihi-ilo, func(bi int) {
-				i := ilo + bi
-				ex := -1
-				if selfExclude {
-					ex = bi
-				}
-				scanTile(&collectors[i], g.RawRow(bi), norms[jlo:jhi], norms[i], jlo, ex)
-				bounds[i] = collectors[i].Bound()
-			})
+	sj := linalg.NewSelfJoin(x)
+	mask := make([]uint64, block*linalg.StripMaskWords(block))
+	var ilo, ihi int
+	diagonalStrip := func(s int) {
+		i0, w := ilo+s*linalg.StripRows, ihi-ilo
+		m := min(linalg.StripRows, ihi-i0)
+		sj.Strip(scratch[s*linalg.StripRows*w:], mask[s*linalg.StripRows*linalg.StripMaskWords(w):], i0, m, ilo, w, norms, bounds)
+	}
+	scanDiagonal := func(bi int) {
+		i, w := ilo+bi, ihi-ilo
+		ex := -1
+		if selfExclude {
+			ex = bi
 		}
+		scanTile(&collectors[i], scratch[bi*w:][:w], norms[ilo:ihi], norms[i], ilo, ex)
+		bounds[i] = collectors[i].Bound()
+	}
+	for ilo = 0; ilo < n; ilo += block {
+		ihi = min(ilo+block, n)
+		parallelQueries((ihi-ilo+linalg.StripRows-1)/linalg.StripRows, diagonalStrip)
+		parallelQueries(ihi-ilo, scanDiagonal)
+		for jlo := ihi; jlo < n; jlo += block {
+			w := min(block, n-jlo)
+			for i0 := ilo; i0 < ihi; i0 += linalg.StripRows {
+				m := min(linalg.StripRows, ihi-i0)
+				sj.Strip(scratch, mask, i0, m, jlo, w, norms, bounds)
+				resolveStrip(collectors, bounds, norms, scratch[:m*w], mask, i0, jlo, w)
+			}
+		}
+	}
+}
+
+// resolveStrip offers a strip's marked pairs (SelfJoin.Strip: products g,
+// len(g)/w rows from row i0 by w columns from j0, and their mask) as
+// scanTile would offer each row of the tile to its collector and to each
+// column's: row by row, columns ascending, each d2 recomputed from g and
+// tested against the row's and the column's bound of the moment. A bound
+// only falls, so an unmarked pair, not below the bounds the strip started
+// from, cannot be below these — until an offer leaves a bound at NaN, which
+// nothing is at or above: from there on every pair of the strip is tested,
+// marked or not. norms and bounds are the whole matrix's.
+//
+//drlint:hotpath inline=2
+func resolveStrip(collectors []Collector, bounds, norms, g []float64, mask []uint64, i0, j0, w int) {
+	words := linalg.StripMaskWords(w)
+	all := false
+	for r := 0; r < len(g)/w; r++ {
+		i := i0 + r
+		qn, bound := norms[i], bounds[i]
+		row := &collectors[i]
+		grow := g[r*w:][:w]
+		for p, set := range mask[r*words:][:words] {
+			if all {
+				set = 1<<min(64, w-64*p) - 1
+			}
+			for set != 0 {
+				c := 64*p + bits.TrailingZeros64(set)
+				set &= set - 1
+				j := j0 + c
+				d2 := normCacheSq(qn, norms[j], grow[c])
+				below, belowCol := !(d2 >= bound), !(d2 >= bounds[j])
+				if d2 < 0 {
+					d2 = 0
+				}
+				nan := false
+				if below {
+					row.Offer(j, d2)
+					bound = row.Bound()
+					nan = math.IsNaN(bound)
+				}
+				if belowCol {
+					collectors[j].Offer(i, d2)
+					bounds[j] = collectors[j].Bound()
+					nan = nan || math.IsNaN(bounds[j])
+				}
+				if nan && !all {
+					all = true
+					set = (1<<min(64, w-64*p) - 1) &^ (2<<(c-64*p) - 1) // the columns after c
+				}
+			}
+		}
+		bounds[i] = bound
 	}
 }
 
@@ -304,38 +379,6 @@ func scanTile(c *Collector, g, norms []float64, qn float64, base, ex int) {
 		c.Offer(base+jj, d2)
 		bound = c.Bound()
 	}
-}
-
-// scanTileMirrored is scanTile for row i of a strictly-upper self-join tile
-// whose columns are rows base… of the same matrix: each d2 is tested against
-// row i's bound and against its column's, and offered wherever it is below.
-// norms and bounds are the whole matrix's.
-//
-//drlint:hotpath inline=2
-func scanTileMirrored(collectors []Collector, bounds, g, norms []float64, i, base int) {
-	qn, bound := norms[i], bounds[i]
-	row := &collectors[i]
-	norms, colBounds, cols := norms[base:][:len(g)], bounds[base:][:len(g)], collectors[base:][:len(g)]
-	for jj := 0; ; jj++ {
-		jj += linalg.FirstBelowEither(g[jj:], norms[jj:], colBounds[jj:], qn, bound)
-		if jj >= len(g) {
-			break
-		}
-		d2 := normCacheSq(qn, norms[jj], g[jj])
-		below, belowCol := !(d2 >= bound), !(d2 >= colBounds[jj])
-		if d2 < 0 {
-			d2 = 0
-		}
-		if below {
-			row.Offer(base+jj, d2)
-			bound = row.Bound()
-		}
-		if belowCol {
-			cols[jj].Offer(i, d2)
-			colBounds[jj] = cols[jj].Bound()
-		}
-	}
-	bounds[i] = bound
 }
 
 // normCacheSq is the norm-cache squared distance, in the operation order

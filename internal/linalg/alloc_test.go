@@ -65,16 +65,24 @@ func TestMulTIntoAllocatesOnePanel(t *testing.T) {
 	}
 }
 
-// TestFirstBelowZeroAllocs pins the //drlint:hotpath contract of the scan
-// kernels' entry points: dispatch, assembly head and scalar tail allocate
-// nothing — they run once per tile row and once more per admitted candidate.
+// TestFirstBelowZeroAllocs pins the scan kernels' entry points: FirstBelow's
+// dispatch, assembly head and scalar tail, and SelfJoin.Strip on the kernel
+// and on its twin (MulTInto's row kernel on stack headers, and the Go mask
+// loop), allocate nothing — they run once per tile row or strip, and
+// FirstBelow once more per admitted candidate.
 func TestFirstBelowZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(227))
-	g, norms, bounds := randVec(rng, 261), randVec(rng, 261), randVec(rng, 261)
+	g, norms := randVec(rng, 261), randVec(rng, 261)
+	x := denseOf(rng, 300, 16)
+	sj := NewSelfJoin(x)
+	xn, bounds := randVec(rng, 300), make([]float64, 300)
+	strip, mask := make([]float64, StripRows*261), make([]uint64, StripRows*5)
 	sink := 0
 	for name, call := range map[string]func(){
-		"FirstBelow":       func() { sink += FirstBelow(g, norms, 100, -100) },
-		"FirstBelowEither": func() { sink += FirstBelowEither(g, norms, bounds, 100, -100) },
+		"FirstBelow":    func() { sink += FirstBelow(g, norms, 100, -100) },
+		"Strip":         func() { sj.Strip(strip, mask, 8, StripRows, 32, 261, xn, bounds) },
+		"Strip, 3 rows": func() { sj.Strip(strip, mask, 8, 3, 32, 261, xn, bounds) },
+		"Strip, twin":   func() { withGeneric(func() { sj.Strip(strip, mask, 8, StripRows, 32, 261, xn, bounds) }) },
 	} {
 		if avg := testing.AllocsPerRun(500, call); avg != 0 {
 			t.Errorf("%s does %.2f allocs/op, want 0", name, avg)

@@ -147,6 +147,8 @@ func BenchmarkMulNaiveT512x166(b *testing.B) {
 	}
 }
 
+// BenchmarkAtA6598x166 is the covariance's product at the paper's shape;
+// GFMA/s counts the upper triangle's n·k(k+1)/2 multiply-adds.
 func BenchmarkAtA6598x166(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	x := randDense(rng, 6598, 166)
@@ -154,6 +156,27 @@ func BenchmarkAtA6598x166(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		AtA(x)
 	}
+	b.ReportMetric(6598*166*167/2*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFMA/s")
+}
+
+// BenchmarkStrip8x256x16 times SelfJoin.Strip at the self-join's shape in
+// reduce_pipeline — eight rows against a 256-column tile at 16 dimensions,
+// bounds that mark nothing — and reports its product rate in GFMA/s, the
+// mask test included.
+func BenchmarkStrip8x256x16(b *testing.B) {
+	rng := rand.New(rand.NewSource(11))
+	x := randDense(rng, 512, 16)
+	norms, bounds := MulTRowNormsSq(x), make([]float64, 512)
+	for i := range bounds {
+		bounds[i] = -1
+	}
+	sj := NewSelfJoin(x)
+	g, mask := make([]float64, StripRows*256), make([]uint64, StripRows*StripMaskWords(256))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sj.Strip(g, mask, 8*(i%32), StripRows, 256, 256, norms, bounds)
+	}
+	b.ReportMetric(8*256*16*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFMA/s")
 }
 
 func BenchmarkAtANaive6598x166(b *testing.B) {
@@ -168,14 +191,13 @@ func BenchmarkAtANaive6598x166(b *testing.B) {
 var benchSinkIndex int
 
 // benchFirstBelow times one full-length scan of an n-entry tile row in
-// which nothing is below either bound — the common case the kernel exists
+// which nothing is below the bound — the common case the kernel exists
 // for — and reports it through SetBytes as bytes of g consumed.
-func benchFirstBelow(b *testing.B, n int, either, generic bool) {
+func benchFirstBelow(b *testing.B, n int, generic bool) {
 	rng := rand.New(rand.NewSource(10))
-	g, norms, bounds := randVec(rng, n), randVec(rng, n), make([]float64, n)
+	g, norms := randVec(rng, n), randVec(rng, n)
 	for j := range norms {
 		norms[j] = 40 + norms[j] // d2 ≈ 50 ± a few, bound 1
-		bounds[j] = 1
 	}
 	if generic {
 		saved := hasAVX2FMA
@@ -185,23 +207,16 @@ func benchFirstBelow(b *testing.B, n int, either, generic bool) {
 	b.SetBytes(int64(8 * n))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if either {
-			benchSinkIndex = FirstBelowEither(g, norms, bounds, 10, 1)
-		} else {
-			benchSinkIndex = FirstBelow(g, norms, 10, 1)
-		}
+		benchSinkIndex = FirstBelow(g, norms, 10, 1)
 	}
 	if benchSinkIndex != n {
 		b.Fatalf("scan stopped at %d of %d", benchSinkIndex, n)
 	}
 }
 
-// 512 entries is a row of the self-join grid's tile, 2048 a row of the
-// two-matrix schedule's; both rows sit in L1 here, where the kernel is
-// compute-bound.
-func BenchmarkFirstBelow512(b *testing.B)              { benchFirstBelow(b, 512, false, false) }
-func BenchmarkFirstBelow2048(b *testing.B)             { benchFirstBelow(b, 2048, false, false) }
-func BenchmarkFirstBelowGeneric512(b *testing.B)       { benchFirstBelow(b, 512, false, true) }
-func BenchmarkFirstBelowGeneric2048(b *testing.B)      { benchFirstBelow(b, 2048, false, true) }
-func BenchmarkFirstBelowEither512(b *testing.B)        { benchFirstBelow(b, 512, true, false) }
-func BenchmarkFirstBelowEitherGeneric512(b *testing.B) { benchFirstBelow(b, 512, true, true) }
+// 2048 entries is a row of the two-matrix schedule's tile; both lengths sit
+// in L1 here, where the kernel is compute-bound.
+func BenchmarkFirstBelow512(b *testing.B)         { benchFirstBelow(b, 512, false) }
+func BenchmarkFirstBelow2048(b *testing.B)        { benchFirstBelow(b, 2048, false) }
+func BenchmarkFirstBelowGeneric512(b *testing.B)  { benchFirstBelow(b, 512, true) }
+func BenchmarkFirstBelowGeneric2048(b *testing.B) { benchFirstBelow(b, 2048, true) }

@@ -215,7 +215,9 @@ func transposeSquare(m *Dense) {
 // tridiagonal form. On return d holds the diagonal, e the subdiagonal
 // (e[0] = 0), and z the accumulated orthogonal transformation.
 // Adapted to 0-based indexing from the classic EISPACK/Numerical Recipes
-// routine.
+// routine. The accumulation's column-strided inner loops (backAccum) run
+// four columns per AVX2 register on amd64, with every operation rounded as
+// in the loop (backAccumGeneric), which runs elsewhere.
 func tred2(z *Dense, d, e []float64) {
 	n, a := z.rows, z.data
 	for i := n - 1; i >= 1; i-- {
@@ -278,21 +280,30 @@ func tred2(z *Dense, d, e []float64) {
 	for i := 0; i < n; i++ {
 		zi := a[i*n : i*n+i] // z(i, 0..i-1)
 		if d[i] != 0 {
-			for j := range zi {
-				g := 0.0
-				for k, v := range zi {
-					g += v * a[k*n+j]
-				}
-				for k := range zi {
-					a[k*n+j] -= g * a[k*n+i]
-				}
-			}
+			backAccum(a, n, i)
 		}
 		d[i] = a[i*n+i]
 		a[i*n+i] = 1.0
 		for j := range zi {
 			a[j*n+i] = 0.0
 			zi[j] = 0.0
+		}
+	}
+}
+
+// backAccumGeneric is tred2's back-accumulation for step i over the
+// columns j in [j0, i): g = Σ_k a[i][k]·a[k][j], then a[k][j] −= g·a[k][i],
+// for k < i in order. It is the loop itself on every platform and the
+// portable twin of backAccumAVX2, which runs four columns per register.
+func backAccumGeneric(a []float64, n, i, j0 int) {
+	zi := a[i*n : i*n+i]
+	for j := j0; j < i; j++ {
+		g := 0.0
+		for k, v := range zi {
+			g += v * a[k*n+j]
+		}
+		for k := range zi {
+			a[k*n+j] -= g * a[k*n+i]
 		}
 	}
 }

@@ -137,9 +137,12 @@ func chainDot(a, b []float64) float64 {
 // computed upper triangle, so no post-hoc symmetrization is needed). Row
 // panels accumulate per-worker partial sums that are reduced in worker
 // order, so the result is deterministic for a fixed GOMAXPROCS. Within a
-// panel each entry is the row-order sum of its rows' products (ataPanel),
-// computed four rows per pass over the accumulator by one register-blocked
-// kernel (axpy4Unitary) and bit-identical to one axpy per row.
+// panel each entry is the row-order sum of its rows' products, one suffix
+// axpy per row (ataPanel's definition). Where the CPU has AVX-512 a ZMM
+// syrk kernel computes all but the last asmMinLen − 1 output rows in 8×16
+// register tiles over 256-row slabs (ataRowsAVX512); elsewhere ataPanel
+// runs four rows per pass over the accumulator (axpy4Unitary). Both are
+// bit-identical to one axpy per row.
 func AtA(a *Dense) *Dense {
 	n, k := a.rows, a.cols
 	out := NewDense(k, k)
@@ -150,7 +153,7 @@ func AtA(a *Dense) *Dense {
 		workers = maxW
 	}
 	if workers <= 1 {
-		ataPanel(a, out.data, 0, n)
+		ataRows(a, out.data, 0, n)
 	} else {
 		partials := make([][]float64, workers)
 		chunk := (n + workers - 1) / workers
@@ -168,7 +171,7 @@ func AtA(a *Dense) *Dense {
 			go func(w, lo, hi int) {
 				defer wg.Done()
 				buf := make([]float64, k*k)
-				ataPanel(a, buf, lo, hi)
+				ataRows(a, buf, lo, hi)
 				partials[w] = buf
 			}(w, lo, hi)
 		}
@@ -198,7 +201,8 @@ func AtA(a *Dense) *Dense {
 // each acc row (axpy4Unitary): every element still takes the four rows'
 // steps in row order, so the bits are the definition's. A leading index
 // where any of the four leading elements is zero goes row by row, so the
-// zero skip stays exact (0·Inf is NaN, not nothing).
+// zero skip stays exact (0·Inf is NaN, not nothing). It is AtA's worker
+// body off AVX-512, and the portable twin of the syrk kernel.
 func ataPanel(a *Dense, acc []float64, lo, hi int) {
 	k := a.cols
 	rows := a.data[lo*k : hi*k]

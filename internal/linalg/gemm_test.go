@@ -337,8 +337,72 @@ func TestAtABitIdenticalToRowAxpy(t *testing.T) {
 	}
 }
 
-// FuzzAtA: two bytes pick the shape (up to 400 × 40), one the worker count,
-// and each entry takes three bytes: an int16 mantissa m and a shift s give
+// diffAtAPaths runs diffAtABits on every AtA implementation this CPU can
+// run — the ZMM syrk kernel, ataPanel over the AVX2 axpys and ataPanel
+// over the portable ones — each against the oracle under the same dispatch,
+// and names the first path and entry that differ, or returns "".
+func diffAtAPaths(a *Dense) string {
+	saved2, saved512 := hasAVX2FMA, hasAVX512
+	defer func() { hasAVX2FMA, hasAVX512 = saved2, saved512 }()
+	for _, p := range mulTPaths {
+		if p.avx2 && !saved2 || p.avx512 && !saved512 {
+			continue
+		}
+		hasAVX2FMA, hasAVX512 = p.avx2, p.avx512
+		if diff := diffAtABits(a); diff != "" {
+			return p.name + ": " + diff
+		}
+		// A worker's pass writes the upper triangle and nothing else.
+		k := a.cols
+		acc := make([]float64, k*k)
+		for i := range acc {
+			if i/k > i%k {
+				acc[i] = 42
+			}
+		}
+		ataRows(a, acc, 0, a.rows)
+		for i, v := range acc {
+			if i/k > i%k && v != 42 {
+				return fmt.Sprintf("%s: worker pass wrote (%d,%d) below the diagonal", p.name, i/k, i%k)
+			}
+		}
+	}
+	return ""
+}
+
+// TestAtAPathsAgree forces each AtA implementation over the syrk kernel's
+// edges: widths below asmMinLen (no kernel at all), at and past it, and
+// the paper's 166, so the fused/unfused row split falls at every position
+// of the eight-row tile; row counts off the four-row block and off the
+// 256-row slab; rows that are mostly zero, with a zero among every tile's
+// eight leads; and GOMAXPROCS 1, 2, 3 and 8.
+func TestAtAPathsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(139))
+	for _, k := range []int{7, 15, 16, 17, 23, 31, 40, 166} {
+		for _, n := range []int{1, 5, 67, 258, 531} {
+			a := randDense(rng, n, k)
+			for i := range a.data {
+				switch u := rng.Intn(16); {
+				case u < 6: // zero-heavy: more than a third of the entries
+					a.data[i] = 0
+				case u == 6:
+					a.data[i] = mulTValue(rng)
+				}
+			}
+			for _, p := range ataProcs {
+				withWorkers(p, func() {
+					if diff := diffAtAPaths(a); diff != "" {
+						t.Fatalf("%dx%d GOMAXPROCS=%d: %s", n, k, p, diff)
+					}
+				})
+			}
+		}
+	}
+}
+
+// FuzzAtA holds every AtA implementation (diffAtAPaths) to the oracle.
+// Two bytes pick the shape (up to 400 × 40), one the worker count, and
+// each entry takes three bytes: an int16 mantissa m and a shift s give
 // m/8192 · 2^−5s, so zeros, repeated values and subnormals are all a few
 // byte flips away, and the three mantissas nearest overflow stand for NaN,
 // +Inf and −Inf, as in fuzzSymmetric. Missing bytes read as zero, so short
@@ -375,7 +439,7 @@ func FuzzAtA(f *testing.F) {
 			a.data[i] = v
 		}
 		withWorkers(procs, func() {
-			if diff := diffAtABits(a); diff != "" {
+			if diff := diffAtAPaths(a); diff != "" {
 				t.Fatalf("%dx%d GOMAXPROCS=%d: %s", n, k, procs, diff)
 			}
 		})

@@ -22,6 +22,9 @@ func axpy4AVX2(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64)
 func rotAVX2(s, c float64, lo, hi []float64)
 
 //go:noescape
+func backAccumAVX2(a *float64, n, i, m int)
+
+//go:noescape
 func mixRowAVX2(dst, wt []float64, ldw int, z, eps []float64, sigma float64, scales []float64)
 
 //go:noescape
@@ -29,6 +32,9 @@ func mulTPanelAVX2(dst *float64, ldc int, a *float64, m, k int, bp *float64, w i
 
 //go:noescape
 func mulTPanelAVX512(dst *float64, ldc int, a *float64, lda, t0, m, k int, bp *float64, w int)
+
+//go:noescape
+func ataSyrkAVX512(acc *float64, a *float64, k, rows, j0, j1 int)
 
 func cpuidx(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
@@ -111,6 +117,20 @@ func rotRows(s, c float64, lo, hi []float64) {
 	rotGeneric(s, c, lo, hi)
 }
 
+// backAccum runs tred2's back-accumulation for step i (i ≥ 1): the
+// assembly over the largest multiple of four columns and backAccumGeneric
+// over the rest. Both round every product, sum and difference as the loop
+// does on amd64, where Go does not fuse, and the columns are independent,
+// so the split cannot move a bit.
+func backAccum(a []float64, n, i int) {
+	head := 0
+	if hasAVX2FMA && i >= 4 {
+		head = i &^ 3
+		backAccumAVX2(&a[0], n, i, head)
+	}
+	backAccumGeneric(a, n, i, head)
+}
+
 // mixRowUnitary runs the assembly over the largest multiple of four
 // columns and mixRowGeneric over the rest. Both round every product and sum
 // as the definition does, so the split cannot move a bit.
@@ -122,6 +142,45 @@ func mixRowUnitary(dst, wt, z, eps []float64, sigma float64, scales []float64) {
 		mixRowAVX2(dst[:head], wt, d, z, eps, sigma, scales)
 	}
 	mixRowGeneric(dst[head:], wt[head:], d, z, eps[head:], sigma, scales[head:])
+}
+
+// ataRows is AtA's worker body: ataPanel's upper triangle of rows
+// [lo, hi), through the ZMM syrk kernel where it runs and k ≥ asmMinLen.
+func ataRows(a *Dense, acc []float64, lo, hi int) {
+	if hasAVX2FMA && hasAVX512 && a.cols >= asmMinLen {
+		ataRowsAVX512(a, acc, lo, hi)
+		return
+	}
+	ataPanel(a, acc, lo, hi)
+}
+
+// ataSlab is the number of rows of a per ataSyrkAVX512 call: 340 KB of a
+// at k = 166, which the core's L2 keeps while every tile of the triangle
+// sweeps it, and one load and store of each accumulator per 256 row steps.
+const ataSlab = 256
+
+// ataRowsAVX512 computes ataPanel's bits slab by slab in row order: the
+// syrk kernel for the output rows whose suffix axpy fuses (axpyAVX2,
+// k − j ≥ asmMinLen) and ataPanel's own axpyGeneric loop for the last
+// asmMinLen − 1. Each entry sees its rows in order, so neither the slabs
+// nor the split move a bit.
+func ataRowsAVX512(a *Dense, acc []float64, lo, hi int) {
+	k := a.cols
+	kf := k - (asmMinLen - 1)
+	acc = acc[:k*k]
+	for r0 := lo; r0 < hi; r0 += ataSlab {
+		slab := a.data[r0*k : min(r0+ataSlab, hi)*k]
+		rows := len(slab) / k
+		ataSyrkAVX512(&acc[0], &slab[0], k, rows, 0, kf)
+		for i := 0; i < rows; i++ {
+			row := slab[i*k : (i+1)*k]
+			for j := kf; j < k; j++ {
+				if v := row[j]; v != 0 {
+					axpyGeneric(v, row[j:], acc[j*k+j:(j+1)*k])
+				}
+			}
+		}
+	}
 }
 
 // mulTRows computes output rows [lo, hi) of a·bᵀ (MulTInto's worker body;

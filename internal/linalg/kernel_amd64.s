@@ -396,3 +396,126 @@ mix4k:
 mixdone:
 	VZEROUPPER
 	RET
+
+// func backAccumAVX2(a *float64, n, i, m int)
+//
+// tred2's back-accumulation of the transformation for step i on the n×n
+// row-major a, over the columns j < m (m a multiple of 4): for each j,
+//
+//	g = Σ_{k<i} a[i][k]·a[k][j]          (k ascending, from +0)
+//	a[k][j] = a[k][j] − a[k][i]·g        (every k < i)
+//
+// Four columns per YMM and sixteen per pass while sixteen remain. Each
+// product, sum and difference is rounded on its own, as in the Go loop
+// (backAccumGeneric), so every bit is the loop's; the operands are named in
+// the order the standard build compiles it (a[i][k] times a[k][j], then g
+// plus the product; a[k][i] times g, then a[k][j] minus it), which decides
+// only which payload survives where two NaNs meet. The columns are
+// independent: column j's update reads only column j, column i and row i,
+// none of which another column's update writes. Requires i ≥ 1.
+TEXT ·backAccumAVX2(SB), NOSPLIT, $0-32
+	MOVQ a+0(FP), DI
+	MOVQ n+8(FP), R8
+	SHLQ $3, R8               // row stride in bytes
+	MOVQ i+16(FP), R9
+	MOVQ m+24(FP), R12        // columns left
+	MOVQ R9, AX
+	IMULQ R8, AX
+	LEAQ (DI)(AX*1), SI       // &a[i][0]
+	LEAQ (DI)(R9*8), R11      // &a[0][i]
+	MOVQ DI, BX               // &a[0][j]
+
+bacc16:
+	CMPQ R12, $16
+	JLT  bacc4
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ BX, DX
+	XORQ CX, CX
+
+bsum16:
+	VBROADCASTSD (SI)(CX*8), Y4
+	VMULPD (DX), Y4, Y5
+	VMULPD 32(DX), Y4, Y6
+	VMULPD 64(DX), Y4, Y7
+	VMULPD 96(DX), Y4, Y8
+	VADDPD Y5, Y0, Y0
+	VADDPD Y6, Y1, Y1
+	VADDPD Y7, Y2, Y2
+	VADDPD Y8, Y3, Y3
+	ADDQ R8, DX
+	INCQ CX
+	CMPQ CX, R9
+	JLT  bsum16
+
+	MOVQ BX, DX
+	MOVQ R11, AX
+	MOVQ R9, CX
+
+bupd16:
+	VBROADCASTSD (AX), Y4
+	VMULPD Y0, Y4, Y5
+	VMULPD Y1, Y4, Y6
+	VMULPD Y2, Y4, Y7
+	VMULPD Y3, Y4, Y8
+	VMOVUPD (DX), Y9
+	VMOVUPD 32(DX), Y10
+	VMOVUPD 64(DX), Y11
+	VMOVUPD 96(DX), Y12
+	VSUBPD Y5, Y9, Y9
+	VSUBPD Y6, Y10, Y10
+	VSUBPD Y7, Y11, Y11
+	VSUBPD Y8, Y12, Y12
+	VMOVUPD Y9, (DX)
+	VMOVUPD Y10, 32(DX)
+	VMOVUPD Y11, 64(DX)
+	VMOVUPD Y12, 96(DX)
+	ADDQ R8, DX
+	ADDQ R8, AX
+	DECQ CX
+	JNZ  bupd16
+
+	ADDQ $128, BX
+	SUBQ $16, R12
+	JMP  bacc16
+
+bacc4:
+	CMPQ R12, $4
+	JLT  baccdone
+	VXORPD Y0, Y0, Y0
+	MOVQ BX, DX
+	XORQ CX, CX
+
+bsum4:
+	VBROADCASTSD (SI)(CX*8), Y4
+	VMULPD (DX), Y4, Y5
+	VADDPD Y5, Y0, Y0
+	ADDQ R8, DX
+	INCQ CX
+	CMPQ CX, R9
+	JLT  bsum4
+
+	MOVQ BX, DX
+	MOVQ R11, AX
+	MOVQ R9, CX
+
+bupd4:
+	VBROADCASTSD (AX), Y4
+	VMULPD Y0, Y4, Y5
+	VMOVUPD (DX), Y9
+	VSUBPD Y5, Y9, Y9
+	VMOVUPD Y9, (DX)
+	ADDQ R8, DX
+	ADDQ R8, AX
+	DECQ CX
+	JNZ  bupd4
+
+	ADDQ $32, BX
+	SUBQ $4, R12
+	JMP  bacc4
+
+baccdone:
+	VZEROUPPER
+	RET

@@ -367,3 +367,210 @@ step1z:
 done512:
 	VZEROUPPER
 	RET
+
+// func ataSyrkAVX512(acc *float64, a *float64, k, rows, j0, j1 int)
+//
+// AtA's rank-`rows` update of the upper triangle of the k×k accumulator acc
+// by the rows of a (row-major, row stride k), for the output rows
+// j0 ≤ j < j1: every entry (j, c), c ≥ j, resumes its chain from acc and
+// takes one step for each row r, in order, whose leading element a[r][j]
+// is not zero (NaN is not). Each step is fused — VFMADD231PD with the
+// leading element broadcast as the multiplier, axpyAVX2's operand roles —
+// which is ataPanel's definition where its suffix axpy on row j runs in
+// assembly, k − j ≥ asmMinLen; the caller keeps j1 ≤ k − asmMinLen + 1 and
+// runs axpyGeneric on the rows after (ataRowsAVX512).
+//
+// The tile is mulTPanelAVX512's: eight output rows by sixteen columns in
+// sixteen ZMM accumulators, row tiles from j0 in steps of eight, column
+// tiles from the diagonal rightwards, each resumed from and stored back to
+// acc once per call. Per row of a it loads the eight leading elements and
+// the sixteen suffix elements (masked to the columns below k) and issues
+// the tile's sixteen steps; when a lead is zero, or lies past column k, the
+// row takes its steps lead by lead and skips that lead's. Loads and stores
+// of acc are masked per output row to the upper triangle (c ≥ j), to the
+// columns below k and to the rows below j1, so acc is touched exactly where
+// ataPanel writes. Requires rows ≥ 1 and j0 < j1 ≤ k.
+TEXT ·ataSyrkAVX512(SB), NOSPLIT, $0-48
+	MOVQ acc+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ k+16(FP), R13
+	MOVQ rows+24(FP), R11
+	MOVQ j0+32(FP), BX
+	MOVQ j1+40(FP), R12
+	MOVQ R13, R9
+	SHLQ $3, R9               // row stride of a and acc, in bytes
+	VPXORQ Z27, Z27, Z27
+
+arow:
+	CMPQ BX, R12
+	JGE  adone
+	// K6: the leads below column k.
+	MOVQ R13, CX
+	SUBQ BX, CX
+	MOVL $0xff, AX
+	CMPQ CX, $8
+	JGE  aleads
+	MOVL $1, AX
+	SHLL CX, AX
+	DECL AX
+
+aleads:
+	KMOVW AX, K6
+	MOVQ BX, DX               // c0 = j0: the diagonal tile first
+
+acol:
+	CMPQ DX, R13
+	JGE  anextrow
+	// R14 = W: one bit per column of the tile below k; K1/K2 its halves.
+	MOVQ R13, CX
+	SUBQ DX, CX
+	MOVL $0xffff, R14
+	CMPQ CX, $16
+	JGE  awide
+	MOVL $1, R14
+	SHLL CX, R14
+	DECL R14
+
+awide:
+	KMOVW R14, K1
+	MOVL R14, AX
+	SHRL $8, AX
+	KMOVW AX, K2
+	// R8: &acc[j0][c0].
+	MOVQ BX, R8
+	IMULQ R13, R8
+	ADDQ DX, R8
+	LEAQ (DI)(R8*8), R8
+
+// AMASK(U, IMM) sets K4/K5 (lanes 0-7/8-15) to the acc lanes of tile row
+// U: W, less the lanes left of the diagonal when c0 = j0 (IMM = 0xffff << U),
+// and none when row j0+U is at or past j1. Clobbers AX and CX.
+#define AMASK(U, IMM) \
+	MOVL $IMM, AX \
+	MOVL $0xffff, CX \
+	CMPQ DX, BX \
+	CMOVLEQ AX, CX \
+	ANDL R14, CX \
+	MOVQ R12, AX \
+	SUBQ BX, AX \
+	CMPQ AX, $U \
+	MOVL $0, AX \
+	CMOVLLE AX, CX \
+	KMOVW CX, K4 \
+	SHRL $8, CX \
+	KMOVW CX, K5
+
+#define ALOAD(U, IMM, G0, G1) \
+	AMASK(U, IMM) \
+	VMOVUPD.Z (R8), K4, G0 \
+	VMOVUPD.Z 64(R8), K5, G1 \
+	ADDQ R9, R8
+
+#define ASTORE(U, IMM, G0, G1) \
+	AMASK(U, IMM) \
+	VMOVUPD G0, K4, (R8) \
+	VMOVUPD G1, K5, 64(R8) \
+	ADDQ R9, R8
+
+	ALOAD(0, 0xffff, Z0, Z1)
+	ALOAD(1, 0xfffe, Z2, Z3)
+	ALOAD(2, 0xfffc, Z4, Z5)
+	ALOAD(3, 0xfff8, Z6, Z7)
+	ALOAD(4, 0xfff0, Z8, Z9)
+	ALOAD(5, 0xffe0, Z10, Z11)
+	ALOAD(6, 0xffc0, Z12, Z13)
+	ALOAD(7, 0xff80, Z14, Z15)
+
+	MOVQ SI, R8               // row r of a
+	MOVQ R11, R10
+
+// AROW loads row r's leads and suffix (AX = &a[r][j0], Z26 the leads,
+// Z16/Z17 the suffix) and leaves CX with one bit per lead that takes a step.
+#define AROW \
+	LEAQ (R8)(BX*8), AX \
+	LEAQ (R8)(DX*8), CX \
+	VMOVUPD.Z (AX), K6, Z26 \
+	VCMPPD $4, Z27, Z26, K6, K3 \
+	VMOVUPD.Z (CX), K1, Z16 \
+	VMOVUPD.Z 64(CX), K2, Z17 \
+	KMOVW K3, CX
+
+// FSTEP is lead OFF/8's fused step on its two accumulators.
+#define FSTEP(OFF, B, G0, G1) \
+	VBROADCASTSD OFF(AX), B \
+	VFMADD231PD Z16, B, G0 \
+	VFMADD231PD Z17, B, G1
+
+// SKIP(N, L) jumps to L when lead N takes no step.
+#define SKIP(N, L) \
+	BTL  $N, CX \
+	JCC  L
+
+fstep:
+	AROW
+	CMPL CX, $0xff
+	JNE  fslow
+	FSTEP(0, Z18, Z0, Z1)
+	FSTEP(8, Z19, Z2, Z3)
+	FSTEP(16, Z20, Z4, Z5)
+	FSTEP(24, Z21, Z6, Z7)
+	FSTEP(32, Z22, Z8, Z9)
+	FSTEP(40, Z23, Z10, Z11)
+	FSTEP(48, Z24, Z12, Z13)
+	FSTEP(56, Z25, Z14, Z15)
+
+fnext:
+	ADDQ R9, R8
+	DECQ R10
+	JNZ  fstep
+	JMP  astore
+
+fslow:
+	SKIP(0, fslow1)
+	FSTEP(0, Z18, Z0, Z1)
+fslow1:
+	SKIP(1, fslow2)
+	FSTEP(8, Z19, Z2, Z3)
+fslow2:
+	SKIP(2, fslow3)
+	FSTEP(16, Z20, Z4, Z5)
+fslow3:
+	SKIP(3, fslow4)
+	FSTEP(24, Z21, Z6, Z7)
+fslow4:
+	SKIP(4, fslow5)
+	FSTEP(32, Z22, Z8, Z9)
+fslow5:
+	SKIP(5, fslow6)
+	FSTEP(40, Z23, Z10, Z11)
+fslow6:
+	SKIP(6, fslow7)
+	FSTEP(48, Z24, Z12, Z13)
+fslow7:
+	SKIP(7, fnext)
+	FSTEP(56, Z25, Z14, Z15)
+	JMP  fnext
+
+astore:
+	MOVQ BX, R8
+	IMULQ R13, R8
+	ADDQ DX, R8
+	LEAQ (DI)(R8*8), R8
+	ASTORE(0, 0xffff, Z0, Z1)
+	ASTORE(1, 0xfffe, Z2, Z3)
+	ASTORE(2, 0xfffc, Z4, Z5)
+	ASTORE(3, 0xfff8, Z6, Z7)
+	ASTORE(4, 0xfff0, Z8, Z9)
+	ASTORE(5, 0xffe0, Z10, Z11)
+	ASTORE(6, 0xffc0, Z12, Z13)
+	ASTORE(7, 0xff80, Z14, Z15)
+	ADDQ $16, DX
+	JMP  acol
+
+anextrow:
+	ADDQ $8, BX
+	JMP  arow
+
+adone:
+	VZEROUPPER
+	RET

@@ -20,6 +20,11 @@ func axpy4Unitary(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64) {
 
 func mulTRows(dst, a, b *Dense, lo, hi int) { mulTRowsChain(dst, a, b, lo, hi) }
 
+func ataRows(a *Dense, acc []float64, lo, hi int) { ataPanel(a, acc, lo, hi) }
+
+// backAccum stays the Go loop off amd64, for rotRows' reason.
+func backAccum(a []float64, n, i int) { backAccumGeneric(a, n, i, 0) }
+
 // rotRows stays the Go loop off amd64: a target that fuses s·v + c·f
 // computes its own bits, and the loop is what defines them.
 func rotRows(s, c float64, lo, hi []float64) { rotGeneric(s, c, lo, hi) }

@@ -214,6 +214,74 @@ func TestRotRowsIsRotGeneric(t *testing.T) {
 	}
 }
 
+// requireBackAccum runs tred2's back-accumulation for step i on copies of
+// the n×n a, dispatched and as the Go loop, and holds the two to the same
+// bits. As for MixRow, where two NaNs meet the payload follows an operand
+// order Go does not fix (the -fuzz build adds g to the product, the
+// standard build the product to g), so a NaN matches any NaN.
+func requireBackAccum(t *testing.T, what string, a []float64, n, i int) {
+	t.Helper()
+	got, want := append([]float64(nil), a...), append([]float64(nil), a...)
+	backAccum(got, n, i)
+	backAccumGeneric(want, n, i, 0)
+	for e, g := range got {
+		if math.Float64bits(g) != math.Float64bits(want[e]) && !(math.IsNaN(g) && math.IsNaN(want[e])) {
+			t.Fatalf("%s: a[%d][%d] = %v (%#x), loop %v (%#x)", what, e/n, e%n, g, math.Float64bits(g), want[e], math.Float64bits(want[e]))
+		}
+	}
+}
+
+// TestBackAccumMatchesLoop covers every step i of orders around the
+// kernel's 4- and 16-column blocks and the paper's 166, on entries with
+// ±0, subnormals, huge values (their products overflow), ±Inf and NaNs of
+// two payloads, which a finite symmetric input never reaches.
+func TestBackAccumMatchesLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(149))
+	nan2 := math.Float64frombits(0x7ff8_0000_0000_00a5)
+	special := []float64{math.Inf(1), math.Inf(-1), math.NaN(), nan2}
+	for _, n := range []int{1, 2, 4, 5, 16, 17, 20, 35, 166} {
+		a := make([]float64, n*n)
+		for i := range a {
+			a[i] = parityValue(rng)
+			if rng.Intn(64) == 0 {
+				a[i] = special[rng.Intn(len(special))]
+			}
+		}
+		for i := 1; i < n; i++ {
+			requireBackAccum(t, fmt.Sprintf("n=%d i=%d", n, i), a, n, i)
+		}
+	}
+}
+
+// FuzzBackAccum holds the kernel to the loop on fuzzer-chosen bits: the
+// first byte picks the order (1 to 40) and the second the step; the rest,
+// cycled eight bytes at a time, are the raw bits of a.
+func FuzzBackAccum(f *testing.F) {
+	f.Add([]byte{8, 7, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f})
+	f.Add([]byte{21, 19, 1, 2, 3, 4, 5, 6, 0xf8, 0x7f, 0, 0, 0, 0, 0, 0, 0xf0, 0xff})
+	f.Add([]byte{39, 200, 0xff, 0xee, 0xdd, 0xcc, 0xbb, 0xaa, 0x99, 0x88, 0x77})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			t.Skip()
+		}
+		n := int(data[0])%40 + 1
+		if n < 2 {
+			t.Skip()
+		}
+		i := int(data[1])%(n-1) + 1
+		rest := data[2:]
+		a := make([]float64, n*n)
+		for e := range a {
+			var b [8]byte
+			for j := range b {
+				b[j] = rest[(8*e+j)%len(rest)]
+			}
+			a[e] = math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+		}
+		requireBackAccum(t, fmt.Sprintf("n=%d i=%d", n, i), a, n, i)
+	})
+}
+
 // The A·Bᵀ kernel's contract is stronger than the dot kernels': it is
 // defined as one chain per output element, so assembly, portable twin and a
 // three-line reference loop must agree on every bit, whatever the shape.
@@ -488,26 +556,25 @@ func TestMulTRowNormsSqIsTheDiagonal(t *testing.T) {
 	}
 }
 
-// The first-hit scan kernels (scan.go) are exact too: the AVX2 bodies, the
-// portable loops and a reference written straight from the definition must
+// The first-hit scan kernel (scan.go) is exact too: the AVX2 body, the
+// portable loop and a reference written straight from the definition must
 // name the same index on every input, NaN and infinities included.
 
-// refFirstBelow is the definition; bounds == nil is the one-bound form.
-func refFirstBelow(g, norms, bounds []float64, qn, bound float64) int {
+// refFirstBelow is the definition.
+func refFirstBelow(g, norms []float64, qn, bound float64) int {
 	for j := range g {
-		d2 := qn + norms[j] - 2*g[j]
-		if !(d2 >= bound) || bounds != nil && !(d2 >= bounds[j]) {
+		if d2 := qn + norms[j] - 2*g[j]; !(d2 >= bound) {
 			return j
 		}
 	}
 	return len(g)
 }
 
-// requireFirstBelow holds the exported entry points, the dispatchers with
-// the assembly forced off, and the portable loops to the reference.
-func requireFirstBelow(t *testing.T, g, norms, bounds []float64, qn, bound float64) {
+// requireFirstBelow holds the exported entry point, the dispatcher with
+// the assembly forced off, and the portable loop to the reference.
+func requireFirstBelow(t *testing.T, g, norms []float64, qn, bound float64) {
 	t.Helper()
-	want := refFirstBelow(g, norms, nil, qn, bound)
+	want := refFirstBelow(g, norms, qn, bound)
 	got := map[string]int{"FirstBelow": FirstBelow(g, norms, qn, bound), "generic": firstBelowGeneric(g, norms, qn, bound)}
 	withGeneric(func() { got["forced-generic dispatcher"] = firstBelowUnitary(g, norms, qn, bound) })
 	for name, j := range got {
@@ -515,53 +582,39 @@ func requireFirstBelow(t *testing.T, g, norms, bounds []float64, qn, bound float
 			t.Fatalf("%s = %d, reference %d (qn=%v bound=%v g=%v norms=%v)", name, j, want, qn, bound, g, norms)
 		}
 	}
-	want = refFirstBelow(g, norms, bounds, qn, bound)
-	got = map[string]int{"FirstBelowEither": FirstBelowEither(g, norms, bounds, qn, bound), "generic": firstBelowEitherGeneric(g, norms, bounds, qn, bound)}
-	withGeneric(func() { got["forced-generic dispatcher"] = firstBelowEitherUnitary(g, norms, bounds, qn, bound) })
-	for name, j := range got {
-		if j != want {
-			t.Fatalf("Either: %s = %d, reference %d (qn=%v bound=%v g=%v norms=%v bounds=%v)", name, j, want, qn, bound, g, norms, bounds)
-		}
-	}
 }
 
 func TestFirstBelowHitAtEveryPosition(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
-	// How the entry at the hit position gets below a bound: through the
-	// row's bound, through its own column bound, or by being unordered or
-	// infinite in g or norms.
-	hits := []func(g, norms, bounds []float64, p int){
-		func(g, _, _ []float64, p int) { g[p] = 3 },            // d2 = 1 + 9 − 6 = 4 < 5
-		func(_, _, bounds []float64, p int) { bounds[p] = 11 }, // the column's bound alone
-		func(g, _, _ []float64, p int) { g[p] = nan },
-		func(_, norms, _ []float64, p int) { norms[p] = nan },
-		func(g, _, _ []float64, p int) { g[p] = inf },                    // d2 = −Inf
-		func(g, norms, _ []float64, p int) { g[p], norms[p] = inf, inf }, // Inf − Inf
-		func(_, _, bounds []float64, p int) { bounds[p] = nan },
-		func(_, _, bounds []float64, p int) { bounds[p] = inf },
+	// How the entry at the hit position gets below the bound: by value, or
+	// by being unordered or infinite in g or norms.
+	hits := []func(g, norms []float64, p int){
+		func(g, _ []float64, p int) { g[p] = 3 }, // d2 = 1 + 9 − 6 = 4 < 5
+		func(g, _ []float64, p int) { g[p] = nan },
+		func(_, norms []float64, p int) { norms[p] = nan },
+		func(g, _ []float64, p int) { g[p] = inf },                    // d2 = −Inf
+		func(g, norms []float64, p int) { g[p], norms[p] = inf, inf }, // Inf − Inf
 	}
 	for n := 0; n <= 70; n++ {
 		for p := 0; p <= n; p++ { // p == n: no hit
 			for hi, hit := range hits {
-				g, norms, bounds := make([]float64, n), make([]float64, n), make([]float64, n)
+				g, norms := make([]float64, n), make([]float64, n)
 				for j := range g {
-					// d2 = 1 + 9 − 0 = 10: at or above every finite bound used here.
-					norms[j] = 9
-					bounds[j] = []float64{10, -3, math.Inf(-1)}[j%3]
+					norms[j] = 9 // d2 = 1 + 9 − 0 = 10: above the bound
 				}
 				if p < n {
-					hit(g, norms, bounds, p)
+					hit(g, norms, p)
 					if p+2 < n {
 						g[p+2] = 4 // a later hit must not be the one reported
 					}
 				}
-				requireFirstBelow(t, g, norms, bounds, 1, 5)
+				requireFirstBelow(t, g, norms, 1, 5)
 				if hi == 0 {
-					requireFirstBelow(t, g, norms, bounds, 1, math.Inf(-1)) // only NaN can be below
-					requireFirstBelow(t, g, norms, bounds, 1, inf)          // everything finite is
-					requireFirstBelow(t, g, norms, bounds, 1, nan)          // everything is
-					requireFirstBelow(t, g, norms, bounds, nan, 5)
-					requireFirstBelow(t, g, norms, bounds, math.Inf(-1), 5)
+					requireFirstBelow(t, g, norms, 1, math.Inf(-1)) // only NaN can be below
+					requireFirstBelow(t, g, norms, 1, inf)          // everything finite is
+					requireFirstBelow(t, g, norms, 1, nan)          // everything is
+					requireFirstBelow(t, g, norms, nan, 5)
+					requireFirstBelow(t, g, norms, math.Inf(-1), 5)
 				}
 			}
 		}
@@ -576,18 +629,10 @@ func TestFirstBelowRandom(t *testing.T) {
 	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 1e308, -1e308, math.SmallestNonzeroFloat64}
 	for trial := 0; trial < 4000; trial++ {
 		n := rng.Intn(71)
-		g, norms, bounds := randVec(rng, n), randVec(rng, n), make([]float64, n)
+		g, norms := randVec(rng, n), randVec(rng, n)
 		qn := rng.Float64() * 3
-		bound := rng.Float64() * 0.2
 		for j := range g {
 			norms[j] = math.Abs(norms[j])
-			bounds[j] = qn + norms[j] - 2*g[j] // exactly at d2 …
-			switch rng.Intn(4) {
-			case 0:
-				bounds[j] = math.Nextafter(bounds[j], math.Inf(1)) // … or one ulp above it
-			case 1:
-				bounds[j] = math.Inf(-1)
-			}
 			if rng.Intn(200) == 0 {
 				g[j] = specials[rng.Intn(len(specials))]
 			}
@@ -595,13 +640,21 @@ func TestFirstBelowRandom(t *testing.T) {
 				norms[j] = specials[rng.Intn(len(specials))]
 			}
 		}
-		requireFirstBelow(t, g, norms, bounds, qn, bound)
+		bound := math.Inf(1)
+		if n > 0 {
+			j := rng.Intn(n)
+			bound = qn + norms[j] - 2*g[j] // exactly at one d2 …
+			if rng.Intn(2) == 0 {
+				bound = math.Nextafter(bound, math.Inf(1)) // … or one ulp above it
+			}
+		}
+		requireFirstBelow(t, g, norms, qn, bound)
 	}
 }
 
 // FuzzFirstBelow: eight bytes per float64, so the fuzzer reaches every bit
-// pattern; the first two values are qn and bound, the rest g, norms and
-// bounds in turn.
+// pattern; the first two values are qn and bound, the rest g and norms in
+// turn.
 func FuzzFirstBelow(f *testing.F) {
 	seed := func(vs ...float64) []byte {
 		var out []byte
@@ -623,12 +676,193 @@ func FuzzFirstBelow(f *testing.F) {
 			t.Skip()
 		}
 		qn, bound, rest := vals[0], vals[1], vals[2:]
-		n := len(rest) / 3
-		g, norms, bounds := make([]float64, n), make([]float64, n), make([]float64, n)
+		n := len(rest) / 2
+		g, norms := make([]float64, n), make([]float64, n)
 		for j := range g {
-			g[j], norms[j], bounds[j] = rest[3*j], rest[3*j+1], rest[3*j+2]
+			g[j], norms[j] = rest[2*j], rest[2*j+1]
 		}
-		requireFirstBelow(t, g, norms, bounds, qn, bound)
+		requireFirstBelow(t, g, norms, qn, bound)
+	})
+}
+
+// The self-join's strip kernel (SelfJoin.Strip) is exact as well: on every
+// input it writes MulTInto's products and the mask its twin — MulTInto's
+// row kernel plus the Go mask loop — writes, and nothing past the strip.
+
+// stripStale fills the mask words before a strip runs.
+const stripStale = 0xa5c3_96e1_f00f_3c5a
+
+// stripEachPath runs one strip on every path this CPU can run — the
+// AVX-512 kernel, and the twin over the AVX2 and the portable products —
+// each into buffers one word longer than the strip and filled with stale
+// bits, and returns the products and mask words by path name.
+func stripEachPath(sj *SelfJoin, i0, m, j0, w int, norms, bounds []float64) (map[string][]float64, map[string][]uint64) {
+	saved2, saved512 := hasAVX2FMA, hasAVX512
+	defer func() { hasAVX2FMA, hasAVX512 = saved2, saved512 }()
+	nw := StripMaskWords(w)
+	gs, masks := map[string][]float64{}, map[string][]uint64{}
+	for _, p := range mulTPaths {
+		if p.avx2 && !saved2 || p.avx512 && !saved512 {
+			continue
+		}
+		hasAVX2FMA, hasAVX512 = p.avx2, p.avx512
+		g, mask := make([]float64, m*w+1), make([]uint64, m*nw+1)
+		for i := range g {
+			g[i] = math.NaN()
+		}
+		for i := range mask {
+			mask[i] = stripStale
+		}
+		sj.Strip(g, mask, i0, m, j0, w, norms, bounds)
+		gs[p.name], masks[p.name] = g, mask
+	}
+	return gs, masks
+}
+
+// requireStripAgrees holds every path to the chain's products, bit for bit,
+// and to the mask written from the definition on those products; the word
+// past each buffer must still hold its stale bits.
+func requireStripAgrees(t *testing.T, sj *SelfJoin, i0, m, j0, w int, norms, bounds []float64) {
+	t.Helper()
+	gs, masks := stripEachPath(sj, i0, m, j0, w, norms, bounds)
+	nw := StripMaskWords(w)
+	want := gs["chain"]
+	for name, g := range gs {
+		for i, v := range g[:m*w] {
+			if math.Float64bits(v) != math.Float64bits(want[i]) {
+				t.Fatalf("%s strip (%d+%d, %d+%d) k=%d: g[%d][%d] = %v (%#x), chain %v (%#x)", name, i0, m, j0, w, sj.x.cols,
+					i/w, i%w, v, math.Float64bits(v), want[i], math.Float64bits(want[i]))
+			}
+		}
+		if !math.IsNaN(g[m*w]) {
+			t.Fatalf("%s strip (%d+%d, %d+%d): wrote past the products", name, i0, m, j0, w)
+		}
+		mask := masks[name]
+		if mask[m*nw] != stripStale {
+			t.Fatalf("%s strip (%d+%d, %d+%d): wrote past the mask", name, i0, m, j0, w)
+		}
+		for r := 0; r < m; r++ {
+			for c := 0; c < nw*64; c++ {
+				marked := mask[r*nw+c/64]>>(c%64)&1 == 1
+				hit := false
+				if c < w {
+					gv := want[r*w+c]
+					d2 := norms[i0+r] + norms[j0+c] - (gv + gv)
+					hit = !(d2 >= bounds[i0+r]) || !(d2 >= bounds[j0+c])
+				}
+				if marked != hit {
+					t.Fatalf("%s strip (%d+%d, %d+%d) k=%d: mask row %d column %d = %v, definition %v (g=%v norms %v, %v bounds %v, %v)",
+						name, i0, m, j0, w, sj.x.cols, r, c, marked, hit, want[r*w+min(c, w-1)], norms[i0+r], norms[j0+min(c, w-1)], bounds[i0+r], bounds[j0+min(c, w-1)])
+				}
+			}
+		}
+	}
+}
+
+// stripBounds returns bounds for x's rows that put the strip's tests on
+// their edges: per row one of +Inf, −Inf, NaN, a value exactly at one of
+// the row's d2 (a tie, not below) or one ulp above it, or an ordinary
+// finite value.
+func stripBounds(rng *rand.Rand, x *Dense, norms []float64) []float64 {
+	g := MulT(x, x)
+	n := x.rows
+	bounds := make([]float64, n)
+	for i := range bounds {
+		j := rng.Intn(n)
+		gv := g.At(i, j)
+		d2 := norms[i] + norms[j] - (gv + gv)
+		switch rng.Intn(7) {
+		case 0:
+			bounds[i] = math.Inf(1)
+		case 1:
+			bounds[i] = math.Inf(-1)
+		case 2:
+			bounds[i] = math.NaN()
+		case 3:
+			bounds[i] = d2
+		case 4:
+			bounds[i] = math.Nextafter(d2, math.Inf(1))
+		default:
+			bounds[i] = math.Abs(rng.NormFloat64()) * 2 * float64(x.cols)
+		}
+	}
+	return bounds
+}
+
+// TestStripPathsAgree runs the strip over k across the panel kernel's
+// chain lengths (1, 2, 15, 16, 17, 166, 300), row counts off the 16-row
+// panel (the last panel padded with zero rows), every strip height from 1
+// to 8 (the kernel takes 8, the twin the rest), and column runs ending on,
+// inside and at the end of a ragged panel; x holds ±0, subnormals, ±Inf and
+// NaN, and the bounds tie with, straddle or are NaN.
+func TestStripPathsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(137))
+	for _, k := range []int{1, 2, 15, 16, 17, 166, 300} {
+		for _, n := range []int{57, 83} {
+			x := &Dense{rows: n, cols: k, data: make([]float64, n*k)}
+			for i := range x.data {
+				x.data[i] = mulTValue(rng)
+			}
+			norms := MulTRowNormsSq(x)
+			if k <= 2 {
+				norms[3] = math.NaN() // a NaN norm without a NaN product
+			}
+			bounds := stripBounds(rng, x, norms)
+			sj := NewSelfJoin(x)
+			for _, m := range []int{StripRows, 1, 5} {
+				for _, j0 := range []int{16, 32} {
+					for _, w := range []int{1, 15, 16, 17, 22, n - j0} {
+						if j0+w > n {
+							continue
+						}
+						requireStripAgrees(t, sj, rng.Intn(n-m+1), m, j0, w, norms, bounds)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzStrip holds the strip's paths to one another on fuzzer-chosen shapes
+// and bits. The first four bytes pick k (1 to 300), n (17 to 80), the
+// column run's start panel and the strip's first row; the rest, cycled
+// eight bytes at a time, are the raw bits of x, then of the norms, then of
+// the bounds, so every NaN payload and every tie can occur.
+func FuzzStrip(f *testing.F) {
+	f.Add([]byte{16, 40, 1, 0, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f})
+	f.Add([]byte{0, 166, 3, 9, 0, 0, 0, 0, 0, 0, 0xf8, 0x7f, 0, 0, 0, 0, 0, 0, 0xf0, 0xff, 0, 0, 0, 0, 0, 0, 0, 0x80})
+	f.Add([]byte{1, 44, 0xff, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 5 {
+			t.Skip()
+		}
+		k, n := (int(data[0])<<8|int(data[1]))%300+1, int(data[2])%64+17
+		j0 := 16 * (1 + int(data[3])%((n-1)/16))
+		i0 := int(data[4]) % (n - StripRows + 1)
+		rest, off := data[5:], 0
+		if len(rest) == 0 {
+			rest = data
+		}
+		next := func() float64 {
+			var b [8]byte
+			for j := range b {
+				b[j] = rest[off%len(rest)]
+				off++
+			}
+			return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+		}
+		x := &Dense{rows: n, cols: k, data: make([]float64, n*k)}
+		for i := range x.data {
+			x.data[i] = next()
+		}
+		norms, bounds := make([]float64, n), make([]float64, n)
+		for i := range norms {
+			norms[i] = next()
+		}
+		for i := range bounds {
+			bounds[i] = next()
+		}
+		requireStripAgrees(t, NewSelfJoin(x), i0, StripRows, j0, n-j0, norms, bounds)
 	})
 }
 

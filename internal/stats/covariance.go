@@ -13,11 +13,10 @@ import (
 func ColumnMeans(x *linalg.Dense) []float64 {
 	n, d := x.Dims()
 	means := make([]float64, d)
+	// means[j] += v as an axpy with alpha 1: fma(1, v, s) is s + v rounded
+	// once, the loop's sum, through the vector kernel.
 	for i := 0; i < n; i++ {
-		row := x.RawRow(i)
-		for j, v := range row {
-			means[j] += v
-		}
+		linalg.Axpy(1, x.RawRow(i), means)
 	}
 	for j := range means {
 		means[j] /= float64(n)

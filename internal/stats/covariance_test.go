@@ -244,3 +244,57 @@ func TestSpearman(t *testing.T) {
 		t.Fatalf("Pearson on cubic should be < 1, got %v", p)
 	}
 }
+
+// columnMeansLoop is ColumnMeans as it was before it summed through
+// linalg.Axpy, frozen here: means[j] += v, row by row, then one division.
+// Do not "tidy" it.
+func columnMeansLoop(x *linalg.Dense) []float64 {
+	n, d := x.Dims()
+	means := make([]float64, d)
+	for i := 0; i < n; i++ {
+		for j, v := range x.RawRow(i) {
+			means[j] += v
+		}
+	}
+	for j := range means {
+		means[j] /= float64(n)
+	}
+	return means
+}
+
+// TestColumnMeansMatchesLoop holds ColumnMeans to the frozen loop bit for
+// bit, at widths on both sides of the axpy kernel's 16-element cut-off and
+// on columns of ±0, subnormals, ±Inf and huge values whose sum overflows; a
+// NaN mean may match any NaN.
+func TestColumnMeansMatchesLoop(t *testing.T) {
+	special := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 3e-310, math.Inf(1), math.Inf(-1),
+		math.MaxFloat64, -math.MaxFloat64, math.NaN()}
+	rng := rand.New(rand.NewSource(151))
+	for _, d := range []int{1, 3, 15, 16, 17, 166} {
+		for _, n := range []int{1, 2, 7, 300} {
+			x := linalg.NewDense(n, d)
+			for i := 0; i < n; i++ {
+				for j := 0; j < d; j++ {
+					v := rng.NormFloat64() * math.Pow(2, float64(rng.Intn(40)-20))
+					switch c := j % 4; {
+					case c == 1: // a column of one special value, or of signed zeros
+						v = special[(j/4)%len(special)]
+					case c == 2 && rng.Intn(3) == 0:
+						v = special[rng.Intn(len(special))]
+					}
+					x.Set(i, j, v)
+				}
+			}
+			got, want := ColumnMeans(x), columnMeansLoop(x)
+			for j := range want {
+				if math.IsNaN(want[j]) && math.IsNaN(got[j]) {
+					continue
+				}
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("%dx%d: mean[%d] = %v (%#x), loop %v (%#x)", n, d, j,
+						got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
+				}
+			}
+		}
+	}
+}
