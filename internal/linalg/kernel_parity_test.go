@@ -1138,3 +1138,28 @@ func FuzzMixRow(f *testing.F) {
 		requireMixRow(t, fmt.Sprintf("d=%d k=%d", d, k), wt, z, eps, sigma, scales)
 	})
 }
+
+// TestPrefetchWritesNothing runs both cache hints over every length up to
+// four lines at every offset within a line, empty slices included, and
+// holds the buffer they read, guard bytes on both sides, to its contents.
+func TestPrefetchWritesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	b := make([]uint8, 64+4*64+64)
+	f := make([]float64, len(b))
+	for i := range b {
+		b[i] = uint8(rng.Intn(256))
+		f[i] = rng.NormFloat64()
+	}
+	b0, f0 := append([]uint8(nil), b...), append([]float64(nil), f...)
+	for off := 0; off < 64; off++ {
+		for n := 0; n <= 4*64; n++ {
+			Prefetch(b[64+off : 64+off+n])
+			PrefetchF64(f[off : off+n/8])
+		}
+	}
+	for i := range b {
+		if b[i] != b0[i] || math.Float64bits(f[i]) != math.Float64bits(f0[i]) {
+			t.Fatalf("entry %d changed: %d → %d, %v → %v", i, b0[i], b[i], f0[i], f[i])
+		}
+	}
+}

@@ -255,6 +255,30 @@ func TestDeadline(t *testing.T) {
 	}
 }
 
+// TestExpiredWhileQueued drives the worker side of an expiry: a request
+// whose context ends after admission but before a worker takes it is
+// answered without a scan, and its error wraps ErrDeadline. The caller
+// usually returns first from its own ctx.Done arm, so only handle itself
+// shows this error; the test calls it directly with a cancelled request.
+func TestExpiredWhileQueued(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	data := randMatrix(rng, 200, 8)
+	e := newTestEngine(t, data, 2)
+	req := rawRequest(data.RawRow(0), 3, ModeExact)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req.ctx = ctx
+	e.handle(req, &reqScratch{})
+	select {
+	case r := <-req.resp:
+		if !errors.Is(r.err, ErrDeadline) {
+			t.Fatalf("expired-while-queued request answered %v, want ErrDeadline", r.err)
+		}
+	default:
+		t.Fatal("handle sent no response for an expired request")
+	}
+}
+
 // TestClose: closed engines reject with ErrClosed, Close is idempotent, and
 // requests in flight at Close time still complete.
 func TestClose(t *testing.T) {

@@ -119,10 +119,11 @@ func BenchmarkExactSearch6598x166(b *testing.B) {
 
 // BenchmarkScanBlockPrefix times the prefix pass alone, in ns per row: each
 // iteration scans a variance-ordered 166-dim store as scanSegment does at
-// one worker with a budget of 320 (32·k at k = 10) — 32 full warm-up
-// blocks, then prefix blocks over the 64-code plane to the end, where about
-// 6 % of rows survive the bound — and only the prefix blocks are on the
-// clock. 32768 rows keep CI's one-pass smoke run short.
+// one worker with a budget of 320 (32·k at k = 10) — warmupBlocks full
+// blocks, then prefix blocks over the 64-code plane to the end, each
+// marked (scanBlockMark) one block before it is resolved
+// (scanBlockResolve) — and only the prefix blocks are on the clock. 32768
+// rows keep CI's one-pass smoke run short.
 func BenchmarkScanBlockPrefix(b *testing.B) {
 	const n, warm, budget = 32768, warmupBlocks * scanBlockRows, 320
 	data, queries := testData(b, n, 16, 166, 101)
@@ -142,8 +143,13 @@ func BenchmarkScanBlockPrefix(b *testing.B) {
 			s.scanBlockFull(p, sc, base, base+scanBlockRows, c)
 		}
 		t0 := time.Now()
-		for base := warm; base < n; base += scanBlockRows {
-			s.scanBlockPrefix(p, sc, base, base+scanBlockRows, c)
+		for base, m := warm, 0; base <= n; base, m = base+scanBlockRows, 1-m {
+			if base < n {
+				s.scanBlockMark(p, &sc.marks[m], base, base+scanBlockRows, c.Bound())
+			}
+			if base > warm {
+				s.scanBlockResolve(p, sc, &sc.marks[1-m], c)
+			}
 		}
 		prefix += time.Since(t0)
 		s.putPlan(p)

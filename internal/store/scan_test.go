@@ -55,8 +55,18 @@ var prefixTestDims = []int{40, 64, 130}
 // budget in {k, 2k, n} and worker count in {1, 2, 3} must return exactly
 // the neighbors of the naive per-point loop, distances bit-identical —
 // with no dead rows on even queries, and every fifth row dead on odd ones.
+//
+// SearchLive clamps workers to GOMAXPROCS, so the test raises it to at
+// least 3 for its duration: workers 2 and 3 then split the rows into 2 and
+// 3 real segments on any box, each sweeping its own pending prefix blocks.
 func TestBlockedScanBitIdenticalToNaive(t *testing.T) {
 	n, k := 3000, 10
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(3, runtime.GOMAXPROCS(0))))
+	for _, w := range []int{1, 2, 3} {
+		if got := scanWorkers(n, w); got != w {
+			t.Fatalf("%d workers over %d rows run %d segments", w, n, got)
+		}
+	}
 	var everyFifth []int
 	for i := 2; i < n; i += 5 {
 		everyFifth = append(everyFifth, i)
@@ -166,10 +176,11 @@ func TestPrefixBoundAdmissible(t *testing.T) {
 // kinds to the scalar loop at every residue: segment lengths 1…17 (zero to
 // two ×8 groups plus every tail) and 256+{0…7} (a whole block, then a tail
 // block), at an aligned and an unaligned start. Each length runs through
-// scanBlockFull, scanBlockPrefix and scanSegment — whose second block is a
-// prefix block on the 256+r lengths — from the same pre-filled collector,
-// so the prefix bound has something to prune against; the admitted
-// candidates must equal the scalar loop's bit for bit.
+// scanBlockFull, scanBlockMark then scanBlockResolve, and scanSegment —
+// whose second block is a pending prefix block on the 256+r lengths — from
+// the same pre-filled collector, so the prefix bound has something to
+// prune against; the admitted candidates must equal the scalar loop's bit
+// for bit.
 func TestScanSegmentTailResidues(t *testing.T) {
 	n, d, budget := 700, 64, 5
 	data, queries := testData(t, n, 3, d, 67)
@@ -209,7 +220,10 @@ func TestScanSegmentTailResidues(t *testing.T) {
 					}
 					if L <= scanBlockRows {
 						paths["scanBlockFull"] = func(c *knn.Collector) { s.scanBlockFull(p, sc, lo, hi, c) }
-						paths["scanBlockPrefix"] = func(c *knn.Collector) { s.scanBlockPrefix(p, sc, lo, hi, c) }
+						paths["scanBlockMark+scanBlockResolve"] = func(c *knn.Collector) {
+							s.scanBlockMark(p, &sc.marks[0], lo, hi, c.Bound())
+							s.scanBlockResolve(p, sc, &sc.marks[0], c)
+						}
 					}
 					for path, scan := range paths {
 						c := prefilled()
@@ -229,6 +243,108 @@ func TestScanSegmentTailResidues(t *testing.T) {
 			s.putPlan(p)
 		}
 		s.scratchPool.Put(sc)
+	}
+}
+
+// TestScanSegmentPendingBlocks holds the one-block-late resolve to the
+// scalar loop, bit for bit, where the pipeline has state to get wrong:
+//   - a segment that ends on a pending prefix block, which only the final
+//     resolve offers;
+//   - a one-block segment (under 8 rows, so it has no warm-up), which is
+//     marked and then resolved only by that final resolve;
+//   - a prefix block followed by a holdoff full block, which must run only
+//     after the pending block is resolved;
+//   - the same with every third row dead, so dead rows sit among a pending
+//     block's marks and the dead list must still be walked in row order.
+//
+// Each collector starts full of budget entries at a distance no row
+// reaches, so the bound is loose and the pending blocks admit rows. Then
+// scanBlockResolve alone must fully score exactly the marked rows whose
+// prefix bound is below the collector's bound at that moment, however
+// much looser the bound the block was marked against.
+func TestScanSegmentPendingBlocks(t *testing.T) {
+	n, d := 1200, 64
+	data, queries := testData(t, n, 3, d, 71)
+	var everyThird []int
+	for i := 1; i < n; i += 3 {
+		everyThird = append(everyThird, i)
+	}
+	cases := []struct {
+		name           string
+		lo, hi, budget int
+		dead           []int
+	}{
+		{"ends on a pending block", 3, 3 + scanBlockRows + 200, 32, nil},
+		{"one-block segment", 3, 8, 2, nil},
+		{"prefix then holdoff full block", 0, 4 * scanBlockRows, 200, nil},
+		{"dead rows among pending marks", 0, 4 * scanBlockRows, 200, everyThird},
+	}
+	for name, cfg := range storeVariants(data) {
+		s := buildStore(t, data, cfg)
+		if s.PrefixDims() == 0 {
+			t.Fatalf("%s: prefix disabled at d=%d", name, d)
+		}
+		for qi := 0; qi < queries.Rows(); qi++ {
+			p := s.getPlan(queries.RawRow(qi))
+			// loose returns a full collector of budget phantom entries
+			// beyond the store's rows.
+			loose := func(budget int) *knn.Collector {
+				c := knn.NewCollector(budget)
+				for i := 0; i < budget; i++ {
+					c.Offer(n+i, math.MaxFloat64)
+				}
+				return c
+			}
+			for _, tc := range cases {
+				want := loose(tc.budget)
+				isDead := map[int]bool{}
+				for _, i := range tc.dead {
+					isDead[i] = true
+				}
+				for i := tc.lo; i < tc.hi; i++ {
+					if !isDead[i] {
+						want.Offer(i, s.scoreAt(p, i))
+					}
+				}
+				c := loose(tc.budget)
+				p.dead = tc.dead
+				s.scanSegment(p, tc.lo, tc.hi, c)
+				p.dead = nil
+				got, ref := c.Results(), want.Results()
+				if len(got) != len(ref) {
+					t.Fatalf("%s %s q=%d: %d candidates, want %d", name, tc.name, qi, len(got), len(ref))
+				}
+				for r := range got {
+					if got[r].Index != ref[r].Index || math.Float64bits(got[r].Dist) != math.Float64bits(ref[r].Dist) {
+						t.Fatalf("%s %s q=%d rank %d: got %+v, want %+v", name, tc.name, qi, r, got[r], ref[r])
+					}
+				}
+			}
+
+			// Mark rows [256, 512) against the phantom bound, tighten the
+			// collector with rows [0, 256) as the previous block's resolve
+			// would, then resolve.
+			sc := s.getScratch()
+			c, ref := loose(32), loose(32)
+			m := &sc.marks[0]
+			s.scanBlockMark(p, m, scanBlockRows, 2*scanBlockRows, c.Bound())
+			for i := 0; i < scanBlockRows; i++ {
+				c.Offer(i, s.scoreAt(p, i))
+				ref.Offer(i, s.scoreAt(p, i))
+			}
+			want := 0
+			for j, lb := range m.lbs {
+				if lb < ref.Bound() {
+					want++
+					ref.Offer(scanBlockRows+j, s.scoreAt(p, scanBlockRows+j))
+				}
+			}
+			if got := s.scanBlockResolve(p, sc, m, c); got != want {
+				t.Fatalf("%s q=%d: scanBlockResolve scored %d rows, want %d below the bound of their moment", name, qi, got, want)
+			}
+			s.scratchPool.Put(sc)
+			s.putPlan(p)
+		}
 	}
 }
 

@@ -15,8 +15,9 @@ import (
 // block scores this many rows with the ×8 kernel into a flat buffer, a
 // prefix block is one linalg.PrefixBounds call (bounds plus survivor
 // mask), and a branchy pass then offers only rows below the collector's
-// current bound. The 2 KB buffer and 32-byte mask are still in L1 when
-// that pass reads them, and one kernel call and bound load serve 256 rows.
+// current bound. The 2 KB buffers and 32-byte masks are still in L1 when
+// that pass reads them, even one block later, and one kernel call and
+// bound load serve 256 rows.
 const scanBlockRows = 256
 
 // minSegmentRows is the smallest per-worker slice of an intra-query
@@ -52,13 +53,23 @@ type plan struct {
 	dead []int // ascending tombstoned positions the sweep skips (SearchLive)
 }
 
-// scanScratch is the per-segment block buffer and prefix-block survivor
-// mask, pooled so steady-state searches do not allocate, and the part of
-// the plan's dead list the segment has not walked past.
+// scanScratch is the per-segment block buffer, the two prefix blocks the
+// pipelined sweep alternates between, pooled so steady-state searches do
+// not allocate, and the part of the plan's dead list the segment has not
+// walked past.
 type scanScratch struct {
 	scores []float64
-	mask   [scanBlockRows / 64]uint64
+	marks  [2]markedBlock
 	dead   []int
+}
+
+// markedBlock is one prefix block between its two steps: rows [base, end),
+// each row's prefix lower bound, and the mask of rows below the bound the
+// block was marked against.
+type markedBlock struct {
+	base, end int
+	lbs       [scanBlockRows]float64
+	mask      [scanBlockRows / 64]uint64
 }
 
 // isDead reports whether row i is tombstoned. A segment probes rows in
@@ -251,28 +262,47 @@ func (s *Store) scanBlockFull(p *plan, sc *scanScratch, base, end int, c *knn.Co
 	}
 }
 
-// scanBlockPrefix is the early-abandon variant used once the collector is
-// full: linalg.PrefixBounds scores only the variance-leading prefix plane
-// (a contiguous prefDims-wide copy of the leading codes) into an
-// admissible lower bound per row on the full estimate, and marks the rows
-// below the block-start bound. Only marked rows are visited: any row with
-// lb ≥ Bound() would have been rejected by Offer anyway and is skipped
-// without touching its full code row; survivors get the exact full
-// estimate and the same admission test as the full pass. Bound() only
-// shrinks during a scan, so an unmarked row cannot pass the current bound
-// and using a momentarily stale bound never prunes a row the naive loop
-// would admit — blocked+prefix stays bit-identical to the scalar
-// reference at every budget. A dead row is skipped once it survives the
-// bound, before its full code row is read.
-func (s *Store) scanBlockPrefix(p *plan, sc *scanScratch, base, end int, c *knn.Collector) (survivors int) {
+// scanBlockMark is the first step of a prefix block, used once the
+// collector is full: linalg.PrefixBounds scores only the variance-leading
+// prefix plane (a contiguous prefDims-wide copy of the leading codes) of
+// rows [base, end) into an admissible lower bound per row on the full
+// estimate, and marks the rows below bound. It then prefetches each marked
+// row's full code row and scanAux pair, so their misses overlap whatever
+// the caller runs before scanBlockResolve reads them. A row with lb ≥ bound
+// would be rejected by Offer at any later, smaller bound, so the mask is a
+// superset of the rows that can still pass. Dead rows are marked too: the
+// dead list is walked in row order by the resolve alone.
+func (s *Store) scanBlockMark(p *plan, m *markedBlock, base, end int, bound float64) {
 	P := s.prefDims
-	lbs := sc.scores[:end-base]
-	bound := c.Bound()
+	m.base, m.end = base, end
 	linalg.PrefixBounds(&p.pre, s.pref8[base*P:end*P], s.snormP[base:end], s.csumP[base:end], s.csumSuf[base:end],
-		bound, lbs, sc.mask[:])
-	for w, m := range sc.mask[:(end-base+63)/64] {
-		for ; m != 0; m &= m - 1 {
-			j := w*64 + bits.TrailingZeros64(m)
+		bound, m.lbs[:end-base], m.mask[:])
+	stride, d := s.l.codeStride, s.l.d
+	for w, mw := range m.mask[:(end-base+63)/64] {
+		for ; mw != 0; mw &= mw - 1 {
+			i := base + w*64 + bits.TrailingZeros64(mw)
+			//drlint:ignore bcegate i is a marked row of [base, end), inside the code region by the layout contract; one check per marked row
+			linalg.Prefetch(s.codes[i*stride : i*stride+d])
+			//drlint:ignore bcegate i is a marked row of [base, end), below Len(); one check per marked row
+			linalg.PrefetchF64(s.scanAux[2*i : 2*i+2])
+		}
+	}
+}
+
+// scanBlockResolve is the second step: it visits m's marked rows in
+// ascending order and re-tests each against the collector's bound at that
+// moment, which is never above the bound m was marked against. Survivors —
+// live rows still below it — get the exact full estimate and the same
+// admission test as the full pass, so the candidates admitted are exactly
+// those of offering every row of the block. A dead row is skipped once it
+// survives the bound, before its full code row is read.
+func (s *Store) scanBlockResolve(p *plan, sc *scanScratch, m *markedBlock, c *knn.Collector) (survivors int) {
+	base := m.base
+	lbs := m.lbs[:m.end-base]
+	bound := c.Bound()
+	for w, mw := range m.mask[:(len(lbs)+63)/64] {
+		for ; mw != 0; mw &= mw - 1 {
+			j := w*64 + bits.TrailingZeros64(mw)
 			//drlint:ignore bcegate j is a set mask bit, below len(lbs) by PrefixBounds' contract; one check per marked row
 			if lbs[j] < bound && !sc.isDead(base+j) {
 				survivors++
@@ -297,27 +327,32 @@ const prefixHoldoffBlocks = 16
 // even once the collector fills. The admission bound after seeing only
 // budget rows is far looser than the final one, so an immediate switch
 // to the prefix pass pays full price (prefix dot + survivor dot) on the
-// many rows that loose bound cannot prune; a short warmup at 256 rows
-// per block tightens the bound at the full pass's ≈ 70 ns/row, admissions
-// included, before pruning starts (250,000 × 166 variance-ordered store,
-// budget 320, 2-core Xeon at GOMAXPROCS 1, where a row the prefix bound
-// prunes costs ≈ 10 ns).
-// Pure scheduling — admitted candidates are unchanged (see scanSegment).
-// At the 1M-point benchmark, 32 blocks cut the whole-scan survivor rate
-// about 4× over switching as soon as the collector fills.
-const warmupBlocks = 32
+// many rows that loose bound cannot prune; a short warmup tightens the
+// bound first. Pure scheduling — admitted candidates are unchanged (see
+// scanSegment). On a 250,000 × 166 variance-ordered store at budget 320
+// (2-core Xeon, GOMAXPROCS 1, the pipelined sweep), warm-ups of 2 to 16
+// blocks cost within 1 % of each other per query, and 32 blocks cost 3 %
+// more while cutting the survivors only 15 % (6,669 → 5,676 per query).
+const warmupBlocks = 8
 
 // scanSegment runs the blocked phase-1 sweep over [lo, hi). Once the
-// collector is full it tries the prefix early-abandon pass, but keeps it
-// honest with a payoff probe: a prefix row costs ≈ 10 ns and each
-// survivor ≈ 130 ns more (a unitary dot over its cold full code row), so
-// a prefix block whose survivor fraction exceeds ~3/8 costs more than
-// the straight ×8 full pass (≈ 40–70 ns/row, measured as at
-// warmupBlocks), and such blocks push the sweep back to full mode for
-// prefixHoldoffBlocks before re-probing. The two block kinds admit
+// collector is full it tries the prefix early-abandon pass, software-
+// pipelined one block deep: it marks block b+1 (scanBlockMark) before it
+// resolves block b (scanBlockResolve), so the survivors' cold code rows,
+// prefetched at mark time, arrive while the next block's prefix kernel
+// runs. A pending block is resolved before any full block runs and at the
+// end of the segment, so rows are offered in ascending order and the dead
+// list is walked once. Block b+1's mask is taken against a bound one block
+// older than its resolve, and bounds only fall, so it is still a superset
+// of the rows that can pass; the admitted candidates are those of the
+// unpipelined sweep. The prefix pass is kept honest with a payoff probe: a
+// resolved block whose survivor fraction exceeds ~3/8 costs more than the
+// straight ×8 full pass, since every survivor pays a full-row dot on top
+// of its prefix row, and such a block pushes the sweep back to full mode
+// for prefixHoldoffBlocks before re-probing. The two block kinds admit
 // identical candidates, so this scheduling is invisible in the results.
 //
-//drlint:hotpath inline=2
+//drlint:hotpath inline=4
 func (s *Store) scanSegment(p *plan, lo, hi int, c *knn.Collector) {
 	sc := s.getScratch()
 	sc.dead = p.dead
@@ -331,25 +366,39 @@ func (s *Store) scanSegment(p *plan, lo, hi int, c *knn.Collector) {
 		warmRows = limit
 	}
 	warm := lo + warmRows
+	var pending *markedBlock
 	for base := lo; base < hi; base += scanBlockRows {
-		end := base + scanBlockRows
-		if end > hi {
-			end = hi
-		}
+		end := min(base+scanBlockRows, hi)
+		var next *markedBlock
 		if usePrefix && holdoff == 0 && base >= warm && c.Full() {
-			if surv := s.scanBlockPrefix(p, sc, base, end, c); 8*surv > 3*(end-base) {
+			if next = &sc.marks[0]; next == pending {
+				next = &sc.marks[1]
+			}
+			s.scanBlockMark(p, next, base, end, c.Bound())
+		}
+		if pending != nil {
+			if surv := s.scanBlockResolve(p, sc, pending, c); 8*surv > 3*(pending.end-pending.base) {
 				holdoff = prefixHoldoffBlocks
 			}
-		} else {
+		}
+		if pending = next; next == nil {
 			s.scanBlockFull(p, sc, base, end, c)
 			if holdoff > 0 {
 				holdoff--
 			}
 		}
 	}
+	if pending != nil {
+		s.scanBlockResolve(p, sc, pending, c)
+	}
 	sc.dead = nil
 	s.scratchPool.Put(sc)
 }
+
+// rescoreAhead is how many candidates ahead of its exact rescore a
+// candidate's float64 row is prefetched, so the scattered rows' misses
+// overlap the distances before them.
+const rescoreAhead = 8
 
 // Search returns the k nearest neighbors of q by two-phase search over the
 // whole store: a quantized scan admits the rescore-budget best candidates,
@@ -390,7 +439,7 @@ func (s *Store) SearchRangeWorkers(q []float64, lo, hi, k, rescore, workers int)
 // Worker counts beyond what minSegmentRows-sized slices of [lo, hi) can
 // occupy are clamped.
 //
-//drlint:hotpath inline=8
+//drlint:hotpath inline=9
 func (s *Store) SearchLive(q []float64, lo, hi, k, rescore, workers int, dead []int) ([]knn.Neighbor, int) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -414,12 +463,7 @@ func (s *Store) SearchLive(q []float64, lo, hi, k, rescore, workers int, dead []
 		return nil, 0
 	}
 	budget := min(max(rescore, k), live)
-	if maxW := (hi - lo + minSegmentRows - 1) / minSegmentRows; workers > maxW {
-		workers = maxW
-	}
-	if procs := runtime.GOMAXPROCS(0); workers > procs {
-		workers = procs
-	}
+	workers = scanWorkers(hi-lo, workers)
 
 	p := s.getPlan(q)
 	p.dead = dead
@@ -452,6 +496,9 @@ func (s *Store) SearchLive(q []float64, lo, hi, k, rescore, workers int, dead []
 
 	e := knn.Euclidean{}
 	for t := range cand {
+		if t+rescoreAhead < len(cand) {
+			linalg.PrefetchF64(s.exactMat.RawRow(cand[t+rescoreAhead].Index))
+		}
 		cand[t].Dist = e.Distance(s.exactMat.RawRow(cand[t].Index), q)
 	}
 	rescored := len(cand)
@@ -461,6 +508,14 @@ func (s *Store) SearchLive(q []float64, lo, hi, k, rescore, workers int, dead []
 		cand = cand[:k]
 	}
 	return cand, rescored
+}
+
+// scanWorkers clamps a requested worker count for a sweep over n rows to
+// the minSegmentRows-sized slices the range can occupy and to GOMAXPROCS.
+// scanParallel then cuts the range into exactly that many segments: with
+// w ≤ ⌈n/minSegmentRows⌉ workers, ⌈n/w⌉·(w−1) < n.
+func scanWorkers(n, workers int) int {
+	return min(workers, (n+minSegmentRows-1)/minSegmentRows, runtime.GOMAXPROCS(0))
 }
 
 // scanParallel fans the sweep out over worker segments with per-segment
