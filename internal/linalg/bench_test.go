@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -220,3 +221,57 @@ func BenchmarkFirstBelow512(b *testing.B)         { benchFirstBelow(b, 512, fals
 func BenchmarkFirstBelow2048(b *testing.B)        { benchFirstBelow(b, 2048, false) }
 func BenchmarkFirstBelowGeneric512(b *testing.B)  { benchFirstBelow(b, 512, true) }
 func BenchmarkFirstBelowGeneric2048(b *testing.B) { benchFirstBelow(b, 2048, true) }
+
+// BenchmarkPrefixBounds times PrefixBounds at P = 64, the store's prefix
+// width, on each path of prefixPaths, in ns per row and in GB/s of the 76
+// bytes a row carries (64 plane bytes, snorm, csum and csumSuf). rows=256
+// is one block, which stays in L1; rows=250000 is a 19 MB plane swept in
+// 256-row blocks as the store sweeps it. The floor sub-benchmark is the
+// bound the kernels are judged against: one core reading one word of each
+// 64-byte line of the same bytes.
+func BenchmarkPrefixBounds(b *testing.B) {
+	const P, block = 64, 256
+	for _, n := range []int{block, 250000} {
+		blk := randPrefixBlock(rand.New(rand.NewSource(113)), P, n)
+		lbs, mask := make([]float64, block), make([]uint64, block/64)
+		rowBytes := float64(P + 4 + 4 + 4)
+		report := func(b *testing.B) {
+			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N*n)
+			b.ReportMetric(ns, "ns/row")
+			b.ReportMetric(rowBytes/ns, "GB/s")
+		}
+		for _, p := range prefixPaths {
+			b.Run(fmt.Sprintf("rows=%d/%s", n, p.name), func(b *testing.B) {
+				if lacks := p.lacks(); lacks != "" {
+					b.Skipf("this CPU lacks %s", lacks)
+				}
+				p.run(func() {
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						for lo := 0; lo < n; lo += block {
+							hi := min(lo+block, n)
+							PrefixBounds(&blk.q, blk.rows[lo*P:hi*P], blk.snorm[lo:hi], blk.csum[lo:hi], blk.csumSuf[lo:hi],
+								0, lbs[:hi-lo], mask)
+						}
+					}
+				})
+				report(b)
+			})
+		}
+		b.Run(fmt.Sprintf("rows=%d/floor", n), func(b *testing.B) {
+			buf := make([]uint64, n*int(rowBytes)/8)
+			for i := range buf {
+				buf[i] = uint64(i)
+			}
+			var sum uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < len(buf); j += 8 {
+					sum += buf[j]
+				}
+			}
+			report(b)
+			benchSink = float64(sum)
+		})
+	}
+}

@@ -7,7 +7,8 @@ package linalg
 // must be present (FMA, AVX, AVX2) and the OS must have enabled XMM+YMM
 // state saving (OSXSAVE + XGETBV), otherwise the generic Go kernels run.
 // MulTInto's AVX-512 panel kernel further needs AVX512F and the OS's
-// opmask and ZMM state (XCR0 bits 5-7).
+// opmask and ZMM state (XCR0 bits 5-7); the store's ZMM prefix-bound kernel
+// needs AVX512F, DQ, BW and VNNI with the same state.
 
 //go:noescape
 func dotAVX2(a, b []float64) float64
@@ -43,36 +44,42 @@ func xgetbv0() (eax, edx uint32)
 // same CPUID test the runtime applies before it intrinsifies the call — and
 // selects the fused form of the product chain (fmaStep). hasAVX2FMA gates
 // the assembly kernels; hasAVX512 selects MulTInto's ZMM panel kernel where
-// hasAVX2FMA holds too. All three are vars so tests can force the other
-// paths and assert the implementations agree.
-var hasFMA, hasAVX2FMA, hasAVX512 = detectFMA()
+// hasAVX2FMA holds too, and hasAVX512VNNI PrefixBounds' ZMM kernel. All
+// four are vars so tests can force the other paths and assert the
+// implementations agree.
+var hasFMA, hasAVX2FMA, hasAVX512, hasAVX512VNNI = detectFMA()
 
-func detectFMA() (fma, avx2fma, avx512 bool) {
+func detectFMA() (fma, avx2fma, avx512, avx512vnni bool) {
 	const (
-		cpuid1FMA     = 1 << 12 // CPUID.1:ECX.FMA
-		cpuid1OSXSAVE = 1 << 27 // CPUID.1:ECX.OSXSAVE
-		cpuid1AVX     = 1 << 28 // CPUID.1:ECX.AVX
-		cpuid7AVX2    = 1 << 5  // CPUID.7.0:EBX.AVX2
-		cpuid7AVX512F = 1 << 16 // CPUID.7.0:EBX.AVX512F
+		cpuid1FMA      = 1 << 12 // CPUID.1:ECX.FMA
+		cpuid1OSXSAVE  = 1 << 27 // CPUID.1:ECX.OSXSAVE
+		cpuid1AVX      = 1 << 28 // CPUID.1:ECX.AVX
+		cpuid7AVX2     = 1 << 5  // CPUID.7.0:EBX.AVX2
+		cpuid7AVX512F  = 1 << 16 // CPUID.7.0:EBX.AVX512F
+		cpuid7AVX512DQ = 1 << 17 // CPUID.7.0:EBX.AVX512DQ
+		cpuid7AVX512BW = 1 << 30 // CPUID.7.0:EBX.AVX512BW
+		cpuid7VNNI     = 1 << 11 // CPUID.7.0:ECX.AVX512_VNNI
 	)
 	maxID, _, _, _ := cpuidx(0, 0)
 	if maxID < 1 {
-		return false, false, false
+		return false, false, false, false
 	}
 	_, _, ecx1, _ := cpuidx(1, 0)
 	fma = ecx1&cpuid1FMA != 0 && ecx1&cpuid1OSXSAVE != 0
 	if !fma || ecx1&cpuid1AVX == 0 || maxID < 7 {
-		return fma, false, false
+		return fma, false, false, false
 	}
 	xcr0, _ := xgetbv0()
 	if xcr0&0x6 != 0x6 { // XMM and YMM state enabled by the OS
-		return fma, false, false
+		return fma, false, false, false
 	}
-	_, ebx7, _, _ := cpuidx(7, 0)
+	_, ebx7, ecx7, _ := cpuidx(7, 0)
 	avx2fma = ebx7&cpuid7AVX2 != 0
 	// Opmask, upper-ZMM0-15 and ZMM16-31 state as well (XCR0 bits 5-7).
 	avx512 = avx2fma && ebx7&cpuid7AVX512F != 0 && xcr0&0xE6 == 0xE6
-	return fma, avx2fma, avx512
+	const vnni = cpuid7AVX512F | cpuid7AVX512DQ | cpuid7AVX512BW
+	avx512vnni = avx512 && ebx7&vnni == vnni && ecx7&cpuid7VNNI != 0
+	return fma, avx2fma, avx512, avx512vnni
 }
 
 // asmMinLen is the vector length below which the call + VZEROUPPER overhead

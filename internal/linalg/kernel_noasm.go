@@ -2,13 +2,13 @@
 
 package linalg
 
-// hasAVX2FMA and hasAVX512 are declared on every platform so tests can
-// reference them; off amd64 they are always false and only the generic
-// kernels run. hasFMA selects the fused product chain (fmaStep): the other
-// 64-bit targets compile math.FMA to one instruction, and where it is
-// software it is still the correctly rounded value, so results stay those
-// of the definition.
-var hasFMA, hasAVX2FMA, hasAVX512 = true, false, false
+// hasAVX2FMA, hasAVX512 and hasAVX512VNNI are declared on every platform
+// so tests can reference them; off amd64 they are always false and only
+// the generic kernels run. hasFMA selects the fused product chain
+// (fmaStep): the other 64-bit targets compile math.FMA to one instruction,
+// and where it is software it is still the correctly rounded value, so
+// results stay those of the definition.
+var hasFMA, hasAVX2FMA, hasAVX512, hasAVX512VNNI = true, false, false, false
 
 func dotUnitary(a, b []float64) float64 { return dotGeneric(a, b) }
 

@@ -866,9 +866,40 @@ func FuzzStrip(f *testing.F) {
 	})
 }
 
-// The store's prefix-bound kernel (PrefixBounds) is exact in the same sense:
-// the assembly and its portable twin write the same bounds, bit for bit, and
-// the same mask, on every input.
+// The store's prefix-bound kernels (PrefixBounds) are exact in the same
+// sense: both assembly kernels and their portable twin write the same
+// bounds, bit for bit, and the same mask, on every input.
+
+// prefixPaths are PrefixBounds' three implementations, chosen through the
+// dispatch vars: as on an AVX-512 VNNI CPU (the ZMM kernel where P is a
+// multiple of 32, the AVX2 kernel at the other multiples of 16), the AVX2
+// kernel alone, and the portable twin alone.
+var prefixPaths = []prefixPath{{"vnni", true, true}, {"avx2", true, false}, {"twin", false, false}}
+
+type prefixPath struct {
+	name       string
+	avx2, vnni bool
+}
+
+// lacks names the instructions this CPU lacks for path p, or is "".
+func (p prefixPath) lacks() string {
+	switch {
+	case p.avx2 && !hasAVX2FMA:
+		return "AVX2/FMA"
+	case p.vnni && !hasAVX512VNNI:
+		return "AVX-512 VNNI (AVX512F/DQ/BW, AVX512_VNNI and the OS's ZMM state)"
+	}
+	return ""
+}
+
+// run calls fn with PrefixBounds dispatching as path p prescribes; the
+// CPU must not lack p's instructions.
+func (p prefixPath) run(fn func()) {
+	saved2, savedVNNI := hasAVX2FMA, hasAVX512VNNI
+	defer func() { hasAVX2FMA, hasAVX512VNNI = saved2, savedVNNI }()
+	hasAVX2FMA, hasAVX512VNNI = p.avx2, p.vnni
+	fn()
+}
 
 // prefixBlock is one input of PrefixBounds.
 type prefixBlock struct {
@@ -882,12 +913,12 @@ type prefixBlock struct {
 	boundRow int
 }
 
-// requirePrefixBounds runs the block dispatched and with the assembly forced
-// off, each into mask words full of stale bits plus one word past the block
+// requirePrefixBounds runs the block on path p and on the portable twin,
+// each into mask words full of stale bits plus one word past the block
 // that must stay untouched, and holds the two runs to the same bits: equal
 // bounds (any NaN equal to any NaN), equal mask words, and bit j set iff
 // bound j is below the block-start bound.
-func requirePrefixBounds(t *testing.T, what string, b *prefixBlock) {
+func requirePrefixBounds(t *testing.T, what string, b *prefixBlock, p prefixPath) {
 	t.Helper()
 	n := len(b.snorm)
 	if b.boundRow >= 0 && n > 0 {
@@ -895,10 +926,11 @@ func requirePrefixBounds(t *testing.T, what string, b *prefixBlock) {
 		withGeneric(func() { lbs, _ = runPrefixBounds(b, math.Inf(1)) })
 		b.bound = lbs[b.boundRow%n]
 	}
-	lbs, mask := runPrefixBounds(b, b.bound)
-	var glbs []float64
-	var gmask []uint64
+	var lbs, glbs []float64
+	var mask, gmask []uint64
+	p.run(func() { lbs, mask = runPrefixBounds(b, b.bound) })
 	withGeneric(func() { glbs, gmask = runPrefixBounds(b, b.bound) })
+	what = p.name + " " + what
 	for j := range lbs {
 		if math.Float64bits(lbs[j]) != math.Float64bits(glbs[j]) && !(math.IsNaN(lbs[j]) && math.IsNaN(glbs[j])) {
 			t.Fatalf("%s: row %d of %d: bound %v (%#x), portable twin %v (%#x)",
@@ -971,41 +1003,62 @@ func randPrefixBlock(rng *rand.Rand, P, n int) *prefixBlock {
 	return b
 }
 
-// TestPrefixBoundsMatchTwin runs every block length from 0 to 40 rows (zero
-// to five groups of eight, every tail) at every prefix width the assembly
-// takes, and at 48 codes, which it does not (the twin runs alone), against
-// a bound that splits the block, ±Inf and NaN.
+// TestPrefixBoundsMatchTwin forces each path of prefixPaths in turn and
+// runs every block length from 0 to 40 rows (zero to five groups of eight,
+// every tail) at the widths the ZMM kernel takes (32, 64, 256), those only
+// the AVX2 kernel takes (16, 48), against a bound that splits the block,
+// ±Inf and NaN. A path this CPU cannot run is skipped with the reason.
 func TestPrefixBoundsMatchTwin(t *testing.T) {
-	rng := rand.New(rand.NewSource(109))
-	for _, P := range []int{16, 32, 48, 64, 256} {
-		for n := 0; n <= 40; n++ {
-			for bi, bound := range []float64{0, math.Inf(1), math.Inf(-1), math.NaN()} {
-				b := randPrefixBlock(rng, P, n)
-				b.bound, b.boundRow = bound, -1
-				if bi == 0 {
-					b.boundRow = rng.Intn(n + 1)
-				}
-				requirePrefixBounds(t, fmt.Sprintf("P=%d n=%d bound#%d", P, n, bi), b)
+	for _, p := range prefixPaths {
+		t.Run(p.name, func(t *testing.T) {
+			if lacks := p.lacks(); lacks != "" {
+				t.Skipf("this CPU lacks %s: the %s path cannot run here", lacks, p.name)
 			}
-		}
+			rng := rand.New(rand.NewSource(109))
+			for _, P := range prefixWidths {
+				for n := 0; n <= 40; n++ {
+					for bi, bound := range []float64{0, math.Inf(1), math.Inf(-1), math.NaN()} {
+						b := randPrefixBlock(rng, P, n)
+						b.bound, b.boundRow = bound, -1
+						if bi == 0 {
+							b.boundRow = rng.Intn(n + 1)
+						}
+						requirePrefixBounds(t, fmt.Sprintf("P=%d n=%d bound#%d", P, n, bi), b, p)
+					}
+				}
+			}
+		})
 	}
 }
 
-// FuzzPrefixBound holds the assembly to its portable twin on fuzzer-chosen
-// blocks. The first three bytes pick the width (32 or 64 codes), the row
-// count (0 to 40) and the bound (a row's own bound, +Inf, −Inf or NaN);
-// the next twelve the query scalars; the rest, cycled, the query codes
-// (masked to MaxQ15), the row codes and the per-row terms.
+// prefixWidths are the prefix widths the parity tests run: the first two
+// are the store's (prefixDims), in the order FuzzPrefixBound's first byte
+// picks them.
+var prefixWidths = []int{32, 64, 16, 48, 256}
+
+// FuzzPrefixBound holds every path of prefixPaths this CPU can run to the
+// portable twin on fuzzer-chosen blocks. The first three bytes pick the
+// width (prefixWidths), the row count (0 to 40) and the bound (a row's own
+// bound, +Inf, −Inf or NaN); the next twelve the query scalars; the rest,
+// cycled, the query codes (masked to MaxQ15), the row codes and the
+// per-row terms.
 func FuzzPrefixBound(f *testing.F) {
+	for _, p := range prefixPaths {
+		if lacks := p.lacks(); lacks != "" {
+			f.Logf("this CPU lacks %s: the %s path is not fuzzed", lacks, p.name)
+		}
+	}
 	f.Add([]byte{0, 9, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 255, 0})
 	f.Add([]byte{1, 40, 1, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 0x7f, 0xff, 255, 255, 0, 0})
 	f.Add([]byte{1, 17, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{0, 31, 2, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 1, 2, 0x7f, 0xff, 0, 255})
+	f.Add([]byte{2, 24, 0, 7, 7, 7, 7, 1, 0, 0, 128, 0, 0, 0, 1, 0x7f, 0xff, 255, 3, 254})
+	f.Add([]byte{4, 40, 0, 1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0, 0, 0x7f, 0xff, 255})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 15 {
 			t.Skip()
 		}
-		P := []int{32, 64}[data[0]&1]
+		P := prefixWidths[int(data[0])%len(prefixWidths)]
 		n := int(data[1]) % 41
 		rest := data[15:]
 		k := 0
@@ -1045,7 +1098,11 @@ func FuzzPrefixBound(f *testing.F) {
 		case 3:
 			b.bound = math.NaN()
 		}
-		requirePrefixBounds(t, fmt.Sprintf("P=%d n=%d", P, n), b)
+		for _, p := range prefixPaths {
+			if p.lacks() == "" {
+				requirePrefixBounds(t, fmt.Sprintf("P=%d n=%d", P, n), b, p)
+			}
+		}
 	})
 }
 

@@ -64,18 +64,27 @@ func dotQ15U8x8Unitary(u []uint16, rows []uint8, stride int, out *[8]int64) {
 //go:noescape
 func prefixBoundsAVX2(u []uint16, rows *uint8, snorm *float32, csum, csumSuf *uint32, groups int, terms *[5]float64, lbs *float64, mask *uint64)
 
+//go:noescape
+func prefixBoundsAVX512(u []uint16, rows *uint8, snorm *float32, csum, csumSuf *uint32, groups int, terms *[5]float64, lbs *float64, mask *uint64)
+
 // q15PrefixMaxLen bounds the prefix-bound assembly, which adds each row's
 // whole dot up in one i32 lane: 256·32767·255 < 2³¹.
 const q15PrefixMaxLen = 256
 
 // prefixBoundsUnitary runs whole groups of eight rows in assembly and the
-// ≤7-row tail in the portable twin, which computes the same bits.
+// ≤7-row tail in the portable twin; all three compute the same bits. The
+// ZMM kernel takes P a multiple of 32 where the CPU has AVX-512 VNNI, the
+// AVX2 kernel every other multiple of 16.
 func prefixBoundsUnitary(q *PrefixQuery, rows []uint8, snorm []float32, csum, csumSuf []uint32, bound float64, lbs []float64, mask []uint64) {
 	head := 0
 	if P := len(q.U); hasAVX2FMA && P > 0 && P%16 == 0 && P <= q15PrefixMaxLen && len(lbs) >= 8 {
 		head = len(lbs) &^ 7
 		terms := [5]float64{q.A2, q.Tmin, q.Tstep, q.Margin, bound}
-		prefixBoundsAVX2(q.U, &rows[0], &snorm[0], &csum[0], &csumSuf[0], head/8, &terms, &lbs[0], &mask[0])
+		if hasAVX512VNNI && P%32 == 0 {
+			prefixBoundsAVX512(q.U, &rows[0], &snorm[0], &csum[0], &csumSuf[0], head/8, &terms, &lbs[0], &mask[0])
+		} else {
+			prefixBoundsAVX2(q.U, &rows[0], &snorm[0], &csum[0], &csumSuf[0], head/8, &terms, &lbs[0], &mask[0])
+		}
 	}
 	prefixBoundsGeneric(q, rows, snorm, csum, csumSuf, bound, lbs, mask, head)
 }

@@ -127,10 +127,18 @@ func (m *Dense) Row(i int) []float64 {
 // RawRow returns row i as a sub-slice of the backing storage. Mutating the
 // returned slice mutates the matrix.
 func (m *Dense) RawRow(i int) []float64 {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("linalg: row %d out of bounds for %dx%d matrix", i, m.rows, m.cols))
+	if uint(i) >= uint(m.rows) {
+		m.rowOutOfBounds(i)
 	}
-	return m.data[i*m.cols : (i+1)*m.cols]
+	return m.data[i*m.cols:][:m.cols]
+}
+
+// rowOutOfBounds is RawRow's panic, kept out of line so that RawRow itself
+// stays under the compiler's inlining budget.
+//
+//go:noinline
+func (m *Dense) rowOutOfBounds(i int) {
+	panic(fmt.Sprintf("linalg: row %d out of bounds for %dx%d matrix", i, m.rows, m.cols))
 }
 
 // RawData returns the row-major backing storage (row i occupies

@@ -142,12 +142,18 @@ type PrefixQuery struct {
 // scale, which covers all of it; TestPrefixBoundAdmissible (internal/store) holds
 // every row of every test store to lbs ≤ full, far-outlier queries included.
 //
-// On AVX2 hardware, for P a multiple of 16 up to 256, eight rows at a time
-// run in assembly: the eight dots stay in int32 lanes (a whole row is at
-// most 256·32767·255 < 2³¹, so the conversion to float64 is exact), and the
-// bound is the same unfused VMULPD/VADDPD/VSUBPD sequence as the portable
-// twin's, so both write the same bits. rows holds n rows of stride P;
-// snorm, csum and csumSuf at least n entries each.
+// Eight rows at a time run in assembly, the ≤ 7-row tail in the portable
+// twin. On a CPU with AVX-512 VNNI (AVX512F, DQ, BW and AVX512_VNNI, with
+// the OS's ZMM state), for P a multiple of 32 up to 256, a ZMM kernel runs:
+// one VPDPWSSD per row and 32 codes, the bound for all eight rows in one
+// register. On other AVX2 hardware, and for the other multiples of 16 up
+// to 256, an AVX2 kernel runs: VPMADDWD per row and 16 codes, the bound
+// four rows at a time. Either way the eight dots stay in int32 lanes (a
+// whole row is at most 256·32767·255 < 2³¹, so the conversion to float64
+// is exact), and the bound is the same unfused VMULPD/VADDPD/VSUBPD
+// sequence as the portable twin's, so all three write the same bits. rows
+// holds n rows of stride P; snorm, csum and csumSuf at least n entries
+// each.
 //
 //drlint:hotpath inline=1
 func PrefixBounds(q *PrefixQuery, rows []uint8, snorm []float32, csum, csumSuf []uint32, bound float64, lbs []float64, mask []uint64) {

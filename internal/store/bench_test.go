@@ -117,15 +117,22 @@ func BenchmarkExactSearch6598x166(b *testing.B) {
 	}
 }
 
-// BenchmarkScanBlockPrefix times the prefix pass alone, in ns per row: each
-// iteration scans a variance-ordered 166-dim store as scanSegment does at
-// one worker with a budget of 320 (32·k at k = 10) — warmupBlocks full
-// blocks, then prefix blocks over the 64-code plane to the end, each
-// marked (scanBlockMark) one block before it is resolved
-// (scanBlockResolve) — and only the prefix blocks are on the clock. 32768
-// rows keep CI's one-pass smoke run short.
+// BenchmarkScanBlockPrefix times the prefix pass alone: each iteration
+// scans a variance-ordered 166-dim store as scanSegment does at one worker
+// with a budget of 320 (32·k at k = 10) — warmupBlocks full blocks, then
+// prefix blocks over the 64-code plane to the end, each marked
+// (scanBlockMark) one block before it is resolved (scanBlockResolve). Only
+// the second half of the rows is on the clock, whatever warmupBlocks is:
+// the marks of rows [n/2, n) and the resolves of as many rows one block
+// behind. It reports ns per row and GB/s of the plane bytes a row carries
+// (its 64 prefix codes, snormP, csumP and csumSuf). 32768 rows keep CI's
+// one-pass smoke run short.
 func BenchmarkScanBlockPrefix(b *testing.B) {
-	const n, warm, budget = 32768, warmupBlocks * scanBlockRows, 320
+	const n, clocked, budget = 32768, 32768 / 2, 320
+	const warm, from = warmupBlocks * scanBlockRows, n - clocked
+	if warm > from {
+		b.Fatalf("warmupBlocks·scanBlockRows = %d rows reach into the clocked range [%d, %d)", warm, from, n)
+	}
 	data, queries := testData(b, n, 16, 166, 101)
 	acc := NewScaleAccumulator(166)
 	for i := 0; i < n; i++ {
@@ -142,8 +149,11 @@ func BenchmarkScanBlockPrefix(b *testing.B) {
 		for base := 0; base < warm; base += scanBlockRows {
 			s.scanBlockFull(p, sc, base, base+scanBlockRows, c)
 		}
-		t0 := time.Now()
+		var t0 time.Time
 		for base, m := warm, 0; base <= n; base, m = base+scanBlockRows, 1-m {
+			if base == from {
+				t0 = time.Now()
+			}
 			if base < n {
 				s.scanBlockMark(p, &sc.marks[m], base, base+scanBlockRows, c.Bound())
 			}
@@ -154,7 +164,9 @@ func BenchmarkScanBlockPrefix(b *testing.B) {
 		prefix += time.Since(t0)
 		s.putPlan(p)
 	}
-	b.ReportMetric(float64(prefix.Nanoseconds())/float64(b.N*(n-warm)), "ns/row")
+	ns := float64(prefix.Nanoseconds()) / float64(b.N*clocked)
+	b.ReportMetric(ns, "ns/row")
+	b.ReportMetric(float64(s.prefDims+4+4+4)/ns, "GB/s")
 }
 
 func BenchmarkStoreBuild6598x166(b *testing.B) {

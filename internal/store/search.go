@@ -439,7 +439,7 @@ func (s *Store) SearchRangeWorkers(q []float64, lo, hi, k, rescore, workers int)
 // Worker counts beyond what minSegmentRows-sized slices of [lo, hi) can
 // occupy are clamped.
 //
-//drlint:hotpath inline=9
+//drlint:hotpath inline=7
 func (s *Store) SearchLive(q []float64, lo, hi, k, rescore, workers int, dead []int) ([]knn.Neighbor, int) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
