@@ -15,9 +15,11 @@ import (
 // Both paths hand the shard's dead positions to the store's sweep, which
 // skips them inside the scan. The exact path rescores every live row, which
 // is bit-identical to the float64 scan, so a store-backed engine preserves
-// the engine's exact-path contract. The approximate path keeps the quantized
-// scan but caps phase-2 rescoring at the configured budget of live
-// candidates — the engine's one approximate mechanism.
+// the engine's exact-path contract (the store's refine step reads only the
+// rows its error radius cannot rule out, about k of them). The approximate
+// path keeps the quantized scan but caps the candidates admitted to phase
+// 2 at the configured budget of live rows — the engine's one approximate
+// mechanism.
 type quantShard struct {
 	lo, hi  int
 	st      *store.Store

@@ -74,7 +74,7 @@ type backend interface {
 	// search returns the shard's top-k over its live rows: dead is the
 	// shard's ascending list of tombstoned positions. approx asks for the
 	// backend's cheaper path, if it has one; candidates then counts the
-	// points refined with exact distances. c is the calling worker's pooled
+	// points its filter admitted for exact refinement. c is the calling worker's pooled
 	// collector, for backends that scan in Go.
 	search(query []float64, k int, approx bool, dead []int, c *knn.Collector) shardOut
 }
@@ -85,7 +85,7 @@ type shard struct {
 	lo, hi int
 	be     backend
 
-	// candidates accumulates approximate-path refinement work executed on
+	// candidates accumulates the approximate path's admitted candidates on
 	// this shard (for EngineStats.ShardCandidates).
 	candidates atomic.Uint64
 	// tasks counts shard scans executed (exact or approximate).

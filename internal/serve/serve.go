@@ -16,8 +16,8 @@
 // request exactly, and a quantized mmap-backed store backend
 // (internal/store, NewFromStore) whose exact path runs the store's
 // two-phase search with a full rescore budget — preserving the bit-identity
-// contract — and whose approximate path caps phase-2 rescoring at
-// Config.Rescore candidates per shard. That budget is the engine's one
+// contract — and whose approximate path caps the candidates admitted to
+// phase 2 at Config.Rescore per shard. That budget is the engine's one
 // approximate mechanism: a dense snapshot has no cheaper path, so it serves
 // ModeApprox and a degraded ModeAuto exactly and reports Approx == false.
 // Every backend skips tombstoned rows inside its own scan (mutate.go), so
@@ -129,8 +129,12 @@ type Config struct {
 	// Rescore bounds the exact-refinement budget of the approximate path
 	// on store-backed shards (NewFromStore): each shard's quantized scan
 	// admits at most Rescore live candidates for float64 rescoring (the scan
-	// skips tombstoned rows, so they never count). 0 selects 32·k at query
-	// time. Ignored by dense-backed engines, which have no approximate path.
+	// skips tombstoned rows, so they never count). The store rescores them
+	// in estimate order and stops once its error radius proves no remaining
+	// candidate can reach the top k, so the rows actually read are usually
+	// about k, not Rescore; the budget bounds what phase 1 keeps, and so
+	// recall, not the refine step's work. 0 selects 32·k at query time.
+	// Ignored by dense-backed engines, which have no approximate path.
 	Rescore int
 	// ScanWorkers is the intra-query parallelism of store-backed shards:
 	// each shard's quantized scan splits its row range across up to
@@ -207,8 +211,12 @@ type Result struct {
 	// Wait is the time the request spent queued before a worker picked it
 	// up; Total is admission-to-merge latency.
 	Wait, Total time.Duration
-	// Candidates counts the points the approximate path refined with exact
-	// distances, summed over shards (zero on the exact path, which scans
-	// everything).
+	// Candidates counts the points the approximate path's quantized scan
+	// admitted for exact refinement, summed over shards: the budget
+	// (Rescore or its default, at least k), capped at the shard's live
+	// rows. The refine step stops early, once the store's error radius
+	// proves the rest cannot reach the top k, so the rows it actually
+	// rescored (store.Stats().Rescored) are at most this many and usually
+	// about k. Zero on the exact path, which scans everything.
 	Candidates int
 }

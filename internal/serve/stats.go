@@ -97,7 +97,9 @@ type EngineStats struct {
 	QueueDepth, QueueCap int
 	// Shards is the live partition count. ShardTasks[i] counts scans
 	// executed by shard i this generation; ShardCandidates[i] counts the
-	// approximate-path points shard i refined with exact distances.
+	// approximate-path candidates shard i's scan admitted for exact
+	// refinement (Result.Candidates), of which the store's refine step
+	// rescores only those its error radius cannot rule out.
 	Shards          int
 	ShardTasks      []uint64
 	ShardCandidates []uint64

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -13,7 +14,8 @@ import (
 // ErrCorrupt — never a panic, a fault in the mapping or an untyped error.
 // The corpus is two real files, one narrow and one wide enough for the
 // early-abandon prefix in blocks smaller than n, and every corruptCases
-// entry of the narrow one; the fuzzer flips bit flip%8 of byte flip/8 and
+// entry of the narrow one, and the wide one with garbage in the error
+// radius's header bytes: the fuzzer flips bit flip%8 of byte flip/8 and
 // keeps the first cut bytes (all of them when cut is past the end), on top
 // of its own mutations.
 func FuzzOpen(f *testing.F) {
@@ -34,6 +36,17 @@ func FuzzOpen(f *testing.F) {
 	sort.Strings(names)
 	for _, name := range names {
 		bad := cases[name].corrupt(append([]byte(nil), files[0]...))
+		f.Add(bad, uint32(0), uint32(len(bad)))
+	}
+	// Some of these Open accepts (+Inf, the smallest subnormal, −0, 10³⁰⁰)
+	// and some it refuses (NaN payloads, negative values); a wrong but
+	// accepted radius may change answers, never the contract above.
+	for _, garbage := range []uint64{
+		0x7ff0000000000000, 1, 1 << 63, 0x7e37e43c8800759c,
+		0x7ff8000000000001, 0xfff0000000000000, 0xdeadbeefcafef00d, 0x0123456789abcdef,
+	} {
+		bad := append([]byte(nil), files[1]...)
+		binary.LittleEndian.PutUint64(bad[radiusOff:], garbage)
 		f.Add(bad, uint32(0), uint32(len(bad)))
 	}
 	dir := f.TempDir()

@@ -21,9 +21,9 @@ func madviseRandom(b []byte) {
 }
 
 // madviseWillneed starts asynchronous read-ahead of the range. Issued
-// for every phase-2 candidate row before the rescore loop touches any of
-// them, it turns ~budget serial demand faults (each a blocking disk
-// round-trip on a cold store) into one batch of overlapping reads.
+// for each phase-2 row rescoreAhead rows before the refine step reaches
+// it, it turns serial demand faults (each a blocking disk round-trip on a
+// cold store) into overlapping reads.
 func madviseWillneed(b []byte) {
 	madvise(b, syscall.MADV_WILLNEED)
 }

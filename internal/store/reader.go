@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
@@ -54,6 +55,13 @@ type Store struct {
 	// prefix lower bounds.
 	snormMean float64
 
+	// radius is the header's error radius, an upper bound on ‖x − x̂‖ over
+	// every row, and csumMax the largest row code sum: the two store-side
+	// terms of the refine step's lower bound (refineBound). A zero radius,
+	// a file written without one, turns the bound off.
+	radius  float64
+	csumMax float64
+
 	// planPool, scratchPool, collPool, and parPool recycle per-query
 	// plans, per-segment block buffers, candidate collectors, and
 	// parallel fan-out state so the serving hot path does not allocate.
@@ -68,12 +76,13 @@ type Store struct {
 	closed bool
 
 	// scanned and rescored count points offered to phase 1 and candidates
-	// exactly rescored in phase 2 since Open.
+	// exactly rescored in phase 2 since Open (the refine step's rows, not
+	// the admitted candidates it may stop short of).
 	scanned  atomic.Uint64
 	rescored atomic.Uint64
 
-	// exactCold is set by DropExactPages and makes every later rescore
-	// queue read-ahead for its candidate rows before touching them (cold
+	// exactCold is set by DropExactPages and makes every later refine step
+	// queue read-ahead for the rows rescoreAhead ahead of its cursor (cold
 	// rows otherwise fault serially under MADV_RANDOM). Never cleared:
 	// once residency is being managed externally, the hint stays cheap
 	// relative to the faults it hides.
@@ -108,12 +117,16 @@ func Open(path string) (*Store, error) {
 	if endianSentinelNative(hdr) != endianSentinel {
 		return nil, fmt.Errorf("%w: %s: native byte order does not match the little-endian file layout", ErrFormat, path)
 	}
+	radius := math.Float64frombits(binary.LittleEndian.Uint64(hdr[radiusOff:]))
+	if !(radius >= 0) {
+		return nil, fmt.Errorf("%w: %s: error radius %v", ErrCorrupt, path, radius)
+	}
 	mm, err := mapFile(f, l.fileSize)
 	if err != nil {
 		return nil, fmt.Errorf("store: mapping %s: %w", path, err)
 	}
 	b := mm.bytes
-	s := &Store{path: path, l: l, mm: mm}
+	s := &Store{path: path, l: l, mm: mm, radius: radius}
 	permU32 := castU32(b[l.permOff : l.permOff+4*int64(l.d)])
 	s.perm = make([]int, l.d)
 	for j, p := range permU32 {
@@ -216,6 +229,7 @@ func (s *Store) buildScanCaches() {
 		s.scanAux[2*i] = s.snorm[i]
 		s.scanAux[2*i+1] = csum
 		snormSum += s.snorm[i]
+		s.csumMax = max(s.csumMax, csum)
 		if P > 0 {
 			copy(s.pref8[i*P:(i+1)*P], row[:P])
 			sn := float32(snormP)
@@ -326,7 +340,9 @@ func (s *Store) Steps() []float64 {
 type Stats struct {
 	// Scanned counts points whose quantized distance was evaluated.
 	Scanned uint64
-	// Rescored counts candidates refined against the exact region.
+	// Rescored counts candidates refined against the exact region: the
+	// rows the refine step read before its stop, not every admitted
+	// candidate.
 	Rescored uint64
 }
 

@@ -3,6 +3,8 @@ package store
 import (
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -484,5 +486,187 @@ func TestStressSearchBatchDropExactPages(t *testing.T) {
 	close(errs)
 	for msg := range errs {
 		t.Fatal(msg)
+	}
+}
+
+// refineTestStores returns the stores TestRescoreBoundAdmissible runs on at
+// width d: the variant matrix; a store built with external scales narrower
+// than the data, so values clamp at both ends of the code range, and with
+// one varying dimension given step 0, so its codes carry nothing; and a
+// store whose data has a constant dimension.
+func refineTestStores(t *testing.T, data *linalg.Dense) map[string]*Store {
+	n, d := data.Dims()
+	stores := map[string]*Store{}
+	for name, cfg := range storeVariants(data) {
+		stores[name] = buildStore(t, data, cfg)
+	}
+	acc := NewScaleAccumulator(d)
+	for i := 0; i < n; i++ {
+		acc.Add(data.RawRow(i))
+	}
+	mins, steps := acc.Scales(Int8)
+	for j := range mins {
+		mins[j] += 0.2 * maxCode * steps[j]
+		steps[j] *= 0.5
+	}
+	mins[1] += 0.3 * maxCode * steps[1]
+	steps[1] = 0
+	stores["clamped"] = buildStore(t, data, BuildConfig{Perm: acc.VarianceOrder(), Mins: mins, Steps: steps})
+	constant := linalg.NewDense(n, d)
+	for i := 0; i < n; i++ {
+		copy(constant.RawRow(i), data.RawRow(i))
+		constant.RawRow(i)[2] = 2.5
+	}
+	stores["constant-dim"] = buildStore(t, constant, BuildConfig{})
+	return stores
+}
+
+// TestRescoreBoundAdmissible holds the argument written at refineBound to
+// every row of every refineTestStores store, at every width in
+// prefixTestDims: no row's lower bound exceeds its computed exact distance
+// from the query. The queries are TestPrefixBoundAdmissible's — held-out
+// rows as they are, stored rows decoded from their codes, and held-out
+// rows moved 10 and 1000 code ranges off the data — plus the worst-encoded
+// row moved 1, 10, 100 and 1000 times its own quantization error further
+// along that error. There the triangle inequality under the bound is
+// tight: the row sits exactly ‖x − x̂‖ closer to the query than its codes
+// do, and that distance is the store's radius.
+func TestRescoreBoundAdmissible(t *testing.T) {
+	n := 3000
+	e := knn.Euclidean{}
+	for _, d := range prefixTestDims {
+		data, queries := testData(t, n, 4, d, 47)
+		for name, s := range refineTestStores(t, data) {
+			if !(s.radius > 0) {
+				t.Fatalf("%s d=%d: store has no error radius", name, d)
+			}
+			steps := s.Steps()
+			var qs [][]float64
+			for qi := 0; qi < queries.Rows(); qi++ {
+				qs = append(qs, s.DequantRow(qi*701))
+				for _, ranges := range []float64{0, 10, -1000} {
+					q := append([]float64(nil), queries.RawRow(qi)...)
+					for j := range q {
+						q[j] += ranges * maxCode * steps[j] * float64(1-2*(j%2))
+					}
+					qs = append(qs, q)
+				}
+			}
+			worst, worstErr := 0, -1.0
+			for i := 0; i < n; i++ {
+				if err := e.Distance(s.DequantRow(i), s.exactMat.RawRow(i)); err > worstErr {
+					worst, worstErr = i, err
+				}
+			}
+			x, xh := s.exactMat.RawRow(worst), s.DequantRow(worst)
+			for _, mult := range []float64{1, 10, 100, 1000} {
+				q := make([]float64, d)
+				for j := range q {
+					q[j] = x[j] + mult*(x[j]-xh[j])
+				}
+				qs = append(qs, q)
+			}
+			for qi, q := range qs {
+				p := s.getPlan(q)
+				for i := 0; i < n; i++ {
+					lb := s.refineBound(p, s.scoreAt(p, i))
+					if dist := e.Distance(s.exactMat.RawRow(i), q); !(lb <= dist) {
+						t.Fatalf("%s d=%d query %d: row %d has refine bound %v above its distance %v (radius %v)",
+							name, d, qi, i, lb, dist, s.radius)
+					}
+				}
+				s.putPlan(p)
+			}
+		}
+	}
+}
+
+// TestRefineCountBounds holds the refine step's work to its bounds over the
+// scan property test's grid: SearchLive's second result is still the
+// phase-1 candidate count, and the rows it refined (the Rescored counter)
+// number at least min(k, live) and at most that count. Where the budget
+// admits every live row, the stop must do its job: refined rows stay under
+// a fifth of the candidates over the grid.
+func TestRefineCountBounds(t *testing.T) {
+	n, k := 3000, 10
+	var everyFifth []int
+	for i := 2; i < n; i += 5 {
+		everyFifth = append(everyFifth, i)
+	}
+	var fullCand, fullRefined int
+	for _, d := range prefixTestDims {
+		data, queries := testData(t, n, 6, d, 41)
+		for name, cfg := range storeVariants(data) {
+			s := buildStore(t, data, cfg)
+			for qi := 0; qi < queries.Rows(); qi++ {
+				dead := everyFifth[:qi%2*len(everyFifth)]
+				live := n - len(dead)
+				for _, budget := range []int{k, 2 * k, n} {
+					for _, workers := range []int{1, 2} {
+						before := s.Stats().Rescored
+						_, cand := s.SearchLive(queries.RawRow(qi), 0, n, k, budget, workers, dead)
+						refined := int(s.Stats().Rescored - before)
+						if cand != min(budget, live) || refined < min(k, live) || refined > cand {
+							t.Fatalf("%s d=%d q=%d budget=%d w=%d: %d candidates and %d refined, want %d and [%d, %d]",
+								name, d, qi, budget, workers, cand, refined, min(budget, live), min(k, live), cand)
+						}
+						if budget == n {
+							fullCand += cand
+							fullRefined += refined
+						}
+					}
+				}
+			}
+		}
+	}
+	if 5*fullRefined >= fullCand {
+		t.Errorf("full-budget searches refined %d of %d candidates: the stop did not engage", fullRefined, fullCand)
+	}
+}
+
+// TestRefineWithoutRadius zeroes the error radius of a written store, as a
+// file from before the radius has it, and reopens it: the answers must not
+// move, distance bits included, and without the bound every candidate is
+// refined.
+func TestRefineWithoutRadius(t *testing.T) {
+	n, k := 3000, 10
+	data, queries := testData(t, n, 6, 64, 73)
+	acc := NewScaleAccumulator(64)
+	for i := 0; i < n; i++ {
+		acc.Add(data.RawRow(i))
+	}
+	with := buildStore(t, data, BuildConfig{Perm: acc.VarianceOrder()})
+	raw := readStore(t, with)
+	clear(raw[radiusOff : radiusOff+8])
+	path := filepath.Join(t.TempDir(), "no-radius.qvs")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	without, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer without.Close()
+	if with.radius <= 0 || without.radius != 0 {
+		t.Fatalf("radius %v written, %v after zeroing", with.radius, without.radius)
+	}
+	for qi := 0; qi < queries.Rows(); qi++ {
+		q := queries.RawRow(qi)
+		for _, budget := range []int{k, 4 * k, 32 * k, n} {
+			want, _ := with.SearchLive(q, 0, n, k, budget, 1, nil)
+			before := without.Stats().Rescored
+			got, cand := without.SearchLive(q, 0, n, k, budget, 1, nil)
+			if refined := int(without.Stats().Rescored - before); refined != budget || cand != budget {
+				t.Fatalf("q=%d budget=%d: %d candidates, %d refined without a radius, want %d", qi, budget, cand, refined, budget)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("q=%d budget=%d: %d neighbors without a radius, %d with", qi, budget, len(got), len(want))
+			}
+			for r := range got {
+				if got[r].Index != want[r].Index || math.Float64bits(got[r].Dist) != math.Float64bits(want[r].Dist) {
+					t.Fatalf("q=%d budget=%d rank %d: %+v without a radius, %+v with", qi, budget, r, got[r], want[r])
+				}
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"runtime"
 	"slices"
@@ -49,6 +50,7 @@ type plan struct {
 	tmin  float64
 	tstep float64
 	pre   linalg.PrefixQuery // the prefix lower bound's query side
+	refE  float64            // E of the refine step's lower bound (refineBound)
 
 	dead []int // ascending tombstoned positions the sweep skips (SearchLive)
 }
@@ -113,6 +115,7 @@ func (s *Store) getPlan(q []float64) *plan {
 	// pruning decision the exact arithmetic would not.
 	p.pre = linalg.PrefixQuery{U: p.u[:s.prefDims], A2: a2P, Tmin: p.tmin, Tstep: p.tstep,
 		Margin: 1e-9 * (p.a2 + s.snormMean + 1)}
+	p.refE = p.tstep*s.csumMax + p.pre.Margin
 	return p
 }
 
@@ -397,15 +400,114 @@ func (s *Store) scanSegment(p *plan, lo, hi int, c *knn.Collector) {
 
 // rescoreAhead is how many candidates ahead of its exact rescore a
 // candidate's float64 row is prefetched, so the scattered rows' misses
-// overlap the distances before them.
+// overlap the distances before them. On a store whose exact pages were
+// dropped it is also the read-ahead window: the same row is advised to
+// the kernel, so the refine step never queues a disk read more than this
+// many rows past where it stops.
 const rescoreAhead = 8
+
+// rescoreSlack is δ of the refine step's stop test, lb > kth·(1+δ): the
+// relative rounding of the computed distances on both sides of it. A
+// distance from knn.Euclidean sums d rounded squares of rounded
+// differences, all non-negative, and takes a rounded square root, so it is
+// within (d+2)·2⁻⁵³ of the exact distance, relative; refineBound's square
+// root and subtraction of the radius add two more 2⁻⁵³. 10⁻⁹ covers that
+// for any d below 10⁶ and is far below any gap between two neighbors'
+// distances that the stop could act on. The absolute rounding of the
+// estimate inside the bound is the Margin's (getPlan).
+const rescoreSlack = 1e-9
+
+// refineBound is the lower bound on the exact distance from the plan's
+// query to a row whose phase-1 estimate is est:
+//
+//	‖q − x‖ ≥ ‖q − x̂‖ − ‖x − x̂‖ ≥ √max(0, est − E) − R
+//
+// where x̂ is the row's dequantized codes and R the store's error radius.
+// The first step is the triangle inequality. For the second, est is
+// ‖q − x̂‖² − 2·Σⱼ eⱼcⱼ in exact arithmetic, eⱼ the query's Q15 rounding
+// error (|eⱼ| ≤ Tstep/2, cⱼ ≥ 0): linalg.PrefixBounds' argument applied
+// to all d dimensions, so ‖q − x̂‖² ≥ est − Tstep·csum ≥ est − Tstep·csumMax.
+// E = Tstep·csumMax + Margin (plan.refE) adds the floating-point margin the
+// prefix bound subtracts, which covers est's own rounding where it
+// matters: near the query, where est cancels down from a2 + snorm ≈ 2·a2.
+// Far from it est is large, and its rounding is relative and inside
+// rescoreSlack. A NaN estimate gives a NaN bound, which no stop test
+// accepts.
+func (s *Store) refineBound(p *plan, est float64) float64 {
+	return math.Sqrt(max(0, est-p.refE)) - s.radius
+}
+
+// refine is phase 2: it exactly rescores cand, which phase 1 returns
+// sorted ascending by estimate, in that order, and returns the rescored
+// prefix. Once k rows are rescored, with kth the k-th smallest distance
+// among them, it stops before the first candidate t whose refineBound
+// exceeds kth·(1+rescoreSlack). The bound never decreases along cand (est
+// ascends, E and R are fixed), so every skipped row has an exact distance
+// strictly above kth, which is at least the final k-th distance: k rescored
+// rows already precede each skipped row in the canonical (dist, index)
+// order, and the top k of the prefix is the top k of all of cand, bit for
+// bit. A row that ties kth is rescored. A store without a radius rescores
+// all of cand.
+//
+// On a store whose exact pages were dropped (DropExactPages) the rows
+// fault back in from disk, one blocking round-trip each under
+// MADV_RANDOM. The first rescoreAhead rows are advised to the kernel as
+// asynchronous read-ahead up front, then each rescore advises the row
+// rescoreAhead ahead, next to its cache prefetch, so the faults overlap
+// and the read-ahead ends at most rescoreAhead rows past the stop.
+// Resident stores skip the advice.
+//
+//drlint:hotpath inline=5
+func (s *Store) refine(p *plan, q []float64, cand []knn.Neighbor, k int) []knn.Neighbor {
+	stop := s.radius > 0 && len(cand) > k
+	var top *knn.Collector
+	if stop {
+		top = s.getCollector(k)
+	}
+	cold := s.exactCold.Load()
+	if cold {
+		for _, c := range cand[:min(rescoreAhead, len(cand))] {
+			s.willneedRow(c.Index)
+		}
+	}
+	e := knn.Euclidean{}
+	t := 0
+	for ; t < len(cand); t++ {
+		if stop && t >= k && s.refineBound(p, cand[t].Dist) > top.Bound()*(1+rescoreSlack) {
+			break
+		}
+		if a := t + rescoreAhead; a < len(cand) {
+			linalg.PrefetchF64(s.exactMat.RawRow(cand[a].Index))
+			if cold {
+				s.willneedRow(cand[a].Index)
+			}
+		}
+		d := e.Distance(s.exactMat.RawRow(cand[t].Index), q)
+		cand[t].Dist = d
+		if stop {
+			top.Offer(cand[t].Index, d)
+		}
+	}
+	if stop {
+		s.putCollector(top)
+	}
+	return cand[:t]
+}
+
+// willneedRow queues asynchronous read-ahead of exact row i.
+func (s *Store) willneedRow(i int) {
+	off := s.l.exactOff + 8*int64(i)*int64(s.l.d)
+	s.mm.willneedRange(off, off+8*int64(s.l.d))
+}
 
 // Search returns the k nearest neighbors of q by two-phase search over the
 // whole store: a quantized scan admits the rescore-budget best candidates,
-// which are exactly rescored against the float64 region and re-sorted
-// under the canonical (distance, index) order. rescore < k is treated as
-// k; rescore ≥ Len() makes the result bit-identical to exact search (every
-// point is admitted and exactly scored).
+// and the refine step rescores them exactly against the float64 region in
+// estimate order until the error radius proves no remaining candidate can
+// enter the top k, then re-sorts under the canonical (distance, index)
+// order. rescore < k is treated as k; rescore ≥ Len() makes the result
+// bit-identical to exact search: every point is admitted, and every point
+// that can reach the top k is exactly scored.
 //
 //drlint:hotpath
 func (s *Store) Search(q []float64, k, rescore int) []knn.Neighbor {
@@ -427,8 +529,11 @@ func (s *Store) SearchRangeWorkers(q []float64, lo, hi, k, rescore, workers int)
 // would be offered or survives the prefix bound, so the rescore budget
 // counts live candidates however many rows are dead; a budget of at least
 // the live rows is bit-identical to exact search over them. Returned
-// indices are global; the second result is the number of candidates phase 2
-// rescored.
+// indices are global; the second result is the number of candidates phase 1
+// admitted, min(max(rescore, k), live rows). Phase 2 (refine) exactly
+// rescores them in estimate order and stops once the store's error radius
+// proves the rest cannot reach the top k, so it refines between min(k,
+// live) rows and all of them; Stats().Rescored counts the rows it refined.
 //
 // The phase-1 sweep splits across up to workers parallel segments
 // (workers ≤ 1 scans sequentially). Each segment fills its own full-budget
@@ -439,7 +544,7 @@ func (s *Store) SearchRangeWorkers(q []float64, lo, hi, k, rescore, workers int)
 // Worker counts beyond what minSegmentRows-sized slices of [lo, hi) can
 // occupy are clamped.
 //
-//drlint:hotpath inline=7
+//drlint:hotpath inline=6
 func (s *Store) SearchLive(q []float64, lo, hi, k, rescore, workers int, dead []int) ([]knn.Neighbor, int) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -477,37 +582,17 @@ func (s *Store) SearchLive(q []float64, lo, hi, k, rescore, workers int, dead []
 		cand = s.scanParallel(p, lo, hi, budget, workers)
 	}
 	p.dead = nil
-	s.putPlan(p)
 	s.scanned.Add(uint64(hi - lo))
 
-	// After a DropExactPages, phase-2 rows fault back in from disk; with
-	// the exact region mapped MADV_RANDOM each fault is a blocking disk
-	// round-trip, so a cold query pays ~budget serial I/Os. Queue all
-	// candidate rows as asynchronous read-ahead first — a few µs of
-	// syscalls per query — so the faults below overlap. Skipped entirely
-	// until the first drop: resident stores pay nothing.
-	if s.exactCold.Load() {
-		rowBytes := 8 * int64(s.l.d)
-		for t := range cand {
-			off := s.l.exactOff + int64(cand[t].Index)*rowBytes
-			s.mm.willneedRange(off, off+rowBytes)
-		}
-	}
-
-	e := knn.Euclidean{}
-	for t := range cand {
-		if t+rescoreAhead < len(cand) {
-			linalg.PrefetchF64(s.exactMat.RawRow(cand[t+rescoreAhead].Index))
-		}
-		cand[t].Dist = e.Distance(s.exactMat.RawRow(cand[t].Index), q)
-	}
-	rescored := len(cand)
-	s.rescored.Add(uint64(rescored))
+	admitted := len(cand)
+	cand = s.refine(p, q, cand, k)
+	s.putPlan(p)
+	s.rescored.Add(uint64(len(cand)))
 	knn.SortNeighbors(cand)
 	if len(cand) > k {
 		cand = cand[:k]
 	}
-	return cand, rescored
+	return cand, admitted
 }
 
 // scanWorkers clamps a requested worker count for a sweep over n rows to

@@ -25,10 +25,13 @@
 // capable hardware) plus a per-point norm cached at build time — the same
 // norm-cache shape knn.SearchSetBatch uses.
 // Phase 2 rescores the admitted candidates with the scalar Euclidean metric
-// against the untouched float64 region and re-sorts under the canonical
-// (distance, index) order, so with a full rescore budget the result is
-// bit-identical to knn.SearchSetBatch, and with a partial budget only the
-// candidate set — never a reported distance — is approximate.
+// against the untouched float64 region, in ascending order of their
+// estimate, and stops once a lower bound built from the estimate and the
+// store's error radius proves no remaining candidate can enter the top k
+// (Store.SearchLive); it then re-sorts under the canonical (distance,
+// index) order. With a full rescore budget the result is bit-identical to
+// knn.SearchSetBatch, and with a partial budget only the candidate set —
+// never a reported distance — is approximate.
 //
 // On-disk layout (all offsets 64-byte aligned, little-endian):
 //
@@ -37,6 +40,14 @@
 //	         CodeStride bytes, zero-padded)
 //	       | snorm (n×f64: Σ (stepⱼcⱼ)²)
 //	       | exact (n×d×f64, row-major, original dimension order)
+//
+// Header bytes 112–119 hold the store's error radius R, a float64: an
+// upper bound on ‖x − x̂‖, the distance between a stored row and its
+// dequantized codes, over every row. The writer measures it while it
+// encodes (Writer.Append) and rounds it up (Writer.radius); the exact
+// rescore stops at it (Store.SearchLive). Files written before the radius existed carry zero
+// there, which Open reads as "no radius": they keep the full-budget
+// rescore. A negative or NaN radius is refused as corrupt.
 //
 // The header also keeps the slots of two retired layouts, each with one
 // legal value: the code width (always 1 byte, Int8) and the count and
@@ -47,8 +58,8 @@
 //
 // The mmap read path keeps the codes/snorm regions resident (they are
 // scanned) while the exact region pages in lazily — only the rows that
-// phase 2 actually rescores are ever touched, which is what cuts resident
-// vector bytes by ~8× against a float64 store.
+// phase 2 actually rescores, about k per query, are ever touched, which is
+// what cuts resident vector bytes by ~8× against a float64 store.
 package store
 
 import (
@@ -109,6 +120,9 @@ const (
 	codeRowAlign = 16
 	// sectionAlign aligns every region offset.
 	sectionAlign = 64
+	// radiusOff is the header offset of the error radius (see the package
+	// comment).
+	radiusOff = 112
 )
 
 // BuildConfig parameterizes store construction. The zero value stores the
@@ -462,13 +476,15 @@ func identityPerm(d int) []int {
 	return p
 }
 
-// writeMeta is Writer finalization's last step: flush the header and the
-// small metadata sections.
-func writeMeta(f *os.File, l layout, perm []int, mins, steps []float64) error {
-	if _, err := f.WriteAt(l.encodeHeader(), 0); err != nil {
+// writeMeta is Writer finalization's last step: flush the header, with
+// the error radius in its slot, and the small metadata sections.
+func writeMeta(f *os.File, l layout, perm []int, mins, steps []float64, radius float64) error {
+	le := binary.LittleEndian
+	h := l.encodeHeader()
+	le.PutUint64(h[radiusOff:], math.Float64bits(radius))
+	if _, err := f.WriteAt(h, 0); err != nil {
 		return err
 	}
-	le := binary.LittleEndian
 	pb := make([]byte, 4*l.d)
 	for j, p := range perm {
 		le.PutUint32(pb[4*j:], uint32(p))

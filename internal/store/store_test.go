@@ -262,12 +262,16 @@ type corruptCase struct {
 	want    error
 }
 
-// corruptCases are the header validation paths and the perm/scale regions
-// every query reads through, for a valid file of layout l.
+// corruptCases are the header validation paths, the error radius and the
+// perm/scale regions every query reads through, for a valid file of layout
+// l.
 func corruptCases(l layout) map[string]corruptCase {
 	le := binary.LittleEndian
 	setStep := func(v float64) func([]byte) []byte {
 		return func(b []byte) []byte { le.PutUint64(b[l.stepsOff:], math.Float64bits(v)); return b }
+	}
+	setRadius := func(v float64) func([]byte) []byte {
+		return func(b []byte) []byte { le.PutUint64(b[radiusOff:], math.Float64bits(v)); return b }
 	}
 	return map[string]corruptCase{
 		"bad magic":           {func(b []byte) []byte { b[0] = 'X'; return b }, ErrFormat},
@@ -282,6 +286,8 @@ func corruptCases(l layout) map[string]corruptCase {
 		"perm duplicate":      {func(b []byte) []byte { copy(b[l.permOff+4:l.permOff+8], b[l.permOff:]); return b }, ErrCorrupt},
 		"NaN step":            {setStep(math.NaN()), ErrCorrupt},
 		"negative step":       {setStep(-1), ErrCorrupt},
+		"NaN radius":          {setRadius(math.NaN()), ErrCorrupt},
+		"negative radius":     {setRadius(-0.5), ErrCorrupt},
 		// 2⁶⁰ one-dimensional rows in one-row blocks: every region length
 		// is a multiple of 2⁶³, so int64 offsets wrap to a file of a few
 		// hundred bytes whose header agrees with computeLayout.
@@ -486,11 +492,15 @@ func TestOpenRejectsRetiredLayouts(t *testing.T) {
 // change and needs a version bump, not a new digest.
 const formatDigest = "b1f5f696366a169cac2ad12b9740ed5d917d35f780f6558cc55500a4903d916f"
 
+// formatRadiusBits is the error radius TestFormatDigest's file records in
+// header bytes 112–119, which its digest leaves out.
+const formatRadiusBits = 0x40201ba6d75352dc
+
 // TestFormatDigest writes a fixed 257×70 store — five 64-row blocks with a
 // ragged last one, an 80-byte code stride with ten padding bytes, a
 // constant dimension, values clamped at both ends of the code range — in
-// variance order through Create/Append and compares the file's digest with
-// the pinned one.
+// variance order through Create/Append and compares the file's digest and
+// error radius with the pinned ones.
 func TestFormatDigest(t *testing.T) {
 	const n, d = 257, 70
 	rng := rand.New(rand.NewSource(1801))
@@ -525,6 +535,16 @@ func TestFormatDigest(t *testing.T) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The error radius joined version 1 in a header slot that files pinned
+	// before it left zero. The digest covers the file with that slot zeroed,
+	// so every other byte still matches them, and the radius bits are pinned
+	// on their own.
+	radius := binary.LittleEndian.Uint64(raw[radiusOff:])
+	clear(raw[radiusOff : radiusOff+8])
+	if radius != formatRadiusBits {
+		t.Errorf("error radius %x (%v), want %x (%v)", radius, math.Float64frombits(radius),
+			uint64(formatRadiusBits), math.Float64frombits(formatRadiusBits))
 	}
 	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != formatDigest {
 		t.Errorf("store file digest %s, want %s: the on-disk format changed", got, formatDigest)

@@ -27,6 +27,10 @@ type Writer struct {
 
 	next int // rows appended so far
 
+	// maxErr2 and maxSnorm are the largest Σⱼ (xⱼ − x̂ⱼ)² and Σⱼ (stepⱼcⱼ)²
+	// of the rows appended so far, the inputs of radius.
+	maxErr2, maxSnorm float64
+
 	codeBuf  regionBuf
 	snormBuf regionBuf
 	exactBuf regionBuf
@@ -139,13 +143,22 @@ func (w *Writer) Append(row []float64) error {
 		return err
 	}
 	// rowCodes[d:] is the stride padding; it is never written and stays zero.
-	snorm := 0.0
+	// err2 measures the row's own quantization error, clamped values and
+	// constant dimensions included, so the radius holds for whatever scales
+	// the caller supplied.
+	snorm, err2 := 0.0, 0.0
 	for j, pj := range w.perm {
-		c := quantize(row[pj], w.mins[j], w.steps[j])
+		x := row[pj]
+		c := quantize(x, w.mins[j], w.steps[j])
 		v := w.steps[j] * float64(c)
 		snorm += v * v
+		e := x - (w.mins[j] + v)
+		err2 += e * e
 		w.rowCodes[j] = c
 	}
+	// The builtin max keeps a NaN, so a NaN row poisons the radius for good.
+	w.maxErr2 = max(w.maxErr2, err2)
+	w.maxSnorm = max(w.maxSnorm, snorm)
 	if err := w.codeBuf.write(w.rowCodes); err != nil {
 		return err
 	}
@@ -170,7 +183,7 @@ func (w *Writer) Close() error {
 			return err
 		}
 	}
-	if err := writeMeta(w.f, w.l, w.perm, w.mins, w.steps); err != nil {
+	if err := writeMeta(w.f, w.l, w.perm, w.mins, w.steps, w.radius()); err != nil {
 		w.f.Close()
 		return err
 	}
@@ -179,6 +192,29 @@ func (w *Writer) Close() error {
 		return err
 	}
 	return w.f.Close()
+}
+
+// radius is the error radius the header records: an upper bound on the
+// exact ‖x − x̂‖ of every appended row, where x̂ⱼ = minⱼ + stepⱼcⱼ in exact
+// arithmetic. Each row measured ‖e‖, e = fl(x − fl(min + fl(step·c))); per
+// dimension |eⱼ − (xⱼ − x̂ⱼ)| ≤ 3u·(|eⱼ| + |minⱼ| + |stepⱼcⱼ|) with u = 2⁻⁵³,
+// so over the row ‖x − x̂‖ ≤ ‖e‖(1+3u) + 3u·(‖min‖ + √snorm). The sums
+// and the square root add another (d+2)u relative. The slack below is 10⁻⁹
+// of the same terms, which covers all of it for any d below 10⁶ and moves
+// the radius by nothing a distance gap could notice; the result is rounded
+// up once more, so a written radius is never zero (zero marks a file
+// without one). A NaN or infinite row error, from a NaN or infinite input
+// value, records +Inf, which never lets the rescore stop.
+func (w *Writer) radius() float64 {
+	if math.IsNaN(w.maxErr2) || math.IsInf(w.maxErr2, 0) {
+		return math.Inf(1)
+	}
+	minsNorm := 0.0
+	for _, m := range w.mins {
+		minsNorm += m * m
+	}
+	r := math.Sqrt(w.maxErr2) + 1e-9*(math.Sqrt(minsNorm)+math.Sqrt(w.maxSnorm))
+	return math.Nextafter(r*(1+1e-9), math.Inf(1))
 }
 
 // Write builds a store file from an in-memory matrix: scales are computed
