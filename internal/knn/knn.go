@@ -15,8 +15,14 @@ type Neighbor struct {
 	Dist  float64
 }
 
-// neighborHeap is a bounded max-heap on distance, keeping the k closest
-// points seen so far with the current worst at the root. The sift
+// neighborHeap is a bounded max-heap under the canonical (distance, index)
+// order (LessNeighbor), keeping the k closest points seen so far with the
+// current worst at the root. Ordering ties by index makes the kept set a
+// function of the points offered, not of the order they came in: a scan
+// that offers rows in ascending index keeps exactly the k smallest under
+// (distance, index), whichever other rows it offered or skipped, where a
+// heap on distance alone evicts whichever of several tied worst points
+// happens to sit at the root. The sift
 // operations are hand-rolled rather than going through container/heap:
 // heap.Push boxes every pushed Neighbor into an interface{}, which costs
 // one heap allocation per admitted candidate on the scan hot path.
@@ -25,7 +31,7 @@ type neighborHeap []Neighbor
 func (h neighborHeap) siftUp(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if h[parent].Dist >= h[i].Dist {
+		if !LessNeighbor(h[parent], h[i]) {
 			return
 		}
 		h[parent], h[i] = h[i], h[parent]
@@ -37,10 +43,10 @@ func (h neighborHeap) siftDown(i int) {
 	n := len(h)
 	for {
 		worst := i
-		if l := 2*i + 1; l < n && h[l].Dist > h[worst].Dist {
+		if l := 2*i + 1; l < n && LessNeighbor(h[worst], h[l]) {
 			worst = l
 		}
-		if r := 2*i + 2; r < n && h[r].Dist > h[worst].Dist {
+		if r := 2*i + 2; r < n && LessNeighbor(h[worst], h[r]) {
 			worst = r
 		}
 		if worst == i {

@@ -128,9 +128,11 @@ type Config struct {
 	DegradeWatermark float64
 	// Rescore bounds the exact-refinement budget of the approximate path
 	// on store-backed shards (NewFromStore): each shard's quantized scan
-	// admits at most Rescore live candidates for float64 rescoring (the scan
-	// skips tombstoned rows, so they never count). The store rescores them
-	// in estimate order and stops once its error radius proves no remaining
+	// keeps at most Rescore live candidates for float64 rescoring (the scan
+	// skips tombstoned rows, so they never count), and fewer where the
+	// store's error radius cuts the rest off: a candidate past the cut
+	// could not be read by the refine step. The store rescores them in
+	// estimate order and stops once its error radius proves no remaining
 	// candidate can reach the top k, so the rows actually read are usually
 	// about k, not Rescore; the budget bounds what phase 1 keeps, and so
 	// recall, not the refine step's work. 0 selects 32·k at query time.
@@ -212,11 +214,12 @@ type Result struct {
 	// up; Total is admission-to-merge latency.
 	Wait, Total time.Duration
 	// Candidates counts the points the approximate path's quantized scan
-	// admitted for exact refinement, summed over shards: the budget
-	// (Rescore or its default, at least k), capped at the shard's live
-	// rows. The refine step stops early, once the store's error radius
-	// proves the rest cannot reach the top k, so the rows it actually
-	// rescored (store.Stats().Rescored) are at most this many and usually
-	// about k. Zero on the exact path, which scans everything.
+	// kept for exact refinement, summed over shards: per shard at most the
+	// budget (Rescore or its default, at least k) capped at the shard's
+	// live rows, and fewer where the store's error radius cuts off rows
+	// the refine step could not read (store.Store.SearchLive). The refine
+	// step stops early, once the radius proves the rest cannot reach the
+	// top k, so the rows it actually rescored (store.Stats().Rescored) are
+	// at most this many and usually about k. Zero on the exact path.
 	Candidates int
 }

@@ -97,9 +97,10 @@ type EngineStats struct {
 	QueueDepth, QueueCap int
 	// Shards is the live partition count. ShardTasks[i] counts scans
 	// executed by shard i this generation; ShardCandidates[i] counts the
-	// approximate-path candidates shard i's scan admitted for exact
-	// refinement (Result.Candidates), of which the store's refine step
-	// rescores only those its error radius cannot rule out.
+	// approximate-path candidates shard i's scan kept for exact
+	// refinement (Result.Candidates): at most the budget, fewer where the
+	// store's error radius cuts rows off, and of those the store's refine
+	// step rescores only the ones its error radius cannot rule out.
 	Shards          int
 	ShardTasks      []uint64
 	ShardCandidates []uint64

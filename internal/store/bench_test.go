@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/knn"
+	"repro/internal/linalg"
 )
 
 // The store benchmarks measure the phase-1 quantized scan against the
@@ -119,27 +120,19 @@ func BenchmarkExactSearch6598x166(b *testing.B) {
 
 // BenchmarkScanBlockPrefix times the prefix pass alone: each iteration
 // scans a variance-ordered 166-dim store as scanSegment does at one worker
-// with a budget of 320 (32·k at k = 10) — warmupBlocks full blocks, then
-// prefix blocks over the 64-code plane to the end, each marked
-// (scanBlockMark) one block before it is resolved (scanBlockResolve). Only
-// the second half of the rows is on the clock, whatever warmupBlocks is:
+// with a budget of 320 (32·k at k = 10) and no cut — full blocks until the
+// collector is full, then prefix blocks over the 64-code plane to the end,
+// each marked (scanBlockMark) one block before it is resolved
+// (scanBlockResolve). Only the second half of the rows is on the clock:
 // the marks of rows [n/2, n) and the resolves of as many rows one block
 // behind. It reports ns per row and GB/s of the plane bytes a row carries
 // (its 64 prefix codes, snormP, csumP and csumSuf). 32768 rows keep CI's
 // one-pass smoke run short.
 func BenchmarkScanBlockPrefix(b *testing.B) {
 	const n, clocked, budget = 32768, 32768 / 2, 320
-	const warm, from = warmupBlocks * scanBlockRows, n - clocked
-	if warm > from {
-		b.Fatalf("warmupBlocks·scanBlockRows = %d rows reach into the clocked range [%d, %d)", warm, from, n)
-	}
-	data, queries := testData(b, n, 16, 166, 101)
-	acc := NewScaleAccumulator(166)
-	for i := 0; i < n; i++ {
-		acc.Add(data.RawRow(i))
-	}
-	s := buildStore(b, data, BuildConfig{Perm: acc.VarianceOrder()})
-	sc := s.getScratch()
+	const warm, from = (budget + scanBlockRows - 1) / scanBlockRows * scanBlockRows, n - clocked
+	s, queries := varianceStore166(b, n)
+	sc := s.getScratch(0)
 	c := knn.NewCollector(budget)
 	var prefix time.Duration
 	b.ResetTimer()
@@ -167,6 +160,59 @@ func BenchmarkScanBlockPrefix(b *testing.B) {
 	ns := float64(prefix.Nanoseconds()) / float64(b.N*clocked)
 	b.ReportMetric(ns, "ns/row")
 	b.ReportMetric(float64(s.prefDims+4+4+4)/ns, "GB/s")
+}
+
+// BenchmarkSearchCut times Search on a 32768-row variance-ordered 166-dim
+// store at budget 320 (32·k at k = 10), once with the store's error radius
+// and once reopened with the radius slot zeroed, as in a file written
+// before the radius existed: there the refine step reads every candidate
+// and the sweep runs without its cut. Besides ns/op (one query per op) it
+// reports the candidates phase 1 keeps and the prefix survivors (rows the
+// prefix bound passes on to a full estimate) per query, the two counts the
+// cut moves; both are exact per query and taken before the clock starts.
+func BenchmarkSearchCut(b *testing.B) {
+	const n, k, budget = 32768, 10, 320
+	with, queries := varianceStore166(b, n)
+	for _, bc := range []struct {
+		name string
+		s    *Store
+	}{{"radius", with}, {"no-radius", reopenWithoutRadius(b, with)}} {
+		s := bc.s
+		b.Run(bc.name, func(b *testing.B) {
+			var cand, survivors int
+			for qi := 0; qi < queries.Rows(); qi++ {
+				q := queries.RawRow(qi)
+				_, kept := s.SearchLive(q, 0, n, k, budget, 1, nil)
+				p := s.getPlan(q)
+				p.cutK = s.cutK(k, budget)
+				c := s.getCollector(budget)
+				cand += kept
+				survivors += s.scanSegment(p, 0, n, c)
+				s.putCollector(c)
+				s.putPlan(p)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if len(s.Search(queries.RawRow(i%queries.Rows()), k, budget)) != k {
+					b.Fatal("short result")
+				}
+			}
+			b.ReportMetric(float64(cand)/float64(queries.Rows()), "cand/op")
+			b.ReportMetric(float64(survivors)/float64(queries.Rows()), "survivors/op")
+		})
+	}
+}
+
+// varianceStore166 builds the benchmarks' n × 166 variance-ordered store
+// and returns it with 16 held-out queries.
+func varianceStore166(b *testing.B, n int) (*Store, *linalg.Dense) {
+	data, queries := testData(b, n, 16, 166, 101)
+	acc := NewScaleAccumulator(166)
+	for i := 0; i < n; i++ {
+		acc.Add(data.RawRow(i))
+	}
+	return buildStore(b, data, BuildConfig{Perm: acc.VarianceOrder()}), queries
 }
 
 func BenchmarkStoreBuild6598x166(b *testing.B) {

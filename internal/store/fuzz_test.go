@@ -3,10 +3,15 @@ package store
 import (
 	"encoding/binary"
 	"errors"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"testing"
+
+	"repro/internal/linalg"
 )
 
 // FuzzOpen holds Open to its contract on damaged files: it either returns a
@@ -74,6 +79,91 @@ func FuzzOpen(f *testing.F) {
 			q[j] = float64(j%7) - 3
 		}
 		s.Search(q, 3, 10)
+	})
+}
+
+// FuzzRefineCut holds the sweep's cut and the refine step's stop to the
+// answers without them. Each input builds a 2100-row store of width
+// 1 + dims%130 — past the 32- and 64-code prefixes — from seeded Gaussian
+// rows with scales and variance order taken from those rows, as a store
+// is built in use, and then edited three bytes at a time (op, row, source):
+// a row becomes a copy of another, a zero row, or gets one +Inf, −Inf or
+// NaN value, which gives the store an infinite radius and turns the cut
+// and the stop off. On odd seeds every ninth row is dead. SearchLive on
+// that store and on the same file with its radius zeroed (no cut, no stop)
+// must return the same rows with the same distance bits at budgets k, 4k
+// and every live row and at one and two workers, for k = 1 + k%16 and
+// three queries: a stored row as written, the first row decoded from its
+// codes, and a fresh Gaussian row. The fuzzer raises GOMAXPROCS to at
+// least 2, so two workers are two real segments. The second seed is a
+// width-1 store, where rows share codes and estimates tie at the budget's
+// bound: it failed before the collector's heap ordered ties by index.
+func FuzzRefineCut(f *testing.F) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	f.Add(int64(1), uint8(40), uint8(9), []byte{})
+	f.Add(int64(-91), uint8(0), uint8(9), []byte{})
+	f.Add(int64(2), uint8(63), uint8(0), []byte{0, 1, 2, 1, 3, 4, 2, 5, 6, 0, 7, 7})
+	f.Add(int64(3), uint8(129), uint8(4), []byte{0, 9, 9, 0, 10, 9, 0, 11, 9, 0, 12, 9})
+	f.Add(int64(5), uint8(71), uint8(9), []byte{3, 0, 0, 3, 1, 0})
+	f.Add(int64(6), uint8(64), uint8(9), []byte{5, 30, 0})
+	f.Add(int64(7), uint8(99), uint8(2), []byte{7, 200, 0})
+	f.Fuzz(func(t *testing.T, seed int64, dims, kk uint8, edits []byte) {
+		n, d, k := 2100, 1+int(dims)%130, 1+int(kk)%16
+		rng := rand.New(rand.NewSource(seed))
+		data := linalg.NewDense(n, d)
+		acc := NewScaleAccumulator(d)
+		for i := 0; i < n; i++ {
+			row := data.RawRow(i)
+			for j := range row {
+				row[j] = rng.NormFloat64() * float64(1+j%7)
+			}
+			acc.Add(row)
+		}
+		cfg := BuildConfig{Perm: acc.VarianceOrder()}
+		cfg.Mins, cfg.Steps = acc.Scales(Int8)
+		for e := 0; e+3 <= min(len(edits), 3*64); e += 3 {
+			row, src := data.RawRow(int(edits[e+1])*n/256), data.RawRow(int(edits[e+2])*n/256)
+			switch j := int(edits[e+2]) % d; edits[e] % 8 {
+			case 0, 1, 2:
+				copy(row, src)
+			case 3, 4:
+				clear(row)
+			case 5:
+				row[j] = math.Inf(1)
+			case 6:
+				row[j] = math.Inf(-1)
+			case 7:
+				row[j] = math.NaN()
+			}
+		}
+		var dead []int
+		for i := 4; seed%2 != 0 && i < n; i += 9 {
+			dead = append(dead, i)
+		}
+		live := n - len(dead)
+		s := buildStore(t, data, cfg)
+		ref := reopenWithoutRadius(t, s)
+		fresh := make([]float64, d)
+		for j := range fresh {
+			fresh[j] = rng.NormFloat64() * float64(1+j%7)
+		}
+		for qi, q := range [][]float64{data.RawRow(int(uint64(seed) % uint64(n))), s.DequantRow(0), fresh} {
+			for _, budget := range []int{k, 4 * k, live} {
+				for _, workers := range []int{1, 2} {
+					want, _ := ref.SearchLive(q, 0, n, k, budget, workers, dead)
+					got, _ := s.SearchLive(q, 0, n, k, budget, workers, dead)
+					if len(got) != len(want) {
+						t.Fatalf("query %d budget=%d w=%d: %d neighbors, %d without the radius", qi, budget, workers, len(got), len(want))
+					}
+					for r := range got {
+						if got[r].Index != want[r].Index || math.Float64bits(got[r].Dist) != math.Float64bits(want[r].Dist) {
+							t.Fatalf("query %d budget=%d w=%d rank %d: %+v, %+v without the radius (radius %v)",
+								qi, budget, workers, r, got[r], want[r], s.radius)
+						}
+					}
+				}
+			}
+		}
 	})
 }
 

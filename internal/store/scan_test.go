@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -83,10 +84,12 @@ func TestBlockedScanBitIdenticalToNaive(t *testing.T) {
 				for _, budget := range []int{k, 2 * k, n} {
 					want := naiveSearchRange(s, q, 0, n, k, budget, dead)
 					for _, workers := range []int{1, 2, 3} {
-						got, rescored := s.SearchLive(q, 0, n, k, budget, workers, dead)
-						if live := n - len(dead); rescored != min(budget, live) {
-							t.Fatalf("%s d=%d q=%d budget=%d w=%d: rescored %d candidates, want %d",
-								name, d, qi, budget, workers, rescored, min(budget, live))
+						before := s.Stats().Rescored
+						got, cand := s.SearchLive(q, 0, n, k, budget, workers, dead)
+						refined := int(s.Stats().Rescored - before)
+						if live := n - len(dead); refined < min(k, live) || refined > cand || cand > min(budget, live) {
+							t.Fatalf("%s d=%d q=%d budget=%d w=%d: %d candidates and %d refined, want %d ≤ refined ≤ candidates ≤ %d",
+								name, d, qi, budget, workers, cand, refined, min(k, live), min(budget, live))
 						}
 						if len(got) != len(want) {
 							t.Fatalf("%s d=%d q=%d budget=%d w=%d: %d neighbors, want %d",
@@ -198,7 +201,7 @@ func TestScanSegmentTailResidues(t *testing.T) {
 		if s.PrefixDims() == 0 {
 			t.Fatalf("%s: prefix disabled at d=%d", name, d)
 		}
-		sc := s.getScratch()
+		sc := s.getScratch(0)
 		for qi := 0; qi < queries.Rows(); qi++ {
 			p := s.getPlan(queries.RawRow(qi))
 			// prefilled returns a full collector holding the scalar scan of
@@ -252,8 +255,8 @@ func TestScanSegmentTailResidues(t *testing.T) {
 // scalar loop, bit for bit, where the pipeline has state to get wrong:
 //   - a segment that ends on a pending prefix block, which only the final
 //     resolve offers;
-//   - a one-block segment (under 8 rows, so it has no warm-up), which is
-//     marked and then resolved only by that final resolve;
+//   - a one-block segment of five rows, which is marked and then resolved
+//     only by that final resolve;
 //   - a prefix block followed by a holdoff full block, which must run only
 //     after the pending block is resolved;
 //   - the same with every third row dead, so dead rows sit among a pending
@@ -326,7 +329,7 @@ func TestScanSegmentPendingBlocks(t *testing.T) {
 			// Mark rows [256, 512) against the phantom bound, tighten the
 			// collector with rows [0, 256) as the previous block's resolve
 			// would, then resolve.
-			sc := s.getScratch()
+			sc := s.getScratch(0)
 			c, ref := loose(32), loose(32)
 			m := &sc.marks[0]
 			s.scanBlockMark(p, m, scanBlockRows, 2*scanBlockRows, c.Bound())
@@ -521,16 +524,50 @@ func refineTestStores(t *testing.T, data *linalg.Dense) map[string]*Store {
 	return stores
 }
 
+// refineTestQueries returns the queries TestRescoreBoundAdmissible and
+// TestRefineCutAdmissible run on a refineTestStores store s, given the
+// held-out rows of its data: TestPrefixBoundAdmissible's — held-out rows
+// as they are, stored rows decoded from their codes, and held-out rows
+// moved 10 and 1000 code ranges off the data — plus the worst-encoded row
+// moved 1, 10, 100 and 1000 times its own quantization error further along
+// that error. There the triangle inequality under the bound is tight: the
+// row sits exactly ‖x − x̂‖ closer to the query than its codes do, and that
+// distance is the store's radius.
+func refineTestQueries(s *Store, queries *linalg.Dense) [][]float64 {
+	e := knn.Euclidean{}
+	steps := s.Steps()
+	var qs [][]float64
+	for qi := 0; qi < queries.Rows(); qi++ {
+		qs = append(qs, s.DequantRow(qi*701))
+		for _, ranges := range []float64{0, 10, -1000} {
+			q := append([]float64(nil), queries.RawRow(qi)...)
+			for j := range q {
+				q[j] += ranges * maxCode * steps[j] * float64(1-2*(j%2))
+			}
+			qs = append(qs, q)
+		}
+	}
+	worst, worstErr := 0, -1.0
+	for i := 0; i < s.Len(); i++ {
+		if err := e.Distance(s.DequantRow(i), s.exactMat.RawRow(i)); err > worstErr {
+			worst, worstErr = i, err
+		}
+	}
+	x, xh := s.exactMat.RawRow(worst), s.DequantRow(worst)
+	for _, mult := range []float64{1, 10, 100, 1000} {
+		q := make([]float64, len(x))
+		for j := range q {
+			q[j] = x[j] + mult*(x[j]-xh[j])
+		}
+		qs = append(qs, q)
+	}
+	return qs
+}
+
 // TestRescoreBoundAdmissible holds the argument written at refineBound to
 // every row of every refineTestStores store, at every width in
-// prefixTestDims: no row's lower bound exceeds its computed exact distance
-// from the query. The queries are TestPrefixBoundAdmissible's — held-out
-// rows as they are, stored rows decoded from their codes, and held-out
-// rows moved 10 and 1000 code ranges off the data — plus the worst-encoded
-// row moved 1, 10, 100 and 1000 times its own quantization error further
-// along that error. There the triangle inequality under the bound is
-// tight: the row sits exactly ‖x − x̂‖ closer to the query than its codes
-// do, and that distance is the store's radius.
+// prefixTestDims, on the refineTestQueries: no row's lower bound exceeds
+// its computed exact distance from the query.
 func TestRescoreBoundAdmissible(t *testing.T) {
 	n := 3000
 	e := knn.Euclidean{}
@@ -540,33 +577,7 @@ func TestRescoreBoundAdmissible(t *testing.T) {
 			if !(s.radius > 0) {
 				t.Fatalf("%s d=%d: store has no error radius", name, d)
 			}
-			steps := s.Steps()
-			var qs [][]float64
-			for qi := 0; qi < queries.Rows(); qi++ {
-				qs = append(qs, s.DequantRow(qi*701))
-				for _, ranges := range []float64{0, 10, -1000} {
-					q := append([]float64(nil), queries.RawRow(qi)...)
-					for j := range q {
-						q[j] += ranges * maxCode * steps[j] * float64(1-2*(j%2))
-					}
-					qs = append(qs, q)
-				}
-			}
-			worst, worstErr := 0, -1.0
-			for i := 0; i < n; i++ {
-				if err := e.Distance(s.DequantRow(i), s.exactMat.RawRow(i)); err > worstErr {
-					worst, worstErr = i, err
-				}
-			}
-			x, xh := s.exactMat.RawRow(worst), s.DequantRow(worst)
-			for _, mult := range []float64{1, 10, 100, 1000} {
-				q := make([]float64, d)
-				for j := range q {
-					q[j] = x[j] + mult*(x[j]-xh[j])
-				}
-				qs = append(qs, q)
-			}
-			for qi, q := range qs {
+			for qi, q := range refineTestQueries(s, queries) {
 				p := s.getPlan(q)
 				for i := 0; i < n; i++ {
 					lb := s.refineBound(p, s.scoreAt(p, i))
@@ -581,19 +592,77 @@ func TestRescoreBoundAdmissible(t *testing.T) {
 	}
 }
 
-// TestRefineCountBounds holds the refine step's work to its bounds over the
-// scan property test's grid: SearchLive's second result is still the
-// phase-1 candidate count, and the rows it refined (the Rescored counter)
-// number at least min(k, live) and at most that count. Where the budget
-// admits every live row, the stop must do its job: refined rows stay under
-// a fifth of the candidates over the grid.
+// TestRefineCutAdmissible holds the argument written at refineCut to every
+// refineTestStores store, at every width in prefixTestDims, on the
+// refineTestQueries, at k = 1 and 10. With the cut taken from the k
+// smallest estimates of the store — the tightest cut any segment reaches —
+// an estimate at the cut has a refine bound above U·(1+δ)², the largest
+// stop threshold the k rows allow, in the computed floats; every row the
+// full-budget refine step reads under its stop has an estimate below the
+// cut; and SearchLive at full budget, cut and stop on, returns the rows of the
+// radius-free refine, which reads every candidate (naiveSearchRange),
+// distance bits included, at one worker and at two. Among the stores is
+// "clamped", whose external scales give it a radius near 24 against ≈ 0.4
+// on the fitted ones, so its cut is nearly off.
+func TestRefineCutAdmissible(t *testing.T) {
+	n := 3000
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	for _, d := range prefixTestDims {
+		data, queries := testData(t, n, 4, d, 47)
+		for name, s := range refineTestStores(t, data) {
+			for qi, q := range refineTestQueries(s, queries) {
+				for _, k := range []int{1, 10} {
+					p := s.getPlan(q)
+					all := knn.NewCollector(n)
+					for i := 0; i < n; i++ {
+						all.Offer(i, s.scoreAt(p, i))
+					}
+					cand := all.Results()
+					cut := s.refineCut(p, cand[k-1].Dist)
+					u := math.Sqrt(cand[k-1].Dist+p.refE) + s.radius
+					if lb := s.refineBound(p, cut); !(lb > u*(1+rescoreSlack)*(1+rescoreSlack)) {
+						t.Fatalf("%s d=%d query %d k=%d: an estimate at the cut %v has refine bound %v, not above U·(1+δ)² for U = %v",
+							name, d, qi, k, cut, lb, u)
+					}
+					for r, c := range s.refine(p, q, slices.Clone(cand), k) {
+						if !(cand[r].Dist < cut) {
+							t.Fatalf("%s d=%d query %d k=%d: refined row %d (rank %d) has estimate %v, not below the cut %v (radius %v)",
+								name, d, qi, k, c.Index, r, cand[r].Dist, cut, s.radius)
+						}
+					}
+					s.putPlan(p)
+					want := naiveSearchRange(s, q, 0, n, k, n, nil)
+					for _, workers := range []int{1, 2} {
+						got, _ := s.SearchLive(q, 0, n, k, n, workers, nil)
+						if len(got) != len(want) {
+							t.Fatalf("%s d=%d query %d k=%d w=%d: %d neighbors, want %d", name, d, qi, k, workers, len(got), len(want))
+						}
+						for r := range got {
+							if got[r].Index != want[r].Index || math.Float64bits(got[r].Dist) != math.Float64bits(want[r].Dist) {
+								t.Fatalf("%s d=%d query %d k=%d w=%d rank %d: %+v, want %+v", name, d, qi, k, workers, r, got[r], want[r])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRefineCountBounds holds the sweep's and the refine step's work to
+// their bounds over the scan property test's grid: SearchLive's second
+// result, the candidates phase 1 kept, is at most min(budget, live), and
+// the rows refined (the Rescored counter) number at least min(k, live) and
+// at most that count. Where the budget admits every live row, the cut must
+// do its job: the candidates kept stay under a fifth of the live rows over
+// the grid, and the rows refined under that.
 func TestRefineCountBounds(t *testing.T) {
 	n, k := 3000, 10
 	var everyFifth []int
 	for i := 2; i < n; i += 5 {
 		everyFifth = append(everyFifth, i)
 	}
-	var fullCand, fullRefined int
+	var fullLive, fullCand int
 	for _, d := range prefixTestDims {
 		data, queries := testData(t, n, 6, d, 41)
 		for name, cfg := range storeVariants(data) {
@@ -606,21 +675,21 @@ func TestRefineCountBounds(t *testing.T) {
 						before := s.Stats().Rescored
 						_, cand := s.SearchLive(queries.RawRow(qi), 0, n, k, budget, workers, dead)
 						refined := int(s.Stats().Rescored - before)
-						if cand != min(budget, live) || refined < min(k, live) || refined > cand {
-							t.Fatalf("%s d=%d q=%d budget=%d w=%d: %d candidates and %d refined, want %d and [%d, %d]",
-								name, d, qi, budget, workers, cand, refined, min(budget, live), min(k, live), cand)
+						if refined < min(k, live) || refined > cand || cand > min(budget, live) {
+							t.Fatalf("%s d=%d q=%d budget=%d w=%d: %d candidates and %d refined, want %d ≤ refined ≤ candidates ≤ %d",
+								name, d, qi, budget, workers, cand, refined, min(k, live), min(budget, live))
 						}
 						if budget == n {
+							fullLive += live
 							fullCand += cand
-							fullRefined += refined
 						}
 					}
 				}
 			}
 		}
 	}
-	if 5*fullRefined >= fullCand {
-		t.Errorf("full-budget searches refined %d of %d candidates: the stop did not engage", fullRefined, fullCand)
+	if 5*fullCand >= fullLive {
+		t.Errorf("full-budget searches kept %d candidates of %d live rows: the cut did not engage", fullCand, fullLive)
 	}
 }
 
@@ -636,17 +705,7 @@ func TestRefineWithoutRadius(t *testing.T) {
 		acc.Add(data.RawRow(i))
 	}
 	with := buildStore(t, data, BuildConfig{Perm: acc.VarianceOrder()})
-	raw := readStore(t, with)
-	clear(raw[radiusOff : radiusOff+8])
-	path := filepath.Join(t.TempDir(), "no-radius.qvs")
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	without, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer without.Close()
+	without := reopenWithoutRadius(t, with)
 	if with.radius <= 0 || without.radius != 0 {
 		t.Fatalf("radius %v written, %v after zeroing", with.radius, without.radius)
 	}
@@ -669,4 +728,22 @@ func TestRefineWithoutRadius(t *testing.T) {
 			}
 		}
 	}
+}
+
+// reopenWithoutRadius writes s's file with the error radius slot zeroed, as
+// in a file written before the radius existed, and opens it.
+func reopenWithoutRadius(tb testing.TB, s *Store) *Store {
+	tb.Helper()
+	raw := readStore(tb, s)
+	clear(raw[radiusOff : radiusOff+8])
+	path := filepath.Join(tb.TempDir(), "no-radius.qvs")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		tb.Fatal(err)
+	}
+	without, err := Open(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { without.Close() })
+	return without
 }

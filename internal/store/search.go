@@ -51,18 +51,22 @@ type plan struct {
 	tstep float64
 	pre   linalg.PrefixQuery // the prefix lower bound's query side
 	refE  float64            // E of the refine step's lower bound (refineBound)
+	cutK  int                // k of the sweep's cut (refineCut); 0 turns it off
 
 	dead []int // ascending tombstoned positions the sweep skips (SearchLive)
 }
 
 // scanScratch is the per-segment block buffer, the two prefix blocks the
 // pipelined sweep alternates between, pooled so steady-state searches do
-// not allocate, and the part of the plan's dead list the segment has not
-// walked past.
+// not allocate, the part of the plan's dead list the segment has not
+// walked past, and the segment's cut: the k-heap of the smallest
+// estimates it has admitted and the cut refineCut takes from them.
 type scanScratch struct {
 	scores []float64
 	marks  [2]markedBlock
 	dead   []int
+	top    knn.Collector
+	cut    float64
 }
 
 // markedBlock is one prefix block between its two steps: rows [base, end),
@@ -116,6 +120,7 @@ func (s *Store) getPlan(q []float64) *plan {
 	p.pre = linalg.PrefixQuery{U: p.u[:s.prefDims], A2: a2P, Tmin: p.tmin, Tstep: p.tstep,
 		Margin: 1e-9 * (p.a2 + s.snormMean + 1)}
 	p.refE = p.tstep*s.csumMax + p.pre.Margin
+	p.cutK = 0
 	return p
 }
 
@@ -191,12 +196,33 @@ func (s *Store) scoreAt(p *plan, i int) float64 {
 	return s.combine(p, i, s.rowDotQ(p, i))
 }
 
-func (s *Store) getScratch() *scanScratch {
+// getScratch returns a pooled segment scratch with its cut reset: no cut
+// yet, and a k-heap emptied for cutK rows when the cut is on (cutK > 0).
+func (s *Store) getScratch(cutK int) *scanScratch {
 	sc, _ := s.scratchPool.Get().(*scanScratch)
 	if sc == nil {
 		sc = &scanScratch{scores: make([]float64, scanBlockRows)}
 	}
+	sc.cut = math.Inf(1)
+	if cutK > 0 {
+		sc.top.Reset(cutK)
+	}
 	return sc
+}
+
+// admit offers live row i, whose estimate v is below the segment's
+// admission bound, to the budget collector c and, with the cut on, to the
+// k-heap, tightens the cut when the k-th smallest estimate falls, and
+// returns the new admission bound min(c.Bound(), cut). The cut only falls,
+// and a NaN cut fails the test and never replaces it.
+func (s *Store) admit(p *plan, sc *scanScratch, c *knn.Collector, i int, v float64) float64 {
+	c.Offer(i, v)
+	if p.cutK > 0 && sc.top.Offer(i, v) && sc.top.Full() {
+		if cut := s.refineCut(p, sc.top.Bound()); cut < sc.cut {
+			sc.cut = cut
+		}
+	}
+	return min(c.Bound(), sc.cut)
 }
 
 // getCollector returns a pooled candidate collector reset to capacity
@@ -229,11 +255,12 @@ func (s *Store) getPar() *parScratch {
 }
 
 // scanBlockFull scores rows [base, end) with the ×8 kernel into the flat
-// scratch buffer, then offers only live entries below the collector's
-// bound. Offer admits exactly the candidates with dist < Bound(), so the
-// pre-filter changes nothing about the admitted set — it only keeps the
-// heap branch out of the kernel loop — and a row is looked up on the dead
-// list only once it would be offered.
+// scratch buffer, then admits only live entries below the admission bound
+// min(c.Bound(), cut). Offer admits exactly the candidates with dist <
+// Bound(), so the pre-filter drops nothing the collector would keep but
+// the rows at or past the cut — it keeps the heap branch out of the kernel
+// loop — and a row is looked up on the dead list only once it would be
+// offered.
 func (s *Store) scanBlockFull(p *plan, sc *scanScratch, base, end int, c *knn.Collector) {
 	// rem is the unwritten suffix of scores; keeping the block width in the
 	// loop condition (len(rem) >= 8 ⇔ i+8 <= end) lets the prover drop
@@ -256,25 +283,25 @@ func (s *Store) scanBlockFull(p *plan, sc *scanScratch, base, end int, c *knn.Co
 	for j := range rem {
 		rem[j] = s.scoreAt(p, i+j)
 	}
-	bound := c.Bound()
+	bound := min(c.Bound(), sc.cut)
 	for j, v := range scores {
 		if v < bound && !sc.isDead(base+j) {
-			c.Offer(base+j, v)
-			bound = c.Bound()
+			bound = s.admit(p, sc, c, base+j, v)
 		}
 	}
 }
 
 // scanBlockMark is the first step of a prefix block, used once the
-// collector is full: linalg.PrefixBounds scores only the variance-leading
-// prefix plane (a contiguous prefDims-wide copy of the leading codes) of
-// rows [base, end) into an admissible lower bound per row on the full
-// estimate, and marks the rows below bound. It then prefetches each marked
-// row's full code row and scanAux pair, so their misses overlap whatever
-// the caller runs before scanBlockResolve reads them. A row with lb ≥ bound
-// would be rejected by Offer at any later, smaller bound, so the mask is a
-// superset of the rows that can still pass. Dead rows are marked too: the
-// dead list is walked in row order by the resolve alone.
+// admission bound is finite: linalg.PrefixBounds scores only the
+// variance-leading prefix plane (a contiguous prefDims-wide copy of the
+// leading codes) of rows [base, end) into an admissible lower bound per
+// row on the full estimate, and marks the rows below bound. It then
+// prefetches each marked row's full code row and scanAux pair, so their
+// misses overlap whatever the caller runs before scanBlockResolve reads
+// them. A row with lb ≥ bound would fail the admission test at any later,
+// smaller bound, so the mask is a superset of the rows that can still
+// pass. Dead rows are marked too: the dead list is walked in row order by
+// the resolve alone.
 func (s *Store) scanBlockMark(p *plan, m *markedBlock, base, end int, bound float64) {
 	P := s.prefDims
 	m.base, m.end = base, end
@@ -293,26 +320,25 @@ func (s *Store) scanBlockMark(p *plan, m *markedBlock, base, end int, bound floa
 }
 
 // scanBlockResolve is the second step: it visits m's marked rows in
-// ascending order and re-tests each against the collector's bound at that
-// moment, which is never above the bound m was marked against. Survivors —
-// live rows still below it — get the exact full estimate and the same
-// admission test as the full pass, so the candidates admitted are exactly
-// those of offering every row of the block. A dead row is skipped once it
-// survives the bound, before its full code row is read.
+// ascending order and re-tests each against the admission bound
+// min(c.Bound(), cut) at that moment, which is never above the bound m was
+// marked against. Survivors — live rows still below it — get the exact
+// full estimate and the same admission test as the full pass, so the
+// candidates admitted are exactly those of admitting every row of the
+// block in order. A dead row is skipped once it survives the bound, before
+// its full code row is read.
 func (s *Store) scanBlockResolve(p *plan, sc *scanScratch, m *markedBlock, c *knn.Collector) (survivors int) {
 	base := m.base
 	lbs := m.lbs[:m.end-base]
-	bound := c.Bound()
+	bound := min(c.Bound(), sc.cut)
 	for w, mw := range m.mask[:(len(lbs)+63)/64] {
 		for ; mw != 0; mw &= mw - 1 {
 			j := w*64 + bits.TrailingZeros64(mw)
 			//drlint:ignore bcegate j is a set mask bit, below len(lbs) by PrefixBounds' contract; one check per marked row
 			if lbs[j] < bound && !sc.isDead(base+j) {
 				survivors++
-				v := s.scoreAt(p, base+j)
-				if v < bound {
-					c.Offer(base+j, v)
-					bound = c.Bound()
+				if v := s.scoreAt(p, base+j); v < bound {
+					bound = s.admit(p, sc, c, base+j, v)
 				}
 			}
 		}
@@ -326,61 +352,48 @@ func (s *Store) scanBlockResolve(p *plan, sc *scanScratch, m *markedBlock, c *kn
 // that was unprofitable early can become profitable later).
 const prefixHoldoffBlocks = 16
 
-// warmupBlocks is how many leading blocks of a segment run in full mode
-// even once the collector fills. The admission bound after seeing only
-// budget rows is far looser than the final one, so an immediate switch
-// to the prefix pass pays full price (prefix dot + survivor dot) on the
-// many rows that loose bound cannot prune; a short warmup tightens the
-// bound first. Pure scheduling — admitted candidates are unchanged (see
-// scanSegment). On a 250,000 × 166 variance-ordered store at budget 320
-// (2-core Xeon, GOMAXPROCS 1, the pipelined sweep), warm-ups of 2 to 16
-// blocks cost within 1 % of each other per query, and 32 blocks cost 3 %
-// more while cutting the survivors only 15 % (6,669 → 5,676 per query).
-const warmupBlocks = 8
-
-// scanSegment runs the blocked phase-1 sweep over [lo, hi). Once the
-// collector is full it tries the prefix early-abandon pass, software-
-// pipelined one block deep: it marks block b+1 (scanBlockMark) before it
-// resolves block b (scanBlockResolve), so the survivors' cold code rows,
-// prefetched at mark time, arrive while the next block's prefix kernel
-// runs. A pending block is resolved before any full block runs and at the
-// end of the segment, so rows are offered in ascending order and the dead
-// list is walked once. Block b+1's mask is taken against a bound one block
-// older than its resolve, and bounds only fall, so it is still a superset
-// of the rows that can pass; the admitted candidates are those of the
-// unpipelined sweep. The prefix pass is kept honest with a payoff probe: a
-// resolved block whose survivor fraction exceeds ~3/8 costs more than the
-// straight ×8 full pass, since every survivor pays a full-row dot on top
-// of its prefix row, and such a block pushes the sweep back to full mode
-// for prefixHoldoffBlocks before re-probing. The two block kinds admit
-// identical candidates, so this scheduling is invisible in the results.
+// scanSegment runs the blocked phase-1 sweep over [lo, hi) and returns
+// how many rows its prefix blocks passed on to a full estimate. Once the
+// admission bound min(c.Bound(), cut) is finite — the budget collector is
+// full, or with the cut on, the k-heap is — it tries the prefix
+// early-abandon pass, software-pipelined one block deep: it marks block b+1
+// (scanBlockMark) before it resolves block b (scanBlockResolve), so the
+// survivors' cold code rows, prefetched at mark time, arrive while the
+// next block's prefix kernel runs. A pending block is resolved before any
+// full block runs and at the end of the segment, so rows are admitted in
+// ascending order and the dead list is walked once. Block b+1's mask is
+// taken against a bound one block older than its resolve, and bounds only
+// fall, so it is still a superset of the rows that can pass; the admitted
+// candidates are those of the unpipelined sweep. The prefix pass is kept
+// honest with a payoff probe: a resolved block whose survivor fraction
+// exceeds ~3/8 costs more than the straight ×8 full pass, since every
+// survivor pays a full-row dot on top of its prefix row, and such a block
+// pushes the sweep back to full mode for prefixHoldoffBlocks before
+// re-probing. The probe is also the sweep's warm-up: while the bound is
+// still loose it keeps the sweep in full mode. A fixed warm-up of full
+// blocks before the first probe measured no better (EXPERIMENTS.md, "The
+// sweep cuts at the error radius"). The two block kinds admit identical
+// candidates, so this scheduling is invisible in the results.
 //
-//drlint:hotpath inline=4
-func (s *Store) scanSegment(p *plan, lo, hi int, c *knn.Collector) {
-	sc := s.getScratch()
+//drlint:hotpath inline=5
+func (s *Store) scanSegment(p *plan, lo, hi int, c *knn.Collector) (survivors int) {
+	sc := s.getScratch(p.cutK)
 	sc.dead = p.dead
 	usePrefix := s.prefDims > 0
 	holdoff := 0
-	// Cap the warmup at an eighth of the segment so short segments — small
-	// stores, or a large one split across many workers — still spend most
-	// of their sweep in the cheaper prefix mode.
-	warmRows := warmupBlocks * scanBlockRows
-	if limit := (hi - lo) / 8; warmRows > limit {
-		warmRows = limit
-	}
-	warm := lo + warmRows
 	var pending *markedBlock
 	for base := lo; base < hi; base += scanBlockRows {
 		end := min(base+scanBlockRows, hi)
 		var next *markedBlock
-		if usePrefix && holdoff == 0 && base >= warm && c.Full() {
+		if bound := min(c.Bound(), sc.cut); usePrefix && holdoff == 0 && bound < math.Inf(1) {
 			if next = &sc.marks[0]; next == pending {
 				next = &sc.marks[1]
 			}
-			s.scanBlockMark(p, next, base, end, c.Bound())
+			s.scanBlockMark(p, next, base, end, bound)
 		}
 		if pending != nil {
-			if surv := s.scanBlockResolve(p, sc, pending, c); 8*surv > 3*(pending.end-pending.base) {
+			surv := s.scanBlockResolve(p, sc, pending, c)
+			if survivors += surv; 8*surv > 3*(pending.end-pending.base) {
 				holdoff = prefixHoldoffBlocks
 			}
 		}
@@ -392,10 +405,11 @@ func (s *Store) scanSegment(p *plan, lo, hi int, c *knn.Collector) {
 		}
 	}
 	if pending != nil {
-		s.scanBlockResolve(p, sc, pending, c)
+		survivors += s.scanBlockResolve(p, sc, pending, c)
 	}
 	sc.dead = nil
 	s.scratchPool.Put(sc)
+	return survivors
 }
 
 // rescoreAhead is how many candidates ahead of its exact rescore a
@@ -435,6 +449,45 @@ const rescoreSlack = 1e-9
 // accepts.
 func (s *Store) refineBound(p *plan, est float64) float64 {
 	return math.Sqrt(max(0, est-p.refE)) - s.radius
+}
+
+// cutSlack is the factor (1+δ)² of refineCut, δ = rescoreSlack: one
+// (1+δ) is the rounding of the k-th computed distance above its bound U,
+// the other the stop test's own kth·(1+δ).
+const cutSlack = (1 + rescoreSlack) * (1 + rescoreSlack)
+
+// refineCut is the sweep's cut: given ek, the k-th smallest estimate among
+// k live rows a segment has seen, no row whose estimate is at or above
+//
+//	cut = ((U·(1+δ)² + R)² + E)·(1+δ),  U = √(ek + E) + R
+//
+// can be read by the refine step, so phase 1 need not keep it. refineBound
+// run the other way bounds each of those k rows: ‖q − x‖ ≤ ‖q − x̂‖ + R and
+// ‖q − x̂‖² ≤ est + E, so all k lie within U of the query. The refine
+// step's first k candidates are the k smallest estimates of the range, all
+// ≤ ek, so from t = k on its k-th computed distance is at most U·(1+δ) and
+// its stop threshold kth·(1+δ) at most U·(1+δ)². An estimate at or above
+// the cut has √(est − E) − R ≥ (U·(1+δ)² + R)·√(1+δ) − R, above U·(1+δ)²
+// by at least (U·(1+δ)² + R)·δ/2 − ε: the last (1+δ) is the cut's
+// rounding slack, and covers the relative rounding ε of the eight
+// operations here and of refineBound's three on non-negative terms, a few
+// 2⁻⁵³ each. Such a row's bound therefore passes the stop test, and the
+// stop, monotone along the candidates, falls at or before it. The cut
+// exceeds ek, so it never drops one of the k rows it was taken from. ek
+// only falls as the segment advances, so the cut only tightens.
+func (s *Store) refineCut(p *plan, ek float64) float64 {
+	r := (math.Sqrt(ek+p.refE)+s.radius)*cutSlack + s.radius
+	return (r*r + p.refE) * (1 + rescoreSlack)
+}
+
+// cutK is plan.cutK for a query of k neighbors at budget: k where the
+// refine step can stop, 0 (no cut) where it reads every candidate — no
+// radius, an infinite one, or a budget of at most k.
+func (s *Store) cutK(k, budget int) int {
+	if s.radius > 0 && !math.IsInf(s.radius, 1) && budget > k {
+		return k
+	}
+	return 0
 }
 
 // refine is phase 2: it exactly rescores cand, which phase 1 returns
@@ -501,13 +554,13 @@ func (s *Store) willneedRow(i int) {
 }
 
 // Search returns the k nearest neighbors of q by two-phase search over the
-// whole store: a quantized scan admits the rescore-budget best candidates,
-// and the refine step rescores them exactly against the float64 region in
-// estimate order until the error radius proves no remaining candidate can
-// enter the top k, then re-sorts under the canonical (distance, index)
-// order. rescore < k is treated as k; rescore ≥ Len() makes the result
-// bit-identical to exact search: every point is admitted, and every point
-// that can reach the top k is exactly scored.
+// whole store: a quantized scan keeps the rescore-budget best candidates
+// below the error radius's cut, and the refine step rescores them exactly
+// against the float64 region in estimate order until the radius proves no
+// remaining candidate can enter the top k, then re-sorts under the
+// canonical (distance, index) order. rescore < k is treated as k; rescore
+// ≥ Len() makes the result bit-identical to exact search: every point that
+// can reach the top k is kept and exactly scored.
 //
 //drlint:hotpath
 func (s *Store) Search(q []float64, k, rescore int) []knn.Neighbor {
@@ -530,17 +583,20 @@ func (s *Store) SearchRangeWorkers(q []float64, lo, hi, k, rescore, workers int)
 // counts live candidates however many rows are dead; a budget of at least
 // the live rows is bit-identical to exact search over them. Returned
 // indices are global; the second result is the number of candidates phase 1
-// admitted, min(max(rescore, k), live rows). Phase 2 (refine) exactly
-// rescores them in estimate order and stops once the store's error radius
-// proves the rest cannot reach the top k, so it refines between min(k,
-// live) rows and all of them; Stats().Rescored counts the rows it refined.
+// kept: at most min(max(rescore, k), live rows), and fewer where the
+// store's error radius cuts rows off that phase 2 could not read
+// (refineCut). Phase 2 (refine) exactly rescores them in estimate order
+// and stops once the radius proves the rest cannot reach the top k, so it
+// refines between min(k, live) rows and all of them; Stats().Rescored
+// counts the rows it refined.
 //
 // The phase-1 sweep splits across up to workers parallel segments
 // (workers ≤ 1 scans sequentially). Each segment fills its own full-budget
-// collector; the merged candidate set, truncated under the canonical (dist,
-// index) order, equals the sequential scan's set exactly — a point survives
-// iff fewer than budget points precede it in that total order, regardless
-// of segmentation — so results are bit-identical for every worker count.
+// collector and keeps its own cut; the merged candidate set, truncated
+// under the canonical (dist, index) order, agrees with the sequential
+// scan's up to the first row either cut dropped, and the refine step stops
+// at or before that row — so results are bit-identical for every worker
+// count.
 // Worker counts beyond what minSegmentRows-sized slices of [lo, hi) can
 // occupy are clamped.
 //
@@ -572,6 +628,7 @@ func (s *Store) SearchLive(q []float64, lo, hi, k, rescore, workers int, dead []
 
 	p := s.getPlan(q)
 	p.dead = dead
+	p.cutK = s.cutK(k, budget)
 	var cand []knn.Neighbor
 	if workers <= 1 {
 		c := s.getCollector(budget)
